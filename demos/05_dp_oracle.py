@@ -35,7 +35,7 @@ print(f"MILP objective: {milp.objective:10.4f} EUR")
 
 print("\ngrid refinement ladder (monotone from below):")
 for n in (101, 201, 401, 801):
-    dp = solve_dp(params, prices, DpConfig(grid_points=n, action_levels=101))
+    dp = solve_dp(params, prices, DpConfig(grid_points=n))
     gap = milp.objective - dp.objective
     print(f"  N={n:4d}: {dp.objective:10.4f} EUR (gap to MILP {gap:.4f})")
 

@@ -76,4 +76,3 @@ from .storage import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"

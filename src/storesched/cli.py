@@ -4,7 +4,8 @@ Subcommands: partition, advise, solve, check, compare.  Exit codes:
 
 * 0  success; for advise: the relaxation is safe, solve the LP
 * 1  check found an infeasible or simultaneously-charging schedule
-* 2  malformed input (CSV, params file, schedule JSON, manifest)
+* 2  malformed or unreadable input (CSV, params file, schedule JSON,
+     manifest)
 * 3  internal solver invariant breach
 * 10 advise: solve the refined MILP
 
@@ -146,13 +147,12 @@ def _solve_formulation(args, params, prices, part):
             "gap": stats.gap,
             "physically_infeasible": bool(report.scd_events),
         }
-    config = DpConfig(grid_points=args.grid, action_levels=args.levels)
+    config = DpConfig(grid_points=args.grid)
     report = solve_dp(params, prices, config)
     eps = dp_value_error_bound(params, prices, config)
     print(f"dp discretization bound: {eps:.6g} EUR", file=sys.stderr)
     return report, {
         "grid_points": args.grid,
-        "action_levels": args.levels,
         "discretization_bound": eps,
         "physically_infeasible": False,
     }
@@ -290,7 +290,7 @@ def cmd_compare(args) -> int:
         milp, _ = solve_milp(build_milp(params, prices, True, part), tol=args.tol)
         t_milp = time.perf_counter() - t0
         t0 = time.perf_counter()
-        dp = solve_dp(params, prices, DpConfig(args.grid, args.levels))
+        dp = solve_dp(params, prices, DpConfig(args.grid))
         t_dp = time.perf_counter() - t0
 
         # an advice of solve_lp with a real LP/MILP gap is a soundness bug
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Schedule a price-taker energy storage system against a price series.",
         epilog=(
             "exit codes: 0 ok / advise says solve the LP; 1 check failed; "
-            "2 malformed input; 3 solver invariant breach; "
+            "2 malformed or unreadable input; 3 solver invariant breach; "
             "10 advise says solve the refined MILP"
         ),
     )
@@ -367,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--grid", type=int, default=801, help="dp state grid points")
-    p.add_argument("--levels", type=int, default=101, help="dp action levels per mode")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="verify a schedule JSON against params and prices")
@@ -380,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the comparison table to this CSV")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--grid", type=int, default=801)
-    p.add_argument("--levels", type=int, default=101)
     p.set_defaults(func=cmd_compare)
     return parser
 
@@ -389,7 +387,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PriceCsvError, ParamsFileError, FileNotFoundError, ValueError) as exc:
+    except (PriceCsvError, ParamsFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except SimplexFailure as exc:

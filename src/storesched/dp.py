@@ -36,18 +36,15 @@ _IDX_SLACK = 1e-9  # index-space tolerance for on-grid states
 
 @dataclass(frozen=True)
 class DpConfig:
-    """grid_points spans [s_min, s_max] inclusive.  action_levels is the
-    requested power discretization per mode; the solver refines every
-    level to the grid target it would reach, and since all reachable grid
-    targets are enumerated anyway the effective action set contains the
-    levels for any action_levels >= 2."""
+    """grid_points spans [s_min, s_max] inclusive.  The actions are the
+    transitions to every reachable grid point, so the grid alone fixes
+    the action set."""
 
     grid_points: int = 801
-    action_levels: int = 101
 
     def __post_init__(self):
-        if self.grid_points < 2 or self.action_levels < 2:
-            raise ValueError("need grid_points >= 2 and action_levels >= 2")
+        if self.grid_points < 2:
+            raise ValueError("need grid_points >= 2")
 
 
 def _action_table(params: StorageParams, grid: np.ndarray, s: np.ndarray):
@@ -66,34 +63,20 @@ def _action_table(params: StorageParams, grid: np.ndarray, s: np.ndarray):
 
     reach_chg = int(np.floor(dt * eta_c * params.p_chg_max / h + _IDX_SLACK)) + 1
     reach_dis = int(np.floor(dt * params.p_dis_max / (eta_d * h) + _IDX_SLACK)) + 1
+    n_chg = min(reach_chg + 1, n)
+    n_dis = min(reach_dis + 1, n)
 
-    rows_pc, rows_pd, rows_idx, rows_ok = [], [], [], []
-    for j in range(min(reach_chg + 1, n)):
-        k = ceilk + j
-        ok = k <= n - 1
-        k = np.clip(k, 0, n - 1)
-        p = np.maximum((grid[k] - base) / (dt * eta_c), 0.0)
-        ok &= p <= params.p_chg_max + _FEAS_SLACK
-        rows_pc.append(np.minimum(p, params.p_chg_max))
-        rows_pd.append(np.zeros_like(p))
-        rows_idx.append(k)
-        rows_ok.append(ok)
-    for j in range(min(reach_dis + 1, n)):
-        k = floork - j
-        ok = k >= 0
-        k = np.clip(k, 0, n - 1)
-        p = np.maximum((base - grid[k]) * eta_d / dt, 0.0)
-        ok &= p <= params.p_dis_max + _FEAS_SLACK
-        rows_pd.append(np.minimum(p, params.p_dis_max))
-        rows_pc.append(np.zeros_like(p))
-        rows_idx.append(k)
-        rows_ok.append(ok)
-    return (
-        np.stack(rows_pc),
-        np.stack(rows_pd),
-        np.stack(rows_idx),
-        np.stack(rows_ok),
-    )
+    # one row per action: charge offsets 0..n_chg-1 above the leaked
+    # level, then discharge offsets 0..n_dis-1 below it
+    j = np.arange(n_chg + n_dis)[:, None]
+    chg = j < n_chg
+    k = np.where(chg, ceilk + j, floork - (j - n_chg))
+    ok = np.where(chg, k <= n - 1, k >= 0)
+    k = np.clip(k, 0, n - 1)
+    pc = np.where(chg, np.maximum((grid[k] - base) / (dt * eta_c), 0.0), 0.0)
+    pd = np.where(chg, 0.0, np.maximum((base - grid[k]) * eta_d / dt, 0.0))
+    ok &= (pc <= params.p_chg_max + _FEAS_SLACK) & (pd <= params.p_dis_max + _FEAS_SLACK)
+    return np.minimum(pc, params.p_chg_max), np.minimum(pd, params.p_dis_max), k, ok
 
 
 def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> SolveReport:

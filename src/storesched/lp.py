@@ -17,7 +17,6 @@ from .storage import (
     Schedule,
     StorageParams,
     detect_scd,
-    objective,
 )
 
 
@@ -67,18 +66,15 @@ def build_lp(params: StorageParams, prices: PriceSeries) -> LpProblem:
             np.full(T, params.s_max),
         ]
     )
-    rows = []
+    t = np.arange(T)
+    a = np.zeros((T, 3 * T))
+    a[t, t] = -dt * params.eta_c
+    a[t, T + t] = dt / params.eta_d
+    a[t, 2 * T + t] = 1.0
+    a[t[1:], 2 * T + t[:-1]] = -params.rho
     rhs = np.zeros(T)
-    for t in range(T):
-        idx = [t, T + t, 2 * T + t]
-        coef = [-dt * params.eta_c, dt / params.eta_d, 1.0]
-        if t == 0:
-            rhs[t] = params.rho * params.s_init
-        else:
-            idx.append(2 * T + t - 1)
-            coef.append(-params.rho)
-        rows.append((np.array(idx), np.array(coef)))
-    return LpProblem(c=c, lower=lower, upper=upper, rows=rows, rhs=rhs, horizon=T)
+    rhs[0] = params.rho * params.s_init
+    return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs, horizon=T)
 
 
 def _duals_from_solution(T: int, y: np.ndarray, d: np.ndarray) -> DualVector:
@@ -182,10 +178,3 @@ def kkt_verify(
             np.array([dt * c[k] * (1 - params.eta) + params.eta * du.delta_hi[k] + du.gamma_hi[k]])
         )
     return float(max(np.max(np.abs(r)) for r in res))
-
-
-def report_objective_consistent(
-    prices: PriceSeries, report: SolveReport, dt: float, rel_tol: float = 1e-9
-) -> bool:
-    z = objective(prices, report.schedule, dt)
-    return abs(z - report.objective) <= rel_tol * max(1.0, abs(z))

@@ -12,7 +12,7 @@ exact big-M links p <= u * p_max).
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,8 @@ from .storage import DEFAULT_TOL, StorageParams, detect_scd, repair_scd
 class MilpProblem:
     base: LpProblem
     binary_periods: tuple  # 1-based periods carrying u_t^C, u_t^D
-    big_m_chg: float  # exact big-M of the charge link
-    big_m_dis: float
-    params: StorageParams = None
-    prices: PriceSeries = None
+    params: StorageParams  # p_chg_max / p_dis_max are the exact big-Ms
+    prices: PriceSeries
 
     @property
     def num_binaries(self) -> int:
@@ -54,8 +52,6 @@ def build_milp(
     return MilpProblem(
         base=build_lp(params, prices),
         binary_periods=binary_periods,
-        big_m_chg=params.p_chg_max,
-        big_m_dis=params.p_dis_max,
         params=params,
         prices=prices,
     )
@@ -82,7 +78,7 @@ def _branch_period(problem: MilpProblem, report: SolveReport, tol: float) -> int
         ev = events.get(t)
         if ev is None:
             continue
-        frac = ev.p_chg_t / problem.big_m_chg
+        frac = ev.p_chg_t / problem.params.p_chg_max
         key = (-min(frac, 1 - frac), problem.prices.prices[t - 1], t)
         if best_key is None or key < best_key:
             best, best_key = t, key

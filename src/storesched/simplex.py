@@ -12,7 +12,7 @@ exact to machine precision.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,16 +31,14 @@ class SimplexFailure(RuntimeError):
 
 @dataclass
 class LpProblem:
-    """Equality-form LP with variable bounds, to maximize.
-
-    rows is a sparse list of (variable index array, coefficient array)
-    pairs, one per equality constraint, with right-hand sides rhs.
+    """Equality-form LP with variable bounds, to maximize: a x = rhs
+    with a dense constraint matrix a of shape (len(rhs), len(c)).
     """
 
     c: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    rows: list
+    a: np.ndarray
     rhs: np.ndarray
     horizon: int | None = None  # T when laid out as [p_chg, p_dis, soe]
 
@@ -48,6 +46,7 @@ class LpProblem:
         self.c = np.asarray(self.c, dtype=float)
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
+        self.a = np.asarray(self.a, dtype=float)
         self.rhs = np.asarray(self.rhs, dtype=float)
         n = len(self.c)
         if len(self.lower) != n or len(self.upper) != n:
@@ -56,10 +55,11 @@ class LpProblem:
             raise ValueError("lower bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("need lower <= upper for every variable")
-        for idx, coef in self.rows:
-            idx = np.asarray(idx)
-            if len(idx) and (idx.min() < 0 or idx.max() >= n):
-                raise ValueError("row references an invalid variable index")
+        if self.a.shape != (len(self.rhs), n):
+            raise ValueError(
+                f"constraint matrix shape {self.a.shape} does not match "
+                f"{len(self.rhs)} rows and {n} variables"
+            )
 
     @property
     def n(self) -> int:
@@ -68,12 +68,6 @@ class LpProblem:
     @property
     def m(self) -> int:
         return len(self.rhs)
-
-    def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.m, self.n))
-        for i, (idx, coef) in enumerate(self.rows):
-            a[i, np.asarray(idx, dtype=int)] = np.asarray(coef, dtype=float)
-        return a
 
 
 @dataclass
@@ -182,7 +176,7 @@ def solve_bounded_lp(
     n, m = problem.n, problem.m
     if max_iter is None:
         max_iter = 200 * (n + m) + 2000
-    a = problem.dense_matrix()
+    a = problem.a
     b = problem.rhs.copy()
     lower = problem.lower.copy()
     upper = problem.upper.copy()

@@ -6,7 +6,8 @@ of period k+1 (1-based period indices in all reports); the initial level
 is a parameter, never part of a Schedule.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class StorageParams:
     dt: float = 1.0
 
     def __post_init__(self):
+        nonfinite = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if nonfinite:
+            raise ValueError(f"parameters must be finite: {', '.join(nonfinite)}")
         if not 0 <= self.s_min < self.s_max:
             raise ValueError("need 0 <= s_min < s_max")
         if not self.s_min <= self.s_init <= self.s_max:
@@ -139,7 +143,8 @@ def feasibility_check(
 ) -> FeasibilityReport:
     """Verify power bounds, state-of-energy bounds and the recursion
     consistency of the soe trajectory, within tol.  Reports every
-    violation with its magnitude; never raises on infeasibility."""
+    violation with its magnitude, and every NaN or infinite entry as a
+    nonfinite_* violation; never raises on infeasibility."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     violations = []
@@ -147,15 +152,21 @@ def feasibility_check(
     for k in range(len(schedule)):
         t = k + 1
         pc, pd, s = schedule.p_chg[k], schedule.p_dis[k], schedule.soe[k]
-        if pc < -tol:
+        if not math.isfinite(pc):
+            violations.append((t, "nonfinite_pc", abs(pc)))
+        elif pc < -tol:
             violations.append((t, "bound_pc", -pc))
         elif pc > params.p_chg_max + tol:
             violations.append((t, "bound_pc", pc - params.p_chg_max))
-        if pd < -tol:
+        if not math.isfinite(pd):
+            violations.append((t, "nonfinite_pd", abs(pd)))
+        elif pd < -tol:
             violations.append((t, "bound_pd", -pd))
         elif pd > params.p_dis_max + tol:
             violations.append((t, "bound_pd", pd - params.p_dis_max))
-        if s < params.s_min - tol:
+        if not math.isfinite(s):
+            violations.append((t, "nonfinite_soe", abs(s)))
+        elif s < params.s_min - tol:
             violations.append((t, "bound_soe", params.s_min - s))
         elif s > params.s_max + tol:
             violations.append((t, "bound_soe", s - params.s_max))

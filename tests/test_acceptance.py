@@ -239,14 +239,14 @@ def test_criterion_9_oracle_sandwich():
         part = partition(prices)
         lp = solve_storage_lp(params, prices)
         milp, _ = solve_storage_milp(params, prices, part, refined=True)
-        dp = solve_dp(params, prices, DpConfig(801, 101))
+        dp = solve_dp(params, prices, DpConfig(801))
         sandwich_ok &= dp.objective <= milp.objective + 1e-9
         sandwich_ok &= milp.objective <= lp.objective + 1e-9
         gap = (milp.objective - dp.objective) / max(1e-9, abs(milp.objective))
         worst_gap = max(worst_gap, gap)
         gap_ok &= gap <= 0.01
         values = [
-            solve_dp(params, prices, DpConfig(n, 101)).objective
+            solve_dp(params, prices, DpConfig(n)).objective
             for n in (101, 201, 401, 801)
         ]
         for coarse, fine in zip(values, values[1:]):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,10 @@ class TestPartition:
         assert run(["partition", "--prices", bad]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_directory_as_input_exit_2(self, workspace, capsys):
+        assert run(["partition", "--prices", workspace]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestAdvise:
     def test_fast_storage_routes_to_milp(self, workspace, capsys):
@@ -99,6 +104,21 @@ class TestAdvise:
             ["advise", "--params", workspace / "nope.txt", "--prices", workspace / "prices.csv"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["p_chg_max", "p_dis_max", "dt_hours"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_param_exit_2(self, workspace, capsys, key, value):
+        params = workspace / "nonfinite.txt"
+        params.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", FAST_PARAMS, flags=re.M))
+        code = run(
+            [
+                "solve", "--params", params, "--prices", workspace / "prices.csv",
+                "--formulation", "lp", "--out", workspace / "out",
+            ]
+        )
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
 
 
 class TestSolve:
@@ -213,6 +233,27 @@ class TestCheck:
         assert code == 1
         assert "soe_recursion" in capsys.readouterr().out
 
+    def test_nonfinite_entry_fails_check(self, workspace, capsys):
+        sched = {
+            "dt_hours": 1.0,
+            "p_chg": [0.0] * 8,
+            "p_dis": [0.0] * 8,
+            "soe": [0.0] * 7 + [float("nan")],
+        }
+        path = workspace / "nan_sched.json"
+        path.write_text(json.dumps(sched))
+        code = run(
+            [
+                "check", "--params", workspace / "fast.txt",
+                "--prices", workspace / "prices.csv",
+                "--schedule", path,
+            ]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "feasible: False" in out
+        assert "violation t=8 nonfinite_soe" in out
+
     def test_schema_violation_exit_2(self, workspace):
         path = workspace / "broken.json"
         path.write_text('{"dt_hours": 1.0, "p_chg": [0.0]}')
@@ -236,7 +277,7 @@ class TestCompare:
         )
         out = workspace / "cmp.csv"
         code = run(["compare", "--manifest", manifest, "--out", out,
-                    "--grid", "201", "--levels", "21"])
+                    "--grid", "201"])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("label,advice,")

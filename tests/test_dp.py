@@ -16,6 +16,7 @@ from storesched import (
     solve_storage_lp,
     solve_storage_milp,
 )
+from storesched.dp import _action_table
 
 
 def unit_storage(**overrides):
@@ -32,8 +33,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             DpConfig(grid_points=1)
-        with pytest.raises(ValueError):
-            DpConfig(action_levels=1)
 
     def test_grid_too_coarse(self):
         params = unit_storage(p_chg_max=0.001)
@@ -44,7 +43,7 @@ class TestConfig:
 class TestSolve:
     def test_one_period_closed_form(self):
         params = unit_storage(s_init=1.0, p_dis_max=5.0)
-        report = solve_dp(params, PriceSeries([30.0], 1.0), DpConfig(801, 101))
+        report = solve_dp(params, PriceSeries([30.0], 1.0), DpConfig(801))
         lp = solve_storage_lp(params, PriceSeries([30.0], 1.0))
         assert report.objective == pytest.approx(lp.objective, rel=1e-9)
         assert report.schedule.p_dis[0] == pytest.approx(0.9, rel=1e-9)
@@ -54,7 +53,7 @@ class TestSolve:
         for _ in range(10):
             params = random_params(rng)
             prices = mixed_sign_prices(rng, int(rng.integers(3, 12)))
-            report = solve_dp(params, prices, DpConfig(401, 51))
+            report = solve_dp(params, prices, DpConfig(401))
             assert detect_scd(report.schedule, tol=0.0) == []
             assert feasibility_check(params, report.schedule).feasible
 
@@ -66,7 +65,7 @@ class TestSolve:
             part = partition(prices)
             lp = solve_storage_lp(params, prices)
             milp, _ = solve_storage_milp(params, prices, part)
-            dp = solve_dp(params, prices, DpConfig(801, 101))
+            dp = solve_dp(params, prices, DpConfig(801))
             assert dp.objective <= milp.objective + 1e-9
             assert milp.objective <= lp.objective + 1e-9
 
@@ -76,7 +75,7 @@ class TestSolve:
             params = random_params(rng)
             prices = mixed_sign_prices(rng, int(rng.integers(3, 12)))
             values = [
-                solve_dp(params, prices, DpConfig(n, 101)).objective
+                solve_dp(params, prices, DpConfig(n)).objective
                 for n in (101, 201, 401, 801)
             ]
             for coarse, fine in zip(values, values[1:]):
@@ -88,7 +87,7 @@ class TestSolve:
         params = unit_storage(p_chg_max=2.0, p_dis_max=2.0)
         prices = PriceSeries([-10.0, -20.0, -15.0], 1.0)
         lp = solve_storage_lp(params, prices)
-        dp = solve_dp(params, prices, DpConfig(801, 101))
+        dp = solve_dp(params, prices, DpConfig(801))
         assert lp.scd_events
         assert dp.objective < lp.objective - 1e-6
 
@@ -96,10 +95,51 @@ class TestSolve:
         rng = np.random.default_rng(23)
         params = random_params(rng)
         prices = mixed_sign_prices(rng, 10)
-        a = solve_dp(params, prices, DpConfig(401, 51))
-        b = solve_dp(params, prices, DpConfig(401, 51))
+        a = solve_dp(params, prices, DpConfig(401))
+        b = solve_dp(params, prices, DpConfig(401))
         assert a.objective == b.objective
         np.testing.assert_array_equal(a.schedule.p_chg, b.schedule.p_chg)
+
+
+def action_table_by_offset(params, grid, s):
+    """Reference for dp._action_table: one charge, then one discharge
+    row per grid offset, built in a loop."""
+    dt, eta_c, eta_d = params.dt, params.eta_c, params.eta_d
+    h, n = grid[1] - grid[0], len(grid)
+    base = params.rho * s
+    fidx = (base - params.s_min) / h
+    reach_chg = int(np.floor(dt * eta_c * params.p_chg_max / h + 1e-9)) + 1
+    reach_dis = int(np.floor(dt * params.p_dis_max / (eta_d * h) + 1e-9)) + 1
+    rows = []
+    for j in range(min(reach_chg + 1, n)):
+        k = np.ceil(fidx - 1e-9).astype(int) + j
+        ok = k <= n - 1
+        k = np.clip(k, 0, n - 1)
+        p = np.maximum((grid[k] - base) / (dt * eta_c), 0.0)
+        ok &= p <= params.p_chg_max + 1e-12
+        rows.append((np.minimum(p, params.p_chg_max), np.zeros_like(p), k, ok))
+    for j in range(min(reach_dis + 1, n)):
+        k = np.floor(fidx + 1e-9).astype(int) - j
+        ok = k >= 0
+        k = np.clip(k, 0, n - 1)
+        p = np.maximum((base - grid[k]) * eta_d / dt, 0.0)
+        ok &= p <= params.p_dis_max + 1e-12
+        rows.append((np.zeros_like(p), np.minimum(p, params.p_dis_max), k, ok))
+    return tuple(np.stack(col) for col in zip(*rows))
+
+
+class TestActionTable:
+    def test_matches_offset_loop(self):
+        # same arithmetic per entry, so the tables must be equal bit for bit
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            params = random_params(rng)
+            grid = np.linspace(params.s_min, params.s_max, int(rng.integers(11, 402)))
+            for s in (grid, np.array([params.s_init]), rng.uniform(params.s_min, params.s_max, 7)):
+                for got, want in zip(_action_table(params, grid, s),
+                                     action_table_by_offset(params, grid, s)):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestMicroOracle:
@@ -115,7 +155,7 @@ class TestMicroOracle:
         prices = PriceSeries([30.0], 1.0)
         micro = exhaustive_micro_oracle(params, prices)
         lp = solve_storage_lp(params, prices)
-        dp = solve_dp(params, prices, DpConfig(801, 101))
+        dp = solve_dp(params, prices, DpConfig(801))
         assert micro == pytest.approx(lp.objective, rel=1e-9)
         assert micro == pytest.approx(dp.objective, rel=1e-9)
 

@@ -53,6 +53,21 @@ class TestBuild:
         np.testing.assert_allclose(problem.c[2:4], [0.5 * 7, 0.5 * -3])
         np.testing.assert_allclose(problem.c[4:], 0.0)
 
+    def test_balance_rows(self):
+        # soe_t - rho*soe_{t-1} - dt*eta_c*p_chg_t + (dt/eta_d)*p_dis_t = rhs_t
+        params = unit_storage(s_init=0.3, eta_c=0.95, eta_d=0.8, rho=0.97, dt=0.5)
+        T = 4
+        problem = build_lp(params, PriceSeries(np.arange(float(T)), 0.5))
+        expected = np.zeros((T, 3 * T))
+        for t in range(T):
+            expected[t, t] = -0.5 * 0.95
+            expected[t, T + t] = 0.5 / 0.8
+            expected[t, 2 * T + t] = 1.0
+            if t > 0:
+                expected[t, 2 * T + t - 1] = -0.97
+        np.testing.assert_array_equal(problem.a, expected)
+        np.testing.assert_array_equal(problem.rhs, [0.97 * 0.3, 0.0, 0.0, 0.0])
+
 
 class TestSolve:
     def test_zero_prices_zero_schedule(self):
@@ -75,7 +90,7 @@ class TestSolve:
         assert [ev.t for ev in report.scd_events] == [1]
         # cross-check the value against the exclusivity-enforcing oracle:
         # the relaxation must beat it by the negative-price SCD burn-off
-        dp = solve_dp(params, prices, DpConfig(2001, 201))
+        dp = solve_dp(params, prices, DpConfig(2001))
         assert report.objective > dp.objective + 1e-6
 
     def test_objective_matches_schedule(self):

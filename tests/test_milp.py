@@ -59,8 +59,9 @@ class TestBuild:
         params = unit_storage(p_chg_max=1.7, p_dis_max=2.3)
         prices = PriceSeries([-1.0], 1.0)
         problem = build_milp(params, prices, True, partition(prices))
-        assert problem.big_m_chg == 1.7
-        assert problem.big_m_dis == 2.3
+        # the big-Ms of the links p <= u * p_max are the power limits
+        assert problem.params.p_chg_max == 1.7
+        assert problem.params.p_dis_max == 2.3
 
 
 class TestSolve:
@@ -108,7 +109,7 @@ class TestSolve:
         assert lp.scd_events
         assert milp.objective < lp.objective - 1e-6
         # the exclusivity-enforcing grid oracle confirms the MILP value
-        dp = solve_dp(params, prices, DpConfig(2001, 201))
+        dp = solve_dp(params, prices, DpConfig(2001))
         assert dp.objective <= milp.objective + 1e-9
         assert dp.objective == pytest.approx(milp.objective, rel=5e-3)
 

@@ -6,10 +6,6 @@ from storesched import LpProblem, LpStatus, solve_bounded_lp
 scipy_opt = pytest.importorskip("scipy.optimize")
 
 
-def dense_rows(a):
-    return [(np.arange(a.shape[1]), a[i]) for i in range(a.shape[0])]
-
-
 def random_problem(rng, n, m):
     a = rng.normal(size=(m, n))
     x_feas = rng.uniform(-1, 1, n)
@@ -21,7 +17,7 @@ def random_problem(rng, n, m):
         c=rng.normal(size=n),
         lower=lower,
         upper=upper,
-        rows=dense_rows(a),
+        a=a,
         rhs=a @ x_feas,
     )
 
@@ -34,7 +30,7 @@ class TestAgainstScipy:
             m = int(rng.integers(1, n + 1))
             problem = random_problem(rng, n, m)
             mine = solve_bounded_lp(problem)
-            a = problem.dense_matrix()
+            a = problem.a
             ref = scipy_opt.linprog(
                 -problem.c,
                 A_eq=a,
@@ -60,7 +56,7 @@ class TestStatuses:
             c=[1.0],
             lower=[0.0],
             upper=[1.0],
-            rows=[(np.array([0]), np.array([1.0]))],
+            a=[[1.0]],
             rhs=[5.0],
         )
         assert solve_bounded_lp(problem).status is LpStatus.INFEASIBLE
@@ -70,14 +66,14 @@ class TestStatuses:
             c=[1.0, 1.0],
             lower=[0.0, 0.0],
             upper=[np.inf, np.inf],
-            rows=[(np.array([0, 1]), np.array([1.0, -1.0]))],
+            a=[[1.0, -1.0]],
             rhs=[0.0],
         )
         assert solve_bounded_lp(problem).status is LpStatus.UNBOUNDED
 
     def test_no_rows(self):
         problem = LpProblem(
-            c=[2.0, -3.0], lower=[0.0, 0.0], upper=[1.0, 1.0], rows=[], rhs=[]
+            c=[2.0, -3.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a=np.zeros((0, 2)), rhs=[]
         )
         sol = solve_bounded_lp(problem)
         assert sol.status is LpStatus.OPTIMAL
@@ -85,15 +81,11 @@ class TestStatuses:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LpProblem(c=[1.0], lower=[2.0], upper=[1.0], rows=[], rhs=[])
-        with pytest.raises(ValueError):
-            LpProblem(
-                c=[1.0],
-                lower=[0.0],
-                upper=[1.0],
-                rows=[(np.array([3]), np.array([1.0]))],
-                rhs=[0.0],
-            )
+            LpProblem(c=[1.0], lower=[2.0], upper=[1.0], a=np.zeros((0, 1)), rhs=[])
+        # a must have one row per right-hand side and one column per variable
+        for a in ([[1.0, 2.0]], [[1.0], [2.0]], [1.0]):
+            with pytest.raises(ValueError, match="shape"):
+                LpProblem(c=[1.0], lower=[0.0], upper=[1.0], a=a, rhs=[0.0])
 
 
 class TestDuals:
@@ -102,9 +94,8 @@ class TestDuals:
         for _ in range(40):
             problem = random_problem(rng, int(rng.integers(3, 10)), 2)
             sol = solve_bounded_lp(problem)
-            a = problem.dense_matrix()
             np.testing.assert_allclose(
-                sol.reduced_costs, problem.c - sol.y @ a, atol=1e-9
+                sol.reduced_costs, problem.c - sol.y @ problem.a, atol=1e-9
             )
 
     def test_strong_duality(self):

@@ -46,6 +46,13 @@ class TestParams:
         with pytest.raises(ValueError):
             make_params(dt=-1.0)
 
+    @pytest.mark.parametrize("name", ["s_min", "s_max", "s_init", "p_chg_max",
+                                      "p_dis_max", "eta_c", "eta_d", "rho", "dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            make_params(**{name: value})
+
     def test_derived(self):
         params = make_params()
         assert params.eta == pytest.approx(0.81)
@@ -124,6 +131,16 @@ class TestFeasibility:
         sch = Schedule(p_chg=[0.4], p_dis=[0.0], soe=[1.36])
         report = feasibility_check(params, sch)
         assert [(t, tag) for t, tag, _ in report.violations] == [(1, "bound_soe")]
+
+    def test_nonfinite_entries_reported(self):
+        params = make_params()
+        sch = Schedule(p_chg=[np.nan, 0.0], p_dis=[0.0, np.inf], soe=[np.nan, np.nan])
+        report = feasibility_check(params, sch)
+        assert not report.feasible
+        nonfinite = [(t, tag) for t, tag, _ in report.violations if tag.startswith("nonfinite")]
+        assert nonfinite == [
+            (1, "nonfinite_pc"), (1, "nonfinite_soe"), (2, "nonfinite_pd"), (2, "nonfinite_soe")
+        ]
 
     def test_one_based_periods(self):
         params = make_params(rho=1.0)
