@@ -6,7 +6,8 @@ Subcommands: partition, advise, solve, check, compare.  Exit codes:
 * 1  check found an infeasible or simultaneously-charging schedule
 * 2  malformed or unreadable input (CSV, params file, schedule JSON,
      manifest)
-* 3  internal solver invariant breach
+* 3  internal solver invariant breach, or a leftover SCD with no
+     equal-objective repair
 * 10 advise: solve the refined MILP
 
 All outputs are byte-deterministic given identical inputs and flags.
@@ -27,6 +28,7 @@ from .prices import PriceCsvError, partition, read_price_csv
 from .simplex import SimplexFailure
 from .storage import (
     DEFAULT_TOL,
+    RepairNotApplicable,
     StorageParams,
     detect_scd,
     feasibility_check,
@@ -335,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Schedule a price-taker energy storage system against a price series.",
         epilog=(
             "exit codes: 0 ok / advise says solve the LP; 1 check failed; "
-            "2 malformed or unreadable input; 3 solver invariant breach; "
-            "10 advise says solve the refined MILP"
+            "2 malformed or unreadable input; 3 solver invariant breach or "
+            "unrepairable SCD; 10 advise says solve the refined MILP"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -390,7 +392,7 @@ def main(argv=None) -> int:
     except (PriceCsvError, ParamsFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except SimplexFailure as exc:
+    except (SimplexFailure, RepairNotApplicable) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prices import PriceSeries
-from .simplex import LpProblem, LpStatus, SimplexFailure, solve_bounded_lp
+from .simplex import AT_LOWER, AT_UPPER, BASIC, LpProblem, LpStatus, SimplexFailure
+from .simplex import solve_bounded_lp
 from .storage import (
     DEFAULT_TOL,
     Schedule,
@@ -48,6 +49,7 @@ class SolveReport:
     scd_events: list | None = None
     kkt_max_residual: float | None = None
     x: np.ndarray | None = None  # raw solution for non-storage layouts
+    basis: np.ndarray | None = None  # final simplex basis, a warm start for related LPs
 
 
 def build_lp(params: StorageParams, prices: PriceSeries) -> LpProblem:
@@ -93,18 +95,23 @@ def _duals_from_solution(T: int, y: np.ndarray, d: np.ndarray) -> DualVector:
     )
 
 
-def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL) -> SolveReport:
+def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL, start=None) -> SolveReport:
     """Solve the LP and return the schedule, duals and SCD diagnostics.
     The storage LP is always feasible (all-zero powers) and bounded, so
-    Infeasible/Unbounded statuses signal malformed custom problems."""
+    Infeasible/Unbounded statuses signal malformed custom problems.
+    start is a basis to warm-start from, such as the SolveReport.basis of
+    an LP that differs only in its bounds."""
     T = problem.horizon
-    # the T state variables form a triangular basis; starting from it
-    # skips phase 1 whenever the idle trajectory is feasible
-    start = list(range(2 * T, 3 * T)) if T is not None else None
-    sol = solve_bounded_lp(problem, start_basis=start)
+    if start is None and T is not None:
+        # the T state variables form a triangular basis with zero cost, so
+        # y = 0 and d = c: each power at the bound its price prefers makes
+        # the start dual feasible
+        start = np.where(problem.c > 0, AT_UPPER, AT_LOWER)
+        start[2 * T :] = BASIC
+    sol = solve_bounded_lp(problem, start=start)
     if sol.status is not LpStatus.OPTIMAL:
         return SolveReport(status=sol.status)
-    report = SolveReport(status=LpStatus.OPTIMAL, objective=sol.objective, x=sol.x)
+    report = SolveReport(LpStatus.OPTIMAL, sol.objective, x=sol.x, basis=sol.basis)
     if T is not None:
         schedule = Schedule(
             p_chg=sol.x[:T].copy(), p_dis=sol.x[T : 2 * T].copy(), soe=sol.x[2 * T :].copy()

@@ -93,12 +93,14 @@ def solve_milp(problem: MilpProblem, tol: float = DEFAULT_TOL):
     stats = BnbStats()
     incumbent = None
     best_obj = -np.inf
-    # DFS, children in a fixed order: deterministic optimum and schedule
-    stack = [(frozenset(), frozenset())]
+    # DFS, children in a fixed order: deterministic optimum and schedule.
+    # A child only tightens one upper bound, so its parent's optimal basis
+    # stays dual feasible and warm-starts the child's LP.
+    stack = [(frozenset(), frozenset(), None)]
     root_bound = None
     while stack:
-        chg_off, dis_off = stack.pop()
-        report = solve_lp(_node_lp(problem, chg_off, dis_off), tol)
+        chg_off, dis_off, basis = stack.pop()
+        report = solve_lp(_node_lp(problem, chg_off, dis_off), tol, start=basis)
         stats.nodes += 1
         if report.status is not LpStatus.OPTIMAL:
             raise SimplexFailure(f"node LP {report.status.value} in branch and bound")
@@ -117,8 +119,8 @@ def solve_milp(problem: MilpProblem, tol: float = DEFAULT_TOL):
             best_obj = report.objective
             stats.incumbent_updates += 1
             continue
-        stack.append((chg_off, dis_off | {t}))
-        stack.append((chg_off | {t}, dis_off))
+        stack.append((chg_off, dis_off | {t}, report.basis))
+        stack.append((chg_off | {t}, dis_off, report.basis))
     stats.gap = 0.0
     incumbent.duals = None  # LP duals of a node are not MILP duals
     return incumbent, stats

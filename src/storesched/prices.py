@@ -31,8 +31,8 @@ class PriceSeries:
             raise ValueError("prices must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(self.prices)):
             raise ValueError("prices must be finite")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
 
     def __len__(self) -> int:
         return len(self.prices)

@@ -1,14 +1,21 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable simplex, dual and primal, on one basis inverse.
 
 Maximizes c'x subject to A x = b and l <= x <= u (lower bounds finite,
-upper bounds finite or +inf).  Two phases with artificial variables;
-Dantzig pricing with a Bland's-rule fallback against cycling on the
-highly degenerate storage LPs (many active bounds).  Row duals and
-reduced costs are returned for KKT verification.
+upper bounds finite or +inf).  Returns row duals and reduced costs for
+KKT verification, and the final basis as a warm start for related LPs.
 
-Desk scale only (a few hundred variables): the basis system is
-refactorized every iteration, which keeps the code simple and the duals
-exact to machine precision.
+A dual feasible start basis (each nonbasic variable at the bound its
+reduced cost prefers) is reoptimized by a bounded dual simplex.  The
+storage LP starts so from its state-of-energy basis, and a
+branch-and-bound child from its parent's optimal basis: tightening a
+bound leaves every reduced cost unchanged.  Without such a start, two
+primal phases with artificial variables run.  Both paths end in the
+primal simplex: Dantzig pricing with a Bland's-rule fallback against
+cycling on the highly degenerate storage LPs (many active bounds).
+
+Each pivot applies a rank-1 product-form update to an explicit basis
+inverse.  The inverse is refactored every REFACTOR_EVERY pivots and
+before optimality is declared, so x, y and d come from a fresh inverse.
 """
 
 import enum
@@ -17,6 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-9
+REFACTOR_EVERY = 50  # pivots between two factorizations of the basis inverse
+
+# basis codes, one per variable: the bound a nonbasic variable sits at, or BASIC
+AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
 
 class LpStatus(enum.Enum):
@@ -51,9 +62,10 @@ class LpProblem:
         n = len(self.c)
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound vectors must match the variable count")
-        if np.any(~np.isfinite(self.lower)):
-            raise ValueError("lower bounds must be finite")
-        if np.any(self.lower > self.upper):
+        for name in ("c", "lower", "a", "rhs"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if not np.all(self.lower <= self.upper):  # upper may be +inf, not NaN
             raise ValueError("need lower <= upper for every variable")
         if self.a.shape != (len(self.rhs), n):
             raise ValueError(
@@ -77,36 +89,55 @@ class LpSolution:
     y: np.ndarray | None = None  # equality-row duals
     reduced_costs: np.ndarray | None = None  # c - y'A, structural variables
     objective: float | None = None
-    iterations: int = 0
+    iterations: int = 0  # pivots and bound flips over every phase
+    basis: np.ndarray | None = None  # final basis code of each structural variable
 
 
-_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
+class _Factor:
+    """Basic columns in row order and the explicit inverse of their matrix."""
+
+    def __init__(self, a, basis):
+        self.a = a
+        self.basis = np.array(basis, dtype=int)
+        self.refactor()
+
+    def refactor(self):
+        try:
+            self.inv = np.linalg.inv(self.a[:, self.basis])
+        except np.linalg.LinAlgError as exc:
+            raise SimplexFailure("singular basis") from exc
+        self.age = 0  # pivots since the last factorization
+
+    def pivot(self, r, q, w):
+        """Column q replaces the basic column of row r; w = inv @ a[:, q]."""
+        row = self.inv[r] / w[r]
+        self.inv -= np.outer(w, row)
+        self.inv[r] = row
+        self.basis[r] = q
+        self.age += 1
+        if self.age >= REFACTOR_EVERY:
+            self.refactor()
+
+    def point(self, b, c, lower, upper, state):
+        """Basic solution x, row duals y and reduced costs d."""
+        x = np.where(state == AT_UPPER, upper, lower)
+        x[self.basis] = 0.0
+        x[self.basis] = self.inv @ (b - self.a @ x)
+        y = c[self.basis] @ self.inv
+        return x, y, c - y @ self.a
 
 
-def _run_phase(a, b, c, lower, upper, basis, state, tol, max_iter):
-    """Iterate to optimality of max c'x over the current basis. Mutates
-    basis/state; returns (status, x, y, d, iterations)."""
-    m, n = a.shape
+def _primal(f, b, c, lower, upper, state, tol, max_iter):
+    """Primal simplex from a primal feasible basis to optimality of max
+    c'x.  Mutates f and state; returns (status, x, y, d, pivots)."""
+    m, n = f.a.shape
     stall = 0
     stall_limit = 5 * (n + m)
     bland = False
     last_obj = -np.inf
-    x = np.where(state == _AT_UPPER, upper, lower).astype(float)
-
-    for it in range(1, max_iter + 1):
-        basis_arr = np.asarray(basis, dtype=int)
-        bmat = a[:, basis_arr]
-        nonbasic_mask = state != _BASIC
-        x = np.where(state == _AT_UPPER, upper, lower).astype(float)
-        x[basis_arr] = 0.0
-        try:
-            xb = np.linalg.solve(bmat, b - a @ x)
-            y = np.linalg.solve(bmat.T, c[basis_arr])
-        except np.linalg.LinAlgError as exc:
-            raise SimplexFailure(f"singular basis at iteration {it}") from exc
-        x[basis_arr] = xb
-        d = c - y @ a
-
+    pivots = 0
+    while True:
+        x, y, d = f.point(b, c, lower, upper, state)
         obj = float(c @ x)
         if obj > last_obj + tol:
             stall = 0
@@ -120,121 +151,145 @@ def _run_phase(a, b, c, lower, upper, basis, state, tol, max_iter):
         # entering variable: nonbasic at lower with positive reduced cost
         # may increase; nonbasic at upper with negative reduced cost may
         # decrease
-        incr = nonbasic_mask & (state == _AT_LOWER) & (d > tol)
-        decr = nonbasic_mask & (state == _AT_UPPER) & (d < -tol)
+        incr = (state == AT_LOWER) & (d > tol)
+        decr = (state == AT_UPPER) & (d < -tol)
         candidates = np.flatnonzero(incr | decr)
         if len(candidates) == 0:
-            return LpStatus.OPTIMAL, x, y, d, it - 1
+            if f.age == 0:
+                return LpStatus.OPTIMAL, x, y, d, pivots
+            f.refactor()
+            continue
+        if pivots >= max_iter:
+            raise SimplexFailure(f"iteration limit {max_iter} exceeded")
+        pivots += 1
         if bland:
             q = int(candidates[0])
         else:
             q = int(candidates[np.argmax(np.abs(d[candidates]))])
         increasing = bool(incr[q])
 
-        w = np.linalg.solve(bmat, a[:, q])
         # entering moves by delta >= 0 from its bound; basic values move by
-        # -sign * delta * w
-        sign = 1.0 if increasing else -1.0
-        limit = upper[q] - lower[q]  # bound flip
-        leaving = -1
-        leaving_to_upper = False
-        for i in range(m):
-            step = -sign * w[i]
-            if step > PIVOT_TOL:  # basic variable increases toward its upper bound
-                if np.isfinite(upper[basis[i]]):
-                    ratio = (upper[basis[i]] - xb[i]) / step
-                    if ratio < limit:
-                        limit, leaving, leaving_to_upper = ratio, i, True
-            elif step < -PIVOT_TOL:  # decreases toward its lower bound
-                ratio = (lower[basis[i]] - xb[i]) / step
-                if ratio < limit:
-                    limit, leaving, leaving_to_upper = ratio, i, False
-        if not np.isfinite(limit):
-            return LpStatus.UNBOUNDED, x, y, d, it
-        limit = max(limit, 0.0)
-        if leaving < 0:
-            # bound flip: entering runs to its opposite bound
-            state[q] = _AT_UPPER if increasing else _AT_LOWER
+        # step * delta, each toward the bound in its direction.  ratio[0] is
+        # the entering variable's own bound flip; the first minimum wins.
+        w = f.inv @ f.a[:, q]
+        step = -w if increasing else w
+        xb = x[f.basis]
+        bound = np.where(step > 0, upper[f.basis], lower[f.basis])
+        moves = np.abs(step) > PIVOT_TOL
+        ratio = np.full(m + 1, np.inf)
+        ratio[0] = upper[q] - lower[q]
+        ratio[1:][moves] = (bound[moves] - xb[moves]) / step[moves]
+        r = int(np.argmin(ratio)) - 1
+        if r >= 0:
+            state[f.basis[r]] = AT_UPPER if step[r] > 0 else AT_LOWER
+            state[q] = BASIC
+            f.pivot(r, q, w)
+        elif np.isfinite(ratio[0]):
+            state[q] = AT_UPPER if increasing else AT_LOWER
         else:
-            out = basis[leaving]
-            state[out] = _AT_UPPER if leaving_to_upper else _AT_LOWER
-            basis[leaving] = q
-            state[q] = _BASIC
-    raise SimplexFailure(f"iteration limit {max_iter} exceeded")
+            return LpStatus.UNBOUNDED, x, y, d, pivots
 
 
-def solve_bounded_lp(
-    problem: LpProblem,
-    tol: float = 1e-9,
-    max_iter: int | None = None,
-    start_basis: list | None = None,
-) -> LpSolution:
-    """Two-phase bounded-variable simplex.  Deterministic for identical
-    inputs.  start_basis optionally names m structural variables to try
-    as the initial basis; when the implied basic solution is within its
-    bounds, phase 1 is skipped entirely."""
+def _dual(f, b, c, lower, upper, state, tol, max_iter):
+    """Bounded dual simplex from a dual feasible basis: the most
+    infeasible basic variable leaves at the bound it violates, and the
+    nonbasic variable whose reduced cost first reaches zero enters.
+    Mutates f and state; returns (status, pivots)."""
+    movable = lower < upper
+    pivots = 0
+    while True:
+        x, _, d = f.point(b, c, lower, upper, state)
+        xb = x[f.basis]
+        below = lower[f.basis] - xb
+        violation = np.maximum(below, xb - upper[f.basis])
+        r = int(np.argmax(violation))
+        candidates = []
+        if violation[r] > tol:
+            # alpha_j: how fast raising x_j pushes x_B[r] back toward its
+            # bound; a nonbasic variable moves only away from its own bound
+            alpha = f.inv[r] @ f.a
+            if below[r] > 0:
+                alpha = -alpha
+            candidates = np.flatnonzero(movable & np.where(
+                state == AT_LOWER, alpha > PIVOT_TOL, (state == AT_UPPER) & (alpha < -PIVOT_TOL)
+            ))
+        if len(candidates) == 0:
+            if f.age == 0:
+                feasible = violation[r] <= tol
+                return (LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE), pivots
+            f.refactor()
+            continue
+        if pivots >= max_iter:
+            raise SimplexFailure(f"iteration limit {max_iter} exceeded")
+        pivots += 1
+        q = int(candidates[np.argmin(np.abs(d[candidates] / alpha[candidates]))])
+        state[f.basis[r]] = AT_LOWER if below[r] > 0 else AT_UPPER
+        state[q] = BASIC
+        f.pivot(r, q, f.inv @ f.a[:, q])
+
+
+def _warm_start(problem, start, tol):
+    """Factor and state of a start basis, or None unless it has m
+    independent basic columns, no variable at an infinite bound and
+    reduced costs of the right sign."""
+    state = np.array(start, dtype=np.int8)
+    if state.shape != (problem.n,):
+        raise ValueError("start must give one basis code per variable")
+    basis = np.flatnonzero(state == BASIC)
+    if len(basis) != problem.m or np.any((state == AT_UPPER) & np.isinf(problem.upper)):
+        return None
+    try:
+        f = _Factor(problem.a, basis)
+    except SimplexFailure:
+        return None
+    _, _, d = f.point(problem.rhs, problem.c, problem.lower, problem.upper, state)
+    wrong = np.where(state == AT_LOWER, d > tol, (state == AT_UPPER) & (d < -tol))
+    return None if np.any(wrong & (problem.lower < problem.upper)) else (f, state)
+
+
+def solve_bounded_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int | None = None,
+                     start: np.ndarray | None = None) -> LpSolution:
+    """Bounded-variable simplex.  Deterministic for identical inputs.
+    start optionally gives a basis code per variable (AT_LOWER, AT_UPPER
+    or BASIC, as in LpSolution.basis); a start that is not dual feasible
+    falls back to the two primal phases."""
     n, m = problem.n, problem.m
     if max_iter is None:
         max_iter = 200 * (n + m) + 2000
-    a = problem.a
-    b = problem.rhs.copy()
-    lower = problem.lower.copy()
-    upper = problem.upper.copy()
-
-    if m == 0:
-        if np.any((problem.c > tol) & ~np.isfinite(upper)):
-            return LpSolution(status=LpStatus.UNBOUNDED)
-        x = np.where(problem.c > 0, upper, lower)
-        return LpSolution(LpStatus.OPTIMAL, x, np.zeros(0), problem.c.copy(),
-                          float(problem.c @ x))
-
-    # start: structural variables at their lower bounds, artificial basis
-    x0 = lower.copy()
-    resid = b - a @ x0
-    art_sign = np.where(resid >= 0, 1.0, -1.0)
-    a_full = np.hstack([a, np.diag(art_sign)])
-    lower_full = np.concatenate([lower, np.zeros(m)])
-    upper_full = np.concatenate([upper, np.full(m, np.inf)])
-    state = np.full(n + m, _AT_LOWER, dtype=int)
-
-    basis = None
-    it1 = 0
-    if start_basis is not None and len(start_basis) == m:
-        try:
-            xb = np.linalg.solve(a[:, start_basis], b - a @ x0 + a[:, start_basis] @ x0[start_basis])
-            within = np.all(xb >= lower[start_basis] - tol) and np.all(
-                xb <= upper[start_basis] + tol
-            )
-        except np.linalg.LinAlgError:
-            within = False
-        if within:
-            basis = list(start_basis)
-            for j in basis:
-                state[j] = _BASIC
-
-    if basis is None:
-        basis = list(range(n, n + m))
-        for j in basis:
-            state[j] = _BASIC
+    b = problem.rhs
+    warm = None if start is None else _warm_start(problem, start, tol)
+    if warm is not None:
+        f, state = warm
+        c, lower, upper = problem.c, problem.lower, problem.upper
+        status, it1 = _dual(f, b, c, lower, upper, state, tol, max_iter)
+        if status is not LpStatus.OPTIMAL:
+            return LpSolution(status=status, iterations=it1)
+    else:
+        # structural variables at their lower bounds, artificial basis
+        art_sign = np.where(b - problem.a @ problem.lower >= 0, 1.0, -1.0)
+        f = _Factor(np.hstack([problem.a, np.diag(art_sign)]), np.arange(n, n + m))
+        lower = np.concatenate([problem.lower, np.zeros(m)])
+        upper = np.concatenate([problem.upper, np.full(m, np.inf)])
+        state = np.full(n + m, AT_LOWER, dtype=np.int8)
+        state[n:] = BASIC
         # phase 1: drive the artificials to zero
         c1 = np.concatenate([np.zeros(n), -np.ones(m)])
-        status, x, _, _, it1 = _run_phase(a_full, b, c1, lower_full, upper_full,
-                                          basis, state, tol, max_iter)
+        status, x, _, _, it1 = _primal(f, b, c1, lower, upper, state, tol, max_iter)
         if status is not LpStatus.OPTIMAL or float(x[n:].sum()) > 1e-7:
             return LpSolution(status=LpStatus.INFEASIBLE, iterations=it1)
+        # phase 2 pins the artificials at zero
+        upper[n:] = 0.0
+        c = np.concatenate([problem.c, np.zeros(m)])
 
-    # phase 2: pin artificials at zero and optimize the real objective
-    upper_full[n:] = 0.0
-    c2 = np.concatenate([problem.c, np.zeros(m)])
-    status, x, y, d, it2 = _run_phase(a_full, b, c2, lower_full, upper_full,
-                                      basis, state, tol, max_iter)
+    status, x, y, d, it2 = _primal(f, b, c, lower, upper, state, tol, max_iter)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, iterations=it1 + it2)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x[:n].copy(),
-        y=y.copy(),
+        y=y,
         reduced_costs=d[:n].copy(),
         objective=float(problem.c @ x[:n]),
         iterations=it1 + it2,
+        basis=state[:n].copy(),
     )

@@ -185,6 +185,23 @@ class TestSolve:
             workspace / "b" / "plot.csv"
         ).read_bytes()
 
+    def test_repair_not_applicable_exit_3(self, workspace, monkeypatch, capsys):
+        from storesched import RepairNotApplicable, milp
+
+        def refuse(*args, **kwargs):
+            raise RepairNotApplicable("SCD at t=3 with C_t=-5.0 and eta=0.81 < 1")
+
+        monkeypatch.setattr(milp, "repair_scd", refuse)
+        code = run(
+            [
+                "solve", "--params", workspace / "fast.txt",
+                "--prices", workspace / "prices.csv",
+                "--formulation", "refined", "--out", workspace / "out",
+            ]
+        )
+        assert code == 3
+        assert "solver error" in capsys.readouterr().err
+
 
 class TestCheck:
     def _solve_then_check(self, workspace, formulation):

@@ -15,8 +15,10 @@ from storesched import (
     objective,
     solve_dp,
     solve_lp,
+    solve_bounded_lp,
     solve_storage_lp,
 )
+from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
 
 
 def unit_storage(**overrides):
@@ -27,6 +29,20 @@ def unit_storage(**overrides):
     )
     base.update(overrides)
     return StorageParams(**base)
+
+
+def bounded_kkt_residual(problem, sol):
+    """Largest violation of the optimality conditions of max c'x subject
+    to a x = rhs and lower <= x <= upper, all bounds finite."""
+    x, d = sol.x, sol.reduced_costs
+    return max(
+        np.max(np.abs(problem.a @ x - problem.rhs)),
+        np.max(np.abs(d - (problem.c - sol.y @ problem.a))),
+        np.max(np.maximum(problem.lower - x, 0.0)),
+        np.max(np.maximum(x - problem.upper, 0.0)),
+        np.max(np.maximum(d, 0.0) * (problem.upper - x)),
+        np.max(np.maximum(-d, 0.0) * (x - problem.lower)),
+    )
 
 
 class TestBuild:
@@ -191,3 +207,41 @@ class TestStrongDuality:
             assert dual_obj == pytest.approx(
                 report.objective, rel=1e-8, abs=1e-8
             )
+
+
+class TestWarmStart:
+    def test_child_from_parent_basis_matches_cold_solve(self):
+        # a branch-and-bound child: one charge or discharge bound set to 0
+        rng = np.random.default_rng(21)
+        warm_total = cold_total = 0
+        for _ in range(30):
+            params = random_params(rng)
+            prices = mixed_sign_prices(rng, int(rng.integers(4, 30)))
+            parent = solve_lp(build_lp(params, prices))
+            child = build_lp(params, prices)
+            child.upper[int(rng.integers(2 * child.horizon))] = 0.0
+            warm = solve_bounded_lp(child, start=parent.basis)
+            cold = solve_bounded_lp(child)
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+            assert bounded_kkt_residual(child, warm) <= 1e-7
+            warm_total += warm.iterations
+            cold_total += cold.iterations
+        # the dual simplex ran instead of a cold restart
+        assert 5 * warm_total < cold_total
+
+    def test_start_not_dual_feasible_falls_back_to_cold_path(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            problem = build_lp(random_params(rng), mixed_sign_prices(rng, 12))
+            T = problem.horizon
+            # each power at the bound its price does not prefer
+            wrong_bounds = np.where(problem.c > 0, AT_LOWER, AT_UPPER)
+            wrong_bounds[2 * T :] = BASIC
+            no_basis = np.full(3 * T, AT_LOWER)
+            cold = solve_bounded_lp(problem)
+            for start in (wrong_bounds, no_basis):
+                sol = solve_bounded_lp(problem, start=start)
+                assert sol.iterations == cold.iterations
+                np.testing.assert_array_equal(sol.x, cold.x)
+            assert cold.objective == pytest.approx(solve_lp(problem).objective, rel=1e-9)
+            assert bounded_kkt_residual(problem, cold) <= 1e-7

@@ -17,9 +17,11 @@ from storesched import (
     partition,
     solve_dp,
     solve_milp,
+    solve_bounded_lp,
     solve_storage_lp,
     solve_storage_milp,
 )
+from storesched import lp
 
 
 def unit_storage(**overrides):
@@ -122,17 +124,29 @@ class TestSolve:
             assert lp.scd_events
             assert lp.objective > milp.objective + 1e-9
 
-    def test_determinism(self):
+    def test_determinism(self, monkeypatch):
+        pivots = []
+
+        def counted(*args, **kwargs):
+            sol = solve_bounded_lp(*args, **kwargs)
+            pivots[-1] += sol.iterations
+            return sol
+
+        monkeypatch.setattr(lp, "solve_bounded_lp", counted)
         rng = np.random.default_rng(14)
         params = random_params(rng)
         prices = mixed_sign_prices(rng, 18)
         part = partition(prices)
+        pivots.append(0)
         a, sa = solve_storage_milp(params, prices, part)
+        pivots.append(0)
         b, sb = solve_storage_milp(params, prices, part)
         assert a.objective == b.objective
-        assert sa.nodes == sb.nodes
+        assert sa.nodes == sb.nodes > 1
+        assert pivots[0] == pivots[1] > 0
         np.testing.assert_array_equal(a.schedule.p_chg, b.schedule.p_chg)
         np.testing.assert_array_equal(a.schedule.p_dis, b.schedule.p_dis)
+        np.testing.assert_array_equal(a.schedule.soe, b.schedule.soe)
 
 
 class TestNodeCounts:

@@ -16,6 +16,18 @@ def make(values):
     return PriceSeries(np.asarray(values, dtype=float), 1.0)
 
 
+class TestSeries:
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            PriceSeries([1.0], dt)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_prices_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            PriceSeries([1.0, value], 1.0)
+
+
 class TestPartition:
     def test_mixed_signs(self):
         part = partition(make([5, -1, -2, 0, 3, -4]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from storesched import LpProblem, LpStatus, solve_bounded_lp
+from storesched.simplex import BASIC
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -60,6 +61,8 @@ class TestStatuses:
             rhs=[5.0],
         )
         assert solve_bounded_lp(problem).status is LpStatus.INFEASIBLE
+        # the dual simplex finds no entering column for the violated row
+        assert solve_bounded_lp(problem, start=[BASIC]).status is LpStatus.INFEASIBLE
 
     def test_unbounded(self):
         problem = LpProblem(
@@ -86,6 +89,19 @@ class TestStatuses:
         for a in ([[1.0, 2.0]], [[1.0], [2.0]], [1.0]):
             with pytest.raises(ValueError, match="shape"):
                 LpProblem(c=[1.0], lower=[0.0], upper=[1.0], a=a, rhs=[0.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["c", "a", "rhs", "lower"])
+    def test_nonfinite_data_rejected(self, field, value):
+        data = dict(c=[1.0], lower=[0.0], upper=[1.0], a=[[1.0]], rhs=[0.5])
+        data[field] = [[value]] if field == "a" else [value]
+        with pytest.raises(ValueError, match="finite"):
+            LpProblem(**data)
+
+    def test_upper_bound_may_be_inf_but_not_nan(self):
+        LpProblem(c=[-1.0], lower=[0.0], upper=[np.inf], a=[[1.0]], rhs=[0.5])
+        with pytest.raises(ValueError, match="lower <= upper"):
+            LpProblem(c=[1.0], lower=[0.0], upper=[np.nan], a=[[1.0]], rhs=[0.5])
 
 
 class TestDuals:
