@@ -40,10 +40,14 @@ for ev in lp.scd_events:
 full, full_stats = solve_storage_milp(params, prices, part, refined=False)
 refined, refined_stats = solve_storage_milp(params, prices, part, refined=True)
 
-print(f"\nfull MILP objective:    {full.objective:10.2f} EUR "
-      f"({full_stats.nodes} nodes)")
+
+def nodes(stats):
+    return f"{stats.nodes} node{'' if stats.nodes == 1 else 's'}"
+
+
+print(f"\nfull MILP objective:    {full.objective:10.2f} EUR ({nodes(full_stats)})")
 print(f"refined MILP objective: {refined.objective:10.2f} EUR "
-      f"({refined_stats.nodes} nodes, binaries only at the "
+      f"({nodes(refined_stats)}, binaries only at the "
       f"{len(part.t_neg)} negative hours)")
 print(f"phantom LP profit:      {lp.objective - refined.objective:10.2f} EUR")
 assert not refined.scd_events

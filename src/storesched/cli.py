@@ -145,6 +145,7 @@ def _solve_formulation(args, params, prices, part):
         return report, {
             "num_binaries": problem.num_binaries,
             "nodes": stats.nodes,
+            "root_bound": stats.root_bound,
             "incumbent_updates": stats.incumbent_updates,
             "gap": stats.gap,
             "physically_infeasible": bool(report.scd_events),

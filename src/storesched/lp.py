@@ -103,9 +103,9 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL, start=None) -> SolveR
     an LP that differs only in its bounds."""
     T = problem.horizon
     if start is None and T is not None:
-        # the T state variables form a triangular basis with zero cost, so
-        # y = 0 and d = c: each power at the bound its price prefers makes
-        # the start dual feasible
+        # the columns from 2T on (soe, then the MILP's leg columns) form a
+        # triangular basis with zero cost, so y = 0 and d = c: each power at
+        # the bound its price prefers makes the start dual feasible
         start = np.where(problem.c > 0, AT_UPPER, AT_LOWER)
         start[2 * T :] = BASIC
     sol = solve_bounded_lp(problem, start=start)
@@ -114,10 +114,11 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL, start=None) -> SolveR
     report = SolveReport(LpStatus.OPTIMAL, sol.objective, x=sol.x, basis=sol.basis)
     if T is not None:
         schedule = Schedule(
-            p_chg=sol.x[:T].copy(), p_dis=sol.x[T : 2 * T].copy(), soe=sol.x[2 * T :].copy()
+            p_chg=sol.x[:T].copy(), p_dis=sol.x[T : 2 * T].copy(), soe=sol.x[2 * T : 3 * T].copy()
         )
         report.schedule = schedule
-        report.duals = _duals_from_solution(T, sol.y, sol.reduced_costs)
+        if problem.m == T:  # the storage LP itself, without extra rows
+            report.duals = _duals_from_solution(T, sol.y, sol.reduced_costs)
         report.scd_events = detect_scd(schedule, tol)
     return report
 

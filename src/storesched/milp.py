@@ -9,6 +9,15 @@ enter the objective, branching is done directly on the exclusivity
 disjunction: a child either forbids charging or forbids discharging at
 the chosen period (equivalent to fixing u_t^C or u_t^D to zero with the
 exact big-M links p <= u * p_max).
+
+Each binary period t also carries two "each leg fits" columns, each
+defined by one equality row: the level after the charge alone,
+m^c_t = rho*s_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and the level
+after the discharge alone, m^d_t = rho*s_{t-1} - dt*p_dis_t/eta_d in
+[rho*s_min, rho*s_max], with s_0 = s_init.  Every exclusive schedule meets
+them (0 <= s_min and rho <= 1).  For storage that fully charges and fully
+discharges within one period (rho = 1, s_min = 0) they are the convex hull
+of the two modes at t, so such MILPs often close at the root node.
 """
 
 import copy
@@ -39,6 +48,7 @@ class BnbStats:
     nodes: int = 0
     incumbent_updates: int = 0
     gap: float = float("inf")
+    root_bound: float | None = None  # objective of the root node LP
 
 
 def build_milp(
@@ -50,10 +60,37 @@ def build_milp(
     T = len(prices)
     binary_periods = part.t_neg if refined else tuple(range(1, T + 1))
     return MilpProblem(
-        base=build_lp(params, prices),
+        base=_with_legs(build_lp(params, prices), params, binary_periods),
         binary_periods=binary_periods,
         params=params,
         prices=prices,
+    )
+
+
+def _with_legs(lp: LpProblem, params: StorageParams, periods: tuple) -> LpProblem:
+    """The storage LP plus the leg columns [m^c (K), m^d (K)] and their rows
+    m^c_t - rho*s_{t-1} - dt*eta_c*p_chg_t = 0, m^d_t - rho*s_{t-1} +
+    dt*p_dis_t/eta_d = 0, with rho*s_init on the right-hand side at t = 1."""
+    T, K = lp.horizon, len(periods)
+    t = np.asarray(periods, dtype=int) - 1
+    legs = np.arange(2 * K)
+    a = np.zeros((T + 2 * K, 3 * T + 2 * K))
+    a[:T, : 3 * T] = lp.a
+    a[T + legs, 3 * T + legs] = 1.0
+    a[T + legs[:K], t] = -params.dt * params.eta_c
+    a[T + legs[K:], T + t] = params.dt / params.eta_d
+    prev = np.concatenate([t, t]) > 0
+    a[T + legs[prev], 2 * T + np.concatenate([t, t])[prev] - 1] = -params.rho
+    rhs = np.where(prev, 0.0, params.rho * params.s_init)
+    return LpProblem(
+        c=np.concatenate([lp.c, np.zeros(2 * K)]),
+        lower=np.concatenate([lp.lower, np.full(2 * K, params.rho * params.s_min)]),
+        upper=np.concatenate(
+            [lp.upper, np.full(K, params.s_max), np.full(K, params.rho * params.s_max)]
+        ),
+        a=a,
+        rhs=np.concatenate([lp.rhs, rhs]),
+        horizon=T,
     )
 
 
@@ -97,15 +134,14 @@ def solve_milp(problem: MilpProblem, tol: float = DEFAULT_TOL):
     # A child only tightens one upper bound, so its parent's optimal basis
     # stays dual feasible and warm-starts the child's LP.
     stack = [(frozenset(), frozenset(), None)]
-    root_bound = None
     while stack:
         chg_off, dis_off, basis = stack.pop()
         report = solve_lp(_node_lp(problem, chg_off, dis_off), tol, start=basis)
         stats.nodes += 1
         if report.status is not LpStatus.OPTIMAL:
             raise SimplexFailure(f"node LP {report.status.value} in branch and bound")
-        if root_bound is None:
-            root_bound = report.objective
+        if stats.root_bound is None:
+            stats.root_bound = report.objective
         if report.objective <= best_obj + 1e-12 * max(1.0, abs(best_obj)):
             continue
         t = _branch_period(problem, report, tol)

@@ -51,7 +51,7 @@ class LpProblem:
     upper: np.ndarray
     a: np.ndarray
     rhs: np.ndarray
-    horizon: int | None = None  # T when laid out as [p_chg, p_dis, soe]
+    horizon: int | None = None  # T when laid out as [p_chg, p_dis, soe, ...]
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -102,6 +102,7 @@ class _Factor:
         self.refactor()
 
     def refactor(self):
+        self.inv = None  # free the old inverse before allocating the new one
         try:
             self.inv = np.linalg.inv(self.a[:, self.basis])
         except np.linalg.LinAlgError as exc:

@@ -152,6 +152,7 @@ class TestSolve:
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["num_binaries"] == 4
+        assert doc["root_bound"] >= doc["objective_eur"] - 1e-9 * abs(doc["objective_eur"])
         assert doc["scd_events"] == []
         assert doc["physically_infeasible"] is False
 

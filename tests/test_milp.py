@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _instances import (
+    fast_params,
     inexact_instance,
     lp_safe_instance,
     mixed_sign_prices,
@@ -10,7 +11,9 @@ from _instances import (
 from storesched import (
     DpConfig,
     PriceSeries,
+    Schedule,
     StorageParams,
+    build_lp,
     build_milp,
     detect_scd,
     feasibility_check,
@@ -133,7 +136,9 @@ class TestSolve:
             return sol
 
         monkeypatch.setattr(lp, "solve_bounded_lp", counted)
-        rng = np.random.default_rng(14)
+        # an instance whose refined MILP still branches (27 nodes) despite
+        # the leg rows, so that there is a tree to walk
+        rng = np.random.default_rng(27)
         params = random_params(rng)
         prices = mixed_sign_prices(rng, 18)
         part = partition(prices)
@@ -162,3 +167,117 @@ class TestNodeCounts:
             full_total += full_stats.nodes
             ref_total += ref_stats.nodes
         assert ref_total <= full_total
+
+
+def random_exclusive_schedule(rng, params, T):
+    """A feasible schedule that never charges and discharges in one period:
+    each period idles, charges or discharges by a random feasible amount."""
+    dt, rho = params.dt, params.rho
+    p_chg, p_dis, soe = np.zeros(T), np.zeros(T), np.zeros(T)
+    s = params.s_init
+    for k in range(T):
+        lo = max(0.0, (params.s_min - rho * s) / (dt * params.eta_c))
+        hi = min(params.p_chg_max, (params.s_max - rho * s) / (dt * params.eta_c))
+        mode = int(rng.integers(3)) if lo == 0.0 else 1
+        if mode == 1:
+            p_chg[k] = rng.uniform(lo, hi)
+        elif mode == 2:
+            p_dis[k] = rng.uniform(0.0, min(params.p_dis_max,
+                                            (rho * s - params.s_min) * params.eta_d / dt))
+        s = rho * s + dt * (params.eta_c * p_chg[k] - p_dis[k] / params.eta_d)
+        soe[k] = min(max(s, params.s_min), params.s_max)  # clip rounding
+        s = soe[k]
+    return p_chg, p_dis, soe
+
+
+class TestLegRows:
+    def test_exclusive_schedules_satisfy_leg_rows(self):
+        rng = np.random.default_rng(16)
+        lossy = 0
+        for _ in range(40):
+            params = random_params(rng)
+            lossy += params.rho < 1.0 and params.s_min > 0.0
+            T = int(rng.integers(4, 30))
+            prices = mixed_sign_prices(rng, T)
+            problem = build_milp(params, prices, False, partition(prices))
+            for _ in range(10):
+                p_chg, p_dis, soe = random_exclusive_schedule(rng, params, T)
+                assert feasibility_check(params, Schedule(p_chg, p_dis, soe)).feasible
+                prev = np.concatenate([[params.s_init], soe[:-1]])
+                m_chg = params.rho * prev + params.dt * params.eta_c * p_chg
+                m_dis = params.rho * prev - params.dt * p_dis / params.eta_d
+                x = np.concatenate([p_chg, p_dis, soe, m_chg, m_dis])
+                base = problem.base
+                np.testing.assert_allclose(base.a @ x, base.rhs, rtol=0, atol=1e-12)
+                assert np.all(x >= base.lower - 1e-12)
+                assert np.all(x <= base.upper + 1e-12)
+        assert lossy > 0  # rho < 1 together with s_min > 0 was drawn
+
+    def test_leg_bounds(self):
+        params = unit_storage(s_min=0.2, s_max=1.5, s_init=0.5, rho=0.99)
+        prices = PriceSeries([10.0, -3.0, 4.0, -1.0], 1.0)
+        base = build_milp(params, prices, True, partition(prices)).base
+        assert (base.m, base.n) == (4 + 4, 12 + 4)
+        np.testing.assert_allclose(base.lower[12:], 0.99 * 0.2)
+        np.testing.assert_allclose(base.upper[12:], [1.5, 1.5, 0.99 * 1.5, 0.99 * 1.5])
+
+
+def highs_objective(params, prices, periods):
+    """MILP optimum from HiGHS with explicit binaries u_c, u_d at the given
+    periods: u_c + u_d <= 1, p_chg <= u_c * p_chg_max, p_dis <= u_d * p_dis_max."""
+    opt = pytest.importorskip("scipy.optimize")
+    lp_part = build_lp(params, prices)
+    T, K = len(prices), len(periods)
+    t = np.asarray(periods, dtype=int) - 1
+    k = np.arange(K)
+    n = 3 * T + 2 * K
+    excl = np.zeros((3 * K, n))
+    excl[k, 3 * T + k] = excl[k, 3 * T + K + k] = 1.0
+    excl[K + k, t] = 1.0
+    excl[K + k, 3 * T + k] = -params.p_chg_max
+    excl[2 * K + k, T + t] = 1.0
+    excl[2 * K + k, 3 * T + K + k] = -params.p_dis_max
+    rows = np.hstack([lp_part.a, np.zeros((T, 2 * K))])
+    res = opt.milp(
+        -np.concatenate([lp_part.c, np.zeros(2 * K)]),
+        constraints=[
+            opt.LinearConstraint(rows, lp_part.rhs, lp_part.rhs),
+            opt.LinearConstraint(excl, -np.inf, np.concatenate([np.ones(K), np.zeros(2 * K)])),
+        ],
+        integrality=np.concatenate([np.zeros(3 * T), np.ones(2 * K)]),
+        bounds=opt.Bounds(
+            np.concatenate([lp_part.lower, np.zeros(2 * K)]),
+            np.concatenate([lp_part.upper, np.ones(2 * K)]),
+        ),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.success, res.message
+    return -res.fun
+
+
+class TestHighsCrossCheck:
+    """An exact check that shares no code with the package's branching."""
+
+    def test_criterion_4_draws(self):
+        rng = np.random.default_rng(2026)  # the criterion-4 stream
+        for _ in range(30):
+            params = random_params(rng)
+            prices = mixed_sign_prices(rng, int(rng.integers(6, 49)))
+            part = partition(prices)
+            ref = highs_objective(params, prices, part.t_neg)
+            for refined in (False, True):
+                report, _ = solve_storage_milp(params, prices, part, refined=refined)
+                assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("T", [24, 48, 96, 168])
+    def test_fast_storage_horizons(self, T):
+        rng = np.random.default_rng(T)
+        params = fast_params(rng)
+        prices = mixed_sign_prices(rng, T)
+        part = partition(prices)
+        report, stats = solve_storage_milp(params, prices, part, refined=True)
+        ref = highs_objective(params, prices, part.t_neg)
+        assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        assert stats.root_bound >= report.objective - 1e-9 * abs(report.objective)
+        if T == 168:
+            assert stats.nodes == 1
