@@ -39,6 +39,7 @@ from .dp import (
 )
 from .lp import (
     DualVector,
+    InfeasibleStorage,
     MissingDuals,
     SolveReport,
     build_lp,

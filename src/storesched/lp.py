@@ -3,7 +3,10 @@ extraction, and verification of the stationarity / complementarity
 system at the reported optimum.
 
 Variable layout of the storage LP: [p_chg (T), p_dis (T), soe (T)], with
-one state-of-energy balance row per period.
+one state-of-energy balance row per period.  The MILPs append, at each
+negative-price period, the "each leg fits" columns m^c and m^d (the
+level after the charge alone and after the discharge alone), each
+defined by one more equality row.
 """
 
 from dataclasses import dataclass
@@ -19,6 +22,11 @@ from .storage import (
     StorageParams,
     detect_scd,
 )
+
+
+class InfeasibleStorage(ValueError):
+    """No schedule keeps the level within [s_min, s_max] over the horizon,
+    for example when leakage at s_min outruns the charge limit."""
 
 
 class MissingDuals(ValueError):
@@ -48,34 +56,42 @@ class SolveReport:
     duals: DualVector | None = None
     scd_events: list | None = None
     kkt_max_residual: float | None = None
-    x: np.ndarray | None = None  # raw solution for non-storage layouts
     basis: np.ndarray | None = None  # final simplex basis, a warm start for related LPs
 
 
-def build_lp(params: StorageParams, prices: PriceSeries) -> LpProblem:
-    """Problem instance with 3T variables and T balance equalities:
-    soe_t - rho*soe_{t-1} - dt*eta_c*p_chg_t + (dt/eta_d)*p_dis_t = rhs,
-    rhs = rho*s_init for t=1 and 0 otherwise; objective
-    sum_t dt*C_t*(p_dis_t - p_chg_t)."""
-    T = len(prices)
-    dt = params.dt
-    c = np.concatenate([-dt * prices.prices, dt * prices.prices, np.zeros(T)])
-    lower = np.concatenate([np.zeros(2 * T), np.full(T, params.s_min)])
+def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> LpProblem:
+    """Storage LP over [p_chg (T), p_dis (T), soe (T), m^c (K), m^d (K)],
+    K = len(legs), with T + 2K equality rows; row r defines column 2T + r:
+    soe_t - rho*soe_{t-1} - dt*eta_c*p_chg_t + (dt/eta_d)*p_dis_t = 0,
+    m^c_t - rho*soe_{t-1} - dt*eta_c*p_chg_t = 0 and
+    m^d_t - rho*soe_{t-1} + (dt/eta_d)*p_dis_t = 0 at each 1-based period t
+    in legs, with rho*s_init on the right-hand side at t = 1.  The
+    objective is sum_t dt*C_t*(p_dis_t - p_chg_t)."""
+    T, K = len(prices), len(legs)
+    dt, rho = params.dt, params.rho
+    t_leg = np.asarray(legs, dtype=int) - 1
+    period = np.concatenate([np.arange(T), t_leg, t_leg])  # 0-based, one per row
+    r = np.arange(T + 2 * K)
+    chg, dis = r < T + K, (r < T) | (r >= T + K)  # rows with a charge / discharge term
+    prev = period > 0
+    a = np.zeros((T + 2 * K, 3 * T + 2 * K))
+    a[r, 2 * T + r] = 1.0
+    a[r[chg], period[chg]] = -dt * params.eta_c
+    a[r[dis], T + period[dis]] = dt / params.eta_d
+    a[r[prev], 2 * T + period[prev] - 1] = -rho
+    c = np.concatenate([-dt * prices.prices, dt * prices.prices, np.zeros(T + 2 * K)])
+    lower = np.concatenate(
+        [np.zeros(2 * T), np.full(T, params.s_min), np.full(2 * K, rho * params.s_min)]
+    )
     upper = np.concatenate(
         [
             np.full(T, params.p_chg_max),
             np.full(T, params.p_dis_max),
-            np.full(T, params.s_max),
+            np.full(T + K, params.s_max),
+            np.full(K, rho * params.s_max),
         ]
     )
-    t = np.arange(T)
-    a = np.zeros((T, 3 * T))
-    a[t, t] = -dt * params.eta_c
-    a[t, T + t] = dt / params.eta_d
-    a[t, 2 * T + t] = 1.0
-    a[t[1:], 2 * T + t[:-1]] = -params.rho
-    rhs = np.zeros(T)
-    rhs[0] = params.rho * params.s_init
+    rhs = np.where(prev, 0.0, rho * params.s_init)
     return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs, horizon=T)
 
 
@@ -96,14 +112,13 @@ def _duals_from_solution(T: int, y: np.ndarray, d: np.ndarray) -> DualVector:
 
 
 def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL, start=None) -> SolveReport:
-    """Solve the LP and return the schedule, duals and SCD diagnostics.
-    The storage LP is always feasible (all-zero powers) and bounded, so
-    Infeasible/Unbounded statuses signal malformed custom problems.
+    """Solve a problem from build_lp, possibly with tightened bounds, and
+    return the schedule, duals (without leg rows only) and SCD events.
     start is a basis to warm-start from, such as the SolveReport.basis of
     an LP that differs only in its bounds."""
     T = problem.horizon
-    if start is None and T is not None:
-        # the columns from 2T on (soe, then the MILP's leg columns) form a
+    if start is None:
+        # the columns from 2T on (soe, then the leg columns) form a
         # triangular basis with zero cost, so y = 0 and d = c: each power at
         # the bound its price prefers makes the start dual feasible
         start = np.where(problem.c > 0, AT_UPPER, AT_LOWER)
@@ -111,16 +126,12 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL, start=None) -> SolveR
     sol = solve_bounded_lp(problem, start=start)
     if sol.status is not LpStatus.OPTIMAL:
         return SolveReport(status=sol.status)
-    report = SolveReport(LpStatus.OPTIMAL, sol.objective, x=sol.x, basis=sol.basis)
-    if T is not None:
-        schedule = Schedule(
-            p_chg=sol.x[:T].copy(), p_dis=sol.x[T : 2 * T].copy(), soe=sol.x[2 * T : 3 * T].copy()
-        )
-        report.schedule = schedule
-        if problem.m == T:  # the storage LP itself, without extra rows
-            report.duals = _duals_from_solution(T, sol.y, sol.reduced_costs)
-        report.scd_events = detect_scd(schedule, tol)
-    return report
+    x = sol.x
+    schedule = Schedule(p_chg=x[:T].copy(), p_dis=x[T : 2 * T].copy(), soe=x[2 * T : 3 * T].copy())
+    duals = _duals_from_solution(T, sol.y, sol.reduced_costs) if problem.m == T else None
+    return SolveReport(
+        LpStatus.OPTIMAL, sol.objective, schedule, duals, detect_scd(schedule, tol), basis=sol.basis
+    )
 
 
 def solve_storage_lp(
@@ -129,6 +140,8 @@ def solve_storage_lp(
     """Convenience wrapper: build and solve the storage LP, attaching the
     verification residual."""
     report = solve_lp(build_lp(params, prices), tol)
+    if report.status is LpStatus.INFEASIBLE:
+        raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
     if report.status is not LpStatus.OPTIMAL:
         raise SimplexFailure(f"storage LP unexpectedly {report.status.value}")
     report.kkt_max_residual = kkt_verify(params, prices, report, tol)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import SolveReport, build_lp, solve_lp
+from .lp import InfeasibleStorage, SolveReport, build_lp, solve_lp
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpStatus, SimplexFailure
 from .storage import DEFAULT_TOL, StorageParams, detect_scd, repair_scd
@@ -57,87 +57,50 @@ def build_milp(
     refined: bool,
     part: PricePartition,
 ) -> MilpProblem:
-    T = len(prices)
-    binary_periods = part.t_neg if refined else tuple(range(1, T + 1))
+    binary_periods = part.t_neg if refined else tuple(range(1, len(prices) + 1))
     return MilpProblem(
-        base=_with_legs(build_lp(params, prices), params, binary_periods),
+        base=build_lp(params, prices, binary_periods),
         binary_periods=binary_periods,
         params=params,
         prices=prices,
     )
 
 
-def _with_legs(lp: LpProblem, params: StorageParams, periods: tuple) -> LpProblem:
-    """The storage LP plus the leg columns [m^c (K), m^d (K)] and their rows
-    m^c_t - rho*s_{t-1} - dt*eta_c*p_chg_t = 0, m^d_t - rho*s_{t-1} +
-    dt*p_dis_t/eta_d = 0, with rho*s_init on the right-hand side at t = 1."""
-    T, K = lp.horizon, len(periods)
-    t = np.asarray(periods, dtype=int) - 1
-    legs = np.arange(2 * K)
-    a = np.zeros((T + 2 * K, 3 * T + 2 * K))
-    a[:T, : 3 * T] = lp.a
-    a[T + legs, 3 * T + legs] = 1.0
-    a[T + legs[:K], t] = -params.dt * params.eta_c
-    a[T + legs[K:], T + t] = params.dt / params.eta_d
-    prev = np.concatenate([t, t]) > 0
-    a[T + legs[prev], 2 * T + np.concatenate([t, t])[prev] - 1] = -params.rho
-    rhs = np.where(prev, 0.0, params.rho * params.s_init)
-    return LpProblem(
-        c=np.concatenate([lp.c, np.zeros(2 * K)]),
-        lower=np.concatenate([lp.lower, np.full(2 * K, params.rho * params.s_min)]),
-        upper=np.concatenate(
-            [lp.upper, np.full(K, params.s_max), np.full(K, params.rho * params.s_max)]
-        ),
-        a=a,
-        rhs=np.concatenate([lp.rhs, rhs]),
-        horizon=T,
-    )
-
-
-def _node_lp(problem: MilpProblem, chg_off: frozenset, dis_off: frozenset) -> LpProblem:
-    lp = copy.copy(problem.base)
-    lp.upper = problem.base.upper.copy()
-    T = problem.base.horizon
-    for t in chg_off:
-        lp.upper[t - 1] = 0.0
-    for t in dis_off:
-        lp.upper[T + t - 1] = 0.0
-    return lp
-
-
 def _branch_period(problem: MilpProblem, report: SolveReport, tol: float) -> int | None:
     """Binary period with SCD whose implied charge binary is most
-    fractional; most negative price breaks ties."""
-    events = {ev.t: ev for ev in detect_scd(report.schedule, tol)}
-    best = None
-    best_key = None
-    for t in problem.binary_periods:
-        ev = events.get(t)
-        if ev is None:
-            continue
-        frac = ev.p_chg_t / problem.params.p_chg_max
-        key = (-min(frac, 1 - frac), problem.prices.prices[t - 1], t)
-        if best_key is None or key < best_key:
-            best, best_key = t, key
-    return best
+    fractional; most negative price, then earliest t, breaks ties."""
+    t = np.asarray(problem.binary_periods, dtype=int)
+    p_chg = report.schedule.p_chg[t - 1]
+    scd = (p_chg > tol) & (report.schedule.p_dis[t - 1] > tol)
+    if not scd.any():
+        return None
+    t, frac = t[scd], p_chg[scd] / problem.params.p_chg_max
+    order = np.lexsort((t, problem.prices.prices[t - 1], -np.minimum(frac, 1 - frac)))
+    return int(t[order[0]])
 
 
 def solve_milp(problem: MilpProblem, tol: float = DEFAULT_TOL):
     """Globally optimal solve; returns (SolveReport, BnbStats).  The final
     schedule is SCD-free everywhere: exclusivity is enforced by branching
     at binary periods, and any leftover SCD at a non-binary period must
-    sit at a zero price, where the equal-objective repair applies."""
+    sit at a zero price, where the equal-objective repair applies.  Raises
+    InfeasibleStorage when no schedule meets the storage limits."""
     stats = BnbStats()
     incumbent = None
     best_obj = -np.inf
-    # DFS, children in a fixed order: deterministic optimum and schedule.
-    # A child only tightens one upper bound, so its parent's optimal basis
-    # stays dual feasible and warm-starts the child's LP.
-    stack = [(frozenset(), frozenset(), None)]
+    T = problem.base.horizon
+    node = copy.copy(problem.base)  # shares a, c and rhs; takes each node's upper bounds
+    # DFS over (upper bounds, parent basis), children in a fixed order:
+    # deterministic optimum and schedule.  A child only sets one power's
+    # upper bound to 0, so its parent's optimal basis stays dual feasible
+    # and warm-starts the child's LP.
+    stack = [(problem.base.upper, None)]
     while stack:
-        chg_off, dis_off, basis = stack.pop()
-        report = solve_lp(_node_lp(problem, chg_off, dis_off), tol, start=basis)
+        node.upper, basis = stack.pop()
+        report = solve_lp(node, tol, start=basis)
         stats.nodes += 1
+        if report.status is LpStatus.INFEASIBLE:
+            continue
         if report.status is not LpStatus.OPTIMAL:
             raise SimplexFailure(f"node LP {report.status.value} in branch and bound")
         if stats.root_bound is None:
@@ -155,8 +118,13 @@ def solve_milp(problem: MilpProblem, tol: float = DEFAULT_TOL):
             best_obj = report.objective
             stats.incumbent_updates += 1
             continue
-        stack.append((chg_off, dis_off | {t}, report.basis))
-        stack.append((chg_off | {t}, dis_off, report.basis))
+        chg_off, dis_off = node.upper.copy(), node.upper.copy()
+        chg_off[t - 1] = 0.0
+        dis_off[T + t - 1] = 0.0
+        stack.append((dis_off, report.basis))
+        stack.append((chg_off, report.basis))  # solved first
+    if incumbent is None:
+        raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
     stats.gap = 0.0
     incumbent.duals = None  # LP duals of a node are not MILP duals
     return incumbent, stats

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-9
+TOL = 1e-9  # primal and dual feasibility tolerance
+ITERS_PER_DIM = 200  # a phase may take ITERS_PER_DIM * (n + m + 10) iterations
 REFACTOR_EVERY = 50  # pivots between two factorizations of the basis inverse
 
 # basis codes, one per variable: the bound a nonbasic variable sits at, or BASIC
@@ -128,7 +130,7 @@ class _Factor:
         return x, y, c - y @ self.a
 
 
-def _primal(f, b, c, lower, upper, state, tol, max_iter):
+def _primal(f, b, c, lower, upper, state, max_iter):
     """Primal simplex from a primal feasible basis to optimality of max
     c'x.  Mutates f and state; returns (status, x, y, d, pivots)."""
     m, n = f.a.shape
@@ -140,7 +142,7 @@ def _primal(f, b, c, lower, upper, state, tol, max_iter):
     while True:
         x, y, d = f.point(b, c, lower, upper, state)
         obj = float(c @ x)
-        if obj > last_obj + tol:
+        if obj > last_obj + TOL:
             stall = 0
             bland = False
         else:
@@ -152,8 +154,8 @@ def _primal(f, b, c, lower, upper, state, tol, max_iter):
         # entering variable: nonbasic at lower with positive reduced cost
         # may increase; nonbasic at upper with negative reduced cost may
         # decrease
-        incr = (state == AT_LOWER) & (d > tol)
-        decr = (state == AT_UPPER) & (d < -tol)
+        incr = (state == AT_LOWER) & (d > TOL)
+        decr = (state == AT_UPPER) & (d < -TOL)
         candidates = np.flatnonzero(incr | decr)
         if len(candidates) == 0:
             if f.age == 0:
@@ -191,7 +193,7 @@ def _primal(f, b, c, lower, upper, state, tol, max_iter):
             return LpStatus.UNBOUNDED, x, y, d, pivots
 
 
-def _dual(f, b, c, lower, upper, state, tol, max_iter):
+def _dual(f, b, c, lower, upper, state, max_iter):
     """Bounded dual simplex from a dual feasible basis: the most
     infeasible basic variable leaves at the bound it violates, and the
     nonbasic variable whose reduced cost first reaches zero enters.
@@ -205,7 +207,7 @@ def _dual(f, b, c, lower, upper, state, tol, max_iter):
         violation = np.maximum(below, xb - upper[f.basis])
         r = int(np.argmax(violation))
         candidates = []
-        if violation[r] > tol:
+        if violation[r] > TOL:
             # alpha_j: how fast raising x_j pushes x_B[r] back toward its
             # bound; a nonbasic variable moves only away from its own bound
             alpha = f.inv[r] @ f.a
@@ -216,7 +218,7 @@ def _dual(f, b, c, lower, upper, state, tol, max_iter):
             ))
         if len(candidates) == 0:
             if f.age == 0:
-                feasible = violation[r] <= tol
+                feasible = violation[r] <= TOL
                 return (LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE), pivots
             f.refactor()
             continue
@@ -229,7 +231,7 @@ def _dual(f, b, c, lower, upper, state, tol, max_iter):
         f.pivot(r, q, f.inv @ f.a[:, q])
 
 
-def _warm_start(problem, start, tol):
+def _warm_start(problem, start):
     """Factor and state of a start basis, or None unless it has m
     independent basic columns, no variable at an infinite bound and
     reduced costs of the right sign."""
@@ -244,25 +246,23 @@ def _warm_start(problem, start, tol):
     except SimplexFailure:
         return None
     _, _, d = f.point(problem.rhs, problem.c, problem.lower, problem.upper, state)
-    wrong = np.where(state == AT_LOWER, d > tol, (state == AT_UPPER) & (d < -tol))
+    wrong = np.where(state == AT_LOWER, d > TOL, (state == AT_UPPER) & (d < -TOL))
     return None if np.any(wrong & (problem.lower < problem.upper)) else (f, state)
 
 
-def solve_bounded_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int | None = None,
-                     start: np.ndarray | None = None) -> LpSolution:
+def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None) -> LpSolution:
     """Bounded-variable simplex.  Deterministic for identical inputs.
     start optionally gives a basis code per variable (AT_LOWER, AT_UPPER
     or BASIC, as in LpSolution.basis); a start that is not dual feasible
     falls back to the two primal phases."""
     n, m = problem.n, problem.m
-    if max_iter is None:
-        max_iter = 200 * (n + m) + 2000
+    max_iter = ITERS_PER_DIM * (n + m + 10)
     b = problem.rhs
-    warm = None if start is None else _warm_start(problem, start, tol)
+    warm = None if start is None else _warm_start(problem, start)
     if warm is not None:
         f, state = warm
         c, lower, upper = problem.c, problem.lower, problem.upper
-        status, it1 = _dual(f, b, c, lower, upper, state, tol, max_iter)
+        status, it1 = _dual(f, b, c, lower, upper, state, max_iter)
         if status is not LpStatus.OPTIMAL:
             return LpSolution(status=status, iterations=it1)
     else:
@@ -275,14 +275,14 @@ def solve_bounded_lp(problem: LpProblem, tol: float = 1e-9, max_iter: int | None
         state[n:] = BASIC
         # phase 1: drive the artificials to zero
         c1 = np.concatenate([np.zeros(n), -np.ones(m)])
-        status, x, _, _, it1 = _primal(f, b, c1, lower, upper, state, tol, max_iter)
+        status, x, _, _, it1 = _primal(f, b, c1, lower, upper, state, max_iter)
         if status is not LpStatus.OPTIMAL or float(x[n:].sum()) > 1e-7:
             return LpSolution(status=LpStatus.INFEASIBLE, iterations=it1)
         # phase 2 pins the artificials at zero
         upper[n:] = 0.0
         c = np.concatenate([problem.c, np.zeros(m)])
 
-    status, x, y, d, it2 = _primal(f, b, c, lower, upper, state, tol, max_iter)
+    status, x, y, d, it2 = _primal(f, b, c, lower, upper, state, max_iter)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, iterations=it1 + it2)
     return LpSolution(
