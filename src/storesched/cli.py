@@ -5,7 +5,7 @@ Subcommands: partition, advise, solve, check, compare.  Exit codes:
 * 0  success; for advise: the relaxation is safe, solve the LP
 * 1  check found an infeasible or simultaneously-charging schedule
 * 2  malformed or unreadable input (CSV, params file, schedule JSON,
-     manifest)
+     manifest), or storage that no schedule keeps within its limits
 * 3  internal solver invariant breach, or a leftover SCD with no
      equal-objective repair
 * 10 advise: solve the refined MILP
@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Schedule a price-taker energy storage system against a price series.",
         epilog=(
             "exit codes: 0 ok / advise says solve the LP; 1 check failed; "
-            "2 malformed or unreadable input; 3 solver invariant breach or "
+            "2 malformed or unreadable input, or storage no schedule keeps "
+            "within its limits; 3 solver invariant breach or "
             "unrepairable SCD; 10 advise says solve the refined MILP"
         ),
     )

@@ -186,6 +186,29 @@ class TestSolve:
             workspace / "b" / "plot.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("formulation", ["lp", "milp", "refined", "dp"])
+    def test_infeasible_storage_exit_2(self, workspace, capsys, formulation):
+        # at s_min = 0.5 the level leaks 0.25 per period, and a full charge
+        # adds only 0.09: no schedule stays within the limits
+        leaky = workspace / "leaky.txt"
+        leaky.write_text(
+            FAST_PARAMS.replace("s_min = 0\n", "s_min = 0.5\n")
+            .replace("s_init = 0\n", "s_init = 0.5\n")
+            .replace("p_chg_max = 2.0", "p_chg_max = 0.1")
+            .replace("rho = 1.0", "rho = 0.5")
+        )
+        code = run(
+            [
+                "solve", "--params", leaky, "--prices", workspace / "prices.csv",
+                "--formulation", formulation, "--out", workspace / "out",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert ("grid transition" if formulation == "dp" else "storage level") in err
+        assert not (workspace / "out" / "report.json").exists()
+
     def test_repair_not_applicable_exit_3(self, workspace, monkeypatch, capsys):
         from storesched import RepairNotApplicable, milp
 

@@ -10,6 +10,7 @@ from _instances import (
 )
 from storesched import (
     DpConfig,
+    InfeasibleStorage,
     PriceSeries,
     Schedule,
     StorageParams,
@@ -59,6 +60,18 @@ class TestBuild:
         lp = solve_storage_lp(unit_storage(), prices)
         assert stats.nodes == 1
         assert report.objective == pytest.approx(lp.objective, rel=1e-9, abs=1e-12)
+
+    def test_variants_share_one_relaxation(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            params = random_params(rng)
+            prices = mixed_sign_prices(rng, int(rng.integers(1, 30)))
+            part = partition(prices)
+            full = build_milp(params, prices, False, part).base
+            refined = build_milp(params, prices, True, part).base
+            for name in ("c", "lower", "upper", "a", "rhs"):
+                np.testing.assert_array_equal(getattr(full, name), getattr(refined, name))
+            assert full.horizon == refined.horizon == len(prices)
 
     def test_exact_big_m(self):
         params = unit_storage(p_chg_max=1.7, p_dis_max=2.3)
@@ -154,6 +167,20 @@ class TestSolve:
         np.testing.assert_array_equal(a.schedule.soe, b.schedule.soe)
 
 
+class TestInfeasibleStorage:
+    def test_leakage_beyond_charge_limit(self):
+        # at s_min = 0.5 the level leaks 0.25 per period, and a full charge
+        # adds only 0.09: no schedule stays within the limits
+        params = unit_storage(s_min=0.5, s_init=0.5, p_chg_max=0.1, rho=0.5)
+        prices = PriceSeries([35.0, -5.0, 40.0], 1.0)
+        part = partition(prices)
+        with pytest.raises(InfeasibleStorage):
+            solve_storage_lp(params, prices)
+        for refined in (False, True):
+            with pytest.raises(InfeasibleStorage):
+                solve_storage_milp(params, prices, part, refined=refined)
+
+
 class TestNodeCounts:
     def test_refined_no_more_nodes_in_aggregate(self):
         rng = np.random.default_rng(15)
@@ -199,14 +226,16 @@ class TestLegRows:
             lossy += params.rho < 1.0 and params.s_min > 0.0
             T = int(rng.integers(4, 30))
             prices = mixed_sign_prices(rng, T)
-            problem = build_milp(params, prices, False, partition(prices))
+            part = partition(prices)
+            problem = build_milp(params, prices, False, part)
+            legs = np.asarray(part.t_neg, dtype=int) - 1
             for _ in range(10):
                 p_chg, p_dis, soe = random_exclusive_schedule(rng, params, T)
                 assert feasibility_check(params, Schedule(p_chg, p_dis, soe)).feasible
                 prev = np.concatenate([[params.s_init], soe[:-1]])
                 m_chg = params.rho * prev + params.dt * params.eta_c * p_chg
                 m_dis = params.rho * prev - params.dt * p_dis / params.eta_d
-                x = np.concatenate([p_chg, p_dis, soe, m_chg, m_dis])
+                x = np.concatenate([p_chg, p_dis, soe, m_chg[legs], m_dis[legs]])
                 base = problem.base
                 np.testing.assert_allclose(base.a @ x, base.rhs, rtol=0, atol=1e-12)
                 assert np.all(x >= base.lower - 1e-12)
@@ -268,6 +297,21 @@ class TestHighsCrossCheck:
             for refined in (False, True):
                 report, _ = solve_storage_milp(params, prices, part, refined=refined)
                 assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+    def test_infeasible_child_is_pruned(self):
+        # forbidding charge at t=1 leaves rho*s_init < s_min: that child's LP
+        # is infeasible, the other child's is not
+        params = StorageParams(s_min=0.2, s_max=1.0, s_init=0.201, p_chg_max=1.4,
+                               p_dis_max=0.45, eta_c=0.9, eta_d=0.9, rho=0.9, dt=1.0)
+        prices = PriceSeries([-20.0, 33.0, -64.0], 1.0)
+        part = partition(prices)
+        ref = highs_objective(params, prices, part.t_neg)
+        assert ref == pytest.approx(86.42506172839505, rel=1e-12)
+        for refined in (False, True):
+            report, stats = solve_storage_milp(params, prices, part, refined=refined)
+            assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+            assert stats.nodes > 1
+            assert feasibility_check(params, report.schedule).feasible
 
     @pytest.mark.parametrize("T", [24, 48, 96, 168])
     def test_fast_storage_horizons(self, T):
