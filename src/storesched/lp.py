@@ -3,10 +3,8 @@ extraction, and verification of the stationarity / complementarity
 system at the reported optimum.
 
 Variable layout of the storage LP: [p_chg (T), p_dis (T), soe (T)], with
-one state-of-energy balance row per period.  The MILPs append, at each
-negative-price period, the "each leg fits" columns m^c and m^d (the
-level after the charge alone and after the discharge alone), each
-defined by one more equality row.
+one state-of-energy balance row per period; the MILPs append "each leg
+fits" columns, each with its defining row (see build_lp).
 """
 
 from dataclasses import dataclass
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prices import PriceSeries
-from .simplex import AT_LOWER, AT_UPPER, BASIC, LpProblem, LpStatus, SimplexFailure
+from .simplex import AT_LOWER, AT_UPPER, BASIC, LpProblem, LpStatus
 from .simplex import solve_bounded_lp
 from .storage import (
     DEFAULT_TOL,
@@ -61,12 +59,13 @@ class SolveReport:
 
 def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> LpProblem:
     """Storage LP over [p_chg (T), p_dis (T), soe (T), m^c (K), m^d (K)],
-    K = len(legs), with T + 2K equality rows; row r defines column 2T + r:
-    soe_t - rho*soe_{t-1} - dt*eta_c*p_chg_t + (dt/eta_d)*p_dis_t = 0,
-    m^c_t - rho*soe_{t-1} - dt*eta_c*p_chg_t = 0 and
-    m^d_t - rho*soe_{t-1} + (dt/eta_d)*p_dis_t = 0 at each 1-based period t
-    in legs, with rho*s_init on the right-hand side at t = 1.  The
-    objective is sum_t dt*C_t*(p_dis_t - p_chg_t)."""
+    K = len(legs), maximizing sum_t dt*C_t*(p_dis_t - p_chg_t).  Row r is
+    the equality that defines column 2T + r, with soe_0 = s_init:
+    soe_t = rho*soe_{t-1} + dt*eta_c*p_chg_t - dt*p_dis_t/eta_d in [s_min, s_max]
+    and, at each 1-based period t in legs, the level after the charge alone,
+    m^c_t = rho*soe_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and after
+    the discharge alone, m^d_t = rho*soe_{t-1} - dt*p_dis_t/eta_d in
+    [rho*s_min, rho*s_max]."""
     T, K = len(prices), len(legs)
     dt, rho = params.dt, params.rho
     t_leg = np.asarray(legs, dtype=int) - 1
@@ -80,16 +79,9 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     a[r[dis], T + period[dis]] = dt / params.eta_d
     a[r[prev], 2 * T + period[prev] - 1] = -rho
     c = np.concatenate([-dt * prices.prices, dt * prices.prices, np.zeros(T + 2 * K)])
-    lower = np.concatenate(
-        [np.zeros(2 * T), np.full(T, params.s_min), np.full(2 * K, rho * params.s_min)]
-    )
-    upper = np.concatenate(
-        [
-            np.full(T, params.p_chg_max),
-            np.full(T, params.p_dis_max),
-            np.full(T + K, params.s_max),
-            np.full(K, rho * params.s_max),
-        ]
+    lower = np.repeat([0.0, params.s_min, rho * params.s_min], [2 * T, T, 2 * K])
+    upper = np.repeat(
+        [params.p_chg_max, params.p_dis_max, params.s_max, rho * params.s_max], [T, T, T + K, K]
     )
     rhs = np.where(prev, 0.0, rho * params.s_init)
     return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs, horizon=T)
@@ -140,10 +132,8 @@ def solve_storage_lp(
     """Convenience wrapper: build and solve the storage LP, attaching the
     verification residual."""
     report = solve_lp(build_lp(params, prices), tol)
-    if report.status is LpStatus.INFEASIBLE:
+    if report.status is not LpStatus.OPTIMAL:  # every variable is boxed: not unbounded
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
-    if report.status is not LpStatus.OPTIMAL:
-        raise SimplexFailure(f"storage LP unexpectedly {report.status.value}")
     report.kkt_max_residual = kkt_verify(params, prices, report, tol)
     return report
 

@@ -12,15 +12,12 @@ exact big-M links p <= u * p_max).
 
 Both variants share one relaxation, build_lp(params, prices, part.t_neg),
 and differ only in binary_periods, the periods where the search may
-branch.  Each negative-price period t carries two "each leg fits"
-columns, each defined by one equality row: the level after the charge
-alone, m^c_t = rho*s_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and
-the level after the discharge alone, m^d_t = rho*s_{t-1} - dt*p_dis_t/eta_d
-in [rho*s_min, rho*s_max], with s_0 = s_init.  Every exclusive schedule
-meets them (0 <= s_min and rho <= 1).  For storage that fully charges and
-fully discharges within one period (rho = 1, s_min = 0) they are the
-convex hull of the two modes at t, so such MILPs often close at the root
-node.
+branch.  Its "each leg fits" columns, the level after the charge alone
+and after the discharge alone at each negative-price period, hold for
+every exclusive schedule (0 <= s_min and rho <= 1).  For storage that
+fully charges and fully discharges within one period (rho = 1,
+s_min = 0) they are the convex hull of the two modes at t, so such MILPs
+often close at the root node.
 """
 
 import copy
