@@ -10,7 +10,8 @@ Subcommands: partition, advise, solve, check, compare.  Exit codes:
      equal-objective repair
 * 10 advise: solve the refined MILP
 
-All outputs are byte-deterministic given identical inputs and flags.
+All outputs are byte-deterministic given identical inputs and flags,
+except the *_time_s wall-clock columns of compare.
 """
 
 import argparse
@@ -27,7 +28,6 @@ from .milp import build_milp, solve_milp
 from .prices import PriceCsvError, partition, read_price_csv
 from .simplex import SimplexFailure
 from .storage import (
-    DEFAULT_TOL,
     RepairNotApplicable,
     StorageParams,
     detect_scd,
@@ -134,14 +134,14 @@ def cmd_advise(args) -> int:
 def _solve_formulation(args, params, prices, part):
     """Returns (report, extras dict for the JSON report)."""
     if args.formulation == "lp":
-        report = solve_storage_lp(params, prices, tol=args.tol)
+        report = solve_storage_lp(params, prices)
         return report, {
             "kkt_max_residual": report.kkt_max_residual,
             "physically_infeasible": bool(report.scd_events),
         }
     if args.formulation in ("milp", "refined"):
         problem = build_milp(params, prices, args.formulation == "refined", part)
-        report, stats = solve_milp(problem, tol=args.tol)
+        report, stats = solve_milp(problem)
         return report, {
             "num_binaries": problem.num_binaries,
             "nodes": stats.nodes,
@@ -209,7 +209,7 @@ def cmd_check(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"schedule JSON: {exc}")
     schedule, dt = schedule_from_dict(doc)
-    if abs(dt - params.dt) > 1e-12:
+    if not abs(dt - params.dt) <= 1e-12:  # NaN fails too
         raise ValueError(f"schedule dt_hours {dt} differs from params dt_hours {params.dt}")
     if len(schedule) != len(prices):
         raise ValueError(
@@ -217,19 +217,19 @@ def cmd_check(args) -> int:
         )
 
     fail = False
-    fea = feasibility_check(params, schedule, tol=args.tol)
+    fea = feasibility_check(params, schedule)
     print(f"feasible: {fea.feasible}")
     for t, tag, magnitude in fea.violations:
         print(f"  violation t={t} {tag} magnitude={magnitude:.6g}")
         fail = True
-    events = detect_scd(schedule, tol=args.tol)
+    events = detect_scd(schedule)
     print(f"scd_events: {len(events)}")
     for ev in events:
         print(f"  scd t={ev.t} p_chg={ev.p_chg_t:.6g} p_dis={ev.p_dis_t:.6g}")
         fail = True
     part = partition(prices)
     for t in part.t_neg:
-        verdict = lemma1_classify(params, prices, schedule, t, tol=args.tol)
+        verdict = lemma1_classify(params, prices, schedule, t)
         print(
             f"negative-price t={t}: {verdict.classification.value} "
             f"(beta={verdict.beta_t:.6g})"
@@ -287,10 +287,10 @@ def cmd_compare(args) -> int:
         advice = advise(params, part)
 
         t0 = time.perf_counter()
-        lp = solve_storage_lp(params, prices, tol=args.tol)
+        lp = solve_storage_lp(params, prices)
         t_lp = time.perf_counter() - t0
         t0 = time.perf_counter()
-        milp, _ = solve_milp(build_milp(params, prices, True, part), tol=args.tol)
+        milp, _ = solve_milp(build_milp(params, prices, True, part))
         t_milp = time.perf_counter() - t0
         t0 = time.perf_counter()
         dp = solve_dp(params, prices, DpConfig(args.grid))
@@ -349,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         if params_required:
             p.add_argument("--params", required=True, help="key=value storage parameter file")
         p.add_argument("--prices", required=True, help="price CSV with header t,price_eur_per_mwh")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
 
     p = sub.add_parser("partition", help="decompose the price series by sign")
     common(p, params_required=False)
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="LP vs refined MILP vs DP over a manifest of instances")
     p.add_argument("--manifest", required=True, help="CSV: params_path,prices_path,label")
     p.add_argument("--out", help="also write the comparison table to this CSV")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--grid", type=int, default=801)
     p.set_defaults(func=cmd_compare)
     return parser

@@ -19,6 +19,10 @@ from .storage import (
 #: and the advisor routes to the refined MILP.
 SUBSET_ENUMERATION_CAP = 22
 
+#: Tolerance (MWh) within which theorem1_condition2 accepts a required
+#: start level as equal to s_fixed or inside [s_min, s_max].
+LEVEL_TOL = 1e-9
+
 
 class NotNegativePrice(ValueError):
     """The period under classification does not have a strictly negative price."""
@@ -137,11 +141,7 @@ def prop1_classify(params: StorageParams, part: PricePartition) -> Prop1Verdict:
 
 
 def lemma1_classify(
-    params: StorageParams,
-    prices: PriceSeries,
-    schedule: Schedule,
-    t: int,
-    tol: float = DEFAULT_TOL,
+    params: StorageParams, prices: PriceSeries, schedule: Schedule, t: int
 ) -> Lemma1Verdict:
     """Classify a negative-price period of an LP optimum by its net energy
     exchange beta_t = s_t - rho * s_{t-1}: at the maximum net charge or the
@@ -155,9 +155,9 @@ def lemma1_classify(
     beta = float(schedule.soe[t - 1] - params.rho * prev)
     max_charge = params.dt * params.eta_c * params.p_chg_max
     max_discharge = params.dt * params.p_dis_max / params.eta_d
-    if abs(beta - max_charge) <= tol:
+    if abs(beta - max_charge) <= DEFAULT_TOL:
         cls = Lemma1Class.NET_CHARGE_MAX
-    elif abs(beta + max_discharge) <= tol:
+    elif abs(beta + max_discharge) <= DEFAULT_TOL:
         cls = Lemma1Class.NET_DISCHARGE_MAX
     else:
         cls = Lemma1Class.SCD_OPTIMAL
@@ -187,10 +187,7 @@ def theorem1_condition1(params: StorageParams, part: PricePartition) -> bool:
 
 
 def theorem1_condition2(
-    params: StorageParams,
-    part: PricePartition,
-    s_fixed: float | None = None,
-    eq_tol: float = 1e-9,
+    params: StorageParams, part: PricePartition, s_fixed: float | None = None
 ) -> Thm1Cond2Witness | None:
     """Search for a start level s in [s_min, s_max] (or exactly s_fixed)
     and a split of the longest negative run [tau1, tau2] into full-rate
@@ -215,8 +212,8 @@ def theorem1_condition2(
 
     def check_level(s_required: float) -> float | None:
         if s_fixed is not None:
-            return s_fixed if abs(s_required - s_fixed) <= eq_tol else None
-        if params.s_min - eq_tol <= s_required <= params.s_max + eq_tol:
+            return s_fixed if abs(s_required - s_fixed) <= LEVEL_TOL else None
+        if params.s_min - LEVEL_TOL <= s_required <= params.s_max + LEVEL_TOL:
             return min(max(s_required, params.s_min), params.s_max)
         return None
 

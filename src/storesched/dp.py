@@ -16,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import SolveReport
+from .lp import InfeasibleStorage, SolveReport
 from .prices import PriceSeries
 from .simplex import LpStatus
 from .storage import Schedule, StorageParams, objective
 
 
 class GridTooCoarse(ValueError):
-    """One full-rate charge step moves less than one grid spacing."""
+    """One full-rate charge step moves less than one grid spacing, or a
+    level has no feasible grid transition although the storage has one."""
 
 
 class HorizonTooLong(ValueError):
@@ -79,11 +80,26 @@ def _action_table(params: StorageParams, grid: np.ndarray, s: np.ndarray):
     return np.minimum(pc, params.p_chg_max), np.minimum(pd, params.p_dis_max), k, ok
 
 
+def _no_transition(params: StorageParams, T: int, s: float) -> ValueError:
+    """The error for a level with no feasible grid transition: the storage
+    is at fault if even a full charge every period, capped at s_max, drops
+    below s_min (every reachable level lies at or below that trajectory,
+    which is itself feasible otherwise); else the grid is."""
+    top = params.s_init
+    for _ in range(T):
+        top = min(params.rho * top + params.dt * params.eta_c * params.p_chg_max, params.s_max)
+        if top < params.s_min:
+            return InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
+    return GridTooCoarse(f"no feasible grid transition from level {s}")
+
+
 def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> SolveReport:
     """Backward DP over the state grid, then greedy forward reconstruction
     from the exact initial level.  The objective is recomputed exactly on
     the reconstructed continuous schedule; it approaches the exclusive
     optimum from below as the grid is refined."""
+    if prices.dt != params.dt:
+        raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
     T = len(prices)
     grid = np.linspace(params.s_min, params.s_max, config.grid_points)
     h = grid[1] - grid[0]
@@ -116,7 +132,7 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
         )
         a = int(np.argmax(cand))  # first maximizer: deterministic
         if not np.isfinite(cand[a]):
-            raise GridTooCoarse(f"no feasible grid transition from level {s}")
+            raise _no_transition(params, T, s)
         p_chg[t], p_dis[t] = pc[a], pd[a]
         s = params.rho * s + params.dt * (params.eta_c * pc[a] - pd[a] / params.eta_d)
         soe[t] = s

@@ -14,12 +14,7 @@ import numpy as np
 from .prices import PriceSeries
 from .simplex import AT_LOWER, AT_UPPER, BASIC, LpProblem, LpStatus
 from .simplex import solve_bounded_lp
-from .storage import (
-    DEFAULT_TOL,
-    Schedule,
-    StorageParams,
-    detect_scd,
-)
+from .storage import Schedule, StorageParams, detect_scd
 
 
 class InfeasibleStorage(ValueError):
@@ -66,6 +61,8 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     m^c_t = rho*soe_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and after
     the discharge alone, m^d_t = rho*soe_{t-1} - dt*p_dis_t/eta_d in
     [rho*s_min, rho*s_max]."""
+    if prices.dt != params.dt:
+        raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
     T, K = len(prices), len(legs)
     dt, rho = params.dt, params.rho
     t_leg = np.asarray(legs, dtype=int) - 1
@@ -103,7 +100,7 @@ def _duals_from_solution(T: int, y: np.ndarray, d: np.ndarray) -> DualVector:
     )
 
 
-def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL, start=None) -> SolveReport:
+def solve_lp(problem: LpProblem, start=None) -> SolveReport:
     """Solve a problem from build_lp, possibly with tightened bounds, and
     return the schedule, duals (without leg rows only) and SCD events.
     start is a basis to warm-start from, such as the SolveReport.basis of
@@ -122,28 +119,21 @@ def solve_lp(problem: LpProblem, tol: float = DEFAULT_TOL, start=None) -> SolveR
     schedule = Schedule(p_chg=x[:T].copy(), p_dis=x[T : 2 * T].copy(), soe=x[2 * T : 3 * T].copy())
     duals = _duals_from_solution(T, sol.y, sol.reduced_costs) if problem.m == T else None
     return SolveReport(
-        LpStatus.OPTIMAL, sol.objective, schedule, duals, detect_scd(schedule, tol), basis=sol.basis
+        LpStatus.OPTIMAL, sol.objective, schedule, duals, detect_scd(schedule), basis=sol.basis
     )
 
 
-def solve_storage_lp(
-    params: StorageParams, prices: PriceSeries, tol: float = DEFAULT_TOL
-) -> SolveReport:
+def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """Convenience wrapper: build and solve the storage LP, attaching the
     verification residual."""
-    report = solve_lp(build_lp(params, prices), tol)
+    report = solve_lp(build_lp(params, prices))
     if report.status is not LpStatus.OPTIMAL:  # every variable is boxed: not unbounded
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
-    report.kkt_max_residual = kkt_verify(params, prices, report, tol)
+    report.kkt_max_residual = kkt_verify(params, prices, report)
     return report
 
 
-def kkt_verify(
-    params: StorageParams,
-    prices: PriceSeries,
-    report: SolveReport,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) -> float:
     """Maximum absolute residual over the first-order optimality system:
     stationarity in p_dis / p_chg / soe, the balance equalities, dual
     nonnegativity, every complementarity pair, and the identity that at
@@ -183,7 +173,7 @@ def kkt_verify(
     res.append(du.delta_lo * sch.p_dis)
     res.append(du.delta_hi * (params.p_dis_max - sch.p_dis))
     # SCD dual identity at detected events
-    for ev in detect_scd(sch, tol):
+    for ev in detect_scd(sch):
         k = ev.t - 1
         res.append(
             np.array([dt * c[k] * (1 - params.eta) + params.eta * du.delta_hi[k] + du.gamma_hi[k]])

@@ -66,12 +66,12 @@ def build_milp(
     )
 
 
-def _branch_period(problem: MilpProblem, report: SolveReport, tol: float) -> int | None:
+def _branch_period(problem: MilpProblem, report: SolveReport) -> int | None:
     """Binary period with SCD whose implied charge binary is most
     fractional; most negative price, then earliest t, breaks ties."""
     t = np.asarray(problem.binary_periods, dtype=int)
     p_chg = report.schedule.p_chg[t - 1]
-    scd = (p_chg > tol) & (report.schedule.p_dis[t - 1] > tol)
+    scd = (p_chg > DEFAULT_TOL) & (report.schedule.p_dis[t - 1] > DEFAULT_TOL)
     if not scd.any():
         return None
     t, frac = t[scd], p_chg[scd] / problem.params.p_chg_max
@@ -79,7 +79,7 @@ def _branch_period(problem: MilpProblem, report: SolveReport, tol: float) -> int
     return int(t[order[0]])
 
 
-def solve_milp(problem: MilpProblem, tol: float = DEFAULT_TOL):
+def solve_milp(problem: MilpProblem):
     """Globally optimal solve; returns (SolveReport, BnbStats).  The final
     schedule is SCD-free everywhere: exclusivity is enforced by branching
     at binary periods, and any leftover SCD at a non-binary period must
@@ -97,7 +97,7 @@ def solve_milp(problem: MilpProblem, tol: float = DEFAULT_TOL):
     stack = [(problem.base.upper, None)]
     while stack:
         node.upper, basis = stack.pop()
-        report = solve_lp(node, tol, start=basis)
+        report = solve_lp(node, start=basis)
         stats.nodes += 1
         if report.status is LpStatus.INFEASIBLE:
             continue
@@ -107,13 +107,13 @@ def solve_milp(problem: MilpProblem, tol: float = DEFAULT_TOL):
             stats.root_bound = report.objective
         if report.objective <= best_obj + 1e-12 * max(1.0, abs(best_obj)):
             continue
-        t = _branch_period(problem, report, tol)
+        t = _branch_period(problem, report)
         if t is None:
             # integral-equivalent: no SCD at any binary period; repair any
             # residual zero-price SCD and promote to incumbent
-            schedule = repair_scd(problem.params, problem.prices, report.schedule, tol)
+            schedule = repair_scd(problem.params, problem.prices, report.schedule)
             report.schedule = schedule
-            report.scd_events = detect_scd(schedule, tol)
+            report.scd_events = detect_scd(schedule)
             incumbent = report
             best_obj = report.objective
             stats.incumbent_updates += 1
@@ -131,11 +131,6 @@ def solve_milp(problem: MilpProblem, tol: float = DEFAULT_TOL):
 
 
 def solve_storage_milp(
-    params: StorageParams,
-    prices: PriceSeries,
-    part: PricePartition,
-    refined: bool = True,
-    tol: float = DEFAULT_TOL,
+    params: StorageParams, prices: PriceSeries, part: PricePartition, refined: bool = True
 ):
-    problem = build_milp(params, prices, refined, part)
-    return solve_milp(problem, tol)
+    return solve_milp(build_milp(params, prices, refined, part))

@@ -13,8 +13,8 @@ import numpy as np
 
 from .prices import PriceSeries
 
-#: Default feasibility / SCD tolerance, in the units of the quantity
-#: checked (MW or MWh).  One order above double-precision simplex residuals.
+#: The feasibility / SCD tolerance, in the units of the quantity checked
+#: (MW or MWh).  One order above double-precision simplex residuals.
 DEFAULT_TOL = 1e-7
 
 
@@ -138,15 +138,11 @@ def objective(prices: PriceSeries, schedule: Schedule, dt: float) -> float:
     return float(np.sum(dt * c * (schedule.p_dis - schedule.p_chg)))
 
 
-def feasibility_check(
-    params: StorageParams, schedule: Schedule, tol: float = DEFAULT_TOL
-) -> FeasibilityReport:
+def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityReport:
     """Verify power bounds, state-of-energy bounds and the recursion
-    consistency of the soe trajectory, within tol.  Reports every
+    consistency of the soe trajectory, within DEFAULT_TOL.  Reports every
     violation with its magnitude, and every NaN or infinite entry as a
     nonfinite_* violation; never raises on infeasibility."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     violations = []
     prev = params.s_init
     for k in range(len(schedule)):
@@ -154,36 +150,34 @@ def feasibility_check(
         pc, pd, s = schedule.p_chg[k], schedule.p_dis[k], schedule.soe[k]
         if not math.isfinite(pc):
             violations.append((t, "nonfinite_pc", abs(pc)))
-        elif pc < -tol:
+        elif pc < -DEFAULT_TOL:
             violations.append((t, "bound_pc", -pc))
-        elif pc > params.p_chg_max + tol:
+        elif pc > params.p_chg_max + DEFAULT_TOL:
             violations.append((t, "bound_pc", pc - params.p_chg_max))
         if not math.isfinite(pd):
             violations.append((t, "nonfinite_pd", abs(pd)))
-        elif pd < -tol:
+        elif pd < -DEFAULT_TOL:
             violations.append((t, "bound_pd", -pd))
-        elif pd > params.p_dis_max + tol:
+        elif pd > params.p_dis_max + DEFAULT_TOL:
             violations.append((t, "bound_pd", pd - params.p_dis_max))
         if not math.isfinite(s):
             violations.append((t, "nonfinite_soe", abs(s)))
-        elif s < params.s_min - tol:
+        elif s < params.s_min - DEFAULT_TOL:
             violations.append((t, "bound_soe", params.s_min - s))
-        elif s > params.s_max + tol:
+        elif s > params.s_max + DEFAULT_TOL:
             violations.append((t, "bound_soe", s - params.s_max))
         expected = params.rho * prev + params.dt * (params.eta_c * pc - pd / params.eta_d)
-        if abs(s - expected) > tol:
+        if abs(s - expected) > DEFAULT_TOL:
             violations.append((t, "soe_recursion", abs(s - expected)))
         prev = s
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 
-def detect_scd(schedule: Schedule, tol: float = DEFAULT_TOL) -> list:
-    """Periods where charge and discharge both exceed tol, sorted by t."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+def detect_scd(schedule: Schedule) -> list:
+    """Periods where charge and discharge both exceed DEFAULT_TOL, sorted by t."""
     events = []
     for k in range(len(schedule)):
-        if schedule.p_chg[k] > tol and schedule.p_dis[k] > tol:
+        if schedule.p_chg[k] > DEFAULT_TOL and schedule.p_dis[k] > DEFAULT_TOL:
             events.append(ScdEvent(t=k + 1, p_chg_t=float(schedule.p_chg[k]),
                                    p_dis_t=float(schedule.p_dis[k])))
     return events
@@ -207,12 +201,7 @@ def check_assumption_leakage(params: StorageParams) -> bool:
     return (1 - params.rho) * params.s_max <= params.dt * params.eta_c * params.p_chg_max
 
 
-def repair_scd(
-    params: StorageParams,
-    prices: PriceSeries,
-    schedule: Schedule,
-    tol: float = DEFAULT_TOL,
-) -> Schedule:
+def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -> Schedule:
     """Replace each SCD period by the equal-objective single-mode powers
     that keep the soe trajectory unchanged.
 
@@ -225,7 +214,7 @@ def repair_scd(
     c = prices.prices if isinstance(prices, PriceSeries) else np.asarray(prices, dtype=float)
     if len(c) != len(schedule):
         raise ValueError("price and schedule lengths differ")
-    events = detect_scd(schedule, tol)
+    events = detect_scd(schedule)
     p_chg = schedule.p_chg.copy()
     p_dis = schedule.p_dis.copy()
     for ev in events:

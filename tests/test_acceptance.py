@@ -200,7 +200,7 @@ def test_criterion_7_lemma1_consistency(lp_safe_batch, inexact_batch):
             continue
         scd_periods = {ev.t for ev in lp.scd_events}
         for t in part.t_neg:
-            verdict = lemma1_classify(params, prices, lp.schedule, t, tol=1e-7)
+            verdict = lemma1_classify(params, prices, lp.schedule, t)
             is_scd = verdict.classification is Lemma1Class.SCD_OPTIMAL
             checked += 1
             if is_scd != (t in scd_periods):
@@ -213,7 +213,7 @@ def test_criterion_8_kkt_verification(lp_safe_batch, inexact_batch):
     worst = 0.0
     worst_identity = 0.0
     for params, prices, part, lp, _ in list(lp_safe_batch) + list(inexact_batch):
-        worst = max(worst, kkt_verify(params, prices, lp, tol=1e-7))
+        worst = max(worst, kkt_verify(params, prices, lp))
         for ev in lp.scd_events:
             k = ev.t - 1
             identity = abs(

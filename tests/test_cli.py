@@ -206,7 +206,7 @@ class TestSolve:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert ("grid transition" if formulation == "dp" else "storage level") in err
+        assert "storage level" in err
         assert not (workspace / "out" / "report.json").exists()
 
     def test_repair_not_applicable_exit_3(self, workspace, monkeypatch, capsys):
@@ -295,6 +295,22 @@ class TestCheck:
         assert "feasible: False" in out
         assert "violation t=8 nonfinite_soe" in out
 
+    def test_nan_dt_exit_2(self, workspace, capsys):
+        path = workspace / "nan_dt.json"
+        path.write_text(
+            json.dumps({"dt_hours": float("nan"), "p_chg": [0.0] * 8,
+                        "p_dis": [0.0] * 8, "soe": [0.0] * 8})
+        )
+        code = run(
+            [
+                "check", "--params", workspace / "fast.txt",
+                "--prices", workspace / "prices.csv",
+                "--schedule", path,
+            ]
+        )
+        assert code == 2
+        assert "dt_hours nan" in capsys.readouterr().err
+
     def test_schema_violation_exit_2(self, workspace):
         path = workspace / "broken.json"
         path.write_text('{"dt_hours": 1.0, "p_chg": [0.0]}')
@@ -343,3 +359,27 @@ class TestCompare:
         assert run(["compare", "--manifest", manifest]) == 2
         manifest.write_text("params_path,prices_path,label\nmissing.txt,prices.csv,x\n")
         assert run(["compare", "--manifest", manifest]) == 2
+
+
+class TestNoTolFlag:
+    @pytest.mark.parametrize("command", ["partition", "advise", "solve", "check", "compare"])
+    def test_tol_is_rejected(self, workspace, capsys, command):
+        # an infeasible schedule, which check --tol nan used to pass
+        bad = workspace / "bad_sched.json"
+        bad.write_text(
+            json.dumps({"dt_hours": 1.0, "p_chg": [0.0] * 8,
+                        "p_dis": [0.0] * 8, "soe": [0.5] * 8})
+        )
+        prices = ["--prices", workspace / "prices.csv"]
+        params = ["--params", workspace / "fast.txt"]
+        args = {
+            "partition": prices,
+            "advise": params + prices,
+            "solve": params + prices + ["--formulation", "lp", "--out", workspace / "out"],
+            "check": params + prices + ["--schedule", bad],
+            "compare": ["--manifest", workspace / "manifest.csv"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *args, "--tol", "nan"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err

@@ -84,6 +84,12 @@ class TestBuild:
         np.testing.assert_array_equal(problem.a, expected)
         np.testing.assert_array_equal(problem.rhs, [0.97 * 0.3, 0.0, 0.0, 0.0])
 
+    def test_price_dt_must_match_params(self):
+        # the LP reads params.dt alone, so a quarter-hour series would be
+        # priced as hourly
+        with pytest.raises(ValueError, match="dt"):
+            solve_storage_lp(unit_storage(), PriceSeries([-10.0, 50.0], 0.25))
+
 
 class TestSolve:
     def test_zero_prices_zero_schedule(self):

@@ -159,7 +159,7 @@ class TestScd:
 
     def test_tolerance(self):
         sch = Schedule(p_chg=[1e-9], p_dis=[0.5], soe=[0.5])
-        assert detect_scd(sch, tol=1e-7) == []
+        assert detect_scd(sch) == []
 
     def test_repair_zero_price(self):
         params = make_params(rho=1.0, s_init=0.0, p_chg_max=1.0, p_dis_max=1.0)
