@@ -364,7 +364,7 @@ class TestCompare:
 class TestNoTolFlag:
     @pytest.mark.parametrize("command", ["partition", "advise", "solve", "check", "compare"])
     def test_tol_is_rejected(self, workspace, capsys, command):
-        # an infeasible schedule, which check --tol nan used to pass
+        # an infeasible schedule: no tolerance from outside may let check pass it
         bad = workspace / "bad_sched.json"
         bad.write_text(
             json.dumps({"dt_hours": 1.0, "p_chg": [0.0] * 8,
