@@ -161,8 +161,8 @@ def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: 
     T = len(prices)
     if T > 4:
         raise HorizonTooLong(f"T={T} exceeds the micro-oracle limit of 4")
-    if levels > 7:
-        raise ValueError("levels must be <= 7")
+    if not 1 <= levels <= 7:
+        raise ValueError(f"levels must be between 1 and 7, got {levels}")
     dt, eta_c, eta_d, rho = params.dt, params.eta_c, params.eta_d, params.rho
 
     def actions(s: float):

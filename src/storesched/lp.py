@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prices import PriceSeries
-from .simplex import AT_LOWER, AT_UPPER, BASIC, LpProblem, LpStatus
+from .simplex import AT_LOWER, BASIC, LpProblem, LpStatus
 from .simplex import solve_bounded_lp
 from .storage import Schedule, StorageParams, detect_scd
 
@@ -81,7 +81,7 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
         [params.p_chg_max, params.p_dis_max, params.s_max, rho * params.s_max], [T, T, T + K, K]
     )
     rhs = np.where(prev, 0.0, rho * params.s_init)
-    return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs, horizon=T)
+    return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs)
 
 
 def _duals_from_solution(T: int, y: np.ndarray, d: np.ndarray) -> DualVector:
@@ -105,12 +105,12 @@ def solve_lp(problem: LpProblem, start=None) -> SolveReport:
     return the schedule, duals (without leg rows only) and SCD events.
     start is a basis to warm-start from, such as the SolveReport.basis of
     an LP that differs only in its bounds."""
-    T = problem.horizon
+    T = (problem.n - problem.m) // 2  # n = 3T + 2K columns, m = T + 2K rows
     if start is None:
         # the columns from 2T on (soe, then the leg columns) form a
-        # triangular basis with zero cost, so y = 0 and d = c: each power at
-        # the bound its price prefers makes the start dual feasible
-        start = np.where(problem.c > 0, AT_UPPER, AT_LOWER)
+        # triangular basis with zero cost, so y = 0 and d = c: the simplex
+        # puts each power at the bound its price prefers
+        start = np.full(problem.n, AT_LOWER)
         start[2 * T :] = BASIC
     sol = solve_bounded_lp(problem, start=start)
     if sol.status is not LpStatus.OPTIMAL:

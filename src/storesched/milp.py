@@ -88,7 +88,7 @@ def solve_milp(problem: MilpProblem):
     stats = BnbStats()
     incumbent = None
     best_obj = -np.inf
-    T = problem.base.horizon
+    T = len(problem.prices)
     node = copy.copy(problem.base)  # shares a, c and rhs; takes each node's upper bounds
     # DFS over (upper bounds, parent basis), children in a fixed order:
     # deterministic optimum and schedule.  A child only sets one power's

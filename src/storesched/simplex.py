@@ -4,14 +4,17 @@ Maximizes c'x subject to A x = b and l <= x <= u (lower bounds finite,
 upper bounds finite or +inf).  Returns row duals and reduced costs for
 KKT verification, and the final basis as a warm start for related LPs.
 
-A dual feasible start basis (each nonbasic variable at the bound its
-reduced cost prefers) is reoptimized by a bounded dual simplex.  The
-storage LP starts so from its state-of-energy basis, and a
-branch-and-bound child from its parent's optimal basis: tightening a
-bound leaves every reduced cost unchanged.  Without such a start, two
-primal phases with artificial variables run.  Both paths end in the
-primal simplex: Dantzig pricing with a Bland's-rule fallback against
-cycling on the highly degenerate storage LPs (many active bounds).
+Every solve runs a bounded dual simplex, then the primal simplex.  The
+start basis is the given one when it has m independent basic columns
+(the storage LP's state-of-energy basis, or a branch-and-bound child's
+parent optimum: tightening a bound leaves every reduced cost unchanged),
+else one artificial column per row, fixed at zero.  Each nonbasic
+variable starts at the bound its reduced cost prefers; where that bound
+is +inf, the dual pass shifts its cost.  So the dual pass starts dual
+feasible and finds a feasible basis or proves there is none, with no
+phase 1.  The primal pass, on the true costs, uses Dantzig pricing with
+a Bland's-rule fallback against cycling on the highly degenerate
+storage LPs (many active bounds).
 
 Each pivot applies a rank-1 product-form update to an explicit basis
 inverse.  The inverse is refactored every REFACTOR_EVERY pivots and
@@ -53,7 +56,6 @@ class LpProblem:
     upper: np.ndarray
     a: np.ndarray
     rhs: np.ndarray
-    horizon: int | None = None  # T when laid out as [p_chg, p_dis, soe, ...]
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -91,7 +93,7 @@ class LpSolution:
     y: np.ndarray | None = None  # equality-row duals
     reduced_costs: np.ndarray | None = None  # c - y'A, structural variables
     objective: float | None = None
-    iterations: int = 0  # pivots and bound flips over every phase
+    iterations: int = 0  # pivots and bound flips over both passes
     basis: np.ndarray | None = None  # final basis code of each structural variable
 
 
@@ -199,12 +201,13 @@ def _dual(f, b, c, lower, upper, state, max_iter):
     nonbasic variable whose reduced cost first reaches zero enters.
     Mutates f and state; returns (status, pivots)."""
     movable = lower < upper
+    violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
     pivots = 0
     while True:
         x, _, d = f.point(b, c, lower, upper, state)
         xb = x[f.basis]
         below = lower[f.basis] - xb
-        violation = np.maximum(below, xb - upper[f.basis])
+        np.maximum(below, xb - upper[f.basis], out=violation[:-1])
         r = int(np.argmax(violation))
         candidates = []
         if violation[r] > TOL:
@@ -231,57 +234,47 @@ def _dual(f, b, c, lower, upper, state, max_iter):
         f.pivot(r, q, f.inv @ f.a[:, q])
 
 
-def _warm_start(problem, start):
-    """Factor and state of a start basis, or None unless it has m
-    independent basic columns, no variable at an infinite bound and
-    reduced costs of the right sign."""
-    state = np.array(start, dtype=np.int8)
-    if state.shape != (problem.n,):
-        raise ValueError("start must give one basis code per variable")
-    basis = np.flatnonzero(state == BASIC)
-    if len(basis) != problem.m or np.any((state == AT_UPPER) & np.isinf(problem.upper)):
-        return None
-    try:
-        f = _Factor(problem.a, basis)
-    except SimplexFailure:
-        return None
-    _, _, d = f.point(problem.rhs, problem.c, problem.lower, problem.upper, state)
-    wrong = np.where(state == AT_LOWER, d > TOL, (state == AT_UPPER) & (d < -TOL))
-    return None if np.any(wrong & (problem.lower < problem.upper)) else (f, state)
-
-
 def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None) -> LpSolution:
     """Bounded-variable simplex.  Deterministic for identical inputs.
     start optionally gives a basis code per variable (AT_LOWER, AT_UPPER
-    or BASIC, as in LpSolution.basis); a start that is not dual feasible
-    falls back to the two primal phases."""
+    or BASIC, as in LpSolution.basis).  A start without m independent
+    basic columns still places the nonbasic variables; artificial
+    columns stand in for its basic ones."""
     n, m = problem.n, problem.m
     max_iter = ITERS_PER_DIM * (n + m + 10)
-    b = problem.rhs
-    warm = None if start is None else _warm_start(problem, start)
-    if warm is not None:
-        f, state = warm
-        c, lower, upper = problem.c, problem.lower, problem.upper
-        status, it1 = _dual(f, b, c, lower, upper, state, max_iter)
-        if status is not LpStatus.OPTIMAL:
-            return LpSolution(status=status, iterations=it1)
-    else:
-        # structural variables at their lower bounds, artificial basis
-        art_sign = np.where(b - problem.a @ problem.lower >= 0, 1.0, -1.0)
-        f = _Factor(np.hstack([problem.a, np.diag(art_sign)]), np.arange(n, n + m))
-        lower = np.concatenate([problem.lower, np.zeros(m)])
-        upper = np.concatenate([problem.upper, np.full(m, np.inf)])
-        state = np.full(n + m, AT_LOWER, dtype=np.int8)
-        state[n:] = BASIC
-        # phase 1: drive the artificials to zero
-        c1 = np.concatenate([np.zeros(n), -np.ones(m)])
-        status, x, _, _, it1 = _primal(f, b, c1, lower, upper, state, max_iter)
-        if status is not LpStatus.OPTIMAL or float(x[n:].sum()) > 1e-7:
-            return LpSolution(status=LpStatus.INFEASIBLE, iterations=it1)
-        # phase 2 pins the artificials at zero
-        upper[n:] = 0.0
-        c = np.concatenate([problem.c, np.zeros(m)])
+    a, b, c, lower, upper = problem.a, problem.rhs, problem.c, problem.lower, problem.upper
+    state = np.full(n, AT_LOWER) if start is None else np.asarray(start)
+    if state.shape != (n,):
+        raise ValueError("start must give one basis code per variable")
+    if not np.all((state == AT_LOWER) | (state == AT_UPPER) | (state == BASIC)):
+        raise ValueError("start codes must be AT_LOWER, AT_UPPER or BASIC")
+    state = state.astype(np.int8)
+    basis = np.flatnonzero(state == BASIC)
+    try:
+        f = _Factor(a, basis) if len(basis) == m else None
+    except SimplexFailure:
+        f = None
+    if f is None:
+        # artificial basis: one column per row, fixed at zero
+        state[basis] = AT_LOWER
+        state = np.concatenate([state, np.full(m, BASIC, dtype=np.int8)])
+        f = _Factor(np.hstack([a, np.eye(m)]), np.arange(n, n + m))
+        c, lower, upper = (np.concatenate([v, np.zeros(m)]) for v in (c, lower, upper))
 
+    # each movable nonbasic variable at the bound its reduced cost
+    # prefers, or at lower when its upper bound is infinite; there a
+    # positive reduced cost is shifted away, so the dual pass starts dual
+    # feasible
+    d = c - c[f.basis] @ f.inv @ f.a
+    movable = (state != BASIC) & (lower < upper)
+    inf = np.isinf(upper)
+    state[movable & ((d < -TOL) | inf)] = AT_LOWER
+    up = movable & (d > TOL)
+    state[up & ~inf] = AT_UPPER
+    shift = np.where(up & inf, d, 0.0)
+    status, it1 = _dual(f, b, c - shift, lower, upper, state, max_iter)
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status=status, iterations=it1)
     status, x, y, d, it2 = _primal(f, b, c, lower, upper, state, max_iter)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, iterations=it1 + it2)

@@ -82,6 +82,8 @@ class Schedule:
         self.p_chg = np.asarray(self.p_chg, dtype=float)
         self.p_dis = np.asarray(self.p_dis, dtype=float)
         self.soe = np.asarray(self.soe, dtype=float)
+        if not self.p_chg.ndim == self.p_dis.ndim == self.soe.ndim == 1:
+            raise ValueError("p_chg, p_dis and soe must be 1-D arrays")
         if not len(self.p_chg) == len(self.p_dis) == len(self.soe):
             raise ValueError("p_chg, p_dis and soe must share one length")
         if len(self.soe) < 1:

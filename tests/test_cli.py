@@ -311,6 +311,23 @@ class TestCheck:
         assert code == 2
         assert "dt_hours nan" in capsys.readouterr().err
 
+    def test_nested_arrays_exit_2(self, workspace, capsys):
+        prices = workspace / "one_period.csv"
+        prices.write_text("t,price_eur_per_mwh\n1,10.0\n")
+        path = workspace / "nested.json"
+        path.write_text(
+            json.dumps({"dt_hours": 1, "p_chg": [[0, 0]], "p_dis": [[0, 0]], "soe": [[0, 0]]})
+        )
+        code = run(
+            [
+                "check", "--params", workspace / "fast.txt",
+                "--prices", prices,
+                "--schedule", path,
+            ]
+        )
+        assert code == 2
+        assert "1-D" in capsys.readouterr().err
+
     def test_schema_violation_exit_2(self, workspace):
         path = workspace / "broken.json"
         path.write_text('{"dt_hours": 1.0, "p_chg": [0.0]}')

@@ -160,8 +160,9 @@ class TestMicroOracle:
         params = unit_storage()
         with pytest.raises(HorizonTooLong):
             exhaustive_micro_oracle(params, PriceSeries([1.0] * 5, 1.0))
-        with pytest.raises(ValueError):
-            exhaustive_micro_oracle(params, PriceSeries([1.0], 1.0), levels=8)
+        for levels in (8, 0, -1):
+            with pytest.raises(ValueError):
+                exhaustive_micro_oracle(params, PriceSeries([1.0], 1.0), levels=levels)
 
     def test_t1_agrees_with_solvers(self):
         params = unit_storage(s_init=1.0, p_dis_max=5.0)

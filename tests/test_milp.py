@@ -71,7 +71,7 @@ class TestBuild:
             refined = build_milp(params, prices, True, part).base
             for name in ("c", "lower", "upper", "a", "rhs"):
                 np.testing.assert_array_equal(getattr(full, name), getattr(refined, name))
-            assert full.horizon == refined.horizon == len(prices)
+            assert full.n - full.m == 2 * len(prices)  # the horizon solve_lp reads
 
     def test_exact_big_m(self):
         params = unit_storage(p_chg_max=1.7, p_dis_max=2.3)

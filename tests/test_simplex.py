@@ -2,49 +2,65 @@ import numpy as np
 import pytest
 
 from storesched import LpProblem, LpStatus, solve_bounded_lp
-from storesched.simplex import BASIC
+from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
 
-def random_problem(rng, n, m):
-    a = rng.normal(size=(m, n))
-    x_feas = rng.uniform(-1, 1, n)
-    lower = x_feas - rng.uniform(0.1, 2.0, n)
-    upper = x_feas + rng.uniform(0.1, 2.0, n)
-    # some variables without an upper bound
-    upper[rng.random(n) < 0.2] = np.inf
-    return LpProblem(
-        c=rng.normal(size=n),
-        lower=lower,
-        upper=upper,
-        a=a,
-        rhs=a @ x_feas,
-    )
+def random_problem(rng, n, m, integer=False, infeasible=False, inf_share=0.2):
+    """A random LP, feasible unless infeasible is set (then it mostly is
+    not).  Integer data give ties in the ratio tests, fixed variables and
+    degenerate vertices; inf_share of the upper bounds are +inf."""
+    if integer:
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        x_feas = rng.integers(-1, 2, n).astype(float)
+        lower = x_feas - rng.integers(0, 2, n)
+        upper = x_feas + rng.integers(0, 2, n)
+    else:
+        a = rng.normal(size=(m, n))
+        x_feas = rng.uniform(-1, 1, n)
+        lower = x_feas - rng.uniform(0.1, 2.0, n)
+        upper = x_feas + rng.uniform(0.1, 2.0, n)
+    upper[rng.random(n) < inf_share] = np.inf
+    rhs = a @ x_feas
+    if infeasible:
+        rhs += rng.integers(1, 4, m) * rng.choice([-1.0, 1.0], m)
+    c = rng.integers(-2, 3, n).astype(float) if integer else rng.normal(size=n)
+    return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs)
 
 
 class TestAgainstScipy:
     def test_random_problems(self):
         rng = np.random.default_rng(3)
-        for _ in range(120):
+        highs_status = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2, LpStatus.UNBOUNDED: 3}
+        for k in range(600):
             n = int(rng.integers(2, 12))
             m = int(rng.integers(1, n + 1))
-            problem = random_problem(rng, n, m)
+            if k < 120:
+                problem = random_problem(rng, n, m)
+            else:
+                # degenerate integer data, infeasible right-hand sides,
+                # no rows, and 0, 20 or 60% infinite upper bounds
+                problem = random_problem(
+                    rng,
+                    n,
+                    0 if rng.random() < 0.1 else m,
+                    integer=bool(rng.random() < 0.5),
+                    infeasible=bool(rng.random() < 0.3),
+                    inf_share=float(rng.choice([0.0, 0.2, 0.6])),
+                )
             mine = solve_bounded_lp(problem)
             a = problem.a
             ref = scipy_opt.linprog(
                 -problem.c,
-                A_eq=a,
-                b_eq=problem.rhs,
+                A_eq=a if problem.m else None,
+                b_eq=problem.rhs if problem.m else None,
                 bounds=list(zip(problem.lower, problem.upper)),
                 method="highs",
             )
-            if mine.status is LpStatus.UNBOUNDED:
-                # scipy/HiGHS reports unbounded problems with status 3
-                assert ref.status == 3
+            assert ref.status == highs_status[mine.status]
+            if mine.status is not LpStatus.OPTIMAL:
                 continue
-            assert mine.status is LpStatus.OPTIMAL
-            assert ref.status == 0
             assert mine.objective == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
             np.testing.assert_allclose(a @ mine.x, problem.rhs, atol=1e-8)
             assert np.all(mine.x >= problem.lower - 1e-9)
@@ -78,9 +94,15 @@ class TestStatuses:
         problem = LpProblem(
             c=[2.0, -3.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a=np.zeros((0, 2)), rhs=[]
         )
-        sol = solve_bounded_lp(problem)
-        assert sol.status is LpStatus.OPTIMAL
-        np.testing.assert_allclose(sol.x, [1.0, 0.0])
+        for start in (None, [AT_UPPER, AT_LOWER]):
+            sol = solve_bounded_lp(problem, start=start)
+            assert sol.status is LpStatus.OPTIMAL
+            np.testing.assert_allclose(sol.x, [1.0, 0.0])
+
+    def test_unknown_start_code_rejected(self):
+        problem = LpProblem(c=[1.0], lower=[0.0], upper=[1.0], a=[[1.0]], rhs=[0.5])
+        with pytest.raises(ValueError, match="start codes"):
+            solve_bounded_lp(problem, start=[3])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -261,3 +261,9 @@ class TestScheduleJson:
     def test_missing_key(self):
         with pytest.raises(ValueError):
             schedule_from_dict({"dt_hours": 1.0, "p_chg": [0.1], "p_dis": [0.0]})
+
+    def test_arrays_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Schedule(p_chg=[[0.0, 0.0]], p_dis=[[0.0, 0.0]], soe=[[0.0, 0.0]])
+        with pytest.raises(ValueError, match="1-D"):
+            Schedule(p_chg=0.0, p_dis=0.0, soe=0.0)
