@@ -6,7 +6,8 @@ period either charges, discharges, or idles).  Every action lands
 exactly on a grid point, with the power computed from the endpoints, so
 the DP solves the grid-restricted exclusive problem exactly: the value
 is a true lower bound on the exclusive optimum and is exactly
-nondecreasing across nested grid refinements.
+nondecreasing across nested grid refinements.  On n grid points a period
+costs O(n log n) backward (range maxima) and O(n) forward.
 
 exhaustive_micro_oracle: full enumeration of discretized action
 sequences, an absolute ground truth at micro scale.
@@ -23,8 +24,8 @@ from .storage import Schedule, StorageParams, objective
 
 
 class GridTooCoarse(ValueError):
-    """One full-rate charge step moves less than one grid spacing, or a
-    level has no feasible grid transition although the storage has one."""
+    """A full-rate charge or discharge step moves less than one grid spacing,
+    or a level has no feasible grid transition although the storage has one."""
 
 
 class HorizonTooLong(ValueError):
@@ -44,32 +45,38 @@ class DpConfig:
     grid_points: int = 801
 
     def __post_init__(self):
-        if self.grid_points < 2:
-            raise ValueError("need grid_points >= 2")
+        _require_int("grid_points", self.grid_points, 2)
 
 
-def _action_table(params: StorageParams, grid: np.ndarray, s: np.ndarray):
-    """Candidate (p_chg, p_dis, target_idx, valid) per action and state,
-    arrays of shape (n_actions, len(s)).  Actions: charge to each grid
-    point at or above the leaked level rho*s (offset 0 at an on-grid
-    state is the idle action), and discharge to each grid point at or
-    below it.  Power bounds prune the out-of-reach targets."""
-    dt, eta_c, eta_d, rho = params.dt, params.eta_c, params.eta_d, params.rho
-    h = grid[1] - grid[0]
-    n = len(grid)
-    base = rho * s
+def _require_int(name: str, value, lo: int, hi: float = np.inf) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def _reach(params: StorageParams, grid: np.ndarray, s):
+    """rho*s, the grid indices nearest above and below it, and how many
+    charge and discharge offsets from those to try."""
+    h, n = grid[1] - grid[0], len(grid)
+    base = params.rho * s
     fidx = (base - params.s_min) / h
-    ceilk = np.ceil(fidx - _IDX_SLACK).astype(int)
-    floork = np.floor(fidx + _IDX_SLACK).astype(int)
+    n_chg = min(int(np.floor(params.dt * params.eta_c * params.p_chg_max / h + _IDX_SLACK)) + 2, n)
+    n_dis = min(int(np.floor(params.dt * params.p_dis_max / (params.eta_d * h) + _IDX_SLACK)) + 2, n)
+    return (base, np.ceil(fidx - _IDX_SLACK).astype(int), np.floor(fidx + _IDX_SLACK).astype(int),
+            n_chg, n_dis)
 
-    reach_chg = int(np.floor(dt * eta_c * params.p_chg_max / h + _IDX_SLACK)) + 1
-    reach_dis = int(np.floor(dt * params.p_dis_max / (eta_d * h) + _IDX_SLACK)) + 1
-    n_chg = min(reach_chg + 1, n)
-    n_dis = min(reach_dis + 1, n)
 
+def _action_table(params: StorageParams, grid: np.ndarray, s, j=None):
+    """Candidate (p_chg, p_dis, target_idx, valid) per action and state,
+    shaped (n_actions, *np.shape(s)), or like j for the actions j alone.
+    Actions: charge to each grid point at or above the leaked level rho*s
+    (offset 0 at an on-grid state is the idle action), then discharge to
+    each grid point at or below it.  Power bounds prune the rest."""
+    dt, eta_c, eta_d = params.dt, params.eta_c, params.eta_d
+    n = len(grid)
+    base, ceilk, floork, n_chg, n_dis = _reach(params, grid, s)
     # one row per action: charge offsets 0..n_chg-1 above the leaked
     # level, then discharge offsets 0..n_dis-1 below it
-    j = np.arange(n_chg + n_dis)[:, None]
+    j = np.arange(n_chg + n_dis).reshape((-1,) + (1,) * np.ndim(s)) if j is None else j
     chg = j < n_chg
     k = np.where(chg, ceilk + j, floork - (j - n_chg))
     ok = np.where(chg, k <= n - 1, k >= 0)
@@ -78,6 +85,49 @@ def _action_table(params: StorageParams, grid: np.ndarray, s: np.ndarray):
     pd = np.where(chg, 0.0, np.maximum((base - grid[k]) * eta_d / dt, 0.0))
     ok &= (pc <= params.p_chg_max + _FEAS_SLACK) & (pd <= params.p_dis_max + _FEAS_SLACK)
     return np.minimum(pc, params.p_chg_max), np.minimum(pd, params.p_dis_max), k, ok
+
+
+def _windows(params: StorageParams, grid: np.ndarray):
+    """The valid targets of _action_table from each grid level as windows
+    lo, hi, charge in row 0 and discharge in row 1, hi < lo if none.  The
+    power grows with the offset, so the valid actions of a kind come first."""
+    n = len(grid)
+    _, ceilk, floork, n_chg, n_dis = _reach(params, grid, grid)
+    first = np.array([[0], [n_chg]])
+    # the last action of each kind whose target lies on the grid
+    last = first + np.minimum([[n_chg - 1], [n_dis - 1]], np.stack([n - 1 - ceilk, floork]))
+    while (back := (last >= first) & ~_action_table(params, grid, grid, last)[3]).any():
+        last = last - back
+    near = np.stack([np.maximum(ceilk, 0), np.minimum(floork, n - 1)])
+    far = np.where(last >= first, _action_table(params, grid, grid, last)[2], near - [[1], [-1]])
+    return np.stack([near[0], far[1]]), np.stack([far[0], near[1]])
+
+
+def _values(params: StorageParams, prices: PriceSeries, grid: np.ndarray) -> np.ndarray:
+    """values[t, i]: the best profit from period t on, from grid[i].  Going to
+    grid[k] earns a*(rho*grid[i] - grid[k]), a = C_t/eta_c for a charge and
+    C_t*eta_d for a discharge: a term in i plus the best of a term in k over
+    a window of k.  Level j of a sparse table holds the maximum over 2**j
+    entries from each index, so two reads of one level cover a window."""
+    lo, hi = _windows(params, grid)
+    rows, n = lo.shape
+    width = hi - lo + 1
+    level = np.log2(np.maximum(width, 1)).astype(int)
+    # a level holds row r from r*(n + 1) on, with -inf (no target) at its column n
+    at = (level * rows + np.arange(rows)[:, None]) * (n + 1)
+    first = at + np.where(width > 0, lo, n)
+    second = at + np.where(width > 0, hi - (1 << level) + 1, n)
+    table = np.full((level.max() + 1, rows * (n + 1)), -np.inf)
+    values = np.zeros((len(prices) + 1, n))
+    for t in range(len(prices) - 1, -1, -1):
+        a = np.array([[prices.prices[t] / params.eta_c], [prices.prices[t] * params.eta_d]])
+        table[0].reshape(rows, n + 1)[:, :n] = values[t + 1] - a * grid
+        for j in range(1, len(table)):
+            w = 1 << (j - 1)
+            np.maximum(table[j - 1, :-w], table[j - 1, w:], out=table[j, :-w])
+        best = np.maximum(table.ravel()[first], table.ravel()[second])
+        values[t] = (best + a * (params.rho * grid)).max(axis=0)
+    return values
 
 
 def _no_transition(params: StorageParams, T: int, s: float) -> ValueError:
@@ -94,29 +144,21 @@ def _no_transition(params: StorageParams, T: int, s: float) -> ValueError:
 
 
 def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> SolveReport:
-    """Backward DP over the state grid, then greedy forward reconstruction
-    from the exact initial level.  The objective is recomputed exactly on
-    the reconstructed continuous schedule; it approaches the exclusive
-    optimum from below as the grid is refined."""
+    """Backward DP over the n-point state grid, O(n log n) a period, then
+    greedy O(n) forward steps from the exact initial level.  The objective
+    is recomputed exactly on the reconstructed continuous schedule; it
+    approaches the exclusive optimum from below as the grid is refined."""
     if prices.dt != params.dt:
         raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
     T = len(prices)
     grid = np.linspace(params.s_min, params.s_max, config.grid_points)
     h = grid[1] - grid[0]
-    if params.dt * params.eta_c * params.p_chg_max < h:
-        raise GridTooCoarse(
-            f"full-rate charge step {params.dt * params.eta_c * params.p_chg_max} "
-            f"below grid spacing {h}"
-        )
+    for side, step in (("charge", params.dt * params.eta_c * params.p_chg_max),
+                       ("discharge", params.dt * params.p_dis_max / params.eta_d)):
+        if step < h:
+            raise GridTooCoarse(f"full-rate {side} step {step} below grid spacing {h}")
 
-    pc_g, pd_g, idx_g, ok_g = _action_table(params, grid, grid)
-    trade_g = pd_g - pc_g
-
-    values = np.zeros((T + 1, config.grid_points))
-    for t in range(T - 1, -1, -1):
-        reward = params.dt * prices.prices[t] * trade_g
-        cand = np.where(ok_g, reward + values[t + 1][idx_g], -np.inf)
-        values[t] = cand.max(axis=0)
+    values = _values(params, prices, grid)
 
     # forward pass from the exact (possibly off-grid) initial level; after
     # one step the state sits exactly on the grid
@@ -125,8 +167,7 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
     soe = np.empty(T)
     s = params.s_init
     for t in range(T):
-        pc, pd, idx, ok = _action_table(params, grid, np.array([s]))
-        pc, pd, idx, ok = pc[:, 0], pd[:, 0], idx[:, 0], ok[:, 0]
+        pc, pd, idx, ok = _action_table(params, grid, s)
         cand = np.where(
             ok, params.dt * prices.prices[t] * (pd - pc) + values[t + 1][idx], -np.inf
         )
@@ -161,8 +202,7 @@ def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: 
     T = len(prices)
     if T > 4:
         raise HorizonTooLong(f"T={T} exceeds the micro-oracle limit of 4")
-    if not 1 <= levels <= 7:
-        raise ValueError(f"levels must be between 1 and 7, got {levels}")
+    _require_int("levels", levels, 1, 7)
     dt, eta_c, eta_d, rho = params.dt, params.eta_c, params.eta_d, params.rho
 
     def actions(s: float):

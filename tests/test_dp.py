@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _instances import mixed_sign_prices, random_params
+from _instances import fast_params, mixed_sign_prices, random_params
 from storesched import (
     DpConfig,
     GridTooCoarse,
@@ -16,7 +16,8 @@ from storesched import (
     solve_storage_lp,
     solve_storage_milp,
 )
-from storesched.dp import _action_table
+from storesched import dp
+from storesched.dp import _action_table, _values, _windows
 
 
 def unit_storage(**overrides):
@@ -31,13 +32,24 @@ def unit_storage(**overrides):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DpConfig(grid_points=1)
+        for grid_points in (1, 801.0, 2.5, True, "801"):
+            with pytest.raises(ValueError, match="grid_points"):
+                DpConfig(grid_points=grid_points)
+        assert DpConfig(np.int64(101)).grid_points == 101
 
     def test_grid_too_coarse(self):
         params = unit_storage(p_chg_max=0.001)
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(GridTooCoarse, match="charge"):
             solve_dp(params, PriceSeries([1.0], 1.0), DpConfig(grid_points=11))
+
+    def test_grid_too_coarse_for_discharge(self):
+        # a full-rate discharge moves 0.0011 of a 0.01 spacing: the DP
+        # could never discharge, while the LP earns 0.26
+        params = unit_storage(s_init=1.0, p_dis_max=0.001)
+        prices = PriceSeries([50.0, 60.0, 70.0, 80.0], 1.0)
+        assert solve_storage_lp(params, prices).objective == pytest.approx(0.26, rel=1e-9)
+        with pytest.raises(GridTooCoarse, match="discharge"):
+            solve_dp(params, prices, DpConfig(grid_points=101))
 
     @pytest.mark.parametrize("grid_points", [801, 8001])
     def test_infeasible_storage_is_not_blamed_on_the_grid(self, grid_points):
@@ -114,6 +126,14 @@ class TestSolve:
         np.testing.assert_array_equal(a.schedule.p_chg, b.schedule.p_chg)
 
 
+def offset_counts(params, grid):
+    """Charge and discharge offsets that _action_table tries."""
+    h, n = grid[1] - grid[0], len(grid)
+    reach_chg = int(np.floor(params.dt * params.eta_c * params.p_chg_max / h + 1e-9)) + 1
+    reach_dis = int(np.floor(params.dt * params.p_dis_max / (params.eta_d * h) + 1e-9)) + 1
+    return min(reach_chg + 1, n), min(reach_dis + 1, n)
+
+
 def action_table_by_offset(params, grid, s):
     """Reference for dp._action_table: one charge, then one discharge
     row per grid offset, built in a loop."""
@@ -121,17 +141,16 @@ def action_table_by_offset(params, grid, s):
     h, n = grid[1] - grid[0], len(grid)
     base = params.rho * s
     fidx = (base - params.s_min) / h
-    reach_chg = int(np.floor(dt * eta_c * params.p_chg_max / h + 1e-9)) + 1
-    reach_dis = int(np.floor(dt * params.p_dis_max / (eta_d * h) + 1e-9)) + 1
+    n_chg, n_dis = offset_counts(params, grid)
     rows = []
-    for j in range(min(reach_chg + 1, n)):
+    for j in range(n_chg):
         k = np.ceil(fidx - 1e-9).astype(int) + j
         ok = k <= n - 1
         k = np.clip(k, 0, n - 1)
         p = np.maximum((grid[k] - base) / (dt * eta_c), 0.0)
         ok &= p <= params.p_chg_max + 1e-12
         rows.append((np.minimum(p, params.p_chg_max), np.zeros_like(p), k, ok))
-    for j in range(min(reach_dis + 1, n)):
+    for j in range(n_dis):
         k = np.floor(fidx + 1e-9).astype(int) - j
         ok = k >= 0
         k = np.clip(k, 0, n - 1)
@@ -155,13 +174,100 @@ class TestActionTable:
                     np.testing.assert_array_equal(got, want)
 
 
+def values_by_table(params, prices, grid):
+    """Reference for dp._values: gather every (action, state) cell of
+    _action_table each period and take the maximum."""
+    pc, pd, idx, ok = _action_table(params, grid, grid)
+    values = np.zeros((len(prices) + 1, len(grid)))
+    for t in range(len(prices) - 1, -1, -1):
+        reward = params.dt * prices.prices[t] * (pd - pc)
+        values[t] = np.where(ok, reward + values[t + 1][idx], -np.inf).max(axis=0)
+    return values
+
+
+def leaky_store():
+    """Loses half its level each period, so its low levels cannot be kept
+    above s_min: their values are -inf."""
+    return unit_storage(s_min=0.5, s_max=1.5, s_init=1.5, p_chg_max=0.2, rho=0.5)
+
+
+def backward_draws(seed, count):
+    """random_params draws (rho < 1 and s_min > 0 among them) and the
+    leaky store, on grids of 11 to 801 points."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        params = leaky_store() if i % 5 == 4 else random_params(rng)
+        n = 801 if i % 10 == 0 else int(rng.integers(11, 402))
+        grid = np.linspace(params.s_min, params.s_max, n)
+        if params.dt * params.eta_c * params.p_chg_max < grid[1] - grid[0]:
+            continue
+        yield params, mixed_sign_prices(rng, int(rng.integers(2, 25))), grid
+
+
+class TestBackwardPass:
+    def test_values_match_table(self):
+        # the range maximum adds the reward's terms in another order, and
+        # the table clips powers within _FEAS_SLACK and _IDX_SLACK
+        some_inf = False
+        for params, prices, grid in backward_draws(27, 30):
+            got, want = _values(params, prices, grid), values_by_table(params, prices, grid)
+            np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12,
+                                       atol=1e-12 * np.abs(want[finite]).max())
+            some_inf |= not finite.all()
+        assert some_inf
+
+    def test_windows_are_the_valid_targets(self):
+        rng = np.random.default_rng(28)
+        for i in range(400):
+            params = leaky_store() if i % 5 == 4 else random_params(rng)
+            grid = np.linspace(params.s_min, params.s_max, int(rng.integers(11, 202)))
+            _, _, k, ok = _action_table(params, grid, grid)
+            n_chg, _ = offset_counts(params, grid)
+            (lo_c, lo_d), (hi_c, hi_d) = _windows(params, grid)
+            levels = np.arange(len(grid))
+            state = np.broadcast_to(levels, k.shape)
+            for rows, lo, hi in ((slice(None, n_chg), lo_c, hi_c), (slice(n_chg, None), lo_d, hi_d)):
+                valid = np.zeros((len(grid), len(grid)), bool)  # [state, target]
+                valid[state[rows][ok[rows]], k[rows][ok[rows]]] = True
+                in_window = (lo[:, None] <= levels) & (levels <= hi[:, None])
+                np.testing.assert_array_equal(valid, in_window)
+
+    def test_schedules_match_table(self, monkeypatch):
+        # the forward pass picks the first maximizer, so values that agree
+        # only to rounding could move it on a tie; on these draws none
+        # does.  The leaky store (rho 0.5) is left out: it runs dry within
+        # four periods, and solve_dp then raises InfeasibleStorage.
+        draws = [(p, c, g) for p, c, g in backward_draws(29, 30) if p.rho > 0.5]
+        fast = [solve_dp(p, c, DpConfig(len(g))) for p, c, g in draws]
+        monkeypatch.setattr(dp, "_values", values_by_table)
+        for (params, prices, grid), got in zip(draws, fast):
+            want = solve_dp(params, prices, DpConfig(len(grid)))
+            assert got.objective == want.objective
+            for name in ("p_chg", "p_dis", "soe"):
+                np.testing.assert_array_equal(getattr(got.schedule, name),
+                                              getattr(want.schedule, name))
+
+    def test_finer_grid_on_a_week(self):
+        # 8,001 levels: about 1e9 cells a period for the table, which
+        # could not run this
+        rng = np.random.default_rng(168)
+        params = fast_params(rng)
+        prices = mixed_sign_prices(rng, 168)
+        milp, _ = solve_storage_milp(params, prices, partition(prices), refined=True)
+        fine = solve_dp(params, prices, DpConfig(8001)).objective
+        assert fine <= milp.objective + 1e-9
+        assert fine >= solve_dp(params, prices, DpConfig(801)).objective - 1e-12
+
+
 class TestMicroOracle:
     def test_horizon_guard(self):
         params = unit_storage()
         with pytest.raises(HorizonTooLong):
             exhaustive_micro_oracle(params, PriceSeries([1.0] * 5, 1.0))
-        for levels in (8, 0, -1):
-            with pytest.raises(ValueError):
+        for levels in (8, 0, -1, 2.5, True):
+            with pytest.raises(ValueError, match="levels"):
                 exhaustive_micro_oracle(params, PriceSeries([1.0], 1.0), levels=levels)
 
     def test_t1_agrees_with_solvers(self):
