@@ -127,7 +127,7 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """Convenience wrapper: build and solve the storage LP, attaching the
     verification residual."""
     report = solve_lp(build_lp(params, prices))
-    if report.status is not LpStatus.OPTIMAL:  # every variable is boxed: not unbounded
+    if report.status is not LpStatus.OPTIMAL:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
     report.kkt_max_residual = kkt_verify(params, prices, report)
     return report

@@ -1,24 +1,20 @@
-"""Dense bounded-variable simplex, dual and primal, on one basis inverse.
+"""Dense bounded dual simplex on one basis inverse.
 
-Maximizes c'x subject to A x = b and l <= x <= u (lower bounds finite,
-upper bounds finite or +inf).  Returns row duals and reduced costs for
-KKT verification, and the final basis as a warm start for related LPs.
+Maximizes c'x subject to A x = b and l <= x <= u, every bound finite.
+Returns row duals and reduced costs for KKT verification, and the final
+basis as a warm start for related LPs.
 
-Every solve runs a bounded dual simplex, then the primal simplex.  The
-start basis is the given one when it has m independent basic columns
-(the storage LP's state-of-energy basis, or a branch-and-bound child's
-parent optimum: tightening a bound leaves every reduced cost unchanged),
-else one artificial column per row, fixed at zero.  Each nonbasic
-variable starts at the bound its reduced cost prefers; where that bound
-is +inf, the dual pass shifts its cost.  So the dual pass starts dual
-feasible and finds a feasible basis or proves there is none, with no
-phase 1.  The primal pass, on the true costs, uses Dantzig pricing with
-a Bland's-rule fallback against cycling on the highly degenerate
-storage LPs (many active bounds).
+The start basis is the given one when it has m independent basic
+columns (the storage LP's state-of-energy basis, or a branch-and-bound
+child's parent optimum: tightening a bound leaves every reduced cost
+unchanged), else one artificial column per row, fixed at zero.  With
+every bound finite, any basis is dual feasible once each nonbasic
+variable sits at the bound its reduced cost prefers.  So no phase 1 is
+needed, and a dual pass that ends primal feasible ends optimal.
 
 Each pivot applies a rank-1 product-form update to an explicit basis
-inverse.  The inverse is refactored every REFACTOR_EVERY pivots and
-before optimality is declared, so x, y and d come from a fresh inverse.
+inverse, refactored every REFACTOR_EVERY pivots and before optimality
+is declared, so x, y and d come from a fresh inverse.
 """
 
 import enum
@@ -28,7 +24,7 @@ import numpy as np
 
 PIVOT_TOL = 1e-9
 TOL = 1e-9  # primal and dual feasibility tolerance
-ITERS_PER_DIM = 200  # a phase may take ITERS_PER_DIM * (n + m + 10) iterations
+ITERS_PER_DIM = 200  # a solve may take ITERS_PER_DIM * (n + m + 10) pivots
 REFACTOR_EVERY = 50  # pivots between two factorizations of the basis inverse
 
 # basis codes, one per variable: the bound a nonbasic variable sits at, or BASIC
@@ -38,7 +34,6 @@ AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 class SimplexFailure(RuntimeError):
@@ -47,9 +42,8 @@ class SimplexFailure(RuntimeError):
 
 @dataclass
 class LpProblem:
-    """Equality-form LP with variable bounds, to maximize: a x = rhs
-    with a dense constraint matrix a of shape (len(rhs), len(c)).
-    """
+    """Equality-form LP to maximize: a x = rhs, lower <= x <= upper, with
+    a dense constraint matrix a of shape (len(rhs), len(c))."""
 
     c: np.ndarray
     lower: np.ndarray
@@ -58,24 +52,18 @@ class LpProblem:
     rhs: np.ndarray
 
     def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
+        for name in ("c", "lower", "upper", "a", "rhs"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, value)
         n = len(self.c)
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound vectors must match the variable count")
-        for name in ("c", "lower", "a", "rhs"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-        if not np.all(self.lower <= self.upper):  # upper may be +inf, not NaN
+        if not np.all(self.lower <= self.upper):
             raise ValueError("need lower <= upper for every variable")
         if self.a.shape != (len(self.rhs), n):
-            raise ValueError(
-                f"constraint matrix shape {self.a.shape} does not match "
-                f"{len(self.rhs)} rows and {n} variables"
-            )
+            raise ValueError(f"constraint matrix shape {self.a.shape}, need ({len(self.rhs)}, {n})")
 
     @property
     def n(self) -> int:
@@ -93,7 +81,7 @@ class LpSolution:
     y: np.ndarray | None = None  # equality-row duals
     reduced_costs: np.ndarray | None = None  # c - y'A, structural variables
     objective: float | None = None
-    iterations: int = 0  # pivots and bound flips over both passes
+    iterations: int = 0  # dual simplex pivots
     basis: np.ndarray | None = None  # final basis code of each structural variable
 
 
@@ -132,79 +120,16 @@ class _Factor:
         return x, y, c - y @ self.a
 
 
-def _primal(f, b, c, lower, upper, state, max_iter):
-    """Primal simplex from a primal feasible basis to optimality of max
-    c'x.  Mutates f and state; returns (status, x, y, d, pivots)."""
-    m, n = f.a.shape
-    stall = 0
-    stall_limit = 5 * (n + m)
-    bland = False
-    last_obj = -np.inf
-    pivots = 0
-    while True:
-        x, y, d = f.point(b, c, lower, upper, state)
-        obj = float(c @ x)
-        if obj > last_obj + TOL:
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall > stall_limit:
-                bland = True
-        last_obj = obj
-
-        # entering variable: nonbasic at lower with positive reduced cost
-        # may increase; nonbasic at upper with negative reduced cost may
-        # decrease
-        incr = (state == AT_LOWER) & (d > TOL)
-        decr = (state == AT_UPPER) & (d < -TOL)
-        candidates = np.flatnonzero(incr | decr)
-        if len(candidates) == 0:
-            if f.age == 0:
-                return LpStatus.OPTIMAL, x, y, d, pivots
-            f.refactor()
-            continue
-        if pivots >= max_iter:
-            raise SimplexFailure(f"iteration limit {max_iter} exceeded")
-        pivots += 1
-        if bland:
-            q = int(candidates[0])
-        else:
-            q = int(candidates[np.argmax(np.abs(d[candidates]))])
-        increasing = bool(incr[q])
-
-        # entering moves by delta >= 0 from its bound; basic values move by
-        # step * delta, each toward the bound in its direction.  ratio[0] is
-        # the entering variable's own bound flip; the first minimum wins.
-        w = f.inv @ f.a[:, q]
-        step = -w if increasing else w
-        xb = x[f.basis]
-        bound = np.where(step > 0, upper[f.basis], lower[f.basis])
-        moves = np.abs(step) > PIVOT_TOL
-        ratio = np.full(m + 1, np.inf)
-        ratio[0] = upper[q] - lower[q]
-        ratio[1:][moves] = (bound[moves] - xb[moves]) / step[moves]
-        r = int(np.argmin(ratio)) - 1
-        if r >= 0:
-            state[f.basis[r]] = AT_UPPER if step[r] > 0 else AT_LOWER
-            state[q] = BASIC
-            f.pivot(r, q, w)
-        elif np.isfinite(ratio[0]):
-            state[q] = AT_UPPER if increasing else AT_LOWER
-        else:
-            return LpStatus.UNBOUNDED, x, y, d, pivots
-
-
-def _dual(f, b, c, lower, upper, state, max_iter):
-    """Bounded dual simplex from a dual feasible basis: the most
-    infeasible basic variable leaves at the bound it violates, and the
-    nonbasic variable whose reduced cost first reaches zero enters.
-    Mutates f and state; returns (status, pivots)."""
+def _dual(f, b, c, lower, upper, state, pivots, max_iter):
+    """Bounded dual simplex from a dual feasible basis: the most infeasible
+    basic variable leaves at the bound it violates, and the nonbasic
+    variable whose reduced cost first reaches zero enters.  Mutates f and
+    state; returns (status, x, y, d, pivots) from a fresh factor, pivots
+    counted on from the given number."""
     movable = lower < upper
     violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
-    pivots = 0
     while True:
-        x, _, d = f.point(b, c, lower, upper, state)
+        x, y, d = f.point(b, c, lower, upper, state)
         xb = x[f.basis]
         below = lower[f.basis] - xb
         np.maximum(below, xb - upper[f.basis], out=violation[:-1])
@@ -221,8 +146,8 @@ def _dual(f, b, c, lower, upper, state, max_iter):
             ))
         if len(candidates) == 0:
             if f.age == 0:
-                feasible = violation[r] <= TOL
-                return (LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE), pivots
+                status = LpStatus.OPTIMAL if violation[r] <= TOL else LpStatus.INFEASIBLE
+                return status, x, y, d, pivots
             f.refactor()
             continue
         if pivots >= max_iter:
@@ -235,11 +160,10 @@ def _dual(f, b, c, lower, upper, state, max_iter):
 
 
 def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None) -> LpSolution:
-    """Bounded-variable simplex.  Deterministic for identical inputs.
-    start optionally gives a basis code per variable (AT_LOWER, AT_UPPER
-    or BASIC, as in LpSolution.basis).  A start without m independent
-    basic columns still places the nonbasic variables; artificial
-    columns stand in for its basic ones."""
+    """Bounded dual simplex, deterministic for identical inputs.  start
+    optionally gives a basis code per variable (AT_LOWER, AT_UPPER or
+    BASIC, as in LpSolution.basis); where it lacks m independent basic
+    columns, artificial columns stand in for its basic ones."""
     n, m = problem.n, problem.m
     max_iter = ITERS_PER_DIM * (n + m + 10)
     a, b, c, lower, upper = problem.a, problem.rhs, problem.c, problem.lower, problem.upper
@@ -261,29 +185,26 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None) -> LpS
         f = _Factor(np.hstack([a, np.eye(m)]), np.arange(n, n + m))
         c, lower, upper = (np.concatenate([v, np.zeros(m)]) for v in (c, lower, upper))
 
-    # each movable nonbasic variable at the bound its reduced cost
-    # prefers, or at lower when its upper bound is infinite; there a
-    # positive reduced cost is shifted away, so the dual pass starts dual
-    # feasible
+    # the placement rule runs before each dual pass and once after the last:
+    # a movable nonbasic variable whose reduced cost has the wrong sign moves
+    # to the bound that sign prefers.  After a pass, that only undoes rounding.
+    movable = lower < upper
     d = c - c[f.basis] @ f.inv @ f.a
-    movable = (state != BASIC) & (lower < upper)
-    inf = np.isinf(upper)
-    state[movable & ((d < -TOL) | inf)] = AT_LOWER
-    up = movable & (d > TOL)
-    state[up & ~inf] = AT_UPPER
-    shift = np.where(up & inf, d, 0.0)
-    status, it1 = _dual(f, b, c - shift, lower, upper, state, max_iter)
-    if status is not LpStatus.OPTIMAL:
-        return LpSolution(status=status, iterations=it1)
-    status, x, y, d, it2 = _primal(f, b, c, lower, upper, state, max_iter)
-    if status is not LpStatus.OPTIMAL:
-        return LpSolution(status=status, iterations=it1 + it2)
+    x, pivots = None, 0
+    while True:
+        wrong = movable & np.where(state == AT_LOWER, d > TOL, (state == AT_UPPER) & (d < -TOL))
+        if x is not None and not wrong.any():
+            break
+        state[wrong] = np.where(d[wrong] > 0, AT_UPPER, AT_LOWER)
+        status, x, y, d, pivots = _dual(f, b, c, lower, upper, state, pivots, max_iter)
+        if status is not LpStatus.OPTIMAL:
+            return LpSolution(status=status, iterations=pivots)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x[:n].copy(),
         y=y,
         reduced_costs=d[:n].copy(),
         objective=float(problem.c @ x[:n]),
-        iterations=it1 + it2,
+        iterations=pivots,
         basis=state[:n].copy(),
     )

@@ -1,4 +1,4 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and checks for the test suite.
 
 All generators take an explicit numpy Generator so every test is
 reproducible from its seed alone.
@@ -14,6 +14,7 @@ from storesched import (
     corollary2_inexact,
     partition,
 )
+from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
 
 
 def random_params(rng, eta_one=False, dt=1.0):
@@ -143,3 +144,16 @@ def inexact_instance(rng):
     part = partition(prices)
     assert part.t_neg
     return params, prices, part
+
+
+def assert_lp_certificate(problem, sol):
+    """The optimality certificate of an OPTIMAL bounded LP solution: x
+    within its bounds and rows, zero reduced costs on basic columns, and on
+    each movable nonbasic column a reduced cost whose sign its bound allows."""
+    x, d, basis = sol.x, sol.reduced_costs, sol.basis
+    assert np.all(x >= problem.lower - 1e-9) and np.all(x <= problem.upper + 1e-9)
+    np.testing.assert_allclose(problem.a @ x, problem.rhs, rtol=0, atol=1e-8)
+    assert np.all(np.abs(d[basis == BASIC]) <= 1e-9)
+    movable = problem.lower < problem.upper
+    assert np.all(d[movable & (basis == AT_LOWER)] <= 1e-9)
+    assert np.all(d[movable & (basis == AT_UPPER)] >= -1e-9)

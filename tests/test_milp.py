@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _instances import (
+    assert_lp_certificate,
     fast_params,
     inexact_instance,
     lp_safe_instance,
@@ -11,6 +12,7 @@ from _instances import (
 from storesched import (
     DpConfig,
     InfeasibleStorage,
+    LpStatus,
     PriceSeries,
     Schedule,
     StorageParams,
@@ -165,6 +167,26 @@ class TestSolve:
         np.testing.assert_array_equal(a.schedule.p_chg, b.schedule.p_chg)
         np.testing.assert_array_equal(a.schedule.p_dis, b.schedule.p_dis)
         np.testing.assert_array_equal(a.schedule.soe, b.schedule.soe)
+
+    def test_node_lp_certificates(self, monkeypatch):
+        optimal = []
+
+        def certified(problem, start=None):
+            sol = solve_bounded_lp(problem, start=start)
+            if sol.status is LpStatus.OPTIMAL:
+                assert_lp_certificate(problem, sol)
+                optimal.append(sol)
+            return sol
+
+        monkeypatch.setattr(lp, "solve_bounded_lp", certified)
+        rng = np.random.default_rng(2026)  # the criterion-4 stream
+        for _ in range(8):
+            params = random_params(rng)
+            prices = mixed_sign_prices(rng, int(rng.integers(6, 49)))
+            part = partition(prices)
+            for refined in (False, True):
+                solve_storage_milp(params, prices, part, refined=refined)
+        assert len(optimal) > 16  # more than one per solve: some draws branch
 
 
 class TestInfeasibleStorage:
