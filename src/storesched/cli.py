@@ -16,6 +16,7 @@ except the *_time_s wall-clock columns of compare.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -332,7 +333,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="storesched",
         description="Schedule a price-taker energy storage system against a price series.",
@@ -352,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="decompose the price series by sign")
     common(p, params_required=False)
-    p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("advise", help="recommend LP relaxation or refined MILP")
     common(p)
@@ -361,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="a terminal state-of-energy constraint will be added downstream",
     )
-    p.set_defaults(func=cmd_advise)
 
     p = sub.add_parser("solve", help="solve one formulation, write report.json and plot.csv")
     common(p)
@@ -370,25 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--grid", type=int, default=801, help="dp state grid points")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="verify a schedule JSON against params and prices")
     common(p)
     p.add_argument("--schedule", required=True, help="schedule JSON file")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("compare", help="LP vs refined MILP vs DP over a manifest of instances")
     p.add_argument("--manifest", required=True, help="CSV: params_path,prices_path,label")
     p.add_argument("--out", help="also write the comparison table to this CSV")
     p.add_argument("--grid", type=int, default=801)
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, so that a cmd_* function replaced after the
+        # parser was built still takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except (PriceCsvError, ParamsFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -50,6 +50,7 @@ class SolveReport:
     scd_events: list | None = None
     kkt_max_residual: float | None = None
     basis: np.ndarray | None = None  # final simplex basis, a warm start for related LPs
+    factor: object = None  # the simplex factor of basis, until a B&B child takes it over
 
 
 def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> LpProblem:
@@ -100,11 +101,12 @@ def _duals_from_solution(T: int, y: np.ndarray, d: np.ndarray) -> DualVector:
     )
 
 
-def solve_lp(problem: LpProblem, start=None) -> SolveReport:
+def solve_lp(problem: LpProblem, start=None, factor=None) -> SolveReport:
     """Solve a problem from build_lp, possibly with tightened bounds, and
     return the schedule, duals (without leg rows only) and SCD events.
     start is a basis to warm-start from, such as the SolveReport.basis of
-    an LP that differs only in its bounds."""
+    an LP that differs only in its bounds, and factor optionally that
+    report's factor, which the solve then changes."""
     T = (problem.n - problem.m) // 2  # n = 3T + 2K columns, m = T + 2K rows
     if start is None:
         # the columns from 2T on (soe, then the leg columns) form a
@@ -112,21 +114,21 @@ def solve_lp(problem: LpProblem, start=None) -> SolveReport:
         # puts each power at the bound its price prefers
         start = np.full(problem.n, AT_LOWER)
         start[2 * T :] = BASIC
-    sol = solve_bounded_lp(problem, start=start)
+    sol = solve_bounded_lp(problem, start=start, factor=factor)
     if sol.status is not LpStatus.OPTIMAL:
         return SolveReport(status=sol.status)
     x = sol.x
     schedule = Schedule(p_chg=x[:T].copy(), p_dis=x[T : 2 * T].copy(), soe=x[2 * T : 3 * T].copy())
     duals = _duals_from_solution(T, sol.y, sol.reduced_costs) if problem.m == T else None
-    return SolveReport(
-        LpStatus.OPTIMAL, sol.objective, schedule, duals, detect_scd(schedule), basis=sol.basis
-    )
+    return SolveReport(LpStatus.OPTIMAL, sol.objective, schedule, duals, detect_scd(schedule),
+                       basis=sol.basis, factor=sol.factor)
 
 
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """Convenience wrapper: build and solve the storage LP, attaching the
     verification residual."""
     report = solve_lp(build_lp(params, prices))
+    report.factor = None  # m x m floats that nothing reuses
     if report.status is not LpStatus.OPTIMAL:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
     report.kkt_max_residual = kkt_verify(params, prices, report)

@@ -12,9 +12,14 @@ every bound finite, any basis is dual feasible once each nonbasic
 variable sits at the bound its reduced cost prefers.  So no phase 1 is
 needed, and a dual pass that ends primal feasible ends optimal.
 
-Each pivot applies a rank-1 product-form update to an explicit basis
-inverse, refactored every REFACTOR_EVERY pivots and before optimality
-is declared, so x, y and d come from a fresh inverse.
+Each pivot is a revised-simplex step on an explicit basis inverse: a
+rank-1 product-form update of the inverse rows that the entering column
+touches, and updates of x and d along the step.  The inverse is
+refactored every REFACTOR_EVERY pivots and before optimality or
+infeasibility is declared, and each refactor recomputes x, y and d, so
+the answer always comes from a fresh inverse.  A solve may start from
+the final factor of a related LP with the same matrix and basis (a
+branch-and-bound child from its parent's) instead of inverting again.
 """
 
 import enum
@@ -83,6 +88,7 @@ class LpSolution:
     objective: float | None = None
     iterations: int = 0  # dual simplex pivots
     basis: np.ndarray | None = None  # final basis code of each structural variable
+    factor: "_Factor | None" = None  # final factor of that basis, a warm start with it
 
 
 class _Factor:
@@ -102,9 +108,11 @@ class _Factor:
         self.age = 0  # pivots since the last factorization
 
     def pivot(self, r, q, w):
-        """Column q replaces the basic column of row r; w = inv @ a[:, q]."""
+        """Column q replaces the basic column of row r; w = inv @ a[:, q].
+        Only the rows where w is nonzero change."""
         row = self.inv[r] / w[r]
-        self.inv -= np.outer(w, row)
+        nz = np.flatnonzero(w)
+        self.inv[nz] -= np.outer(w[nz], row)
         self.inv[r] = row
         self.basis[r] = q
         self.age += 1
@@ -123,13 +131,14 @@ class _Factor:
 def _dual(f, b, c, lower, upper, state, pivots, max_iter):
     """Bounded dual simplex from a dual feasible basis: the most infeasible
     basic variable leaves at the bound it violates, and the nonbasic
-    variable whose reduced cost first reaches zero enters.  Mutates f and
+    variable whose reduced cost first reaches zero enters.  Each pivot
+    updates x and d; each refactor recomputes x, y and d.  Mutates f and
     state; returns (status, x, y, d, pivots) from a fresh factor, pivots
     counted on from the given number."""
     movable = lower < upper
     violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
+    x, y, d = f.point(b, c, lower, upper, state)
     while True:
-        x, y, d = f.point(b, c, lower, upper, state)
         xb = x[f.basis]
         below = lower[f.basis] - xb
         np.maximum(below, xb - upper[f.basis], out=violation[:-1])
@@ -138,9 +147,8 @@ def _dual(f, b, c, lower, upper, state, pivots, max_iter):
         if violation[r] > TOL:
             # alpha_j: how fast raising x_j pushes x_B[r] back toward its
             # bound; a nonbasic variable moves only away from its own bound
-            alpha = f.inv[r] @ f.a
-            if below[r] > 0:
-                alpha = -alpha
+            raw = f.inv[r] @ f.a
+            alpha = -raw if below[r] > 0 else raw
             candidates = np.flatnonzero(movable & np.where(
                 state == AT_LOWER, alpha > PIVOT_TOL, (state == AT_UPPER) & (alpha < -PIVOT_TOL)
             ))
@@ -149,21 +157,37 @@ def _dual(f, b, c, lower, upper, state, pivots, max_iter):
                 status = LpStatus.OPTIMAL if violation[r] <= TOL else LpStatus.INFEASIBLE
                 return status, x, y, d, pivots
             f.refactor()
+            x, y, d = f.point(b, c, lower, upper, state)
             continue
         if pivots >= max_iter:
             raise SimplexFailure(f"iteration limit {max_iter} exceeded")
         pivots += 1
         q = int(candidates[np.argmin(np.abs(d[candidates] / alpha[candidates]))])
-        state[f.basis[r]] = AT_LOWER if below[r] > 0 else AT_UPPER
+        p = f.basis[r]
+        w = f.inv @ f.a[:, q]
+        # primal step: x_q moves by t until x_p reaches the bound it
+        # violated; dual step: d_q reaches zero.  Until the next refresh,
+        # only x of basic columns and d are read, so x_p and y stay as they are.
+        state[p] = AT_LOWER if below[r] > 0 else AT_UPPER
+        t = (x[p] - (lower[p] if below[r] > 0 else upper[p])) / w[r]
+        x[f.basis] -= t * w
+        x[q] += t
+        d -= d[q] / raw[q] * raw
         state[q] = BASIC
-        f.pivot(r, q, f.inv @ f.a[:, q])
+        f.pivot(r, q, w)
+        if f.age == 0:  # pivot refactored
+            x, y, d = f.point(b, c, lower, upper, state)
 
 
-def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None) -> LpSolution:
+def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
+                     factor: _Factor | None = None) -> LpSolution:
     """Bounded dual simplex, deterministic for identical inputs.  start
     optionally gives a basis code per variable (AT_LOWER, AT_UPPER or
     BASIC, as in LpSolution.basis); where it lacks m independent basic
-    columns, artificial columns stand in for its basic ones."""
+    columns, artificial columns stand in for its basic ones.  factor
+    optionally is the LpSolution.factor of an LP with the same matrix
+    whose basis is start's: the solve takes it over instead of inverting
+    the start basis again."""
     n, m = problem.n, problem.m
     max_iter = ITERS_PER_DIM * (n + m + 10)
     a, b, c, lower, upper = problem.a, problem.rhs, problem.c, problem.lower, problem.upper
@@ -174,10 +198,19 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None) -> LpS
         raise ValueError("start codes must be AT_LOWER, AT_UPPER or BASIC")
     state = state.astype(np.int8)
     basis = np.flatnonzero(state == BASIC)
-    try:
-        f = _Factor(a, basis) if len(basis) == m else None
-    except SimplexFailure:
-        f = None
+    if factor is not None:
+        order = np.argsort(factor.basis)
+        if factor.a is not a or not np.array_equal(factor.basis[order], basis):
+            raise ValueError("factor must be of the start basis and the same matrix")
+        # rows in column order, as a fresh factor has them, so that ties
+        # between rows break the same way
+        factor.basis, factor.inv = basis, factor.inv[order]
+        f = factor
+    else:
+        try:
+            f = _Factor(a, basis) if len(basis) == m else None
+        except SimplexFailure:
+            f = None
     if f is None:
         # artificial basis: one column per row, fixed at zero
         state[basis] = AT_LOWER
@@ -207,4 +240,5 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None) -> LpS
         objective=float(problem.c @ x[:n]),
         iterations=pivots,
         basis=state[:n].copy(),
+        factor=f if f.a is a else None,  # not with artificial columns
     )

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from storesched.cli import main
+from storesched import cli
+from storesched.cli import build_parser, main
 
 FAST_PARAMS = """\
 s_min = 0
@@ -38,6 +39,23 @@ def workspace(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+class TestParser:
+    def test_built_once_and_reused(self, workspace, capsys):
+        assert build_parser() is build_parser()
+        prices = ["--prices", workspace / "prices.csv"]
+        assert run(["advise", "--params", workspace / "fast.txt", *prices]) == 10
+        assert run(["partition", *prices]) == 0
+        assert run(["advise", "--params", workspace / "slow.txt", *prices]) == 0
+        assert run(["partition", "--prices", workspace / "missing.csv"]) == 2
+        out = capsys.readouterr().out
+        assert '"solve_refined_milp"' in out and '"solve_lp"' in out
+
+    def test_replaced_command_takes_effect(self, workspace, monkeypatch):
+        build_parser()
+        monkeypatch.setattr(cli, "cmd_partition", lambda args: 7)
+        assert run(["partition", "--prices", workspace / "prices.csv"]) == 7
 
 
 class TestPartition:

@@ -27,7 +27,7 @@ from storesched import (
     solve_storage_lp,
     solve_storage_milp,
 )
-from storesched import lp
+from storesched import lp, milp, simplex
 
 
 def unit_storage(**overrides):
@@ -171,8 +171,8 @@ class TestSolve:
     def test_node_lp_certificates(self, monkeypatch):
         optimal = []
 
-        def certified(problem, start=None):
-            sol = solve_bounded_lp(problem, start=start)
+        def certified(problem, start=None, factor=None):
+            sol = solve_bounded_lp(problem, start=start, factor=factor)
             if sol.status is LpStatus.OPTIMAL:
                 assert_lp_certificate(problem, sol)
                 optimal.append(sol)
@@ -187,6 +187,67 @@ class TestSolve:
             for refined in (False, True):
                 solve_storage_milp(params, prices, part, refined=refined)
         assert len(optimal) > 16  # more than one per solve: some draws branch
+
+
+def criterion_4_draws(count):
+    rng = np.random.default_rng(2026)  # the criterion-4 stream
+    for _ in range(count):
+        params = random_params(rng)
+        prices = mixed_sign_prices(rng, int(rng.integers(6, 49)))
+        yield params, prices, partition(prices)
+
+
+class TestFactorHandOff:
+    def test_parent_factor_matches_basis_codes(self, monkeypatch):
+        # each child that takes over its parent's factor is solved a second
+        # time from its basis codes alone, which factorizes afresh
+        handed = []
+
+        def compared(problem, start=None, factor=None):
+            if factor is None:
+                return solve_bounded_lp(problem, start=start)
+            codes = solve_bounded_lp(problem, start=start)
+            sol = solve_bounded_lp(problem, start=start, factor=factor)
+            assert sol.status is codes.status
+            if sol.status is LpStatus.OPTIMAL:
+                np.testing.assert_array_equal(sol.basis, codes.basis)
+                assert sol.objective == pytest.approx(codes.objective, rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(sol.x, codes.x, rtol=0, atol=1e-12)
+            handed.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(lp, "solve_bounded_lp", compared)
+        for params, prices, part in criterion_4_draws(30):
+            for refined in (False, True):
+                solve_storage_milp(params, prices, part, refined=refined)
+        assert handed.count(LpStatus.OPTIMAL) > 20
+
+    def test_no_report_keeps_a_factor(self, monkeypatch):
+        reports = []
+
+        def recorded(*args, **kwargs):
+            reports.append(lp.solve_lp(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(milp, "solve_lp", recorded)
+        for params, prices, part in criterion_4_draws(8):
+            assert solve_storage_lp(params, prices).factor is None
+            for refined in (False, True):
+                report, _ = solve_storage_milp(params, prices, part, refined=refined)
+                assert report.factor is None
+        assert len(reports) > 16
+        assert all(r.factor is None for r in reports)
+
+    def test_updates_match_a_recompute(self, monkeypatch):
+        # a refactor after every pivot recomputes x, y and d each time
+        # instead of updating them
+        draws = list(criterion_4_draws(100))
+        updated = [solve_storage_milp(*draw, refined=refined)[0].objective
+                   for draw in draws for refined in (False, True)]
+        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
+        fresh = [solve_storage_milp(*draw, refined=refined)[0].objective
+                 for draw in draws for refined in (False, True)]
+        np.testing.assert_allclose(fresh, updated, rtol=1e-9, atol=0)
 
 
 class TestInfeasibleStorage:
@@ -335,7 +396,7 @@ class TestHighsCrossCheck:
             assert stats.nodes > 1
             assert feasibility_check(params, report.schedule).feasible
 
-    @pytest.mark.parametrize("T", [24, 48, 96, 168])
+    @pytest.mark.parametrize("T", [24, 48, 96, 168, 336])
     def test_fast_storage_horizons(self, T):
         rng = np.random.default_rng(T)
         params = fast_params(rng)
