@@ -20,6 +20,12 @@ infeasibility is declared, and each refactor recomputes x, y and d, so
 the answer always comes from a fresh inverse.  A solve may start from
 the final factor of a related LP with the same matrix and basis (a
 branch-and-bound child from its parent's) instead of inverting again.
+
+A refactor inverts only a kernel: the basic columns with one nonzero
+(the storage LP's leg columns and many powers) form a diagonal block,
+and LAPACK inverts the rest (see _Factor).  A basis is singular when two
+such columns share a row or the kernel is singular; a singular start
+basis gives way to the artificial one.
 """
 
 import enum
@@ -92,19 +98,47 @@ class LpSolution:
 
 
 class _Factor:
-    """Basic columns in row order and the explicit inverse of their matrix."""
+    """Basic columns in row order and the explicit inverse of their matrix.
+
+    A column of a with one nonzero is a singleton.  The basic singletons
+    form a diagonal block D on their rows; the other basic columns on the
+    remaining rows form the kernel K, and only K goes through LAPACK:
+    with rows and columns ordered singletons first, the basis matrix is
+    [[D, B12], [0, K]] and its inverse [[D^-1, -D^-1 B12 K^-1], [0, K^-1]].
+    The basis is singular when two basic singletons share a row or K is
+    singular (a zero column lands in K)."""
 
     def __init__(self, a, basis):
         self.a = a
+        nonzero = a != 0
+        # the row of each column's only nonzero, or -1 (argmax needs a row)
+        self.singleton_row = (np.where(nonzero.sum(axis=0) == 1, nonzero.argmax(axis=0), -1)
+                              if len(a) else np.full(a.shape[1], -1))
         self.basis = np.array(basis, dtype=int)
         self.refactor()
 
     def refactor(self):
         self.inv = None  # free the old inverse before allocating the new one
+        m = len(self.basis)
+        rows = self.singleton_row[self.basis]
+        is_single = rows >= 0
+        single, kernel = np.flatnonzero(is_single), np.flatnonzero(~is_single)  # basis positions
+        srows = rows[single]
+        free = np.ones(m, dtype=bool)
+        free[srows] = False
+        krows = np.flatnonzero(free)
+        if len(krows) != len(kernel):  # a row taken twice leaves K with more rows than columns
+            raise SimplexFailure("singular basis: two singleton columns share a row")
+        ak = self.a[:, self.basis[kernel]]
         try:
-            self.inv = np.linalg.inv(self.a[:, self.basis])
+            kinv = np.linalg.inv(ak[krows])
         except np.linalg.LinAlgError as exc:
             raise SimplexFailure("singular basis") from exc
+        dinv = 1.0 / self.a[srows, self.basis[single]]
+        self.inv = np.zeros((m, m))
+        self.inv[single, srows] = dinv
+        self.inv[kernel[:, None], krows] = kinv
+        self.inv[single[:, None], krows] = -dinv[:, None] * (ak[srows] @ kinv)
         self.age = 0  # pivots since the last factorization
 
     def pivot(self, r, q, w):
@@ -119,25 +153,30 @@ class _Factor:
         if self.age >= REFACTOR_EVERY:
             self.refactor()
 
-    def point(self, b, c, lower, upper, state):
-        """Basic solution x, row duals y and reduced costs d."""
+    def primal(self, b, lower, upper, state):
+        """Basic solution x, each nonbasic variable at its bound."""
         x = np.where(state == AT_UPPER, upper, lower)
         x[self.basis] = 0.0
         x[self.basis] = self.inv @ (b - self.a @ x)
+        return x
+
+    def dual(self, c):
+        """Row duals y and reduced costs d."""
         y = c[self.basis] @ self.inv
-        return x, y, c - y @ self.a
+        return y, c - y @ self.a
 
 
-def _dual(f, b, c, lower, upper, state, pivots, max_iter):
+def _dual(f, b, c, lower, upper, state, y, d, pivots, max_iter):
     """Bounded dual simplex from a dual feasible basis: the most infeasible
     basic variable leaves at the bound it violates, and the nonbasic
-    variable whose reduced cost first reaches zero enters.  Each pivot
-    updates x and d; each refactor recomputes x, y and d.  Mutates f and
-    state; returns (status, x, y, d, pivots) from a fresh factor, pivots
-    counted on from the given number."""
+    variable whose reduced cost first reaches zero enters.  f is fresh,
+    and y and d are its f.dual(c).  Each pivot updates x and d; each
+    refactor recomputes x, y and d.  Mutates f and state; returns
+    (status, x, y, d, pivots) from a fresh factor, pivots counted on from
+    the given number."""
     movable = lower < upper
     violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
-    x, y, d = f.point(b, c, lower, upper, state)
+    x = f.primal(b, lower, upper, state)
     while True:
         xb = x[f.basis]
         below = lower[f.basis] - xb
@@ -157,7 +196,7 @@ def _dual(f, b, c, lower, upper, state, pivots, max_iter):
                 status = LpStatus.OPTIMAL if violation[r] <= TOL else LpStatus.INFEASIBLE
                 return status, x, y, d, pivots
             f.refactor()
-            x, y, d = f.point(b, c, lower, upper, state)
+            x, (y, d) = f.primal(b, lower, upper, state), f.dual(c)
             continue
         if pivots >= max_iter:
             raise SimplexFailure(f"iteration limit {max_iter} exceeded")
@@ -176,7 +215,7 @@ def _dual(f, b, c, lower, upper, state, pivots, max_iter):
         state[q] = BASIC
         f.pivot(r, q, w)
         if f.age == 0:  # pivot refactored
-            x, y, d = f.point(b, c, lower, upper, state)
+            x, (y, d) = f.primal(b, lower, upper, state), f.dual(c)
 
 
 def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
@@ -222,14 +261,14 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
     # a movable nonbasic variable whose reduced cost has the wrong sign moves
     # to the bound that sign prefers.  After a pass, that only undoes rounding.
     movable = lower < upper
-    d = c - c[f.basis] @ f.inv @ f.a
+    y, d = f.dual(c)  # a fresh factor's, which the first dual pass starts from
     x, pivots = None, 0
     while True:
         wrong = movable & np.where(state == AT_LOWER, d > TOL, (state == AT_UPPER) & (d < -TOL))
         if x is not None and not wrong.any():
             break
         state[wrong] = np.where(d[wrong] > 0, AT_UPPER, AT_LOWER)
-        status, x, y, d, pivots = _dual(f, b, c, lower, upper, state, pivots, max_iter)
+        status, x, y, d, pivots = _dual(f, b, c, lower, upper, state, y, d, pivots, max_iter)
         if status is not LpStatus.OPTIMAL:
             return LpSolution(status=status, iterations=pivots)
     return LpSolution(

@@ -146,6 +146,16 @@ def inexact_instance(rng):
     return params, prices, part
 
 
+def criterion_4_draws(count):
+    """The first count (params, prices, partition) draws of acceptance
+    criterion 4."""
+    rng = np.random.default_rng(2026)  # the criterion-4 stream
+    for _ in range(count):
+        params = random_params(rng)
+        prices = mixed_sign_prices(rng, int(rng.integers(6, 49)))
+        yield params, prices, partition(prices)
+
+
 def assert_lp_certificate(problem, sol):
     """The optimality certificate of an OPTIMAL bounded LP solution: x
     within its bounds and rows, zero reduced costs on basic columns, and on

@@ -3,6 +3,7 @@ import pytest
 
 from _instances import (
     assert_lp_certificate,
+    criterion_4_draws,
     fast_params,
     inexact_instance,
     lp_safe_instance,
@@ -187,14 +188,6 @@ class TestSolve:
             for refined in (False, True):
                 solve_storage_milp(params, prices, part, refined=refined)
         assert len(optimal) > 16  # more than one per solve: some draws branch
-
-
-def criterion_4_draws(count):
-    rng = np.random.default_rng(2026)  # the criterion-4 stream
-    for _ in range(count):
-        params = random_params(rng)
-        prices = mixed_sign_prices(rng, int(rng.integers(6, 49)))
-        yield params, prices, partition(prices)
 
 
 class TestFactorHandOff:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from _instances import assert_lp_certificate
-from storesched import LpProblem, LpStatus, simplex, solve_bounded_lp
-from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
+from _instances import assert_lp_certificate, criterion_4_draws, fast_params, mixed_sign_prices
+from storesched import LpProblem, LpStatus, partition, simplex, solve_bounded_lp, solve_storage_milp
+from storesched.simplex import AT_LOWER, AT_UPPER, BASIC, SimplexFailure
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -88,6 +88,100 @@ class TestUpdates:
         assert other_pivots <= 6
 
 
+def inf_norm(matrix):
+    return np.abs(matrix).sum(axis=1).max(initial=0.0)
+
+
+def factor_bases(case, monkeypatch):
+    """(a, basis) pairs to factorize: one built for the case, or every basis
+    that a solve refactors."""
+    rng = np.random.default_rng(5)
+    if case == "no_singletons":
+        return [(rng.normal(size=(6, 10)), rng.permutation(10)[:6])]
+    if case == "all_artificial":  # a 0 x 0 kernel
+        return [(np.hstack([rng.normal(size=(4, 7)), np.eye(4)]), np.arange(7, 11))]
+    if case == "no_rows":
+        return [(np.zeros((0, 3)), np.zeros(0, dtype=int))]
+    seen = []
+    real = simplex._Factor.refactor
+
+    def recorded(f):
+        seen.append((f.a, f.basis.copy()))
+        real(f)
+
+    monkeypatch.setattr(simplex._Factor, "refactor", recorded)
+    if case == "criterion_4":
+        for draw in criterion_4_draws(5):
+            for refined in (False, True):
+                solve_storage_milp(*draw, refined=refined)
+    else:  # the hourly fast-storage week, which closes at the root node
+        rng = np.random.default_rng(168)
+        params = fast_params(rng)
+        prices = mixed_sign_prices(rng, 168)
+        solve_storage_milp(params, prices, partition(prices), refined=True)
+    monkeypatch.undo()
+    return seen
+
+
+class TestFactor:
+    @pytest.mark.parametrize(
+        "case", ["no_singletons", "all_artificial", "no_rows", "criterion_4", "fast_T168_root"]
+    )
+    def test_block_inverse(self, case, monkeypatch):
+        bases = factor_bases(case, monkeypatch)
+        assert bases
+        for a, basis in bases:
+            f = simplex._Factor(a, basis)
+            singles = f.singleton_row[basis] >= 0
+            if case == "no_singletons":
+                assert not singles.any()
+            if case == "all_artificial":
+                assert singles.all()
+            matrix = a[:, basis]
+            eye = np.eye(len(basis))
+            reference = np.linalg.inv(matrix)
+            assert inf_norm(f.inv @ matrix - eye) <= 1e-12
+            assert inf_norm(reference @ matrix - eye) <= 1e-12
+            assert inf_norm(f.inv - reference) <= 1e-12 * max(1.0, inf_norm(reference))
+
+
+class TestSingularStart:
+    # columns 0 and 1 are singletons on row 0, column 2 is zero, columns 3
+    # and 4 are parallel, and column 5 is a singleton on row 1
+    A = np.array([[1.0, 2.0, 0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0, 2.0, 1.0]])
+    STARTS = {"singletons_share_a_row": [0, 1], "zero_column": [2, 5], "singular_kernel": [3, 4]}
+
+    @pytest.mark.parametrize("name", STARTS)
+    def test_factor_rejects_the_basis(self, name):
+        # a shared row is caught before LAPACK sees a kernel that is not square
+        message = "share a row" if name == "singletons_share_a_row" else "singular basis"
+        with pytest.raises(SimplexFailure, match=message):
+            simplex._Factor(self.A, self.STARTS[name])
+
+    @pytest.mark.parametrize("rhs", [[2.0, 1.5], [10.0, 1.0]])  # the second is infeasible
+    @pytest.mark.parametrize("name", STARTS)
+    def test_solve_falls_back_to_artificial_basis(self, name, rhs, monkeypatch):
+        built = []  # column count of each factor's matrix
+
+        class Recorded(simplex._Factor):
+            def __init__(self, a, basis):
+                built.append(a.shape[1])
+                super().__init__(a, basis)
+
+        monkeypatch.setattr(simplex, "_Factor", Recorded)
+        problem = LpProblem(c=[1.0, -1.0, 0.5, 2.0, -0.5, 1.0], lower=np.zeros(6),
+                            upper=np.ones(6), a=self.A, rhs=rhs)
+        start = np.full(6, AT_LOWER)
+        start[self.STARTS[name]] = BASIC
+        sol = solve_bounded_lp(problem, start=start)
+        assert built == [6, 8]  # the start basis, then one artificial column per row
+        ref = scipy_opt.linprog(-problem.c, A_eq=self.A, b_eq=problem.rhs,
+                                bounds=list(zip(problem.lower, problem.upper)), method="highs")
+        assert ref.status == {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2}[sol.status]
+        if sol.status is LpStatus.OPTIMAL:
+            assert sol.objective == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+
+
 class TestStatuses:
     def test_infeasible(self):
         problem = LpProblem(
@@ -119,13 +213,14 @@ class TestStatuses:
         real_dual = simplex._dual
         passes = []
 
-        def dual(f, b, c, lower, upper, state, pivots, max_iter):
-            status, x, y, d, pivots = real_dual(f, b, c, lower, upper, state, pivots, max_iter)
+        def dual(f, b, c, lower, upper, state, y, d, pivots, max_iter):
+            status, x, y, d, pivots = real_dual(f, b, c, lower, upper, state, y, d, pivots,
+                                                max_iter)
             passes.append(status)
             if len(passes) == 1:
                 j = int(np.flatnonzero(state != BASIC)[0])
                 state[j] = AT_UPPER - state[j]
-                x, y, d = f.point(b, c, lower, upper, state)
+                x = f.primal(b, lower, upper, state)
             return status, x, y, d, pivots
 
         problem = LpProblem(c=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a=[[1.0, 1.0]],
