@@ -2,12 +2,14 @@
 
 solve_dp: backward value iteration over a discretized state-of-energy
 grid with charge/discharge exclusivity enforced by construction (each
-period either charges, discharges, or idles).  Every action lands
-exactly on a grid point, with the power computed from the endpoints, so
-the DP solves the grid-restricted exclusive problem exactly: the value
-is a true lower bound on the exclusive optimum and is exactly
-nondecreasing across nested grid refinements.  On n grid points a period
-costs O(n log n) backward (range maxima) and O(n) forward.
+period either charges, discharges, or idles).  Every action lands on a
+grid point, within rounding that _IDX_SLACK absorbs, with the power
+computed from the endpoints, so the DP solves the grid-restricted
+exclusive problem exactly: the value is a true lower bound on the
+exclusive optimum and is exactly nondecreasing across nested grid
+refinements.  On n grid points a period costs O(n log n) backward (range
+maxima); forward, it costs O(log n) for the windows of its one level
+plus one evaluation per target in them.
 
 exhaustive_micro_oracle: full enumeration of discretized action
 sequences, an absolute ground truth at micro scale.
@@ -53,54 +55,20 @@ def _require_int(name: str, value, lo: int, hi: float = np.inf) -> None:
         raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
-def _reach(params: StorageParams, grid: np.ndarray, s):
-    """rho*s, the grid indices nearest above and below it, and how many
-    charge and discharge offsets from those to try."""
-    h, n = grid[1] - grid[0], len(grid)
+def _windows(params: StorageParams, grid: np.ndarray, s):
+    """The grid targets of levels s as windows lo, hi, charge in row 0 and
+    discharge in row 1, hi < lo if none.  Charging to grid[k] takes a power
+    that grows with k, discharging one that falls with k, so a power bound
+    cuts each kind at one searchsorted; the other end is the grid point
+    nearest rho*s on that side, within _IDX_SLACK."""
     base = params.rho * s
-    fidx = (base - params.s_min) / h
-    n_chg = min(int(np.floor(params.dt * params.eta_c * params.p_chg_max / h + _IDX_SLACK)) + 2, n)
-    n_dis = min(int(np.floor(params.dt * params.p_dis_max / (params.eta_d * h) + _IDX_SLACK)) + 2, n)
-    return (base, np.ceil(fidx - _IDX_SLACK).astype(int), np.floor(fidx + _IDX_SLACK).astype(int),
-            n_chg, n_dis)
-
-
-def _action_table(params: StorageParams, grid: np.ndarray, s, j=None):
-    """Candidate (p_chg, p_dis, target_idx, valid) per action and state,
-    shaped (n_actions, *np.shape(s)), or like j for the actions j alone.
-    Actions: charge to each grid point at or above the leaked level rho*s
-    (offset 0 at an on-grid state is the idle action), then discharge to
-    each grid point at or below it.  Power bounds prune the rest."""
-    dt, eta_c, eta_d = params.dt, params.eta_c, params.eta_d
-    n = len(grid)
-    base, ceilk, floork, n_chg, n_dis = _reach(params, grid, s)
-    # one row per action: charge offsets 0..n_chg-1 above the leaked
-    # level, then discharge offsets 0..n_dis-1 below it
-    j = np.arange(n_chg + n_dis).reshape((-1,) + (1,) * np.ndim(s)) if j is None else j
-    chg = j < n_chg
-    k = np.where(chg, ceilk + j, floork - (j - n_chg))
-    ok = np.where(chg, k <= n - 1, k >= 0)
-    k = np.clip(k, 0, n - 1)
-    pc = np.where(chg, np.maximum((grid[k] - base) / (dt * eta_c), 0.0), 0.0)
-    pd = np.where(chg, 0.0, np.maximum((base - grid[k]) * eta_d / dt, 0.0))
-    ok &= (pc <= params.p_chg_max + _FEAS_SLACK) & (pd <= params.p_dis_max + _FEAS_SLACK)
-    return np.minimum(pc, params.p_chg_max), np.minimum(pd, params.p_dis_max), k, ok
-
-
-def _windows(params: StorageParams, grid: np.ndarray):
-    """The valid targets of _action_table from each grid level as windows
-    lo, hi, charge in row 0 and discharge in row 1, hi < lo if none.  The
-    power grows with the offset, so the valid actions of a kind come first."""
-    n = len(grid)
-    _, ceilk, floork, n_chg, n_dis = _reach(params, grid, grid)
-    first = np.array([[0], [n_chg]])
-    # the last action of each kind whose target lies on the grid
-    last = first + np.minimum([[n_chg - 1], [n_dis - 1]], np.stack([n - 1 - ceilk, floork]))
-    while (back := (last >= first) & ~_action_table(params, grid, grid, last)[3]).any():
-        last = last - back
-    near = np.stack([np.maximum(ceilk, 0), np.minimum(floork, n - 1)])
-    far = np.where(last >= first, _action_table(params, grid, grid, last)[2], near - [[1], [-1]])
-    return np.stack([near[0], far[1]]), np.stack([far[0], near[1]])
+    fidx = (base - params.s_min) / (grid[1] - grid[0])
+    top = base + params.dt * params.eta_c * (params.p_chg_max + _FEAS_SLACK)
+    bottom = base - params.dt * (params.p_dis_max + _FEAS_SLACK) / params.eta_d
+    return (np.stack([np.maximum(np.ceil(fidx - _IDX_SLACK).astype(int), 0),
+                      np.searchsorted(grid, bottom)]),
+            np.stack([np.searchsorted(grid, top, "right") - 1,
+                      np.minimum(np.floor(fidx + _IDX_SLACK).astype(int), len(grid) - 1)]))
 
 
 def _values(params: StorageParams, prices: PriceSeries, grid: np.ndarray) -> np.ndarray:
@@ -109,7 +77,7 @@ def _values(params: StorageParams, prices: PriceSeries, grid: np.ndarray) -> np.
     C_t*eta_d for a discharge: a term in i plus the best of a term in k over
     a window of k.  Level j of a sparse table holds the maximum over 2**j
     entries from each index, so two reads of one level cover a window."""
-    lo, hi = _windows(params, grid)
+    lo, hi = _windows(params, grid, grid)
     rows, n = lo.shape
     width = hi - lo + 1
     level = np.log2(np.maximum(width, 1)).astype(int)
@@ -145,9 +113,10 @@ def _no_transition(params: StorageParams, T: int, s: float) -> ValueError:
 
 def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> SolveReport:
     """Backward DP over the n-point state grid, O(n log n) a period, then
-    greedy O(n) forward steps from the exact initial level.  The objective
-    is recomputed exactly on the reconstructed continuous schedule; it
-    approaches the exclusive optimum from below as the grid is refined."""
+    greedy forward steps from the exact initial level, each over the
+    targets in the windows of one level.  The objective is recomputed
+    exactly on the reconstructed continuous schedule; it approaches the
+    exclusive optimum from below as the grid is refined."""
     if prices.dt != params.dt:
         raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
     T = len(prices)
@@ -161,21 +130,26 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
     values = _values(params, prices, grid)
 
     # forward pass from the exact (possibly off-grid) initial level; after
-    # one step the state sits exactly on the grid
-    p_chg = np.empty(T)
-    p_dis = np.empty(T)
-    soe = np.empty(T)
+    # one step the state sits on the grid within rounding, which
+    # _IDX_SLACK absorbs
+    dt, eta_c, eta_d = params.dt, params.eta_c, params.eta_d
+    p_chg, p_dis, soe = np.empty((3, T))
     s = params.s_init
     for t in range(T):
-        pc, pd, idx, ok = _action_table(params, grid, s)
-        cand = np.where(
-            ok, params.dt * prices.prices[t] * (pd - pc) + values[t + 1][idx], -np.inf
-        )
-        a = int(np.argmax(cand))  # first maximizer: deterministic
-        if not np.isfinite(cand[a]):
+        (lo_c, lo_d), (hi_c, hi_d) = _windows(params, grid, s)
+        # charge targets upward, then discharge targets downward: an on-grid
+        # level meets its idle target first as a charge
+        k = np.concatenate([np.arange(lo_c, hi_c + 1), np.arange(hi_d, lo_d - 1, -1)])
+        chg = np.arange(len(k)) < hi_c - lo_c + 1
+        base = params.rho * s
+        pc = np.where(chg, np.clip((grid[k] - base) / (dt * eta_c), 0.0, params.p_chg_max), 0.0)
+        pd = np.where(chg, 0.0, np.clip((base - grid[k]) * eta_d / dt, 0.0, params.p_dis_max))
+        cand = dt * prices.prices[t] * (pd - pc) + values[t + 1][k]
+        # the first maximizer, for determinism
+        if not len(k) or not np.isfinite(cand[a := int(np.argmax(cand))]):
             raise _no_transition(params, T, s)
         p_chg[t], p_dis[t] = pc[a], pd[a]
-        s = params.rho * s + params.dt * (params.eta_c * pc[a] - pd[a] / params.eta_d)
+        s = base + dt * (eta_c * pc[a] - pd[a] / eta_d)
         soe[t] = s
 
     schedule = Schedule(p_chg=p_chg, p_dis=p_dis, soe=soe)
@@ -192,7 +166,7 @@ def dp_value_error_bound(params: StorageParams, prices: PriceSeries, config: DpC
     of stranded energy per period valued at the worst price."""
     h = (params.s_max - params.s_min) / (config.grid_points - 1)
     worst = float(np.max(np.abs(prices.prices)))
-    return len(prices) * worst * h / min(params.eta_c * params.eta_d, 1.0)
+    return len(prices) * worst * h / params.eta
 
 
 def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: int = 5) -> float:

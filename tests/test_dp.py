@@ -16,8 +16,7 @@ from storesched import (
     solve_storage_lp,
     solve_storage_milp,
 )
-from storesched import dp
-from storesched.dp import _action_table, _values, _windows
+from storesched.dp import _values, _windows
 
 
 def unit_storage(**overrides):
@@ -127,16 +126,21 @@ class TestSolve:
 
 
 def offset_counts(params, grid):
-    """Charge and discharge offsets that _action_table tries."""
-    h, n = grid[1] - grid[0], len(grid)
+    """Charge and discharge offsets that action_table_by_offset tries: one
+    past a full-rate step, so the power bound decides the last target.
+    Not capped at the grid size, since a leaked level may lie below s_min."""
+    h = grid[1] - grid[0]
     reach_chg = int(np.floor(params.dt * params.eta_c * params.p_chg_max / h + 1e-9)) + 1
     reach_dis = int(np.floor(params.dt * params.p_dis_max / (params.eta_d * h) + 1e-9)) + 1
-    return min(reach_chg + 1, n), min(reach_dis + 1, n)
+    return reach_chg + 1, reach_dis + 1
 
 
 def action_table_by_offset(params, grid, s):
-    """Reference for dp._action_table: one charge, then one discharge
-    row per grid offset, built in a loop."""
+    """Reference for the DP's transitions: candidate (p_chg, p_dis,
+    target_idx, valid) per action and level, one charge row per grid offset
+    upward from rho*s (offset 0 at an on-grid level is the idle action),
+    then one discharge row per offset downward, built in a loop; the power
+    bounds mark the rest invalid."""
     dt, eta_c, eta_d = params.dt, params.eta_c, params.eta_d
     h, n = grid[1] - grid[0], len(grid)
     base = params.rho * s
@@ -160,24 +164,10 @@ def action_table_by_offset(params, grid, s):
     return tuple(np.stack(col) for col in zip(*rows))
 
 
-class TestActionTable:
-    def test_matches_offset_loop(self):
-        # same arithmetic per entry, so the tables must be equal bit for bit
-        rng = np.random.default_rng(25)
-        for _ in range(20):
-            params = random_params(rng)
-            grid = np.linspace(params.s_min, params.s_max, int(rng.integers(11, 402)))
-            for s in (grid, np.array([params.s_init]), rng.uniform(params.s_min, params.s_max, 7)):
-                for got, want in zip(_action_table(params, grid, s),
-                                     action_table_by_offset(params, grid, s)):
-                    assert got.dtype == want.dtype
-                    np.testing.assert_array_equal(got, want)
-
-
 def values_by_table(params, prices, grid):
     """Reference for dp._values: gather every (action, state) cell of
-    _action_table each period and take the maximum."""
-    pc, pd, idx, ok = _action_table(params, grid, grid)
+    action_table_by_offset each period and take the maximum."""
+    pc, pd, idx, ok = action_table_by_offset(params, grid, grid)
     values = np.zeros((len(prices) + 1, len(grid)))
     for t in range(len(prices) - 1, -1, -1):
         reward = params.dt * prices.prices[t] * (pd - pc)
@@ -191,17 +181,54 @@ def leaky_store():
     return unit_storage(s_min=0.5, s_max=1.5, s_init=1.5, p_chg_max=0.2, rho=0.5)
 
 
-def backward_draws(seed, count):
-    """random_params draws (rho < 1 and s_min > 0 among them) and the
-    leaky store, on grids of 11 to 801 points."""
+def refilling_leaky_store():
+    """The leaky store with a charge rate that crosses the whole range in one
+    period: from s_min its leaked level lies 2.5 spacings of an 11-point
+    grid below s_min, and every grid point is in reach."""
+    return unit_storage(s_min=0.5, s_max=1.5, s_init=0.5, p_chg_max=3.0, p_dis_max=3.0, rho=0.5)
+
+
+def backward_draws(seed, count, dt=1.0):
+    """random_params draws at dt (rho < 1 and s_min > 0 among them) and,
+    at dt 1, the leaky store, on grids of 11 to 801 points."""
     rng = np.random.default_rng(seed)
     for i in range(count):
-        params = leaky_store() if i % 5 == 4 else random_params(rng)
+        params = leaky_store() if i % 5 == 4 and dt == 1.0 else random_params(rng, dt=dt)
         n = 801 if i % 10 == 0 else int(rng.integers(11, 402))
         grid = np.linspace(params.s_min, params.s_max, n)
         if params.dt * params.eta_c * params.p_chg_max < grid[1] - grid[0]:
             continue
-        yield params, mixed_sign_prices(rng, int(rng.integers(2, 25))), grid
+        yield params, mixed_sign_prices(rng, int(rng.integers(2, 25)), dt), grid
+
+
+def aligned_params(rng, n):
+    """Power limits that make a full-rate step exactly j spacings of an
+    n-point grid, so rounding decides whether its last target is valid."""
+    eta = float(rng.choice([1.0, 0.9, 0.5]))
+    s_min = float(rng.choice([0.0, 0.2]))
+    s_max = s_min + float(rng.uniform(0.5, 2.0))
+    h = (s_max - s_min) / (n - 1)
+    j_chg, j_dis = rng.integers(1, n, size=2)
+    return StorageParams(s_min=s_min, s_max=s_max, s_init=float(rng.uniform(s_min, s_max)),
+                         p_chg_max=j_chg * h / eta, p_dis_max=j_dis * h * eta,
+                         eta_c=eta, eta_d=eta, rho=float(rng.choice([1.0, 0.999, 0.995])))
+
+
+def forward_by_table(params, prices, values):
+    """Reference for solve_dp's forward pass: from s_init, the first best
+    row of action_table_by_offset each period, in offset order."""
+    grid = np.linspace(params.s_min, params.s_max, values.shape[1])
+    p_chg, p_dis, soe = np.empty((3, len(prices)))
+    s = params.s_init
+    for t in range(len(prices)):
+        pc, pd, idx, ok = action_table_by_offset(params, grid, s)
+        cand = np.where(ok, params.dt * prices.prices[t] * (pd - pc) + values[t + 1][idx], -np.inf)
+        a = int(np.argmax(cand))
+        assert np.isfinite(cand[a])
+        p_chg[t], p_dis[t] = pc[a], pd[a]
+        s = params.rho * s + params.dt * (params.eta_c * pc[a] - pd[a] / params.eta_d)
+        soe[t] = s
+    return p_chg, p_dis, soe
 
 
 class TestBackwardPass:
@@ -219,35 +246,59 @@ class TestBackwardPass:
         assert some_inf
 
     def test_windows_are_the_valid_targets(self):
+        # on the grid, on the levels the forward pass visits (s_init, and
+        # grid points off by rounding) and anywhere in between; at dt != 1,
+        # and with full-rate steps that end exactly on a grid point
         rng = np.random.default_rng(28)
-        for i in range(400):
-            params = leaky_store() if i % 5 == 4 else random_params(rng)
-            grid = np.linspace(params.s_min, params.s_max, int(rng.integers(11, 202)))
-            _, _, k, ok = _action_table(params, grid, grid)
+        cases = [(leaky_store() if i % 5 == 4 else random_params(rng), int(rng.integers(11, 202)))
+                 for i in range(400)]
+        draw = np.random.default_rng(30)
+        for _ in range(100):
+            dt = float(draw.choice([1 / 3, 0.25, 0.5, 2.0]))
+            cases.append((random_params(draw, dt=dt), int(draw.integers(11, 202))))
+            n = int(draw.integers(11, 202))
+            cases.append((aligned_params(draw, n), n))
+        cases.append((refilling_leaky_store(), 11))
+        for params, n in cases:
+            grid = np.linspace(params.s_min, params.s_max, n)
+            s = np.concatenate([grid, grid * (1 + 1e-15), grid * (1 - 1e-15), [params.s_init],
+                                draw.uniform(params.s_min, params.s_max, 7)])
+            _, _, k, ok = action_table_by_offset(params, grid, s)
             n_chg, _ = offset_counts(params, grid)
-            (lo_c, lo_d), (hi_c, hi_d) = _windows(params, grid)
-            levels = np.arange(len(grid))
-            state = np.broadcast_to(levels, k.shape)
+            (lo_c, lo_d), (hi_c, hi_d) = _windows(params, grid, s)
+            state = np.broadcast_to(np.arange(len(s)), k.shape)
+            targets = np.arange(n)
             for rows, lo, hi in ((slice(None, n_chg), lo_c, hi_c), (slice(n_chg, None), lo_d, hi_d)):
-                valid = np.zeros((len(grid), len(grid)), bool)  # [state, target]
+                valid = np.zeros((len(s), n), bool)  # [level, target]
                 valid[state[rows][ok[rows]], k[rows][ok[rows]]] = True
-                in_window = (lo[:, None] <= levels) & (levels <= hi[:, None])
+                in_window = (lo[:, None] <= targets) & (targets <= hi[:, None])
                 np.testing.assert_array_equal(valid, in_window)
 
-    def test_schedules_match_table(self, monkeypatch):
-        # the forward pass picks the first maximizer, so values that agree
-        # only to rounding could move it on a tie; on these draws none
-        # does.  The leaky store (rho 0.5) is left out: it runs dry within
-        # four periods, and solve_dp then raises InfeasibleStorage.
-        draws = [(p, c, g) for p, c, g in backward_draws(29, 30) if p.rho > 0.5]
-        fast = [solve_dp(p, c, DpConfig(len(g))) for p, c, g in draws]
-        monkeypatch.setattr(dp, "_values", values_by_table)
-        for (params, prices, grid), got in zip(draws, fast):
-            want = solve_dp(params, prices, DpConfig(len(grid)))
-            assert got.objective == want.objective
-            for name in ("p_chg", "p_dis", "soe"):
-                np.testing.assert_array_equal(getattr(got.schedule, name),
-                                              getattr(want.schedule, name))
+    def test_full_charge_from_below_s_min(self):
+        # the leaked level of s_min lies below the grid and a full charge
+        # reaches s_max, so every target is in reach, the top one more than
+        # n - 1 grid offsets above the leaked level
+        params = refilling_leaky_store()
+        prices = PriceSeries([-10.0, 50.0, -20.0, 40.0], 1.0)
+        milp, _ = solve_storage_milp(params, prices, partition(prices), refined=True)
+        dp = solve_dp(params, prices, DpConfig(11))
+        assert dp.objective == pytest.approx(milp.objective, rel=1e-12)
+        np.testing.assert_allclose(dp.schedule.soe, [1.5, 0.5, 1.5, 0.5], rtol=1e-12)
+
+    def test_schedules_match_table(self):
+        # both sides take the first maximizer, so values that agree only
+        # to rounding could move it on a tie; on these draws none does.
+        # The leaky store (rho 0.5) is left out: it runs dry within four
+        # periods, and solve_dp then raises InfeasibleStorage.
+        draws = [*backward_draws(29, 30), *backward_draws(31, 8, dt=0.25),
+                 *backward_draws(32, 8, dt=2.0)]
+        for params, prices, grid in draws:
+            if params.rho <= 0.5:
+                continue
+            got = solve_dp(params, prices, DpConfig(len(grid)))
+            want = forward_by_table(params, prices, values_by_table(params, prices, grid))
+            for name, column in zip(("p_chg", "p_dis", "soe"), want):
+                np.testing.assert_array_equal(getattr(got.schedule, name), column)
 
     def test_finer_grid_on_a_week(self):
         # 8,001 levels: about 1e9 cells a period for the table, which
