@@ -16,10 +16,12 @@ Each pivot is a revised-simplex step on an explicit basis inverse: a
 rank-1 product-form update of the inverse rows that the entering column
 touches, and updates of x and d along the step.  The inverse is
 refactored every REFACTOR_EVERY pivots and before optimality or
-infeasibility is declared, and each refactor recomputes x, y and d, so
-the answer always comes from a fresh inverse.  A solve may start from
-the final factor of a related LP with the same matrix and basis (a
-branch-and-bound child from its parent's) instead of inverting again.
+infeasibility is declared.  Each fresh factor recomputes y and d, places
+the nonbasic variables, then recomputes x, so the answer always comes
+from a fresh inverse, placed against its own reduced costs.  A solve may
+start from the final factor of a related LP with the same matrix and
+basis (a branch-and-bound child from its parent's) instead of inverting
+again.
 
 A refactor inverts only a kernel: the basic columns with one nonzero
 (the storage LP's leg columns and many powers) form a diagonal block,
@@ -150,8 +152,6 @@ class _Factor:
         self.inv[r] = row
         self.basis[r] = q
         self.age += 1
-        if self.age >= REFACTOR_EVERY:
-            self.refactor()
 
     def primal(self, b, lower, upper, state):
         """Basic solution x, each nonbasic variable at its bound."""
@@ -166,56 +166,58 @@ class _Factor:
         return y, c - y @ self.a
 
 
-def _dual(f, b, c, lower, upper, state, y, d, pivots, max_iter):
-    """Bounded dual simplex from a dual feasible basis: the most infeasible
-    basic variable leaves at the bound it violates, and the nonbasic
-    variable whose reduced cost first reaches zero enters.  f is fresh,
-    and y and d are its f.dual(c).  Each pivot updates x and d; each
-    refactor recomputes x, y and d.  Mutates f and state; returns
-    (status, x, y, d, pivots) from a fresh factor, pivots counted on from
-    the given number."""
+def _dual(f, b, c, lower, upper, state, max_iter):
+    """Bounded dual simplex: the most infeasible basic variable leaves at
+    the bound it violates, and the nonbasic variable whose reduced cost
+    first reaches zero enters.  Each fresh factor recomputes y and d, places
+    each movable nonbasic variable at the bound its reduced cost prefers
+    (after a pivot that only undoes rounding), then recomputes x; each pivot
+    updates x and d.  Mutates f and state; returns (status, x, y, d, pivots)
+    from a fresh factor."""
     movable = lower < upper
     violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
-    x = f.primal(b, lower, upper, state)
-    while True:
-        xb = x[f.basis]
-        below = lower[f.basis] - xb
-        np.maximum(below, xb - upper[f.basis], out=violation[:-1])
-        r = int(np.argmax(violation))
-        candidates = []
-        if violation[r] > TOL:
-            # alpha_j: how fast raising x_j pushes x_B[r] back toward its
-            # bound; a nonbasic variable moves only away from its own bound
-            raw = f.inv[r] @ f.a
-            alpha = -raw if below[r] > 0 else raw
-            candidates = np.flatnonzero(movable & np.where(
-                state == AT_LOWER, alpha > PIVOT_TOL, (state == AT_UPPER) & (alpha < -PIVOT_TOL)
-            ))
-        if len(candidates) == 0:
-            if f.age == 0:
-                status = LpStatus.OPTIMAL if violation[r] <= TOL else LpStatus.INFEASIBLE
-                return status, x, y, d, pivots
-            f.refactor()
-            x, (y, d) = f.primal(b, lower, upper, state), f.dual(c)
-            continue
-        if pivots >= max_iter:
-            raise SimplexFailure(f"iteration limit {max_iter} exceeded")
-        pivots += 1
-        q = int(candidates[np.argmin(np.abs(d[candidates] / alpha[candidates]))])
-        p = f.basis[r]
-        w = f.inv @ f.a[:, q]
-        # primal step: x_q moves by t until x_p reaches the bound it
-        # violated; dual step: d_q reaches zero.  Until the next refresh,
-        # only x of basic columns and d are read, so x_p and y stay as they are.
-        state[p] = AT_LOWER if below[r] > 0 else AT_UPPER
-        t = (x[p] - (lower[p] if below[r] > 0 else upper[p])) / w[r]
-        x[f.basis] -= t * w
-        x[q] += t
-        d -= d[q] / raw[q] * raw
-        state[q] = BASIC
-        f.pivot(r, q, w)
-        if f.age == 0:  # pivot refactored
-            x, (y, d) = f.primal(b, lower, upper, state), f.dual(c)
+    pivots = 0
+    while True:  # one round per fresh factor
+        y, d = f.dual(c)
+        wrong = movable & np.where(state == AT_LOWER, d > TOL, (state == AT_UPPER) & (d < -TOL))
+        state[wrong] = np.where(d[wrong] > 0, AT_UPPER, AT_LOWER)
+        x = f.primal(b, lower, upper, state)
+        while f.age < REFACTOR_EVERY:
+            xb = x[f.basis]
+            below = lower[f.basis] - xb
+            np.maximum(below, xb - upper[f.basis], out=violation[:-1])
+            r = int(np.argmax(violation))
+            candidates = []
+            if violation[r] > TOL:
+                # alpha_j: how fast raising x_j pushes x_B[r] back toward its
+                # bound; a nonbasic variable moves only away from its own bound
+                raw = f.inv[r] @ f.a
+                alpha = -raw if below[r] > 0 else raw
+                candidates = np.flatnonzero(movable & np.where(
+                    state == AT_LOWER, alpha > PIVOT_TOL, (state == AT_UPPER) & (alpha < -PIVOT_TOL)
+                ))
+            if len(candidates) == 0:
+                break
+            if pivots >= max_iter:
+                raise SimplexFailure(f"iteration limit {max_iter} exceeded")
+            pivots += 1
+            q = int(candidates[np.argmin(np.abs(d[candidates] / alpha[candidates]))])
+            p = f.basis[r]
+            w = f.inv @ f.a[:, q]
+            # primal step: x_q moves by t until x_p reaches the bound it
+            # violated; dual step: d_q reaches zero.  Until the next fresh factor,
+            # only x of basic columns and d are read, so x_p and y stay as they are.
+            state[p] = AT_LOWER if below[r] > 0 else AT_UPPER
+            t = (x[p] - (lower[p] if below[r] > 0 else upper[p])) / w[r]
+            x[f.basis] -= t * w
+            x[q] += t
+            d -= d[q] / raw[q] * raw
+            state[q] = BASIC
+            f.pivot(r, q, w)
+        if f.age == 0:
+            status = LpStatus.OPTIMAL if violation[r] <= TOL else LpStatus.INFEASIBLE
+            return status, x, y, d, pivots
+        f.refactor()
 
 
 def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
@@ -257,20 +259,9 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
         f = _Factor(np.hstack([a, np.eye(m)]), np.arange(n, n + m))
         c, lower, upper = (np.concatenate([v, np.zeros(m)]) for v in (c, lower, upper))
 
-    # the placement rule runs before each dual pass and once after the last:
-    # a movable nonbasic variable whose reduced cost has the wrong sign moves
-    # to the bound that sign prefers.  After a pass, that only undoes rounding.
-    movable = lower < upper
-    y, d = f.dual(c)  # a fresh factor's, which the first dual pass starts from
-    x, pivots = None, 0
-    while True:
-        wrong = movable & np.where(state == AT_LOWER, d > TOL, (state == AT_UPPER) & (d < -TOL))
-        if x is not None and not wrong.any():
-            break
-        state[wrong] = np.where(d[wrong] > 0, AT_UPPER, AT_LOWER)
-        status, x, y, d, pivots = _dual(f, b, c, lower, upper, state, y, d, pivots, max_iter)
-        if status is not LpStatus.OPTIMAL:
-            return LpSolution(status=status, iterations=pivots)
+    status, x, y, d, pivots = _dual(f, b, c, lower, upper, state, max_iter)
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status=status, iterations=pivots)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x[:n].copy(),

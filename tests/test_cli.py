@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from storesched import cli
+from storesched import Advice, Recommendation, cli
 from storesched.cli import build_parser, main
 
 FAST_PARAMS = """\
@@ -68,9 +68,14 @@ class TestPartition:
 
     def test_bad_csv_exit_2(self, workspace, capsys):
         bad = workspace / "bad.csv"
-        bad.write_text("t,price\n1,1\n")
-        assert run(["partition", "--prices", bad]) == 2
-        assert "line 1" in capsys.readouterr().err
+        header = "t,price_eur_per_mwh\n"
+        for text, message in (("t,price\n1,1\n", "line 1: expected header"),
+                              ("", "line 1: empty file"),
+                              (header + "1,1,1\n", "line 2: expected 2 fields, got 3"),
+                              (header + "1,2\n2,nan\n", "line 3: price must be finite")):
+            bad.write_text(text)
+            assert run(["partition", "--prices", bad]) == 2
+            assert message in capsys.readouterr().err
 
     def test_directory_as_input_exit_2(self, workspace, capsys):
         assert run(["partition", "--prices", workspace]) == 2
@@ -110,12 +115,19 @@ class TestAdvise:
 
     def test_params_file_errors(self, workspace, capsys):
         broken = workspace / "broken.txt"
-        broken.write_text("s_min = 0\nwhatever = 3\n")
-        code = run(
-            ["advise", "--params", broken, "--prices", workspace / "prices.csv"]
-        )
-        assert code == 2
-        assert "unknown key" in capsys.readouterr().err
+        for text, message in (
+            ("s_min = 0\nwhatever = 3\n", "line 2: unknown key 'whatever'"),
+            (FAST_PARAMS + "rho\n", "line 10: expected key=value, got 'rho'"),
+            (FAST_PARAMS + "rho = 1.0\n", "line 10: duplicate key 'rho'"),
+            (FAST_PARAMS.replace("rho = 1.0", "rho = one"), "line 8: bad number for rho: 'one'"),
+            (FAST_PARAMS.replace("rho = 1.0\n", ""), "line 0: missing keys: rho"),
+        ):
+            broken.write_text(text)
+            code = run(
+                ["advise", "--params", broken, "--prices", workspace / "prices.csv"]
+            )
+            assert code == 2
+            assert message in capsys.readouterr().err
 
     def test_missing_file(self, workspace, capsys):
         code = run(
@@ -225,6 +237,21 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "storage level" in err
+        assert not (workspace / "out" / "report.json").exists()
+
+    def test_iteration_limit_exit_3(self, workspace, monkeypatch, capsys):
+        from storesched import simplex
+
+        monkeypatch.setattr(simplex, "ITERS_PER_DIM", 0)  # not one pivot allowed
+        code = run(
+            [
+                "solve", "--params", workspace / "fast.txt",
+                "--prices", workspace / "prices.csv",
+                "--formulation", "lp", "--out", workspace / "out",
+            ]
+        )
+        assert code == 3
+        assert "solver error: iteration limit 0 exceeded" in capsys.readouterr().err
         assert not (workspace / "out" / "report.json").exists()
 
     def test_repair_not_applicable_exit_3(self, workspace, monkeypatch, capsys):
@@ -346,17 +373,25 @@ class TestCheck:
         assert code == 2
         assert "1-D" in capsys.readouterr().err
 
-    def test_schema_violation_exit_2(self, workspace):
+    def test_schema_violation_exit_2(self, workspace, capsys):
         path = workspace / "broken.json"
-        path.write_text('{"dt_hours": 1.0, "p_chg": [0.0]}')
-        code = run(
-            [
-                "check", "--params", workspace / "fast.txt",
-                "--prices", workspace / "prices.csv",
-                "--schedule", path,
-            ]
-        )
-        assert code == 2
+        seven = [0.0] * 7
+        for text, message in (
+            ('{"dt_hours": 1.0, "p_chg": [0.0]}', "invalid schedule document"),
+            ("not json", "schedule JSON:"),
+            (json.dumps({"dt_hours": 1.0, "p_chg": seven, "p_dis": seven, "soe": seven}),
+             "schedule horizon 7 differs from price horizon 8"),
+        ):
+            path.write_text(text)
+            code = run(
+                [
+                    "check", "--params", workspace / "fast.txt",
+                    "--prices", workspace / "prices.csv",
+                    "--schedule", path,
+                ]
+            )
+            assert code == 2
+            assert message in capsys.readouterr().err
 
 
 class TestCompare:
@@ -380,6 +415,17 @@ class TestCompare:
         assert "solve_lp" in table[2]
         assert "ADVICE_UNSOUND" not in out.read_text()
 
+    def test_unsound_advice_flagged(self, workspace, monkeypatch):
+        # an advice of solve_lp on the fast storage, whose LP/MILP gap is real
+        monkeypatch.setattr(cli, "advise", lambda params, part: Advice(Recommendation.SOLVE_LP, ()))
+        manifest = workspace / "manifest.csv"
+        manifest.write_text("params_path,prices_path,label\nfast.txt,prices.csv,fast\n")
+        out = workspace / "cmp.csv"
+        assert run(["compare", "--manifest", manifest, "--out", out, "--grid", "201"]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[1] == "solve_lp"
+        assert row[-1] == "ADVICE_UNSOUND"
+
     def test_empty_manifest(self, workspace, capsys):
         manifest = workspace / "empty.csv"
         manifest.write_text("params_path,prices_path,label\n")
@@ -394,6 +440,9 @@ class TestCompare:
         assert run(["compare", "--manifest", manifest]) == 2
         manifest.write_text("params_path,prices_path,label\nmissing.txt,prices.csv,x\n")
         assert run(["compare", "--manifest", manifest]) == 2
+        manifest.write_text("params_path,prices_path,label\nfast.txt,prices.csv\n")
+        assert run(["compare", "--manifest", manifest]) == 2
+        assert "manifest line 2: expected 3 columns, got 2" in capsys.readouterr().err
 
 
 class TestNoTolFlag:

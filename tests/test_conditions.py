@@ -304,15 +304,22 @@ class TestAdvise:
         assert advice.rationale[-1][0] == "theorem1_cond1"
 
     def test_theorem2_leaf(self):
-        advice = advise(unit_storage(0.1, 0.2), partition(run_series(10, 4, 10)))
-        assert advice.recommendation is Recommendation.SOLVE_LP
-        assert advice.rationale[-1][0] == "theorem2"
+        for params, fired in ((unit_storage(0.1, 0.2), True),
+                              (unit_storage(0.27, 0.008, s_init=1.0), False)):
+            advice = advise(params, partition(run_series(10, 4, 10)))
+            assert advice.recommendation is (Recommendation.SOLVE_LP if fired
+                                             else Recommendation.SOLVE_REFINED_MILP)
+            assert advice.rationale[-1][:2] == ("theorem2", fired)
 
     def test_theorem3_leaf(self):
         prices = series([10] * 5 + [-10] * 2 + [10] * 5 + [-10] * 2 + [10] * 3)
-        advice = advise(unit_storage(0.05, 0.2), partition(prices))
-        assert advice.recommendation is Recommendation.SOLVE_LP
-        assert advice.rationale[-1][0] == "theorem3"
+        for params, fired in ((unit_storage(0.05, 0.2), True),
+                              (unit_storage(0.3, 0.02, s_init=0.5), False)):
+            advice = advise(params, partition(prices))
+            assert advice.recommendation is (Recommendation.SOLVE_LP if fired
+                                             else Recommendation.SOLVE_REFINED_MILP)
+            assert advice.rationale[-1][:2] == ("theorem3", fired)
+        assert advice.rationale[-1][2].endswith("at block 2")
 
     def test_leakage_assumption_routes_to_milp(self):
         params = unit_storage(0.01, 0.2, rho=0.5)

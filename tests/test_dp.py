@@ -50,6 +50,21 @@ class TestConfig:
         with pytest.raises(GridTooCoarse, match="discharge"):
             solve_dp(params, prices, DpConfig(grid_points=101))
 
+    def test_grid_too_coarse_for_a_level(self):
+        # the level halves each period and a full charge adds 0.19, so staying
+        # at or above s_min = 0.5 for three periods takes charging nearly every
+        # period: feasible (the LP solves it), but no path of levels on an
+        # 11- or 21-point grid does it, so the first level has no transition
+        params = unit_storage(s_min=0.5, s_max=1.5, s_init=1.5, p_chg_max=0.19, p_dis_max=1.0,
+                              eta_c=1.0, eta_d=1.0, rho=0.5)
+        prices = PriceSeries([10.0, 20.0, 30.0], 1.0)
+        for grid_points in (11, 21):
+            with pytest.raises(GridTooCoarse, match="no feasible grid transition from level 1.5"):
+                solve_dp(params, prices, DpConfig(grid_points))
+        lp = solve_storage_lp(params, prices).objective
+        assert lp == pytest.approx(-10.6, rel=1e-12)
+        assert solve_dp(params, prices, DpConfig(101)).objective == pytest.approx(lp, rel=1e-12)
+
     @pytest.mark.parametrize("grid_points", [801, 8001])
     def test_infeasible_storage_is_not_blamed_on_the_grid(self, grid_points):
         # at s_min = 0.5 the level leaks 0.25 per period, and a full charge

@@ -207,30 +207,46 @@ class TestStatuses:
         assert sol.basis[1] == AT_LOWER
 
     def test_wrong_sign_after_a_dual_pass_is_placed_again(self, monkeypatch):
-        # the first dual pass returns with a nonbasic variable at the bound
-        # its reduced cost does not prefer, as rounding might leave it: the
-        # placement rule moves it back and a second pass confirms the optimum
-        real_dual = simplex._dual
-        passes = []
+        # the first refactor after a pivot finds a nonbasic variable at the
+        # bound its reduced cost does not prefer, as rounding might leave
+        # it: the placement rule of that fresh factor moves it back
+        real_primal, real_refactor = simplex._Factor.primal, simplex._Factor.refactor
+        states, flipped = [], []  # the state each fresh factor's primal saw; flipped variables
 
-        def dual(f, b, c, lower, upper, state, y, d, pivots, max_iter):
-            status, x, y, d, pivots = real_dual(f, b, c, lower, upper, state, y, d, pivots,
-                                                max_iter)
-            passes.append(status)
-            if len(passes) == 1:
+        def primal(f, b, lower, upper, state):
+            states.append(state)
+            return real_primal(f, b, lower, upper, state)
+
+        def refactor(f):
+            pivoted = getattr(f, "age", 0) > 0
+            real_refactor(f)
+            if pivoted and not flipped:
+                state = states[-1]
                 j = int(np.flatnonzero(state != BASIC)[0])
                 state[j] = AT_UPPER - state[j]
-                x = f.primal(b, lower, upper, state)
-            return status, x, y, d, pivots
+                flipped.append(j)
 
         problem = LpProblem(c=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a=[[1.0, 1.0]],
                             rhs=[1.0])
         expected = solve_bounded_lp(problem)
-        monkeypatch.setattr(simplex, "_dual", dual)
+        monkeypatch.setattr(simplex._Factor, "primal", primal)
+        monkeypatch.setattr(simplex._Factor, "refactor", refactor)
         sol = solve_bounded_lp(problem)
-        assert passes == [LpStatus.OPTIMAL, LpStatus.OPTIMAL]
+        assert flipped == [1] and len(states) == 2  # a second fresh factor ran
         assert sol.objective == expected.objective == 2.0
         np.testing.assert_array_equal(sol.basis, expected.basis)
+
+    def test_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(simplex, "ITERS_PER_DIM", 0)
+        # needs one pivot: the artificial basis starts at -1 after placement
+        problem = LpProblem(c=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a=[[1.0, 1.0]],
+                            rhs=[1.0])
+        with pytest.raises(SimplexFailure, match="iteration limit 0 exceeded"):
+            solve_bounded_lp(problem)
+        # placement alone solves this one, which takes no pivot
+        problem = LpProblem(c=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a=[[1.0, 1.0]],
+                            rhs=[2.0])
+        assert solve_bounded_lp(problem).objective == 3.0
 
     def test_no_rows(self):
         problem = LpProblem(

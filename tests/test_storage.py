@@ -125,6 +125,13 @@ class TestFeasibility:
         tags = {tag for _, tag, _ in report.violations}
         assert "bound_pc" in tags
         assert "soe_recursion" in tags
+        # the bounds the first schedule leaves: p_chg < 0, p_dis > p_dis_max, soe < s_min
+        sch = Schedule(p_chg=[-0.1], p_dis=[0.5], soe=[-0.2])
+        report = feasibility_check(params, sch)
+        assert [tag for _, tag, _ in report.violations] == [
+            "bound_pc", "bound_pd", "bound_soe", "soe_recursion"
+        ]
+        np.testing.assert_allclose([m for _, _, m in report.violations[:3]], [0.1, 0.1, 0.2])
 
     def test_soe_bound_violation(self):
         params = make_params(s_init=1.0, rho=1.0)
