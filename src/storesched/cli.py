@@ -20,13 +20,14 @@ import functools
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .conditions import Recommendation, advise, lemma1_classify
 from .dp import DpConfig, dp_value_error_bound, solve_dp
 from .lp import solve_storage_lp
 from .milp import build_milp, solve_milp
-from .prices import PriceCsvError, partition, read_price_csv
+from .prices import partition, read_price_csv
 from .simplex import SimplexFailure
 from .storage import (
     RepairNotApplicable,
@@ -43,26 +44,14 @@ EXIT_PARSE_ERROR = 2
 EXIT_SOLVER_ERROR = 3
 EXIT_SOLVE_MILP = 10
 
-PARAM_KEYS = (
-    "s_min",
-    "s_max",
-    "s_init",
-    "p_chg_max",
-    "p_dis_max",
-    "eta_c",
-    "eta_d",
-    "rho",
-    "dt_hours",
-)
-
-
-class ParamsFileError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+# the file spells dt as dt_hours, as schedule JSON does
+PARAM_KEYS = tuple("dt_hours" if f.name == "dt" else f.name for f in fields(StorageParams))
 
 
 def read_params_file(path) -> StorageParams:
-    """Flat key=value file with the keys of PARAM_KEYS; # starts a comment."""
+    """Flat key=value file with the keys of PARAM_KEYS; # starts a comment.
+    A ValueError names the offending line, or the file for a missing key
+    or values StorageParams rejects."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -70,32 +59,32 @@ def read_params_file(path) -> StorageParams:
             if not line:
                 continue
             if "=" not in line:
-                raise ParamsFileError(lineno, f"expected key=value, got {line!r}")
+                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
             key, _, text = line.partition("=")
             key = key.strip()
             if key not in PARAM_KEYS:
-                raise ParamsFileError(lineno, f"unknown key {key!r}")
+                raise ValueError(f"line {lineno}: unknown key {key!r}")
             if key in values:
-                raise ParamsFileError(lineno, f"duplicate key {key!r}")
+                raise ValueError(f"line {lineno}: duplicate key {key!r}")
             try:
                 values[key] = float(text.strip())
             except ValueError:
-                raise ParamsFileError(lineno, f"bad number for {key}: {text.strip()!r}")
+                raise ValueError(f"line {lineno}: bad number for {key}: {text.strip()!r}")
     missing = [k for k in PARAM_KEYS if k not in values]
     if missing:
-        raise ParamsFileError(0, f"missing keys: {', '.join(missing)}")
+        raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
     values["dt"] = values.pop("dt_hours")
     try:
         return StorageParams(**values)
     except ValueError as exc:
-        raise ParamsFileError(0, str(exc))
+        raise ValueError(f"{path}: {exc}")
 
 
-def _load_inputs(args):
-    params = read_params_file(args.params) if getattr(args, "params", None) else None
-    dt = params.dt if params is not None else 1.0
-    prices = read_price_csv(args.prices, dt=dt)
-    return params, prices
+def _load_inputs(params_path, prices_path):
+    """(params, or None without a params file; prices; their partition)."""
+    params = read_params_file(params_path) if params_path else None
+    prices = read_price_csv(prices_path, dt=params.dt if params is not None else 1.0)
+    return params, prices, partition(prices)
 
 
 def _partition_dict(part) -> dict:
@@ -114,16 +103,14 @@ def _partition_dict(part) -> dict:
 
 
 def cmd_partition(args) -> int:
-    _, prices = _load_inputs(args)
-    part = partition(prices)
+    _, _, part = _load_inputs(None, args.prices)
     json.dump(_partition_dict(part), sys.stdout, indent=2)
     print()
     return EXIT_OK
 
 
 def cmd_advise(args) -> int:
-    params, prices = _load_inputs(args)
-    part = partition(prices)
+    params, _, part = _load_inputs(args.params, args.prices)
     advice = advise(params, part, final_level_constrained=args.final_level_constrained)
     json.dump(advice.to_dict(), sys.stdout, indent=2)
     print()
@@ -132,16 +119,17 @@ def cmd_advise(args) -> int:
     return EXIT_SOLVE_MILP
 
 
-def _solve_formulation(args, params, prices, part):
-    """Returns (report, extras dict for the JSON report)."""
-    if args.formulation == "lp":
+def _solve_formulation(formulation, params, prices, part, grid):
+    """Returns (report, extras dict for the JSON report).  grid is the dp
+    grid point count, None for DpConfig's default."""
+    if formulation == "lp":
         report = solve_storage_lp(params, prices)
         return report, {
             "kkt_max_residual": report.kkt_max_residual,
             "physically_infeasible": bool(report.scd_events),
         }
-    if args.formulation in ("milp", "refined"):
-        problem = build_milp(params, prices, args.formulation == "refined", part)
+    if formulation in ("milp", "refined"):
+        problem = build_milp(params, prices, formulation == "refined", part)
         report, stats = solve_milp(problem)
         return report, {
             "num_binaries": problem.num_binaries,
@@ -151,21 +139,23 @@ def _solve_formulation(args, params, prices, part):
             "gap": stats.gap,
             "physically_infeasible": bool(report.scd_events),
         }
-    config = DpConfig(grid_points=args.grid)
+    config = DpConfig() if grid is None else DpConfig(grid)
     report = solve_dp(params, prices, config)
-    eps = dp_value_error_bound(params, prices, config)
-    print(f"dp discretization bound: {eps:.6g} EUR", file=sys.stderr)
     return report, {
-        "grid_points": args.grid,
-        "discretization_bound": eps,
+        "grid_points": config.grid_points,
+        "discretization_bound": dp_value_error_bound(params, prices, config),
         "physically_infeasible": False,
     }
 
 
 def cmd_solve(args) -> int:
-    params, prices = _load_inputs(args)
-    part = partition(prices)
-    report, extras = _solve_formulation(args, params, prices, part)
+    if args.grid is not None and args.formulation != "dp":
+        raise ValueError("--grid applies only to --formulation dp")
+    params, prices, part = _load_inputs(args.params, args.prices)
+    report, extras = _solve_formulation(args.formulation, params, prices, part, args.grid)
+    if args.formulation == "dp":
+        eps = extras["discretization_bound"]
+        print(f"dp discretization bound: {eps:.6g} EUR", file=sys.stderr)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,7 +193,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    params, prices = _load_inputs(args)
+    params, prices, part = _load_inputs(args.params, args.prices)
     with open(args.schedule, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -228,7 +218,6 @@ def cmd_check(args) -> int:
     for ev in events:
         print(f"  scd t={ev.t} p_chg={ev.p_chg_t:.6g} p_dis={ev.p_dis_t:.6g}")
         fail = True
-    part = partition(prices)
     for t in part.t_neg:
         verdict = lemma1_classify(params, prices, schedule, t)
         print(
@@ -279,44 +268,27 @@ COMPARE_COLUMNS = [
 
 
 def cmd_compare(args) -> int:
-    rows = _read_manifest(args.manifest)
     out_rows = []
-    for params_path, prices_path, label in rows:
-        params = read_params_file(params_path)
-        prices = read_price_csv(prices_path, dt=params.dt)
-        part = partition(prices)
+    for params_path, prices_path, label in _read_manifest(args.manifest):
+        params, prices, part = _load_inputs(params_path, prices_path)
         advice = advise(params, part)
-
-        t0 = time.perf_counter()
-        lp = solve_storage_lp(params, prices)
-        t_lp = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        milp, _ = solve_milp(build_milp(params, prices, True, part))
-        t_milp = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dp = solve_dp(params, prices, DpConfig(args.grid))
-        t_dp = time.perf_counter() - t0
+        row = {"label": label, "advice": advice.recommendation.value}
+        reports = {}
+        for column, formulation in (("lp", "lp"), ("milp", "refined"), ("dp", "dp")):
+            t0 = time.perf_counter()
+            reports[column], _ = _solve_formulation(formulation, params, prices, part, args.grid)
+            row[f"{column}_time_s"] = f"{time.perf_counter() - t0:.4f}"
+            row[f"{column}_objective"] = f"{reports[column].objective:.6f}"
+        lp, milp = reports["lp"], reports["milp"]
+        row["lp_scd_events"] = str(len(lp.scd_events))
 
         # an advice of solve_lp with a real LP/MILP gap is a soundness bug
-        flag = ""
+        row["flag"] = ""
         if advice.recommendation is Recommendation.SOLVE_LP:
             gap = abs(lp.objective - milp.objective)
             if gap > 1e-8 * max(1.0, abs(lp.objective)):
-                flag = "ADVICE_UNSOUND"
-        out_rows.append(
-            {
-                "label": label,
-                "advice": advice.recommendation.value,
-                "lp_objective": f"{lp.objective:.6f}",
-                "milp_objective": f"{milp.objective:.6f}",
-                "dp_objective": f"{dp.objective:.6f}",
-                "lp_scd_events": str(len(lp.scd_events)),
-                "lp_time_s": f"{t_lp:.4f}",
-                "milp_time_s": f"{t_milp:.4f}",
-                "dp_time_s": f"{t_dp:.4f}",
-                "flag": flag,
-            }
-        )
+                row["flag"] = "ADVICE_UNSOUND"
+        out_rows.append(row)
 
     widths = {
         col: max(len(col), *(len(r[col]) for r in out_rows)) if out_rows else len(col)
@@ -370,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--formulation", required=True, choices=["lp", "milp", "refined", "dp"]
     )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--grid", type=int, default=801, help="dp state grid points")
+    p.add_argument("--grid", type=int, help="dp state grid points (dp only)")
 
     p = sub.add_parser("check", help="verify a schedule JSON against params and prices")
     common(p)
@@ -379,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="LP vs refined MILP vs DP over a manifest of instances")
     p.add_argument("--manifest", required=True, help="CSV: params_path,prices_path,label")
     p.add_argument("--out", help="also write the comparison table to this CSV")
-    p.add_argument("--grid", type=int, default=801)
+    p.add_argument("--grid", type=int)
     return parser
 
 
@@ -389,7 +361,7 @@ def main(argv=None) -> int:
         # looked up per call, so that a cmd_* function replaced after the
         # parser was built still takes effect
         return globals()[f"cmd_{args.command}"](args)
-    except (PriceCsvError, ParamsFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # PriceCsvError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except (SimplexFailure, RepairNotApplicable) as exc:

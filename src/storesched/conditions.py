@@ -250,7 +250,11 @@ def theorem1_condition2(
 def theorem2_check(params: StorageParams, part: PricePartition) -> bool:
     """Exactness for a single negative run [tau1, tau2]: discharging at
     full rate (or hitting the floor) before the run and then charging at
-    full rate through it must not exceed the capacity."""
+    full rate through it must not exceed the capacity.  The depleted level
+    is scaled by rho^(tau2 - tau1), where theorem3_shat and the level
+    dynamics use rho^n with n = tau2 - tau1 + 1.  So with rho < 1 it
+    certifies a subset, at times a strict one, of the single-block inputs
+    that theorem 3 certifies."""
     if part.num_negative_blocks != 1:
         return False
     tau1, tau2 = part.longest_neg

@@ -117,10 +117,13 @@ class TestAdvise:
         broken = workspace / "broken.txt"
         for text, message in (
             ("s_min = 0\nwhatever = 3\n", "line 2: unknown key 'whatever'"),
+            ("# storage unit\n\n" + FAST_PARAMS + "whatever = 3\n",
+             "line 12: unknown key 'whatever'"),
             (FAST_PARAMS + "rho\n", "line 10: expected key=value, got 'rho'"),
             (FAST_PARAMS + "rho = 1.0\n", "line 10: duplicate key 'rho'"),
             (FAST_PARAMS.replace("rho = 1.0", "rho = one"), "line 8: bad number for rho: 'one'"),
-            (FAST_PARAMS.replace("rho = 1.0\n", ""), "line 0: missing keys: rho"),
+            (FAST_PARAMS.replace("rho = 1.0\n", ""), "broken.txt: missing keys: rho"),
+            (FAST_PARAMS.replace("s_min = 0", "s_min = 2"), "broken.txt: need 0 <= s_min < s_max"),
         ):
             broken.write_text(text)
             code = run(
@@ -215,6 +218,21 @@ class TestSolve:
         assert (workspace / "a" / "plot.csv").read_bytes() == (
             workspace / "b" / "plot.csv"
         ).read_bytes()
+
+    def test_grid_applies_only_to_dp(self, workspace, capsys):
+        inputs = ["--params", workspace / "fast.txt", "--prices", workspace / "prices.csv"]
+        for formulation in ("lp", "milp", "refined"):
+            code = run(
+                ["solve", *inputs, "--formulation", formulation, "--grid", 3,
+                 "--out", workspace / "out"]
+            )
+            assert code == 2
+            assert "error: --grid applies only to --formulation dp" in capsys.readouterr().err
+            assert not (workspace / "out").exists()
+        for grid, args in ((301, ["--grid", 301]), (801, [])):
+            out = workspace / f"dp{grid}"
+            assert run(["solve", *inputs, "--formulation", "dp", *args, "--out", out]) == 0
+            assert json.loads((out / "report.json").read_text())["grid_points"] == grid
 
     @pytest.mark.parametrize("formulation", ["lp", "milp", "refined", "dp"])
     def test_infeasible_storage_exit_2(self, workspace, capsys, formulation):
@@ -443,6 +461,9 @@ class TestCompare:
         manifest.write_text("params_path,prices_path,label\nfast.txt,prices.csv\n")
         assert run(["compare", "--manifest", manifest]) == 2
         assert "manifest line 2: expected 3 columns, got 2" in capsys.readouterr().err
+        manifest.write_text("params_path,prices_path,label\n\nfast.txt,prices.csv\n")
+        assert run(["compare", "--manifest", manifest]) == 2
+        assert "manifest line 3: expected 3 columns, got 2" in capsys.readouterr().err
 
 
 class TestNoTolFlag:

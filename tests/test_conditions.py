@@ -15,6 +15,7 @@ from storesched import (
     StorageParams,
     SubsetSearchInconclusive,
     advise,
+    check_assumption_leakage,
     corollary2_inexact,
     lemma1_classify,
     partition,
@@ -99,6 +100,8 @@ class TestTheorem1Cond1:
     def test_requires_negative_prices(self):
         with pytest.raises(NoNegativePrices):
             theorem1_condition1(unit_storage(0.2, 0.2), partition(series([1, 2])))
+        with pytest.raises(NoNegativePrices):
+            theorem1_condition2(unit_storage(0.2, 0.2), partition(series([1, 2])))
 
     def test_leakage_raises_the_bar(self):
         part = partition(run_series(1, 4, 1))
@@ -138,6 +141,8 @@ class TestTheorem1Cond2:
         witness = theorem1_condition2(params, part)
         if witness is not None:
             assert set(witness.charge_set) | set(witness.discharge_set) == {2, 3, 4}
+        # no split of the three periods lands on s_max from an empty store
+        assert theorem1_condition2(params, part, s_fixed=0.0) is None
 
     def test_enumeration_cap(self):
         part = partition(run_series(1, 23, 1))
@@ -227,6 +232,31 @@ class TestTheorem3:
             # the single negative run always falls in the first block
             violated = shat.first_violation == 1
             assert theorem2_check(params, part) == (not violated)
+
+    def test_theorem2_is_stricter_with_leakage(self):
+        # on one negative block, theorem2_check scales the depleted level by
+        # rho^(tau2 - tau1) and the block recurrence by rho^n, n = tau2 - tau1 + 1,
+        # so with rho < 1 theorem 2 certifies the LP only where theorem 3 does
+        rng = np.random.default_rng(0)
+        only_theorem3 = 0
+        for _ in range(2000):
+            pre, n, post = (int(rng.integers(lo, hi)) for lo, hi in ((0, 8), (1, 9), (0, 6)))
+            s_min = float(rng.uniform(0.0, 0.3))
+            params = StorageParams(
+                s_min=s_min, s_max=1.0, s_init=float(rng.uniform(s_min, 1.0)),
+                p_chg_max=float(rng.uniform(0.02, 0.6)), p_dis_max=float(rng.uniform(0.02, 0.6)),
+                eta_c=float(rng.uniform(0.8, 1.0)), eta_d=float(rng.uniform(0.8, 1.0)),
+                rho=float(rng.uniform(0.8, 1.0)),
+            )
+            if not check_assumption_leakage(params):
+                continue
+            part = partition(run_series(pre, n, post))
+            exact = theorem3_shat(params, part).exact
+            if theorem2_check(params, part):
+                assert exact
+            else:
+                only_theorem3 += exact
+        assert only_theorem3 > 0
 
     @given(
         p_chg=st.floats(0.02, 0.5),

@@ -27,6 +27,11 @@ class TestSeries:
         with pytest.raises(ValueError, match="finite"):
             PriceSeries([1.0, value], 1.0)
 
+    def test_prices_must_be_a_nonempty_vector(self):
+        for values in ([[1.0, 2.0], [3.0, 4.0]], []):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                PriceSeries(values, 1.0)
+
 
 class TestPartition:
     def test_mixed_signs(self):
@@ -115,6 +120,9 @@ class TestCsv:
         with pytest.raises(PriceCsvError) as info:
             read_price_csv(path)
         assert info.value.line == 3
+        # a blank line is skipped, not taken as a row
+        path.write_text("t,price_eur_per_mwh\n1,5\n\n2,6\n")
+        np.testing.assert_array_equal(read_price_csv(path).prices, [5.0, 6.0])
 
     def test_t_must_start_at_one(self, tmp_path):
         path = tmp_path / "p.csv"

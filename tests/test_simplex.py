@@ -261,6 +261,8 @@ class TestStatuses:
         problem = LpProblem(c=[1.0], lower=[0.0], upper=[1.0], a=[[1.0]], rhs=[0.5])
         with pytest.raises(ValueError, match="start codes"):
             solve_bounded_lp(problem, start=[3])
+        with pytest.raises(ValueError, match="one basis code per variable"):
+            solve_bounded_lp(problem, start=[AT_LOWER, AT_LOWER])
 
     def test_factor_of_another_basis_rejected(self):
         problem = LpProblem(c=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a=[[1.0, 1.0]],
@@ -274,6 +276,9 @@ class TestStatuses:
     def test_validation(self):
         with pytest.raises(ValueError):
             LpProblem(c=[1.0], lower=[2.0], upper=[1.0], a=np.zeros((0, 1)), rhs=[])
+        for lower, upper in (([0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0])):
+            with pytest.raises(ValueError, match="bound vectors"):
+                LpProblem(c=[1.0, 1.0], lower=lower, upper=upper, a=np.zeros((0, 2)), rhs=[])
         # a must have one row per right-hand side and one column per variable
         for a in ([[1.0, 2.0]], [[1.0], [2.0]], [1.0]):
             with pytest.raises(ValueError, match="shape"):

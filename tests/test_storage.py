@@ -74,6 +74,11 @@ class TestPropagation:
         params = make_params()
         soe = propagate_soe(params, [0.4], [0.0])
         assert soe[0] == pytest.approx(0.99 * 0.5 + 0.9 * 0.4)
+        for p_chg, p_dis in (([0.4, 0.1], [0.0]), ([[0.4]], [[0.0]]), ([], [])):
+            with pytest.raises(ValueError, match="1-D sequences of equal length"):
+                propagate_soe(params, p_chg, p_dis)
+        with pytest.raises(ValueError, match="nonnegative"):
+            propagate_soe(params, [0.4], [-0.1])
 
     @given(
         params=params_strategy,
@@ -176,6 +181,8 @@ class TestScd:
         assert detect_scd(fixed) == []
         np.testing.assert_allclose(fixed.soe, sch.soe)
         assert feasibility_check(params, fixed).feasible
+        with pytest.raises(ValueError, match="lengths differ"):
+            repair_scd(params, PriceSeries([0.0, 0.0], 1.0), sch)
 
     def test_repair_keeps_objective_at_zero_price(self):
         params = make_params(rho=1.0, s_init=0.2, p_chg_max=1.0, p_dis_max=1.0)
@@ -274,3 +281,7 @@ class TestScheduleJson:
             Schedule(p_chg=[[0.0, 0.0]], p_dis=[[0.0, 0.0]], soe=[[0.0, 0.0]])
         with pytest.raises(ValueError, match="1-D"):
             Schedule(p_chg=0.0, p_dis=0.0, soe=0.0)
+        with pytest.raises(ValueError, match="one length"):
+            Schedule(p_chg=[0.0, 0.0], p_dis=[0.0], soe=[0.0, 0.0])
+        with pytest.raises(ValueError, match="at least one period"):
+            Schedule(p_chg=[], p_dis=[], soe=[])
