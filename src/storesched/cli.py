@@ -50,26 +50,27 @@ PARAM_KEYS = tuple("dt_hours" if f.name == "dt" else f.name for f in fields(Stor
 
 def read_params_file(path) -> StorageParams:
     """Flat key=value file with the keys of PARAM_KEYS; # starts a comment.
-    A ValueError names the offending line, or the file for a missing key
-    or values StorageParams rejects."""
+    A ValueError names the file, and the offending line where there is one
+    (not for a missing key or values StorageParams rejects)."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{where}: expected key=value, got {line!r}")
             key, _, text = line.partition("=")
             key = key.strip()
             if key not in PARAM_KEYS:
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
+                raise ValueError(f"{where}: unknown key {key!r}")
             if key in values:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
+                raise ValueError(f"{where}: duplicate key {key!r}")
             try:
                 values[key] = float(text.strip())
             except ValueError:
-                raise ValueError(f"line {lineno}: bad number for {key}: {text.strip()!r}")
+                raise ValueError(f"{where}: bad number for {key}: {text.strip()!r}")
     missing = [k for k in PARAM_KEYS if k not in values]
     if missing:
         raise ValueError(f"{path}: missing keys: {', '.join(missing)}")

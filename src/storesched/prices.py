@@ -10,10 +10,11 @@ import numpy as np
 
 
 class PriceCsvError(ValueError):
-    """Malformed price CSV. Carries the offending line number."""
+    """Malformed price CSV. Names the file in its message and carries the
+    offending line number."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path}: line {line}: {message}")
         self.line = line
 
 
@@ -106,34 +107,34 @@ def partition(series: PriceSeries) -> PricePartition:
 
 def read_price_csv(path, dt: float = 1.0) -> PriceSeries:
     """Read a price CSV with header ``t,price_eur_per_mwh`` and 1-based
-    contiguous t values.  Raises PriceCsvError with a line number on any
-    format violation."""
+    contiguous t values.  Raises PriceCsvError with the path and a line
+    number on any format violation."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise PriceCsvError(1, "empty file")
+        raise PriceCsvError(path, 1, "empty file")
     header = lines[0].strip()
     if header != "t,price_eur_per_mwh":
-        raise PriceCsvError(1, f"expected header 't,price_eur_per_mwh', got {header!r}")
+        raise PriceCsvError(path, 1, f"expected header 't,price_eur_per_mwh', got {header!r}")
     prices = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         parts = raw.split(",")
         if len(parts) != 2:
-            raise PriceCsvError(lineno, f"expected 2 fields, got {len(parts)}")
+            raise PriceCsvError(path, lineno, f"expected 2 fields, got {len(parts)}")
         try:
             t = int(parts[0])
             price = float(parts[1])
         except ValueError as exc:
-            raise PriceCsvError(lineno, str(exc)) from None
+            raise PriceCsvError(path, lineno, str(exc)) from None
         if t != len(prices) + 1:
-            raise PriceCsvError(lineno, f"expected t={len(prices) + 1}, got t={t}")
+            raise PriceCsvError(path, lineno, f"expected t={len(prices) + 1}, got t={t}")
         if not np.isfinite(price):
-            raise PriceCsvError(lineno, "price must be finite")
+            raise PriceCsvError(path, lineno, "price must be finite")
         prices.append(price)
     if not prices:
-        raise PriceCsvError(2, "no price rows")
+        raise PriceCsvError(path, 2, "no price rows")
     return PriceSeries(prices=np.array(prices), dt=dt)
 
 

@@ -75,7 +75,7 @@ class TestPartition:
                               (header + "1,2\n2,nan\n", "line 3: price must be finite")):
             bad.write_text(text)
             assert run(["partition", "--prices", bad]) == 2
-            assert message in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
 
     def test_directory_as_input_exit_2(self, workspace, capsys):
         assert run(["partition", "--prices", workspace]) == 2
@@ -122,15 +122,15 @@ class TestAdvise:
             (FAST_PARAMS + "rho\n", "line 10: expected key=value, got 'rho'"),
             (FAST_PARAMS + "rho = 1.0\n", "line 10: duplicate key 'rho'"),
             (FAST_PARAMS.replace("rho = 1.0", "rho = one"), "line 8: bad number for rho: 'one'"),
-            (FAST_PARAMS.replace("rho = 1.0\n", ""), "broken.txt: missing keys: rho"),
-            (FAST_PARAMS.replace("s_min = 0", "s_min = 2"), "broken.txt: need 0 <= s_min < s_max"),
+            (FAST_PARAMS.replace("rho = 1.0\n", ""), "missing keys: rho"),
+            (FAST_PARAMS.replace("s_min = 0", "s_min = 2"), "need 0 <= s_min < s_max"),
         ):
             broken.write_text(text)
             code = run(
                 ["advise", "--params", broken, "--prices", workspace / "prices.csv"]
             )
             assert code == 2
-            assert message in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: {broken}: {message}\n"
 
     def test_missing_file(self, workspace, capsys):
         code = run(
@@ -464,6 +464,19 @@ class TestCompare:
         manifest.write_text("params_path,prices_path,label\n\nfast.txt,prices.csv\n")
         assert run(["compare", "--manifest", manifest]) == 2
         assert "manifest line 3: expected 3 columns, got 2" in capsys.readouterr().err
+
+    def test_broken_instance_named(self, workspace, capsys):
+        # the second row's input is broken: the error names its file
+        (workspace / "broken.txt").write_text(FAST_PARAMS + "whatever = 3\n")
+        (workspace / "broken.csv").write_text(PRICES + "9,x\n")
+        manifest = workspace / "manifest.csv"
+        for row, message in (("broken.txt,prices.csv,b", "broken.txt: line 10: unknown key"),
+                             ("slow.txt,broken.csv,b", "broken.csv: line 10: could not convert")):
+            manifest.write_text(f"params_path,prices_path,label\nfast.txt,prices.csv,a\n{row}\n")
+            assert run(["compare", "--manifest", manifest, "--grid", "201"]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {workspace / message}")
 
 
 class TestNoTolFlag:

@@ -113,6 +113,7 @@ class TestCsv:
         with pytest.raises(PriceCsvError) as info:
             read_price_csv(path)
         assert info.value.line == 1
+        assert str(info.value).startswith(f"{path}: line 1: expected header")
 
     def test_noncontiguous_t(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
 
-from _instances import assert_lp_certificate, criterion_4_draws, fast_params, mixed_sign_prices
-from storesched import LpProblem, LpStatus, partition, simplex, solve_bounded_lp, solve_storage_milp
+from _instances import (
+    assert_lp_certificate,
+    criterion_4_draws,
+    fast_params,
+    mixed_sign_prices,
+    slow_params,
+)
+from storesched import (
+    LpProblem,
+    LpStatus,
+    Recommendation,
+    advise,
+    lp,
+    partition,
+    simplex,
+    solve_bounded_lp,
+    solve_storage_lp,
+    solve_storage_milp,
+)
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC, SimplexFailure
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -51,8 +68,10 @@ def scipy_draws():
 class TestAgainstScipy:
     def test_random_problems(self):
         highs_status = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2}
+        flipped = 0
         for problem in scipy_draws():
             mine = solve_bounded_lp(problem)
+            flipped += mine.flips > 0
             a = problem.a
             ref = scipy_opt.linprog(
                 -problem.c,
@@ -66,6 +85,8 @@ class TestAgainstScipy:
                 continue
             assert mine.objective == pytest.approx(-ref.fun, rel=1e-7, abs=1e-7)
             assert_lp_certificate(problem, mine)
+        # so the comparison covers the bound-flipping ratio test (345 draws flip)
+        assert flipped >= 300
 
 
 class TestUpdates:
@@ -86,6 +107,44 @@ class TestUpdates:
         # do, so the pivots differ only where rounding breaks a near tie
         # (on 1 draw; 90 when d is not updated at all)
         assert other_pivots <= 6
+
+
+class TestBoundFlips:
+    def test_one_row_flips_past_breakpoints(self):
+        # x0 is basic at 3.5, above its upper bound 1, so the row must move
+        # 2.5 onto x1..x4, each boxed in [0, 1] at rising cost.  Up to the
+        # ratios 1, 2 and 3 the flips repair 1, 2 and 3 of the 2.5: x1 and
+        # x2 flip to their upper bounds and x3 enters, in one pivot
+        problem = LpProblem(c=[0.0, -1.0, -2.0, -3.0, -4.0], lower=np.zeros(5),
+                            upper=np.ones(5), a=[[1.0, 1.0, 1.0, 1.0, 1.0]], rhs=[3.5])
+        sol = solve_bounded_lp(problem, start=[BASIC, AT_LOWER, AT_LOWER, AT_LOWER, AT_LOWER])
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective == -4.5
+        np.testing.assert_array_equal(sol.x, [1.0, 1.0, 1.0, 0.5, 0.0])
+        np.testing.assert_array_equal(sol.basis, [AT_UPPER, AT_UPPER, AT_UPPER, BASIC, AT_LOWER])
+        assert sol.iterations == 1
+        assert sol.flips == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_slow_storage_week_in_few_pivots(self, seed, monkeypatch):
+        # the LP that the advisor clears: slow storage against an hourly
+        # week of mixed prices (13-20 pivots; 117-188 when the ratio test
+        # passed one breakpoint a pivot)
+        rng = np.random.default_rng(seed)
+        prices = mixed_sign_prices(rng, 168)
+        part = partition(prices)
+        params = slow_params(rng, part.n_bar)
+        assert advise(params, part).recommendation is Recommendation.SOLVE_LP
+        solutions = []
+
+        def recorded(*args, **kwargs):
+            solutions.append(solve_bounded_lp(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(lp, "solve_bounded_lp", recorded)
+        report = solve_storage_lp(params, prices)
+        assert report.kkt_max_residual <= 1e-7
+        assert len(solutions) == 1 and solutions[0].iterations <= 40
 
 
 def inf_norm(matrix):
