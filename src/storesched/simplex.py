@@ -21,14 +21,20 @@ flip is not a pivot; LpSolution counts the two apart.
 
 Each pivot is a revised-simplex step on an explicit basis inverse: a
 rank-1 product-form update of the inverse rows that the entering column
-touches, and updates of x and d along the step.  The inverse is
-refactored every REFACTOR_EVERY pivots and before optimality or
-infeasibility is declared.  Each fresh factor recomputes y and d, places
-the nonbasic variables, then recomputes x, so the answer always comes
-from a fresh inverse, placed against its own reduced costs.  A solve may
-start from the final factor of a related LP with the same matrix and
-basis (a branch-and-bound child from its parent's) instead of inverting
-again.
+touches, and updates of x and d along the step.  The pivot row and the
+entering column are products through nonzeros only: the inverse is
+hypersparse (Hall & McKinnon 2005; at the refined root of an hourly
+fast-storage week 1-5% of its entries are nonzero, and a pivot row has
+4-16 of them on average), and a storage LP column has at most four
+nonzeros.  The inverse is refactored every REFACTOR_EVERY pivots.  Each
+round recomputes y and d, places the nonbasic variables, then recomputes
+x.  A dual pass that ends primal feasible starts another round on the
+same factor; when that round makes no pivot, optimality is declared only
+if its x solves a x = b and its basic reduced costs vanish, both within
+TOL, else the basis is refactored and priced again.  Infeasibility is
+declared only from a fresh factor.  A solve may start from the final
+factor of a related LP with the same matrix and basis (a
+branch-and-bound child from its parent's) instead of inverting again.
 
 A refactor inverts only a kernel: the basic columns with one nonzero
 (the storage LP's leg columns and many powers) form a diagonal block,
@@ -161,6 +167,16 @@ class _Factor:
         self.basis[r] = q
         self.age += 1
 
+    def row(self, r):
+        """The pivot row inv[r] @ a, through the nonzeros of inv[r]."""
+        nz = self.inv[r].nonzero()[0]
+        return self.inv[r].take(nz) @ self.a.take(nz, axis=0)
+
+    def column(self, q):
+        """The entering column inv @ a[:, q], through the nonzeros of a[:, q]."""
+        rows = self.a[:, q].nonzero()[0]
+        return self.inv[:, rows] @ self.a[rows, q]
+
     def primal(self, b, lower, upper, state):
         """Basic solution x, each nonbasic variable at its bound."""
         x = np.where(state == AT_UPPER, upper, lower)
@@ -180,19 +196,24 @@ def _dual(f, b, c, lower, upper, state, max_iter):
     walked in order of the ratio |d_j / alpha_j| at which their reduced
     costs reach zero, and each one whose flip to its other bound still
     leaves the leaving row violated flips; the first whose flip would not,
-    or else the last, enters.  Each fresh factor recomputes y and d, places
-    each movable nonbasic variable at the bound its reduced cost prefers
-    (after a pivot that only undoes rounding), then recomputes x; each pivot
-    updates x and d.  Mutates f and state; returns (status, x, y, d, pivots,
-    flips) from a fresh factor."""
+    or else the last, enters.  Each round recomputes y and d, places each
+    movable nonbasic variable at the bound its reduced cost prefers (after a
+    pivot that only undoes rounding), then recomputes x; each pivot updates
+    x and d.  A pass that ends primal feasible below REFACTOR_EVERY pivots
+    is followed by another round on the same factor.  A round without a
+    pivot ends the solve when its factor is fresh, or when its residuals
+    a x - b and d_B are within TOL; else the basis is refactored.  Mutates
+    f and state; returns (status, x, y, d, pivots, flips), INFEASIBLE only
+    from a fresh factor."""
     movable = lower < upper
     violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
     pivots = flips = 0
-    while True:  # one round per fresh factor
+    while True:  # one round: y, d, placement, x, then a dual pass
         y, d = f.dual(c)
         wrong = movable & np.where(state == AT_LOWER, d > TOL, (state == AT_UPPER) & (d < -TOL))
         state[wrong] = np.where(d[wrong] > 0, AT_UPPER, AT_LOWER)
         x = f.primal(b, lower, upper, state)
+        start = pivots
         while f.age < REFACTOR_EVERY:
             xb = x[f.basis]
             below = lower[f.basis] - xb
@@ -202,7 +223,7 @@ def _dual(f, b, c, lower, upper, state, max_iter):
             if violation[r] > TOL:
                 # alpha_j: how fast raising x_j pushes x_B[r] back toward its
                 # bound; a nonbasic variable moves only away from its own bound
-                raw = f.inv[r] @ f.a
+                raw = f.row(r)
                 alpha = -raw if below[r] > 0 else raw
                 candidates = np.flatnonzero(movable & np.where(
                     state == AT_LOWER, alpha > PIVOT_TOL, (state == AT_UPPER) & (alpha < -PIVOT_TOL)
@@ -227,7 +248,7 @@ def _dual(f, b, c, lower, upper, state, max_iter):
                 k = min(int(np.searchsorted(reach, violation[r])), len(order) - 1)
                 flip, q = order[:k], int(order[k])
             p = f.basis[r]
-            w = f.inv @ f.a[:, q]
+            w = f.column(q)
             if len(flip):
                 to_upper = state[flip] == AT_LOWER
                 step = np.where(to_upper, upper[flip] - lower[flip], lower[flip] - upper[flip])
@@ -237,7 +258,7 @@ def _dual(f, b, c, lower, upper, state, max_iter):
                 flips += len(flip)
             # primal step: x_q moves by t until x_p reaches the bound it
             # violated; dual step: d_q reaches zero, and each flipped d_j
-            # changes sign.  Until the next fresh factor, only x of basic
+            # changes sign.  Until the next round, only x of basic
             # columns and d are read, so x_p and y stay as they are.
             state[p] = AT_LOWER if below[r] > 0 else AT_UPPER
             t = (x[p] - (lower[p] if below[r] > 0 else upper[p])) / w[r]
@@ -246,9 +267,18 @@ def _dual(f, b, c, lower, upper, state, max_iter):
             d -= d[q] / raw[q] * raw
             state[q] = BASIC
             f.pivot(r, q, w)
-        if f.age == 0:
-            status = LpStatus.OPTIMAL if violation[r] <= TOL else LpStatus.INFEASIBLE
-            return status, x, y, d, pivots, flips
+        feasible = violation[r] <= TOL
+        if pivots == start:
+            if f.age == 0:
+                status = LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE
+                return status, x, y, d, pivots, flips
+            # an aged factor answers only while it still solves its basis
+            residual = max(np.abs(f.a @ x - b).max(initial=0.0),
+                           np.abs(d[f.basis]).max(initial=0.0))
+            if feasible and residual <= TOL:
+                return LpStatus.OPTIMAL, x, y, d, pivots, flips
+        elif feasible and f.age < REFACTOR_EVERY:
+            continue
         f.refactor()
 
 

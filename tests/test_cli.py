@@ -4,7 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from storesched import Advice, Recommendation, cli
+from _instances import lp_safe_instance
+from storesched import (
+    Advice,
+    Recommendation,
+    cli,
+    detect_scd,
+    feasibility_check,
+    objective,
+    schedule_from_dict,
+    solve_storage_lp,
+)
 from storesched.cli import build_parser, main
 
 FAST_PARAMS = """\
@@ -22,6 +32,9 @@ dt_hours = 1.0
 SLOW_PARAMS = FAST_PARAMS.replace("p_chg_max = 2.0", "p_chg_max = 0.2").replace(
     "p_dis_max = 2.0", "p_dis_max = 0.2"
 )
+
+PARAM_KEYS = ("s_min", "s_max", "s_init", "p_chg_max", "p_dis_max", "eta_c", "eta_d", "rho",
+              "dt_hours")
 
 PRICES = "t,price_eur_per_mwh\n" + "".join(
     f"{t},{p}\n"
@@ -172,6 +185,37 @@ class TestSolve:
         plot = (out / "plot.csv").read_text().splitlines()
         assert plot[0] == "t,price,p_chg,p_dis,soe"
         assert len(plot) == 9
+
+    def test_lp_report_repairs_costless_scd(self, tmp_path):
+        # lossless storage that the advisor clears can end at an LP vertex
+        # with SCD that costs nothing (42 of these 200 draws, all eta = 1):
+        # the report gives the repaired single-mode schedule at the same
+        # objective, certified by the vertex duals
+        rng = np.random.default_rng(11)
+        repaired = 0
+        for i in range(200):
+            params, prices, _, _ = lp_safe_instance(rng)
+            vertex = solve_storage_lp(params, prices)
+            if not vertex.scd_events:
+                continue
+            (tmp_path / "params.txt").write_text("".join(
+                f"{key} = {getattr(params, key.removesuffix('_hours'))!r}\n" for key in PARAM_KEYS
+            ))
+            (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n" + "".join(
+                f"{t},{float(c)!r}\n" for t, c in enumerate(prices.prices, start=1)
+            ))
+            out = tmp_path / f"lp{i}"
+            assert run(["solve", "--params", tmp_path / "params.txt", "--prices",
+                        tmp_path / "prices.csv", "--formulation", "lp", "--out", out]) == 0
+            doc = json.loads((out / "report.json").read_text())
+            assert doc["scd_events"] == [] and doc["physically_infeasible"] is False
+            assert doc["objective_eur"] == vertex.objective
+            assert doc["kkt_max_residual"] <= 1e-7
+            schedule, dt = schedule_from_dict(doc["schedule"])
+            assert feasibility_check(params, schedule).feasible and not detect_scd(schedule)
+            assert objective(prices, schedule, dt) == pytest.approx(vertex.objective, rel=1e-12)
+            repaired += 1
+        assert repaired >= 30
 
     def test_refined_report_structure(self, workspace):
         out = workspace / "refined"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,86 @@ class TestFactor:
             assert inf_norm(reference @ matrix - eye) <= 1e-12
             assert inf_norm(f.inv - reference) <= 1e-12 * max(1.0, inf_norm(reference))
 
+    @pytest.mark.parametrize("case", ["criterion_4", "fast_T168_root"])
+    def test_products_through_nonzeros(self, case, monkeypatch):
+        # the pivot row and the entering column skip only products with an
+        # exact zero, so they match the dense products up to summation order
+        for a, basis in factor_bases(case, monkeypatch):
+            f = simplex._Factor(a, basis)
+            scale = np.abs(f.inv) @ np.abs(a)  # what the rounding error scales with
+            rows = np.array([f.row(r) for r in range(len(basis))])
+            assert np.all(np.abs(rows - f.inv @ a) <= 1e-14 * scale)
+            columns = np.array([f.column(q) for q in range(a.shape[1])]).T
+            assert np.all(np.abs(columns - f.inv @ a) <= 1e-14 * scale)
+
+    def test_refactors_at_the_fast_T168_root(self, monkeypatch):
+        # the hourly fast-storage week closes at its root: one solve, whose
+        # factorizations are the start basis and one per REFACTOR_EVERY
+        # pivots; its end is checked on the aged factor, not refactored
+        refactors, solutions = [], []
+        real_refactor, real_solve = simplex._Factor.refactor, lp.solve_bounded_lp
+
+        def refactor(f):
+            refactors.append(getattr(f, "age", 0))
+            real_refactor(f)
+
+        def solve(*args, **kwargs):
+            solutions.append(real_solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(simplex._Factor, "refactor", refactor)
+        monkeypatch.setattr(lp, "solve_bounded_lp", solve)
+        rng = np.random.default_rng(168)
+        params = fast_params(rng)
+        prices = mixed_sign_prices(rng, 168)
+        _, stats = solve_storage_milp(params, prices, partition(prices), refined=True)
+        assert stats.nodes == 1 and len(solutions) == 1
+        pivots = solutions[0].iterations
+        assert pivots > simplex.REFACTOR_EVERY
+        assert len(refactors) <= pivots // simplex.REFACTOR_EVERY + 1
+
+
+class TestCheckedFinish:
+    def test_a_corrupted_factor_is_refactored(self, monkeypatch):
+        # scaling the inverse after the last pivot breaks the residuals of
+        # the round on the aged factor: the solve refactors and answers as
+        # the uncorrupted solve does.  The first 120 HiGHS draws have
+        # continuous data, so no reduced cost sits near zero at the optimum
+        problems = list(itertools.islice(scipy_draws(), 120))
+        clean, refactors = [], []
+        real_refactor, real_pivot = simplex._Factor.refactor, simplex._Factor.pivot
+
+        def refactor(f):
+            refactors.append(getattr(f, "age", 0))
+            real_refactor(f)
+
+        monkeypatch.setattr(simplex._Factor, "refactor", refactor)
+        for problem in problems:
+            refactors.clear()
+            clean.append((solve_bounded_lp(problem), len(refactors)))
+        checked = 0
+        for problem, (sol, count) in zip(problems, clean):
+            if sol.status is not LpStatus.OPTIMAL or sol.iterations == 0:
+                continue
+            pivots = []
+
+            def pivot(f, r, q, w):
+                real_pivot(f, r, q, w)
+                pivots.append(q)
+                if len(pivots) == sol.iterations:  # the last pivot
+                    f.inv *= 1.0 + 1e-6
+
+            monkeypatch.setattr(simplex._Factor, "pivot", pivot)
+            refactors.clear()
+            corrupted = solve_bounded_lp(problem)
+            monkeypatch.setattr(simplex._Factor, "pivot", real_pivot)
+            assert len(refactors) == count + 1 and refactors[-1] > 0
+            assert corrupted.iterations == sol.iterations
+            assert corrupted.objective == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
+            np.testing.assert_array_equal(corrupted.basis, sol.basis)
+            checked += 1
+        assert checked >= 100  # all 120
+
 
 class TestSingularStart:
     # columns 0 and 1 are singletons on row 0, column 2 is zero, columns 3
@@ -266,32 +348,31 @@ class TestStatuses:
         assert sol.basis[1] == AT_LOWER
 
     def test_wrong_sign_after_a_dual_pass_is_placed_again(self, monkeypatch):
-        # the first refactor after a pivot finds a nonbasic variable at the
-        # bound its reduced cost does not prefer, as rounding might leave
-        # it: the placement rule of that fresh factor moves it back
-        real_primal, real_refactor = simplex._Factor.primal, simplex._Factor.refactor
-        states, flipped = [], []  # the state each fresh factor's primal saw; flipped variables
+        # the first recompute of y and d after a pivot finds a nonbasic
+        # variable at the bound its reduced cost does not prefer, as rounding
+        # might leave it: the placement rule of that round moves it back
+        real_primal, real_dual = simplex._Factor.primal, simplex._Factor.dual
+        states, flipped = [], []  # the state each round's primal saw; flipped variables
 
         def primal(f, b, lower, upper, state):
             states.append(state)
             return real_primal(f, b, lower, upper, state)
 
-        def refactor(f):
-            pivoted = getattr(f, "age", 0) > 0
-            real_refactor(f)
-            if pivoted and not flipped:
+        def dual(f, c):
+            if f.age > 0 and not flipped:
                 state = states[-1]
                 j = int(np.flatnonzero(state != BASIC)[0])
                 state[j] = AT_UPPER - state[j]
                 flipped.append(j)
+            return real_dual(f, c)
 
         problem = LpProblem(c=[1.0, 2.0], lower=[0.0, 0.0], upper=[1.0, 1.0], a=[[1.0, 1.0]],
                             rhs=[1.0])
         expected = solve_bounded_lp(problem)
         monkeypatch.setattr(simplex._Factor, "primal", primal)
-        monkeypatch.setattr(simplex._Factor, "refactor", refactor)
+        monkeypatch.setattr(simplex._Factor, "dual", dual)
         sol = solve_bounded_lp(problem)
-        assert flipped == [1] and len(states) == 2  # a second fresh factor ran
+        assert flipped == [1] and len(states) == 2  # a second round ran
         assert sol.objective == expected.objective == 2.0
         np.testing.assert_array_equal(sol.basis, expected.basis)
 
