@@ -26,14 +26,15 @@ entering column are products through nonzeros only: the inverse is
 hypersparse (Hall & McKinnon 2005; at the refined root of an hourly
 fast-storage week 1-5% of its entries are nonzero, and a pivot row has
 4-16 of them on average), and a storage LP column has at most four
-nonzeros.  The inverse is refactored every REFACTOR_EVERY pivots.  Each
-round recomputes y and d, places the nonbasic variables, then recomputes
-x.  A dual pass that ends primal feasible starts another round on the
-same factor; when that round makes no pivot, optimality is declared only
-if its x solves a x = b and its basic reduced costs vanish, both within
-TOL, else the basis is refactored and priced again.  Infeasibility is
-declared only from a fresh factor.  A solve may start from the final
-factor of a related LP with the same matrix and basis (a
+nonzeros.  An update stores an entry that cancels below DROP_TOL as 0
+(Huangfu & Hall 2018), so the inverse stays as sparse as a fresh factor.
+Each round recomputes y and d, places the nonbasic variables, recomputes
+x, then makes at most RECOMPUTE_EVERY pivots.  A round on an aged factor
+goes on only if its x solves a x = b and its basic reduced costs vanish,
+both within TOL, else the basis is refactored and priced again: a solve
+is mostly one factorization.  A round without a pivot ends the solve;
+infeasibility is declared only from a fresh factor.  A solve may start
+from the final factor of a related LP with the same matrix and basis (a
 branch-and-bound child from its parent's) instead of inverting again.
 
 A refactor inverts only a kernel: the basic columns with one nonzero
@@ -51,10 +52,14 @@ import numpy as np
 PIVOT_TOL = 1e-9
 TOL = 1e-9  # primal and dual feasibility tolerance
 ITERS_PER_DIM = 200  # a solve may take ITERS_PER_DIM * (n + m + 10) pivots
-REFACTOR_EVERY = 50  # pivots between two factorizations of the basis inverse
+RECOMPUTE_EVERY = 50  # pivots between two recomputations of y, d and x
+# an updated inverse entry below DROP_TOL is stored as 0 (HiGHS's kHighsTiny);
+# the storage LP's matrix entries are 1, rho, dt*eta_c and dt/eta_d, all unitless
+DROP_TOL = 1e-14
 
 # basis codes, one per variable: the bound a nonbasic variable sits at, or BASIC
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
+MOVE = np.array([1.0, -1.0, 0.0])  # the way a variable of each code may move; 0 if basic
 
 
 class LpStatus(enum.Enum):
@@ -109,6 +114,7 @@ class LpSolution:
     objective: float | None = None
     iterations: int = 0  # dual simplex pivots
     flips: int = 0  # nonbasic variables the ratio test moved to their other bound
+    factorizations: int = 0  # bases inverted, start included; 0 if a handed-over factor sufficed
     basis: np.ndarray | None = None  # final basis code of each structural variable
     factor: "_Factor | None" = None  # final factor of that basis, a warm start with it
 
@@ -131,6 +137,7 @@ class _Factor:
         self.singleton_row = (np.where(nonzero.sum(axis=0) == 1, nonzero.argmax(axis=0), -1)
                               if len(a) else np.full(a.shape[1], -1))
         self.basis = np.array(basis, dtype=int)
+        self.factorizations = 0  # since the factor was built or a solve took it over
         self.refactor()
 
     def refactor(self):
@@ -156,14 +163,19 @@ class _Factor:
         self.inv[kernel[:, None], krows] = kinv
         self.inv[single[:, None], krows] = -dinv[:, None] * (ak[srows] @ kinv)
         self.age = 0  # pivots since the last factorization
+        self.factorizations += 1
 
     def pivot(self, r, q, w):
         """Column q replaces the basic column of row r; w = inv @ a[:, q].
-        Only the rows where w is nonzero change."""
-        row = self.inv[r] / w[r]
-        nz = np.flatnonzero(w)
-        self.inv[nz] -= np.outer(w[nz], row)
-        self.inv[r] = row
+        Only entries in rows where w is nonzero and columns where inv[r] is
+        nonzero change: row r is divided by w[r], and in the other rows a
+        cancellation's residue below DROP_TOL is stored as 0."""
+        rows, cols = w.nonzero()[0][:, None], self.inv[r].nonzero()[0]
+        row = self.inv[r, cols] / w[r]
+        new = self.inv[rows, cols] - w[rows] * row
+        new[np.abs(new) < DROP_TOL] = 0.0
+        self.inv[rows, cols] = new
+        self.inv[r, cols] = row
         self.basis[r] = q
         self.age += 1
 
@@ -198,13 +210,12 @@ def _dual(f, b, c, lower, upper, state, max_iter):
     leaves the leaving row violated flips; the first whose flip would not,
     or else the last, enters.  Each round recomputes y and d, places each
     movable nonbasic variable at the bound its reduced cost prefers (after a
-    pivot that only undoes rounding), then recomputes x; each pivot updates
-    x and d.  A pass that ends primal feasible below REFACTOR_EVERY pivots
-    is followed by another round on the same factor.  A round without a
-    pivot ends the solve when its factor is fresh, or when its residuals
-    a x - b and d_B are within TOL; else the basis is refactored.  Mutates
-    f and state; returns (status, x, y, d, pivots, flips), INFEASIBLE only
-    from a fresh factor."""
+    pivot that only undoes rounding), then recomputes x; a round on an aged
+    factor goes on only if a x - b and d_B are within TOL, else the basis is
+    refactored and priced again.  A round's pass makes at most
+    RECOMPUTE_EVERY pivots, each updating x_B and d.  A round without a
+    pivot ends the solve.  Mutates f and state; returns
+    (status, x, y, d, pivots, flips), INFEASIBLE only from a fresh factor."""
     movable = lower < upper
     violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
     pivots = flips = 0
@@ -213,21 +224,27 @@ def _dual(f, b, c, lower, upper, state, max_iter):
         wrong = movable & np.where(state == AT_LOWER, d > TOL, (state == AT_UPPER) & (d < -TOL))
         state[wrong] = np.where(d[wrong] > 0, AT_UPPER, AT_LOWER)
         x = f.primal(b, lower, upper, state)
+        # an aged factor answers only while it still solves its basis
+        if f.age and max(np.abs(f.a @ x - b).max(initial=0.0),
+                         np.abs(d[f.basis]).max(initial=0.0)) > TOL:
+            f.refactor()
+            continue
+        # x_B and its bounds in row order; move is +1 up from lower, -1 down from upper
+        xb, lb, ub = x[f.basis], lower[f.basis], upper[f.basis]
+        move = MOVE[state] * movable
         start = pivots
-        while f.age < REFACTOR_EVERY:
-            xb = x[f.basis]
-            below = lower[f.basis] - xb
-            np.maximum(below, xb - upper[f.basis], out=violation[:-1])
+        while pivots - start < RECOMPUTE_EVERY:
+            below = lb - xb
+            np.maximum(below, xb - ub, out=violation[:-1])
             r = int(np.argmax(violation))
             candidates = []
             if violation[r] > TOL:
-                # alpha_j: how fast raising x_j pushes x_B[r] back toward its
-                # bound; a nonbasic variable moves only away from its own bound
+                # raising x_j pushes x_B[r] back at rate alpha_j = -raw_j (below)
+                # or raw_j (above); x_j moves only by move_j: alpha_j move_j > 0
                 raw = f.row(r)
-                alpha = -raw if below[r] > 0 else raw
-                candidates = np.flatnonzero(movable & np.where(
-                    state == AT_LOWER, alpha > PIVOT_TOL, (state == AT_UPPER) & (alpha < -PIVOT_TOL)
-                ))
+                slope = raw * move
+                candidates = np.flatnonzero(
+                    slope < -PIVOT_TOL if below[r] > 0 else slope > PIVOT_TOL)
             if len(candidates) == 0:
                 break
             if pivots >= max_iter:
@@ -239,46 +256,39 @@ def _dual(f, b, c, lower, upper, state, max_iter):
             # and that one enters.  Most pivots (69-76% on the benchmark's
             # workloads) stop at the min-ratio candidate, so it is tested
             # before any sort; the sort alone would pick the same pivot
-            ratio = np.abs(d[candidates] / alpha[candidates])
+            ratio = np.abs(d[candidates] / raw[candidates])
             q = int(candidates[np.argmin(ratio)])
             flip = candidates[:0]
-            if abs(alpha[q]) * (upper[q] - lower[q]) < violation[r]:
+            if abs(raw[q]) * (upper[q] - lower[q]) < violation[r]:
                 order = candidates[np.argsort(ratio, kind="stable")]
-                reach = np.cumsum(np.abs(alpha[order]) * (upper[order] - lower[order]))
+                reach = np.cumsum(np.abs(raw[order]) * (upper[order] - lower[order]))
                 k = min(int(np.searchsorted(reach, violation[r])), len(order) - 1)
                 flip, q = order[:k], int(order[k])
             p = f.basis[r]
             w = f.column(q)
             if len(flip):
-                to_upper = state[flip] == AT_LOWER
-                step = np.where(to_upper, upper[flip] - lower[flip], lower[flip] - upper[flip])
-                state[flip] = np.where(to_upper, AT_UPPER, AT_LOWER)
-                x[flip] = np.where(to_upper, upper[flip], lower[flip])
-                x[f.basis] -= f.inv @ (f.a[:, flip] @ step)
+                xb -= f.inv @ (f.a[:, flip] @ (move[flip] * (upper[flip] - lower[flip])))
+                state[flip] = np.where(move[flip] > 0, AT_UPPER, AT_LOWER)
+                move[flip] = -move[flip]
                 flips += len(flip)
-            # primal step: x_q moves by t until x_p reaches the bound it
-            # violated; dual step: d_q reaches zero, and each flipped d_j
-            # changes sign.  Until the next round, only x of basic
-            # columns and d are read, so x_p and y stay as they are.
+            # primal step: x_q moves by t from its bound until x_p reaches
+            # the bound it violated; dual step: d_q reaches zero, and each
+            # flipped d_j changes sign.  Until the next round, only x_B and
+            # d are read, so the full x and y stay as they are.
+            t = (xb[r] - (lb[r] if below[r] > 0 else ub[r])) / w[r]
+            xq = (lower[q] if move[q] > 0 else upper[q]) + t
+            xb -= t * w
+            xb[r], lb[r], ub[r] = xq, lower[q], upper[q]
             state[p] = AT_LOWER if below[r] > 0 else AT_UPPER
-            t = (x[p] - (lower[p] if below[r] > 0 else upper[p])) / w[r]
-            x[f.basis] -= t * w
-            x[q] += t
+            move[p] = MOVE[state[p]] * movable[p]
+            state[q], move[q] = BASIC, 0.0
             d -= d[q] / raw[q] * raw
-            state[q] = BASIC
             f.pivot(r, q, w)
-        feasible = violation[r] <= TOL
-        if pivots == start:
-            if f.age == 0:
-                status = LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE
-                return status, x, y, d, pivots, flips
-            # an aged factor answers only while it still solves its basis
-            residual = max(np.abs(f.a @ x - b).max(initial=0.0),
-                           np.abs(d[f.basis]).max(initial=0.0))
-            if feasible and residual <= TOL:
-                return LpStatus.OPTIMAL, x, y, d, pivots, flips
-        elif feasible and f.age < REFACTOR_EVERY:
+        if pivots > start:
             continue
+        feasible = violation[r] <= TOL
+        if feasible or f.age == 0:
+            return (LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE), x, y, d, pivots, flips
         f.refactor()
 
 
@@ -307,7 +317,7 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
             raise ValueError("factor must be of the start basis and the same matrix")
         # rows in column order, as a fresh factor has them, so that ties
         # between rows break the same way
-        factor.basis, factor.inv = basis, factor.inv[order]
+        factor.basis, factor.inv, factor.factorizations = basis, factor.inv[order], 0
         f = factor
     else:
         try:
@@ -323,7 +333,8 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
 
     status, x, y, d, pivots, flips = _dual(f, b, c, lower, upper, state, max_iter)
     if status is not LpStatus.OPTIMAL:
-        return LpSolution(status=status, iterations=pivots, flips=flips)
+        return LpSolution(status=status, iterations=pivots, flips=flips,
+                          factorizations=f.factorizations)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         x=x[:n].copy(),
@@ -332,6 +343,7 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
         objective=float(problem.c @ x[:n]),
         iterations=pivots,
         flips=flips,
+        factorizations=f.factorizations,
         basis=state[:n].copy(),
         factor=f if f.a is a else None,  # not with artificial columns
     )

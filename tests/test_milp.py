@@ -232,12 +232,12 @@ class TestFactorHandOff:
         assert all(r.factor is None for r in reports)
 
     def test_updates_match_a_recompute(self, monkeypatch):
-        # a refactor after every pivot recomputes x, y and d each time
-        # instead of updating them
+        # a recompute after every pivot takes x, y and d from the factor
+        # each time instead of updating them
         draws = list(criterion_4_draws(100))
         updated = [solve_storage_milp(*draw, refined=refined)[0].objective
                    for draw in draws for refined in (False, True)]
-        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
+        monkeypatch.setattr(simplex, "RECOMPUTE_EVERY", 1)
         fresh = [solve_storage_milp(*draw, refined=refined)[0].objective
                  for draw in draws for refined in (False, True)]
         np.testing.assert_allclose(fresh, updated, rtol=1e-9, atol=0)

@@ -8,6 +8,7 @@ from _instances import (
     criterion_4_draws,
     fast_params,
     mixed_sign_prices,
+    random_params,
     slow_params,
 )
 from storesched import (
@@ -93,11 +94,11 @@ class TestAgainstScipy:
 
 class TestUpdates:
     def test_updates_match_a_recompute(self, monkeypatch):
-        # a refactor after every pivot recomputes x, y and d each time
-        # instead of updating them
+        # a recompute after every pivot takes x, y and d from the factor
+        # each time instead of updating them
         problems = list(scipy_draws())
         updated = [solve_bounded_lp(p) for p in problems]
-        monkeypatch.setattr(simplex, "REFACTOR_EVERY", 1)
+        monkeypatch.setattr(simplex, "RECOMPUTE_EVERY", 1)
         other_pivots = 0
         for problem, sol in zip(problems, updated):
             fresh = solve_bounded_lp(problem)
@@ -218,30 +219,64 @@ class TestFactor:
             assert np.all(np.abs(columns - f.inv @ a) <= 1e-14 * scale)
 
     def test_refactors_at_the_fast_T168_root(self, monkeypatch):
-        # the hourly fast-storage week closes at its root: one solve, whose
-        # factorizations are the start basis and one per REFACTOR_EVERY
-        # pivots; its end is checked on the aged factor, not refactored
-        refactors, solutions = [], []
-        real_refactor, real_solve = simplex._Factor.refactor, lp.solve_bounded_lp
-
-        def refactor(f):
-            refactors.append(getattr(f, "age", 0))
-            real_refactor(f)
+        # the hourly fast-storage week closes at its root: one solve over
+        # several rounds, each on an aged factor whose residuals pass, so
+        # the start basis is the only factorization
+        solutions = []
+        real_solve = lp.solve_bounded_lp
 
         def solve(*args, **kwargs):
             solutions.append(real_solve(*args, **kwargs))
             return solutions[-1]
 
-        monkeypatch.setattr(simplex._Factor, "refactor", refactor)
         monkeypatch.setattr(lp, "solve_bounded_lp", solve)
         rng = np.random.default_rng(168)
         params = fast_params(rng)
         prices = mixed_sign_prices(rng, 168)
         _, stats = solve_storage_milp(params, prices, partition(prices), refined=True)
         assert stats.nodes == 1 and len(solutions) == 1
-        pivots = solutions[0].iterations
-        assert pivots > simplex.REFACTOR_EVERY
-        assert len(refactors) <= pivots // simplex.REFACTOR_EVERY + 1
+        assert solutions[0].iterations > 4 * simplex.RECOMPUTE_EVERY  # 223
+        assert solutions[0].factorizations == 1
+
+
+class TestTightUpdate:
+    def test_a_cancelled_entry_is_stored_as_zero(self):
+        # column 2 replaces column 1: the new basis [[0.6, 0.1], [0.6, 0]]
+        # has inverse [[0, 1/0.6], [10, -10]], and the update computes its
+        # zero as 1/0.6 - (0.1/0.6) * 10, which rounds to -2.2e-16
+        a = np.array([[0.6, 0.0, 0.1], [0.6, 0.2, 0.0]])
+        f = simplex._Factor(a, [0, 1])
+        w = f.column(2)
+        assert f.inv[0, 0] - w[0] * (f.inv[1, 0] / w[1]) != 0.0
+        f.pivot(1, 2, w)
+        assert f.inv[0, 0] == 0.0
+        np.testing.assert_allclose(f.inv, [[0.0, 1 / 0.6], [10.0, -10.0]], rtol=1e-15)
+        # an entry of 1e-10 is no residue: it survives the update
+        f = simplex._Factor(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1e-10]]), [0, 1])
+        f.pivot(0, 2, f.column(2))
+        np.testing.assert_array_equal(f.inv, [[1.0, 0.0], [-1e-10, 1.0]])
+
+
+class TestHourlyMonth:
+    @pytest.mark.parametrize("generator, legs", [(random_params, False), (fast_params, True)])
+    def test_one_factorization(self, generator, legs):
+        # an hourly month (T = 720) solves on the start basis's factor alone,
+        # and the updated inverse ends as sparse as a fresh one
+        rng = np.random.default_rng(0)
+        params = generator(rng)
+        prices = mixed_sign_prices(rng, 720)
+        problem = lp.build_lp(params, prices, partition(prices).t_neg if legs else ())
+        T = len(prices)
+        start = np.full(problem.n, AT_LOWER)
+        start[2 * T :] = BASIC
+        sol = solve_bounded_lp(problem, start=start)
+        ref = scipy_opt.linprog(-problem.c, A_eq=problem.a, b_eq=problem.rhs,
+                                bounds=list(zip(problem.lower, problem.upper)), method="highs")
+        assert sol.objective == pytest.approx(-ref.fun, rel=1e-9)
+        assert sol.factorizations == 1
+        fresh = simplex._Factor(problem.a, sol.factor.basis)
+        assert np.abs(sol.factor.inv - fresh.inv).max() <= 1e-12
+        assert np.count_nonzero(sol.factor.inv) <= np.count_nonzero(fresh.inv)
 
 
 class TestCheckedFinish:
@@ -250,20 +285,10 @@ class TestCheckedFinish:
         # the round on the aged factor: the solve refactors and answers as
         # the uncorrupted solve does.  The first 120 HiGHS draws have
         # continuous data, so no reduced cost sits near zero at the optimum
-        problems = list(itertools.islice(scipy_draws(), 120))
-        clean, refactors = [], []
-        real_refactor, real_pivot = simplex._Factor.refactor, simplex._Factor.pivot
-
-        def refactor(f):
-            refactors.append(getattr(f, "age", 0))
-            real_refactor(f)
-
-        monkeypatch.setattr(simplex._Factor, "refactor", refactor)
-        for problem in problems:
-            refactors.clear()
-            clean.append((solve_bounded_lp(problem), len(refactors)))
+        real_pivot = simplex._Factor.pivot
         checked = 0
-        for problem, (sol, count) in zip(problems, clean):
+        for problem in itertools.islice(scipy_draws(), 120):
+            sol = solve_bounded_lp(problem)
             if sol.status is not LpStatus.OPTIMAL or sol.iterations == 0:
                 continue
             pivots = []
@@ -275,10 +300,9 @@ class TestCheckedFinish:
                     f.inv *= 1.0 + 1e-6
 
             monkeypatch.setattr(simplex._Factor, "pivot", pivot)
-            refactors.clear()
             corrupted = solve_bounded_lp(problem)
             monkeypatch.setattr(simplex._Factor, "pivot", real_pivot)
-            assert len(refactors) == count + 1 and refactors[-1] > 0
+            assert corrupted.factorizations == sol.factorizations + 1
             assert corrupted.iterations == sol.iterations
             assert corrupted.objective == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
             np.testing.assert_array_equal(corrupted.basis, sol.basis)
