@@ -101,6 +101,29 @@ def _duals_from_solution(T: int, y: np.ndarray, d: np.ndarray) -> DualVector:
     )
 
 
+def _duration_start(problem: LpProblem, T: int) -> np.ndarray:
+    """Start basis codes that follow the charge duration.  Where a period's
+    price pays for a power (charge at a negative price, discharge at a
+    positive one) and that power at full rate crosses the period's whole
+    level range, the optimum mostly runs the level to a bound: the power
+    starts basic and the level nonbasic, at the bound its reduced cost
+    prefers.  Every other period (zero price, slow storage) keeps its level
+    basic, and the leg columns stay basic.  The basic columns are lower
+    triangular in the balance rows, with a diagonal block of leg columns,
+    so the start factor is sparse, and with every bound finite any basis
+    is dual feasible once the simplex places each nonbasic variable."""
+    t = np.arange(T)
+    a, c, lower, upper = problem.a, problem.c, problem.lower, problem.upper
+    span = upper[2 * T : 3 * T] - lower[2 * T : 3 * T]
+    chg = (c[:T] > 0) & (-a[t, t] * upper[:T] >= span)
+    dis = (c[T : 2 * T] > 0) & (a[t, T + t] * upper[T : 2 * T] >= span)
+    start = np.full(problem.n, AT_LOWER)
+    start[2 * T :] = BASIC
+    start[: 2 * T][np.concatenate([chg, dis])] = BASIC
+    start[2 * T : 3 * T][chg | dis] = AT_LOWER
+    return start
+
+
 def solve_lp(problem: LpProblem, start=None, factor=None) -> SolveReport:
     """Solve a problem from build_lp, possibly with tightened bounds, and
     return the schedule, duals (without leg rows only) and SCD events.
@@ -109,11 +132,7 @@ def solve_lp(problem: LpProblem, start=None, factor=None) -> SolveReport:
     report's factor, which the solve then changes."""
     T = (problem.n - problem.m) // 2  # n = 3T + 2K columns, m = T + 2K rows
     if start is None:
-        # the columns from 2T on (soe, then the leg columns) form a
-        # triangular basis with zero cost, so y = 0 and d = c: the simplex
-        # puts each power at the bound its price prefers
-        start = np.full(problem.n, AT_LOWER)
-        start[2 * T :] = BASIC
+        start = _duration_start(problem, T)
     sol = solve_bounded_lp(problem, start=start, factor=factor)
     if sol.status is not LpStatus.OPTIMAL:
         return SolveReport(status=sol.status)

@@ -5,10 +5,12 @@ Returns row duals and reduced costs for KKT verification, and the final
 basis as a warm start for related LPs.
 
 The start basis is the given one when it has m independent basic
-columns (the storage LP's state-of-energy basis, or a branch-and-bound
-child's parent optimum: tightening a bound leaves every reduced cost
-unchanged), else one artificial column per row, fixed at zero.  With
-every bound finite, any basis is dual feasible once each nonbasic
+columns, else one artificial column per row, fixed at zero.  The storage
+LP gives the charge-duration basis of lp.solve_lp: in each period the
+level is basic, or, where the power the price pays for crosses the whole
+level range at full rate, that power.  A branch-and-bound child gives its
+parent's optimum: tightening a bound leaves every reduced cost unchanged.
+With every bound finite, any basis is dual feasible once each nonbasic
 variable sits at the bound its reduced cost prefers.  So no phase 1 is
 needed, and a dual pass that ends primal feasible ends optimal.
 

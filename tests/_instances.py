@@ -156,6 +156,14 @@ def criterion_4_draws(count):
         yield params, prices, partition(prices)
 
 
+def level_start(problem, T):
+    """The storage LP's state-of-energy start: every power at its lower
+    bound, every level and leg column basic."""
+    start = np.full(problem.n, AT_LOWER)
+    start[2 * T :] = BASIC
+    return start
+
+
 def assert_lp_certificate(problem, sol):
     """The optimality certificate of an OPTIMAL bounded LP solution: x
     within its bounds and rows, zero reduced costs on basic columns, and on

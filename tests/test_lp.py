@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _instances import mixed_sign_prices, random_params
+from _instances import (
+    assert_lp_certificate,
+    fast_params,
+    level_start,
+    mixed_sign_prices,
+    random_params,
+)
 from storesched import (
     DpConfig,
     MissingDuals,
@@ -12,11 +20,14 @@ from storesched import (
     detect_scd,
     feasibility_check,
     kkt_verify,
+    lp,
     objective,
+    partition,
     solve_dp,
     solve_lp,
     solve_bounded_lp,
     solve_storage_lp,
+    solve_storage_milp,
 )
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
 
@@ -249,3 +260,79 @@ class TestWarmStart:
                 sol = solve_bounded_lp(problem, start=start)
                 assert sol.objective == pytest.approx(want, rel=1e-9)
                 assert bounded_kkt_residual(problem, sol) <= 1e-7
+
+
+@st.composite
+def duration_instances(draw):
+    """Storage fast both ways, fast to charge only, fast to discharge only or
+    slow, with leakage, and prices that mix zero, negative and positive
+    periods.  A fast power at full rate crosses the whole level range."""
+    kind = draw(st.sampled_from(["both", "charge", "discharge", "slow"]))
+    dt = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    s_min = draw(st.sampled_from([0.0, 0.2]))
+    cap = draw(st.floats(0.5, 2.0))
+    eta_c, eta_d = draw(st.floats(0.8, 1.0)), draw(st.floats(0.8, 1.0))
+    fast, slow = st.floats(1.0, 2.0), st.floats(0.1, 0.9)
+    chg = draw(fast if kind in ("both", "charge") else slow)
+    dis = draw(fast if kind in ("both", "discharge") else slow)
+    params = StorageParams(
+        s_min=s_min, s_max=s_min + cap, s_init=s_min + cap * draw(st.floats(0.0, 1.0)),
+        p_chg_max=chg * cap / (dt * eta_c), p_dis_max=dis * cap * eta_d / dt,
+        eta_c=eta_c, eta_d=eta_d, rho=draw(st.floats(0.95, 0.9999)), dt=dt,
+    )
+    price = st.one_of(st.just(0.0), st.floats(-80.0, -1.0), st.floats(1.0, 80.0))
+    prices = draw(st.lists(price, min_size=1, max_size=24))
+    return params, PriceSeries(np.array(prices), dt)
+
+
+class TestDurationStart:
+    @given(instance=duration_instances(), legs=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_start_is_kept_and_exact(self, instance, legs):
+        # the charge-duration start factors (no artificial fallback) and
+        # ends at the objective of the level-basis start, with a certificate
+        params, prices = instance
+        problem = build_lp(params, prices, partition(prices).t_neg if legs else ())
+        T = len(prices)
+        solutions = []
+
+        def recorded(*args, **kwargs):
+            solutions.append(solve_bounded_lp(*args, **kwargs))
+            return solutions[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "solve_bounded_lp", recorded)
+            report = solve_lp(problem)
+        assert report.factor is not None
+        want = solve_bounded_lp(problem, start=level_start(problem, T))
+        assert report.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
+        assert_lp_certificate(problem, solutions[0])
+
+    def test_fewer_pivots_at_the_fast_T168_root(self):
+        rng = np.random.default_rng(168)
+        params = fast_params(rng)
+        prices = mixed_sign_prices(rng, 168)
+        problem = build_lp(params, prices, partition(prices).t_neg)
+        level = solve_bounded_lp(problem, start=level_start(problem, 168))
+        duration = solve_bounded_lp(problem, start=lp._duration_start(problem, 168))
+        assert duration.objective == pytest.approx(level.objective, rel=1e-9)
+        assert duration.iterations < 0.7 * level.iterations  # 88 against 223
+
+    def test_fast_T720_milp_closes_in_few_pivots(self, monkeypatch):
+        # the refined MILP of an hourly month of fast storage: 991 pivots
+        # from the level-basis start
+        pivots = []
+        real = lp.solve_bounded_lp
+
+        def recorded(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            pivots.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(lp, "solve_bounded_lp", recorded)
+        rng = np.random.default_rng(0)
+        params = fast_params(rng)
+        prices = mixed_sign_prices(rng, 720)
+        _, stats = solve_storage_milp(params, prices, partition(prices), refined=True)
+        assert stats.nodes == 1
+        assert sum(pivots) <= 500  # 381

@@ -7,6 +7,7 @@ from _instances import (
     assert_lp_certificate,
     criterion_4_draws,
     fast_params,
+    level_start,
     mixed_sign_prices,
     random_params,
     slow_params,
@@ -221,7 +222,10 @@ class TestFactor:
     def test_refactors_at_the_fast_T168_root(self, monkeypatch):
         # the hourly fast-storage week closes at its root: one solve over
         # several rounds, each on an aged factor whose residuals pass, so
-        # the start basis is the only factorization
+        # the start basis is the only factorization.  The root starts from
+        # the charge-duration basis and takes 88 pivots, so shorter rounds
+        # keep more than four of them on the one factor
+        monkeypatch.setattr(simplex, "RECOMPUTE_EVERY", 20)
         solutions = []
         real_solve = lp.solve_bounded_lp
 
@@ -235,7 +239,7 @@ class TestFactor:
         prices = mixed_sign_prices(rng, 168)
         _, stats = solve_storage_milp(params, prices, partition(prices), refined=True)
         assert stats.nodes == 1 and len(solutions) == 1
-        assert solutions[0].iterations > 4 * simplex.RECOMPUTE_EVERY  # 223
+        assert solutions[0].iterations > 4 * simplex.RECOMPUTE_EVERY  # 88
         assert solutions[0].factorizations == 1
 
 
@@ -266,10 +270,7 @@ class TestHourlyMonth:
         params = generator(rng)
         prices = mixed_sign_prices(rng, 720)
         problem = lp.build_lp(params, prices, partition(prices).t_neg if legs else ())
-        T = len(prices)
-        start = np.full(problem.n, AT_LOWER)
-        start[2 * T :] = BASIC
-        sol = solve_bounded_lp(problem, start=start)
+        sol = solve_bounded_lp(problem, start=level_start(problem, len(prices)))
         ref = scipy_opt.linprog(-problem.c, A_eq=problem.a, b_eq=problem.rhs,
                                 bounds=list(zip(problem.lower, problem.upper)), method="highs")
         assert sol.objective == pytest.approx(-ref.fun, rel=1e-9)
