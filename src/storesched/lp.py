@@ -50,7 +50,7 @@ class SolveReport:
     scd_events: list | None = None
     kkt_max_residual: float | None = None
     basis: np.ndarray | None = None  # final simplex basis, a warm start for related LPs
-    factor: object = None  # the simplex factor of basis, until a B&B child takes it over
+    factor: object = None  # the simplex factor of basis, until the next B&B node takes it over
 
 
 def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> LpProblem:
@@ -129,13 +129,14 @@ def solve_lp(problem: LpProblem, start=None, factor=None) -> SolveReport:
     return the schedule, duals (without leg rows only) and SCD events.
     start is a basis to warm-start from, such as the SolveReport.basis of
     an LP that differs only in its bounds, and factor optionally that
-    report's factor, which the solve then changes."""
+    report's factor, which the solve then changes.  An infeasible report
+    carries its basis and factor too."""
     T = (problem.n - problem.m) // 2  # n = 3T + 2K columns, m = T + 2K rows
     if start is None:
         start = _duration_start(problem, T)
     sol = solve_bounded_lp(problem, start=start, factor=factor)
     if sol.status is not LpStatus.OPTIMAL:
-        return SolveReport(status=sol.status)
+        return SolveReport(status=sol.status, basis=sol.basis, factor=sol.factor)
     x = sol.x
     schedule = Schedule(p_chg=x[:T].copy(), p_dis=x[T : 2 * T].copy(), soe=x[2 * T : 3 * T].copy())
     duals = _duals_from_solution(T, sol.y, sol.reduced_costs) if problem.m == T else None

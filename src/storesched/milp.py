@@ -90,17 +90,18 @@ def solve_milp(problem: MilpProblem):
     best_obj = -np.inf
     T = len(problem.prices)
     node = copy.copy(problem.base)  # shares a, c and rhs; takes each node's upper bounds
-    # DFS over (upper bounds, parent basis, parent factor), children in a
-    # fixed order: deterministic optimum and schedule.  A child only sets
-    # one power's upper bound to 0, so its parent's optimal basis stays
-    # dual feasible and warm-starts the child's LP.  Only the child solved
-    # next takes over the parent's factor: one inverse per stack entry
-    # would cost m x m floats each.
-    stack = [(problem.base.upper, None, None)]
+    # DFS over upper bounds, children in a fixed order: deterministic
+    # optimum and schedule.  Every node LP after the root starts from the
+    # basis and the factor the previous node LP ended on: with every bound
+    # finite, any basis is dual feasible once its nonbasic variables are
+    # placed.  So a tree factorizes once, at its root, unless a residual
+    # check or a proof of infeasibility asks for a fresh factor.
+    stack = [problem.base.upper]
+    basis = factor = None
     while stack:
-        node.upper, basis, factor = stack.pop()
+        node.upper = stack.pop()
         report = solve_lp(node, start=basis, factor=factor)
-        factor, report.factor = report.factor, None
+        basis, factor, report.factor = report.basis, report.factor, None
         stats.nodes += 1
         if report.status is LpStatus.INFEASIBLE:
             continue
@@ -122,8 +123,8 @@ def solve_milp(problem: MilpProblem):
         chg_off, dis_off = node.upper.copy(), node.upper.copy()
         chg_off[t - 1] = 0.0
         dis_off[T + t - 1] = 0.0
-        stack.append((dis_off, report.basis, None))
-        stack.append((chg_off, report.basis, factor))  # solved first
+        stack.append(dis_off)
+        stack.append(chg_off)  # solved first
     if incumbent is None:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
     stats.gap = 0.0

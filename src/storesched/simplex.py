@@ -8,11 +8,11 @@ The start basis is the given one when it has m independent basic
 columns, else one artificial column per row, fixed at zero.  The storage
 LP gives the charge-duration basis of lp.solve_lp: in each period the
 level is basic, or, where the power the price pays for crosses the whole
-level range at full rate, that power.  A branch-and-bound child gives its
-parent's optimum: tightening a bound leaves every reduced cost unchanged.
-With every bound finite, any basis is dual feasible once each nonbasic
-variable sits at the bound its reduced cost prefers.  So no phase 1 is
-needed, and a dual pass that ends primal feasible ends optimal.
+level range at full rate, that power.  A branch-and-bound node gives the
+basis the previous node's LP ended on, optimal or infeasible.  With every
+bound finite, any basis is dual feasible once each nonbasic variable sits
+at the bound its reduced cost prefers.  So no phase 1 is needed, and a
+dual pass that ends primal feasible ends optimal.
 
 The ratio test flips bounds (Maros 2003; Koberstein 2005): the entering
 candidates are passed in order of the dual step at which their reduced
@@ -35,9 +35,11 @@ x, then makes at most RECOMPUTE_EVERY pivots.  A round on an aged factor
 goes on only if its x solves a x = b and its basic reduced costs vanish,
 both within TOL, else the basis is refactored and priced again: a solve
 is mostly one factorization.  A round without a pivot ends the solve;
-infeasibility is declared only from a fresh factor.  A solve may start
-from the final factor of a related LP with the same matrix and basis (a
-branch-and-bound child from its parent's) instead of inverting again.
+infeasibility is declared only from a fresh factor.  A solve may take
+over the final factor of an LP with the same matrix and basis, optimal or
+infeasible, as it is, rows in that LP's order: a branch-and-bound tree
+inverts once, at its root, unless a residual check or a proof of
+infeasibility asks for a fresh factor.
 
 A refactor inverts only a kernel: the basic columns with one nonzero
 (the storage LP's leg columns and many powers) form a diagonal block,
@@ -301,8 +303,8 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
     BASIC, as in LpSolution.basis); where it lacks m independent basic
     columns, artificial columns stand in for its basic ones.  factor
     optionally is the LpSolution.factor of an LP with the same matrix
-    whose basis is start's: the solve takes it over instead of inverting
-    the start basis again."""
+    whose basis is start's, optimal or infeasible: the solve takes it over
+    as it is, and changes it, instead of inverting the start basis again."""
     n, m = problem.n, problem.m
     max_iter = ITERS_PER_DIM * (n + m + 10)
     a, b, c, lower, upper = problem.a, problem.rhs, problem.c, problem.lower, problem.upper
@@ -314,12 +316,9 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
     state = state.astype(np.int8)
     basis = np.flatnonzero(state == BASIC)
     if factor is not None:
-        order = np.argsort(factor.basis)
-        if factor.a is not a or not np.array_equal(factor.basis[order], basis):
+        if factor.a is not a or not np.array_equal(np.sort(factor.basis), basis):
             raise ValueError("factor must be of the start basis and the same matrix")
-        # rows in column order, as a fresh factor has them, so that ties
-        # between rows break the same way
-        factor.basis, factor.inv, factor.factorizations = basis, factor.inv[order], 0
+        factor.factorizations = 0
         f = factor
     else:
         try:
@@ -334,18 +333,10 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
         c, lower, upper = (np.concatenate([v, np.zeros(m)]) for v in (c, lower, upper))
 
     status, x, y, d, pivots, flips = _dual(f, b, c, lower, upper, state, max_iter)
-    if status is not LpStatus.OPTIMAL:
-        return LpSolution(status=status, iterations=pivots, flips=flips,
-                          factorizations=f.factorizations)
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        x=x[:n].copy(),
-        y=y,
-        reduced_costs=d[:n].copy(),
-        objective=float(problem.c @ x[:n]),
-        iterations=pivots,
-        flips=flips,
-        factorizations=f.factorizations,
-        basis=state[:n].copy(),
-        factor=f if f.a is a else None,  # not with artificial columns
-    )
+    sol = LpSolution(status, iterations=pivots, flips=flips, factorizations=f.factorizations,
+                     basis=state[:n].copy(),
+                     factor=f if f.a is a else None)  # not with artificial columns
+    if status is LpStatus.OPTIMAL:
+        sol.x, sol.y, sol.reduced_costs = x[:n].copy(), y, d[:n].copy()
+        sol.objective = float(problem.c @ sol.x)
+    return sol

@@ -146,6 +146,27 @@ def inexact_instance(rng):
     return params, prices, part
 
 
+def leaky_instance(rng):
+    """Storage that leaks toward a floor it must stay above, against mostly
+    negative prices: forbidding a charge can leave a branch-and-bound node
+    with no schedule that keeps the level above s_min."""
+    s_min = float(rng.uniform(0.2, 0.6))
+    s_max = s_min + float(rng.uniform(0.3, 1.0))
+    params = StorageParams(
+        s_min=s_min,
+        s_max=s_max,
+        s_init=float(rng.uniform(s_min, s_max)),
+        p_chg_max=float(rng.uniform(0.05, 0.5)),
+        p_dis_max=float(rng.uniform(0.05, 0.5)),
+        eta_c=float(rng.uniform(0.8, 0.99)),
+        eta_d=float(rng.uniform(0.8, 0.99)),
+        rho=float(rng.uniform(0.7, 0.95)),
+        dt=1.0,
+    )
+    prices = PriceSeries(rng.normal(-5.0, 40.0, int(rng.integers(4, 13))), 1.0)
+    return params, prices, partition(prices)
+
+
 def criterion_4_draws(count):
     """The first count (params, prices, partition) draws of acceptance
     criterion 4."""

@@ -6,6 +6,7 @@ from _instances import (
     criterion_4_draws,
     fast_params,
     inexact_instance,
+    leaky_instance,
     lp_safe_instance,
     mixed_sign_prices,
     random_params,
@@ -190,10 +191,24 @@ class TestSolve:
         assert len(optimal) > 16  # more than one per solve: some draws branch
 
 
+def node_lps(monkeypatch):
+    """The LpSolution of every node LP solved from now on, in order."""
+    sols = []
+
+    def recorded(*args, **kwargs):
+        sols.append(solve_bounded_lp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(lp, "solve_bounded_lp", recorded)
+    return sols
+
+
 class TestFactorHandOff:
-    def test_parent_factor_matches_basis_codes(self, monkeypatch):
-        # each child that takes over its parent's factor is solved a second
-        # time from its basis codes alone, which factorizes afresh
+    def test_taken_over_factor_matches_a_fresh_solve(self, monkeypatch):
+        # every node LP after the root takes over the factor the previous
+        # node LP ended on; each is solved a second time from its basis codes
+        # alone, which factorizes afresh.  At a degenerate vertex the two may
+        # end on different bases, so only the answers are compared
         handed = []
 
         def compared(problem, start=None, factor=None):
@@ -203,17 +218,19 @@ class TestFactorHandOff:
             sol = solve_bounded_lp(problem, start=start, factor=factor)
             assert sol.status is codes.status
             if sol.status is LpStatus.OPTIMAL:
-                np.testing.assert_array_equal(sol.basis, codes.basis)
+                assert_lp_certificate(problem, sol)
                 assert sol.objective == pytest.approx(codes.objective, rel=1e-12, abs=1e-12)
                 np.testing.assert_allclose(sol.x, codes.x, rtol=0, atol=1e-12)
             handed.append(sol.status)
             return sol
 
         monkeypatch.setattr(lp, "solve_bounded_lp", compared)
-        for params, prices, part in criterion_4_draws(30):
+        nodes = trees = 0
+        for params, prices, part in criterion_4_draws(100):
             for refined in (False, True):
-                solve_storage_milp(params, prices, part, refined=refined)
-        assert handed.count(LpStatus.OPTIMAL) > 20
+                nodes += solve_storage_milp(params, prices, part, refined=refined)[1].nodes
+                trees += 1
+        assert len(handed) == nodes - trees > 800  # every node but each root
 
     def test_no_report_keeps_a_factor(self, monkeypatch):
         reports = []
@@ -241,6 +258,63 @@ class TestFactorHandOff:
         fresh = [solve_storage_milp(*draw, refined=refined)[0].objective
                  for draw in draws for refined in (False, True)]
         np.testing.assert_allclose(fresh, updated, rtol=1e-9, atol=0)
+
+
+class TestOneFactorPerTree:
+    """Each node LP continues from the basis and factor the previous one
+    ended on, so a tree without an infeasible node factorizes once, at its
+    root."""
+
+    def test_criterion_4_draws(self, monkeypatch):
+        sols = node_lps(monkeypatch)
+        for params, prices, part in criterion_4_draws(100):
+            for refined in (False, True):
+                sols.clear()
+                solve_storage_milp(params, prices, part, refined=refined)
+                assert sum(s.factorizations for s in sols) == 1
+
+    def test_branching_instance(self, monkeypatch):
+        # the 27-node instance of TestSolve.test_determinism
+        sols = node_lps(monkeypatch)
+        rng = np.random.default_rng(27)
+        params = random_params(rng)
+        prices = mixed_sign_prices(rng, 18)
+        _, stats = solve_storage_milp(params, prices, partition(prices))
+        assert stats.nodes == len(sols) == 27
+        assert sum(s.factorizations for s in sols) == 1
+
+    def test_lossy_ten_days(self, monkeypatch):
+        # lossy storage (rho = 0.999, s_min = 0.2) over 240 hours: 637 nodes
+        sols = node_lps(monkeypatch)
+        rng = np.random.default_rng(0)
+        params = random_params(rng)
+        prices = mixed_sign_prices(rng, 240)
+        part = partition(prices)
+        report, stats = solve_storage_milp(params, prices, part, refined=True)
+        assert stats.nodes > 600
+        assert sum(s.factorizations for s in sols) == 1
+        assert report.objective == pytest.approx(5513.500216505903, rel=1e-9)
+        ref = highs_objective(params, prices, part.t_neg)
+        assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+    def test_infeasible_node_hands_over(self, monkeypatch):
+        # on these leaky draws one node LP is infeasible; infeasibility is
+        # declared from a fresh factor, which the next node LP takes over
+        rng = np.random.default_rng(5)
+        draws = [leaky_instance(rng) for _ in range(349)]
+        sols = node_lps(monkeypatch)
+        for i in (142, 298, 348):
+            params, prices, part = draws[i]
+            ref = highs_objective(params, prices, part.t_neg)
+            for refined in (False, True):
+                sols.clear()
+                report, _ = solve_storage_milp(params, prices, part, refined=refined)
+                assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+                infeasible = [k for k, s in enumerate(sols) if s.status is LpStatus.INFEASIBLE]
+                assert infeasible and infeasible[-1] < len(sols) - 1
+                for k in infeasible:
+                    assert sols[k].factor is not None
+                    assert sols[k + 1].factorizations == 0
 
 
 class TestInfeasibleStorage:
