@@ -6,6 +6,8 @@ to the refined MILP.
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .prices import PricePartition, PriceSeries
 from .storage import (
     DEFAULT_TOL,
@@ -14,9 +16,9 @@ from .storage import (
     check_assumption_leakage,
 )
 
-#: Subset enumeration cap for the capacity-balance subset system with
-#: leakage (about 4M subsets); beyond it the search reports inconclusive
-#: and the advisor routes to the refined MILP.
+#: Longest negative run that theorem1_condition2 enumerates with leakage:
+#: it bounds memory at 2^22 candidate levels (32 MB); beyond it the search
+#: reports inconclusive.
 SUBSET_ENUMERATION_CAP = 22
 
 #: Tolerance (MWh) within which theorem1_condition2 accepts a required
@@ -196,55 +198,52 @@ def theorem1_condition2(
         rho^n * s + dt * (eta_c*Pc * sum_{t in C} rho^(tau2-t)
                           - Pd/eta_d * sum_{t in D} rho^(tau2-t)) = s_max.
 
-    Returns the first witness (smallest charge-set size without leakage,
-    lexicographic subset order with leakage) or None if no witness exists.
-    Raises SubsetSearchInconclusive when rho < 1 and the run is longer than
-    SUBSET_ENUMERATION_CAP.
+    One array holds the start level each split requires; the first that
+    passes the level test is the witness (smallest charge set without
+    leakage, lexicographic subset order with leakage), else None.  With
+    leakage the array has 2^n entries: 32 MB and 0.1 s at n = 22.  Raises
+    SubsetSearchInconclusive when rho < 1 and n > SUBSET_ENUMERATION_CAP,
+    and ValueError when s_fixed is not a finite level in [s_min, s_max].
     """
     n = part.n_bar
     if n == 0:
         raise NoNegativePrices("no strictly negative prices in the series")
+    if s_fixed is not None and not params.s_min <= s_fixed <= params.s_max:
+        raise ValueError(f"s_fixed = {s_fixed} is not a finite level in [s_min, s_max]")
     tau1, tau2 = part.longest_neg
     run = tuple(range(tau1, tau2 + 1))
-    dt = params.dt
-    chg = dt * params.eta_c * params.p_chg_max
-    dis = dt * params.p_dis_max / params.eta_d
-
-    def check_level(s_required: float) -> float | None:
-        if s_fixed is not None:
-            return s_fixed if abs(s_required - s_fixed) <= LEVEL_TOL else None
-        if params.s_min - LEVEL_TOL <= s_required <= params.s_max + LEVEL_TOL:
-            return min(max(s_required, params.s_min), params.s_max)
-        return None
+    chg = params.dt * params.eta_c * params.p_chg_max
+    dis = params.dt * params.p_dis_max / params.eta_d
 
     if params.rho == 1.0:
-        # weights collapse: only the count k = |charge set| matters
-        for k in range(n + 1):
-            s_required = params.s_max - (chg * k - dis * (n - k))
-            s = check_level(s_required)
-            if s is not None:
-                return Thm1Cond2Witness(
-                    s=s, charge_set=run[:k], discharge_set=run[k:]
-                )
+        # weights collapse: candidate k charges the first k periods
+        k = np.arange(n + 1)
+        s = params.s_max - (chg * k - dis * (n - k))
+    else:
+        if n > SUBSET_ENUMERATION_CAP:
+            raise SubsetSearchInconclusive(
+                f"longest negative run of {n} periods exceeds the enumeration cap"
+            )
+        # bit j of an index charges run[j]: each total sums its terms in run order
+        s = np.zeros(1 << n)
+        for j, t in enumerate(run):
+            w, h = params.rho ** (tau2 - t), 1 << j
+            np.add(s[:h], chg * w, out=s[h : 2 * h])
+            s[:h] += -dis * w
+        np.subtract(params.s_max, s, out=s)
+        s /= params.rho**n
+    hit = (np.abs(s - s_fixed) <= LEVEL_TOL if s_fixed is not None
+           else (params.s_min - LEVEL_TOL <= s) & (s <= params.s_max + LEVEL_TOL))
+    i = int(np.argmax(hit))
+    if not hit[i]:
         return None
-
-    if n > SUBSET_ENUMERATION_CAP:
-        raise SubsetSearchInconclusive(
-            f"longest negative run of {n} periods exceeds the enumeration cap"
-        )
-    weights = [params.rho ** (tau2 - t) for t in run]
-    rho_n = params.rho**n
-    for mask in range(1 << n):
-        total = 0.0
-        for i in range(n):
-            total += chg * weights[i] if mask >> i & 1 else -dis * weights[i]
-        s_required = (params.s_max - total) / rho_n
-        s = check_level(s_required)
-        if s is not None:
-            charge = tuple(run[i] for i in range(n) if mask >> i & 1)
-            discharge = tuple(run[i] for i in range(n) if not mask >> i & 1)
-            return Thm1Cond2Witness(s=s, charge_set=charge, discharge_set=discharge)
-    return None
+    mask = (1 << i) - 1 if params.rho == 1.0 else i
+    level = s_fixed if s_fixed is not None else min(max(float(s[i]), params.s_min), params.s_max)
+    return Thm1Cond2Witness(
+        s=level,
+        charge_set=tuple(t for j, t in enumerate(run) if mask >> j & 1),
+        discharge_set=tuple(t for j, t in enumerate(run) if not mask >> j & 1),
+    )
 
 
 def theorem2_check(params: StorageParams, part: PricePartition) -> bool:

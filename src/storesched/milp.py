@@ -28,7 +28,7 @@ import numpy as np
 from .lp import InfeasibleStorage, SolveReport, build_lp, solve_lp
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpStatus
-from .storage import DEFAULT_TOL, StorageParams, detect_scd, repair_scd
+from .storage import StorageParams, detect_scd, repair_scd
 
 
 @dataclass
@@ -67,16 +67,19 @@ def build_milp(
 
 
 def _branch_period(problem: MilpProblem, report: SolveReport) -> int | None:
-    """Binary period with SCD whose implied charge binary is most
-    fractional; most negative price, then earliest t, breaks ties."""
-    t = np.asarray(problem.binary_periods, dtype=int)
-    p_chg = report.schedule.p_chg[t - 1]
-    scd = (p_chg > DEFAULT_TOL) & (report.schedule.p_dis[t - 1] > DEFAULT_TOL)
-    if not scd.any():
+    """Binary period among the report's SCD events whose implied charge
+    binary is most fractional; most negative price, then earliest t,
+    breaks ties."""
+    binary = set(problem.binary_periods)
+    events = [ev for ev in report.scd_events if ev.t in binary]
+    if not events:
         return None
-    t, frac = t[scd], p_chg[scd] / problem.params.p_chg_max
-    order = np.lexsort((t, problem.prices.prices[t - 1], -np.minimum(frac, 1 - frac)))
-    return int(t[order[0]])
+
+    def rank(ev):
+        frac = ev.p_chg_t / problem.params.p_chg_max
+        return -min(frac, 1 - frac), problem.prices.prices[ev.t - 1], ev.t
+
+    return min(events, key=rank).t
 
 
 def solve_milp(problem: MilpProblem):

@@ -177,12 +177,9 @@ def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityR
 
 def detect_scd(schedule: Schedule) -> list:
     """Periods where charge and discharge both exceed DEFAULT_TOL, sorted by t."""
-    events = []
-    for k in range(len(schedule)):
-        if schedule.p_chg[k] > DEFAULT_TOL and schedule.p_dis[k] > DEFAULT_TOL:
-            events.append(ScdEvent(t=k + 1, p_chg_t=float(schedule.p_chg[k]),
-                                   p_dis_t=float(schedule.p_dis[k])))
-    return events
+    scd = np.flatnonzero((schedule.p_chg > DEFAULT_TOL) & (schedule.p_dis > DEFAULT_TOL))
+    return [ScdEvent(t=k + 1, p_chg_t=float(schedule.p_chg[k]), p_dis_t=float(schedule.p_dis[k]))
+            for k in scd.tolist()]
 
 
 def duration_of_charge(params: StorageParams) -> float:

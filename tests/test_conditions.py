@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from storesched import (
     Schedule,
     StorageParams,
     SubsetSearchInconclusive,
+    Thm1Cond2Witness,
     advise,
     check_assumption_leakage,
     corollary2_inexact,
@@ -26,6 +29,7 @@ from storesched import (
     theorem2_check,
     theorem3_shat,
 )
+from storesched.conditions import LEVEL_TOL
 
 
 def unit_storage(p_chg, p_dis, eta=0.9, rho=1.0, s_init=0.0):
@@ -152,6 +156,106 @@ class TestTheorem1Cond2:
     def test_cap_does_not_apply_without_leakage(self):
         part = partition(run_series(1, 23, 1))
         theorem1_condition2(unit_storage(0.2, 0.2, rho=1.0), part)
+
+
+def reference_condition2(params, part, s_fixed=None):
+    """Scalar reference for theorem1_condition2: a loop over the charge
+    count without leakage, a loop over every charge set with it."""
+    n = part.n_bar
+    tau1, tau2 = part.longest_neg
+    run = tuple(range(tau1, tau2 + 1))
+    dt = params.dt
+    chg = dt * params.eta_c * params.p_chg_max
+    dis = dt * params.p_dis_max / params.eta_d
+
+    def check_level(s_required):
+        if s_fixed is not None:
+            return s_fixed if abs(s_required - s_fixed) <= LEVEL_TOL else None
+        if params.s_min - LEVEL_TOL <= s_required <= params.s_max + LEVEL_TOL:
+            return min(max(s_required, params.s_min), params.s_max)
+        return None
+
+    if params.rho == 1.0:
+        for k in range(n + 1):
+            s = check_level(params.s_max - (chg * k - dis * (n - k)))
+            if s is not None:
+                return Thm1Cond2Witness(s=s, charge_set=run[:k], discharge_set=run[k:])
+        return None
+    weights = [params.rho ** (tau2 - t) for t in run]
+    rho_n = params.rho**n
+    for mask in range(1 << n):
+        total = 0.0
+        for i in range(n):
+            total += chg * weights[i] if mask >> i & 1 else -dis * weights[i]
+        s = check_level((params.s_max - total) / rho_n)
+        if s is not None:
+            charge = tuple(run[i] for i in range(n) if mask >> i & 1)
+            discharge = tuple(run[i] for i in range(n) if not mask >> i & 1)
+            return Thm1Cond2Witness(s=s, charge_set=charge, discharge_set=discharge)
+    return None
+
+
+class TestTheorem1Cond2Search:
+    @staticmethod
+    def _draws(rng, count, n_max):
+        """Random storage and one negative run; on half of the draws powers
+        and levels lie on a 0.1 grid, so that splits land exactly."""
+        for _ in range(count):
+            n = int(rng.integers(1, n_max + 1))
+            rho = float(rng.choice([1.0, 0.999, 0.99, 0.95, 0.9]))
+            dt, eta = float(rng.choice([0.5, 1.0])), float(rng.choice([0.9, 1.0]))
+            if rng.random() < 0.5:
+                p_chg, p_dis = rng.integers(1, 11, 2) / 10
+                s_min = rng.integers(0, 5) / 10
+                s_max = s_min + rng.integers(1, 11) / 10
+            else:
+                p_chg, p_dis = rng.uniform(0.01, 1.0, 2)
+                s_min = rng.uniform(0.0, 0.5)
+                s_max = s_min + rng.uniform(0.1, 1.0)
+            params = StorageParams(
+                s_min=float(s_min), s_max=float(s_max), s_init=float(s_min),
+                p_chg_max=float(p_chg), p_dis_max=float(p_dis),
+                eta_c=eta, eta_d=eta, rho=rho, dt=dt,
+            )
+            before, after = rng.integers(0, 3, 2)
+            prices = [5.0] * before + [-5.0] * n + [5.0] * after
+            yield params, partition(PriceSeries(prices, dt))
+
+    def test_witnesses_match_the_scalar_search(self):
+        found = Counter()
+        rng = np.random.default_rng(7)
+        for params, part in self._draws(rng, 300, 10):
+            drawn = float(rng.uniform(params.s_min, params.s_max))
+            levels = [None, params.s_min, params.s_max, drawn]
+            free = reference_condition2(params, part)
+            if free is not None:
+                levels.append(free.s)  # a level some split lands from, also with leakage
+            for s_fixed in levels:
+                witness = theorem1_condition2(params, part, s_fixed=s_fixed)
+                # repr pins the level's bits, not only its value
+                assert repr(witness) == repr(reference_condition2(params, part, s_fixed))
+                if witness is not None:
+                    found[params.rho == 1.0, s_fixed is None] += 1
+        # witnesses at both kinds of rho, in both modes
+        assert len(found) == 4 and min(found.values()) >= 5, found
+
+    def test_cap_boundary_with_leakage(self):
+        part = partition(run_series(1, 22, 1))
+        params = unit_storage(0.2, 0.2, rho=0.99)
+        # no split lands on s_max from an empty store: every candidate is scanned
+        assert theorem1_condition2(params, part, s_fixed=0.0) is None
+        witness = theorem1_condition2(params, part)
+        assert witness == reference_condition2(params, part)
+        assert witness.charge_set == tuple(range(2, 16))
+        assert witness.discharge_set == tuple(range(16, 24))
+        assert witness.s == 0.6695486515520064
+
+    @pytest.mark.parametrize("s_fixed", [2.0, float("nan"), float("inf")])
+    def test_rejects_a_start_level_outside_the_range(self, s_fixed):
+        params = StorageParams(s_min=0, s_max=1, s_init=0, p_chg_max=0.5, p_dis_max=0.5)
+        part = partition(PriceSeries([1, -1, -1, 1], 1.0))
+        with pytest.raises(ValueError, match="s_fixed"):
+            theorem1_condition2(params, part, s_fixed=s_fixed)
 
 
 class TestTheorem2:

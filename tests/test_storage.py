@@ -19,6 +19,7 @@ from storesched import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from storesched.storage import DEFAULT_TOL
 
 
 def make_params(**overrides):
@@ -172,6 +173,21 @@ class TestScd:
     def test_tolerance(self):
         sch = Schedule(p_chg=[1e-9], p_dis=[0.5], soe=[0.5])
         assert detect_scd(sch) == []
+
+    def test_detect_matches_a_per_period_loop(self):
+        rng = np.random.default_rng(3)
+        values = np.array([0.0, 1e-7, 1.0000001e-7, 0.3, np.nan, np.inf, -0.2])
+        for _ in range(50):
+            T = int(rng.integers(1, 40))
+            sch = Schedule(p_chg=rng.choice(values, T), p_dis=rng.choice(values, T),
+                           soe=np.zeros(T))
+            expected = [
+                (k + 1, float(sch.p_chg[k]), float(sch.p_dis[k])) for k in range(T)
+                if sch.p_chg[k] > DEFAULT_TOL and sch.p_dis[k] > DEFAULT_TOL
+            ]
+            events = detect_scd(sch)
+            assert [(ev.t, ev.p_chg_t, ev.p_dis_t) for ev in events] == expected
+            assert all(type(ev.t) is int and type(ev.p_chg_t) is float for ev in events)
 
     def test_repair_zero_price(self):
         params = make_params(rho=1.0, s_init=0.0, p_chg_max=1.0, p_dis_max=1.0)
