@@ -231,9 +231,16 @@ def theorem1_condition2(
             np.add(s[:h], chg * w, out=s[h : 2 * h])
             s[:h] += -dis * w
         np.subtract(params.s_max, s, out=s)
-        s /= params.rho**n
-    hit = (np.abs(s - s_fixed) <= LEVEL_TOL if s_fixed is not None
-           else (params.s_min - LEVEL_TOL <= s) & (s <= params.s_max + LEVEL_TOL))
+        # rho^n > 0 may round to a subnormal or to 0, and is divided by as a
+        # positive number: a split that lands on s_max needs s = 0, any other
+        # a level beyond every float (inf), which no level test passes
+        with np.errstate(divide="ignore", over="ignore"):
+            np.divide(s, params.rho**n, out=s, where=s != 0)
+    if s_fixed is not None:
+        s -= s_fixed  # in place: with a fixed level, s[i] is not read again
+        hit = np.abs(s, out=s) <= LEVEL_TOL
+    else:
+        hit = (params.s_min - LEVEL_TOL <= s) & (s <= params.s_max + LEVEL_TOL)
     i = int(np.argmax(hit))
     if not hit[i]:
         return None

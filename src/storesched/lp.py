@@ -105,22 +105,32 @@ def _duration_start(problem: LpProblem, T: int) -> np.ndarray:
     """Start basis codes that follow the charge duration.  Where a period's
     price pays for a power (charge at a negative price, discharge at a
     positive one) and that power at full rate crosses the period's whole
-    level range, the optimum mostly runs the level to a bound: the power
-    starts basic and the level nonbasic, at the bound its reduced cost
-    prefers.  Every other period (zero price, slow storage) keeps its level
-    basic, and the leg columns stay basic.  The basic columns are lower
-    triangular in the balance rows, with a diagonal block of leg columns,
-    so the start factor is sparse, and with every bound finite any basis
-    is dual feasible once the simplex places each nonbasic variable."""
+    level range, the level starts nonbasic, at the bound its reduced cost
+    prefers, and the discharge starts basic.  At a negative price that is
+    the LP's simultaneous charge and discharge (SCD) vertex: the charge
+    runs at full rate, nonbasic, and the discharge burns what the level
+    cannot hold; at a leg period the charge stays basic and the charge leg
+    m^c starts nonbasic instead.  Every other period (zero price, slow
+    storage) keeps its level basic, and the other leg columns stay basic.
+    The basic columns are block lower triangular in period order, each
+    block nonsingular (at a negative-price leg period, {p_chg, p_dis, m^d}
+    on the rows {balance, charge leg, discharge leg} has determinant
+    dt^2 eta_c / eta_d), so the start always factors; with every bound
+    finite any basis is dual feasible once the simplex places each
+    nonbasic variable."""
     t = np.arange(T)
     a, c, lower, upper = problem.a, problem.c, problem.lower, problem.upper
     span = upper[2 * T : 3 * T] - lower[2 * T : 3 * T]
     chg = (c[:T] > 0) & (-a[t, t] * upper[:T] >= span)
     dis = (c[T : 2 * T] > 0) & (a[t, T + t] * upper[T : 2 * T] >= span)
+    t_leg = a[T : (problem.m + T) // 2, :T].nonzero()[1]  # the period of each charge-leg row
+    burn = chg[t_leg]  # leg periods that start at the SCD vertex
     start = np.full(problem.n, AT_LOWER)
     start[2 * T :] = BASIC
-    start[: 2 * T][np.concatenate([chg, dis])] = BASIC
+    start[T : 2 * T][chg | dis] = BASIC
     start[2 * T : 3 * T][chg | dis] = AT_LOWER
+    start[t_leg[burn]] = BASIC
+    start[3 * T : 3 * T + len(t_leg)][burn] = AT_LOWER
     return start
 
 

@@ -250,6 +250,20 @@ class TestTheorem1Cond2Search:
         assert witness.discharge_set == tuple(range(16, 24))
         assert witness.s == 0.6695486515520064
 
+    @pytest.mark.parametrize("rho, charge_set", [(1e-16, (20, 21)), (1e-20, (21,))])
+    def test_rho_n_below_the_normal_floats(self, rho, charge_set):
+        # rho^20 is subnormal (1e-320) or rounds to 0: the split whose total
+        # rounds to s_max needs s = 0, every other an infinite level, and the
+        # search answers without a divide or overflow warning (an error here)
+        part = partition(run_series(1, 20, 1))
+        params = StorageParams(s_min=0, s_max=1, s_init=0, p_chg_max=1, p_dis_max=1, rho=rho)
+        witness = theorem1_condition2(params, part)
+        assert witness.s == 0.0 and witness.charge_set == charge_set
+        assert theorem1_condition2(params, part, s_fixed=0.0) == witness
+        assert theorem1_condition2(params, part, s_fixed=0.5) is None
+        short = StorageParams(s_min=0, s_max=1, s_init=0, p_chg_max=0.7, p_dis_max=1, rho=rho)
+        assert theorem1_condition2(short, part) is None
+
     @pytest.mark.parametrize("s_fixed", [2.0, float("nan"), float("inf")])
     def test_rejects_a_start_level_outside_the_range(self, s_fixed):
         params = StorageParams(s_min=0, s_max=1, s_init=0, p_chg_max=0.5, p_dis_max=0.5)

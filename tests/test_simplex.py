@@ -223,9 +223,9 @@ class TestFactor:
         # the hourly fast-storage week closes at its root: one solve over
         # several rounds, each on an aged factor whose residuals pass, so
         # the start basis is the only factorization.  The root starts from
-        # the charge-duration basis and takes 88 pivots, so shorter rounds
+        # the charge-duration basis and takes 27 pivots, so shorter rounds
         # keep more than four of them on the one factor
-        monkeypatch.setattr(simplex, "RECOMPUTE_EVERY", 20)
+        monkeypatch.setattr(simplex, "RECOMPUTE_EVERY", 5)
         solutions = []
         real_solve = lp.solve_bounded_lp
 
@@ -239,7 +239,7 @@ class TestFactor:
         prices = mixed_sign_prices(rng, 168)
         _, stats = solve_storage_milp(params, prices, partition(prices), refined=True)
         assert stats.nodes == 1 and len(solutions) == 1
-        assert solutions[0].iterations > 4 * simplex.RECOMPUTE_EVERY  # 88
+        assert solutions[0].iterations > 4 * simplex.RECOMPUTE_EVERY  # 27
         assert solutions[0].factorizations == 1
 
 
