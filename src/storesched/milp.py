@@ -8,7 +8,10 @@ suboptimal or removable at equal objective.  Since the binaries never
 enter the objective, branching is done directly on the exclusivity
 disjunction: a child either forbids charging or forbids discharging at
 the chosen period (equivalent to fixing u_t^C or u_t^D to zero with the
-exact big-M links p <= u * p_max).
+exact big-M links p <= u * p_max).  The search branches at the SCD event
+whose netting to one mode costs the LP most, dt*|C_t|*b_t*(1 - eta_c*eta_d)/eta_c
+for the energy b_t = min(eta_c*p_chg_t, p_dis_t/eta_d) charged and discharged
+at once, and first solves the child that keeps the mode the LP nets there.
 
 Both variants share one relaxation, build_lp(params, prices, part.t_neg),
 and differ only in binary_periods, the periods where the search may
@@ -28,7 +31,7 @@ import numpy as np
 from .lp import InfeasibleStorage, SolveReport, build_lp, solve_lp
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpStatus
-from .storage import StorageParams, detect_scd, repair_scd
+from .storage import ScdEvent, StorageParams, detect_scd, repair_scd
 
 
 @dataclass
@@ -66,20 +69,23 @@ def build_milp(
     )
 
 
-def _branch_period(problem: MilpProblem, report: SolveReport) -> int | None:
-    """Binary period among the report's SCD events whose implied charge
-    binary is most fractional; most negative price, then earliest t,
-    breaks ties."""
+def _branch_period(problem: MilpProblem, report: SolveReport) -> ScdEvent | None:
+    """The report's SCD event at a binary period with the largest |C_t|*b_t,
+    earliest t on ties, where b_t = min(eta_c*p_chg_t, p_dis_t/eta_d) is the
+    energy t charges and discharges at once: netting t to one mode costs the
+    LP exactly dt*|C_t|*b_t*(1 - eta_c*eta_d)/eta_c.  solve_milp then dives
+    into the child that keeps the mode the LP nets at t, the larger of the two."""
     binary = set(problem.binary_periods)
     events = [ev for ev in report.scd_events if ev.t in binary]
     if not events:
         return None
+    eta_c, eta_d = problem.params.eta_c, problem.params.eta_d
 
     def rank(ev):
-        frac = ev.p_chg_t / problem.params.p_chg_max
-        return -min(frac, 1 - frac), problem.prices.prices[ev.t - 1], ev.t
+        both = min(eta_c * ev.p_chg_t, ev.p_dis_t / eta_d)
+        return -abs(problem.prices.prices[ev.t - 1]) * both, ev.t
 
-    return min(events, key=rank).t
+    return min(events, key=rank)
 
 
 def solve_milp(problem: MilpProblem):
@@ -93,7 +99,7 @@ def solve_milp(problem: MilpProblem):
     best_obj = -np.inf
     T = len(problem.prices)
     node = copy.copy(problem.base)  # shares a, c and rhs; takes each node's upper bounds
-    # DFS over upper bounds, children in a fixed order: deterministic
+    # DFS over upper bounds, children ordered by the node LP: deterministic
     # optimum and schedule.  Every node LP after the root starts from the
     # basis and the factor the previous node LP ended on: with every bound
     # finite, any basis is dual feasible once its nonbasic variables are
@@ -112,8 +118,8 @@ def solve_milp(problem: MilpProblem):
             stats.root_bound = report.objective
         if report.objective <= best_obj + 1e-12 * max(1.0, abs(best_obj)):
             continue
-        t = _branch_period(problem, report)
-        if t is None:
+        event = _branch_period(problem, report)
+        if event is None:
             # integral-equivalent: no SCD at any binary period; repair any
             # residual zero-price SCD and promote to incumbent
             schedule = repair_scd(problem.params, problem.prices, report.schedule)
@@ -124,10 +130,11 @@ def solve_milp(problem: MilpProblem):
             stats.incumbent_updates += 1
             continue
         chg_off, dis_off = node.upper.copy(), node.upper.copy()
-        chg_off[t - 1] = 0.0
-        dis_off[T + t - 1] = 0.0
-        stack.append(dis_off)
-        stack.append(chg_off)  # solved first
+        chg_off[event.t - 1] = 0.0
+        dis_off[T + event.t - 1] = 0.0
+        # dive: the child that keeps the mode the LP nets at t is solved first
+        nets_charge = problem.params.eta_c * event.p_chg_t > event.p_dis_t / problem.params.eta_d
+        stack += [chg_off, dis_off] if nets_charge else [dis_off, chg_off]
     if incumbent is None:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
     stats.gap = 0.0

@@ -17,6 +17,8 @@ from storesched import (
     LpStatus,
     PriceSeries,
     Schedule,
+    ScdEvent,
+    SolveReport,
     StorageParams,
     build_lp,
     build_milp,
@@ -153,7 +155,7 @@ class TestSolve:
             return sol
 
         monkeypatch.setattr(lp, "solve_bounded_lp", counted)
-        # an instance whose refined MILP still branches (27 nodes) despite
+        # an instance whose refined MILP still branches (5 nodes) despite
         # the leg rows, so that there is a tree to walk
         rng = np.random.default_rng(27)
         params = random_params(rng)
@@ -226,7 +228,7 @@ class TestFactorHandOff:
 
         monkeypatch.setattr(lp, "solve_bounded_lp", compared)
         nodes = trees = 0
-        for params, prices, part in criterion_4_draws(100):
+        for params, prices, part in criterion_4_draws(150):
             for refined in (False, True):
                 nodes += solve_storage_milp(params, prices, part, refined=refined)[1].nodes
                 trees += 1
@@ -274,24 +276,24 @@ class TestOneFactorPerTree:
                 assert sum(s.factorizations for s in sols) == 1
 
     def test_branching_instance(self, monkeypatch):
-        # the 27-node instance of TestSolve.test_determinism
+        # the 5-node instance of TestSolve.test_determinism
         sols = node_lps(monkeypatch)
         rng = np.random.default_rng(27)
         params = random_params(rng)
         prices = mixed_sign_prices(rng, 18)
         _, stats = solve_storage_milp(params, prices, partition(prices))
-        assert stats.nodes == len(sols) == 27
+        assert stats.nodes == len(sols) == 5
         assert sum(s.factorizations for s in sols) == 1
 
     def test_lossy_ten_days(self, monkeypatch):
-        # lossy storage (rho = 0.999, s_min = 0.2) over 240 hours: 637 nodes
+        # lossy storage (rho = 0.999, s_min = 0.2) over 240 hours: 121 nodes
         sols = node_lps(monkeypatch)
         rng = np.random.default_rng(0)
         params = random_params(rng)
         prices = mixed_sign_prices(rng, 240)
         part = partition(prices)
         report, stats = solve_storage_milp(params, prices, part, refined=True)
-        assert stats.nodes > 600
+        assert stats.nodes == len(sols) == 121
         assert sum(s.factorizations for s in sols) == 1
         assert report.objective == pytest.approx(5513.500216505903, rel=1e-9)
         ref = highs_objective(params, prices, part.t_neg)
@@ -301,9 +303,9 @@ class TestOneFactorPerTree:
         # on these leaky draws one node LP is infeasible; infeasibility is
         # declared from a fresh factor, which the next node LP takes over
         rng = np.random.default_rng(5)
-        draws = [leaky_instance(rng) for _ in range(349)]
+        draws = [leaky_instance(rng) for _ in range(941)]
         sols = node_lps(monkeypatch)
-        for i in (142, 298, 348):
+        for i in (502, 671, 940):
             params, prices, part = draws[i]
             ref = highs_objective(params, prices, part.t_neg)
             for refined in (False, True):
@@ -315,6 +317,63 @@ class TestOneFactorPerTree:
                 for k in infeasible:
                     assert sols[k].factor is not None
                     assert sols[k + 1].factorizations == 0
+
+
+class TestSearchOrder:
+    """The search branches at the SCD event that earns the LP the most and
+    first solves the child that keeps the mode the LP nets there."""
+
+    def test_branches_where_scd_earns_most(self):
+        prices = PriceSeries([-1.0, -10.0, -10.0], 1.0)
+        problem = build_milp(unit_storage(), prices, True, partition(prices))
+        report = SolveReport(status=LpStatus.OPTIMAL, scd_events=[
+            ScdEvent(t=1, p_chg_t=1.0, p_dis_t=1.0),  # charge binary 0.5: most fractional
+            ScdEvent(t=2, p_chg_t=0.2, p_dis_t=0.5),  # |C_t|*b_t = 10 * 0.18, the most
+            ScdEvent(t=3, p_chg_t=0.2, p_dis_t=0.5),  # a tie: the earlier t wins
+        ])
+        assert milp._branch_period(problem, report).t == 2
+
+    def test_first_child_keeps_the_netted_mode(self, monkeypatch):
+        nodes = []
+
+        def recorded(node, start=None, factor=None):
+            report = lp.solve_lp(node, start=start, factor=factor)
+            nodes.append((node.upper.copy(), report))
+            return report
+
+        monkeypatch.setattr(milp, "solve_lp", recorded)
+        branched = 0
+        for params, prices, part in criterion_4_draws(100):
+            T = len(prices)
+            for refined in (False, True):
+                nodes.clear()
+                solve_storage_milp(params, prices, part, refined=refined)
+                for (upper, report), (child, _) in zip(nodes, nodes[1:]):
+                    cut = np.flatnonzero(child != upper)
+                    if len(cut) != 1 or child[cut[0]] != 0.0:
+                        continue  # the next node LP is not a child of this one
+                    branched += 1
+                    t = cut[0] % T
+                    net = (params.eta_c * report.schedule.p_chg[t]
+                           - report.schedule.p_dis[t] / params.eta_d)
+                    assert cut[0] == (T + t if net > 0 else t)
+        assert branched > 200  # 282
+
+    def test_criterion_4_node_count(self):
+        nodes = sum(solve_storage_milp(*draw, refined=refined)[1].nodes
+                    for draw in criterion_4_draws(100) for refined in (False, True))
+        assert nodes <= 800  # 764; 1,100 when ranked by fractionality, charge-off first
+
+    def test_lossy_two_weeks(self):
+        rng = np.random.default_rng(0)
+        params = random_params(rng)
+        prices = mixed_sign_prices(rng, 336)
+        part = partition(prices)
+        report, stats = solve_storage_milp(params, prices, part, refined=True)
+        assert report.objective == pytest.approx(7869.520149909437, rel=1e-9)
+        ref = highs_objective(params, prices, part.t_neg)
+        assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        assert stats.nodes <= 250  # 177; 931 when ranked by fractionality, charge-off first
 
 
 class TestInfeasibleStorage:
