@@ -50,6 +50,7 @@ class SolveReport:
     scd_events: list | None = None
     kkt_max_residual: float | None = None
     basis: np.ndarray | None = None  # final simplex basis, a warm start for related LPs
+    reduced_costs: np.ndarray | None = None  # c - y'A at the optimum, every column
     factor: object = None  # the simplex factor of basis, until the next B&B node takes it over
 
 
@@ -151,7 +152,7 @@ def solve_lp(problem: LpProblem, start=None, factor=None) -> SolveReport:
     schedule = Schedule(p_chg=x[:T].copy(), p_dis=x[T : 2 * T].copy(), soe=x[2 * T : 3 * T].copy())
     duals = _duals_from_solution(T, sol.y, sol.reduced_costs) if problem.m == T else None
     return SolveReport(LpStatus.OPTIMAL, sol.objective, schedule, duals, detect_scd(schedule),
-                       basis=sol.basis, factor=sol.factor)
+                       basis=sol.basis, reduced_costs=sol.reduced_costs, factor=sol.factor)
 
 
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
@@ -187,27 +188,14 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) 
     # primal balance rows
     prev = np.concatenate([[params.s_init], sch.soe[:-1]])
     res.append(sch.soe - params.rho * prev - dt * (params.eta_c * sch.p_chg - sch.p_dis / params.eta_d))
-    # dual nonnegativity
-    for mult in (du.sigma_lo, du.sigma_hi, du.gamma_lo, du.gamma_hi, du.delta_lo, du.delta_hi):
-        res.append(np.minimum(mult, 0.0))
-    # primal bound feasibility
-    res.append(np.minimum(sch.soe - params.s_min, 0.0))
-    res.append(np.minimum(params.s_max - sch.soe, 0.0))
-    res.append(np.minimum(sch.p_chg, 0.0))
-    res.append(np.minimum(params.p_chg_max - sch.p_chg, 0.0))
-    res.append(np.minimum(sch.p_dis, 0.0))
-    res.append(np.minimum(params.p_dis_max - sch.p_dis, 0.0))
-    # complementary slackness
-    res.append(du.sigma_lo * (sch.soe - params.s_min))
-    res.append(du.sigma_hi * (params.s_max - sch.soe))
-    res.append(du.gamma_lo * sch.p_chg)
-    res.append(du.gamma_hi * (params.p_chg_max - sch.p_chg))
-    res.append(du.delta_lo * sch.p_dis)
-    res.append(du.delta_hi * (params.p_dis_max - sch.p_dis))
+    # per bound: dual nonnegativity, primal feasibility, complementary slackness
+    for mult, slack in (
+        (du.sigma_lo, sch.soe - params.s_min), (du.sigma_hi, params.s_max - sch.soe),
+        (du.gamma_lo, sch.p_chg), (du.gamma_hi, params.p_chg_max - sch.p_chg),
+        (du.delta_lo, sch.p_dis), (du.delta_hi, params.p_dis_max - sch.p_dis),
+    ):
+        res += [np.minimum(mult, 0.0), np.minimum(slack, 0.0), mult * slack]
     # SCD dual identity at detected events
-    for ev in detect_scd(sch):
-        k = ev.t - 1
-        res.append(
-            np.array([dt * c[k] * (1 - params.eta) + params.eta * du.delta_hi[k] + du.gamma_hi[k]])
-        )
-    return float(max(np.max(np.abs(r)) for r in res))
+    k = [ev.t - 1 for ev in detect_scd(sch)]
+    res.append(dt * c[k] * (1 - params.eta) + params.eta * du.delta_hi[k] + du.gamma_hi[k])
+    return float(max(np.abs(r).max(initial=0.0) for r in res))

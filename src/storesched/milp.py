@@ -12,6 +12,10 @@ exact big-M links p <= u * p_max).  The search branches at the SCD event
 whose netting to one mode costs the LP most, dt*|C_t|*b_t*(1 - eta_c*eta_d)/eta_c
 for the energy b_t = min(eta_c*p_chg_t, p_dis_t/eta_d) charged and discharged
 at once, and first solves the child that keeps the mode the LP nets there.
+Each child carries a bound from one dual simplex step on its parent's
+final factor (Driebeek 1966; simplex.child_bound), valid because every
+point on the first dual ray is dual feasible for the child; a child whose
+bound cannot beat the incumbent is dropped without an LP.
 
 Both variants share one relaxation, build_lp(params, prices, part.t_neg),
 and differ only in binary_periods, the periods where the search may
@@ -30,7 +34,7 @@ import numpy as np
 
 from .lp import InfeasibleStorage, SolveReport, build_lp, solve_lp
 from .prices import PricePartition, PriceSeries
-from .simplex import LpProblem, LpStatus
+from .simplex import LpProblem, LpStatus, child_bound
 from .storage import ScdEvent, StorageParams, detect_scd, repair_scd
 
 
@@ -96,7 +100,7 @@ def solve_milp(problem: MilpProblem):
     InfeasibleStorage when no schedule meets the storage limits."""
     stats = BnbStats()
     incumbent = None
-    best_obj = -np.inf
+    cutoff = -np.inf  # a node LP at or below it cannot beat the incumbent
     T = len(problem.prices)
     node = copy.copy(problem.base)  # shares a, c and rhs; takes each node's upper bounds
     # DFS over upper bounds, children ordered by the node LP: deterministic
@@ -105,10 +109,12 @@ def solve_milp(problem: MilpProblem):
     # finite, any basis is dual feasible once its nonbasic variables are
     # placed.  So a tree factorizes once, at its root, unless a residual
     # check or a proof of infeasibility asks for a fresh factor.
-    stack = [problem.base.upper]
+    stack = [(problem.base.upper, np.inf)]
     basis = factor = None
     while stack:
-        node.upper = stack.pop()
+        node.upper, bound = stack.pop()
+        if bound <= cutoff:
+            continue
         report = solve_lp(node, start=basis, factor=factor)
         basis, factor, report.factor = report.basis, report.factor, None
         stats.nodes += 1
@@ -116,7 +122,7 @@ def solve_milp(problem: MilpProblem):
             continue
         if stats.root_bound is None:
             stats.root_bound = report.objective
-        if report.objective <= best_obj + 1e-12 * max(1.0, abs(best_obj)):
+        if report.objective <= cutoff:
             continue
         event = _branch_period(problem, report)
         if event is None:
@@ -126,15 +132,17 @@ def solve_milp(problem: MilpProblem):
             report.schedule = schedule
             report.scd_events = detect_scd(schedule)
             incumbent = report
-            best_obj = report.objective
+            cutoff = report.objective + 1e-12 * max(1.0, abs(report.objective))
             stats.incumbent_updates += 1
             continue
-        chg_off, dis_off = node.upper.copy(), node.upper.copy()
-        chg_off[event.t - 1] = 0.0
-        dis_off[T + event.t - 1] = 0.0
+        children = []
+        for j, xj in ((event.t - 1, event.p_chg_t), (T + event.t - 1, event.p_dis_t)):
+            upper = node.upper.copy()
+            upper[j] = 0.0
+            children.append((upper, child_bound(node, report, factor, j, xj)))
         # dive: the child that keeps the mode the LP nets at t is solved first
         nets_charge = problem.params.eta_c * event.p_chg_t > event.p_dis_t / problem.params.eta_d
-        stack += [chg_off, dis_off] if nets_charge else [dis_off, chg_off]
+        stack += children if nets_charge else children[::-1]
     if incumbent is None:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
     stats.gap = 0.0

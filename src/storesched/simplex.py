@@ -210,6 +210,13 @@ class _Factor:
         return y, c - y @ self.a
 
 
+def _entering(raw, move, below, tol):
+    """Entering candidates of a row whose x_B[r] is below its lower bound
+    (below) or above its upper: raising x_j pushes x_B[r] back at rate
+    alpha_j = -raw_j or raw_j, and x_j moves by move_j: alpha_j move_j > tol."""
+    return np.flatnonzero(raw * move < -tol if below else raw * move > tol)
+
+
 def _dual(f, b, c, lower, upper, state, max_iter):
     """Bounded dual simplex: the most infeasible basic variable leaves at
     the bound it violates.  The ratio test flips bounds: the candidates are
@@ -245,14 +252,10 @@ def _dual(f, b, c, lower, upper, state, max_iter):
             below = lb - xb
             np.maximum(below, xb - ub, out=violation[:-1])
             r = int(np.argmax(violation))
-            candidates = []
-            if violation[r] > TOL:
-                # raising x_j pushes x_B[r] back at rate alpha_j = -raw_j (below)
-                # or raw_j (above); x_j moves only by move_j: alpha_j move_j > 0
-                raw = f.row(r)
-                slope = raw * move
-                candidates = np.flatnonzero(
-                    slope < -PIVOT_TOL if below[r] > 0 else slope > PIVOT_TOL)
+            if violation[r] <= TOL:
+                break
+            raw = f.row(r)
+            candidates = _entering(raw, move, below[r] > 0, PIVOT_TOL)
             if len(candidates) == 0:
                 break
             if pivots >= max_iter:
@@ -298,6 +301,24 @@ def _dual(f, b, c, lower, upper, state, max_iter):
         if feasible or f.age == 0:
             return (LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE), x, y, d, pivots, flips
         f.refactor()
+
+
+def child_bound(problem, sol, factor, j, xj):
+    """Upper bound on problem's LP optimum once x_j's upper bound drops to 0,
+    its lower bound: one dual simplex step (Driebeek 1966) from the optimum
+    sol (objective, basis codes and reduced costs d, as in LpSolution), its
+    final factor and x_j = xj.  Nonbasic x_j loses d_j xj.  Basic x_j in row
+    r leaves above its new bound: along the dual ray the dual objective falls
+    at rate xj until the first entering candidate (_dual's rule, no
+    tolerance) reaches d_k = 0, at min |d_k / alpha_rk|.  Each point of that
+    ray is dual feasible for the child, so by weak duality it bounds the
+    child's optimum.  No candidate: an aged factor proves no infeasibility."""
+    basis, d, objective = sol.basis, sol.reduced_costs, sol.objective
+    if basis[j] != BASIC:
+        return objective - d[j] * xj
+    raw = factor.row(int(np.flatnonzero(factor.basis == j)[0]))
+    k = _entering(raw, MOVE[basis] * (problem.lower < problem.upper), False, 0.0)
+    return objective - xj * np.abs(d[k] / raw[k]).min() if len(k) else objective
 
 
 def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -155,7 +157,7 @@ class TestSolve:
             return sol
 
         monkeypatch.setattr(lp, "solve_bounded_lp", counted)
-        # an instance whose refined MILP still branches (5 nodes) despite
+        # an instance whose refined MILP still branches (4 nodes) despite
         # the leg rows, so that there is a tree to walk
         rng = np.random.default_rng(27)
         params = random_params(rng)
@@ -228,11 +230,11 @@ class TestFactorHandOff:
 
         monkeypatch.setattr(lp, "solve_bounded_lp", compared)
         nodes = trees = 0
-        for params, prices, part in criterion_4_draws(150):
+        for params, prices, part in criterion_4_draws(250):
             for refined in (False, True):
                 nodes += solve_storage_milp(params, prices, part, refined=refined)[1].nodes
                 trees += 1
-        assert len(handed) == nodes - trees > 800  # every node but each root
+        assert len(handed) == nodes - trees > 800  # every node LP but each root: 866
 
     def test_no_report_keeps_a_factor(self, monkeypatch):
         reports = []
@@ -276,47 +278,49 @@ class TestOneFactorPerTree:
                 assert sum(s.factorizations for s in sols) == 1
 
     def test_branching_instance(self, monkeypatch):
-        # the 5-node instance of TestSolve.test_determinism
+        # the 4-node instance of TestSolve.test_determinism
         sols = node_lps(monkeypatch)
         rng = np.random.default_rng(27)
         params = random_params(rng)
         prices = mixed_sign_prices(rng, 18)
         _, stats = solve_storage_milp(params, prices, partition(prices))
-        assert stats.nodes == len(sols) == 5
+        assert stats.nodes == len(sols) == 4
         assert sum(s.factorizations for s in sols) == 1
 
     def test_lossy_ten_days(self, monkeypatch):
-        # lossy storage (rho = 0.999, s_min = 0.2) over 240 hours: 121 nodes
+        # lossy storage (rho = 0.999, s_min = 0.2) over 240 hours: 71 nodes
         sols = node_lps(monkeypatch)
         rng = np.random.default_rng(0)
         params = random_params(rng)
         prices = mixed_sign_prices(rng, 240)
         part = partition(prices)
         report, stats = solve_storage_milp(params, prices, part, refined=True)
-        assert stats.nodes == len(sols) == 121
+        assert stats.nodes == len(sols) == 71
         assert sum(s.factorizations for s in sols) == 1
         assert report.objective == pytest.approx(5513.500216505903, rel=1e-9)
         ref = highs_objective(params, prices, part.t_neg)
         assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_infeasible_node_hands_over(self, monkeypatch):
-        # on these leaky draws one node LP is infeasible; infeasibility is
-        # declared from a fresh factor, which the next node LP takes over
-        rng = np.random.default_rng(5)
-        draws = [leaky_instance(rng) for _ in range(941)]
+        # a child LP that takes over its parent's factor and is infeasible
+        # (forbidding charge at t=1 leaves rho*s_init < s_min) is declared so
+        # from a fresh factor, which its sibling's LP then takes over as it is
+        params = StorageParams(s_min=0.2, s_max=1.0, s_init=0.201, p_chg_max=1.4,
+                               p_dis_max=0.45, eta_c=0.9, eta_d=0.9, rho=0.9, dt=1.0)
+        prices = PriceSeries([-20.0, 33.0, -64.0], 1.0)
+        base = build_milp(params, prices, True, partition(prices)).base
         sols = node_lps(monkeypatch)
-        for i in (502, 671, 940):
-            params, prices, part = draws[i]
-            ref = highs_objective(params, prices, part.t_neg)
-            for refined in (False, True):
-                sols.clear()
-                report, _ = solve_storage_milp(params, prices, part, refined=refined)
-                assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
-                infeasible = [k for k, s in enumerate(sols) if s.status is LpStatus.INFEASIBLE]
-                assert infeasible and infeasible[-1] < len(sols) - 1
-                for k in infeasible:
-                    assert sols[k].factor is not None
-                    assert sols[k + 1].factorizations == 0
+        parent = lp.solve_lp(base)
+        chg_off, dis_off = copy.copy(base), copy.copy(base)
+        chg_off.upper, dis_off.upper = base.upper.copy(), base.upper.copy()
+        chg_off.upper[0] = dis_off.upper[3] = 0.0
+        child = lp.solve_lp(chg_off, start=parent.basis, factor=parent.factor)
+        assert child.status is LpStatus.INFEASIBLE
+        assert child.factor is parent.factor and child.factor.age == 0
+        assert sols[-1].factorizations >= 1
+        sibling = lp.solve_lp(dis_off, start=child.basis, factor=child.factor)
+        assert sibling.status is LpStatus.OPTIMAL and sols[-1].factorizations == 0
+        assert sibling.objective == pytest.approx(lp.solve_lp(dis_off).objective, rel=1e-12)
 
 
 class TestSearchOrder:
@@ -362,7 +366,9 @@ class TestSearchOrder:
     def test_criterion_4_node_count(self):
         nodes = sum(solve_storage_milp(*draw, refined=refined)[1].nodes
                     for draw in criterion_4_draws(100) for refined in (False, True))
-        assert nodes <= 800  # 764; 1,100 when ranked by fractionality, charge-off first
+        # 520; 764 without the one-step child bounds, 1,100 when ranked by
+        # fractionality, charge-off first
+        assert nodes <= 600
 
     def test_lossy_two_weeks(self):
         rng = np.random.default_rng(0)
@@ -373,7 +379,48 @@ class TestSearchOrder:
         assert report.objective == pytest.approx(7869.520149909437, rel=1e-9)
         ref = highs_objective(params, prices, part.t_neg)
         assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
-        assert stats.nodes <= 250  # 177; 931 when ranked by fractionality, charge-off first
+        # 105; 177 without the one-step child bounds, 931 when ranked by
+        # fractionality, charge-off first
+        assert stats.nodes <= 130
+
+
+class TestChildBound:
+    """Each child carries a bound from one dual step on its parent's final
+    factor, and a child whose bound cannot beat the incumbent is dropped
+    without an LP."""
+
+    def test_bounds_hold(self, monkeypatch):
+        # every child bound the search computes is at least the optimum of
+        # that child's LP, solved from scratch, unless that LP is infeasible
+        children = []
+
+        def recorded(problem, sol, factor, j, xj):
+            bound = simplex.child_bound(problem, sol, factor, j, xj)
+            child = copy.copy(problem)
+            child.upper = problem.upper.copy()
+            child.upper[j] = 0.0
+            children.append((child, bound, bound < sol.objective))
+            return bound
+
+        monkeypatch.setattr(milp, "child_bound", recorded)
+        rng = np.random.default_rng(5)
+        draws = list(criterion_4_draws(100)) + [leaky_instance(rng) for _ in range(200)]
+        for params, prices, part in draws:
+            for refined in (False, True):
+                try:
+                    solve_storage_milp(params, prices, part, refined=refined)
+                except InfeasibleStorage:
+                    pass
+        infeasible = 0
+        for child, bound, _ in children:
+            report = lp.solve_lp(child)
+            if report.status is LpStatus.INFEASIBLE:
+                infeasible += 1
+            else:
+                assert report.objective <= bound + 1e-9 * max(1.0, abs(bound))
+        # 748 bounds, each below its parent's optimum; 2 children infeasible
+        assert sum(cut for *_, cut in children) > 700
+        assert infeasible > 0
 
 
 class TestInfeasibleStorage:
@@ -508,8 +555,9 @@ class TestHighsCrossCheck:
                 assert report.objective == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_infeasible_child_is_pruned(self):
-        # forbidding charge at t=1 leaves rho*s_init < s_min: that child's LP
-        # is infeasible, the other child's is not
+        # forbidding charge at t=1 leaves rho*s_init < s_min: that child has
+        # no schedule, and its one-step bound prunes it before any LP; the
+        # other child has one
         params = StorageParams(s_min=0.2, s_max=1.0, s_init=0.201, p_chg_max=1.4,
                                p_dis_max=0.45, eta_c=0.9, eta_d=0.9, rho=0.9, dt=1.0)
         prices = PriceSeries([-20.0, 33.0, -64.0], 1.0)
