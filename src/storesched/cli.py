@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .conditions import Recommendation, advise, lemma1_classify
 from .dp import DpConfig, dp_value_error_bound, solve_dp
-from .lp import kkt_verify, solve_storage_lp
+from .lp import solve_storage_lp
 from .milp import build_milp, solve_milp
 from .prices import partition, read_price_csv
 from .simplex import SimplexFailure
@@ -34,7 +34,6 @@ from .storage import (
     StorageParams,
     detect_scd,
     feasibility_check,
-    repair_scd,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -126,17 +125,6 @@ def _solve_formulation(formulation, params, prices, part, grid):
     grid point count, None for DpConfig's default."""
     if formulation == "lp":
         report = solve_storage_lp(params, prices)
-        if report.scd_events:
-            # SCD at zero price or with eta = 1 costs nothing: report the
-            # equal-objective single-mode schedule, which the vertex duals
-            # still certify
-            try:
-                report.schedule = repair_scd(params, prices, report.schedule)
-            except RepairNotApplicable:
-                pass
-            else:
-                report.scd_events = detect_scd(report.schedule)
-                report.kkt_max_residual = kkt_verify(params, prices, report)
         return report, {
             "kkt_max_residual": report.kkt_max_residual,
             "physically_infeasible": bool(report.scd_events),

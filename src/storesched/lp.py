@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prices import PriceSeries
-from .simplex import AT_LOWER, BASIC, LpProblem, LpStatus
-from .simplex import solve_bounded_lp
-from .storage import Schedule, StorageParams, detect_scd
+from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, LpStatus, solve_bounded_lp
+from .storage import RepairNotApplicable, Schedule, StorageParams, detect_scd, repair_scd, scd_mask
 
 
 class InfeasibleStorage(ValueError):
@@ -43,15 +42,15 @@ class DualVector:
 
 @dataclass
 class SolveReport:
+    """One answer of the LP, a MILP or the DP."""
+
     status: LpStatus
     objective: float | None = None
     schedule: Schedule | None = None
-    duals: DualVector | None = None
+    duals: DualVector | None = None  # from solve_storage_lp only
     scd_events: list | None = None
-    kkt_max_residual: float | None = None
-    basis: np.ndarray | None = None  # final simplex basis, a warm start for related LPs
-    reduced_costs: np.ndarray | None = None  # c - y'A at the optimum, every column
-    factor: object = None  # the simplex factor of basis, until the next B&B node takes it over
+    kkt_max_residual: float | None = None  # from solve_storage_lp only
+    solution: LpSolution | None = None  # solve_lp's simplex record; solve_milp takes it over
 
 
 def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> LpProblem:
@@ -136,32 +135,40 @@ def _duration_start(problem: LpProblem, T: int) -> np.ndarray:
 
 
 def solve_lp(problem: LpProblem, start=None, factor=None) -> SolveReport:
-    """Solve a problem from build_lp, possibly with tightened bounds, and
-    return the schedule, duals (without leg rows only) and SCD events.
-    start is a basis to warm-start from, such as the SolveReport.basis of
-    an LP that differs only in its bounds, and factor optionally that
-    report's factor, which the solve then changes.  An infeasible report
-    carries its basis and factor too."""
+    """Solve a node LP: a problem from build_lp, possibly with tightened
+    bounds.  The report gives the objective, schedule and SCD events, and
+    in solution the simplex's record; no duals.  start is a basis to
+    warm-start from, such as the solution.basis of an LP that differs only
+    in its bounds, and factor optionally that solution's factor, which the
+    solve then changes.  An infeasible report carries its solution too."""
     T = (problem.n - problem.m) // 2  # n = 3T + 2K columns, m = T + 2K rows
     if start is None:
         start = _duration_start(problem, T)
     sol = solve_bounded_lp(problem, start=start, factor=factor)
     if sol.status is not LpStatus.OPTIMAL:
-        return SolveReport(status=sol.status, basis=sol.basis, factor=sol.factor)
+        return SolveReport(status=sol.status, solution=sol)
     x = sol.x
     schedule = Schedule(p_chg=x[:T].copy(), p_dis=x[T : 2 * T].copy(), soe=x[2 * T : 3 * T].copy())
-    duals = _duals_from_solution(T, sol.y, sol.reduced_costs) if problem.m == T else None
-    return SolveReport(LpStatus.OPTIMAL, sol.objective, schedule, duals, detect_scd(schedule),
-                       basis=sol.basis, reduced_costs=sol.reduced_costs, factor=sol.factor)
+    return SolveReport(LpStatus.OPTIMAL, sol.objective, schedule, scd_events=detect_scd(schedule),
+                       solution=sol)
 
 
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
-    """Convenience wrapper: build and solve the storage LP, attaching the
-    verification residual."""
+    """The LP answer: the storage LP's optimum with its duals, SCD netted by
+    repair_scd when every event costs nothing (zero price or eta = 1; the
+    vertex duals still certify it), and the KKT residual of that schedule.
+    Raises InfeasibleStorage when no schedule meets the storage limits."""
     report = solve_lp(build_lp(params, prices))
-    report.factor = None  # m x m floats that nothing reuses
     if report.status is not LpStatus.OPTIMAL:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
+    sol = report.solution
+    sol.factor = None  # m x m floats that nothing reuses
+    report.duals = _duals_from_solution(len(prices), sol.y, sol.reduced_costs)
+    if report.scd_events:
+        try:
+            report.schedule, report.scd_events = repair_scd(params, prices, report.schedule), []
+        except RepairNotApplicable:
+            pass
     report.kkt_max_residual = kkt_verify(params, prices, report)
     return report
 
@@ -195,7 +202,7 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) 
         (du.delta_lo, sch.p_dis), (du.delta_hi, params.p_dis_max - sch.p_dis),
     ):
         res += [np.minimum(mult, 0.0), np.minimum(slack, 0.0), mult * slack]
-    # SCD dual identity at detected events
-    k = [ev.t - 1 for ev in detect_scd(sch)]
-    res.append(dt * c[k] * (1 - params.eta) + params.eta * du.delta_hi[k] + du.gamma_hi[k])
+    # SCD dual identity at the schedule's SCD periods
+    scd = scd_mask(sch)
+    res.append(dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd])
     return float(max(np.abs(r).max(initial=0.0) for r in res))

@@ -110,13 +110,13 @@ def solve_milp(problem: MilpProblem):
     # placed.  So a tree factorizes once, at its root, unless a residual
     # check or a proof of infeasibility asks for a fresh factor.
     stack = [(problem.base.upper, np.inf)]
-    basis = factor = None
+    sol = None  # the simplex's record of the previous node LP
     while stack:
         node.upper, bound = stack.pop()
         if bound <= cutoff:
             continue
-        report = solve_lp(node, start=basis, factor=factor)
-        basis, factor, report.factor = report.basis, report.factor, None
+        report = solve_lp(node, start=sol and sol.basis, factor=sol and sol.factor)
+        sol, report.solution = report.solution, None
         stats.nodes += 1
         if report.status is LpStatus.INFEASIBLE:
             continue
@@ -139,14 +139,13 @@ def solve_milp(problem: MilpProblem):
         for j, xj in ((event.t - 1, event.p_chg_t), (T + event.t - 1, event.p_dis_t)):
             upper = node.upper.copy()
             upper[j] = 0.0
-            children.append((upper, child_bound(node, report, factor, j, xj)))
+            children.append((upper, child_bound(node, sol, j, xj)))
         # dive: the child that keeps the mode the LP nets at t is solved first
         nets_charge = problem.params.eta_c * event.p_chg_t > event.p_dis_t / problem.params.eta_d
         stack += children if nets_charge else children[::-1]
     if incumbent is None:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
     stats.gap = 0.0
-    incumbent.duals = None  # LP duals of a node are not MILP duals
     return incumbent, stats
 
 

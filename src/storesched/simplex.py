@@ -303,17 +303,17 @@ def _dual(f, b, c, lower, upper, state, max_iter):
         f.refactor()
 
 
-def child_bound(problem, sol, factor, j, xj):
+def child_bound(problem, sol, j, xj):
     """Upper bound on problem's LP optimum once x_j's upper bound drops to 0,
-    its lower bound: one dual simplex step (Driebeek 1966) from the optimum
-    sol (objective, basis codes and reduced costs d, as in LpSolution), its
-    final factor and x_j = xj.  Nonbasic x_j loses d_j xj.  Basic x_j in row
+    its lower bound: one dual simplex step (Driebeek 1966) from the optimal
+    LpSolution sol (its objective, basis codes, reduced costs d and final
+    factor) and x_j = xj.  Nonbasic x_j loses d_j xj.  Basic x_j in row
     r leaves above its new bound: along the dual ray the dual objective falls
     at rate xj until the first entering candidate (_dual's rule, no
     tolerance) reaches d_k = 0, at min |d_k / alpha_rk|.  Each point of that
     ray is dual feasible for the child, so by weak duality it bounds the
     child's optimum.  No candidate: an aged factor proves no infeasibility."""
-    basis, d, objective = sol.basis, sol.reduced_costs, sol.objective
+    basis, d, objective, factor = sol.basis, sol.reduced_costs, sol.objective, sol.factor
     if basis[j] != BASIC:
         return objective - d[j] * xj
     raw = factor.row(int(np.flatnonzero(factor.basis == j)[0]))

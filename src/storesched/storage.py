@@ -134,7 +134,7 @@ def propagate_soe(params: StorageParams, p_chg, p_dis) -> np.ndarray:
 
 def objective(prices: PriceSeries, schedule: Schedule, dt: float) -> float:
     """Arbitrage profit Z = sum_t dt * C_t * (pD_t - pC_t), in EUR."""
-    c = prices.prices if isinstance(prices, PriceSeries) else np.asarray(prices, dtype=float)
+    c = prices.prices
     if len(c) != len(schedule):
         raise ValueError("price and schedule lengths differ")
     return float(np.sum(dt * c * (schedule.p_dis - schedule.p_chg)))
@@ -175,9 +175,14 @@ def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityR
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 
+def scd_mask(schedule: Schedule) -> np.ndarray:
+    """Whether charge and discharge both exceed DEFAULT_TOL, per period."""
+    return (schedule.p_chg > DEFAULT_TOL) & (schedule.p_dis > DEFAULT_TOL)
+
+
 def detect_scd(schedule: Schedule) -> list:
     """Periods where charge and discharge both exceed DEFAULT_TOL, sorted by t."""
-    scd = np.flatnonzero((schedule.p_chg > DEFAULT_TOL) & (schedule.p_dis > DEFAULT_TOL))
+    scd = np.flatnonzero(scd_mask(schedule))
     return [ScdEvent(t=k + 1, p_chg_t=float(schedule.p_chg[k]), p_dis_t=float(schedule.p_dis[k]))
             for k in scd.tolist()]
 
@@ -210,19 +215,17 @@ def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -
     round-trip efficiency is 1; otherwise no equal-objective repair exists
     and RepairNotApplicable is raised.
     """
-    c = prices.prices if isinstance(prices, PriceSeries) else np.asarray(prices, dtype=float)
+    c = prices.prices
     if len(c) != len(schedule):
         raise ValueError("price and schedule lengths differ")
-    events = detect_scd(schedule)
+    scd = scd_mask(schedule)
+    costly = np.flatnonzero(scd & (c != 0)) if params.eta < 1 else ()
+    if len(costly):
+        k = costly[0]
+        raise RepairNotApplicable(f"SCD at t={k + 1} with C_t={c[k]} and eta={params.eta} < 1")
     p_chg = schedule.p_chg.copy()
     p_dis = schedule.p_dis.copy()
-    for ev in events:
-        if c[ev.t - 1] != 0 and params.eta < 1:
-            raise RepairNotApplicable(
-                f"SCD at t={ev.t} with C_t={c[ev.t - 1]} and eta={params.eta} < 1"
-            )
-    for ev in events:
-        k = ev.t - 1
+    for k in np.flatnonzero(scd).tolist():
         prev = schedule.soe[k - 1] if k > 0 else params.s_init
         beta = schedule.soe[k] - params.rho * prev
         if beta <= 0:

@@ -11,8 +11,10 @@ from storesched import (
     cli,
     detect_scd,
     feasibility_check,
+    lp,
     objective,
     schedule_from_dict,
+    schedule_to_dict,
     solve_storage_lp,
 )
 from storesched.cli import build_parser, main
@@ -190,14 +192,14 @@ class TestSolve:
         # lossless storage that the advisor clears can end at an LP vertex
         # with SCD that costs nothing (42 of these 200 draws, all eta = 1):
         # the report gives the repaired single-mode schedule at the same
-        # objective, certified by the vertex duals
+        # objective, certified by the vertex duals, as solve_storage_lp does
         rng = np.random.default_rng(11)
         repaired = 0
         for i in range(200):
             params, prices, _, _ = lp_safe_instance(rng)
-            vertex = solve_storage_lp(params, prices)
-            if not vertex.scd_events:
+            if not lp.solve_lp(lp.build_lp(params, prices)).scd_events:
                 continue
+            report = solve_storage_lp(params, prices)
             (tmp_path / "params.txt").write_text("".join(
                 f"{key} = {getattr(params, key.removesuffix('_hours'))!r}\n" for key in PARAM_KEYS
             ))
@@ -209,11 +211,12 @@ class TestSolve:
                         tmp_path / "prices.csv", "--formulation", "lp", "--out", out]) == 0
             doc = json.loads((out / "report.json").read_text())
             assert doc["scd_events"] == [] and doc["physically_infeasible"] is False
-            assert doc["objective_eur"] == vertex.objective
-            assert doc["kkt_max_residual"] <= 1e-7
+            assert doc["schedule"] == schedule_to_dict(report.schedule, params.dt)
+            assert doc["objective_eur"] == report.objective
+            assert doc["kkt_max_residual"] == report.kkt_max_residual <= 1e-7
             schedule, dt = schedule_from_dict(doc["schedule"])
             assert feasibility_check(params, schedule).feasible and not detect_scd(schedule)
-            assert objective(prices, schedule, dt) == pytest.approx(vertex.objective, rel=1e-12)
+            assert objective(prices, schedule, dt) == pytest.approx(report.objective, rel=1e-12)
             repaired += 1
         assert repaired >= 30
 

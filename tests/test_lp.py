@@ -7,6 +7,7 @@ from _instances import (
     assert_lp_certificate,
     fast_params,
     level_start,
+    lp_safe_instance,
     mixed_sign_prices,
     random_params,
 )
@@ -126,6 +127,34 @@ class TestSolve:
         dp = solve_dp(params, prices, DpConfig(2001))
         assert report.objective > dp.objective + 1e-6
 
+    def test_costless_scd_is_netted(self):
+        # lossless storage that the advisor clears can end at an LP vertex
+        # with SCD that costs nothing: the answer nets it to one mode at the
+        # vertex's objective.  SCD at a negative price with eta < 1 has a
+        # cost, and the vertex stays
+        rng = np.random.default_rng(11)
+        netted = 0
+        for _ in range(200):
+            params, prices, _, _ = lp_safe_instance(rng)
+            vertex = solve_lp(build_lp(params, prices))
+            if not vertex.scd_events:
+                continue
+            report = solve_storage_lp(params, prices)
+            assert report.scd_events == [] and not detect_scd(report.schedule)
+            assert feasibility_check(params, report.schedule).feasible
+            assert report.objective == vertex.objective
+            z = objective(prices, report.schedule, params.dt)
+            assert z == pytest.approx(vertex.objective, rel=1e-12)
+            assert report.kkt_max_residual <= 1e-7
+            netted += 1
+        assert netted >= 30
+        params, prices = unit_storage(), PriceSeries([-10.0, 20.0], 1.0)
+        vertex = solve_lp(build_lp(params, prices))
+        report = solve_storage_lp(params, prices)
+        assert report.scd_events == vertex.scd_events and len(report.scd_events) == 1
+        np.testing.assert_array_equal(report.schedule.p_chg, vertex.schedule.p_chg)
+        np.testing.assert_array_equal(report.schedule.p_dis, vertex.schedule.p_dis)
+
     def test_objective_matches_schedule(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -211,7 +240,7 @@ class TestStrongDuality:
             params = random_params(rng)
             prices = mixed_sign_prices(rng, int(rng.integers(3, 20)))
             problem = build_lp(params, prices)
-            report = solve_lp(problem)
+            report = solve_storage_lp(params, prices)
             du = report.duals
             T = len(prices)
             dual_obj = (
@@ -237,7 +266,7 @@ class TestWarmStart:
             parent = solve_lp(build_lp(params, prices))
             child = build_lp(params, prices)
             child.upper[int(rng.integers(2 * len(prices)))] = 0.0
-            warm = solve_bounded_lp(child, start=parent.basis)
+            warm = solve_bounded_lp(child, start=parent.solution.basis)
             cold = solve_bounded_lp(child)
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
             assert bounded_kkt_residual(child, warm) <= 1e-7
@@ -321,7 +350,7 @@ class TestDurationStart:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp, "solve_bounded_lp", recorded)
             report = solve_lp(problem)
-        assert report.factor is not None
+        assert report.solution.factor is not None
         want = solve_bounded_lp(problem, start=level_start(problem, T))
         assert report.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
         assert_lp_certificate(problem, solutions[0])

@@ -245,12 +245,12 @@ class TestFactorHandOff:
 
         monkeypatch.setattr(milp, "solve_lp", recorded)
         for params, prices, part in criterion_4_draws(8):
-            assert solve_storage_lp(params, prices).factor is None
+            assert solve_storage_lp(params, prices).solution.factor is None
             for refined in (False, True):
                 report, _ = solve_storage_milp(params, prices, part, refined=refined)
-                assert report.factor is None
+                assert report.solution is None
         assert len(reports) > 16
-        assert all(r.factor is None for r in reports)
+        assert all(r.solution is None for r in reports)
 
     def test_updates_match_a_recompute(self, monkeypatch):
         # a recompute after every pivot takes x, y and d from the factor
@@ -314,11 +314,12 @@ class TestOneFactorPerTree:
         chg_off, dis_off = copy.copy(base), copy.copy(base)
         chg_off.upper, dis_off.upper = base.upper.copy(), base.upper.copy()
         chg_off.upper[0] = dis_off.upper[3] = 0.0
-        child = lp.solve_lp(chg_off, start=parent.basis, factor=parent.factor)
+        child = lp.solve_lp(chg_off, start=parent.solution.basis, factor=parent.solution.factor)
         assert child.status is LpStatus.INFEASIBLE
-        assert child.factor is parent.factor and child.factor.age == 0
+        assert child.solution.factor is parent.solution.factor
+        assert child.solution.factor.age == 0
         assert sols[-1].factorizations >= 1
-        sibling = lp.solve_lp(dis_off, start=child.basis, factor=child.factor)
+        sibling = lp.solve_lp(dis_off, start=child.solution.basis, factor=child.solution.factor)
         assert sibling.status is LpStatus.OPTIMAL and sols[-1].factorizations == 0
         assert sibling.objective == pytest.approx(lp.solve_lp(dis_off).objective, rel=1e-12)
 
@@ -394,8 +395,8 @@ class TestChildBound:
         # that child's LP, solved from scratch, unless that LP is infeasible
         children = []
 
-        def recorded(problem, sol, factor, j, xj):
-            bound = simplex.child_bound(problem, sol, factor, j, xj)
+        def recorded(problem, sol, j, xj):
+            bound = simplex.child_bound(problem, sol, j, xj)
             child = copy.copy(problem)
             child.upper = problem.upper.copy()
             child.upper[j] = 0.0
