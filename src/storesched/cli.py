@@ -5,7 +5,9 @@ Subcommands: partition, advise, solve, check, compare.  Exit codes:
 * 0  success; for advise: the relaxation is safe, solve the LP
 * 1  check found an infeasible or simultaneously-charging schedule
 * 2  malformed or unreadable input (CSV, params file, schedule JSON,
-     manifest), or storage that no schedule keeps within its limits
+     manifest), storage that no schedule keeps within its limits, input
+     whose objective or a diagnostic overflows double precision, or a
+     request too large for memory (such as a huge dp --grid)
 * 3  internal solver invariant breach, or a leftover SCD with no
      equal-objective repair
 * 10 advise: solve the refined MILP
@@ -22,6 +24,8 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from .conditions import Recommendation, advise, lemma1_classify
 from .dp import DpConfig, dp_value_error_bound, solve_dp
@@ -122,31 +126,33 @@ def cmd_advise(args) -> int:
 
 def _solve_formulation(formulation, params, prices, part, grid):
     """Returns (report, extras dict for the JSON report).  grid is the dp
-    grid point count, None for DpConfig's default."""
+    grid point count, None for DpConfig's default.  A ValueError names the
+    objective or diagnostic that is not finite."""
     if formulation == "lp":
         report = solve_storage_lp(params, prices)
-        return report, {
-            "kkt_max_residual": report.kkt_max_residual,
-            "physically_infeasible": bool(report.scd_events),
-        }
-    if formulation in ("milp", "refined"):
+        extras = {"kkt_max_residual": report.kkt_max_residual}
+    elif formulation in ("milp", "refined"):
         problem = build_milp(params, prices, formulation == "refined", part)
         report, stats = solve_milp(problem)
-        return report, {
+        extras = {
             "num_binaries": problem.num_binaries,
             "nodes": stats.nodes,
             "root_bound": stats.root_bound,
             "incumbent_updates": stats.incumbent_updates,
             "gap": stats.gap,
-            "physically_infeasible": bool(report.scd_events),
         }
-    config = DpConfig() if grid is None else DpConfig(grid)
-    report = solve_dp(params, prices, config)
-    return report, {
-        "grid_points": config.grid_points,
-        "discretization_bound": dp_value_error_bound(params, prices, config),
-        "physically_infeasible": False,
-    }
+    else:
+        config = DpConfig() if grid is None else DpConfig(grid)
+        report = solve_dp(params, prices, config)
+        extras = {
+            "grid_points": config.grid_points,
+            "discretization_bound": dp_value_error_bound(params, prices, config),
+        }
+    extras["physically_infeasible"] = bool(report.scd_events)  # none from the dp
+    for name, value in {"objective": report.objective, **extras}.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{formulation} {name} is {value}, beyond double precision")
+    return report, extras
 
 
 def cmd_solve(args) -> int:
@@ -158,8 +164,6 @@ def cmd_solve(args) -> int:
         eps = extras["discretization_bound"]
         print(f"dp discretization bound: {eps:.6g} EUR", file=sys.stderr)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     doc = {
         "formulation": args.formulation,
         "status": report.status.value,
@@ -171,23 +175,15 @@ def cmd_solve(args) -> int:
         "schedule": schedule_to_dict(report.schedule, params.dt),
     }
     doc.update(extras)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(text, encoding="utf-8")
     with open(out / "plot.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "price", "p_chg", "p_dis", "soe"])
-        sch = report.schedule
-        for k in range(len(sch)):
-            writer.writerow(
-                [
-                    k + 1,
-                    repr(float(prices.prices[k])),
-                    repr(float(sch.p_chg[k])),
-                    repr(float(sch.p_dis[k])),
-                    repr(float(sch.soe[k])),
-                ]
-            )
+        columns = (prices.prices, report.schedule.p_chg, report.schedule.p_dis, report.schedule.soe)
+        writer.writerows([k + 1, *(repr(float(c[k])) for c in columns)] for k in range(len(prices)))
     print(f"objective: {report.objective:.6f} EUR")
     print(f"report: {out / 'report.json'}")
     return EXIT_OK
@@ -314,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Schedule a price-taker energy storage system against a price series.",
         epilog=(
             "exit codes: 0 ok / advise says solve the LP; 1 check failed; "
-            "2 malformed or unreadable input, or storage no schedule keeps "
-            "within its limits; 3 solver invariant breach or "
+            "2 malformed or unreadable input, storage no schedule keeps "
+            "within its limits, an objective or diagnostic that overflows, or "
+            "a request too large for memory; 3 solver invariant breach or "
             "unrepairable SCD; 10 advise says solve the refined MILP"
         ),
     )
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="LP vs refined MILP vs DP over a manifest of instances")
     p.add_argument("--manifest", required=True, help="CSV: params_path,prices_path,label")
     p.add_argument("--out", help="also write the comparison table to this CSV")
-    p.add_argument("--grid", type=int)
+    p.add_argument("--grid", type=int, help="state grid points of the dp column")
     return parser
 
 
@@ -360,10 +357,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # looked up per call, so that a cmd_* function replaced after the
-        # parser was built still takes effect
-        return globals()[f"cmd_{args.command}"](args)
+        # parser was built still takes effect.  An overflow shows as a
+        # nonfinite result, which check reports and a solve refuses by name
+        with np.errstate(all="ignore"):
+            return globals()[f"cmd_{args.command}"](args)
     except (OSError, ValueError) as exc:  # PriceCsvError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    except MemoryError as exc:
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except (SimplexFailure, RepairNotApplicable) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ class DualVector:
 
 @dataclass
 class SolveReport:
-    """One answer of the LP, a MILP or the DP."""
+    """One answer of the LP, a MILP or the DP; it holds no simplex state."""
 
     status: LpStatus
     objective: float | None = None
@@ -50,7 +50,6 @@ class SolveReport:
     duals: DualVector | None = None  # from solve_storage_lp only
     scd_events: list | None = None
     kkt_max_residual: float | None = None  # from solve_storage_lp only
-    solution: LpSolution | None = None  # solve_lp's simplex record; solve_milp takes it over
 
 
 def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> LpProblem:
@@ -134,23 +133,23 @@ def _duration_start(problem: LpProblem, T: int) -> np.ndarray:
     return start
 
 
-def solve_lp(problem: LpProblem, start=None, factor=None) -> SolveReport:
-    """Solve a node LP: a problem from build_lp, possibly with tightened
-    bounds.  The report gives the objective, schedule and SCD events, and
-    in solution the simplex's record; no duals.  start is a basis to
-    warm-start from, such as the solution.basis of an LP that differs only
-    in its bounds, and factor optionally that solution's factor, which the
-    solve then changes.  An infeasible report carries its solution too."""
+def solve_lp(problem: LpProblem, warm: LpSolution | None = None) -> LpSolution:
+    """Solve a node LP, a problem from build_lp possibly with tightened
+    bounds, and return the simplex's LpSolution, optimal or infeasible; no
+    duals.  It starts from _duration_start, or from warm's basis and
+    factor: warm is the LpSolution of an LP that differs only in its
+    bounds, and the solve changes its factor."""
+    if warm is not None:
+        return solve_bounded_lp(problem, start=warm.basis, factor=warm.factor)
     T = (problem.n - problem.m) // 2  # n = 3T + 2K columns, m = T + 2K rows
-    if start is None:
-        start = _duration_start(problem, T)
-    sol = solve_bounded_lp(problem, start=start, factor=factor)
-    if sol.status is not LpStatus.OPTIMAL:
-        return SolveReport(status=sol.status, solution=sol)
-    x = sol.x
-    schedule = Schedule(p_chg=x[:T].copy(), p_dis=x[T : 2 * T].copy(), soe=x[2 * T : 3 * T].copy())
-    return SolveReport(LpStatus.OPTIMAL, sol.objective, schedule, scd_events=detect_scd(schedule),
-                       solution=sol)
+    return solve_bounded_lp(problem, start=_duration_start(problem, T))
+
+
+def lp_answer(sol: LpSolution, T: int) -> SolveReport:
+    """The answer at an optimal LpSolution over T periods: its objective,
+    a copy of its schedule and that schedule's SCD events."""
+    schedule = Schedule(*sol.x[: 3 * T].reshape(3, T).copy())  # p_chg, p_dis, soe
+    return SolveReport(LpStatus.OPTIMAL, sol.objective, schedule, scd_events=detect_scd(schedule))
 
 
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
@@ -158,11 +157,10 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     repair_scd when every event costs nothing (zero price or eta = 1; the
     vertex duals still certify it), and the KKT residual of that schedule.
     Raises InfeasibleStorage when no schedule meets the storage limits."""
-    report = solve_lp(build_lp(params, prices))
-    if report.status is not LpStatus.OPTIMAL:
+    sol = solve_lp(build_lp(params, prices))
+    if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
-    sol = report.solution
-    sol.factor = None  # m x m floats that nothing reuses
+    report = lp_answer(sol, len(prices))
     report.duals = _duals_from_solution(len(prices), sol.y, sol.reduced_costs)
     if report.scd_events:
         try:
@@ -203,6 +201,6 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) 
     ):
         res += [np.minimum(mult, 0.0), np.minimum(slack, 0.0), mult * slack]
     # SCD dual identity at the schedule's SCD periods
-    scd = scd_mask(sch)
+    scd = scd_mask(sch.p_chg, sch.p_dis)
     res.append(dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd])
     return float(max(np.abs(r).max(initial=0.0) for r in res))

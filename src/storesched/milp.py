@@ -29,13 +29,14 @@ often close at the root node.
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .lp import InfeasibleStorage, SolveReport, build_lp, solve_lp
+from .lp import InfeasibleStorage, build_lp, lp_answer, solve_lp
 from .prices import PricePartition, PriceSeries
-from .simplex import LpProblem, LpStatus, child_bound
-from .storage import ScdEvent, StorageParams, detect_scd, repair_scd
+from .simplex import LpProblem, LpSolution, LpStatus, child_bound
+from .storage import StorageParams, detect_scd, repair_scd, scd_mask
 
 
 @dataclass
@@ -48,6 +49,10 @@ class MilpProblem:
     @property
     def num_binaries(self) -> int:
         return 2 * len(self.binary_periods)
+
+    @cached_property
+    def binary_mask(self) -> np.ndarray:  # per 0-based period: whether it carries binaries
+        return np.isin(np.arange(1, len(self.prices) + 1), self.binary_periods)
 
 
 @dataclass
@@ -73,23 +78,19 @@ def build_milp(
     )
 
 
-def _branch_period(problem: MilpProblem, report: SolveReport) -> ScdEvent | None:
-    """The report's SCD event at a binary period with the largest |C_t|*b_t,
-    earliest t on ties, where b_t = min(eta_c*p_chg_t, p_dis_t/eta_d) is the
-    energy t charges and discharges at once: netting t to one mode costs the
-    LP exactly dt*|C_t|*b_t*(1 - eta_c*eta_d)/eta_c.  solve_milp then dives
-    into the child that keeps the mode the LP nets at t, the larger of the two."""
-    binary = set(problem.binary_periods)
-    events = [ev for ev in report.scd_events if ev.t in binary]
-    if not events:
+def _branch_period(problem: MilpProblem, sol: LpSolution) -> int | None:
+    """The 0-based binary period with SCD in sol.x and the largest |C_t|*b_t,
+    earliest on ties, or None: b_t = min(eta_c*p_chg_t, p_dis_t/eta_d) is the
+    energy t charges and discharges at once, and netting t to one mode costs
+    the LP exactly dt*|C_t|*b_t*(1 - eta_c*eta_d)/eta_c.  solve_milp then
+    dives into the child that keeps the mode the LP nets at t."""
+    T = len(problem.prices)
+    p_chg, p_dis = sol.x[:T], sol.x[T : 2 * T]
+    branchable = problem.binary_mask & scd_mask(p_chg, p_dis)
+    if not branchable.any():
         return None
-    eta_c, eta_d = problem.params.eta_c, problem.params.eta_d
-
-    def rank(ev):
-        both = min(eta_c * ev.p_chg_t, ev.p_dis_t / eta_d)
-        return -abs(problem.prices.prices[ev.t - 1]) * both, ev.t
-
-    return min(events, key=rank)
+    both = np.minimum(problem.params.eta_c * p_chg, p_dis / problem.params.eta_d)
+    return int(np.argmax(np.where(branchable, np.abs(problem.prices.prices) * both, -np.inf)))
 
 
 def solve_milp(problem: MilpProblem):
@@ -115,33 +116,31 @@ def solve_milp(problem: MilpProblem):
         node.upper, bound = stack.pop()
         if bound <= cutoff:
             continue
-        report = solve_lp(node, start=sol and sol.basis, factor=sol and sol.factor)
-        sol, report.solution = report.solution, None
+        sol = solve_lp(node, sol)
         stats.nodes += 1
-        if report.status is LpStatus.INFEASIBLE:
+        if sol.status is LpStatus.INFEASIBLE:
             continue
         if stats.root_bound is None:
-            stats.root_bound = report.objective
-        if report.objective <= cutoff:
+            stats.root_bound = sol.objective
+        if sol.objective <= cutoff:
             continue
-        event = _branch_period(problem, report)
-        if event is None:
+        k = _branch_period(problem, sol)
+        if k is None:
             # integral-equivalent: no SCD at any binary period; repair any
             # residual zero-price SCD and promote to incumbent
-            schedule = repair_scd(problem.params, problem.prices, report.schedule)
-            report.schedule = schedule
-            report.scd_events = detect_scd(schedule)
-            incumbent = report
-            cutoff = report.objective + 1e-12 * max(1.0, abs(report.objective))
+            incumbent = lp_answer(sol, T)
+            incumbent.schedule = repair_scd(problem.params, problem.prices, incumbent.schedule)
+            incumbent.scd_events = detect_scd(incumbent.schedule)
+            cutoff = sol.objective + 1e-12 * max(1.0, abs(sol.objective))
             stats.incumbent_updates += 1
             continue
         children = []
-        for j, xj in ((event.t - 1, event.p_chg_t), (T + event.t - 1, event.p_dis_t)):
+        for j in (k, T + k):
             upper = node.upper.copy()
             upper[j] = 0.0
-            children.append((upper, child_bound(node, sol, j, xj)))
+            children.append((upper, child_bound(node, sol, j)))
         # dive: the child that keeps the mode the LP nets at t is solved first
-        nets_charge = problem.params.eta_c * event.p_chg_t > event.p_dis_t / problem.params.eta_d
+        nets_charge = problem.params.eta_c * sol.x[k] > sol.x[T + k] / problem.params.eta_d
         stack += children if nets_charge else children[::-1]
     if incumbent is None:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")

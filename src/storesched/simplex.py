@@ -303,22 +303,22 @@ def _dual(f, b, c, lower, upper, state, max_iter):
         f.refactor()
 
 
-def child_bound(problem, sol, j, xj):
+def child_bound(problem, sol, j):
     """Upper bound on problem's LP optimum once x_j's upper bound drops to 0,
     its lower bound: one dual simplex step (Driebeek 1966) from the optimal
-    LpSolution sol (its objective, basis codes, reduced costs d and final
-    factor) and x_j = xj.  Nonbasic x_j loses d_j xj.  Basic x_j in row
-    r leaves above its new bound: along the dual ray the dual objective falls
-    at rate xj until the first entering candidate (_dual's rule, no
+    LpSolution sol (its objective, x_j, basis codes, reduced costs d and
+    final factor).  Nonbasic x_j loses d_j x_j.  Basic x_j in row r leaves
+    above its new bound: along the dual ray the dual objective falls at
+    rate x_j until the first entering candidate (_dual's rule, no
     tolerance) reaches d_k = 0, at min |d_k / alpha_rk|.  Each point of that
     ray is dual feasible for the child, so by weak duality it bounds the
     child's optimum.  No candidate: an aged factor proves no infeasibility."""
-    basis, d, objective, factor = sol.basis, sol.reduced_costs, sol.objective, sol.factor
+    basis, d, factor, xj = sol.basis, sol.reduced_costs, sol.factor, sol.x[j]
     if basis[j] != BASIC:
-        return objective - d[j] * xj
+        return sol.objective - d[j] * xj
     raw = factor.row(int(np.flatnonzero(factor.basis == j)[0]))
     k = _entering(raw, MOVE[basis] * (problem.lower < problem.upper), False, 0.0)
-    return objective - xj * np.abs(d[k] / raw[k]).min() if len(k) else objective
+    return sol.objective - xj * np.abs(d[k] / raw[k]).min() if len(k) else sol.objective
 
 
 def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,

@@ -175,14 +175,14 @@ def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityR
     return FeasibilityReport(feasible=not violations, violations=violations)
 
 
-def scd_mask(schedule: Schedule) -> np.ndarray:
+def scd_mask(p_chg: np.ndarray, p_dis: np.ndarray) -> np.ndarray:
     """Whether charge and discharge both exceed DEFAULT_TOL, per period."""
-    return (schedule.p_chg > DEFAULT_TOL) & (schedule.p_dis > DEFAULT_TOL)
+    return (p_chg > DEFAULT_TOL) & (p_dis > DEFAULT_TOL)
 
 
 def detect_scd(schedule: Schedule) -> list:
     """Periods where charge and discharge both exceed DEFAULT_TOL, sorted by t."""
-    scd = np.flatnonzero(scd_mask(schedule))
+    scd = np.flatnonzero(scd_mask(schedule.p_chg, schedule.p_dis))
     return [ScdEvent(t=k + 1, p_chg_t=float(schedule.p_chg[k]), p_dis_t=float(schedule.p_dis[k]))
             for k in scd.tolist()]
 
@@ -218,7 +218,7 @@ def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -
     c = prices.prices
     if len(c) != len(schedule):
         raise ValueError("price and schedule lengths differ")
-    scd = scd_mask(schedule)
+    scd = scd_mask(schedule.p_chg, schedule.p_dis)
     costly = np.flatnonzero(scd & (c != 0)) if params.eta < 1 else ()
     if len(costly):
         k = costly[0]

@@ -3,10 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from storesched import PriceSeries, StorageParams
+
+# CI runs pytest --hypothesis-profile=ci: the same examples on every run, and
+# a failure prints the blob that replays it with @reproduce_failure
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture

@@ -56,6 +56,22 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def overflowing_inputs(workspace, formulation):
+    """(params, prices) files whose formulation's objective or a diagnostic
+    overflows double precision."""
+    params, prices = workspace / "huge.txt", workspace / "huge.csv"
+    if formulation == "dp":
+        params.write_text(FAST_PARAMS)
+        prices.write_text("t,price_eur_per_mwh\n1,1e308\n2,1e308\n")
+    else:
+        params.write_text(FAST_PARAMS.replace("s_max = 1\n", "s_max = 1e300\n")
+                          .replace("s_init = 0\n", "s_init = 1e300\n")
+                          .replace("p_chg_max = 2.0", "p_chg_max = 1e300")
+                          .replace("p_dis_max = 2.0", "p_dis_max = 1e300"))
+        prices.write_text("t,price_eur_per_mwh\n1,1e10\n2,-1e10\n3,1e10\n")
+    return params, prices
+
+
 class TestParser:
     def test_built_once_and_reused(self, workspace, capsys):
         assert build_parser() is build_parser()
@@ -197,7 +213,7 @@ class TestSolve:
         repaired = 0
         for i in range(200):
             params, prices, _, _ = lp_safe_instance(rng)
-            if not lp.solve_lp(lp.build_lp(params, prices)).scd_events:
+            if not lp.lp_answer(lp.solve_lp(lp.build_lp(params, prices)), len(prices)).scd_events:
                 continue
             report = solve_storage_lp(params, prices)
             (tmp_path / "params.txt").write_text("".join(
@@ -303,6 +319,36 @@ class TestSolve:
         assert err.startswith("error:")
         assert "storage level" in err
         assert not (workspace / "out" / "report.json").exists()
+
+    def test_oversize_grid_exit_2(self, workspace, capsys):
+        # 10^12 grid points: numpy refuses the 7 TiB state grid before it
+        # allocates anything
+        out = workspace / "out"
+        code = run(["solve", "--params", workspace / "fast.txt", "--prices",
+                    workspace / "prices.csv", "--formulation", "dp", "--grid", 10**12,
+                    "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solve: out of memory: ") and err.count("\n") == 1
+        assert "7.28 TiB" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("formulation, quantity", [
+        ("lp", "objective"), ("milp", "objective"), ("refined", "objective"),
+        ("dp", "discretization_bound"),
+    ])
+    def test_nonfinite_result_exit_2(self, workspace, capsys, formulation, quantity):
+        # storage of 1e300 MWh and MW at 1e10 EUR/MWh earns more than a double
+        # holds; at 1e308 EUR/MWh over two periods the DP's discretization
+        # bound does.  Nothing is written, and the error names the quantity
+        params, prices = overflowing_inputs(workspace, formulation)
+        out = workspace / "out"
+        code = run(["solve", "--params", params, "--prices", prices,
+                    "--formulation", formulation, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {formulation} {quantity} is inf, beyond double precision\n"
+        assert not out.exists()
 
     def test_iteration_limit_exit_3(self, workspace, monkeypatch, capsys):
         from storesched import simplex
@@ -490,6 +536,15 @@ class TestCompare:
         row = out.read_text().splitlines()[1].split(",")
         assert row[1] == "solve_lp"
         assert row[-1] == "ADVICE_UNSOUND"
+
+    def test_nonfinite_result_exit_2(self, workspace, capsys):
+        params, prices = overflowing_inputs(workspace, "lp")
+        manifest = workspace / "manifest.csv"
+        manifest.write_text(f"params_path,prices_path,label\n{params.name},{prices.name},huge\n")
+        out = workspace / "cmp.csv"
+        assert run(["compare", "--manifest", manifest, "--out", out]) == 2
+        assert capsys.readouterr() == ("", "error: lp objective is inf, beyond double precision\n")
+        assert not out.exists()
 
     def test_empty_manifest(self, workspace, capsys):
         manifest = workspace / "empty.csv"

@@ -136,7 +136,7 @@ class TestSolve:
         netted = 0
         for _ in range(200):
             params, prices, _, _ = lp_safe_instance(rng)
-            vertex = solve_lp(build_lp(params, prices))
+            vertex = lp.lp_answer(solve_lp(build_lp(params, prices)), len(prices))
             if not vertex.scd_events:
                 continue
             report = solve_storage_lp(params, prices)
@@ -149,7 +149,7 @@ class TestSolve:
             netted += 1
         assert netted >= 30
         params, prices = unit_storage(), PriceSeries([-10.0, 20.0], 1.0)
-        vertex = solve_lp(build_lp(params, prices))
+        vertex = lp.lp_answer(solve_lp(build_lp(params, prices)), len(prices))
         report = solve_storage_lp(params, prices)
         assert report.scd_events == vertex.scd_events and len(report.scd_events) == 1
         np.testing.assert_array_equal(report.schedule.p_chg, vertex.schedule.p_chg)
@@ -266,7 +266,7 @@ class TestWarmStart:
             parent = solve_lp(build_lp(params, prices))
             child = build_lp(params, prices)
             child.upper[int(rng.integers(2 * len(prices)))] = 0.0
-            warm = solve_bounded_lp(child, start=parent.solution.basis)
+            warm = solve_bounded_lp(child, start=parent.basis)
             cold = solve_bounded_lp(child)
             assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
             assert bounded_kkt_residual(child, warm) <= 1e-7
@@ -350,7 +350,7 @@ class TestDurationStart:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lp, "solve_bounded_lp", recorded)
             report = solve_lp(problem)
-        assert report.solution.factor is not None
+        assert report.factor is not None
         want = solve_bounded_lp(problem, start=level_start(problem, T))
         assert report.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-12)
         assert_lp_certificate(problem, solutions[0])

@@ -16,11 +16,10 @@ from _instances import (
 from storesched import (
     DpConfig,
     InfeasibleStorage,
+    LpSolution,
     LpStatus,
     PriceSeries,
     Schedule,
-    ScdEvent,
-    SolveReport,
     StorageParams,
     build_lp,
     build_milp,
@@ -237,20 +236,28 @@ class TestFactorHandOff:
         assert len(handed) == nodes - trees > 800  # every node LP but each root: 866
 
     def test_no_report_keeps_a_factor(self, monkeypatch):
-        reports = []
+        # a node LP is an LpSolution that hands its factor to the next one,
+        # so a tree keeps its root's factor; no answer holds simplex state
+        sols = []
 
         def recorded(*args, **kwargs):
-            reports.append(lp.solve_lp(*args, **kwargs))
-            return reports[-1]
+            sols.append(lp.solve_lp(*args, **kwargs))
+            return sols[-1]
 
         monkeypatch.setattr(milp, "solve_lp", recorded)
+        trees = 0
         for params, prices, part in criterion_4_draws(8):
-            assert solve_storage_lp(params, prices).solution.factor is None
+            reports = [solve_storage_lp(params, prices)]
             for refined in (False, True):
-                report, _ = solve_storage_milp(params, prices, part, refined=refined)
-                assert report.solution is None
-        assert len(reports) > 16
-        assert all(r.solution is None for r in reports)
+                sols.clear()
+                reports.append(solve_storage_milp(params, prices, part, refined=refined)[0])
+                assert sols[0].factor is not None
+                assert all(isinstance(s, LpSolution) and s.factor is sols[0].factor for s in sols)
+                trees += len(sols) > 1
+            for report in reports:
+                assert not any(isinstance(v, (LpSolution, simplex._Factor))
+                               for v in vars(report).values())
+        assert trees > 0
 
     def test_updates_match_a_recompute(self, monkeypatch):
         # a recompute after every pivot takes x, y and d from the factor
@@ -311,15 +318,16 @@ class TestOneFactorPerTree:
         base = build_milp(params, prices, True, partition(prices)).base
         sols = node_lps(monkeypatch)
         parent = lp.solve_lp(base)
+        factor = parent.factor
         chg_off, dis_off = copy.copy(base), copy.copy(base)
         chg_off.upper, dis_off.upper = base.upper.copy(), base.upper.copy()
         chg_off.upper[0] = dis_off.upper[3] = 0.0
-        child = lp.solve_lp(chg_off, start=parent.solution.basis, factor=parent.solution.factor)
+        child = lp.solve_lp(chg_off, parent)
         assert child.status is LpStatus.INFEASIBLE
-        assert child.solution.factor is parent.solution.factor
-        assert child.solution.factor.age == 0
+        assert child.factor is factor
+        assert child.factor.age == 0
         assert sols[-1].factorizations >= 1
-        sibling = lp.solve_lp(dis_off, start=child.solution.basis, factor=child.solution.factor)
+        sibling = lp.solve_lp(dis_off, child)
         assert sibling.status is LpStatus.OPTIMAL and sols[-1].factorizations == 0
         assert sibling.objective == pytest.approx(lp.solve_lp(dis_off).objective, rel=1e-12)
 
@@ -331,20 +339,50 @@ class TestSearchOrder:
     def test_branches_where_scd_earns_most(self):
         prices = PriceSeries([-1.0, -10.0, -10.0], 1.0)
         problem = build_milp(unit_storage(), prices, True, partition(prices))
-        report = SolveReport(status=LpStatus.OPTIMAL, scd_events=[
-            ScdEvent(t=1, p_chg_t=1.0, p_dis_t=1.0),  # charge binary 0.5: most fractional
-            ScdEvent(t=2, p_chg_t=0.2, p_dis_t=0.5),  # |C_t|*b_t = 10 * 0.18, the most
-            ScdEvent(t=3, p_chg_t=0.2, p_dis_t=0.5),  # a tie: the earlier t wins
-        ])
-        assert milp._branch_period(problem, report).t == 2
+        x = np.zeros(problem.base.n)
+        x[:3] = 1.0, 0.2, 0.2  # p_chg
+        x[3:6] = 1.0, 0.5, 0.5  # p_dis
+        # t=1: charge binary 0.5, the most fractional; t=2: |C_t|*b_t =
+        # 10 * 0.18, the most; t=3: a tie, and the earlier t wins
+        sol = LpSolution(LpStatus.OPTIMAL, x=x)
+        assert milp._branch_period(problem, sol) == 1
+
+    def test_branch_period_matches_the_event_loop(self, monkeypatch):
+        # the masked argmax picks what a loop over the node LP's SCD events
+        # picks: the binary period of the largest |C_t|*b_t, earliest on ties
+        def reference(problem, sol):
+            T = len(problem.prices)
+            sch = Schedule(sol.x[:T], sol.x[T : 2 * T], sol.x[2 * T : 3 * T])
+            eta_c, eta_d = problem.params.eta_c, problem.params.eta_d
+            events = [ev for ev in detect_scd(sch) if ev.t in problem.binary_periods]
+            if not events:
+                return None
+            return min(events, key=lambda ev: (-abs(problem.prices.prices[ev.t - 1])
+                                               * min(eta_c * ev.p_chg_t, ev.p_dis_t / eta_d),
+                                               ev.t)).t - 1
+
+        picks = []
+
+        def compared(problem, sol):
+            k = real(problem, sol)
+            assert k == reference(problem, sol)
+            picks.append(k)
+            return k
+
+        real = milp._branch_period
+        monkeypatch.setattr(milp, "_branch_period", compared)
+        for params, prices, part in criterion_4_draws(100):
+            for refined in (False, True):
+                solve_storage_milp(params, prices, part, refined=refined)
+        assert sum(k is not None for k in picks) > 200
 
     def test_first_child_keeps_the_netted_mode(self, monkeypatch):
         nodes = []
 
-        def recorded(node, start=None, factor=None):
-            report = lp.solve_lp(node, start=start, factor=factor)
-            nodes.append((node.upper.copy(), report))
-            return report
+        def recorded(node, warm=None):
+            sol = lp.solve_lp(node, warm)
+            nodes.append((node.upper.copy(), sol))
+            return sol
 
         monkeypatch.setattr(milp, "solve_lp", recorded)
         branched = 0
@@ -353,14 +391,13 @@ class TestSearchOrder:
             for refined in (False, True):
                 nodes.clear()
                 solve_storage_milp(params, prices, part, refined=refined)
-                for (upper, report), (child, _) in zip(nodes, nodes[1:]):
+                for (upper, sol), (child, _) in zip(nodes, nodes[1:]):
                     cut = np.flatnonzero(child != upper)
                     if len(cut) != 1 or child[cut[0]] != 0.0:
                         continue  # the next node LP is not a child of this one
                     branched += 1
                     t = cut[0] % T
-                    net = (params.eta_c * report.schedule.p_chg[t]
-                           - report.schedule.p_dis[t] / params.eta_d)
+                    net = params.eta_c * sol.x[t] - sol.x[T + t] / params.eta_d
                     assert cut[0] == (T + t if net > 0 else t)
         assert branched > 200  # 282
 
@@ -395,8 +432,8 @@ class TestChildBound:
         # that child's LP, solved from scratch, unless that LP is infeasible
         children = []
 
-        def recorded(problem, sol, j, xj):
-            bound = simplex.child_bound(problem, sol, j, xj)
+        def recorded(problem, sol, j):
+            bound = simplex.child_bound(problem, sol, j)
             child = copy.copy(problem)
             child.upper = problem.upper.copy()
             child.upper[j] = 0.0
