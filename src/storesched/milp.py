@@ -29,7 +29,6 @@ often close at the root node.
 
 import copy
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,16 +42,13 @@ from .storage import StorageParams, detect_scd, repair_scd, scd_mask
 class MilpProblem:
     base: LpProblem
     binary_periods: tuple  # 1-based periods carrying u_t^C, u_t^D
+    binary_mask: np.ndarray  # the same periods as a mask over 0-based t
     params: StorageParams  # p_chg_max / p_dis_max are the exact big-Ms
     prices: PriceSeries
 
     @property
     def num_binaries(self) -> int:
         return 2 * len(self.binary_periods)
-
-    @cached_property
-    def binary_mask(self) -> np.ndarray:  # per 0-based period: whether it carries binaries
-        return np.isin(np.arange(1, len(self.prices) + 1), self.binary_periods)
 
 
 @dataclass
@@ -70,9 +66,12 @@ def build_milp(
     part: PricePartition,
 ) -> MilpProblem:
     binary_periods = part.t_neg if refined else tuple(range(1, len(prices) + 1))
+    binary_mask = np.zeros(len(prices), dtype=bool)
+    binary_mask[np.asarray(binary_periods, dtype=int) - 1] = True
     return MilpProblem(
         base=build_lp(params, prices, part.t_neg),
         binary_periods=binary_periods,
+        binary_mask=binary_mask,
         params=params,
         prices=prices,
     )
