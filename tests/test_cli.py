@@ -321,8 +321,8 @@ class TestSolve:
         assert not (workspace / "out" / "report.json").exists()
 
     def test_oversize_grid_exit_2(self, workspace, capsys):
-        # 10^12 grid points: numpy refuses the 7 TiB state grid before it
-        # allocates anything
+        # 10^12 grid points: the 7 TiB state grid fails to allocate at once
+        # (far beyond memory plus swap, under Linux's default overcommit)
         out = workspace / "out"
         code = run(["solve", "--params", workspace / "fast.txt", "--prices",
                     workspace / "prices.csv", "--formulation", "dp", "--grid", 10**12,

@@ -25,8 +25,8 @@ TOKEN = st.one_of(NUMBER.map(repr), st.sampled_from(["", "abc", "1e999", "-1e999
 # the energies and powers of one storage, from subnormal to overflow scale
 SCALE = st.sampled_from([5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e150, 1e300, 1.7e308])
 # valid grids (small, so each DP stays fast), invalid ones, and grids whose
-# state array alone would take terabytes: numpy refuses those before it
-# allocates anything
+# state array alone would take terabytes: the allocation fails at once (far
+# beyond memory plus swap, under Linux's default overcommit heuristic)
 GRID = st.one_of(st.none(), st.integers(2, 60), st.integers(-3, 1),
                  st.integers(10**12, 10**30))
 
