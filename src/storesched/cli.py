@@ -29,7 +29,7 @@ import numpy as np
 
 from .conditions import Recommendation, advise, lemma1_classify
 from .dp import DpConfig, dp_value_error_bound, solve_dp
-from .lp import solve_storage_lp
+from .lp import require_finite, solve_storage_lp
 from .milp import build_milp, solve_milp
 from .prices import partition, read_price_csv
 from .simplex import SimplexFailure
@@ -150,8 +150,7 @@ def _solve_formulation(formulation, params, prices, part, grid):
         }
     extras["physically_infeasible"] = bool(report.scd_events)  # none from the dp
     for name, value in {"objective": report.objective, **extras}.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{formulation} {name} is {value}, beyond double precision")
+        require_finite(f"{formulation} {name}", value)
     return report, extras
 
 
@@ -166,12 +165,10 @@ def cmd_solve(args) -> int:
 
     doc = {
         "formulation": args.formulation,
-        "status": report.status.value,
+        "status": "optimal",  # every solver raises instead of answering infeasible
         "objective_eur": report.objective,
-        "scd_events": [
-            {"t": ev.t, "p_chg": ev.p_chg_t, "p_dis": ev.p_dis_t}
-            for ev in (report.scd_events or [])
-        ],
+        "scd_events": [{"t": ev.t, "p_chg": ev.p_chg_t, "p_dis": ev.p_dis_t}
+                       for ev in report.scd_events],
         "schedule": schedule_to_dict(report.schedule, params.dt),
     }
     doc.update(extras)
@@ -204,24 +201,21 @@ def cmd_check(args) -> int:
             f"schedule horizon {len(schedule)} differs from price horizon {len(prices)}"
         )
 
-    fail = False
     fea = feasibility_check(params, schedule)
     print(f"feasible: {fea.feasible}")
     for t, tag, magnitude in fea.violations:
         print(f"  violation t={t} {tag} magnitude={magnitude:.6g}")
-        fail = True
     events = detect_scd(schedule)
     print(f"scd_events: {len(events)}")
     for ev in events:
         print(f"  scd t={ev.t} p_chg={ev.p_chg_t:.6g} p_dis={ev.p_dis_t:.6g}")
-        fail = True
     for t in part.t_neg:
         verdict = lemma1_classify(params, prices, schedule, t)
         print(
             f"negative-price t={t}: {verdict.classification.value} "
             f"(beta={verdict.beta_t:.6g})"
         )
-    return EXIT_CHECK_FAILED if fail else EXIT_OK
+    return EXIT_CHECK_FAILED if fea.violations or events else EXIT_OK
 
 
 def _read_manifest(path):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .lp import InfeasibleStorage, SolveReport
 from .prices import PriceSeries
-from .simplex import LpStatus
 from .storage import Schedule, StorageParams, objective
 
 
@@ -120,14 +119,21 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
     if prices.dt != params.dt:
         raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
     T = len(prices)
-    grid = np.linspace(params.s_min, params.s_max, config.grid_points)
+    try:
+        grid = np.linspace(params.s_min, params.s_max, config.grid_points)
+    except (IndexError, ValueError):  # numpy refuses counts near or past its index range
+        raise ValueError(f"grid_points {config.grid_points} exceed numpy's largest array") from None
     h = grid[1] - grid[0]
     for side, step in (("charge", params.dt * params.eta_c * params.p_chg_max),
                        ("discharge", params.dt * params.p_dis_max / params.eta_d)):
         if step < h:
             raise GridTooCoarse(f"full-rate {side} step {step} below grid spacing {h}")
 
-    values = _values(params, prices, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
+        values = _values(params, prices, grid)
+    top = values.max()
+    if not top < np.inf:  # NaN or +inf; -inf marks a level with no target
+        raise ValueError(f"dp value table holds {top}: the profit overflows double precision")
 
     # forward pass from the exact (possibly off-grid) initial level; after
     # one step the state sits on the grid within rounding, which
@@ -153,12 +159,7 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
         soe[t] = s
 
     schedule = Schedule(p_chg=p_chg, p_dis=p_dis, soe=soe)
-    return SolveReport(
-        status=LpStatus.OPTIMAL,
-        objective=objective(prices, schedule, params.dt),
-        schedule=schedule,
-        scd_events=[],
-    )
+    return SolveReport(objective(prices, schedule, params.dt), schedule, [])
 
 
 def dp_value_error_bound(params: StorageParams, prices: PriceSeries, config: DpConfig) -> float:

@@ -13,7 +13,9 @@ import numpy as np
 
 from .prices import PriceSeries
 from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, LpStatus, solve_bounded_lp
-from .storage import RepairNotApplicable, Schedule, StorageParams, detect_scd, repair_scd, scd_mask
+from .storage import (
+    RepairNotApplicable, Schedule, StorageParams, detect_scd, net_exchange, repair_scd, scd_mask,
+)
 
 
 class InfeasibleStorage(ValueError):
@@ -42,13 +44,13 @@ class DualVector:
 
 @dataclass
 class SolveReport:
-    """One answer of the LP, a MILP or the DP; it holds no simplex state."""
+    """One optimal answer of the LP, a MILP or the DP; every solver raises
+    instead of answering infeasible.  It holds no simplex state."""
 
-    status: LpStatus
-    objective: float | None = None
-    schedule: Schedule | None = None
+    objective: float
+    schedule: Schedule
+    scd_events: list
     duals: DualVector | None = None  # from solve_storage_lp only
-    scd_events: list | None = None
     kkt_max_residual: float | None = None  # from solve_storage_lp only
 
 
@@ -149,17 +151,25 @@ def lp_answer(sol: LpSolution, T: int) -> SolveReport:
     """The answer at an optimal LpSolution over T periods: its objective,
     a copy of its schedule and that schedule's SCD events."""
     schedule = Schedule(*sol.x[: 3 * T].reshape(3, T).copy())  # p_chg, p_dis, soe
-    return SolveReport(LpStatus.OPTIMAL, sol.objective, schedule, scd_events=detect_scd(schedule))
+    return SolveReport(sol.objective, schedule, detect_scd(schedule))
+
+
+def require_finite(name: str, value: float) -> None:
+    """Refuse, by name, a result that overflowed double precision."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} is {value}, beyond double precision")
 
 
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """The LP answer: the storage LP's optimum with its duals, SCD netted by
     repair_scd when every event costs nothing (zero price or eta = 1; the
     vertex duals still certify it), and the KKT residual of that schedule.
-    Raises InfeasibleStorage when no schedule meets the storage limits."""
+    Raises InfeasibleStorage when no schedule meets the storage limits, and
+    a ValueError when the objective overflows double precision."""
     sol = solve_lp(build_lp(params, prices))
     if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
+    require_finite("lp objective", sol.objective)
     report = lp_answer(sol, len(prices))
     report.duals = _duals_from_solution(len(prices), sol.y, sol.reduced_costs)
     if report.scd_events:
@@ -176,11 +186,10 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) 
     stationarity in p_dis / p_chg / soe, the balance equalities, dual
     nonnegativity, every complementarity pair, and the identity that at
     any SCD period dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0."""
-    if report.duals is None or report.schedule is None:
+    if report.duals is None:
         raise MissingDuals("report carries no duals")
     du = report.duals
     sch = report.schedule
-    T = len(sch)
     dt = params.dt
     c = prices.prices
     lam_next = np.append(du.lam[1:], 0.0)  # free terminal level: lam_{T+1} = 0
@@ -191,8 +200,8 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) 
     res.append(dt * c - du.lam * dt * params.eta_c + du.gamma_hi - du.gamma_lo)
     res.append(du.lam - params.rho * lam_next + du.sigma_hi - du.sigma_lo)
     # primal balance rows
-    prev = np.concatenate([[params.s_init], sch.soe[:-1]])
-    res.append(sch.soe - params.rho * prev - dt * (params.eta_c * sch.p_chg - sch.p_dis / params.eta_d))
+    flow = dt * (params.eta_c * sch.p_chg - sch.p_dis / params.eta_d)
+    res.append(net_exchange(params, sch.soe) - flow)
     # per bound: dual nonnegativity, primal feasibility, complementary slackness
     for mult, slack in (
         (du.sigma_lo, sch.soe - params.s_min), (du.sigma_hi, params.s_max - sch.soe),

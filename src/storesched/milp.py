@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import InfeasibleStorage, build_lp, lp_answer, solve_lp
+from .lp import InfeasibleStorage, build_lp, lp_answer, require_finite, solve_lp
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpSolution, LpStatus, child_bound
 from .storage import StorageParams, detect_scd, repair_scd, scd_mask
@@ -150,4 +150,8 @@ def solve_milp(problem: MilpProblem):
 def solve_storage_milp(
     params: StorageParams, prices: PriceSeries, part: PricePartition, refined: bool = True
 ):
-    return solve_milp(build_milp(params, prices, refined, part))
+    """solve_milp on build_milp's problem; a ValueError names an objective
+    that overflows double precision."""
+    report, stats = solve_milp(build_milp(params, prices, refined, part))
+    require_finite(f"{'refined' if refined else 'milp'} objective", report.objective)
+    return report, stats

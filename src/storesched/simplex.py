@@ -5,18 +5,11 @@ Returns row duals and reduced costs for KKT verification, and the final
 basis as a warm start for related LPs.
 
 The start basis is the given one when it has m independent basic
-columns, else one artificial column per row, fixed at zero.  The storage
-LP gives the charge-duration basis of lp.solve_lp: in each period the
-level is basic, or, where the power the price pays for crosses the whole
-level range at full rate, the discharge.  At a negative price that is
-the relaxation's simultaneous charge and discharge: the charge runs at
-full rate and the discharge burns what the level cannot hold (at a leg
-period the charge stays basic and its leg starts at a bound).  A
-branch-and-bound node gives the basis the previous node's LP ended on,
-optimal or infeasible.  With every bound finite, any basis is dual
-feasible once each nonbasic variable sits at the bound its reduced cost
-prefers.  So no phase 1 is needed, and a dual pass that ends primal
-feasible ends optimal.
+columns, else one artificial column per row, fixed at zero; the storage
+LP's start rule is lp._duration_start's.  With every bound finite, any
+basis is dual feasible once each nonbasic variable sits at the bound its
+reduced cost prefers.  So no phase 1 is needed, and a dual pass that ends
+primal feasible ends optimal.
 
 The ratio test flips bounds (Maros 2003; Koberstein 2005): the entering
 candidates are passed in order of the dual step at which their reduced
@@ -363,5 +356,6 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
                      factor=f if f.a is a else None)  # not with artificial columns
     if status is LpStatus.OPTIMAL:
         sol.x, sol.y, sol.reduced_costs = x[:n].copy(), y, d[:n].copy()
-        sol.objective = float(problem.c @ sol.x)
+        with np.errstate(over="ignore"):  # an overflow shows as an infinite objective
+            sol.objective = float(problem.c @ sol.x)
     return sol

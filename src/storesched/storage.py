@@ -104,13 +104,15 @@ class ScdEvent:
 
 @dataclass
 class FeasibilityReport:
-    """violations: list of (1-based period, constraint tag, magnitude)."""
+    """violations: list of (1-based period, constraint tag, magnitude),
+    ordered by period, then p_chg, p_dis, soe and the recursion.  A
+    schedule is feasible exactly when the list is empty."""
 
-    feasible: bool
     violations: list
 
-    def __post_init__(self):
-        assert self.feasible == (not self.violations)
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
 
 def propagate_soe(params: StorageParams, p_chg, p_dis) -> np.ndarray:
@@ -140,39 +142,38 @@ def objective(prices: PriceSeries, schedule: Schedule, dt: float) -> float:
     return float(np.sum(dt * c * (schedule.p_dis - schedule.p_chg)))
 
 
+def net_exchange(params: StorageParams, soe) -> np.ndarray:
+    """The net energy exchange beta_t = s_t - rho * s_{t-1} of each period,
+    with s_0 = s_init: on a consistent schedule it equals
+    dt * (eta_c * pC_t - pD_t / eta_d)."""
+    soe = np.asarray(soe, dtype=float)
+    return soe - params.rho * np.concatenate(([params.s_init], soe[:-1]))
+
+
+# the tag of a violation per column (p_chg, p_dis, soe, recursion), bound or nonfinite
+_TAGS = (("bound_pc", "nonfinite_pc"), ("bound_pd", "nonfinite_pd"),
+         ("bound_soe", "nonfinite_soe"), ("soe_recursion",))
+
+
 def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityReport:
     """Verify power bounds, state-of-energy bounds and the recursion
-    consistency of the soe trajectory, within DEFAULT_TOL.  Reports every
-    violation with its magnitude, and every NaN or infinite entry as a
-    nonfinite_* violation; never raises on infeasibility."""
-    violations = []
-    prev = params.s_init
-    for k in range(len(schedule)):
-        t = k + 1
-        pc, pd, s = schedule.p_chg[k], schedule.p_dis[k], schedule.soe[k]
-        if not math.isfinite(pc):
-            violations.append((t, "nonfinite_pc", abs(pc)))
-        elif pc < -DEFAULT_TOL:
-            violations.append((t, "bound_pc", -pc))
-        elif pc > params.p_chg_max + DEFAULT_TOL:
-            violations.append((t, "bound_pc", pc - params.p_chg_max))
-        if not math.isfinite(pd):
-            violations.append((t, "nonfinite_pd", abs(pd)))
-        elif pd < -DEFAULT_TOL:
-            violations.append((t, "bound_pd", -pd))
-        elif pd > params.p_dis_max + DEFAULT_TOL:
-            violations.append((t, "bound_pd", pd - params.p_dis_max))
-        if not math.isfinite(s):
-            violations.append((t, "nonfinite_soe", abs(s)))
-        elif s < params.s_min - DEFAULT_TOL:
-            violations.append((t, "bound_soe", params.s_min - s))
-        elif s > params.s_max + DEFAULT_TOL:
-            violations.append((t, "bound_soe", s - params.s_max))
-        expected = params.rho * prev + params.dt * (params.eta_c * pc - pd / params.eta_d)
-        if abs(s - expected) > DEFAULT_TOL:
-            violations.append((t, "soe_recursion", abs(s - expected)))
-        prev = s
-    return FeasibilityReport(feasible=not violations, violations=violations)
+    residual beta_t - dt * (eta_c * pC_t - pD_t / eta_d) of every period,
+    within DEFAULT_TOL.  Reports every violation with its magnitude, and a
+    NaN or infinite entry as a nonfinite_* violation in place of its bound
+    check; never raises on infeasibility and never warns."""
+    with np.errstate(all="ignore"):  # NaN and inf entries are reported, not warned about
+        # the residual is a fourth value with bounds [0, 0], where NaN is no violation
+        flow = params.dt * (params.eta_c * schedule.p_chg - schedule.p_dis / params.eta_d)
+        residual = net_exchange(params, schedule.soe) - flow
+        values = np.column_stack([schedule.p_chg, schedule.p_dis, schedule.soe, residual])
+        lo = np.array([0.0, 0.0, params.s_min, 0.0])
+        hi = np.array([params.p_chg_max, params.p_dis_max, params.s_max, 0.0])
+        nonfinite = ~np.isfinite(values) & [True, True, True, False]
+        below, above = values < lo - DEFAULT_TOL, values > hi + DEFAULT_TOL
+        magnitude = np.where(nonfinite, np.abs(values), np.where(below, lo - values, values - hi))
+    k, j = np.nonzero(nonfinite | below | above)  # row-major: by period, then column
+    return FeasibilityReport([(t + 1, _TAGS[col][nf], m) for t, col, nf, m in zip(
+        k.tolist(), j.tolist(), nonfinite[k, j].tolist(), magnitude[k, j])])
 
 
 def scd_mask(p_chg: np.ndarray, p_dis: np.ndarray) -> np.ndarray:
@@ -207,11 +208,11 @@ def check_assumption_leakage(params: StorageParams) -> bool:
 
 def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -> Schedule:
     """Replace each SCD period by the equal-objective single-mode powers
-    that keep the soe trajectory unchanged.
+    that keep the soe trajectory unchanged, all in one masked step.
 
-    With beta_t = s_t - rho * s_{t-1} (recomputed from the stored soe, the
+    With beta_t from net_exchange (recomputed from the stored soe, the
     invariant the construction preserves): if beta_t <= 0, discharge only;
-    if beta_t >= 0, charge only.  Applicable only where C_t = 0 or the
+    if beta_t > 0, charge only.  Applicable only where C_t = 0 or the
     round-trip efficiency is 1; otherwise no equal-objective repair exists
     and RepairNotApplicable is raised.
     """
@@ -223,17 +224,12 @@ def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -
     if len(costly):
         k = costly[0]
         raise RepairNotApplicable(f"SCD at t={k + 1} with C_t={c[k]} and eta={params.eta} < 1")
-    p_chg = schedule.p_chg.copy()
-    p_dis = schedule.p_dis.copy()
-    for k in np.flatnonzero(scd).tolist():
-        prev = schedule.soe[k - 1] if k > 0 else params.s_init
-        beta = schedule.soe[k] - params.rho * prev
-        if beta <= 0:
-            p_chg[k] = 0.0
-            p_dis[k] = -params.eta_d * beta / params.dt
-        else:
-            p_chg[k] = beta / (params.eta_c * params.dt)
-            p_dis[k] = 0.0
+    p_chg, p_dis = schedule.p_chg.copy(), schedule.p_dis.copy()
+    if scd.any():
+        beta = net_exchange(params, schedule.soe)[scd]
+        discharge = beta <= 0
+        p_chg[scd] = np.where(discharge, 0.0, beta / (params.eta_c * params.dt))
+        p_dis[scd] = np.where(discharge, -params.eta_d * beta / params.dt, 0.0)
     return Schedule(p_chg=p_chg, p_dis=p_dis, soe=schedule.soe.copy())
 
 

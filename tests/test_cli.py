@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import storesched
 from _instances import lp_safe_instance
 from storesched import (
     Advice,
@@ -73,6 +78,15 @@ def overflowing_inputs(workspace, formulation):
 
 
 class TestParser:
+    def test_module_entry_point(self):
+        # python -m storesched.cli runs main and exits with its code
+        src = Path(storesched.__file__).parents[1]
+        done = subprocess.run([sys.executable, "-m", "storesched.cli", "--help"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith("usage: storesched ")
+
     def test_built_once_and_reused(self, workspace, capsys):
         assert build_parser() is build_parser()
         prices = ["--prices", workspace / "prices.csv"]
@@ -348,6 +362,21 @@ class TestSolve:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {formulation} {quantity} is inf, beyond double precision\n"
+        assert not out.exists()
+
+    def test_dp_overflow_exit_2(self, workspace, capsys):
+        # unit storage against 1,000 hours at +-1e306 EUR/MWh: the storage is
+        # feasible, but the DP's value table overflows, and the error says so
+        prices = workspace / "huge.csv"
+        prices.write_text("t,price_eur_per_mwh\n" + "".join(
+            f"{t},{'-' if t % 2 == 0 else ''}1e306\n" for t in range(1, 1001)))
+        out = workspace / "out"
+        code = run(["solve", "--params", workspace / "fast.txt", "--prices", prices,
+                    "--formulation", "dp", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dp value table holds ") and err.count("\n") == 1
+        assert "overflows double precision" in err
         assert not out.exists()
 
     def test_iteration_limit_exit_3(self, workspace, monkeypatch, capsys):

@@ -130,6 +130,15 @@ class TestSolve:
         assert lp.scd_events
         assert dp.objective < lp.objective - 1e-6
 
+    def test_overflow_is_named(self):
+        # 1,000 hours at +-1e306 EUR/MWh: the value table overflows to inf and
+        # NaN, which is refused by name and without a warning, not taken for
+        # a level with no grid transition
+        params = unit_storage(p_chg_max=2.0, p_dis_max=2.0)
+        prices = PriceSeries(np.tile([1e306, -1e306], 500), 1.0)
+        with pytest.raises(ValueError, match="dp value table holds .*overflows double precision"):
+            solve_dp(params, prices, DpConfig())
+
     def test_determinism(self):
         rng = np.random.default_rng(23)
         params = random_params(rng)

@@ -206,13 +206,10 @@ class TestKkt:
         assert kkt_verify(params, prices, report) >= 1e-3 - 1e-7
 
     def test_missing_duals(self):
-        from storesched import LpStatus, Schedule
+        from storesched import Schedule
 
-        report = SolveReport(
-            status=LpStatus.OPTIMAL,
-            objective=0.0,
-            schedule=Schedule(p_chg=[0.0], p_dis=[0.0], soe=[0.0]),
-        )
+        schedule = Schedule(p_chg=[0.0], p_dis=[0.0], soe=[0.0])
+        report = SolveReport(objective=0.0, schedule=schedule, scd_events=[])
         with pytest.raises(MissingDuals):
             kkt_verify(unit_storage(), PriceSeries([1.0], 1.0), report)
 

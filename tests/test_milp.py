@@ -475,6 +475,19 @@ class TestInfeasibleStorage:
                 solve_storage_milp(params, prices, part, refined=refined)
 
 
+class TestOverflow:
+    def test_infinite_objective_refused(self):
+        # storage of 1e300 MWh and MW at +-1e10 EUR/MWh earns more than a
+        # double holds: both entry points refuse the objective by name
+        params = unit_storage(s_max=1e300, s_init=1e300, p_chg_max=1e300, p_dis_max=1e300)
+        prices = PriceSeries([1e10, -1e10, 1e10], 1.0)
+        with pytest.raises(ValueError, match="^lp objective is inf, beyond double precision$"):
+            solve_storage_lp(params, prices)
+        for refined, name in ((False, "milp"), (True, "refined")):
+            with pytest.raises(ValueError, match=f"^{name} objective is inf, beyond double"):
+                solve_storage_milp(params, prices, partition(prices), refined=refined)
+
+
 class TestNodeCounts:
     def test_refined_no_more_nodes_in_aggregate(self):
         rng = np.random.default_rng(15)

@@ -140,3 +140,21 @@ def test_compare(tmp_path, texts, grid, manifest):
     (tmp_path / "manifest.csv").write_text(manifest)
     grid_flag = [] if grid is None else ["--grid", grid]
     assert_documented(["compare", "--manifest", tmp_path / "manifest.csv", *grid_flag])
+
+
+@settings(max_examples=20, **FUZZ)
+@given(grid=st.one_of(st.integers(2**63, 10**30), st.sampled_from([2**63 - 1, 2**62])),
+       command=st.sampled_from(["solve", "compare"]))
+def test_grid_past_the_index_range_is_named(tmp_path, grid, command):
+    # numpy refuses a state grid this large with a message that names
+    # nothing (or an IndexError); the error must name the grid instead
+    (tmp_path / "params.txt").write_text(
+        "s_min = 0\ns_max = 1\ns_init = 0.5\np_chg_max = 2\np_dis_max = 2\n"
+        "eta_c = 0.9\neta_d = 0.9\nrho = 1\ndt_hours = 1\n")
+    (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,-5.0\n2,30.0\n")
+    (tmp_path / "manifest.csv").write_text("params_path,prices_path,label\nparams.txt,prices.csv,a\n")
+    args = {"solve": ["solve", "--params", tmp_path / "params.txt", "--prices",
+                      tmp_path / "prices.csv", "--formulation", "dp", "--out", tmp_path / "out"],
+            "compare": ["compare", "--manifest", tmp_path / "manifest.csv"]}[command]
+    code, err = run([*args, "--grid", grid])
+    assert (code, err) == (2, f"error: grid_points {grid} exceed numpy's largest array\n")

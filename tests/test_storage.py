@@ -19,7 +19,7 @@ from storesched import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from storesched.storage import DEFAULT_TOL
+from storesched.storage import DEFAULT_TOL, net_exchange
 
 
 def make_params(**overrides):
@@ -101,6 +101,8 @@ class TestPropagation:
                 params.rho ** (t - k) * net[k - 1] for k in range(1, t + 1)
             )
             assert soe[t - 1] == pytest.approx(closed, rel=1e-10, abs=1e-12)
+        # the net exchange s_t - rho*s_{t-1} recovers each period's energy flow
+        np.testing.assert_allclose(net_exchange(params, soe), net, rtol=1e-9, atol=1e-12)
 
 
 class TestObjective:
@@ -113,6 +115,36 @@ class TestObjective:
         sch = Schedule(p_chg=[0.1], p_dis=[0.0], soe=[0.1])
         with pytest.raises(ValueError):
             objective(PriceSeries([1.0, 2.0], 1.0), sch, 1.0)
+
+
+def reference_feasibility(params, schedule):
+    """The per-period loop feasibility_check replaced: the same tags in the
+    same order, the recursion residual computed as s_t - expected."""
+    violations = []
+    prev = params.s_init
+    with np.errstate(all="ignore"):  # inf - inf in the residual is NaN, not a violation
+        for k in range(len(schedule)):
+            t = k + 1
+            pc, pd, s = schedule.p_chg[k], schedule.p_dis[k], schedule.soe[k]
+            for tag, v, lo, hi in (("pc", pc, 0.0, params.p_chg_max),
+                                   ("pd", pd, 0.0, params.p_dis_max),
+                                   ("soe", s, params.s_min, params.s_max)):
+                if not np.isfinite(v):
+                    violations.append((t, f"nonfinite_{tag}", abs(v)))
+                elif v < lo - DEFAULT_TOL:
+                    violations.append((t, f"bound_{tag}", lo - v))
+                elif v > hi + DEFAULT_TOL:
+                    violations.append((t, f"bound_{tag}", v - hi))
+            expected = params.rho * prev + params.dt * (params.eta_c * pc - pd / params.eta_d)
+            if abs(s - expected) > DEFAULT_TOL:
+                violations.append((t, "soe_recursion", abs(s - expected)))
+            prev = s
+    return violations
+
+
+def bits(violations):
+    """Violations with each magnitude as its bytes, so that NaN equals NaN."""
+    return [(t, tag, np.float64(m).tobytes()) for t, tag, m in violations]
 
 
 class TestFeasibility:
@@ -147,13 +179,47 @@ class TestFeasibility:
 
     def test_nonfinite_entries_reported(self):
         params = make_params()
-        sch = Schedule(p_chg=[np.nan, 0.0], p_dis=[0.0, np.inf], soe=[np.nan, np.nan])
+        # period 4 charges at inf to an infinite level from a finite one: its
+        # recursion residual inf - inf is NaN, which is no violation and no warning
+        sch = Schedule(p_chg=[np.nan, 0.0, 0.0, np.inf], p_dis=[0.0, np.inf, 0.0, 0.0],
+                       soe=[np.nan, np.nan, 0.5, np.inf])
         report = feasibility_check(params, sch)
         assert not report.feasible
         nonfinite = [(t, tag) for t, tag, _ in report.violations if tag.startswith("nonfinite")]
         assert nonfinite == [
-            (1, "nonfinite_pc"), (1, "nonfinite_soe"), (2, "nonfinite_pd"), (2, "nonfinite_soe")
+            (1, "nonfinite_pc"), (1, "nonfinite_soe"), (2, "nonfinite_pd"), (2, "nonfinite_soe"),
+            (4, "nonfinite_pc"), (4, "nonfinite_soe"),
         ]
+        assert bits(report.violations) == bits(reference_feasibility(params, sch))
+
+    def test_matches_the_reference_loop(self):
+        # consistent schedules with NaN, +-inf, bound and recursion faults
+        # injected: the same periods and tags in the same order, bit-identical
+        # bound and nonfinite magnitudes, and recursion magnitudes within the
+        # rounding of s_t - rho*s_{t-1} - flow against s_t - (rho*s_{t-1} + flow)
+        rng = np.random.default_rng(5)
+        faults = [np.nan, np.inf, -np.inf, -0.3, 1.5, 1e-6, 1e-8, 0.2]
+        reported = 0
+        for _ in range(300):
+            T = int(rng.integers(1, 25))
+            params = make_params(s_init=float(rng.uniform(0, 1)), rho=float(rng.choice([1.0, 0.99])))
+            p_chg, p_dis = rng.uniform(0, 0.4, (2, T)) * (rng.random((2, T)) < 0.6)
+            arrays = [p_chg, p_dis, propagate_soe(params, p_chg, p_dis)]
+            for _ in range(int(rng.integers(0, 5))):
+                a, k, fault = int(rng.integers(3)), int(rng.integers(T)), rng.choice(faults)
+                arrays[a][k] = fault if abs(fault) >= 1 or fault < 0 else arrays[a][k] + fault
+            sch = Schedule(*arrays)
+            report = feasibility_check(params, sch)
+            expected = reference_feasibility(params, sch)
+            assert [v[:2] for v in report.violations] == [v[:2] for v in expected]
+            for got, want in zip(report.violations, expected):
+                if got[1] == "soe_recursion" and np.isfinite(want[2]):
+                    assert got[2] == pytest.approx(want[2], rel=1e-8)
+                else:
+                    assert bits([got]) == bits([want])
+            assert report.feasible == (not expected)
+            reported += len(expected)
+        assert reported > 300
 
     def test_one_based_periods(self):
         params = make_params(rho=1.0)
