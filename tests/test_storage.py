@@ -198,7 +198,6 @@ class TestFeasibility:
         # bound and nonfinite magnitudes, and recursion magnitudes within the
         # rounding of s_t - rho*s_{t-1} - flow against s_t - (rho*s_{t-1} + flow)
         rng = np.random.default_rng(5)
-        faults = [np.nan, np.inf, -np.inf, -0.3, 1.5, 1e-6, 1e-8, 0.2]
         reported = 0
         for _ in range(300):
             T = int(rng.integers(1, 25))
@@ -206,8 +205,11 @@ class TestFeasibility:
             p_chg, p_dis = rng.uniform(0, 0.4, (2, T)) * (rng.random((2, T)) < 0.6)
             arrays = [p_chg, p_dis, propagate_soe(params, p_chg, p_dis)]
             for _ in range(int(rng.integers(0, 5))):
-                a, k, fault = int(rng.integers(3)), int(rng.integers(T)), rng.choice(faults)
-                arrays[a][k] = fault if abs(fault) >= 1 or fault < 0 else arrays[a][k] + fault
+                a, k = int(rng.integers(3)), int(rng.integers(T))
+                if rng.random() < 0.5:  # a nonfinite or out-of-bounds entry
+                    arrays[a][k] = rng.choice([np.nan, np.inf, -np.inf, -0.3, 1.5])
+                else:  # a recursion fault, below or above the tolerance
+                    arrays[a][k] += rng.choice([1e-8, 1e-6, 0.2])
             sch = Schedule(*arrays)
             report = feasibility_check(params, sch)
             expected = reference_feasibility(params, sch)
