@@ -15,7 +15,6 @@ from .conditions import (
     NoNegativePrices,
     NotNegativePrice,
     Prop1Case,
-    Prop1Verdict,
     Recommendation,
     ShatSequence,
     SubsetSearchInconclusive,

@@ -50,14 +50,9 @@ class Prop1Case(enum.Enum):
     EXACT_SOME_OPTIMUM_NO_NEG_PRICES = "exact_some_optimum_no_neg_prices"
     INCONCLUSIVE = "inconclusive"
 
-
-@dataclass(frozen=True)
-class Prop1Verdict:
-    case: Prop1Case
-
     @property
     def exact(self) -> bool:
-        return self.case is not Prop1Case.INCONCLUSIVE
+        return self is not Prop1Case.INCONCLUSIVE
 
 
 class Lemma1Class(enum.Enum):
@@ -128,18 +123,24 @@ def _geo_sum(rho: float, n: int) -> float:
     return acc
 
 
-def prop1_classify(params: StorageParams, part: PricePartition) -> Prop1Verdict:
+def _full_rate(params: StorageParams, level: float, n: int, step: float) -> float:
+    """The level after n periods that each exchange step (MWh, negative for
+    a discharge) from level: rho^n * level + step * sum_{i<n} rho^i."""
+    return params.rho**n * level + step * _geo_sum(params.rho, n)
+
+
+def prop1_classify(params: StorageParams, part: PricePartition) -> Prop1Case:
     """Special cases in which the relaxation is exact regardless of the
     storage characteristics, checked in order: all prices strictly
     positive with losses, perfect round-trip efficiency, no strictly
     negative prices."""
     if not part.t_neg and not part.t_zero and params.eta < 1:
-        return Prop1Verdict(Prop1Case.EXACT_ALL_OPTIMA)
+        return Prop1Case.EXACT_ALL_OPTIMA
     if params.eta == 1:
-        return Prop1Verdict(Prop1Case.EXACT_SOME_OPTIMUM_PERFECT_ETA)
+        return Prop1Case.EXACT_SOME_OPTIMUM_PERFECT_ETA
     if not part.t_neg:
-        return Prop1Verdict(Prop1Case.EXACT_SOME_OPTIMUM_NO_NEG_PRICES)
-    return Prop1Verdict(Prop1Case.INCONCLUSIVE)
+        return Prop1Case.EXACT_SOME_OPTIMUM_NO_NEG_PRICES
+    return Prop1Case.INCONCLUSIVE
 
 
 def lemma1_classify(
@@ -154,12 +155,11 @@ def lemma1_classify(
     if prices.prices[t - 1] >= 0:
         raise NotNegativePrice(f"C_{t} = {prices.prices[t - 1]} is not strictly negative")
     prev = schedule.soe[t - 2] if t > 1 else params.s_init
-    beta = float(schedule.soe[t - 1] - params.rho * prev)
-    max_charge = params.dt * params.eta_c * params.p_chg_max
-    max_discharge = params.dt * params.p_dis_max / params.eta_d
-    if abs(beta - max_charge) <= DEFAULT_TOL:
+    # on Python floats, where an infinite level gives beta = NaN without a warning
+    beta = float(schedule.soe[t - 1]) - params.rho * float(prev)
+    if abs(beta - params.charge_step) <= DEFAULT_TOL:
         cls = Lemma1Class.NET_CHARGE_MAX
-    elif abs(beta + max_discharge) <= DEFAULT_TOL:
+    elif abs(beta + params.discharge_step) <= DEFAULT_TOL:
         cls = Lemma1Class.NET_DISCHARGE_MAX
     else:
         cls = Lemma1Class.SCD_OPTIMAL
@@ -170,22 +170,18 @@ def corollary2_inexact(params: StorageParams) -> bool:
     """Inexactness from a one-period full charge and full discharge: with
     any strictly negative price and losses, the relaxation is inexact if
     the storage can fully charge and fully discharge within one period."""
-    full_charge = params.rho * params.s_min + params.dt * params.eta_c * params.p_chg_max
-    full_discharge = params.rho * params.s_max - params.dt * params.p_dis_max / params.eta_d
-    return full_charge > params.s_max and full_discharge < params.s_min
+    return (_full_rate(params, params.s_min, 1, params.charge_step) > params.s_max
+            and _full_rate(params, params.s_max, 1, -params.discharge_step) < params.s_min)
 
 
 def theorem1_condition1(params: StorageParams, part: PricePartition) -> bool:
     """Whether charging at full rate over the whole longest negative run,
     starting from the minimum level, overshoots the capacity:
-    rho^n * s_min + dt * eta_c * Pc * sum(rho^(n-t)) > s_max (strict)."""
+    rho^n * s_min + charge_step * sum(rho^(n-t)) > s_max (strict)."""
     n = part.n_bar
     if n == 0:
         raise NoNegativePrices("no strictly negative prices in the series")
-    lhs = params.rho**n * params.s_min + params.dt * params.eta_c * params.p_chg_max * _geo_sum(
-        params.rho, n
-    )
-    return lhs > params.s_max
+    return _full_rate(params, params.s_min, n, params.charge_step) > params.s_max
 
 
 def theorem1_condition2(
@@ -195,13 +191,15 @@ def theorem1_condition2(
     and a split of the longest negative run [tau1, tau2] into full-rate
     net-charge and net-discharge periods that lands exactly on s_max:
 
-        rho^n * s + dt * (eta_c*Pc * sum_{t in C} rho^(tau2-t)
-                          - Pd/eta_d * sum_{t in D} rho^(tau2-t)) = s_max.
+        rho^n * s + charge_step * sum_{t in C} rho^(tau2-t)
+                  - discharge_step * sum_{t in D} rho^(tau2-t) = s_max.
 
     One array holds the start level each split requires; the first that
     passes the level test is the witness (smallest charge set without
-    leakage, lexicographic subset order with leakage), else None.  With
-    leakage the array has 2^n entries: 32 MB and 0.1 s at n = 22.  Raises
+    leakage, lexicographic subset order with leakage), else None.  A
+    required level that overflows double precision (inf or NaN) passes no
+    level test, so it is never a witness.  With leakage the array has 2^n
+    entries: 32 MB and 0.1 s at n = 22.  Raises
     SubsetSearchInconclusive when rho < 1 and n > SUBSET_ENUMERATION_CAP,
     and ValueError when s_fixed is not a finite level in [s_min, s_max].
     """
@@ -212,29 +210,29 @@ def theorem1_condition2(
         raise ValueError(f"s_fixed = {s_fixed} is not a finite level in [s_min, s_max]")
     tau1, tau2 = part.longest_neg
     run = tuple(range(tau1, tau2 + 1))
-    chg = params.dt * params.eta_c * params.p_chg_max
-    dis = params.dt * params.p_dis_max / params.eta_d
+    chg, dis = params.charge_step, params.discharge_step
 
-    if params.rho == 1.0:
-        # weights collapse: candidate k charges the first k periods
-        k = np.arange(n + 1)
-        s = params.s_max - (chg * k - dis * (n - k))
-    else:
-        if n > SUBSET_ENUMERATION_CAP:
-            raise SubsetSearchInconclusive(
-                f"longest negative run of {n} periods exceeds the enumeration cap"
-            )
-        # bit j of an index charges run[j]: each total sums its terms in run order
-        s = np.zeros(1 << n)
-        for j, t in enumerate(run):
-            w, h = params.rho ** (tau2 - t), 1 << j
-            np.add(s[:h], chg * w, out=s[h : 2 * h])
-            s[:h] += -dis * w
-        np.subtract(params.s_max, s, out=s)
-        # rho^n > 0 may round to a subnormal or to 0, and is divided by as a
-        # positive number: a split that lands on s_max needs s = 0, any other
-        # a level beyond every float (inf), which no level test passes
-        with np.errstate(divide="ignore", over="ignore"):
+    # a level that overflows is never a witness (see the docstring)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if params.rho == 1.0:
+            # weights collapse: candidate k charges the first k periods
+            k = np.arange(n + 1)
+            s = params.s_max - (chg * k - dis * (n - k))
+        else:
+            if n > SUBSET_ENUMERATION_CAP:
+                raise SubsetSearchInconclusive(
+                    f"longest negative run of {n} periods exceeds the enumeration cap"
+                )
+            # bit j of an index charges run[j]: each total sums its terms in run order
+            s = np.zeros(1 << n)
+            for j, t in enumerate(run):
+                w, h = params.rho ** (tau2 - t), 1 << j
+                np.add(s[:h], chg * w, out=s[h : 2 * h])
+                s[:h] += -dis * w
+            np.subtract(params.s_max, s, out=s)
+            # rho^n > 0 may round to a subnormal or to 0, and is divided by as a
+            # positive number: a split that lands on s_max needs s = 0, any other
+            # a level beyond every float (inf), which no level test passes
             np.divide(s, params.rho**n, out=s, where=s != 0)
     if s_fixed is not None:
         s -= s_fixed  # in place: with a fixed level, s[i] is not read again
@@ -257,20 +255,17 @@ def theorem2_check(params: StorageParams, part: PricePartition) -> bool:
     """Exactness for a single negative run [tau1, tau2]: discharging at
     full rate (or hitting the floor) before the run and then charging at
     full rate through it must not exceed the capacity.  The depleted level
-    is scaled by rho^(tau2 - tau1), where theorem3_shat and the level
-    dynamics use rho^n with n = tau2 - tau1 + 1.  So with rho < 1 it
-    certifies a subset, at times a strict one, of the single-block inputs
-    that theorem 3 certifies."""
+    is the full-rate run _full_rate over the tau1 - 1 periods before the
+    run.  The charge term scales it by rho^(tau2 - tau1), where _full_rate,
+    theorem3_shat and the level dynamics use rho^n with n = tau2 - tau1 + 1.
+    So with rho < 1 it certifies a subset, at times a strict one, of the
+    single-block inputs that theorem 3 certifies."""
     if part.num_negative_blocks != 1:
         return False
     tau1, tau2 = part.longest_neg
-    dt = params.dt
-    depleted = max(
-        params.rho ** (tau1 - 1) * params.s_init
-        - dt * (params.p_dis_max / params.eta_d) * _geo_sum(params.rho, tau1 - 1),
-        params.s_min,
-    )
-    lhs = params.rho ** (tau2 - tau1) * depleted + dt * params.eta_c * params.p_chg_max * _geo_sum(
+    depleted = max(_full_rate(params, params.s_init, tau1 - 1, -params.discharge_step),
+                   params.s_min)
+    lhs = params.rho ** (tau2 - tau1) * depleted + params.charge_step * _geo_sum(
         params.rho, tau2 - tau1 + 1
     )
     return lhs <= params.s_max
@@ -285,20 +280,52 @@ def theorem3_shat(params: StorageParams, part: PricePartition) -> ShatSequence:
         raise AssumptionViolated(
             "one-period leakage recovery fails: (1-rho)*s_max > dt*eta_c*p_chg_max"
         )
-    dt = params.dt
-    dis = dt * params.p_dis_max / params.eta_d
-    chg = dt * params.eta_c * params.p_chg_max
     values = []
     first_violation = None
     prev = params.s_init
     for j, (p, n) in enumerate(part.blocks, start=1):
-        depleted = max(params.rho**p * prev - dis * _geo_sum(params.rho, p), params.s_min)
-        shat = params.rho**n * depleted + chg * _geo_sum(params.rho, n)
+        depleted = max(_full_rate(params, prev, p, -params.discharge_step), params.s_min)
+        shat = _full_rate(params, depleted, n, params.charge_step)
         values.append(shat)
         if first_violation is None and shat > params.s_max:
             first_violation = j
         prev = shat
     return ShatSequence(values=tuple(values), first_violation=first_violation)
+
+
+def _flowchart(params: StorageParams, part: PricePartition, final_level_constrained: bool):
+    """The rules of advise's flowchart in order, each as (rule id, fired,
+    detail, leaf): leaf is the recommendation the walk ends at, None where
+    it goes on.  advise stops at the first leaf, so the statements after a
+    yielded leaf never run, and a rule is evaluated only when reached."""
+    lp, milp = Recommendation.SOLVE_LP, Recommendation.SOLVE_REFINED_MILP
+    case = prop1_classify(params, part)
+    if case.exact:
+        yield "prop1", True, f"special case: {case.value}", lp
+    yield "prop1", False, "losses with strictly negative prices", None
+    if corollary2_inexact(params):
+        yield "corollary2", True, "full charge and full discharge fit in one period", milp
+    yield "corollary2", False, "one-period full cycle not possible", None
+    if final_level_constrained:
+        yield "final_level", True, "terminal level constraint requested", milp
+    yield "final_level", False, "final level free", None
+    if not check_assumption_leakage(params):
+        yield ("leakage_assumption", True, "one-period leakage recovery fails; "
+               "run-length conditions not applicable", milp)
+    if theorem1_condition1(params, part):
+        yield ("theorem1_cond1", True,
+               f"full charge fits within the longest negative run (n_bar={part.n_bar})", milp)
+    yield ("theorem1_cond1", False,
+           f"cannot fully charge within the longest negative run (n_bar={part.n_bar})", None)
+    if part.num_negative_blocks == 1:
+        if theorem2_check(params, part):
+            yield "theorem2", True, "single negative run, capacity not exceeded", lp
+        yield "theorem2", False, "single negative run, capacity exceeded", milp
+    shat = theorem3_shat(params, part)
+    if shat.exact:
+        yield "theorem3", True, "worst-case level stays within capacity", lp
+    yield ("theorem3", False,
+           f"worst-case level exceeds capacity at block {shat.first_violation}", milp)
 
 
 def advise(
@@ -310,55 +337,7 @@ def advise(
     or the refined MILP.  The rationale records every rule evaluated on
     the single root-to-leaf path taken."""
     rationale = []
-
-    verdict = prop1_classify(params, part)
-    if verdict.exact:
-        rationale.append(("prop1", True, f"special case: {verdict.case.value}"))
-        return Advice(Recommendation.SOLVE_LP, tuple(rationale))
-    rationale.append(("prop1", False, "losses with strictly negative prices"))
-
-    if corollary2_inexact(params):
-        rationale.append(
-            ("corollary2", True, "full charge and full discharge fit in one period")
-        )
-        return Advice(Recommendation.SOLVE_REFINED_MILP, tuple(rationale))
-    rationale.append(("corollary2", False, "one-period full cycle not possible"))
-
-    if final_level_constrained:
-        rationale.append(("final_level", True, "terminal level constraint requested"))
-        return Advice(Recommendation.SOLVE_REFINED_MILP, tuple(rationale))
-    rationale.append(("final_level", False, "final level free"))
-
-    if not check_assumption_leakage(params):
-        rationale.append(
-            ("leakage_assumption", True, "one-period leakage recovery fails; "
-             "run-length conditions not applicable")
-        )
-        return Advice(Recommendation.SOLVE_REFINED_MILP, tuple(rationale))
-
-    if theorem1_condition1(params, part):
-        rationale.append(
-            ("theorem1_cond1", True,
-             f"full charge fits within the longest negative run (n_bar={part.n_bar})")
-        )
-        return Advice(Recommendation.SOLVE_REFINED_MILP, tuple(rationale))
-    rationale.append(
-        ("theorem1_cond1", False,
-         f"cannot fully charge within the longest negative run (n_bar={part.n_bar})")
-    )
-
-    if part.num_negative_blocks == 1:
-        if theorem2_check(params, part):
-            rationale.append(("theorem2", True, "single negative run, capacity not exceeded"))
-            return Advice(Recommendation.SOLVE_LP, tuple(rationale))
-        rationale.append(("theorem2", False, "single negative run, capacity exceeded"))
-        return Advice(Recommendation.SOLVE_REFINED_MILP, tuple(rationale))
-
-    shat = theorem3_shat(params, part)
-    if shat.exact:
-        rationale.append(("theorem3", True, "worst-case level stays within capacity"))
-        return Advice(Recommendation.SOLVE_LP, tuple(rationale))
-    rationale.append(
-        ("theorem3", False, f"worst-case level exceeds capacity at block {shat.first_violation}")
-    )
-    return Advice(Recommendation.SOLVE_REFINED_MILP, tuple(rationale))
+    for rule, fired, detail, leaf in _flowchart(params, part, final_level_constrained):
+        rationale.append((rule, fired, detail))
+        if leaf is not None:
+            return Advice(leaf, tuple(rationale))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import InfeasibleStorage, SolveReport
+from .lp import InfeasibleStorage, SolveReport, require_finite
 from .prices import PriceSeries
 from .storage import Schedule, StorageParams, objective
 
@@ -104,7 +104,7 @@ def _no_transition(params: StorageParams, T: int, s: float) -> ValueError:
     which is itself feasible otherwise); else the grid is."""
     top = params.s_init
     for _ in range(T):
-        top = min(params.rho * top + params.dt * params.eta_c * params.p_chg_max, params.s_max)
+        top = min(params.rho * top + params.charge_step, params.s_max)
         if top < params.s_min:
             return InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
     return GridTooCoarse(f"no feasible grid transition from level {s}")
@@ -124,8 +124,7 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
     except (IndexError, ValueError):  # numpy refuses counts near or past its index range
         raise ValueError(f"grid_points {config.grid_points} exceed numpy's largest array") from None
     h = grid[1] - grid[0]
-    for side, step in (("charge", params.dt * params.eta_c * params.p_chg_max),
-                       ("discharge", params.dt * params.p_dis_max / params.eta_d)):
+    for side, step in (("charge", params.charge_step), ("discharge", params.discharge_step)):
         if step < h:
             raise GridTooCoarse(f"full-rate {side} step {step} below grid spacing {h}")
 
@@ -164,10 +163,13 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
 
 def dp_value_error_bound(params: StorageParams, prices: PriceSeries, config: DpConfig) -> float:
     """Crude diagnostic bound on the discretization gap: one grid spacing
-    of stranded energy per period valued at the worst price."""
+    of stranded energy per period valued at the worst price.  Raises a
+    ValueError, by name, when it overflows double precision."""
     h = (params.s_max - params.s_min) / (config.grid_points - 1)
     worst = float(np.max(np.abs(prices.prices)))
-    return len(prices) * worst * h / params.eta
+    bound = len(prices) * worst * h / params.eta
+    require_finite("dp discretization_bound", bound)
+    return bound
 
 
 def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: int = 5) -> float:

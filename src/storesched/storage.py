@@ -58,6 +58,10 @@ class StorageParams:
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must be in (0, 1]")
+        for name in ("charge_step", "discharge_step"):
+            step = getattr(self, name)
+            if not math.isfinite(step):
+                raise ValueError(f"{name} is {step}, beyond double precision")
 
     @property
     def eta(self) -> float:
@@ -67,6 +71,18 @@ class StorageParams:
     @property
     def capacity(self) -> float:
         return self.s_max - self.s_min
+
+    @property
+    def charge_step(self) -> float:
+        """Energy (MWh) one period at full charge adds, dt * eta_c * Pc: the
+        upper end beta_hi of a period's net exchange."""
+        return self.dt * self.eta_c * self.p_chg_max
+
+    @property
+    def discharge_step(self) -> float:
+        """Energy (MWh) one period at full discharge removes, dt * Pd / eta_d:
+        minus the lower end beta_lo of a period's net exchange."""
+        return self.dt * self.p_dis_max / self.eta_d
 
 
 @dataclass
@@ -202,8 +218,8 @@ def duration_of_discharge(params: StorageParams) -> float:
 
 def check_assumption_leakage(params: StorageParams) -> bool:
     """Whether the quantity lost to leakage in one period can always be
-    recovered by charging at full rate: (1 - rho) * s_max <= dt * eta_c * Pc."""
-    return (1 - params.rho) * params.s_max <= params.dt * params.eta_c * params.p_chg_max
+    recovered by charging at full rate: (1 - rho) * s_max <= charge_step."""
+    return (1 - params.rho) * params.s_max <= params.charge_step
 
 
 def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -> Schedule:

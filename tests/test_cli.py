@@ -183,6 +183,21 @@ class TestAdvise:
         )
         assert code == 2
 
+    def test_overflowing_reach_exit_2(self, workspace, capsys):
+        # ten hours at 1e308 MW discharge more energy than a double holds: the
+        # storage is refused, not certified for the LP from a NaN worst-case level
+        params, prices = workspace / "reach.txt", workspace / "reach.csv"
+        params.write_text(SLOW_PARAMS.replace("s_max = 1\n", "s_max = 100\n")
+                          .replace("s_init = 0\n", "s_init = 100\n")
+                          .replace("p_chg_max = 0.2", "p_chg_max = 1")
+                          .replace("p_dis_max = 0.2", "p_dis_max = 1e308")
+                          .replace("dt_hours = 1.0", "dt_hours = 10"))
+        prices.write_text("t,price_eur_per_mwh\n1,-1\n2,5\n3,-1\n4,5\n")
+        code = run(["advise", "--params", params, "--prices", prices])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {params}: discharge_step is inf, beyond double precision\n"
+
     @pytest.mark.parametrize("key", ["p_chg_max", "p_dis_max", "dt_hours"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_param_exit_2(self, workspace, capsys, key, value):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _instances import fast_params, mixed_sign_prices, random_params
 from storesched import (
     AssumptionViolated,
     Lemma1Class,
@@ -29,7 +30,7 @@ from storesched import (
     theorem2_check,
     theorem3_shat,
 )
-from storesched.conditions import LEVEL_TOL
+from storesched.conditions import LEVEL_TOL, _geo_sum
 
 
 def unit_storage(p_chg, p_dis, eta=0.9, rho=1.0, s_init=0.0):
@@ -52,22 +53,22 @@ def run_series(n_pos_before, n_neg, n_pos_after):
 class TestProp1:
     def test_all_positive_lossy(self):
         verdict = prop1_classify(unit_storage(0.2, 0.2), partition(series([5, 1])))
-        assert verdict.case is Prop1Case.EXACT_ALL_OPTIMA
+        assert verdict is Prop1Case.EXACT_ALL_OPTIMA
         assert verdict.exact
 
     def test_perfect_efficiency(self):
         verdict = prop1_classify(
             unit_storage(0.2, 0.2, eta=1.0), partition(series([-5, 1]))
         )
-        assert verdict.case is Prop1Case.EXACT_SOME_OPTIMUM_PERFECT_ETA
+        assert verdict is Prop1Case.EXACT_SOME_OPTIMUM_PERFECT_ETA
 
     def test_no_negative_prices_with_zero(self):
         verdict = prop1_classify(unit_storage(0.2, 0.2), partition(series([0, 1])))
-        assert verdict.case is Prop1Case.EXACT_SOME_OPTIMUM_NO_NEG_PRICES
+        assert verdict is Prop1Case.EXACT_SOME_OPTIMUM_NO_NEG_PRICES
 
     def test_inconclusive(self):
         verdict = prop1_classify(unit_storage(0.2, 0.2), partition(series([-5, 1])))
-        assert verdict.case is Prop1Case.INCONCLUSIVE
+        assert verdict is Prop1Case.INCONCLUSIVE
         assert not verdict.exact
 
 
@@ -389,6 +390,98 @@ class TestTheorem3:
             assert b >= a - 1e-12
 
 
+def reference_corollary2(params):
+    """Reference for corollary2_inexact: its one-period closed forms."""
+    full_charge = params.rho * params.s_min + params.dt * params.eta_c * params.p_chg_max
+    full_discharge = params.rho * params.s_max - params.dt * params.p_dis_max / params.eta_d
+    return full_charge > params.s_max and full_discharge < params.s_min
+
+
+def reference_condition1(params, part):
+    """Reference for theorem1_condition1: its closed form."""
+    n = part.n_bar
+    lhs = params.rho**n * params.s_min + params.dt * params.eta_c * params.p_chg_max * _geo_sum(
+        params.rho, n
+    )
+    return lhs > params.s_max
+
+
+def reference_theorem2(params, part):
+    """Reference for theorem2_check: its closed forms, with the depleted
+    level's reach rounded as dt * (Pd / eta_d)."""
+    if part.num_negative_blocks != 1:
+        return False
+    tau1, tau2 = part.longest_neg
+    dt = params.dt
+    depleted = max(
+        params.rho ** (tau1 - 1) * params.s_init
+        - dt * (params.p_dis_max / params.eta_d) * _geo_sum(params.rho, tau1 - 1),
+        params.s_min,
+    )
+    lhs = params.rho ** (tau2 - tau1) * depleted + dt * params.eta_c * params.p_chg_max * _geo_sum(
+        params.rho, tau2 - tau1 + 1
+    )
+    return lhs <= params.s_max
+
+
+def reference_theorem3(params, part):
+    """Reference for theorem3_shat: the block recurrence with its closed
+    forms, as (values, first_violation)."""
+    dis = params.dt * params.p_dis_max / params.eta_d
+    chg = params.dt * params.eta_c * params.p_chg_max
+    values = []
+    first_violation = None
+    prev = params.s_init
+    for j, (p, n) in enumerate(part.blocks, start=1):
+        depleted = max(params.rho**p * prev - dis * _geo_sum(params.rho, p), params.s_min)
+        shat = params.rho**n * depleted + chg * _geo_sum(params.rho, n)
+        values.append(shat)
+        if first_violation is None and shat > params.s_max:
+            first_violation = j
+        prev = shat
+    return tuple(values), first_violation
+
+
+class TestFullRateReferences:
+    def test_conditions_match_their_closed_forms(self):
+        # bit for bit at dt a power of two; elsewhere theorem 2's reference
+        # rounds its discharge reach as dt * (Pd / eta_d), not (dt * Pd) / eta_d
+        rng = np.random.default_rng(11)
+        outcomes = Counter()
+        for i in range(400):
+            dt = float(rng.choice([0.25, 0.5, 1.0]))
+            params = fast_params(rng, dt) if i % 3 == 0 else random_params(rng, dt=dt)
+            pre, n, post = (int(k) for k in rng.integers([0, 1, 0], [12, 10, 6]))
+            single = PriceSeries([5.0] * pre + [-5.0] * n + [5.0] * post, dt)
+            assert corollary2_inexact(params) == reference_corollary2(params)
+            for prices in (mixed_sign_prices(rng, int(rng.integers(2, 60)), dt), single):
+                part = partition(prices)
+                fired = theorem1_condition1(params, part)
+                assert fired == reference_condition1(params, part)
+                certified = theorem2_check(params, part)
+                assert certified == reference_theorem2(params, part)
+                outcomes["cond1", fired] += 1
+                outcomes["theorem2", certified] += part.num_negative_blocks == 1
+                if check_assumption_leakage(params):
+                    shat = theorem3_shat(params, part)
+                    # repr pins the bits of every block level
+                    assert repr((shat.values, shat.first_violation)) == repr(
+                        reference_theorem3(params, part))
+                    outcomes["theorem3", shat.exact] += 1
+        # each condition came out both ways
+        assert all(outcomes[rule, verdict] >= 10 for rule in ("cond1", "theorem2", "theorem3")
+                   for verdict in (True, False)), outcomes
+
+    def test_theorem2_rounds_its_reach_once(self):
+        # dt = 0.1 is no power of two: the two roundings of the discharge
+        # reach differ in the last bit, and so does the depleted level
+        params = StorageParams(s_min=0.0, s_max=10.0, s_init=10.0, p_chg_max=0.3,
+                               p_dis_max=0.7, eta_c=0.9, eta_d=0.9, dt=0.1)
+        assert params.discharge_step == (0.1 * 0.7) / 0.9 != 0.1 * (0.7 / 0.9)
+        part = partition(PriceSeries([5.0, 5.0, -5.0, 5.0], 0.1))
+        assert theorem2_check(params, part) == reference_theorem2(params, part)
+
+
 class TestLemma1:
     def _optimum_like(self, params, p_chg, p_dis):
         soe = propagate_soe(params, p_chg, p_dis)
@@ -424,6 +517,14 @@ class TestLemma1:
         sch = self._optimum_like(params, [0.2], [0.0])
         with pytest.raises(ValueError):
             lemma1_classify(params, series([-5.0]), sch, 2)
+
+    def test_infinite_levels(self):
+        # beta = inf - rho * inf is NaN, an interior exchange, and computing
+        # it warns about nothing (a warning is an error here)
+        sch = Schedule([0.0, 0.0], [0.0, 0.0], [np.inf, np.inf])
+        verdict = lemma1_classify(unit_storage(0.2, 0.2), series([-5.0, -5.0]), sch, 2)
+        assert np.isnan(verdict.beta_t)
+        assert verdict.classification is Lemma1Class.SCD_OPTIMAL
 
 
 class TestAdvise:

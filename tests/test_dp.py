@@ -9,6 +9,7 @@ from storesched import (
     InfeasibleStorage,
     PriceSeries,
     StorageParams,
+    dp_value_error_bound,
     exhaustive_micro_oracle,
     feasibility_check,
     partition,
@@ -138,6 +139,15 @@ class TestSolve:
         prices = PriceSeries(np.tile([1e306, -1e306], 500), 1.0)
         with pytest.raises(ValueError, match="dp value table holds .*overflows double precision"):
             solve_dp(params, prices, DpConfig())
+
+    def test_error_bound_overflow_is_named(self):
+        # two hours at 1e308 EUR/MWh: the DP answers, but its discretization
+        # bound is beyond double precision and is refused by name
+        params = unit_storage(p_chg_max=2.0, p_dis_max=2.0)
+        prices = PriceSeries([1e308, 1e308], 1.0)
+        assert solve_dp(params, prices, DpConfig()).objective == 0.0
+        with pytest.raises(ValueError, match="dp discretization_bound is inf"):
+            dp_value_error_bound(params, prices, DpConfig())
 
     def test_determinism(self):
         rng = np.random.default_rng(23)

@@ -1,14 +1,37 @@
 """Generated malformed and extreme input through every subcommand: each
-run ends with a documented exit code and prints no traceback."""
+run ends with a documented exit code and prints no traceback.  Extreme
+storages through the advisor's library entry points: each call returns or
+raises a documented exception, and nothing warns."""
 
 import contextlib
 import io
 import json
 import math
+import re
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from storesched import (
+    Advice,
+    AssumptionViolated,
+    NoNegativePrices,
+    NotNegativePrice,
+    PriceSeries,
+    Schedule,
+    StorageParams,
+    SubsetSearchInconclusive,
+    advise,
+    corollary2_inexact,
+    lemma1_classify,
+    partition,
+    prop1_classify,
+    theorem1_condition1,
+    theorem1_condition2,
+    theorem2_check,
+    theorem3_shat,
+)
 from storesched.cli import PARAM_KEYS, main
 
 EXIT_CODES = {0, 1, 2, 3, 10}
@@ -158,3 +181,53 @@ def test_grid_past_the_index_range_is_named(tmp_path, grid, command):
             "compare": ["compare", "--manifest", tmp_path / "manifest.csv"]}[command]
     code, err = run([*args, "--grid", grid])
     assert (code, err) == (2, f"error: grid_points {grid} exceed numpy's largest array\n")
+
+
+@st.composite
+def advisor_inputs(draw):
+    """(storage, or the ValueError that refuses it; prices; levels) with
+    energies and each power at its own scale, and a sign pattern of up to
+    30 periods."""
+    scale = draw(SCALE)
+    dt = draw(st.sampled_from([1 / 6, 0.25, 1.0, 10.0]))
+    try:
+        params = StorageParams(
+            s_min=0.0, s_max=scale, s_init=draw(st.sampled_from([0.0, scale / 2, scale])),
+            p_chg_max=draw(SCALE), p_dis_max=draw(SCALE),
+            eta_c=draw(st.sampled_from([0.5, 0.9, 1.0])), eta_d=draw(st.sampled_from([0.9, 1.0])),
+            rho=draw(st.sampled_from([1.0, 0.999, 0.5, 1e-20])), dt=dt)
+    except ValueError as exc:
+        params = exc
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=1, max_size=30))
+    levels = draw(st.lists(st.sampled_from([0.0, scale, 1.7e308, math.inf, -math.inf, math.nan]),
+                           min_size=len(signs), max_size=len(signs)))
+    return params, PriceSeries([35.0 * c for c in signs], dt), levels
+
+
+@settings(max_examples=300, **FUZZ)
+@given(inputs=advisor_inputs(), final_level=st.booleans())
+def test_advisor_entry_points(inputs, final_level):
+    params, prices, levels = inputs
+    if isinstance(params, ValueError):  # only a reach beyond double precision is refused
+        assert re.fullmatch(r"(dis)?charge_step is inf, beyond double precision", str(params))
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        part = partition(prices)
+        assert isinstance(advise(params, part, final_level), Advice)
+        assert isinstance(prop1_classify(params, part).exact, bool)
+        assert isinstance(corollary2_inexact(params), bool)
+        assert isinstance(theorem2_check(params, part), bool)
+        for condition in (theorem1_condition1, theorem1_condition2, theorem3_shat):
+            if condition is theorem1_condition2 and part.n_bar > 12:
+                continue  # a run of n periods with leakage takes 2^n candidates
+            try:
+                condition(params, part)
+            except (NoNegativePrices, AssumptionViolated, SubsetSearchInconclusive):
+                pass
+        schedule = Schedule([0.0] * len(levels), [0.0] * len(levels), levels)
+        for t in range(1, len(levels) + 1):
+            try:
+                lemma1_classify(params, prices, schedule, t)
+            except NotNegativePrice:
+                pass

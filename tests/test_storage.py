@@ -59,6 +59,16 @@ class TestParams:
         assert params.eta == pytest.approx(0.81)
         assert params.capacity == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("charge_step", dict(p_chg_max=1e308, dt=10.0)),
+        ("discharge_step", dict(s_max=100.0, s_init=100.0, p_chg_max=1.0, p_dis_max=1e308,
+                                rho=1.0, dt=10.0)),
+    ])
+    def test_overflowing_step_rejected(self, name, overrides):
+        # ten hours at 1e308 MW move more energy than a double holds
+        with pytest.raises(ValueError, match=f"{name} is inf"):
+            make_params(**overrides)
+
 
 params_strategy = st.builds(
     make_params,
@@ -103,6 +113,12 @@ class TestPropagation:
             assert soe[t - 1] == pytest.approx(closed, rel=1e-10, abs=1e-12)
         # the net exchange s_t - rho*s_{t-1} recovers each period's energy flow
         np.testing.assert_allclose(net_exchange(params, soe), net, rtol=1e-9, atol=1e-12)
+        # a period at full charge, then one at full discharge, moves the level
+        # by the reach of each
+        full = propagate_soe(params, [params.p_chg_max, 0.0], [0.0, params.p_dis_max])
+        np.testing.assert_allclose(net_exchange(params, full),
+                                   [params.charge_step, -params.discharge_step],
+                                   rtol=1e-9, atol=1e-12)
 
 
 class TestObjective:
