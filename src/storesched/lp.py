@@ -1,6 +1,7 @@
-"""Storage scheduling LP: model construction, solving with dual
-extraction, and verification of the stationarity / complementarity
-system at the reported optimum.
+"""Storage scheduling LP: the LP answer from its value function
+(value.py), the matrix model that the simplex solves for the MILPs' node
+LPs, and verification of the stationarity / complementarity system at a
+reported optimum.
 
 Variable layout of the storage LP: [p_chg (T), p_dis (T), soe (T)], with
 one state-of-energy balance row per period; the MILPs append "each leg
@@ -12,15 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prices import PriceSeries
-from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, LpStatus, solve_bounded_lp
-from .storage import (
-    RepairNotApplicable, Schedule, StorageParams, detect_scd, net_exchange, repair_scd, scd_mask,
-)
-
-
-class InfeasibleStorage(ValueError):
-    """No schedule keeps the level within [s_min, s_max] over the horizon,
-    for example when leakage at s_min outruns the charge limit."""
+from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, solve_bounded_lp
+from .storage import Schedule, StorageParams, detect_scd, net_exchange, objective, scd_mask
+from .value import InfeasibleStorage, lp_optimum
 
 
 class MissingDuals(ValueError):
@@ -54,6 +49,11 @@ class SolveReport:
     kkt_max_residual: float | None = None  # from solve_storage_lp only
 
 
+def _require_same_dt(params: StorageParams, prices: PriceSeries) -> None:
+    if prices.dt != params.dt:
+        raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
+
+
 def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> LpProblem:
     """Storage LP over [p_chg (T), p_dis (T), soe (T), m^c (K), m^d (K)],
     K = len(legs), maximizing sum_t dt*C_t*(p_dis_t - p_chg_t).  Row r is
@@ -63,8 +63,7 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     m^c_t = rho*soe_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and after
     the discharge alone, m^d_t = rho*soe_{t-1} - dt*p_dis_t/eta_d in
     [rho*s_min, rho*s_max]."""
-    if prices.dt != params.dt:
-        raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
+    _require_same_dt(params, prices)
     T, K = len(prices), len(legs)
     dt, rho = params.dt, params.rho
     t_leg = np.asarray(legs, dtype=int) - 1
@@ -84,22 +83,6 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     )
     rhs = np.where(prev, 0.0, rho * params.s_init)
     return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs)
-
-
-def _duals_from_solution(T: int, y: np.ndarray, d: np.ndarray) -> DualVector:
-    # bound multipliers read off the reduced costs; the pairing
-    # (upper = max(d, 0), lower = max(-d, 0)) reproduces the stationarity
-    # rows of the maximization KKT system exactly
-    d_chg, d_dis, d_soe = d[:T], d[T : 2 * T], d[2 * T :]
-    return DualVector(
-        lam=y.copy(),
-        sigma_lo=np.maximum(-d_soe, 0.0),
-        sigma_hi=np.maximum(d_soe, 0.0),
-        gamma_lo=np.maximum(-d_chg, 0.0),
-        gamma_hi=np.maximum(d_chg, 0.0),
-        delta_lo=np.maximum(-d_dis, 0.0),
-        delta_hi=np.maximum(d_dis, 0.0),
-    )
 
 
 def _duration_start(problem: LpProblem, T: int) -> np.ndarray:
@@ -161,23 +144,22 @@ def require_finite(name: str, value: float) -> None:
 
 
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
-    """The LP answer: the storage LP's optimum with its duals, SCD netted by
-    repair_scd when every event costs nothing (zero price or eta = 1; the
-    vertex duals still certify it), and the KKT residual of that schedule.
-    Raises InfeasibleStorage when no schedule meets the storage limits, and
-    a ValueError when the objective overflows double precision."""
-    sol = solve_lp(build_lp(params, prices))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
-    require_finite("lp objective", sol.objective)
-    report = lp_answer(sol, len(prices))
-    report.duals = _duals_from_solution(len(prices), sol.y, sol.reduced_costs)
-    if report.scd_events:
-        try:
-            report.schedule, report.scd_events = repair_scd(params, prices, report.schedule), []
-        except RepairNotApplicable:
-            pass
-    report.kkt_max_residual = kkt_verify(params, prices, report)
+    """The LP answer from its value function (value.py), not the simplex: a
+    schedule with no costless SCD (at a zero price or eta = 1), its SCD
+    events, duals from its bound statuses and their KKT residual.  Raises
+    InfeasibleStorage, or a ValueError naming an overflowing objective."""
+    _require_same_dt(params, prices)
+    p_chg, p_dis, soe, lam = lp_optimum(params, prices)
+    schedule, dt, c, lam = Schedule(p_chg, p_dis, soe), params.dt, prices.prices, np.array(lam)
+    with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual
+        report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
+        require_finite("lp objective", report.objective)
+        # the reduced costs of soe, p_chg and p_dis from the stationarity rows;
+        # each bound multiplier is the part of one sign (lower, then upper)
+        reduced = (params.rho * np.append(lam[1:], 0.0) - lam, lam * dt * params.eta_c - dt * c,
+                   dt * c - lam * dt / params.eta_d)
+        report.duals = DualVector(lam, *(np.maximum(s * d, 0.0) for d in reduced for s in (-1, 1)))
+        report.kkt_max_residual = kkt_verify(params, prices, report)
     return report
 
 

@@ -236,8 +236,8 @@ class TestSolve:
     def test_lp_report_repairs_costless_scd(self, tmp_path):
         # lossless storage that the advisor clears can end at an LP vertex
         # with SCD that costs nothing (42 of these 200 draws, all eta = 1):
-        # the report gives the repaired single-mode schedule at the same
-        # objective, certified by the vertex duals, as solve_storage_lp does
+        # the report gives a single-mode schedule at the same objective,
+        # certified by its own duals, as solve_storage_lp does
         rng = np.random.default_rng(11)
         repaired = 0
         for i in range(200):
@@ -264,6 +264,30 @@ class TestSolve:
             assert objective(prices, schedule, dt) == pytest.approx(report.objective, rel=1e-12)
             repaired += 1
         assert repaired >= 30
+
+    def test_lp_report_omits_costless_scd_next_to_costly_scd(self, workspace):
+        # the LP vertex charges and discharges at once at t = 2 (price 0,
+        # no cost) and at t = 3 (price -10, a cost): only t = 3 is reported
+        (workspace / "zero.csv").write_text("t,price_eur_per_mwh\n1,20\n2,0\n3,-10\n4,20\n")
+        out = workspace / "lp"
+        assert run(["solve", "--params", workspace / "fast.txt", "--prices",
+                    workspace / "zero.csv", "--formulation", "lp", "--out", out]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert [ev["t"] for ev in doc["scd_events"]] == [3]
+        assert doc["physically_infeasible"] is True
+        assert doc["kkt_max_residual"] <= 1e-7
+
+    def test_lp_hourly_year(self, tmp_path):
+        # T = 8,760: the dense simplex would allocate 1.84 GB for the matrix
+        (tmp_path / "params.txt").write_text(FAST_PARAMS)
+        prices = np.random.default_rng(0).normal(10.0, 60.0, 8760)
+        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n" + "".join(
+            f"{t},{float(c)!r}\n" for t, c in enumerate(prices, start=1)))
+        out = tmp_path / "out"
+        assert run(["solve", "--params", tmp_path / "params.txt", "--prices",
+                    tmp_path / "prices.csv", "--formulation", "lp", "--out", out]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert len(doc["schedule"]["soe"]) == 8760 and doc["kkt_max_residual"] <= 1e-7
 
     def test_refined_report_structure(self, workspace):
         out = workspace / "refined"
@@ -402,7 +426,7 @@ class TestSolve:
             [
                 "solve", "--params", workspace / "fast.txt",
                 "--prices", workspace / "prices.csv",
-                "--formulation", "lp", "--out", workspace / "out",
+                "--formulation", "refined", "--out", workspace / "out",
             ]
         )
         assert code == 3

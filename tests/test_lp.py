@@ -13,6 +13,7 @@ from _instances import (
 )
 from storesched import (
     DpConfig,
+    InfeasibleStorage,
     MissingDuals,
     PriceSeries,
     SolveReport,
@@ -30,7 +31,7 @@ from storesched import (
     solve_storage_lp,
     solve_storage_milp,
 )
-from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
+from storesched.simplex import AT_LOWER, AT_UPPER, BASIC, LpStatus
 
 
 def unit_storage(**overrides):
@@ -129,9 +130,9 @@ class TestSolve:
 
     def test_costless_scd_is_netted(self):
         # lossless storage that the advisor clears can end at an LP vertex
-        # with SCD that costs nothing: the answer nets it to one mode at the
-        # vertex's objective.  SCD at a negative price with eta < 1 has a
-        # cost, and the vertex stays
+        # with SCD that costs nothing: the answer charges or discharges
+        # alone there, at the vertex's objective.  SCD at a negative price
+        # with eta < 1 has a cost, and it stays as the vertex has it
         rng = np.random.default_rng(11)
         netted = 0
         for _ in range(200):
@@ -142,7 +143,7 @@ class TestSolve:
             report = solve_storage_lp(params, prices)
             assert report.scd_events == [] and not detect_scd(report.schedule)
             assert feasibility_check(params, report.schedule).feasible
-            assert report.objective == vertex.objective
+            assert report.objective == pytest.approx(vertex.objective, rel=1e-12)
             z = objective(prices, report.schedule, params.dt)
             assert z == pytest.approx(vertex.objective, rel=1e-12)
             assert report.kkt_max_residual <= 1e-7
@@ -151,9 +152,9 @@ class TestSolve:
         params, prices = unit_storage(), PriceSeries([-10.0, 20.0], 1.0)
         vertex = lp.lp_answer(solve_lp(build_lp(params, prices)), len(prices))
         report = solve_storage_lp(params, prices)
-        assert report.scd_events == vertex.scd_events and len(report.scd_events) == 1
-        np.testing.assert_array_equal(report.schedule.p_chg, vertex.schedule.p_chg)
-        np.testing.assert_array_equal(report.schedule.p_dis, vertex.schedule.p_dis)
+        assert [ev.t for ev in report.scd_events] == [ev.t for ev in vertex.scd_events] == [1]
+        np.testing.assert_allclose(report.schedule.p_chg, vertex.schedule.p_chg, rtol=1e-12)
+        np.testing.assert_allclose(report.schedule.p_dis, vertex.schedule.p_dis, rtol=1e-12)
 
     def test_objective_matches_schedule(self):
         rng = np.random.default_rng(0)
@@ -384,8 +385,8 @@ class TestDurationStart:
         # the discharge, starts basic at negative prices
         rng = np.random.default_rng(0)
         params = fast_params(rng)
-        report = solve_storage_lp(params, mixed_sign_prices(rng, 720))
-        assert report.kkt_max_residual <= 1e-7
+        problem = build_lp(params, mixed_sign_prices(rng, 720))
+        assert_lp_certificate(problem, solve_lp(problem))
         assert len(pivots) == 1 and pivots[0] <= 150  # 69
 
     def test_fast_T720_milp_closes_in_few_pivots(self, pivots):
@@ -398,3 +399,120 @@ class TestDurationStart:
         _, stats = solve_storage_milp(params, prices, partition(prices), refined=True)
         assert stats.nodes == 1
         assert sum(pivots) <= 200  # 115
+
+
+def simplex_answer(params, prices):
+    """The storage LP at the simplex's vertex, or None when it is infeasible."""
+    sol = solve_lp(build_lp(params, prices))
+    return lp.lp_answer(sol, len(prices)) if sol.status is LpStatus.OPTIMAL else None
+
+
+def edge_draw(rng):
+    """Storage and prices at the edges the value function must keep: eta = 1,
+    strong leakage, a start at either bound, a floor the leakage presses
+    against, zero prices, prices x1000 with energies /1000, dt = 1/6."""
+    dt = float(rng.choice([1 / 6, 0.25, 1.0]))
+    if rng.random() < 0.3:
+        base = fast_params(rng, dt)
+    else:
+        base = random_params(rng, eta_one=bool(rng.random() < 0.2), dt=dt)
+    kw = {f: getattr(base, f) for f in ("s_min", "s_max", "s_init", "p_chg_max", "p_dis_max",
+                                        "eta_c", "eta_d", "rho")}
+    if rng.random() < 0.3:
+        kw["rho"] = float(rng.uniform(0.3, 1.0))
+    if rng.random() < 0.3:
+        kw["s_init"] = kw["s_min"] if rng.random() < 0.5 else kw["s_max"]
+    if rng.random() < 0.1:
+        kw["s_min"] = kw["s_init"] = float(rng.uniform(0.2, 0.9)) * kw["s_max"]
+        kw["p_chg_max"] *= 0.2
+    prices = rng.normal(10.0, 60.0, int(rng.integers(1, 80)))
+    prices[rng.random(len(prices)) < 0.3] = 0.0
+    if rng.random() < 0.2:
+        prices *= 1000.0
+        for key in ("s_min", "s_max", "s_init", "p_chg_max", "p_dis_max"):
+            kw[key] /= 1000.0
+    return StorageParams(dt=dt, **kw), PriceSeries(prices, dt)
+
+
+class TestValueFunction:
+    """solve_storage_lp answers from the value function; the simplex, which
+    shares no code with it, and HiGHS check it."""
+
+    def test_agrees_with_the_simplex(self):
+        rng = np.random.default_rng(0)
+        for i in range(300):
+            dt = float(rng.choice([0.25, 0.5, 1.0]))
+            params = fast_params(rng, dt) if i % 3 == 0 else random_params(rng, dt=dt)
+            prices = mixed_sign_prices(rng, int(rng.integers(3, 60)), dt)
+            report, vertex = solve_storage_lp(params, prices), simplex_answer(params, prices)
+            assert report.objective == pytest.approx(vertex.objective, rel=1e-9)
+            np.testing.assert_allclose(report.schedule.soe, vertex.schedule.soe, rtol=0, atol=1e-9)
+            costly = (prices.prices != 0) & (params.eta < 1)
+            assert [e.t for e in report.scd_events if costly[e.t - 1]] == [
+                e.t for e in vertex.scd_events if costly[e.t - 1]]
+            assert report.kkt_max_residual <= 1e-7
+            assert feasibility_check(params, report.schedule).feasible
+
+    def test_edges_agree_with_the_simplex(self):
+        # where the optimum is not unique (zero prices, eta = 1) only the
+        # objective is compared; the two refuse the same storages
+        rng = np.random.default_rng(11)
+        refused = 0
+        for _ in range(400):
+            params, prices = edge_draw(rng)
+            vertex = simplex_answer(params, prices)
+            if vertex is None:
+                with pytest.raises(InfeasibleStorage, match="storage level"):
+                    solve_storage_lp(params, prices)
+                refused += 1
+                continue
+            report = solve_storage_lp(params, prices)
+            assert report.objective == pytest.approx(vertex.objective, rel=1e-9, abs=1e-9)
+            assert report.kkt_max_residual <= 1e-7
+            assert feasibility_check(params, report.schedule).feasible
+            zero = (prices.prices == 0) | (params.eta == 1)
+            assert not any(zero[e.t - 1] for e in report.scd_events)
+        assert refused > 0
+
+    def test_costless_scd_next_to_costly_scd(self):
+        # SCD at a zero price costs nothing, so it is not reported even
+        # when SCD at a negative price elsewhere has a cost (the simplex
+        # vertex has both, at t = 2 and t = 3)
+        params, prices = unit_storage(), PriceSeries([20.0, 0.0, -10.0, 20.0], 1.0)
+        report, vertex = solve_storage_lp(params, prices), simplex_answer(params, prices)
+        assert [e.t for e in vertex.scd_events] == [2, 3]
+        assert [e.t for e in report.scd_events] == [3]
+        assert report.objective == pytest.approx(vertex.objective, rel=1e-12)
+        assert report.kkt_max_residual <= 1e-7
+
+    @pytest.mark.parametrize("storage", [random_params, fast_params])
+    def test_hourly_month_matches_highs(self, storage):
+        opt = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(0)
+        params = storage(rng)
+        prices = mixed_sign_prices(rng, 720)
+        problem = build_lp(params, prices)
+        ref = opt.linprog(-problem.c, A_eq=problem.a, b_eq=problem.rhs,
+                          bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
+        assert ref.status == 0
+        report = solve_storage_lp(params, prices)
+        assert report.objective == pytest.approx(-ref.fun, rel=1e-9)
+        assert report.kkt_max_residual <= 1e-7
+
+    def test_hourly_year(self):
+        # the dense simplex would allocate 1.84 GB for this LP's matrix
+        answers = {}
+        for storage in (random_params, fast_params):
+            rng = np.random.default_rng(0)
+            params = storage(rng)
+            prices = mixed_sign_prices(rng, 8760)
+            first, second = solve_storage_lp(params, prices), solve_storage_lp(params, prices)
+            assert first.kkt_max_residual <= 1e-7
+            assert feasibility_check(params, first.schedule).feasible
+            assert first.objective == second.objective
+            for a, b in ((first.schedule, second.schedule), (first.duals, second.duals)):
+                for name in vars(a):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            answers[storage] = params, prices, first
+        params, prices, report = answers[random_params]
+        assert report.objective >= solve_dp(params, prices, DpConfig(801)).objective

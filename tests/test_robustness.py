@@ -1,7 +1,7 @@
 """Generated malformed and extreme input through every subcommand: each
 run ends with a documented exit code and prints no traceback.  Extreme
-storages through the advisor's library entry points: each call returns or
-raises a documented exception, and nothing warns."""
+storages through the advisor's library entry points and the LP: each call
+returns or raises a documented exception, and nothing warns."""
 
 import contextlib
 import io
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from storesched import (
     Advice,
     AssumptionViolated,
+    InfeasibleStorage,
     NoNegativePrices,
     NotNegativePrice,
     PriceSeries,
@@ -24,9 +25,11 @@ from storesched import (
     SubsetSearchInconclusive,
     advise,
     corollary2_inexact,
+    feasibility_check,
     lemma1_classify,
     partition,
     prop1_classify,
+    solve_storage_lp,
     theorem1_condition1,
     theorem1_condition2,
     theorem2_check,
@@ -231,3 +234,45 @@ def test_advisor_entry_points(inputs, final_level):
                 lemma1_classify(params, prices, schedule, t)
             except NotNegativePrice:
                 pass
+
+
+@st.composite
+def lp_inputs(draw):
+    """(storage, prices) with energies and each power at its own scale, and
+    prices from 0 to +-1e308; storages whose reach overflows are not drawn."""
+    scale = draw(SCALE)
+    dt = draw(st.sampled_from([1 / 6, 0.25, 1.0, 10.0]))
+    try:
+        params = StorageParams(
+            s_min=0.0, s_max=scale, s_init=draw(st.sampled_from([0.0, scale / 2, scale])),
+            p_chg_max=draw(SCALE), p_dis_max=draw(SCALE),
+            eta_c=draw(st.sampled_from([0.5, 0.9, 1.0])), eta_d=draw(st.sampled_from([0.9, 1.0])),
+            rho=draw(st.sampled_from([1.0, 0.999, 0.5, 1e-20])), dt=dt)
+    except ValueError:
+        params = None
+    prices = draw(st.lists(st.sampled_from([0.0, 35.0, -35.0, 1e-300, 1e308, -1e308]),
+                           min_size=1, max_size=30))
+    return params, PriceSeries(prices, dt)
+
+
+@settings(max_examples=300, **FUZZ)
+@given(inputs=lp_inputs())
+def test_lp_entry_point(inputs):
+    params, prices = inputs
+    if params is None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = solve_storage_lp(params, prices)
+        except InfeasibleStorage:
+            return
+        except ValueError as exc:
+            assert str(exc).startswith("lp objective is ")
+            return
+        # feasible within DEFAULT_TOL, except that where one rounding of
+        # the exchanged energy exceeds that absolute 1e-7 MWh (energies or
+        # powers near 1e9 and beyond) the balance may miss it by rounding
+        reach = params.charge_step + params.discharge_step + params.s_max
+        assert all(tag == "soe_recursion" and size <= 1e-15 * reach
+                   for _, tag, size in feasibility_check(params, report.schedule).violations)

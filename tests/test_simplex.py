@@ -146,8 +146,10 @@ class TestBoundFlips:
             return solutions[-1]
 
         monkeypatch.setattr(lp, "solve_bounded_lp", recorded)
-        report = solve_storage_lp(params, prices)
-        assert report.kkt_max_residual <= 1e-7
+        problem = lp.build_lp(params, prices)
+        sol = lp.solve_lp(problem)
+        assert_lp_certificate(problem, sol)
+        assert sol.objective == pytest.approx(solve_storage_lp(params, prices).objective, rel=1e-9)
         assert len(solutions) == 1 and solutions[0].iterations <= 40
 
 
