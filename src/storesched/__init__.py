@@ -57,7 +57,7 @@ from .prices import (
 )
 from .simplex import LpProblem, LpSolution, LpStatus, SimplexFailure, solve_bounded_lp
 from .storage import (
-    DEFAULT_TOL,
+    EPS,
     FeasibilityReport,
     RepairNotApplicable,
     Schedule,

@@ -34,6 +34,7 @@ from .milp import build_milp, solve_milp
 from .prices import partition, read_price_csv
 from .simplex import SimplexFailure
 from .storage import (
+    EPS,
     RepairNotApplicable,
     StorageParams,
     detect_scd,
@@ -194,7 +195,7 @@ def cmd_check(args) -> int:
         except json.JSONDecodeError as exc:
             raise ValueError(f"schedule JSON: {exc}")
     schedule, dt = schedule_from_dict(doc)
-    if not abs(dt - params.dt) <= 1e-12:  # NaN fails too
+    if not abs(dt - params.dt) <= EPS * params.dt:  # NaN fails too
         raise ValueError(f"schedule dt_hours {dt} differs from params dt_hours {params.dt}")
     if len(schedule) != len(prices):
         raise ValueError(
@@ -277,7 +278,7 @@ def cmd_compare(args) -> int:
         row["flag"] = ""
         if advice.recommendation is Recommendation.SOLVE_LP:
             gap = abs(lp.objective - milp.objective)
-            if gap > 1e-8 * max(1.0, abs(lp.objective)):
+            if gap > 1e-8 * abs(lp.objective):
                 row["flag"] = "ADVICE_UNSOUND"
         out_rows.append(row)
 

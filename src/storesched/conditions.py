@@ -9,21 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prices import PricePartition, PriceSeries
-from .storage import (
-    DEFAULT_TOL,
-    Schedule,
-    StorageParams,
-    check_assumption_leakage,
-)
+from .storage import EPS, Schedule, StorageParams, check_assumption_leakage
 
 #: Longest negative run that theorem1_condition2 enumerates with leakage:
 #: it bounds memory at 2^22 candidate levels (32 MB); beyond it the search
 #: reports inconclusive.
 SUBSET_ENUMERATION_CAP = 22
-
-#: Tolerance (MWh) within which theorem1_condition2 accepts a required
-#: start level as equal to s_fixed or inside [s_min, s_max].
-LEVEL_TOL = 1e-9
 
 
 class NotNegativePrice(ValueError):
@@ -157,9 +148,9 @@ def lemma1_classify(
     prev = schedule.soe[t - 2] if t > 1 else params.s_init
     # on Python floats, where an infinite level gives beta = NaN without a warning
     beta = float(schedule.soe[t - 1]) - params.rho * float(prev)
-    if abs(beta - params.charge_step) <= DEFAULT_TOL:
+    if abs(beta - params.charge_step) <= EPS * params.energy_scale:
         cls = Lemma1Class.NET_CHARGE_MAX
-    elif abs(beta + params.discharge_step) <= DEFAULT_TOL:
+    elif abs(beta + params.discharge_step) <= EPS * params.energy_scale:
         cls = Lemma1Class.NET_DISCHARGE_MAX
     else:
         cls = Lemma1Class.SCD_OPTIMAL
@@ -195,11 +186,11 @@ def theorem1_condition2(
                   - discharge_step * sum_{t in D} rho^(tau2-t) = s_max.
 
     One array holds the start level each split requires; the first that
-    passes the level test is the witness (smallest charge set without
-    leakage, lexicographic subset order with leakage), else None.  A
-    required level that overflows double precision (inf or NaN) passes no
-    level test, so it is never a witness.  With leakage the array has 2^n
-    entries: 32 MB and 0.1 s at n = 22.  Raises
+    passes the level test (within EPS * energy_scale) is the witness
+    (smallest charge set without leakage, lexicographic subset order with
+    leakage), else None.  A required level that overflows double precision
+    (inf or NaN) passes no level test, so it is never a witness.  With
+    leakage the array has 2^n entries: 32 MB and 0.1 s at n = 22.  Raises
     SubsetSearchInconclusive when rho < 1 and n > SUBSET_ENUMERATION_CAP,
     and ValueError when s_fixed is not a finite level in [s_min, s_max].
     """
@@ -234,11 +225,12 @@ def theorem1_condition2(
             # positive number: a split that lands on s_max needs s = 0, any other
             # a level beyond every float (inf), which no level test passes
             np.divide(s, params.rho**n, out=s, where=s != 0)
+    tol = EPS * params.energy_scale
     if s_fixed is not None:
         s -= s_fixed  # in place: with a fixed level, s[i] is not read again
-        hit = np.abs(s, out=s) <= LEVEL_TOL
+        hit = np.abs(s, out=s) <= tol
     else:
-        hit = (params.s_min - LEVEL_TOL <= s) & (s <= params.s_max + LEVEL_TOL)
+        hit = (params.s_min - tol <= s) & (s <= params.s_max + tol)
     i = int(np.argmax(hit))
     if not hit[i]:
         return None

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import InfeasibleStorage, SolveReport, require_finite
+from .lp import InfeasibleStorage, SolveReport, _require_same_dt, require_finite
 from .prices import PriceSeries
-from .storage import Schedule, StorageParams, objective
+from .storage import EPS, Schedule, StorageParams, objective
 
 
 class GridTooCoarse(ValueError):
@@ -33,8 +33,7 @@ class HorizonTooLong(ValueError):
     """Exhaustive enumeration only supports T <= 4."""
 
 
-_FEAS_SLACK = 1e-12
-_IDX_SLACK = 1e-9  # index-space tolerance for on-grid states
+_IDX_SLACK = 1e-9  # index-space tolerance for on-grid states and full-rate steps
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,12 @@ def _windows(params: StorageParams, grid: np.ndarray, s):
     discharge in row 1, hi < lo if none.  Charging to grid[k] takes a power
     that grows with k, discharging one that falls with k, so a power bound
     cuts each kind at one searchsorted; the other end is the grid point
-    nearest rho*s on that side, within _IDX_SLACK."""
+    nearest rho*s on that side; both reach _IDX_SLACK spacings further."""
     base = params.rho * s
-    fidx = (base - params.s_min) / (grid[1] - grid[0])
-    top = base + params.dt * params.eta_c * (params.p_chg_max + _FEAS_SLACK)
-    bottom = base - params.dt * (params.p_dis_max + _FEAS_SLACK) / params.eta_d
+    h = grid[1] - grid[0]
+    fidx = (base - params.s_min) / h
+    top = base + params.charge_step + _IDX_SLACK * h
+    bottom = base - params.discharge_step - _IDX_SLACK * h
     return (np.stack([np.maximum(np.ceil(fidx - _IDX_SLACK).astype(int), 0),
                       np.searchsorted(grid, bottom)]),
             np.stack([np.searchsorted(grid, top, "right") - 1,
@@ -116,8 +116,7 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
     targets in the windows of one level.  The objective is recomputed
     exactly on the reconstructed continuous schedule; it approaches the
     exclusive optimum from below as the grid is refined."""
-    if prices.dt != params.dt:
-        raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
+    _require_same_dt(params, prices)
     T = len(prices)
     try:
         grid = np.linspace(params.s_min, params.s_max, config.grid_points)
@@ -181,6 +180,7 @@ def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: 
         raise HorizonTooLong(f"T={T} exceeds the micro-oracle limit of 4")
     _require_int("levels", levels, 1, 7)
     dt, eta_c, eta_d, rho = params.dt, params.eta_c, params.eta_d, params.rho
+    tol = EPS * params.energy_scale
 
     def actions(s: float):
         out = [(0.0, 0.0)]
@@ -205,7 +205,7 @@ def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: 
             return
         for pc, pd in actions(s):
             s_next = rho * s + dt * (eta_c * pc - pd / eta_d)
-            if s_next < params.s_min - _FEAS_SLACK or s_next > params.s_max + _FEAS_SLACK:
+            if s_next < params.s_min - tol or s_next > params.s_max + tol:
                 continue
             recurse(t + 1, s_next, profit + dt * prices.prices[t] * (pd - pc))
 

@@ -164,34 +164,35 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
 
 
 def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) -> float:
-    """Maximum absolute residual over the first-order optimality system:
-    stationarity in p_dis / p_chg / soe, the balance equalities, dual
-    nonnegativity, every complementarity pair, and the identity that at
-    any SCD period dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0."""
+    """Maximum residual, relative to the instance's energy scale e and
+    largest price q, over the first-order optimality system: stationarity
+    in p_dis / p_chg / soe, the balance equalities, dual nonnegativity,
+    every complementarity pair, and the identity that at any SCD period
+    dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0."""
     if report.duals is None:
         raise MissingDuals("report carries no duals")
-    du = report.duals
-    sch = report.schedule
-    dt = params.dt
-    c = prices.prices
+    du, sch, dt, c = report.duals, report.schedule, params.dt, prices.prices
+    e, q = params.energy_scale, np.abs(c).max() or 1.0  # with every price 0, any q will do
     lam_next = np.append(du.lam[1:], 0.0)  # free terminal level: lam_{T+1} = 0
 
-    res = []
-    # stationarity
-    res.append(-dt * c + du.lam * dt / params.eta_d + du.delta_hi - du.delta_lo)
-    res.append(dt * c - du.lam * dt * params.eta_c + du.gamma_hi - du.gamma_lo)
-    res.append(du.lam - params.rho * lam_next + du.sigma_hi - du.sigma_lo)
+    res = []  # (residual, its unit)
+    # stationarity: the power rows in units of q*dt, the level row in q
+    res.append((-dt * c + du.lam * dt / params.eta_d + du.delta_hi - du.delta_lo, q * dt))
+    res.append((dt * c - du.lam * dt * params.eta_c + du.gamma_hi - du.gamma_lo, q * dt))
+    res.append((du.lam - params.rho * lam_next + du.sigma_hi - du.sigma_lo, q))
     # primal balance rows
     flow = dt * (params.eta_c * sch.p_chg - sch.p_dis / params.eta_d)
-    res.append(net_exchange(params, sch.soe) - flow)
-    # per bound: dual nonnegativity, primal feasibility, complementary slackness
-    for mult, slack in (
-        (du.sigma_lo, sch.soe - params.s_min), (du.sigma_hi, params.s_max - sch.soe),
-        (du.gamma_lo, sch.p_chg), (du.gamma_hi, params.p_chg_max - sch.p_chg),
-        (du.delta_lo, sch.p_dis), (du.delta_hi, params.p_dis_max - sch.p_dis),
+    res.append((net_exchange(params, sch.soe) - flow, e))
+    # per bound: dual nonnegativity, primal feasibility (e for soe, e/dt for a
+    # power), complementary slackness
+    for mult, slack, unit in (
+        (du.sigma_lo, sch.soe - params.s_min, q), (du.sigma_hi, params.s_max - sch.soe, q),
+        (du.gamma_lo, sch.p_chg, q * dt), (du.gamma_hi, params.p_chg_max - sch.p_chg, q * dt),
+        (du.delta_lo, sch.p_dis, q * dt), (du.delta_hi, params.p_dis_max - sch.p_dis, q * dt),
     ):
-        res += [np.minimum(mult, 0.0), np.minimum(slack, 0.0), mult * slack]
-    # SCD dual identity at the schedule's SCD periods
-    scd = scd_mask(sch.p_chg, sch.p_dis)
-    res.append(dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd])
-    return float(max(np.abs(r).max(initial=0.0) for r in res))
+        res += [(np.minimum(mult, 0.0), unit), (np.minimum(slack, 0.0), e * (q / unit)),
+                (mult * slack, q * e)]
+    scd = scd_mask(sch.p_chg, sch.p_dis)  # the SCD dual identity at the SCD periods
+    res.append((dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd],
+                q * dt))
+    return float(max(np.abs(r).max(initial=0.0) / unit for r, unit in res))

@@ -130,7 +130,7 @@ def solve_milp(problem: MilpProblem):
             incumbent = lp_answer(sol, T)
             incumbent.schedule = repair_scd(problem.params, problem.prices, incumbent.schedule)
             incumbent.scd_events = detect_scd(incumbent.schedule)
-            cutoff = sol.objective + 1e-12 * max(1.0, abs(sol.objective))
+            cutoff = sol.objective + 1e-12 * abs(sol.objective)
             stats.incumbent_updates += 1
             continue
         children = []

@@ -29,8 +29,9 @@ nonzeros.  An update stores an entry that cancels below DROP_TOL as 0
 (Huangfu & Hall 2018), so the inverse stays as sparse as a fresh factor.
 Each round recomputes y and d, places the nonbasic variables, recomputes
 x, then makes at most RECOMPUTE_EVERY pivots.  A round on an aged factor
-goes on only if its x solves a x = b and its basic reduced costs vanish,
-both within TOL, else the basis is refactored and priced again: a solve
+goes on only if its x solves a x = b within TOL times the largest bound
+or right-hand side and its basic reduced costs vanish within TOL times
+the largest cost, else the basis is refactored and priced again: a solve
 is mostly one factorization.  A round without a pivot ends the solve;
 infeasibility is declared only from a fresh factor.  A solve may take
 over the final factor of an LP with the same matrix and basis, optimal or
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PIVOT_TOL = 1e-9
-TOL = 1e-9  # primal and dual feasibility tolerance
+TOL = 1e-9  # primal and dual feasibility tolerance, relative to the LP's scale
 ITERS_PER_DIM = 200  # a solve may take ITERS_PER_DIM * (n + m + 10) pivots
 RECOMPUTE_EVERY = 50  # pivots between two recomputations of y, d and x
 # an updated inverse entry below DROP_TOL is stored as 0 (HiGHS's kHighsTiny);
@@ -219,22 +220,24 @@ def _dual(f, b, c, lower, upper, state, max_iter):
     or else the last, enters.  Each round recomputes y and d, places each
     movable nonbasic variable at the bound its reduced cost prefers (after a
     pivot that only undoes rounding), then recomputes x; a round on an aged
-    factor goes on only if a x - b and d_B are within TOL, else the basis is
-    refactored and priced again.  A round's pass makes at most
+    factor goes on only if a x - b and d_B are within ptol and dtol, else
+    the basis is refactored and priced again.  A round's pass makes at most
     RECOMPUTE_EVERY pivots, each updating x_B and d.  A round without a
     pivot ends the solve.  Mutates f and state; returns
     (status, x, y, d, pivots, flips), INFEASIBLE only from a fresh factor."""
     movable = lower < upper
+    ptol = TOL * np.maximum.reduce(np.abs(np.concatenate([lower, upper, b])), initial=0.0)
+    dtol = TOL * np.maximum.reduce(np.abs(c), initial=0.0)
     violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
     pivots = flips = 0
     while True:  # one round: y, d, placement, x, then a dual pass
         y, d = f.dual(c)
-        wrong = movable & np.where(state == AT_LOWER, d > TOL, (state == AT_UPPER) & (d < -TOL))
+        wrong = movable & np.where(state == AT_LOWER, d > dtol, (state == AT_UPPER) & (d < -dtol))
         state[wrong] = np.where(d[wrong] > 0, AT_UPPER, AT_LOWER)
         x = f.primal(b, lower, upper, state)
         # an aged factor answers only while it still solves its basis
-        if f.age and max(np.abs(f.a @ x - b).max(initial=0.0),
-                         np.abs(d[f.basis]).max(initial=0.0)) > TOL:
+        if f.age and (np.abs(f.a @ x - b).max(initial=0.0) > ptol
+                      or np.abs(d[f.basis]).max(initial=0.0) > dtol):
             f.refactor()
             continue
         # x_B and its bounds in row order; move is +1 up from lower, -1 down from upper
@@ -245,7 +248,7 @@ def _dual(f, b, c, lower, upper, state, max_iter):
             below = lb - xb
             np.maximum(below, xb - ub, out=violation[:-1])
             r = int(np.argmax(violation))
-            if violation[r] <= TOL:
+            if violation[r] <= ptol:
                 break
             raw = f.row(r)
             candidates = _entering(raw, move, below[r] > 0, PIVOT_TOL)
@@ -290,7 +293,7 @@ def _dual(f, b, c, lower, upper, state, max_iter):
             f.pivot(r, q, w)
         if pivots > start:
             continue
-        feasible = violation[r] <= TOL
+        feasible = violation[r] <= ptol
         if feasible or f.age == 0:
             return (LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE), x, y, d, pivots, flips
         f.refactor()

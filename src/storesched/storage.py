@@ -13,9 +13,9 @@ import numpy as np
 
 from .prices import PriceSeries
 
-#: The feasibility / SCD tolerance, in the units of the quantity checked
-#: (MW or MWh).  One order above double-precision simplex residuals.
-DEFAULT_TOL = 1e-7
+#: What counts as zero: an energy within EPS * energy_scale of a bound, or a
+#: power within that over dt, is on it.  Two orders above simplex.TOL.
+EPS = 1e-7
 
 
 class RepairNotApplicable(Exception):
@@ -62,6 +62,8 @@ class StorageParams:
             step = getattr(self, name)
             if not math.isfinite(step):
                 raise ValueError(f"{name} is {step}, beyond double precision")
+        if not self.energy_scale >= np.finfo(float).tiny:  # no relative check holds below it
+            raise ValueError(f"energy_scale is {self.energy_scale}, below the normal double range")
 
     @property
     def eta(self) -> float:
@@ -83,6 +85,11 @@ class StorageParams:
         """Energy (MWh) one period at full discharge removes, dt * Pd / eta_d:
         minus the lower end beta_lo of a period's net exchange."""
         return self.dt * self.p_dis_max / self.eta_d
+
+    @property
+    def energy_scale(self) -> float:
+        """The unit of EPS (MWh): max(s_max, charge_step, discharge_step)."""
+        return max(self.s_max, self.charge_step, self.discharge_step)
 
 
 @dataclass
@@ -174,9 +181,10 @@ _TAGS = (("bound_pc", "nonfinite_pc"), ("bound_pd", "nonfinite_pd"),
 def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityReport:
     """Verify power bounds, state-of-energy bounds and the recursion
     residual beta_t - dt * (eta_c * pC_t - pD_t / eta_d) of every period,
-    within DEFAULT_TOL.  Reports every violation with its magnitude, and a
-    NaN or infinite entry as a nonfinite_* violation in place of its bound
-    check; never raises on infeasibility and never warns."""
+    within EPS of the energy scale (over dt for a power).  Reports every
+    violation with its magnitude, and a NaN or infinite entry as a
+    nonfinite_* violation in place of its bound check; never raises on
+    infeasibility and never warns."""
     with np.errstate(all="ignore"):  # NaN and inf entries are reported, not warned about
         # the residual is a fourth value with bounds [0, 0], where NaN is no violation
         flow = params.dt * (params.eta_c * schedule.p_chg - schedule.p_dis / params.eta_d)
@@ -184,8 +192,9 @@ def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityR
         values = np.column_stack([schedule.p_chg, schedule.p_dis, schedule.soe, residual])
         lo = np.array([0.0, 0.0, params.s_min, 0.0])
         hi = np.array([params.p_chg_max, params.p_dis_max, params.s_max, 0.0])
+        tol = EPS * params.energy_scale * np.array([1 / params.dt, 1 / params.dt, 1.0, 1.0])
         nonfinite = ~np.isfinite(values) & [True, True, True, False]
-        below, above = values < lo - DEFAULT_TOL, values > hi + DEFAULT_TOL
+        below, above = values < lo - tol, values > hi + tol
         magnitude = np.where(nonfinite, np.abs(values), np.where(below, lo - values, values - hi))
     k, j = np.nonzero(nonfinite | below | above)  # row-major: by period, then column
     return FeasibilityReport([(t + 1, _TAGS[col][nf], m) for t, col, nf, m in zip(
@@ -193,12 +202,16 @@ def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityR
 
 
 def scd_mask(p_chg: np.ndarray, p_dis: np.ndarray) -> np.ndarray:
-    """Whether charge and discharge both exceed DEFAULT_TOL, per period."""
-    return (p_chg > DEFAULT_TOL) & (p_dis > DEFAULT_TOL)
+    """Whether charge and discharge both exceed EPS times the largest finite
+    power in the two arrays, per period: a schedule is its own power scale."""
+    powers = np.concatenate([p_chg, p_dis])
+    tol = EPS * np.maximum.reduce(powers, where=np.isfinite(powers), initial=0.0)  # NaN, inf aside
+    return (p_chg > tol) & (p_dis > tol)
 
 
 def detect_scd(schedule: Schedule) -> list:
-    """Periods where charge and discharge both exceed DEFAULT_TOL, sorted by t."""
+    """Periods where charge and discharge both exceed EPS times the
+    schedule's largest power (scd_mask), sorted by t."""
     scd = np.flatnonzero(scd_mask(schedule.p_chg, schedule.p_dis))
     return [ScdEvent(t=k + 1, p_chg_t=float(schedule.p_chg[k]), p_dis_t=float(schedule.p_dis[k]))
             for k in scd.tolist()]

@@ -18,7 +18,9 @@ def test_readme_quickstart_runs(capsys):
 
 
 def test_no_tolerance_parameters():
-    # DEFAULT_TOL is the one schedule tolerance; no caller can override it
+    # every tolerance follows the instance it judges (storage.EPS times the
+    # storage's energy scale, the simplex's TOL times its LP's scale); no
+    # caller passes one
     for name in storesched.__all__:
         obj = getattr(storesched, name)
         if not callable(obj):
@@ -27,4 +29,4 @@ def test_no_tolerance_parameters():
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        assert not {"tol", "eq_tol"} & set(params), name
+        assert not {"tol", "eq_tol", "eps", "atol", "rtol", "scale"} & set(params), name

@@ -30,7 +30,8 @@ from storesched import (
     theorem2_check,
     theorem3_shat,
 )
-from storesched.conditions import LEVEL_TOL, _geo_sum
+from storesched.conditions import _geo_sum
+from storesched.storage import EPS
 
 
 def unit_storage(p_chg, p_dis, eta=0.9, rho=1.0, s_init=0.0):
@@ -169,10 +170,12 @@ def reference_condition2(params, part, s_fixed=None):
     chg = dt * params.eta_c * params.p_chg_max
     dis = dt * params.p_dis_max / params.eta_d
 
+    tol = EPS * max(params.s_max, chg, dis)
+
     def check_level(s_required):
         if s_fixed is not None:
-            return s_fixed if abs(s_required - s_fixed) <= LEVEL_TOL else None
-        if params.s_min - LEVEL_TOL <= s_required <= params.s_max + LEVEL_TOL:
+            return s_fixed if abs(s_required - s_fixed) <= tol else None
+        if params.s_min - tol <= s_required <= params.s_max + tol:
             return min(max(s_required, params.s_min), params.s_max)
         return None
 

@@ -186,14 +186,14 @@ def action_table_by_offset(params, grid, s):
         ok = k <= n - 1
         k = np.clip(k, 0, n - 1)
         p = np.maximum((grid[k] - base) / (dt * eta_c), 0.0)
-        ok &= p <= params.p_chg_max + 1e-12
+        ok &= grid[k] - base <= params.charge_step + 1e-9 * h  # within 1e-9 of a spacing
         rows.append((np.minimum(p, params.p_chg_max), np.zeros_like(p), k, ok))
     for j in range(n_dis):
         k = np.floor(fidx + 1e-9).astype(int) - j
         ok = k >= 0
         k = np.clip(k, 0, n - 1)
         p = np.maximum((base - grid[k]) * eta_d / dt, 0.0)
-        ok &= p <= params.p_dis_max + 1e-12
+        ok &= base - grid[k] <= params.discharge_step + 1e-9 * h
         rows.append((np.zeros_like(p), np.minimum(p, params.p_dis_max), k, ok))
     return tuple(np.stack(col) for col in zip(*rows))
 
@@ -268,7 +268,7 @@ def forward_by_table(params, prices, values):
 class TestBackwardPass:
     def test_values_match_table(self):
         # the range maximum adds the reward's terms in another order, and
-        # the table clips powers within _FEAS_SLACK and _IDX_SLACK
+        # the table clips powers within _IDX_SLACK of a grid spacing
         some_inf = False
         for params, prices, grid in backward_draws(27, 30):
             got, want = _values(params, prices, grid), values_by_table(params, prices, grid)

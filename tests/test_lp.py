@@ -203,7 +203,7 @@ class TestKkt:
         params = unit_storage(p_chg_max=0.3, p_dis_max=0.3)
         prices = PriceSeries([12.0, -4.0, 30.0], 1.0)
         report = solve_storage_lp(params, prices)
-        report.duals.lam[1] += 1e-3
+        report.duals.lam[1] += 1e-3 * 30.0  # 1e-3 of the largest price
         assert kkt_verify(params, prices, report) >= 1e-3 - 1e-7
 
     def test_missing_duals(self):

@@ -19,7 +19,7 @@ from storesched import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from storesched.storage import DEFAULT_TOL, net_exchange
+from storesched.storage import EPS, net_exchange
 
 
 def make_params(**overrides):
@@ -68,6 +68,13 @@ class TestParams:
         # ten hours at 1e308 MW move more energy than a double holds
         with pytest.raises(ValueError, match=f"{name} is inf"):
             make_params(**overrides)
+
+    def test_energy_scale_below_the_normal_range_rejected(self):
+        # no relative tolerance holds where every energy of the storage is subnormal
+        with pytest.raises(ValueError, match=r"energy_scale is \S+, below the normal double range"):
+            make_params(s_max=1e-310, s_init=0.0, p_chg_max=1e-310, p_dis_max=1e-310)
+        params = make_params(s_max=1e-310, s_init=0.0)  # a normal step is scale enough
+        assert params.energy_scale == params.discharge_step
 
 
 params_strategy = st.builds(
@@ -135,24 +142,26 @@ class TestObjective:
 
 def reference_feasibility(params, schedule):
     """The per-period loop feasibility_check replaced: the same tags in the
-    same order, the recursion residual computed as s_t - expected."""
+    same order, the recursion residual computed as s_t - expected, within
+    EPS of the energy scale (over dt for a power)."""
+    e_tol = EPS * max(params.s_max, params.charge_step, params.discharge_step)
     violations = []
     prev = params.s_init
     with np.errstate(all="ignore"):  # inf - inf in the residual is NaN, not a violation
         for k in range(len(schedule)):
             t = k + 1
             pc, pd, s = schedule.p_chg[k], schedule.p_dis[k], schedule.soe[k]
-            for tag, v, lo, hi in (("pc", pc, 0.0, params.p_chg_max),
-                                   ("pd", pd, 0.0, params.p_dis_max),
-                                   ("soe", s, params.s_min, params.s_max)):
+            for tag, v, lo, hi, tol in (("pc", pc, 0.0, params.p_chg_max, e_tol / params.dt),
+                                        ("pd", pd, 0.0, params.p_dis_max, e_tol / params.dt),
+                                        ("soe", s, params.s_min, params.s_max, e_tol)):
                 if not np.isfinite(v):
                     violations.append((t, f"nonfinite_{tag}", abs(v)))
-                elif v < lo - DEFAULT_TOL:
+                elif v < lo - tol:
                     violations.append((t, f"bound_{tag}", lo - v))
-                elif v > hi + DEFAULT_TOL:
+                elif v > hi + tol:
                     violations.append((t, f"bound_{tag}", v - hi))
             expected = params.rho * prev + params.dt * (params.eta_c * pc - pd / params.eta_d)
-            if abs(s - expected) > DEFAULT_TOL:
+            if abs(s - expected) > e_tol:
                 violations.append((t, "soe_recursion", abs(s - expected)))
             prev = s
     return violations
@@ -260,14 +269,17 @@ class TestScd:
 
     def test_detect_matches_a_per_period_loop(self):
         rng = np.random.default_rng(3)
-        values = np.array([0.0, 1e-7, 1.0000001e-7, 0.3, np.nan, np.inf, -0.2])
+        # 3e-8 and just above it straddle EPS times the largest power 0.3
+        values = np.array([0.0, 3e-8, 3.0000001e-8, 0.3, np.nan, np.inf, -0.2])
         for _ in range(50):
             T = int(rng.integers(1, 40))
             sch = Schedule(p_chg=rng.choice(values, T), p_dis=rng.choice(values, T),
                            soe=np.zeros(T))
+            finite = [v for v in (*sch.p_chg, *sch.p_dis) if np.isfinite(v)]
+            tol = EPS * max([*finite, 0.0])
             expected = [
                 (k + 1, float(sch.p_chg[k]), float(sch.p_dis[k])) for k in range(T)
-                if sch.p_chg[k] > DEFAULT_TOL and sch.p_dis[k] > DEFAULT_TOL
+                if sch.p_chg[k] > tol and sch.p_dis[k] > tol
             ]
             events = detect_scd(sch)
             assert [(ev.t, ev.p_chg_t, ev.p_dis_t) for ev in events] == expected
