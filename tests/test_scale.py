@@ -20,6 +20,7 @@ from storesched import (
     DpConfig,
     PriceSeries,
     Recommendation,
+    Schedule,
     StorageParams,
     advise,
     partition,
@@ -31,7 +32,6 @@ from storesched import (
 )
 from storesched import cli
 from storesched.cli import PARAM_KEYS, main
-from storesched.storage import Schedule
 
 # (energy and power factor k, price factor q)
 SCALES = [(1e-6, 1.0), (1e-3, 1e3), (1e3, 1.0), (1e6, 1e-3), (1.0, 1e6)]
