@@ -8,13 +8,14 @@ computed from the endpoints, so the DP solves the grid-restricted
 exclusive problem exactly: the value is a true lower bound on the
 exclusive optimum and is exactly nondecreasing across nested grid
 refinements.  On n grid points a period costs O(n log n) backward (range
-maxima); forward, it costs O(log n) for the windows of its one level
-plus one evaluation per target in them.
+maxima); forward, four binary searches for the windows of its one level
+plus one evaluation per target in them: a fixed handful of numpy calls.
 
 exhaustive_micro_oracle: full enumeration of discretized action
 sequences, an absolute ground truth at micro scale.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,20 +55,21 @@ def _require_int(name: str, value, lo: int, hi: float = np.inf) -> None:
 
 
 def _windows(params: StorageParams, grid: np.ndarray, s):
-    """The grid targets of levels s as windows lo, hi, charge in row 0 and
-    discharge in row 1, hi < lo if none.  Charging to grid[k] takes a power
-    that grows with k, discharging one that falls with k, so a power bound
-    cuts each kind at one searchsorted; the other end is the grid point
-    nearest rho*s on that side; both reach _IDX_SLACK spacings further."""
+    """The grid targets of levels s (one or an array) as windows lo, hi,
+    charge first and discharge second, -1 <= hi < lo if none.  Charging to
+    grid[k] takes a power that grows with k, discharging one that falls with
+    k, so a power bound cuts each kind at one searchsorted of grid; the other
+    end is the grid point nearest rho*s on that side, one searchsorted of the
+    index ramp; both reach _IDX_SLACK spacings further."""
     base = params.rho * s
     h = grid[1] - grid[0]
     fidx = (base - params.s_min) / h
     top = base + params.charge_step + _IDX_SLACK * h
     bottom = base - params.discharge_step - _IDX_SLACK * h
-    return (np.stack([np.maximum(np.ceil(fidx - _IDX_SLACK).astype(int), 0),
-                      np.searchsorted(grid, bottom)]),
-            np.stack([np.searchsorted(grid, top, "right") - 1,
-                      np.minimum(np.floor(fidx + _IDX_SLACK).astype(int), len(grid) - 1)]))
+    ramp = np.arange(len(grid), dtype=float)
+    return ((ramp.searchsorted(fidx - _IDX_SLACK), grid.searchsorted(bottom)),
+            (grid.searchsorted(top, "right") - 1,
+             ramp.searchsorted(fidx + _IDX_SLACK, "right") - 1))
 
 
 def _values(params: StorageParams, prices: PriceSeries, grid: np.ndarray) -> np.ndarray:
@@ -76,7 +78,7 @@ def _values(params: StorageParams, prices: PriceSeries, grid: np.ndarray) -> np.
     C_t*eta_d for a discharge: a term in i plus the best of a term in k over
     a window of k.  Level j of a sparse table holds the maximum over 2**j
     entries from each index, so two reads of one level cover a window."""
-    lo, hi = _windows(params, grid, grid)
+    lo, hi = map(np.array, _windows(params, grid, grid))
     rows, n = lo.shape
     width = hi - lo + 1
     level = np.log2(np.maximum(width, 1)).astype(int)
@@ -85,23 +87,29 @@ def _values(params: StorageParams, prices: PriceSeries, grid: np.ndarray) -> np.
     first = at + np.where(width > 0, lo, n)
     second = at + np.where(width > 0, hi - (1 << level) + 1, n)
     table = np.full((level.max() + 1, rows * (n + 1)), -np.inf)
+    row_c, row_d = table[0].reshape(rows, n + 1)[:, :n]
+    flat, rho_grid = table.ravel(), params.rho * grid
     values = np.zeros((len(prices) + 1, n))
     for t in range(len(prices) - 1, -1, -1):
-        a = np.array([[prices.prices[t] / params.eta_c], [prices.prices[t] * params.eta_d]])
-        table[0].reshape(rows, n + 1)[:, :n] = values[t + 1] - a * grid
+        a_c, a_d = prices.prices[t] / params.eta_c, prices.prices[t] * params.eta_d
+        np.subtract(values[t + 1], a_c * grid, out=row_c)
+        np.subtract(values[t + 1], a_d * grid, out=row_d)
         for j in range(1, len(table)):
             w = 1 << (j - 1)
             np.maximum(table[j - 1, :-w], table[j - 1, w:], out=table[j, :-w])
-        best = np.maximum(table.ravel()[first], table.ravel()[second])
-        values[t] = (best + a * (params.rho * grid)).max(axis=0)
+        best_c, best_d = np.maximum(flat[first], flat[second])
+        np.maximum(best_c + a_c * rho_grid, best_d + a_d * rho_grid, out=values[t])
     return values
 
 
-def _no_transition(params: StorageParams, T: int, s: float) -> ValueError:
-    """The error for a level with no feasible grid transition: the storage
-    is at fault if even a full charge every period, capped at s_max, drops
-    below s_min (every reachable level lies at or below that trajectory,
-    which is itself feasible otherwise); else the grid is."""
+def _no_transition(params: StorageParams, T: int, s: float, best: float) -> ValueError:
+    """The error for a level whose best transition gains best: NaN or +inf is
+    an overflow; at -inf the level has no feasible grid transition, and the
+    storage is at fault if even a full charge every period, capped at s_max,
+    drops below s_min (every reachable level lies at or below that
+    trajectory, which is itself feasible otherwise); else the grid is."""
+    if not best < np.inf:
+        return ValueError(f"dp gain at level {s} is {best}: the profit overflows double precision")
     top = params.s_init
     for _ in range(T):
         top = min(params.rho * top + params.charge_step, params.s_max)
@@ -112,10 +120,11 @@ def _no_transition(params: StorageParams, T: int, s: float) -> ValueError:
 
 def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> SolveReport:
     """Backward DP over the n-point state grid, O(n log n) a period, then
-    greedy forward steps from the exact initial level, each over the
-    targets in the windows of one level.  The objective is recomputed
-    exactly on the reconstructed continuous schedule; it approaches the
-    exclusive optimum from below as the grid is refined."""
+    greedy forward steps from the exact initial level, each to the first
+    best target in the windows of one level, charge upward, then discharge
+    downward.  The objective is recomputed exactly on the reconstructed
+    continuous schedule; it approaches the exclusive optimum from below as
+    the grid is refined.  An overflow of the profit is refused by name."""
     _require_same_dt(params, prices)
     T = len(prices)
     try:
@@ -123,41 +132,45 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
     except (IndexError, ValueError):  # numpy refuses counts near or past its index range
         raise ValueError(f"grid_points {config.grid_points} exceed numpy's largest array") from None
     h = grid[1] - grid[0]
+    if not h > 0:  # a range of fewer than grid_points - 1 subnormal steps
+        raise ValueError(f"grid spacing of {config.grid_points} points on [s_min, s_max] is 0")
     for side, step in (("charge", params.charge_step), ("discharge", params.discharge_step)):
         if step < h:
             raise GridTooCoarse(f"full-rate {side} step {step} below grid spacing {h}")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, by name
-        values = _values(params, prices, grid)
-    top = values.max()
-    if not top < np.inf:  # NaN or +inf; -inf marks a level with no target
-        raise ValueError(f"dp value table holds {top}: the profit overflows double precision")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+        values, costs = _values(params, prices, grid), params.dt * prices.prices
+        for name, top in (("value table", values.max()), ("dt * price", np.abs(costs).max())):
+            if not top < np.inf:  # NaN or +inf; -inf marks a level with no target
+                raise ValueError(f"dp {name} holds {top}: the profit overflows double precision")
 
-    # forward pass from the exact (possibly off-grid) initial level; after
-    # one step the state sits on the grid within rounding, which
-    # _IDX_SLACK absorbs
-    dt, eta_c, eta_d = params.dt, params.eta_c, params.eta_d
-    p_chg, p_dis, soe = np.empty((3, T))
-    s = params.s_init
-    for t in range(T):
-        (lo_c, lo_d), (hi_c, hi_d) = _windows(params, grid, s)
-        # charge targets upward, then discharge targets downward: an on-grid
-        # level meets its idle target first as a charge
-        k = np.concatenate([np.arange(lo_c, hi_c + 1), np.arange(hi_d, lo_d - 1, -1)])
-        chg = np.arange(len(k)) < hi_c - lo_c + 1
-        base = params.rho * s
-        pc = np.where(chg, np.clip((grid[k] - base) / (dt * eta_c), 0.0, params.p_chg_max), 0.0)
-        pd = np.where(chg, 0.0, np.clip((base - grid[k]) * eta_d / dt, 0.0, params.p_dis_max))
-        cand = dt * prices.prices[t] * (pd - pc) + values[t + 1][k]
-        # the first maximizer, for determinism
-        if not len(k) or not np.isfinite(cand[a := int(np.argmax(cand))]):
-            raise _no_transition(params, T, s)
-        p_chg[t], p_dis[t] = pc[a], pd[a]
-        s = base + dt * (eta_c * pc[a] - pd[a] / eta_d)
-        soe[t] = s
-
-    schedule = Schedule(p_chg=p_chg, p_dis=p_dis, soe=soe)
-    return SolveReport(objective(prices, schedule, params.dt), schedule, [])
+        # forward pass from the exact (possibly off-grid) initial level; after
+        # one step the state sits on the grid within rounding, which
+        # _IDX_SLACK absorbs
+        dt, eta_c, eta_d = params.dt, params.eta_c, params.eta_d
+        p_chg, p_dis, soe = np.empty((3, T))
+        s, gain = params.s_init, np.empty(2 * len(grid))
+        for t in range(T):
+            (lo_c, lo_d), (hi_c, hi_d) = _windows(params, grid, s)
+            base, cost, after = params.rho * s, costs[t], values[t + 1]
+            # charge targets upward, then discharge targets downward: an
+            # on-grid level meets its idle target first as a charge
+            up, down = slice(lo_c, hi_c + 1), slice(lo_d, hi_d + 1)
+            pc = ((grid[up] - base) / (dt * eta_c)).clip(0.0, params.p_chg_max)
+            pd = ((base - grid[down][::-1]) * eta_d / dt).clip(0.0, params.p_dis_max)
+            m, end = len(pc), len(pc) + len(pd)
+            np.subtract(after[up], cost * pc, out=gain[:m])
+            np.add(cost * pd, after[down][::-1], out=gain[m:end])
+            # the first maximizer, for determinism; NaN or +inf is an overflow
+            if not end or not math.isfinite(gain[a := int(gain[:end].argmax())]):
+                raise _no_transition(params, T, s, gain[a] if end else -np.inf)
+            p_chg[t], p_dis[t] = (pc[a], 0.0) if a < m else (0.0, pd[a - m])
+            s = base + dt * (eta_c * p_chg[t] - p_dis[t] / eta_d)
+            soe[t] = s
+        schedule = Schedule(p_chg=p_chg, p_dis=p_dis, soe=soe)
+        report = SolveReport(objective(prices, schedule, params.dt), schedule, [])
+    require_finite("dp objective", report.objective)
+    return report
 
 
 def dp_value_error_bound(params: StorageParams, prices: PriceSeries, config: DpConfig) -> float:

@@ -97,6 +97,9 @@ class LpProblem:
             raise ValueError("need lower <= upper for every variable")
         if self.a.shape != (len(self.rhs), n):
             raise ValueError(f"constraint matrix shape {self.a.shape}, need ({len(self.rhs)}, {n})")
+        # the primal and dual tolerances of its solves, kept by node LPs copied from it
+        bounds = np.concatenate([self.lower, self.upper, self.rhs])
+        self.tols = TOL * np.abs(bounds).max(initial=0.0), TOL * np.abs(self.c).max(initial=0.0)
 
     @property
     def n(self) -> int:
@@ -211,7 +214,7 @@ def _entering(raw, move, below, tol):
     return np.flatnonzero(raw * move < -tol if below else raw * move > tol)
 
 
-def _dual(f, b, c, lower, upper, state, max_iter):
+def _dual(f, b, c, lower, upper, state, max_iter, tols):
     """Bounded dual simplex: the most infeasible basic variable leaves at
     the bound it violates.  The ratio test flips bounds: the candidates are
     walked in order of the ratio |d_j / alpha_j| at which their reduced
@@ -220,14 +223,13 @@ def _dual(f, b, c, lower, upper, state, max_iter):
     or else the last, enters.  Each round recomputes y and d, places each
     movable nonbasic variable at the bound its reduced cost prefers (after a
     pivot that only undoes rounding), then recomputes x; a round on an aged
-    factor goes on only if a x - b and d_B are within ptol and dtol, else
+    factor goes on only if a x - b and d_B are within tols = (ptol, dtol), else
     the basis is refactored and priced again.  A round's pass makes at most
     RECOMPUTE_EVERY pivots, each updating x_B and d.  A round without a
     pivot ends the solve.  Mutates f and state; returns
     (status, x, y, d, pivots, flips), INFEASIBLE only from a fresh factor."""
     movable = lower < upper
-    ptol = TOL * np.maximum.reduce(np.abs(np.concatenate([lower, upper, b])), initial=0.0)
-    dtol = TOL * np.maximum.reduce(np.abs(c), initial=0.0)
+    ptol, dtol = tols
     violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
     pivots = flips = 0
     while True:  # one round: y, d, placement, x, then a dual pass
@@ -353,7 +355,7 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
         f = _Factor(np.hstack([a, np.eye(m)]), np.arange(n, n + m))
         c, lower, upper = (np.concatenate([v, np.zeros(m)]) for v in (c, lower, upper))
 
-    status, x, y, d, pivots, flips = _dual(f, b, c, lower, upper, state, max_iter)
+    status, x, y, d, pivots, flips = _dual(f, b, c, lower, upper, state, max_iter, problem.tols)
     sol = LpSolution(status, iterations=pivots, flips=flips, factorizations=f.factorizations,
                      basis=state[:n].copy(),
                      factor=f if f.a is a else None)  # not with artificial columns

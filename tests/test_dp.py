@@ -250,19 +250,22 @@ def aligned_params(rng, n):
 
 def forward_by_table(params, prices, values):
     """Reference for solve_dp's forward pass: from s_init, the first best
-    row of action_table_by_offset each period, in offset order."""
+    row of action_table_by_offset each period, in offset order.  Returns
+    p_chg, p_dis, soe and the number of periods with more than one best
+    row."""
     grid = np.linspace(params.s_min, params.s_max, values.shape[1])
     p_chg, p_dis, soe = np.empty((3, len(prices)))
-    s = params.s_init
+    s, tied = params.s_init, 0
     for t in range(len(prices)):
         pc, pd, idx, ok = action_table_by_offset(params, grid, s)
         cand = np.where(ok, params.dt * prices.prices[t] * (pd - pc) + values[t + 1][idx], -np.inf)
         a = int(np.argmax(cand))
         assert np.isfinite(cand[a])
+        tied += np.count_nonzero(cand == cand[a]) > 1
         p_chg[t], p_dis[t] = pc[a], pd[a]
         s = params.rho * s + params.dt * (params.eta_c * pc[a] - pd[a] / params.eta_d)
         soe[t] = s
-    return p_chg, p_dis, soe
+    return p_chg, p_dis, soe, tied
 
 
 class TestBackwardPass:
@@ -330,9 +333,35 @@ class TestBackwardPass:
             if params.rho <= 0.5:
                 continue
             got = solve_dp(params, prices, DpConfig(len(grid)))
-            want = forward_by_table(params, prices, values_by_table(params, prices, grid))
+            *want, _ = forward_by_table(params, prices, values_by_table(params, prices, grid))
             for name, column in zip(("p_chg", "p_dis", "soe"), want):
                 np.testing.assert_array_equal(getattr(got.schedule, name), column)
+
+    def test_ties_take_the_first_maximizer(self):
+        # draws with ties: zero-price periods, where a level's idle target is
+        # reached both as a charge and as a discharge; lossless storage
+        # (eta = 1, rho = 1); and a flat values[t + 1] after a zero-price
+        # tail.  On the DP's own values table the reference's offset order
+        # (charge upward, then discharge downward) picks the same target
+        rng = np.random.default_rng(34)
+        tied = 0
+        for i in range(36):
+            dt = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+            params = random_params(rng, eta_one=i % 3 == 0, dt=dt)
+            if i % 3 == 0:
+                params = StorageParams(**{**vars(params), "rho": 1.0})
+            prices = mixed_sign_prices(rng, int(rng.integers(2, 16)), dt).prices
+            prices[rng.random(len(prices)) < 0.3] = 0.0
+            if i % 4 == 1:
+                prices[int(rng.integers(1, len(prices))):] = 0.0  # flat values[t + 1]
+            prices = PriceSeries(prices, dt)
+            grid = np.linspace(params.s_min, params.s_max, int(rng.choice([101, 201])))
+            got = solve_dp(params, prices, DpConfig(len(grid)))
+            *want, ties = forward_by_table(params, prices, _values(params, prices, grid))
+            for name, column in zip(("p_chg", "p_dis", "soe"), want):
+                assert np.array_equal(getattr(got.schedule, name), column), name
+            tied += ties
+        assert tied >= 36
 
     def test_finer_grid_on_a_week(self):
         # 8,001 levels: about 1e9 cells a period for the table, which

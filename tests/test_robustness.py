@@ -1,7 +1,7 @@
 """Generated malformed and extreme input through every subcommand: each
 run ends with a documented exit code and prints no traceback.  Extreme
-storages through the advisor's library entry points and the LP: each call
-returns or raises a documented exception, and nothing warns."""
+storages through the advisor's library entry points, the LP and the DP:
+each call returns or raises a documented exception, and nothing warns."""
 
 import contextlib
 import io
@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from storesched import (
     Advice,
     AssumptionViolated,
+    DpConfig,
+    GridTooCoarse,
     InfeasibleStorage,
     NoNegativePrices,
     NotNegativePrice,
@@ -25,10 +27,12 @@ from storesched import (
     SubsetSearchInconclusive,
     advise,
     corollary2_inexact,
+    dp_value_error_bound,
     feasibility_check,
     lemma1_classify,
     partition,
     prop1_classify,
+    solve_dp,
     solve_storage_lp,
     theorem1_condition1,
     theorem1_condition2,
@@ -272,3 +276,60 @@ def test_lp_entry_point(inputs):
             assert str(exc).startswith("lp objective is ")
             return
         assert feasibility_check(params, report.schedule).feasible
+
+
+@st.composite
+def dp_inputs(draw):
+    """(storage, prices or the ValueError that refuses them, grid points)
+    with energies and each power at its own scale, prices from 0 to +-1e308
+    with NaN, +-inf or none among them, the prices' dt now and then not the
+    storage's, and grids of 2 to 2,001 points, or invalid ones."""
+    params, _ = draw(lp_inputs())
+    dt = params.dt if params is not None and draw(st.integers(0, 4)) else 0.5
+    prices = draw(st.lists(st.sampled_from([0.0, 35.0, -35.0, 1e-300, 1e308, -1e308]),
+                           max_size=30))
+    if draw(st.integers(0, 4)) == 0:
+        prices.insert(draw(st.integers(0, len(prices))), draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf])))
+    try:
+        prices = PriceSeries(prices, dt)
+    except ValueError as exc:
+        prices = exc
+    grid = draw(st.one_of(st.integers(2, 2001), st.sampled_from([1, 0, 2.5, True])))
+    return params, prices, grid
+
+
+@settings(max_examples=300, **FUZZ)
+@given(inputs=dp_inputs())
+def test_dp_entry_point(inputs):
+    params, prices, grid = inputs
+    if isinstance(prices, ValueError):  # NaN, inf or no price at all
+        assert str(prices) in ("prices must be finite", "prices must be a non-empty 1-D sequence")
+        return
+    if params is None:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config = DpConfig(grid)
+        except ValueError as exc:
+            assert str(exc).startswith("grid_points must be an integer in [2, ")
+            return
+        try:
+            report = solve_dp(params, prices, config)
+        except (GridTooCoarse, InfeasibleStorage):
+            return
+        except ValueError as exc:
+            assert re.fullmatch(r"prices dt \S+ differs from params dt \S+"
+                                r"|grid spacing of \d+ points on \[s_min, s_max\] is 0"
+                                r"|dp (value table|dt \* price) holds \S+: the profit overflows "
+                                r"double precision|dp gain at level \S+ is \S+: the profit "
+                                r"overflows double precision|dp objective is \S+, beyond double "
+                                r"precision", str(exc)), str(exc)
+            return
+        assert math.isfinite(report.objective)
+        assert feasibility_check(params, report.schedule).feasible
+        try:
+            assert dp_value_error_bound(params, prices, config) >= 0.0
+        except ValueError as exc:
+            assert str(exc) == "dp discretization_bound is inf, beyond double precision"
