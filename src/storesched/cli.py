@@ -5,11 +5,11 @@ Subcommands: partition, advise, solve, check, compare.  Exit codes:
 * 0  success; for advise: the relaxation is safe, solve the LP
 * 1  check found an infeasible or simultaneously-charging schedule
 * 2  malformed or unreadable input (CSV, params file, schedule JSON,
-     manifest), a full-power step that overflows double precision,
-     storage whose energy scale is below the normal double range,
-     storage that no schedule keeps within its limits, input whose
-     objective or a diagnostic overflows double precision, or a request
-     too large for memory (such as a huge dp --grid)
+     manifest), a full-power step that overflows double precision or
+     underflows to 0, storage whose energy scale is below the normal
+     double range, storage that no schedule keeps within its limits,
+     input whose objective or a diagnostic overflows double precision,
+     or a request too large for memory (such as a huge dp --grid)
 * 3  internal solver invariant breach, or a leftover SCD with no
      equal-objective repair
 * 10 advise: solve the refined MILP
@@ -307,9 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Schedule a price-taker energy storage system against a price series.",
         epilog=(
             "exit codes: 0 ok / advise says solve the LP; 1 check failed; "
-            "2 malformed or unreadable input, a full-power step that overflows, "
-            "an energy scale below the normal double range, storage no schedule "
-            "keeps within its limits, an objective or diagnostic that overflows, "
+            "2 malformed or unreadable input, a full-power step that overflows or "
+            "underflows to 0, an energy scale below the normal double range, "
+            "storage no schedule keeps within its limits, an objective or "
+            "diagnostic that overflows, "
             "or a request too large for memory; 3 solver invariant breach or "
             "unrepairable SCD; 10 advise says solve the refined MILP"
         ),

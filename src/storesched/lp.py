@@ -62,8 +62,13 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     and, at each 1-based period t in legs, the level after the charge alone,
     m^c_t = rho*soe_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and after
     the discharge alone, m^d_t = rho*soe_{t-1} - dt*p_dis_t/eta_d in
-    [rho*s_min, rho*s_max]."""
+    [rho*s_min, rho*s_max].  A ValueError names a dt * price that overflows."""
     _require_same_dt(params, prices)
+    with np.errstate(over="ignore"):  # an overflow is refused by name
+        profit = params.dt * prices.prices
+    if not np.abs(profit).max() < np.inf:
+        raise ValueError(f"lp dt * price holds {np.abs(profit).max()}: the profit overflows "
+                         "double precision")
     T, K = len(prices), len(legs)
     dt, rho = params.dt, params.rho
     t_leg = np.asarray(legs, dtype=int) - 1
@@ -76,7 +81,7 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     a[r[chg], period[chg]] = -dt * params.eta_c
     a[r[dis], T + period[dis]] = dt / params.eta_d
     a[r[prev], 2 * T + period[prev] - 1] = -rho
-    c = np.concatenate([-dt * prices.prices, dt * prices.prices, np.zeros(T + 2 * K)])
+    c = np.concatenate([-profit, profit, np.zeros(T + 2 * K)])
     lower = np.repeat([0.0, params.s_min, rho * params.s_min], [2 * T, T, 2 * K])
     upper = np.repeat(
         [params.p_chg_max, params.p_dis_max, params.s_max, rho * params.s_max], [T, T, T + K, K]

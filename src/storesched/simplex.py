@@ -39,11 +39,16 @@ infeasible, as it is, rows in that LP's order: a branch-and-bound tree
 inverts once, at its root, unless a residual check or a proof of
 infeasibility asks for a fresh factor.
 
-A refactor inverts only a kernel: the basic columns with one nonzero
-(the storage LP's leg columns and many powers) form a diagonal block,
-and LAPACK inverts the rest (see _Factor).  A basis is singular when two
-such columns share a row or the kernel is singular; a singular start
-basis gives way to the artificial one.
+A refactor peels the basis by singleton levels, the preassigned-pivot
+triangularization that sparse LP codes run before any numerical LU
+(Hellerman & Rarick 1971; Suhl & Suhl 1990), and LAPACK inverts only the
+bump that no level takes (see _Factor).  The refined root of an hourly
+fast-storage week peels completely in three levels and needs no LAPACK
+call; a day-scale or slow-storage basis peels one level, the leg columns
+and many powers, and leaves a chain of levels, which LAPACK inverts as
+one bump.  A basis is singular when two columns of one level share a row
+or the bump is singular; a singular start basis gives way to the
+artificial one.
 """
 
 import enum
@@ -127,46 +132,97 @@ class LpSolution:
 class _Factor:
     """Basic columns in row order and the explicit inverse of their matrix.
 
-    A column of a with one nonzero is a singleton.  The basic singletons
-    form a diagonal block D on their rows; the other basic columns on the
-    remaining rows form the kernel K, and only K goes through LAPACK:
-    with rows and columns ordered singletons first, the basis matrix is
-    [[D, B12], [0, K]] and its inverse [[D^-1, -D^-1 B12 K^-1], [0, K^-1]].
-    The basis is singular when two basic singletons share a row or K is
-    singular (a zero column lands in K)."""
+    The start factor peels singleton levels.  Level 1 is the basic columns
+    with one nonzero in a.  Each further level is the columns with one
+    nonzero among the rows no earlier level took, each pivoting on that
+    row; the columns left form the bump, and only the bump goes through
+    LAPACK.  Ordered level by level, bump last, the basis matrix is block
+    upper triangular: a level's column has nonzeros only on its pivot row
+    and on earlier levels' rows.  So the inverse is back-substituted level
+    by level, last level first: the row of the column pivoting on row r is
+    (e_r - sum of a[r, c] times the inverse's row of column c) / a[r, its
+    column], summed over the nonzeros of row r in later columns.  The bump's
+    columns enter by one dense product with the bump's inverse (for level 1
+    and a bump alone, the block formula [[D^-1, -D^-1 B12 K^-1], [0, K^-1]]),
+    the later levels' through the nonzeros of their rows of the inverse.
+
+    The peel goes on after level 1 only while a level takes at least half
+    of the columns left.  The rule reads only the peel's own counts, never
+    the basis's size, and needs no size threshold: levels that each halve
+    what is left cost at most about twice the first, while a chain, which
+    levels would peel one column at a time, stops at once and goes to
+    LAPACK whole.  The basis is singular when two columns of one level
+    share a row or the bump is singular (a column left empty by the levels
+    lands in the bump)."""
 
     def __init__(self, a, basis):
         self.a = a
-        nonzero = a != 0
-        # the row of each column's only nonzero, or -1 (argmax needs a row)
-        self.singleton_row = (np.where(nonzero.sum(axis=0) == 1, nonzero.argmax(axis=0), -1)
-                              if len(a) else np.full(a.shape[1], -1))
+        # the nonzeros of a in row order, read once per matrix, and the row of
+        # each column's only nonzero, or -1
+        self.nz_rows, self.nz_cols = divmod((a != 0).ravel().nonzero()[0], max(a.shape[1], 1))
+        self.singleton_row = np.zeros(a.shape[1], dtype=int)
+        self.singleton_row[self.nz_cols] = self.nz_rows  # right where a column has one nonzero
+        self.singleton_row[np.bincount(self.nz_cols, minlength=a.shape[1]) != 1] = -1
         self.basis = np.array(basis, dtype=int)
         self.factorizations = 0  # since the factor was built or a solve took it over
         self.refactor()
 
     def refactor(self):
         self.inv = None  # free the old inverse before allocating the new one
-        m = len(self.basis)
-        rows = self.singleton_row[self.basis]
+        a, basis, m = self.a, self.basis, len(self.basis)
+        rows = self.singleton_row[basis]  # the pivot row of each peeled column, else -1
         is_single = rows >= 0
-        single, kernel = np.flatnonzero(is_single), np.flatnonzero(~is_single)  # basis positions
+        single, kernel = is_single.nonzero()[0], (~is_single).nonzero()[0]  # basis positions
         srows = rows[single]
-        free = np.ones(m, dtype=bool)
-        free[srows] = False
-        krows = np.flatnonzero(free)
+        krows = (np.bincount(srows, minlength=m) == 0).nonzero()[0]
         if len(krows) != len(kernel):  # a row taken twice leaves K with more rows than columns
             raise SimplexFailure("singular basis: two singleton columns share a row")
-        ak = self.a[:, self.basis[kernel]]
+        ak = a[:, basis[kernel]]
+        levels = [single]  # the basis positions of each level
+        bump, brows, sub = kernel, krows, ak[krows]  # what no level has taken
+        while len(bump):
+            nonzero = sub != 0
+            one = np.add.reduce(nonzero, 0, dtype=np.int32) == 1
+            if 2 * np.count_nonzero(one) < len(bump):
+                break
+            one = np.flatnonzero(one)
+            r = nonzero[:, one].argmax(axis=0)
+            if np.bincount(r).max() > 1:
+                raise SimplexFailure("singular basis: two singleton columns share a row")
+            rows[bump[one]] = brows[r]
+            levels.append(bump[one])
+            keep, keep_r = np.ones(len(bump), dtype=bool), np.ones(len(bump), dtype=bool)
+            keep[one] = keep_r[r] = False
+            bump, brows, sub = bump[keep], brows[keep_r], sub[keep_r][:, keep]
         try:
-            kinv = np.linalg.inv(ak[krows])
+            kinv = np.linalg.inv(sub) if len(bump) else sub
         except np.linalg.LinAlgError as exc:
             raise SimplexFailure("singular basis") from exc
-        dinv = 1.0 / self.a[srows, self.basis[single]]
+        if len(levels) > 1:
+            single = np.flatnonzero(rows >= 0)
+            srows, ak = rows[single], a[:, basis[bump]]
+        dinv = 1.0 / a[srows, basis[single]]
         self.inv = np.zeros((m, m))
         self.inv[single, srows] = dinv
-        self.inv[kernel[:, None], krows] = kinv
-        self.inv[single[:, None], krows] = -dinv[:, None] * (ak[srows] @ kinv)
+        self.inv[bump[:, None], brows] = kinv
+        self.inv[single[:, None], brows] = -dinv[:, None] * (ak[srows] @ kinv)
+        if len(levels) > 1:  # the nonzeros of a level's row in a later level's column
+            level, level_col = np.full(m, -1), np.full(a.shape[1], -1)  # -1: bump or nonbasic
+            for j, pos in enumerate(levels):
+                level[pos] = j
+            posr, posc = np.empty(m, dtype=int), np.empty(a.shape[1], dtype=int)
+            posr[srows], posr[brows], posc[basis], level_col[basis] = single, bump, range(m), level
+            r, c = self.nz_rows, self.nz_cols
+            row_level = level[posr[r]]
+            later = row_level < level_col[c]
+            r, c, row_level = r[later], c[later], row_level[later]
+            scale = a[r, c] / a[r, basis[posr[r]]]
+            for j in range(len(levels) - 2, -1, -1):
+                # inv[posr[r]] -= scale * inv[posc[c]], through the nonzeros of inv[posc[c]]
+                at = row_level == j
+                src = self.inv[posc[c[at]]]
+                i, k = divmod(np.flatnonzero(src != 0), m)
+                np.add.at(self.inv.reshape(-1), posr[r[at]][i] * m + k, -scale[at][i] * src[i, k])
         self.age = 0  # pivots since the last factorization
         self.factorizations += 1
 

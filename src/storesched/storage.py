@@ -62,6 +62,8 @@ class StorageParams:
             step = getattr(self, name)
             if not math.isfinite(step):
                 raise ValueError(f"{name} is {step}, beyond double precision")
+            if not step > 0:  # a power so small that a period at full rate moves no energy
+                raise ValueError(f"{name} is {step}, below double precision")
         if not self.energy_scale >= np.finfo(float).tiny:  # no relative check holds below it
             raise ValueError(f"energy_scale is {self.energy_scale}, below the normal double range")
 

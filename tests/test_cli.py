@@ -213,6 +213,25 @@ class TestAdvise:
         assert "finite" in capsys.readouterr().err
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("key", ["p_chg_max", "p_dis_max"])
+    def test_underflowing_step_exit_2(self, workspace, capsys, key):
+        # ten minutes at the smallest subnormal power move no energy in double
+        # precision: the storage is refused by name, with one error line, where
+        # the DP would find every grid too coarse and the LP would answer
+        params = workspace / "tiny.txt"
+        params.write_text(re.sub(rf"^{key} = .*$", f"{key} = 5e-324", FAST_PARAMS, flags=re.M)
+                          .replace("dt_hours = 1.0", f"dt_hours = {1 / 6!r}"))
+        code = run(
+            [
+                "solve", "--params", params, "--prices", workspace / "prices.csv",
+                "--formulation", "dp", "--out", workspace / "out",
+            ]
+        )
+        step = {"p_chg_max": "charge_step", "p_dis_max": "discharge_step"}[key]
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {params}: {step} is 0.0, below double precision\n")
+        assert not (workspace / "out").exists()
+
 
 class TestSolve:
     def test_lp_report_flags_scd(self, workspace, capsys):

@@ -1,15 +1,19 @@
 """Generated malformed and extreme input through every subcommand: each
-run ends with a documented exit code and prints no traceback.  Extreme
-storages through the advisor's library entry points, the LP and the DP:
-each call returns or raises a documented exception, and nothing warns."""
+run ends with a documented exit code and prints no traceback.  Junk
+storage parameters, and extreme storages and prices through the
+advisor's library entry points, the LP, the MILPs' matrix model, the
+MILPs and the DP: each call returns or raises a documented exception,
+and nothing warns."""
 
 import contextlib
 import io
 import json
 import math
 import re
+import sys
 import warnings
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +23,7 @@ from storesched import (
     DpConfig,
     GridTooCoarse,
     InfeasibleStorage,
+    LpProblem,
     NoNegativePrices,
     NotNegativePrice,
     PriceSeries,
@@ -27,13 +32,17 @@ from storesched import (
     SubsetSearchInconclusive,
     advise,
     corollary2_inexact,
+    detect_scd,
     dp_value_error_bound,
     feasibility_check,
     lemma1_classify,
+    lp,
     partition,
     prop1_classify,
+    simplex,
     solve_dp,
     solve_storage_lp,
+    solve_storage_milp,
     theorem1_condition1,
     theorem1_condition2,
     theorem2_check,
@@ -132,6 +141,10 @@ def assert_documented(args):
     assert "Traceback" not in err
 
 
+# StorageParams' refusals of a storage whose energies double precision cannot hold
+STEP_REFUSED = (r"(dis)?charge_step is (inf, beyond|0\.0, below) double precision|"
+                r"energy_scale is \S+, below the normal double range")
+
 # derandomized, so that every run of the suite tries the same examples
 FUZZ = dict(deadline=None, derandomize=True,
             suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
@@ -216,8 +229,7 @@ def advisor_inputs(draw):
 def test_advisor_entry_points(inputs, final_level):
     params, prices, levels = inputs
     if isinstance(params, ValueError):  # only a reach or a scale beyond double precision
-        assert re.fullmatch(r"(dis)?charge_step is inf, beyond double precision|"
-                            r"energy_scale is \S+, below the normal double range", str(params))
+        assert re.fullmatch(STEP_REFUSED, str(params))
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -333,3 +345,102 @@ def test_dp_entry_point(inputs):
             assert dp_value_error_bound(params, prices, config) >= 0.0
         except ValueError as exc:
             assert str(exc) == "dp discretization_bound is inf, beyond double precision"
+
+
+# a storage of unit capacity and half-unit powers, up to three of whose fields
+# a draw replaces with junk: NaN, +-inf, 0, negative, subnormal, beyond the
+# field's range, or a power so small that a short period moves no energy
+UNIT_STORAGE = dict(s_min=0.0, s_max=1.0, s_init=0.5, p_chg_max=0.5, p_dis_max=0.5, eta_c=0.9,
+                    eta_d=0.9, rho=0.999)
+JUNK = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310,
+                        1.0000000000000002, 1.5, 1e308])
+PARAMS_REFUSED = (r"parameters must be finite: [a-z_, ]+|need 0 <= s_min < s_max"
+                  r"|need s_min <= s_init <= s_max|power limits must be positive"
+                  r"|dt must be positive|(eta_c|eta_d|rho) must be in \(0, 1\]|" + STEP_REFUSED)
+
+
+@st.composite
+def storage_fields(draw):
+    fields = dict(UNIT_STORAGE, dt=draw(st.sampled_from([1 / 6, 0.25, 1.0, 10.0])))
+    for name in draw(st.sets(st.sampled_from(sorted(fields)), max_size=3)):
+        fields[name] = draw(JUNK)
+    return fields
+
+
+@settings(max_examples=400, **FUZZ)
+@given(fields=storage_fields())
+def test_storage_params_entry_point(fields):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            params = StorageParams(**fields)
+        except ValueError as exc:
+            assert re.fullmatch(PARAMS_REFUSED, str(exc)), str(exc)
+            return
+        assert 0 < params.charge_step < math.inf and 0 < params.discharge_step < math.inf
+        assert params.energy_scale >= sys.float_info.min
+
+
+@settings(max_examples=300, **FUZZ)
+@given(inputs=dp_inputs())
+def test_build_lp_entry_point(inputs):
+    params, prices, _ = inputs
+    if isinstance(prices, ValueError) or params is None:  # refused before build_lp sees them
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        part = partition(prices)
+        try:
+            problem = lp.build_lp(params, prices, part.t_neg)
+        except ValueError as exc:
+            assert re.fullmatch(r"prices dt \S+ differs from params dt \S+|lp dt \* price holds "
+                                r"\S+: the profit overflows double precision", str(exc)), str(exc)
+            return
+        T, K = len(prices), len(part.t_neg)
+        assert isinstance(problem, LpProblem) and problem.a.shape == (T + 2 * K, 3 * T + 2 * K)
+        start = lp._duration_start(problem, T)  # which always factors
+        simplex._Factor(problem.a, np.flatnonzero(start == simplex.BASIC))
+
+
+@st.composite
+def milp_inputs(draw):
+    """(storage, prices) with energies and each power at its own scale from
+    1e-3 to 1e3, and 1 to 48 prices from 0 to +-1e3."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    dt = draw(st.sampled_from([1 / 6, 0.25, 1.0, 10.0]))
+    params = StorageParams(
+        s_min=draw(st.sampled_from([0.0, scale / 4])), s_max=scale,
+        s_init=draw(st.sampled_from([scale / 4, scale / 2, scale])),
+        p_chg_max=draw(st.sampled_from([1e-3, 1.0, 1e3])), p_dis_max=draw(st.sampled_from([1e-3, 1.0, 1e3])),
+        eta_c=draw(st.sampled_from([0.5, 0.9, 1.0])), eta_d=draw(st.sampled_from([0.9, 1.0])),
+        rho=draw(st.sampled_from([1.0, 0.999, 0.5, 1e-20])), dt=dt)
+    prices = draw(st.lists(st.sampled_from([0.0, 35.0, -35.0, 1e-3, -1e-3, 1e3, -1e3]),
+                           min_size=1, max_size=48))
+    return params, PriceSeries(prices, dt)
+
+
+@settings(max_examples=150, **FUZZ)
+@given(inputs=milp_inputs())
+def test_milp_entry_point(inputs):
+    # the full and the refined MILP refuse alike or answer alike, within
+    # their root bound, with a feasible schedule free of simultaneous charge
+    # and discharge
+    params, prices = inputs
+    part = partition(prices)
+    answers = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for refined in (False, True):
+            try:
+                report, stats = solve_storage_milp(params, prices, part, refined=refined)
+            except InfeasibleStorage:
+                answers.append(None)
+                continue
+            assert report.objective <= stats.root_bound + 1e-9 * max(1.0, abs(stats.root_bound))
+            assert feasibility_check(params, report.schedule).feasible
+            assert report.scd_events == [] == detect_scd(report.schedule)
+            answers.append(report.objective)
+    if None in answers:
+        assert answers == [None, None]
+    else:
+        assert abs(answers[0] - answers[1]) <= 1e-9 * max(1.0, abs(answers[0]))

@@ -179,18 +179,21 @@ def factor_bases(case, monkeypatch):
         for draw in criterion_4_draws(5):
             for refined in (False, True):
                 solve_storage_milp(*draw, refined=refined)
-    else:  # the hourly fast-storage week, which closes at the root node
-        rng = np.random.default_rng(168)
-        params = fast_params(rng)
-        prices = mixed_sign_prices(rng, 168)
-        solve_storage_milp(params, prices, partition(prices), refined=True)
+    else:  # hourly fast-storage weeks and fortnights, which close at the root node
+        for seed, T in {"fast_T168_root": [(168, 168)], "fast_T336_roots": [(0, 336), (1, 336)]}[case]:
+            rng = np.random.default_rng(seed)
+            params = fast_params(rng)
+            prices = mixed_sign_prices(rng, T)
+            solve_storage_milp(params, prices, partition(prices), refined=True)
     monkeypatch.undo()
     return seen
 
 
 class TestFactor:
     @pytest.mark.parametrize(
-        "case", ["no_singletons", "all_artificial", "no_rows", "criterion_4", "fast_T168_root"]
+        "case",
+        ["no_singletons", "all_artificial", "no_rows", "criterion_4", "fast_T168_root",
+         "fast_T336_roots"],
     )
     def test_block_inverse(self, case, monkeypatch):
         bases = factor_bases(case, monkeypatch)
@@ -208,6 +211,23 @@ class TestFactor:
             assert inf_norm(f.inv @ matrix - eye) <= 1e-12
             assert inf_norm(reference @ matrix - eye) <= 1e-12
             assert inf_norm(f.inv - reference) <= 1e-12 * max(1.0, inf_norm(reference))
+
+    def test_fast_week_root_needs_no_lapack(self, monkeypatch):
+        # the fast week's start basis, its only factorization, is a permuted
+        # triangle: three singleton levels take every column (168, then 72 of
+        # the 144 left, then the last 72), so no bump is left for LAPACK
+        (a, basis), = factor_bases("fast_T168_root", monkeypatch)
+        chains = factor_bases("criterion_4", monkeypatch)
+        calls = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda matrix: calls.append(matrix) or real_inv(matrix))
+        f = simplex._Factor(a, basis)
+        assert calls == []
+        assert inf_norm(f.inv @ a[:, basis] - np.eye(len(basis))) <= 1e-12
+        # a criterion-4 basis peels one level and leaves a chain for LAPACK
+        for a, basis in chains:
+            simplex._Factor(a, basis)
+        assert len(calls) == len(chains)
 
     @pytest.mark.parametrize("case", ["criterion_4", "fast_T168_root"])
     def test_products_through_nonzeros(self, case, monkeypatch):
@@ -317,18 +337,32 @@ class TestSingularStart:
     # columns 0 and 1 are singletons on row 0, column 2 is zero, columns 3
     # and 4 are parallel, and column 5 is a singleton on row 1
     A = np.array([[1.0, 2.0, 0.0, 1.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0, 2.0, 1.0]])
-    STARTS = {"singletons_share_a_row": [0, 1], "zero_column": [2, 5], "singular_kernel": [3, 4]}
+    # singular only below level 1: columns 0 and 1 are singletons on rows 0
+    # and 1; once those rows are peeled, columns 2 and 3 are singletons on row
+    # 2, column 4 is empty and column 5 is a singleton on row 3
+    B = np.array([[1.0, 0.0, 1.0, 2.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 1.0, 1.0],
+                  [0.0, 0.0, 1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    STARTS = {"singletons_share_a_row": (A, [0, 1]), "zero_column": (A, [2, 5]),
+              "singular_kernel": (A, [3, 4]),
+              "second_level_shares_a_row": (B, [0, 1, 2, 3]),
+              "empty_below_level_1": (B, [0, 1, 4, 5])}
+    # per matrix, a feasible and an infeasible right-hand side
+    RHS = {2: [[2.0, 1.5], [10.0, 1.0]], 4: [[2.5, 1.5, 1.0, 0.5], [2.5, 1.5, 1.0, 3.0]]}
 
     @pytest.mark.parametrize("name", STARTS)
     def test_factor_rejects_the_basis(self, name):
-        # a shared row is caught before LAPACK sees a kernel that is not square
-        message = "share a row" if name == "singletons_share_a_row" else "singular basis"
+        # a shared row is caught by the peel, before LAPACK sees a bump; an
+        # empty column is left in the bump, and LAPACK finds it singular
+        message = "share a row" if "share" in name else "singular basis"
+        a, basis = self.STARTS[name]
         with pytest.raises(SimplexFailure, match=message):
-            simplex._Factor(self.A, self.STARTS[name])
+            simplex._Factor(a, basis)
 
-    @pytest.mark.parametrize("rhs", [[2.0, 1.5], [10.0, 1.0]])  # the second is infeasible
+    @pytest.mark.parametrize("rhs", [0, 1], ids=["rhs0", "rhs1"])  # the second is infeasible
     @pytest.mark.parametrize("name", STARTS)
     def test_solve_falls_back_to_artificial_basis(self, name, rhs, monkeypatch):
+        a, basis = self.STARTS[name]
+        rhs = self.RHS[len(a)][rhs]
         built = []  # column count of each factor's matrix
 
         class Recorded(simplex._Factor):
@@ -338,12 +372,12 @@ class TestSingularStart:
 
         monkeypatch.setattr(simplex, "_Factor", Recorded)
         problem = LpProblem(c=[1.0, -1.0, 0.5, 2.0, -0.5, 1.0], lower=np.zeros(6),
-                            upper=np.ones(6), a=self.A, rhs=rhs)
+                            upper=np.ones(6), a=a, rhs=rhs)
         start = np.full(6, AT_LOWER)
-        start[self.STARTS[name]] = BASIC
+        start[basis] = BASIC
         sol = solve_bounded_lp(problem, start=start)
-        assert built == [6, 8]  # the start basis, then one artificial column per row
-        ref = scipy_opt.linprog(-problem.c, A_eq=self.A, b_eq=problem.rhs,
+        assert built == [6, 6 + len(a)]  # the start basis, then one artificial column per row
+        ref = scipy_opt.linprog(-problem.c, A_eq=a, b_eq=problem.rhs,
                                 bounds=list(zip(problem.lower, problem.upper)), method="highs")
         assert ref.status == {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 2}[sol.status]
         if sol.status is LpStatus.OPTIMAL:

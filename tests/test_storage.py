@@ -69,6 +69,18 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{name} is inf"):
             make_params(**overrides)
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("charge_step", dict(p_chg_max=5e-324, dt=1 / 6)),
+        ("discharge_step", dict(p_dis_max=5e-324, dt=1 / 6)),
+    ])
+    def test_underflowing_step_rejected(self, name, overrides):
+        # ten minutes at the smallest subnormal power move no energy in double
+        # precision, so no grid or level could resolve a period's exchange
+        with pytest.raises(ValueError, match=f"{name} is 0.0, below double precision"):
+            make_params(**overrides)
+        params = make_params(p_chg_max=1e-310, p_dis_max=1e-310)  # a subnormal step is > 0
+        assert 0 < params.charge_step < params.discharge_step < np.finfo(float).tiny
+
     def test_energy_scale_below_the_normal_range_rejected(self):
         # no relative tolerance holds where every energy of the storage is subnormal
         with pytest.raises(ValueError, match=r"energy_scale is \S+, below the normal double range"):
