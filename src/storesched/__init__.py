@@ -38,7 +38,6 @@ from .dp import (
 )
 from .lp import (
     DualVector,
-    InfeasibleStorage,
     MissingDuals,
     SolveReport,
     build_lp,
@@ -59,6 +58,7 @@ from .simplex import LpProblem, LpSolution, LpStatus, SimplexFailure, solve_boun
 from .storage import (
     EPS,
     FeasibilityReport,
+    InfeasibleStorage,
     RepairNotApplicable,
     Schedule,
     ScdEvent,
@@ -71,6 +71,7 @@ from .storage import (
     objective,
     propagate_soe,
     repair_scd,
+    require_schedulable,
     schedule_from_dict,
     schedule_to_dict,
 )

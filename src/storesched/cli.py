@@ -7,11 +7,13 @@ Subcommands: partition, advise, solve, check, compare.  Exit codes:
 * 2  malformed or unreadable input (CSV, params file, schedule JSON,
      manifest), a full-power step that overflows double precision or
      underflows to 0, storage whose energy scale is below the normal
-     double range, storage that no schedule keeps within its limits,
+     double range, storage that no schedule keeps within its limits
+     (decided before any solve, the same way for every formulation),
      input whose objective or a diagnostic overflows double precision,
      or a request too large for memory (such as a huge dp --grid)
-* 3  internal solver invariant breach, or a leftover SCD with no
-     equal-objective repair
+* 3  internal solver invariant breach, among them a branch and bound
+     that ends with no schedule for a storage that has one, or a
+     leftover SCD with no equal-objective repair
 * 10 advise: solve the refined MILP
 
 All outputs are byte-deterministic given identical inputs and flags,
@@ -309,10 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
             "exit codes: 0 ok / advise says solve the LP; 1 check failed; "
             "2 malformed or unreadable input, a full-power step that overflows or "
             "underflows to 0, an energy scale below the normal double range, "
-            "storage no schedule keeps within its limits, an objective or "
-            "diagnostic that overflows, "
-            "or a request too large for memory; 3 solver invariant breach or "
-            "unrepairable SCD; 10 advise says solve the refined MILP"
+            "storage no schedule keeps within its limits (decided before any solve), "
+            "an objective or diagnostic that overflows, "
+            "or a request too large for memory; 3 solver invariant breach (such as "
+            "a branch and bound with no schedule) or unrepairable SCD; "
+            "10 advise says solve the refined MILP"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import InfeasibleStorage, SolveReport, _require_same_dt, require_finite
+from .lp import SolveReport, _require_same_dt, require_finite
 from .prices import PriceSeries
-from .storage import EPS, Schedule, StorageParams, objective
+from .storage import EPS, Schedule, StorageParams, objective, require_schedulable
 
 
 class GridTooCoarse(ValueError):
     """A full-rate charge or discharge step moves less than one grid spacing,
-    or a level has no feasible grid transition although the storage has one."""
+    or a level has no feasible grid transition though require_schedulable passed."""
 
 
 class HorizonTooLong(ValueError):
@@ -102,31 +102,17 @@ def _values(params: StorageParams, prices: PriceSeries, grid: np.ndarray) -> np.
     return values
 
 
-def _no_transition(params: StorageParams, T: int, s: float, best: float) -> ValueError:
-    """The error for a level whose best transition gains best: NaN or +inf is
-    an overflow; at -inf the level has no feasible grid transition, and the
-    storage is at fault if even a full charge every period, capped at s_max,
-    drops below s_min (every reachable level lies at or below that
-    trajectory, which is itself feasible otherwise); else the grid is."""
-    if not best < np.inf:
-        return ValueError(f"dp gain at level {s} is {best}: the profit overflows double precision")
-    top = params.s_init
-    for _ in range(T):
-        top = min(params.rho * top + params.charge_step, params.s_max)
-        if top < params.s_min:
-            return InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
-    return GridTooCoarse(f"no feasible grid transition from level {s}")
-
-
 def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> SolveReport:
     """Backward DP over the n-point state grid, O(n log n) a period, then
     greedy forward steps from the exact initial level, each to the first
     best target in the windows of one level, charge upward, then discharge
     downward.  The objective is recomputed exactly on the reconstructed
     continuous schedule; it approaches the exclusive optimum from below as
-    the grid is refined.  An overflow of the profit is refused by name."""
-    _require_same_dt(params, prices)
+    the grid is refined.  Raises InfeasibleStorage (storage.require_schedulable)
+    before any solve.  An overflow of the profit is refused by name."""
     T = len(prices)
+    require_schedulable(params, T)
+    _require_same_dt(params, prices)
     try:
         grid = np.linspace(params.s_min, params.s_max, config.grid_points)
     except (IndexError, ValueError):  # numpy refuses counts near or past its index range
@@ -162,8 +148,11 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
             np.subtract(after[up], cost * pc, out=gain[:m])
             np.add(cost * pd, after[down][::-1], out=gain[m:end])
             # the first maximizer, for determinism; NaN or +inf is an overflow
-            if not end or not math.isfinite(gain[a := int(gain[:end].argmax())]):
-                raise _no_transition(params, T, s, gain[a] if end else -np.inf)
+            if not end or (best := gain[a := int(gain[:end].argmax())]) == -np.inf:
+                raise GridTooCoarse(f"no feasible grid transition from level {s}")
+            if not math.isfinite(best):
+                raise ValueError(f"dp gain at level {s} is {best}: the profit overflows "
+                                 "double precision")
             p_chg[t], p_dis[t] = (pc[a], 0.0) if a < m else (0.0, pd[a - m])
             s = base + dt * (eta_c * p_chg[t] - p_dis[t] / eta_d)
             soe[t] = s

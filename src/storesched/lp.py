@@ -14,8 +14,9 @@ import numpy as np
 
 from .prices import PriceSeries
 from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, solve_bounded_lp
-from .storage import Schedule, StorageParams, detect_scd, net_exchange, objective, scd_mask
-from .value import InfeasibleStorage, lp_optimum
+from .storage import (Schedule, StorageParams, detect_scd, net_exchange, objective,
+                      require_schedulable, scd_mask)
+from .value import lp_optimum
 
 
 class MissingDuals(ValueError):
@@ -152,7 +153,8 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """The LP answer from its value function (value.py), not the simplex: a
     schedule with no costless SCD (at a zero price or eta = 1), its SCD
     events, duals from its bound statuses and their KKT residual.  Raises
-    InfeasibleStorage, or a ValueError naming an overflowing objective."""
+    InfeasibleStorage before any solve, or a ValueError naming an overflowing objective."""
+    require_schedulable(params, len(prices))
     _require_same_dt(params, prices)
     p_chg, p_dis, soe, lam = lp_optimum(params, prices)
     schedule, dt, c, lam = Schedule(p_chg, p_dis, soe), params.dt, prices.prices, np.array(lam)

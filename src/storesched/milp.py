@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import InfeasibleStorage, build_lp, lp_answer, require_finite, solve_lp
+from .lp import build_lp, lp_answer, require_finite, solve_lp
 from .prices import PricePartition, PriceSeries
-from .simplex import LpProblem, LpSolution, LpStatus, child_bound
-from .storage import StorageParams, detect_scd, repair_scd, scd_mask
+from .simplex import LpProblem, LpSolution, LpStatus, SimplexFailure, child_bound
+from .storage import StorageParams, detect_scd, repair_scd, require_schedulable, scd_mask
 
 
 @dataclass
@@ -65,6 +65,7 @@ def build_milp(
     refined: bool,
     part: PricePartition,
 ) -> MilpProblem:
+    require_schedulable(params, len(prices))
     binary_periods = part.t_neg if refined else tuple(range(1, len(prices) + 1))
     binary_mask = np.zeros(len(prices), dtype=bool)
     binary_mask[np.asarray(binary_periods, dtype=int) - 1] = True
@@ -96,8 +97,8 @@ def solve_milp(problem: MilpProblem):
     """Globally optimal solve; returns (SolveReport, BnbStats).  The final
     schedule is SCD-free everywhere: exclusivity is enforced by branching
     at binary periods, and any leftover SCD at a non-binary period must
-    sit at a zero price, where the equal-objective repair applies.  Raises
-    InfeasibleStorage when no schedule meets the storage limits."""
+    sit at a zero price, where the equal-objective repair applies.  Ending
+    with no incumbent is a SimplexFailure: build_milp ran require_schedulable."""
     stats = BnbStats()
     incumbent = None
     cutoff = -np.inf  # a node LP at or below it cannot beat the incumbent
@@ -142,7 +143,7 @@ def solve_milp(problem: MilpProblem):
         nets_charge = problem.params.eta_c * sol.x[k] > sol.x[T + k] / problem.params.eta_d
         stack += children if nets_charge else children[::-1]
     if incumbent is None:
-        raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
+        raise SimplexFailure("branch and bound found no schedule for a storage that has one")
     stats.gap = 0.0
     return incumbent, stats
 

@@ -75,7 +75,7 @@ class LpStatus(enum.Enum):
 
 
 class SimplexFailure(RuntimeError):
-    """Internal invariant breach (iteration limit, singular basis)."""
+    """Internal invariant breach (iteration limit, singular basis, empty B&B tree)."""
 
 
 @dataclass

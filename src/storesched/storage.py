@@ -23,6 +23,11 @@ class RepairNotApplicable(Exception):
     price with round-trip losses)."""
 
 
+class InfeasibleStorage(ValueError):
+    """No schedule keeps the level within [s_min, s_max] over the horizon,
+    for example when leakage at s_min outruns the charge limit."""
+
+
 @dataclass(frozen=True)
 class StorageParams:
     """Physical description of the storage unit.
@@ -43,6 +48,8 @@ class StorageParams:
     dt: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):  # a numpy scalar would warn where a float overflows quietly
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         nonfinite = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
         if nonfinite:
             raise ValueError(f"parameters must be finite: {', '.join(nonfinite)}")
@@ -138,6 +145,17 @@ class FeasibilityReport:
     @property
     def feasible(self) -> bool:
         return not self.violations
+
+
+def require_schedulable(params: StorageParams, T: int) -> None:
+    """Raise InfeasibleStorage unless some schedule keeps the level within
+    [s_min, s_max] for T periods.  Every reachable level lies at or below a
+    full charge each period, capped at s_max: a schedule while at or above
+    s_min, moving monotonically from s_init toward f = charge_step/(1 - rho)."""
+    rho, s_min = params.rho, params.s_min
+    f = params.charge_step / (1 - rho) if rho < 1 else math.inf  # rho = 1: it never falls
+    if f < s_min and f + rho**T * (params.s_init - f) < s_min:
+        raise InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
 
 
 def propagate_soe(params: StorageParams, p_chg, p_dis) -> np.ndarray:

@@ -12,29 +12,28 @@ merged list, so the forward pass reads each period's beta off in O(1).
 """
 
 from bisect import bisect_left, bisect_right
+from math import frexp, ldexp
 
 _INF = float("inf")
 _TOL = 1e-11  # numbers closer than _TOL times the magnitudes in play are equal
-
-
-class InfeasibleStorage(ValueError):
-    """No schedule keeps the level within [s_min, s_max] over the horizon,
-    for example when leakage at s_min outruns the charge limit."""
 
 
 def lp_optimum(params, prices) -> tuple:
     """An optimal schedule of the storage LP and balance-row multipliers
     that certify it: lists (p_chg, p_dis, soe, lam).  Where C_t >= 0 or
     eta = 1 a period charges or discharges, never both: simultaneous charge
-    and discharge costs nothing there.  Raises InfeasibleStorage when no
-    schedule keeps the level within [s_min, s_max]."""
+    and discharge costs nothing there.  Some schedule must fit the storage
+    (storage.require_schedulable), so an empty window of exchanges is rounding."""
     c = prices.prices.tolist()
     T = len(c)
     rho, eta_c, eta_d, dt = params.rho, params.eta_c, params.eta_d, params.dt
-    s_min, s_max = params.s_min, params.s_max
-    hi, dis = params.charge_step, params.discharge_step  # beta_hi and -beta_lo
+    # energies (hi, dis: beta_hi, -beta_lo) in the power of two just above
+    # energy_scale, exactly, so that no difference or tolerance below
+    # overflows; results are scaled back
+    unit = frexp(params.energy_scale)[1]
+    s_min, s_max, s_init, hi, dis = (ldexp(v, -unit) for v in (
+        params.s_min, params.s_max, params.s_init, params.charge_step, params.discharge_step))
     y_min, y_max = rho * s_min, rho * s_max
-    infeasible = InfeasibleStorage("no schedule keeps the storage level within [s_min, s_max]")
 
     # backward: V_t on [start, end] as segments, keys (minus the slope,
     # rising) and lengths.  g_t's piece beta in [mid, hi_b] has key k1, the
@@ -50,10 +49,7 @@ def lp_optimum(params, prices) -> tuple:
             k1, k2, knot = -ct * eta_d, -ct / eta_c, hi - dis
         lo_b, hi_b = start - y_max, end - y_min  # the exchanges that reach [start, end]
         lo_b, hi_b = -dis if lo_b < -dis else lo_b, hi if hi_b > hi else hi_b
-        if lo_b > hi_b:
-            if lo_b > hi_b + _TOL * (end + y_max):
-                raise infeasible
-            lo_b = hi_b
+        lo_b = hi_b if lo_b > hi_b else lo_b
         mid = lo_b if knot < lo_b else hi_b if knot > hi_b else knot
         l1, l2 = hi_b - mid, mid - lo_b
         # a tie with V keeps beta nearest g's knot: at C_t = 0 the level idles
@@ -67,22 +63,30 @@ def lp_optimum(params, prices) -> tuple:
                 lens.insert(i, v)
         # y_end from the lengths, so that their rounding is not scaled by 1/rho
         y_end = y0 + sum(lens)
-        for i, cut in ((0, y_min - y0), (-1, y_end - y_max)):  # clip to [y_min, y_max]
-            while cut > 0 and len(lens) > 1 and lens[i] <= cut:
-                cut -= lens.pop(i)
-                keys.pop(i)
-            if cut > 0:
-                lens[i] = max(lens[i] - cut, 0.0)
+        cut = y_min - y0  # clip to [y_min, y_max], the front first
+        while cut > 0 and len(lens) > 1 and lens[0] <= cut:
+            cut -= lens.pop(0)
+            keys.pop(0)
+        if cut > 0:
+            lens[0] = max(lens[0] - cut, 0.0)
+        if y_end > y_max:
+            # the back by the window's width, measured from the front: a cut of
+            # y_end - y_max carries the rounding of the list's far end, and the
+            # rescale by 1/rho blows it up
+            i, room = 0, y_max - (y0 if y0 > y_min else y_min)
+            while i < len(lens) - 1 and lens[i] < room:
+                room -= lens[i]
+                i += 1
+            lens[i] = 0.0 if room < 0 else room if room < lens[i] else lens[i]
+            if i + 1 < len(lens):
+                del lens[i + 1 :], keys[i + 1 :]
         if rho != 1.0:
             keys, lens = [k * rho for k in keys], [v / rho for v in lens]
         start = s_min if y0 <= y_min else min(y0 / rho, s_max)
         end = s_max if y_end >= y_max else max(y_end / rho, start)
 
-    s = params.s_init
-    if not start - _TOL * end <= s <= end + _TOL * end:
-        raise infeasible
     # forward: walk the merged list of each period to rho*s
-    p_chg, p_dis, soe, allowed = [], [], [], []
+    s, p_chg, p_dis, soe, allowed = s_init, [], [], [], []
     single = [ct >= 0 or params.eta == 1.0 for ct in c]
     for t in range(T):
         y0, a1, l1, a2, l2, start, end = pieces[t]
@@ -100,9 +104,9 @@ def lp_optimum(params, prices) -> tuple:
         add = 0.0 if add <= tol else hi if add >= hi - tol else add
         burn = add - beta
         burn = 0.0 if burn <= tol else dis if burn >= dis - tol else burn
-        p_chg.append(params.p_chg_max if add == hi else add / (dt * eta_c))
-        p_dis.append(params.p_dis_max if burn == dis else burn * eta_d / dt)
-        soe.append(u)
+        p_chg.append(params.p_chg_max if add == hi else ldexp(add, unit) / (dt * eta_c))
+        p_dis.append(params.p_dis_max if burn == dis else ldexp(burn, unit) * eta_d / dt)
+        soe.append(ldexp(u, unit))
         # the balance multipliers the power statuses allow: lambda_t >= C_t/eta_c
         # unless p_chg = 0 and <= unless p_chg = Pc; <= eta_d*C_t unless p_dis
         # = 0 and >= unless p_dis = Pd
@@ -119,7 +123,9 @@ def _multipliers(rho, allowed) -> list:
     at_min, at_max).  lambda_t equals rho*lambda_{t+1} where s_t is interior,
     is at most that at s_max and at least at s_min, with lambda_{T+1} = 0.
     Backward, F_t is the interval of lambda_t that a continuation allows;
-    forward, lambda_1 = clip(0, F_1), lambda_{t+1} = clip(lambda_t/rho, F_{t+1})."""
+    forward, lambda_1 = clip(0, F_1) and lambda_{t+1} = clip(x, F_{t+1}), with
+    x = lambda_t where s_t's bound allows it, else lambda_t/rho: at a tiny rho
+    1/rho a period along levels at a bound would overflow."""
     f_lo = f_up = 0.0
     for t in range(len(allowed) - 1, -1, -1):
         lo, up, at_min, at_max = allowed[t]
@@ -127,10 +133,12 @@ def _multipliers(rho, allowed) -> list:
             lo = rho * f_lo
         if not at_min and rho * f_up < up:
             up = rho * f_up
-        allowed[t] = f_lo, f_up = lo, up
+        f_lo, f_up = lo, up
+        allowed[t] = lo, up, at_min, at_max
     lam, x = [], 0.0
-    for lo, up in allowed:
+    for lo, up, at_min, at_max in allowed:
         x = lo if x < lo else up if x > up else x
         lam.append(x)
-        x /= rho
+        y = x / rho
+        x = x if at_min and x <= y or at_max and x >= y else y
     return lam

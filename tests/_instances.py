@@ -5,6 +5,7 @@ reproducible from its seed alone.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from storesched import (
     PriceSeries,
@@ -196,3 +197,47 @@ def assert_lp_certificate(problem, sol):
     movable = problem.lower < problem.upper
     assert np.all(d[movable & (basis == AT_LOWER)] <= 1e-9)
     assert np.all(d[movable & (basis == AT_UPPER)] >= -1e-9)
+
+
+def edge_draw(rng):
+    """Storage and prices at the edges the value function must keep: eta = 1,
+    strong leakage, a start at either bound, a floor the leakage presses
+    against, zero prices, prices x1000 with energies /1000, dt = 1/6."""
+    dt = float(rng.choice([1 / 6, 0.25, 1.0]))
+    if rng.random() < 0.3:
+        base = fast_params(rng, dt)
+    else:
+        base = random_params(rng, eta_one=bool(rng.random() < 0.2), dt=dt)
+    kw = {f: getattr(base, f) for f in ("s_min", "s_max", "s_init", "p_chg_max", "p_dis_max",
+                                        "eta_c", "eta_d", "rho")}
+    if rng.random() < 0.3:
+        kw["rho"] = float(rng.uniform(0.3, 1.0))
+    if rng.random() < 0.3:
+        kw["s_init"] = kw["s_min"] if rng.random() < 0.5 else kw["s_max"]
+    if rng.random() < 0.1:
+        kw["s_min"] = kw["s_init"] = float(rng.uniform(0.2, 0.9)) * kw["s_max"]
+        kw["p_chg_max"] *= 0.2
+    prices = rng.normal(10.0, 60.0, int(rng.integers(1, 80)))
+    prices[rng.random(len(prices)) < 0.3] = 0.0
+    if rng.random() < 0.2:
+        prices *= 1000.0
+        for key in ("s_min", "s_max", "s_init", "p_chg_max", "p_dis_max"):
+            kw[key] /= 1000.0
+    return StorageParams(dt=dt, **kw), PriceSeries(prices, dt)
+
+
+@st.composite
+def milp_inputs(draw):
+    """(storage, prices) with energies and each power at its own scale from
+    1e-3 to 1e3, and 1 to 48 prices from 0 to +-1e3."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    dt = draw(st.sampled_from([1 / 6, 0.25, 1.0, 10.0]))
+    params = StorageParams(
+        s_min=draw(st.sampled_from([0.0, scale / 4])), s_max=scale,
+        s_init=draw(st.sampled_from([scale / 4, scale / 2, scale])),
+        p_chg_max=draw(st.sampled_from([1e-3, 1.0, 1e3])), p_dis_max=draw(st.sampled_from([1e-3, 1.0, 1e3])),
+        eta_c=draw(st.sampled_from([0.5, 0.9, 1.0])), eta_d=draw(st.sampled_from([0.9, 1.0])),
+        rho=draw(st.sampled_from([1.0, 0.999, 0.5, 1e-20])), dt=dt)
+    prices = draw(st.lists(st.sampled_from([0.0, 35.0, -35.0, 1e-3, -1e-3, 1e3, -1e3]),
+                           min_size=1, max_size=48))
+    return params, PriceSeries(prices, dt)

@@ -9,8 +9,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from storesched import PriceSeries, StorageParams
 
-# CI runs pytest --hypothesis-profile=ci: the same examples on every run, and
-# a failure prints the blob that replays it with @reproduce_failure
+# CI runs pytest --hypothesis-profile=ci: derandomized examples, and a failure
+# prints the blob that replays it with @reproduce_failure.  The examples are
+# the same only while the tests and the package are: Hypothesis also draws
+# constants from the package's source, so an edit to src/ can change them.
+# An instance that must be checked on every run is pinned with @example.
 settings.register_profile("ci", derandomize=True, print_blob=True)
 
 

@@ -469,6 +469,27 @@ class TestSolve:
         assert code == 3
         assert "solver error" in capsys.readouterr().err
 
+    def test_empty_tree_exit_3(self, workspace, monkeypatch, capsys):
+        # the storage fits, decided before the solve, so a branch and bound
+        # whose every node LP is infeasible is the solver's fault
+        from dataclasses import replace
+
+        from storesched import LpStatus, milp
+
+        solve_lp = milp.solve_lp
+        monkeypatch.setattr(milp, "solve_lp", lambda problem, warm=None: replace(
+            solve_lp(problem, warm), status=LpStatus.INFEASIBLE))
+        code = run(
+            [
+                "solve", "--params", workspace / "fast.txt",
+                "--prices", workspace / "prices.csv",
+                "--formulation", "refined", "--out", workspace / "out",
+            ]
+        )
+        assert code == 3
+        assert "solver error: branch and bound found no schedule" in capsys.readouterr().err
+        assert not (workspace / "out" / "report.json").exists()
+
 
 class TestCheck:
     def _solve_then_check(self, workspace, formulation):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from _instances import (
     assert_lp_certificate,
+    edge_draw,
     fast_params,
     level_start,
     lp_safe_instance,
@@ -407,33 +408,6 @@ def simplex_answer(params, prices):
     return lp.lp_answer(sol, len(prices)) if sol.status is LpStatus.OPTIMAL else None
 
 
-def edge_draw(rng):
-    """Storage and prices at the edges the value function must keep: eta = 1,
-    strong leakage, a start at either bound, a floor the leakage presses
-    against, zero prices, prices x1000 with energies /1000, dt = 1/6."""
-    dt = float(rng.choice([1 / 6, 0.25, 1.0]))
-    if rng.random() < 0.3:
-        base = fast_params(rng, dt)
-    else:
-        base = random_params(rng, eta_one=bool(rng.random() < 0.2), dt=dt)
-    kw = {f: getattr(base, f) for f in ("s_min", "s_max", "s_init", "p_chg_max", "p_dis_max",
-                                        "eta_c", "eta_d", "rho")}
-    if rng.random() < 0.3:
-        kw["rho"] = float(rng.uniform(0.3, 1.0))
-    if rng.random() < 0.3:
-        kw["s_init"] = kw["s_min"] if rng.random() < 0.5 else kw["s_max"]
-    if rng.random() < 0.1:
-        kw["s_min"] = kw["s_init"] = float(rng.uniform(0.2, 0.9)) * kw["s_max"]
-        kw["p_chg_max"] *= 0.2
-    prices = rng.normal(10.0, 60.0, int(rng.integers(1, 80)))
-    prices[rng.random(len(prices)) < 0.3] = 0.0
-    if rng.random() < 0.2:
-        prices *= 1000.0
-        for key in ("s_min", "s_max", "s_init", "p_chg_max", "p_dis_max"):
-            kw[key] /= 1000.0
-    return StorageParams(dt=dt, **kw), PriceSeries(prices, dt)
-
-
 class TestValueFunction:
     """solve_storage_lp answers from the value function; the simplex, which
     shares no code with it, and HiGHS check it."""
@@ -473,6 +447,32 @@ class TestValueFunction:
             zero = (prices.prices == 0) | (params.eta == 1)
             assert not any(zero[e.t - 1] for e in report.scd_events)
         assert refused > 0
+
+    @pytest.mark.parametrize("prices", [[0.0, 0.0], [0.0, -35.0, 0.0]])
+    def test_tiny_rho_matches_the_refined_milp(self, prices):
+        # at rho = 1e-20 the level range rescaled to [rho*s_min, rho*s_max]
+        # is 1e-23 wide, far below the rounding of the merged lists' far
+        # ends: the backward pass keeps it by its own width, and a level at a
+        # bound keeps its multiplier instead of scaling it by 1/rho
+        params = StorageParams(s_min=0.0, s_max=1e-3, s_init=2.5e-4, p_chg_max=1e-3,
+                               p_dis_max=1e-3, eta_c=0.5, eta_d=0.9, rho=1e-20, dt=1 / 6)
+        prices = PriceSeries(prices, 1 / 6)
+        report = solve_storage_lp(params, prices)
+        refined, _ = solve_storage_milp(params, prices, partition(prices), refined=True)
+        assert report.objective == pytest.approx(refined.objective, rel=1e-12, abs=1e-15)
+        assert report.kkt_max_residual <= 1e-7
+        assert feasibility_check(params, report.schedule).feasible
+
+    def test_near_the_top_of_the_double_range(self):
+        # differences of levels near 1.7e308 overflow unless the energies run
+        # in a power-of-two unit
+        params = StorageParams(s_min=0.0, s_max=1.7e308, s_init=8.5e307, p_chg_max=1.7e308,
+                               p_dis_max=1e300, eta_c=0.9, eta_d=0.9, rho=1.0, dt=1.0)
+        report = solve_storage_lp(params, PriceSeries([35.0, -1e-3], 1.0))
+        assert feasibility_check(params, report.schedule).feasible
+        assert report.kkt_max_residual <= 1e-7
+        assert report.schedule.p_dis[0] == params.p_dis_max  # discharges at 35, then fills
+        assert report.schedule.soe[-1] == params.s_max
 
     def test_costless_scd_next_to_costly_scd(self):
         # SCD at a zero price costs nothing, so it is not reported even

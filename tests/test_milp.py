@@ -474,6 +474,16 @@ class TestInfeasibleStorage:
             with pytest.raises(InfeasibleStorage):
                 solve_storage_milp(params, prices, part, refined=refined)
 
+    def test_empty_tree_is_an_invariant_breach(self):
+        # build_milp admits only a storage that some schedule fits, so a
+        # tree that ends with no incumbent is the solver's fault (exit 3)
+        params = unit_storage(s_min=0.5, s_init=0.5, p_chg_max=0.6, rho=0.5)
+        prices = PriceSeries([35.0, -5.0, 40.0], 1.0)
+        problem = build_milp(params, prices, True, partition(prices))
+        problem.base.upper[:3] = 0.0  # no charge: the level leaks below s_min
+        with pytest.raises(simplex.SimplexFailure, match="found no schedule"):
+            solve_milp(problem)
+
 
 class TestOverflow:
     def test_infinite_objective_refused(self):

@@ -14,9 +14,10 @@ import sys
 import warnings
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from _instances import milp_inputs
 from storesched import (
     Advice,
     AssumptionViolated,
@@ -272,6 +273,15 @@ def lp_inputs(draw):
     return params, PriceSeries(prices, dt)
 
 
+# a storage at the top of the double range: the differences of its levels
+# overflow unless the LP runs its energies in a scaled unit
+NEAR_OVERFLOW = (StorageParams(s_min=0.0, s_max=1.7e308, s_init=8.5e307, p_chg_max=1.7e308,
+                               p_dis_max=5e-324, eta_c=0.9, eta_d=0.9, rho=1.0, dt=1.0),
+                 PriceSeries([35.0], 1.0))
+
+
+# every storage drawn has s_min = 0, so idling always fits: none is refused
+@example(inputs=NEAR_OVERFLOW)
 @settings(max_examples=300, **FUZZ)
 @given(inputs=lp_inputs())
 def test_lp_entry_point(inputs):
@@ -282,8 +292,6 @@ def test_lp_entry_point(inputs):
         warnings.simplefilter("error")
         try:
             report = solve_storage_lp(params, prices)
-        except InfeasibleStorage:
-            return
         except ValueError as exc:
             assert str(exc).startswith("lp objective is ")
             return
@@ -402,23 +410,6 @@ def test_build_lp_entry_point(inputs):
         simplex._Factor(problem.a, np.flatnonzero(start == simplex.BASIC))
 
 
-@st.composite
-def milp_inputs(draw):
-    """(storage, prices) with energies and each power at its own scale from
-    1e-3 to 1e3, and 1 to 48 prices from 0 to +-1e3."""
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    dt = draw(st.sampled_from([1 / 6, 0.25, 1.0, 10.0]))
-    params = StorageParams(
-        s_min=draw(st.sampled_from([0.0, scale / 4])), s_max=scale,
-        s_init=draw(st.sampled_from([scale / 4, scale / 2, scale])),
-        p_chg_max=draw(st.sampled_from([1e-3, 1.0, 1e3])), p_dis_max=draw(st.sampled_from([1e-3, 1.0, 1e3])),
-        eta_c=draw(st.sampled_from([0.5, 0.9, 1.0])), eta_d=draw(st.sampled_from([0.9, 1.0])),
-        rho=draw(st.sampled_from([1.0, 0.999, 0.5, 1e-20])), dt=dt)
-    prices = draw(st.lists(st.sampled_from([0.0, 35.0, -35.0, 1e-3, -1e-3, 1e3, -1e3]),
-                           min_size=1, max_size=48))
-    return params, PriceSeries(prices, dt)
-
-
 @settings(max_examples=150, **FUZZ)
 @given(inputs=milp_inputs())
 def test_milp_entry_point(inputs):
@@ -444,3 +435,30 @@ def test_milp_entry_point(inputs):
         assert answers == [None, None]
     else:
         assert abs(answers[0] - answers[1]) <= 1e-9 * max(1.0, abs(answers[0]))
+
+
+# a storage that keeps 1e-20 of its level a period: its level range, rescaled
+# to [rho*s_min, rho*s_max], is far narrower than the rounding of the value
+# function's merged lists
+TINY_RHO = StorageParams(s_min=0.0, s_max=1e-3, s_init=2.5e-4, p_chg_max=1e-3, p_dis_max=1e-3,
+                         eta_c=0.5, eta_d=0.9, rho=1e-20, dt=1 / 6)
+
+
+@example(inputs=(TINY_RHO, PriceSeries([0.0, 0.0], 1 / 6)))
+@example(inputs=(TINY_RHO, PriceSeries([0.0, -35.0, 0.0], 1 / 6)))
+@settings(max_examples=150, **FUZZ)
+@given(inputs=milp_inputs())
+def test_lp_certificate_entry_point(inputs):
+    # the LP answers every storage that some schedule fits with a feasible
+    # schedule and multipliers that certify it.  It is not compared with the
+    # refined MILP here: the simplex's tolerance lets a MILP schedule sit
+    # just outside the limits, above the LP optimum
+    params, prices = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            report = solve_storage_lp(params, prices)
+        except InfeasibleStorage:  # the rule's verdict, checked in test_storage.py
+            return
+    assert report.kkt_max_residual <= 1e-7
+    assert feasibility_check(params, report.schedule).feasible

@@ -1,9 +1,15 @@
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from _instances import edge_draw, leaky_instance, milp_inputs
 from storesched import (
+    DpConfig,
+    InfeasibleStorage,
     PriceSeries,
     RepairNotApplicable,
     Schedule,
@@ -15,10 +21,18 @@ from storesched import (
     feasibility_check,
     objective,
     propagate_soe,
+    build_lp,
+    build_milp,
+    partition,
     repair_scd,
+    require_schedulable,
     schedule_from_dict,
     schedule_to_dict,
+    solve_dp,
+    solve_lp,
+    solve_storage_lp,
 )
+from storesched.simplex import LpStatus
 from storesched.storage import EPS, net_exchange
 
 
@@ -87,6 +101,80 @@ class TestParams:
             make_params(s_max=1e-310, s_init=0.0, p_chg_max=1e-310, p_dis_max=1e-310)
         params = make_params(s_max=1e-310, s_init=0.0)  # a normal step is scale enough
         assert params.energy_scale == params.discharge_step
+
+
+    def test_numpy_scalars_become_floats(self):
+        # numpy scalar arithmetic warns on overflow, where a float's goes to
+        # inf quietly and the step is refused by name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="charge_step is inf"):
+                make_params(p_chg_max=np.float64(1e308), dt=10)
+        params = make_params(s_max=np.float64(2.0), rho=np.float32(0.5), dt=np.int64(1))
+        assert all(type(getattr(params, f.name)) is float for f in fields(params))
+        assert params == make_params(s_max=2.0, rho=0.5, dt=1.0)
+
+
+def full_charge_fits(params, T):
+    """The reference for require_schedulable: a full charge every period,
+    capped at s_max, from s_init.  Every reachable level lies at or below
+    it, and it is itself a schedule while it stays at or above s_min."""
+    top = params.s_init
+    for _ in range(T):
+        top = min(params.rho * top + params.charge_step, params.s_max)
+        if top < params.s_min:
+            return False
+    return True
+
+
+def one_verdict(params, prices):
+    """require_schedulable's verdict, after checking that the full-charge
+    loop and the simplex on build_lp, which does not apply the rule, agree."""
+    T = len(prices)
+    try:
+        require_schedulable(params, T)
+        fits = True
+    except InfeasibleStorage as exc:
+        assert str(exc) == "no schedule keeps the storage level within [s_min, s_max]"
+        fits = False
+    assert fits == full_charge_fits(params, T)
+    assert fits == (solve_lp(build_lp(params, prices)).status is LpStatus.OPTIMAL)
+    return fits
+
+
+class TestSchedulable:
+    def test_leaky_and_edge_draws(self):
+        rng = np.random.default_rng(35)
+        verdicts = [one_verdict(*leaky_instance(rng)[:2]) for _ in range(300)]
+        verdicts += [one_verdict(*edge_draw(rng)) for _ in range(300)]
+        assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(inputs=milp_inputs())
+    def test_milp_inputs(self, inputs):
+        one_verdict(*inputs)
+
+    def test_closed_form_in_the_horizon(self):
+        # no loop over the periods: a billion of them cost nothing
+        require_schedulable(make_params(s_min=0.9, s_init=0.9, p_chg_max=1e-9, rho=1.0), 10**9)
+        leaky = make_params(s_min=0.5, s_init=1.0, p_chg_max=1e-3, rho=0.99)  # f = 0.09
+        require_schedulable(leaky, 79)  # its full charge ends at 0.5014
+        for T in (80, 10**9):  # 0.4972, then 0.09
+            with pytest.raises(InfeasibleStorage):
+                require_schedulable(leaky, T)
+
+    def test_every_solver_refuses_before_it_solves(self):
+        # at s_min = 0.5 the level leaks 0.25 per period, and a full charge
+        # adds only 0.09.  A two-point grid is too coarse for a 0.09 step,
+        # and the prices' dt is not the storage's: the rule comes first
+        params = make_params(s_min=0.5, s_init=0.5, p_chg_max=0.1, rho=0.5)
+        prices = PriceSeries([35.0, -5.0, 40.0], 1.0)
+        for call in (lambda: solve_storage_lp(params, prices),
+                     lambda: build_milp(params, prices, True, partition(prices)),
+                     lambda: solve_dp(params, prices, DpConfig(2)),
+                     lambda: solve_dp(params, PriceSeries(prices.prices, 0.5), DpConfig(101))):
+            with pytest.raises(InfeasibleStorage, match="storage level"):
+                call()
 
 
 params_strategy = st.builds(
