@@ -67,9 +67,9 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     _require_same_dt(params, prices)
     with np.errstate(over="ignore"):  # an overflow is refused by name
         profit = params.dt * prices.prices
-    if not np.abs(profit).max() < np.inf:
-        raise ValueError(f"lp dt * price holds {np.abs(profit).max()}: the profit overflows "
-                         "double precision")
+    largest = np.maximum.reduce(np.abs(profit))
+    if not largest < np.inf:
+        raise ValueError(f"lp dt * price holds {largest}: the profit overflows double precision")
     T, K = len(prices), len(legs)
     dt, rho = params.dt, params.rho
     t_leg = np.asarray(legs, dtype=int) - 1
@@ -83,10 +83,9 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     a[r[dis], T + period[dis]] = dt / params.eta_d
     a[r[prev], 2 * T + period[prev] - 1] = -rho
     c = np.concatenate([-profit, profit, np.zeros(T + 2 * K)])
-    lower = np.repeat([0.0, params.s_min, rho * params.s_min], [2 * T, T, 2 * K])
-    upper = np.repeat(
-        [params.p_chg_max, params.p_dis_max, params.s_max, rho * params.s_max], [T, T, T + K, K]
-    )
+    lower = np.array([0.0, params.s_min, rho * params.s_min]).repeat([2 * T, T, 2 * K])
+    upper = np.array([params.p_chg_max, params.p_dis_max, params.s_max, rho * params.s_max]).repeat(
+        [T, T, T + K, K])
     rhs = np.where(prev, 0.0, rho * params.s_init)
     return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs)
 
@@ -163,9 +162,10 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
         require_finite("lp objective", report.objective)
         # the reduced costs of soe, p_chg and p_dis from the stationarity rows;
         # each bound multiplier is the part of one sign (lower, then upper)
-        reduced = (params.rho * np.append(lam[1:], 0.0) - lam, lam * dt * params.eta_c - dt * c,
-                   dt * c - lam * dt / params.eta_d)
-        report.duals = DualVector(lam, *(np.maximum(s * d, 0.0) for d in reduced for s in (-1, 1)))
+        reduced = np.stack([params.rho * np.append(lam[1:], 0.0) - lam,
+                            lam * dt * params.eta_c - dt * c, dt * c - lam * dt / params.eta_d])
+        lo, hi = np.maximum(np.array([-1.0, 1.0]).reshape(2, 1, 1) * reduced, 0.0)
+        report.duals = DualVector(lam, lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
         report.kkt_max_residual = kkt_verify(params, prices, report)
     return report
 
@@ -182,24 +182,24 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) 
     e, q = params.energy_scale, np.abs(c).max() or 1.0  # with every price 0, any q will do
     lam_next = np.append(du.lam[1:], 0.0)  # free terminal level: lam_{T+1} = 0
 
-    res = []  # (residual, its unit)
-    # stationarity: the power rows in units of q*dt, the level row in q
-    res.append((-dt * c + du.lam * dt / params.eta_d + du.delta_hi - du.delta_lo, q * dt))
-    res.append((dt * c - du.lam * dt * params.eta_c + du.gamma_hi - du.gamma_lo, q * dt))
-    res.append((du.lam - params.rho * lam_next + du.sigma_hi - du.sigma_lo, q))
-    # primal balance rows
+    # stationarity in p_dis, p_chg and soe, in units of q*dt, q*dt and q, and
+    # the primal balance rows, in e
     flow = dt * (params.eta_c * sch.p_chg - sch.p_dis / params.eta_d)
-    res.append((net_exchange(params, sch.soe) - flow, e))
+    rows = np.stack([-dt * c + du.lam * dt / params.eta_d + du.delta_hi - du.delta_lo,
+                     dt * c - du.lam * dt * params.eta_c + du.gamma_hi - du.gamma_lo,
+                     du.lam - params.rho * lam_next + du.sigma_hi - du.sigma_lo,
+                     net_exchange(params, sch.soe) - flow])
     # per bound: dual nonnegativity, primal feasibility (e for soe, e/dt for a
     # power), complementary slackness
-    for mult, slack, unit in (
-        (du.sigma_lo, sch.soe - params.s_min, q), (du.sigma_hi, params.s_max - sch.soe, q),
-        (du.gamma_lo, sch.p_chg, q * dt), (du.gamma_hi, params.p_chg_max - sch.p_chg, q * dt),
-        (du.delta_lo, sch.p_dis, q * dt), (du.delta_hi, params.p_dis_max - sch.p_dis, q * dt),
-    ):
-        res += [(np.minimum(mult, 0.0), unit), (np.minimum(slack, 0.0), e * (q / unit)),
-                (mult * slack, q * e)]
+    mult = np.stack([du.sigma_lo, du.sigma_hi, du.gamma_lo, du.gamma_hi, du.delta_lo, du.delta_hi])
+    slack = np.stack([sch.soe - params.s_min, params.s_max - sch.soe, sch.p_chg,
+                      params.p_chg_max - sch.p_chg, sch.p_dis, params.p_dis_max - sch.p_dis])
+    unit = np.array([q, q, q * dt, q * dt, q * dt, q * dt])
     scd = scd_mask(sch.p_chg, sch.p_dis)  # the SCD dual identity at the SCD periods
-    res.append((dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd],
-                q * dt))
-    return float(max(np.abs(r).max(initial=0.0) / unit for r, unit in res))
+    identity = dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd]
+    res = [(rows, np.array([q * dt, q * dt, q, e])), (np.minimum(mult, 0.0), unit),
+           (np.minimum(slack, 0.0), e * (q / unit)), (mult * slack, q * e), (identity, q * dt)]
+    # each residual's largest |r| over its unit: division rounds monotonically,
+    # so that is its largest |r|/unit
+    worst = [np.maximum.reduce(np.abs(r), axis=-1, initial=0.0) / u for r, u in res]
+    return max(np.hstack(worst).tolist())

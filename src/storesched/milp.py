@@ -87,10 +87,12 @@ def _branch_period(problem: MilpProblem, sol: LpSolution) -> int | None:
     T = len(problem.prices)
     p_chg, p_dis = sol.x[:T], sol.x[T : 2 * T]
     branchable = problem.binary_mask & scd_mask(p_chg, p_dis)
-    if not branchable.any():
+    if not np.logical_or.reduce(branchable):
         return None
     both = np.minimum(problem.params.eta_c * p_chg, p_dis / problem.params.eta_d)
-    return int(np.argmax(np.where(branchable, np.abs(problem.prices.prices) * both, -np.inf)))
+    cost = np.abs(problem.prices.prices) * both
+    cost[~branchable] = -np.inf
+    return int(cost.argmax())
 
 
 def solve_milp(problem: MilpProblem):
@@ -140,7 +142,8 @@ def solve_milp(problem: MilpProblem):
             upper[j] = 0.0
             children.append((upper, child_bound(node, sol, j)))
         # dive: the child that keeps the mode the LP nets at t is solved first
-        nets_charge = problem.params.eta_c * sol.x[k] > sol.x[T + k] / problem.params.eta_d
+        eta_c, eta_d = problem.params.eta_c, problem.params.eta_d
+        nets_charge = eta_c * sol.x.item(k) > sol.x.item(T + k) / eta_d
         stack += children if nets_charge else children[::-1]
     if incumbent is None:
         raise SimplexFailure("branch and bound found no schedule for a storage that has one")

@@ -4,6 +4,8 @@ Period indices are 1-based everywhere in this module, matching the ``t``
 column of the price CSV format.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,18 +23,33 @@ class PriceCsvError(ValueError):
 @dataclass(frozen=True)
 class PriceSeries:
     """Per-period energy prices (EUR/MWh) over a horizon of T periods of
-    length dt hours."""
+    length dt hours.  Prices must be a non-empty 1-D sequence of finite
+    real numbers and dt one finite, positive real number (stored as a
+    float); anything else is refused by a ValueError that names the field."""
 
     prices: np.ndarray
     dt: float
 
     def __post_init__(self):
-        object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
+        try:
+            prices = np.asarray(self.prices)
+            real = prices.dtype.kind in "biuf"  # no strings, None or complex numbers
+        except ValueError:  # ragged nesting
+            real = False
+        if not real:
+            raise ValueError("prices must be real numbers")
+        object.__setattr__(self, "prices", np.asarray(prices, dtype=float))
         if self.prices.ndim != 1 or len(self.prices) < 1:
             raise ValueError("prices must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(self.prices)):
+        if not np.logical_and.reduce(np.isfinite(self.prices)):
             raise ValueError("prices must be finite")
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        if not isinstance(self.dt, numbers.Real):
+            raise ValueError("dt must be a real number")
+        try:
+            object.__setattr__(self, "dt", float(self.dt))
+        except OverflowError:  # an integer beyond double precision
+            object.__setattr__(self, "dt", math.inf)
+        if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be finite and positive")
 
     def __len__(self) -> int:
@@ -68,19 +85,21 @@ def partition(series: PriceSeries) -> PricePartition:
     conditions consume.  Zero prices count as nonnegative; the comparison
     with zero is exact (market prices are exact decimals)."""
     c = series.prices
-    t_neg = tuple(int(i) + 1 for i in np.flatnonzero(c < 0))
-    t_pos = tuple(int(i) + 1 for i in np.flatnonzero(c >= 0))
-    t_zero = tuple(int(i) + 1 for i in np.flatnonzero(c == 0))
+    neg = c < 0  # prices are finite: every other price is >= 0
+    t_neg = tuple((neg.nonzero()[0] + 1).tolist())
+    t_pos = tuple(((~neg).nonzero()[0] + 1).tolist())
+    t_zero = tuple(((c == 0).nonzero()[0] + 1).tolist())
 
     blocks = []
-    i, T = 0, len(c)
+    neg = neg.tolist()
+    i, T = 0, len(neg)
     while i < T:
         p = 0
-        while i < T and c[i] >= 0:
+        while i < T and not neg[i]:
             p += 1
             i += 1
         n = 0
-        while i < T and c[i] < 0:
+        while i < T and neg[i]:
             n += 1
             i += 1
         blocks.append((p, n))

@@ -49,6 +49,16 @@ and many powers, and leaves a chain of levels, which LAPACK inverts as
 one bump.  A basis is singular when two columns of one level share a row
 or the bump is singular; a singular start basis gives way to the
 artificial one.
+
+At day-ahead sizes a node LP costs what its numpy calls cost, not their
+arithmetic: on 60 floats np.argmax takes about 2.2 us against 0.4 us for
+ndarray.argmax, np.flatnonzero 3.7 us against 1.8 us for .nonzero()[0], and
+one product of two numpy scalars 0.24 us against 0.03 us for Python floats
+(numpy 2.4, one BLAS thread).  So every per-pivot, per-round and per-node
+step here calls ndarray methods (argmax, nonzero, take, item, cumsum,
+searchsorted) and ufuncs, ufunc reductions in place of ndarray.max and .all,
+never numpy's functions written in Python, and reads a pivot's scalars once
+as Python floats with .item.  test_api pins the rule.
 """
 
 import enum
@@ -67,6 +77,11 @@ DROP_TOL = 1e-14
 # basis codes, one per variable: the bound a nonbasic variable sits at, or BASIC
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 MOVE = np.array([1.0, -1.0, 0.0])  # the way a variable of each code may move; 0 if basic
+
+
+def _absmax(v):
+    """The largest |v_i|, 0 if v is empty."""
+    return np.maximum.reduce(np.abs(v), axis=None, initial=0.0)
 
 
 class LpStatus(enum.Enum):
@@ -92,19 +107,19 @@ class LpProblem:
     def __post_init__(self):
         for name in ("c", "lower", "upper", "a", "rhs"):
             value = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(value)):
+            if not np.logical_and.reduce(np.isfinite(value), axis=None):
                 raise ValueError(f"{name} must be finite")
             setattr(self, name, value)
         n = len(self.c)
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound vectors must match the variable count")
-        if not np.all(self.lower <= self.upper):
+        if not np.logical_and.reduce(self.lower <= self.upper):
             raise ValueError("need lower <= upper for every variable")
         if self.a.shape != (len(self.rhs), n):
             raise ValueError(f"constraint matrix shape {self.a.shape}, need ({len(self.rhs)}, {n})")
         # the primal and dual tolerances of its solves, kept by node LPs copied from it
-        bounds = np.concatenate([self.lower, self.upper, self.rhs])
-        self.tols = TOL * np.abs(bounds).max(initial=0.0), TOL * np.abs(self.c).max(initial=0.0)
+        bound = max(_absmax(self.lower), _absmax(self.upper), _absmax(self.rhs))
+        self.tols = TOL * bound, TOL * _absmax(self.c)
 
     @property
     def n(self) -> int:
@@ -174,7 +189,9 @@ class _Factor:
         is_single = rows >= 0
         single, kernel = is_single.nonzero()[0], (~is_single).nonzero()[0]  # basis positions
         srows = rows[single]
-        krows = (np.bincount(srows, minlength=m) == 0).nonzero()[0]
+        taken = np.zeros(m, dtype=bool)
+        taken[srows] = True
+        krows = (~taken).nonzero()[0]
         if len(krows) != len(kernel):  # a row taken twice leaves K with more rows than columns
             raise SimplexFailure("singular basis: two singleton columns share a row")
         ak = a[:, basis[kernel]]
@@ -182,24 +199,23 @@ class _Factor:
         bump, brows, sub = kernel, krows, ak[krows]  # what no level has taken
         while len(bump):
             nonzero = sub != 0
-            one = np.add.reduce(nonzero, 0, dtype=np.int32) == 1
-            if 2 * np.count_nonzero(one) < len(bump):
+            is_one = np.add.reduce(nonzero, 0, dtype=np.int32) == 1
+            one = is_one.nonzero()[0]
+            if 2 * len(one) < len(bump):
                 break
-            one = np.flatnonzero(one)
-            r = nonzero[:, one].argmax(axis=0)
-            if np.bincount(r).max() > 1:
+            pivot_rows = np.logical_or.reduce(nonzero[:, one], 1)
+            if np.add.reduce(pivot_rows) < len(one):
                 raise SimplexFailure("singular basis: two singleton columns share a row")
-            rows[bump[one]] = brows[r]
+            rows[bump[one]] = brows[nonzero[:, one].argmax(axis=0)]
             levels.append(bump[one])
-            keep, keep_r = np.ones(len(bump), dtype=bool), np.ones(len(bump), dtype=bool)
-            keep[one] = keep_r[r] = False
+            keep, keep_r = ~is_one, ~pivot_rows
             bump, brows, sub = bump[keep], brows[keep_r], sub[keep_r][:, keep]
         try:
             kinv = np.linalg.inv(sub) if len(bump) else sub
         except np.linalg.LinAlgError as exc:
             raise SimplexFailure("singular basis") from exc
         if len(levels) > 1:
-            single = np.flatnonzero(rows >= 0)
+            single = (rows >= 0).nonzero()[0]
             srows, ak = rows[single], a[:, basis[bump]]
         dinv = 1.0 / a[srows, basis[single]]
         self.inv = np.zeros((m, m))
@@ -211,7 +227,8 @@ class _Factor:
             for j, pos in enumerate(levels):
                 level[pos] = j
             posr, posc = np.empty(m, dtype=int), np.empty(a.shape[1], dtype=int)
-            posr[srows], posr[brows], posc[basis], level_col[basis] = single, bump, range(m), level
+            posr[srows], posr[brows], level_col[basis] = single, bump, level
+            posc[basis] = np.arange(m)
             r, c = self.nz_rows, self.nz_cols
             row_level = level[posr[r]]
             later = row_level < level_col[c]
@@ -221,7 +238,7 @@ class _Factor:
                 # inv[posr[r]] -= scale * inv[posc[c]], through the nonzeros of inv[posc[c]]
                 at = row_level == j
                 src = self.inv[posc[c[at]]]
-                i, k = divmod(np.flatnonzero(src != 0), m)
+                i, k = divmod(src.reshape(-1).nonzero()[0], m)
                 np.add.at(self.inv.reshape(-1), posr[r[at]][i] * m + k, -scale[at][i] * src[i, k])
         self.age = 0  # pivots since the last factorization
         self.factorizations += 1
@@ -231,35 +248,39 @@ class _Factor:
         Only entries in rows where w is nonzero and columns where inv[r] is
         nonzero change: row r is divided by w[r], and in the other rows a
         cancellation's residue below DROP_TOL is stored as 0."""
-        rows, cols = w.nonzero()[0][:, None], self.inv[r].nonzero()[0]
-        row = self.inv[r, cols] / w[r]
+        rows, inv_r = w.nonzero()[0][:, None], self.inv[r]
+        cols = inv_r.nonzero()[0]
+        row = inv_r.take(cols) / w.item(r)
         new = self.inv[rows, cols] - w[rows] * row
         new[np.abs(new) < DROP_TOL] = 0.0
         self.inv[rows, cols] = new
-        self.inv[r, cols] = row
+        inv_r[cols] = row
         self.basis[r] = q
         self.age += 1
 
     def row(self, r):
         """The pivot row inv[r] @ a, through the nonzeros of inv[r]."""
-        nz = self.inv[r].nonzero()[0]
-        return self.inv[r].take(nz) @ self.a.take(nz, axis=0)
+        inv_r = self.inv[r]
+        nz = inv_r.nonzero()[0]
+        return inv_r.take(nz) @ self.a.take(nz, axis=0)
 
     def column(self, q):
         """The entering column inv @ a[:, q], through the nonzeros of a[:, q]."""
-        rows = self.a[:, q].nonzero()[0]
-        return self.inv[:, rows] @ self.a[rows, q]
+        a_q = self.a[:, q]
+        rows = a_q.nonzero()[0]
+        return self.inv[:, rows] @ a_q.take(rows)
 
     def primal(self, b, lower, upper, state):
         """Basic solution x, each nonbasic variable at its bound."""
-        x = np.where(state == AT_UPPER, upper, lower)
+        x, up = lower.copy(), state == AT_UPPER
+        x[up] = upper[up]
         x[self.basis] = 0.0
         x[self.basis] = self.inv @ (b - self.a @ x)
         return x
 
     def dual(self, c):
         """Row duals y and reduced costs d."""
-        y = c[self.basis] @ self.inv
+        y = c.take(self.basis) @ self.inv
         return y, c - y @ self.a
 
 
@@ -267,7 +288,7 @@ def _entering(raw, move, below, tol):
     """Entering candidates of a row whose x_B[r] is below its lower bound
     (below) or above its upper: raising x_j pushes x_B[r] back at rate
     alpha_j = -raw_j or raw_j, and x_j moves by move_j: alpha_j move_j > tol."""
-    return np.flatnonzero(raw * move < -tol if below else raw * move > tol)
+    return (raw * move < -tol if below else raw * move > tol).nonzero()[0]
 
 
 def _dual(f, b, c, lower, upper, state, max_iter, tols):
@@ -284,18 +305,18 @@ def _dual(f, b, c, lower, upper, state, max_iter, tols):
     RECOMPUTE_EVERY pivots, each updating x_B and d.  A round without a
     pivot ends the solve.  Mutates f and state; returns
     (status, x, y, d, pivots, flips), INFEASIBLE only from a fresh factor."""
-    movable = lower < upper
+    movable, span = lower < upper, upper - lower
     ptol, dtol = tols
     violation = np.zeros(len(b) + 1)  # a zero sentinel: with no rows nothing is violated
+    row_violation = violation[:-1]
     pivots = flips = 0
     while True:  # one round: y, d, placement, x, then a dual pass
         y, d = f.dual(c)
-        wrong = movable & np.where(state == AT_LOWER, d > dtol, (state == AT_UPPER) & (d < -dtol))
-        state[wrong] = np.where(d[wrong] > 0, AT_UPPER, AT_LOWER)
+        wrong = movable & ((state == AT_LOWER) & (d > dtol) | (state == AT_UPPER) & (d < -dtol))
+        state[wrong] = AT_LOWER + AT_UPPER - state[wrong]  # the other bound
         x = f.primal(b, lower, upper, state)
         # an aged factor answers only while it still solves its basis
-        if f.age and (np.abs(f.a @ x - b).max(initial=0.0) > ptol
-                      or np.abs(d[f.basis]).max(initial=0.0) > dtol):
+        if f.age and (_absmax(f.a @ x - b) > ptol or _absmax(d[f.basis]) > dtol):
             f.refactor()
             continue
         # x_B and its bounds in row order; move is +1 up from lower, -1 down from upper
@@ -304,12 +325,14 @@ def _dual(f, b, c, lower, upper, state, max_iter, tols):
         start = pivots
         while pivots - start < RECOMPUTE_EVERY:
             below = lb - xb
-            np.maximum(below, xb - ub, out=violation[:-1])
-            r = int(np.argmax(violation))
-            if violation[r] <= ptol:
+            np.maximum(below, xb - ub, out=row_violation)
+            r = int(violation.argmax())
+            excess = violation.item(r)
+            if excess <= ptol:
                 break
+            low = below.item(r) > 0  # x_B[r] violates its lower bound
             raw = f.row(r)
-            candidates = _entering(raw, move, below[r] > 0, PIVOT_TOL)
+            candidates = _entering(raw, move, low, PIVOT_TOL)
             if len(candidates) == 0:
                 break
             if pivots >= max_iter:
@@ -321,37 +344,38 @@ def _dual(f, b, c, lower, upper, state, max_iter, tols):
             # and that one enters.  Most pivots (69-76% on the benchmark's
             # workloads) stop at the min-ratio candidate, so it is tested
             # before any sort; the sort alone would pick the same pivot
-            ratio = np.abs(d[candidates] / raw[candidates])
-            q = int(candidates[np.argmin(ratio)])
+            ratio = np.abs(d.take(candidates) / raw.take(candidates))
+            q = candidates.item(ratio.argmin())
             flip = candidates[:0]
-            if abs(raw[q]) * (upper[q] - lower[q]) < violation[r]:
-                order = candidates[np.argsort(ratio, kind="stable")]
-                reach = np.cumsum(np.abs(raw[order]) * (upper[order] - lower[order]))
-                k = min(int(np.searchsorted(reach, violation[r])), len(order) - 1)
-                flip, q = order[:k], int(order[k])
-            p = f.basis[r]
+            if abs(raw.item(q)) * span.item(q) < excess:
+                order = candidates.take(ratio.argsort(kind="stable"))
+                reach = (np.abs(raw.take(order)) * span.take(order)).cumsum()
+                k = min(int(reach.searchsorted(excess)), len(order) - 1)
+                flip, q = order[:k], order.item(k)
+            p = f.basis.item(r)
             w = f.column(q)
             if len(flip):
-                xb -= f.inv @ (f.a[:, flip] @ (move[flip] * (upper[flip] - lower[flip])))
-                state[flip] = np.where(move[flip] > 0, AT_UPPER, AT_LOWER)
+                xb -= f.inv @ (f.a[:, flip] @ (move[flip] * span[flip]))
+                state[flip] = AT_LOWER + AT_UPPER - state[flip]
                 move[flip] = -move[flip]
                 flips += len(flip)
             # primal step: x_q moves by t from its bound until x_p reaches
             # the bound it violated; dual step: d_q reaches zero, and each
             # flipped d_j changes sign.  Until the next round, only x_B and
             # d are read, so the full x and y stay as they are.
-            t = (xb[r] - (lb[r] if below[r] > 0 else ub[r])) / w[r]
-            xq = (lower[q] if move[q] > 0 else upper[q]) + t
+            lq, uq = lower.item(q), upper.item(q)
+            t = (xb.item(r) - (lb.item(r) if low else ub.item(r))) / w.item(r)
+            xq = (lq if move.item(q) > 0 else uq) + t
             xb -= t * w
-            xb[r], lb[r], ub[r] = xq, lower[q], upper[q]
-            state[p] = AT_LOWER if below[r] > 0 else AT_UPPER
-            move[p] = MOVE[state[p]] * movable[p]
+            xb[r], lb[r], ub[r] = xq, lq, uq
+            state[p] = code = AT_LOWER if low else AT_UPPER
+            move[p] = MOVE.item(code) * movable.item(p)
             state[q], move[q] = BASIC, 0.0
-            d -= d[q] / raw[q] * raw
+            d -= d.item(q) / raw.item(q) * raw
             f.pivot(r, q, w)
         if pivots > start:
             continue
-        feasible = violation[r] <= ptol
+        feasible = excess <= ptol
         if feasible or f.age == 0:
             return (LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE), x, y, d, pivots, flips
         f.refactor()
@@ -367,12 +391,14 @@ def child_bound(problem, sol, j):
     tolerance) reaches d_k = 0, at min |d_k / alpha_rk|.  Each point of that
     ray is dual feasible for the child, so by weak duality it bounds the
     child's optimum.  No candidate: an aged factor proves no infeasibility."""
-    basis, d, factor, xj = sol.basis, sol.reduced_costs, sol.factor, sol.x[j]
+    basis, d, factor, xj = sol.basis, sol.reduced_costs, sol.factor, sol.x.item(j)
     if basis[j] != BASIC:
-        return sol.objective - d[j] * xj
-    raw = factor.row(int(np.flatnonzero(factor.basis == j)[0]))
+        return sol.objective - d.item(j) * xj
+    raw = factor.row(int((factor.basis == j).argmax()))
     k = _entering(raw, MOVE[basis] * (problem.lower < problem.upper), False, 0.0)
-    return sol.objective - xj * np.abs(d[k] / raw[k]).min() if len(k) else sol.objective
+    if not len(k):
+        return sol.objective
+    return sol.objective - xj * np.minimum.reduce(np.abs(d.take(k) / raw.take(k)))
 
 
 def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
@@ -390,12 +416,14 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
     state = np.full(n, AT_LOWER) if start is None else np.asarray(start)
     if state.shape != (n,):
         raise ValueError("start must give one basis code per variable")
-    if not np.all((state == AT_LOWER) | (state == AT_UPPER) | (state == BASIC)):
+    if not np.logical_and.reduce((state == AT_LOWER) | (state == AT_UPPER) | (state == BASIC)):
         raise ValueError("start codes must be AT_LOWER, AT_UPPER or BASIC")
     state = state.astype(np.int8)
-    basis = np.flatnonzero(state == BASIC)
+    basis = (state == BASIC).nonzero()[0]
     if factor is not None:
-        if factor.a is not a or not np.array_equal(np.sort(factor.basis), basis):
+        # a factor's basic columns are distinct: the same count, all basic in start
+        if (factor.a is not a or len(factor.basis) != len(basis)
+                or not np.logical_and.reduce(state[factor.basis] == BASIC)):
             raise ValueError("factor must be of the start basis and the same matrix")
         factor.factorizations = 0
         f = factor

@@ -232,9 +232,9 @@ def scd_mask(p_chg: np.ndarray, p_dis: np.ndarray) -> np.ndarray:
 def detect_scd(schedule: Schedule) -> list:
     """Periods where charge and discharge both exceed EPS times the
     schedule's largest power (scd_mask), sorted by t."""
-    scd = np.flatnonzero(scd_mask(schedule.p_chg, schedule.p_dis))
-    return [ScdEvent(t=k + 1, p_chg_t=float(schedule.p_chg[k]), p_dis_t=float(schedule.p_dis[k]))
-            for k in scd.tolist()]
+    k = scd_mask(schedule.p_chg, schedule.p_dis).nonzero()[0]
+    events = zip(k.tolist(), schedule.p_chg[k].tolist(), schedule.p_dis[k].tolist())
+    return [ScdEvent(t=t + 1, p_chg_t=pc, p_dis_t=pd) for t, pc, pd in events]
 
 
 def duration_of_charge(params: StorageParams) -> float:
@@ -269,12 +269,12 @@ def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -
     if len(c) != len(schedule):
         raise ValueError("price and schedule lengths differ")
     scd = scd_mask(schedule.p_chg, schedule.p_dis)
-    costly = np.flatnonzero(scd & (c != 0)) if params.eta < 1 else ()
+    costly = (scd & (c != 0)).nonzero()[0] if params.eta < 1 else ()
     if len(costly):
         k = costly[0]
         raise RepairNotApplicable(f"SCD at t={k + 1} with C_t={c[k]} and eta={params.eta} < 1")
     p_chg, p_dis = schedule.p_chg.copy(), schedule.p_dis.copy()
-    if scd.any():
+    if np.logical_or.reduce(scd):
         beta = net_exchange(params, schedule.soe)[scd]
         discharge = beta <= 0
         p_chg[scd] = np.where(discharge, 0.0, beta / (params.eta_c * params.dt))

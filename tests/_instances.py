@@ -16,6 +16,7 @@ from storesched import (
     partition,
 )
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
+from storesched.storage import net_exchange, scd_mask
 
 
 def random_params(rng, eta_one=False, dt=1.0):
@@ -241,3 +242,51 @@ def milp_inputs(draw):
     prices = draw(st.lists(st.sampled_from([0.0, 35.0, -35.0, 1e-3, -1e-3, 1e3, -1e3]),
                            min_size=1, max_size=48))
     return params, PriceSeries(prices, dt)
+
+
+def reference_duals(params, prices, lam):
+    """solve_storage_lp's bound multipliers from the balance-row duals lam,
+    one reduced cost and one sign at a time: sigma, gamma and delta, each
+    lower then upper."""
+    dt, c = params.dt, prices.prices
+    reduced = (params.rho * np.append(lam[1:], 0.0) - lam, lam * dt * params.eta_c - dt * c,
+               dt * c - lam * dt / params.eta_d)
+    return [np.maximum(s * d, 0.0) for d in reduced for s in (-1, 1)]
+
+
+def reference_kkt_verify(params, prices, report):
+    """lp.kkt_verify with one array and one reduction per residual."""
+    du, sch, dt, c = report.duals, report.schedule, params.dt, prices.prices
+    e, q = params.energy_scale, np.abs(c).max() or 1.0
+    lam_next = np.append(du.lam[1:], 0.0)
+    res = []  # (residual, its unit)
+    res.append((-dt * c + du.lam * dt / params.eta_d + du.delta_hi - du.delta_lo, q * dt))
+    res.append((dt * c - du.lam * dt * params.eta_c + du.gamma_hi - du.gamma_lo, q * dt))
+    res.append((du.lam - params.rho * lam_next + du.sigma_hi - du.sigma_lo, q))
+    flow = dt * (params.eta_c * sch.p_chg - sch.p_dis / params.eta_d)
+    res.append((net_exchange(params, sch.soe) - flow, e))
+    for mult, slack, unit in (
+        (du.sigma_lo, sch.soe - params.s_min, q), (du.sigma_hi, params.s_max - sch.soe, q),
+        (du.gamma_lo, sch.p_chg, q * dt), (du.gamma_hi, params.p_chg_max - sch.p_chg, q * dt),
+        (du.delta_lo, sch.p_dis, q * dt), (du.delta_hi, params.p_dis_max - sch.p_dis, q * dt),
+    ):
+        res += [(np.minimum(mult, 0.0), unit), (np.minimum(slack, 0.0), e * (q / unit)),
+                (mult * slack, q * e)]
+    scd = scd_mask(sch.p_chg, sch.p_dis)
+    res.append((dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd],
+                q * dt))
+    return float(max(np.abs(r).max(initial=0.0) / unit for r, unit in res))
+
+
+def assert_lp_certificate_as_reference(params, prices, report):
+    """The duals and KKT residual of a solve_storage_lp report equal, bit for
+    bit, their per-residual reference forms (a NaN equals a NaN)."""
+    with np.errstate(all="ignore"):  # at the edges of double precision they overflow
+        duals = reference_duals(params, prices, report.duals.lam)
+        kkt = reference_kkt_verify(params, prices, report)
+    for name, ref in zip(("sigma_lo", "sigma_hi", "gamma_lo", "gamma_hi", "delta_lo", "delta_hi"),
+                         duals):
+        np.testing.assert_array_equal(getattr(report.duals, name).view(np.int64),
+                                      ref.view(np.int64))
+    got = report.kkt_max_residual
+    assert got == kkt or (got != got and kkt != kkt)

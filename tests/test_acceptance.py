@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _instances import inexact_instance, lp_safe_instance, mixed_sign_prices, random_params
+from _instances import (
+    assert_lp_certificate_as_reference,
+    inexact_instance,
+    lp_safe_instance,
+    mixed_sign_prices,
+    random_params,
+)
 from storesched import (
     DpConfig,
     Lemma1Class,
@@ -224,6 +230,13 @@ def test_criterion_8_kkt_verification(lp_safe_batch, inexact_batch):
             worst_identity = max(worst_identity, identity)
     ok = worst <= 1e-7 and worst_identity <= 1e-7
     report(8, ok, f"max KKT residual {worst:.2e}, max SCD identity residual {worst_identity:.2e}")
+
+
+def test_lp_certificates_equal_their_reference(lp_safe_batch, inexact_batch):
+    # the stacked duals and residuals of criteria 5 and 6's LPs, bit for bit
+    # against one array and one reduction per residual
+    for params, prices, _, lp, _ in list(lp_safe_batch) + list(inexact_batch):
+        assert_lp_certificate_as_reference(params, prices, lp)
 
 
 def test_criterion_9_oracle_sandwich():

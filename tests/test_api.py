@@ -3,11 +3,15 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import storesched
+from _instances import criterion_4_draws, fast_params, mixed_sign_prices
+from storesched import lp, milp, partition, simplex, solve_storage_milp
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -70,3 +74,54 @@ def test_solvers_import_nothing():
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def numpy_python_calls(run):
+    """Run run() and count, by the name of the calling function, the calls
+    that simplex.py makes into numpy functions written in Python (frames
+    whose file lies in numpy's package), and the simplex's rounds (calls of
+    _Factor.dual)."""
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    calls, rounds = Counter(), Counter()
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        code, caller = frame.f_code, frame.f_back
+        if code.co_filename == simplex.__file__ and code.co_name == "dual":
+            rounds["dual"] += 1
+        elif (code.co_filename.startswith(numpy_dir) and caller is not None
+              and caller.f_code.co_filename == simplex.__file__):
+            calls[caller.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls, rounds["dual"]
+
+
+def test_simplex_hot_path_calls_no_python_level_numpy():
+    # a node LP is bound by its count of numpy calls: on 60 floats np.argmax
+    # costs about five times ndarray.argmax, and np.flatnonzero twice
+    # .nonzero()[0].  So the pivot loop and the factor's per-pivot products
+    # call ndarray methods and ufuncs only, and a round's calls do not grow
+    # with its pivots
+    rng = np.random.default_rng(168)
+    params, prices = fast_params(rng), mixed_sign_prices(rng, 168)
+    part = partition(prices)
+    base = milp.build_milp(params, prices, True, part).base
+    root = lp.solve_lp(base)
+    assert root.iterations > 20 and root.factor.age == root.iterations  # 27 pivots, no refactor
+    pivoting, pivoting_rounds = numpy_python_calls(
+        lambda: solve_storage_milp(params, prices, part, refined=True))
+    resolve, resolve_rounds = numpy_python_calls(lambda: lp.solve_lp(base, root))
+    assert resolve_rounds == 1 and pivoting_rounds >= 2
+    assert pivoting["_dual"] / pivoting_rounds <= resolve["_dual"] / resolve_rounds
+    # a tree that branches, bounds children and flips bounds
+    day, day_prices, day_part = list(criterion_4_draws(2))[1]
+    branching, _ = numpy_python_calls(
+        lambda: solve_storage_milp(day, day_prices, day_part, refined=False))
+    for calls in (pivoting, resolve, branching):
+        assert not {"_entering", "pivot", "row", "column", "child_bound"} & set(calls), calls

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from storesched import (
     PriceCsvError,
+    PricePartition,
     PriceSeries,
     partition,
     read_price_csv,
@@ -14,6 +15,35 @@ from storesched import (
 
 def make(values):
     return PriceSeries(np.asarray(values, dtype=float), 1.0)
+
+
+def reference_partition(series):
+    """partition as a plain loop over the prices, one period at a time."""
+    c = series.prices
+    t_neg = tuple(int(i) + 1 for i in np.flatnonzero(c < 0))
+    t_pos = tuple(int(i) + 1 for i in np.flatnonzero(c >= 0))
+    t_zero = tuple(int(i) + 1 for i in np.flatnonzero(c == 0))
+    blocks = []
+    i, T = 0, len(c)
+    while i < T:
+        p = 0
+        while i < T and c[i] >= 0:
+            p += 1
+            i += 1
+        n = 0
+        while i < T and c[i] < 0:
+            n += 1
+            i += 1
+        blocks.append((p, n))
+    longest, n_bar, pos = None, 0, 0
+    for p, n in blocks:
+        start = pos + p + 1
+        if n > n_bar:  # strict: ties keep the earliest run
+            n_bar = n
+            longest = (start, start + n - 1)
+        pos += p + n
+    return PricePartition(t_neg=t_neg, t_pos=t_pos, t_zero=t_zero, blocks=tuple(blocks),
+                          longest_neg=longest, n_bar=n_bar)
 
 
 class TestSeries:
@@ -82,6 +112,7 @@ class TestPartition:
     @settings(max_examples=200, deadline=None)
     def test_partition_invariants(self, values):
         part = partition(make(values))
+        assert part == reference_partition(make(values))
         T = len(values)
         assert sorted(part.t_neg + part.t_pos) == list(range(1, T + 1))
         assert set(part.t_zero) <= set(part.t_pos)

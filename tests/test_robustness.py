@@ -14,10 +14,11 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _instances import milp_inputs
+from _instances import assert_lp_certificate_as_reference, milp_inputs
 from storesched import (
     Advice,
     AssumptionViolated,
@@ -296,6 +297,7 @@ def test_lp_entry_point(inputs):
             assert str(exc).startswith("lp objective is ")
             return
         assert feasibility_check(params, report.schedule).feasible
+        assert_lp_certificate_as_reference(params, prices, report)
 
 
 @st.composite
@@ -462,3 +464,82 @@ def test_lp_certificate_entry_point(inputs):
             return
     assert report.kkt_max_residual <= 1e-7
     assert feasibility_check(params, report.schedule).feasible
+
+
+# prices as a caller might pass them: numbers with NaN and +-inf among them,
+# none at all, nested lists (ragged or not), text, None and complex numbers
+PRICE_ITEM = st.one_of(NUMBER, st.sampled_from(["35.0", "abc", None, 1 + 2j, complex(35.0, 0.0)]))
+PRICES = st.one_of(st.lists(NUMBER, max_size=6),
+                   st.lists(st.lists(NUMBER, min_size=1, max_size=3), min_size=1, max_size=3),
+                   st.lists(PRICE_ITEM, min_size=1, max_size=6))
+DT = st.one_of(NUMBER, st.sampled_from([1, 0, -1, 10**400, None, "1", "abc", 1 + 0j, [1.0]]))
+PRICES_REFUSED = ("prices must be real numbers", "prices must be a non-empty 1-D sequence",
+                  "prices must be finite")
+DT_REFUSED = ("dt must be a real number", "dt must be finite and positive")
+
+
+def finite_positive(value):
+    try:
+        return 0 < float(value) < math.inf
+    except OverflowError:
+        return False
+
+
+@settings(max_examples=300, **FUZZ)
+@given(prices=PRICES, dt=DT)
+def test_price_series_entry_point(prices, dt):
+    # a non-empty list of finite floats and one finite positive real dt make
+    # a series; anything else is refused by a ValueError naming its field
+    real_prices = bool(prices) and all(type(v) is float and math.isfinite(v) for v in prices)
+    real_dt = type(dt) in (int, float) and finite_positive(dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            series = PriceSeries(prices, dt)
+        except ValueError as exc:
+            assert str(exc) in (DT_REFUSED if real_prices else PRICES_REFUSED), str(exc)
+            assert not (real_prices and real_dt)
+            return
+    assert real_prices and real_dt
+    assert series.prices.dtype == float and series.prices.tolist() == prices
+    assert type(series.dt) is float and series.dt == dt
+
+
+SCHEDULE_ENTRY = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, 0.25, 0.5])
+
+
+@st.composite
+def schedule_columns(draw):
+    """p_chg, p_dis and soe of one length from 1 to 12."""
+    T = draw(st.integers(1, 12))
+    return [draw(st.lists(SCHEDULE_ENTRY, min_size=T, max_size=T)) for _ in range(3)]
+
+
+@settings(max_examples=300, **FUZZ)
+@given(columns=schedule_columns(), dt=st.sampled_from([1 / 6, 0.25, 1.0, 10.0]))
+def test_feasibility_check_entry_point(columns, dt):
+    # NaN, +-inf and 1e308 entries are reported, never raised or warned about:
+    # each nonfinite entry as a nonfinite_* violation of its period
+    params = StorageParams(**UNIT_STORAGE, dt=dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = feasibility_check(params, Schedule(*columns))
+    nonfinite = {(t + 1, tag) for column, tag in zip(columns, ("nonfinite_pc", "nonfinite_pd",
+                                                                "nonfinite_soe"))
+                 for t, v in enumerate(column) if not math.isfinite(v)}
+    assert {(t, tag) for t, tag, _ in report.violations if tag.startswith("nonfinite")} == nonfinite
+    if any(abs(v) >= 1e308 or v != v for column in columns for v in column):
+        assert not report.feasible
+
+
+@settings(max_examples=100, **FUZZ)
+@given(lengths=st.tuples(*[st.integers(0, 3)] * 3), nested=st.booleans())
+def test_misshaped_schedule_refused(lengths, nested):
+    columns = [[[0.0]] * n if nested else [0.0] * n for n in lengths]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not nested and len(set(lengths)) == 1 and lengths[0] > 0:
+            assert len(Schedule(*columns)) == lengths[0]
+            return
+        with pytest.raises(ValueError, match="1-D arrays|share one length|at least one period"):
+            Schedule(*columns)
