@@ -17,14 +17,11 @@ from .conditions import (
     Prop1Case,
     Recommendation,
     ShatSequence,
-    SubsetSearchInconclusive,
-    Thm1Cond2Witness,
     advise,
     corollary2_inexact,
     lemma1_classify,
     prop1_classify,
     theorem1_condition1,
-    theorem1_condition2,
     theorem2_check,
     theorem3_shat,
 )

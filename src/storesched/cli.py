@@ -13,7 +13,7 @@ Subcommands: partition, advise, solve, check, compare.  Exit codes:
      or a request too large for memory (such as a huge dp --grid)
 * 3  internal solver invariant breach, among them a branch and bound
      that ends with no schedule for a storage that has one, or a
-     leftover SCD with no equal-objective repair
+     leftover SCD at a strictly negative price
 * 10 advise: solve the refined MILP
 
 All outputs are byte-deterministic given identical inputs and flags,

@@ -6,15 +6,8 @@ to the refined MILP.
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from .prices import PricePartition, PriceSeries
 from .storage import EPS, Schedule, StorageParams, check_assumption_leakage
-
-#: Longest negative run that theorem1_condition2 enumerates with leakage:
-#: it bounds memory at 2^22 candidate levels (32 MB); beyond it the search
-#: reports inconclusive.
-SUBSET_ENUMERATION_CAP = 22
 
 
 class NotNegativePrice(ValueError):
@@ -28,11 +21,6 @@ class NoNegativePrices(ValueError):
 class AssumptionViolated(ValueError):
     """Leakage cannot be recovered at full charge rate (one-period recovery
     assumption fails)."""
-
-
-class SubsetSearchInconclusive(Exception):
-    """Subset enumeration infeasible (longest negative run too long with
-    leakage); distinct from 'no witness exists'."""
 
 
 class Prop1Case(enum.Enum):
@@ -72,16 +60,6 @@ class ShatSequence:
     @property
     def exact(self) -> bool:
         return self.first_violation is None
-
-
-@dataclass(frozen=True)
-class Thm1Cond2Witness:
-    """A start level s and a charge/discharge split of the longest negative
-    run that lands exactly on the capacity bound."""
-
-    s: float
-    charge_set: tuple
-    discharge_set: tuple
 
 
 class Recommendation(enum.Enum):
@@ -175,74 +153,6 @@ def theorem1_condition1(params: StorageParams, part: PricePartition) -> bool:
     return _full_rate(params, params.s_min, n, params.charge_step) > params.s_max
 
 
-def theorem1_condition2(
-    params: StorageParams, part: PricePartition, s_fixed: float | None = None
-) -> Thm1Cond2Witness | None:
-    """Search for a start level s in [s_min, s_max] (or exactly s_fixed)
-    and a split of the longest negative run [tau1, tau2] into full-rate
-    net-charge and net-discharge periods that lands exactly on s_max:
-
-        rho^n * s + charge_step * sum_{t in C} rho^(tau2-t)
-                  - discharge_step * sum_{t in D} rho^(tau2-t) = s_max.
-
-    One array holds the start level each split requires; the first that
-    passes the level test (within EPS * energy_scale) is the witness
-    (smallest charge set without leakage, lexicographic subset order with
-    leakage), else None.  A required level that overflows double precision
-    (inf or NaN) passes no level test, so it is never a witness.  With
-    leakage the array has 2^n entries: 32 MB and 0.1 s at n = 22.  Raises
-    SubsetSearchInconclusive when rho < 1 and n > SUBSET_ENUMERATION_CAP,
-    and ValueError when s_fixed is not a finite level in [s_min, s_max].
-    """
-    n = part.n_bar
-    if n == 0:
-        raise NoNegativePrices("no strictly negative prices in the series")
-    if s_fixed is not None and not params.s_min <= s_fixed <= params.s_max:
-        raise ValueError(f"s_fixed = {s_fixed} is not a finite level in [s_min, s_max]")
-    tau1, tau2 = part.longest_neg
-    run = tuple(range(tau1, tau2 + 1))
-    chg, dis = params.charge_step, params.discharge_step
-
-    # a level that overflows is never a witness (see the docstring)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if params.rho == 1.0:
-            # weights collapse: candidate k charges the first k periods
-            k = np.arange(n + 1)
-            s = params.s_max - (chg * k - dis * (n - k))
-        else:
-            if n > SUBSET_ENUMERATION_CAP:
-                raise SubsetSearchInconclusive(
-                    f"longest negative run of {n} periods exceeds the enumeration cap"
-                )
-            # bit j of an index charges run[j]: each total sums its terms in run order
-            s = np.zeros(1 << n)
-            for j, t in enumerate(run):
-                w, h = params.rho ** (tau2 - t), 1 << j
-                np.add(s[:h], chg * w, out=s[h : 2 * h])
-                s[:h] += -dis * w
-            np.subtract(params.s_max, s, out=s)
-            # rho^n > 0 may round to a subnormal or to 0, and is divided by as a
-            # positive number: a split that lands on s_max needs s = 0, any other
-            # a level beyond every float (inf), which no level test passes
-            np.divide(s, params.rho**n, out=s, where=s != 0)
-    tol = EPS * params.energy_scale
-    if s_fixed is not None:
-        s -= s_fixed  # in place: with a fixed level, s[i] is not read again
-        hit = np.abs(s, out=s) <= tol
-    else:
-        hit = (params.s_min - tol <= s) & (s <= params.s_max + tol)
-    i = int(np.argmax(hit))
-    if not hit[i]:
-        return None
-    mask = (1 << i) - 1 if params.rho == 1.0 else i
-    level = s_fixed if s_fixed is not None else min(max(float(s[i]), params.s_min), params.s_max)
-    return Thm1Cond2Witness(
-        s=level,
-        charge_set=tuple(t for j, t in enumerate(run) if mask >> j & 1),
-        discharge_set=tuple(t for j, t in enumerate(run) if not mask >> j & 1),
-    )
-
-
 def theorem2_check(params: StorageParams, part: PricePartition) -> bool:
     """Exactness for a single negative run [tau1, tau2]: discharging at
     full rate (or hitting the floor) before the run and then charging at
@@ -304,6 +214,8 @@ def _flowchart(params: StorageParams, part: PricePartition, final_level_constrai
     if not check_assumption_leakage(params):
         yield ("leakage_assumption", True, "one-period leakage recovery fails; "
                "run-length conditions not applicable", milp)
+    # theorem 1's condition 2 needs no test: with the leakage assumption and cond 1 false, a full
+    # charge ends at or above s_max from s_max and at or below it from s_min, so some start hits it
     if theorem1_condition1(params, part):
         yield ("theorem1_cond1", True,
                f"full charge fits within the longest negative run (n_bar={part.n_bar})", milp)

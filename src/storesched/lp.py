@@ -202,4 +202,4 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) 
     # each residual's largest |r| over its unit: division rounds monotonically,
     # so that is its largest |r|/unit
     worst = [np.maximum.reduce(np.abs(r), axis=-1, initial=0.0) / u for r, u in res]
-    return max(np.hstack(worst).tolist())
+    return np.maximum.reduce(np.hstack(worst)).item()  # NaN anywhere reads NaN

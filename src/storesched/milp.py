@@ -98,9 +98,11 @@ def _branch_period(problem: MilpProblem, sol: LpSolution) -> int | None:
 def solve_milp(problem: MilpProblem):
     """Globally optimal solve; returns (SolveReport, BnbStats).  The final
     schedule is SCD-free everywhere: exclusivity is enforced by branching
-    at binary periods, and any leftover SCD at a non-binary period must
-    sit at a zero price, where the equal-objective repair applies.  Ending
-    with no incumbent is a SimplexFailure: build_milp ran require_schedulable."""
+    at binary periods, and any leftover SCD at a non-binary period sits at
+    a nonnegative price, where repair_scd nets it at no loss of profit (at
+    C_t > 0 a gain within the simplex's tolerance; the objective stays the
+    node LP's).  Ending with no incumbent is a SimplexFailure: build_milp
+    ran require_schedulable."""
     stats = BnbStats()
     incumbent = None
     cutoff = -np.inf  # a node LP at or below it cannot beat the incumbent
@@ -128,8 +130,8 @@ def solve_milp(problem: MilpProblem):
             continue
         k = _branch_period(problem, sol)
         if k is None:
-            # integral-equivalent: no SCD at any binary period; repair any
-            # residual zero-price SCD and promote to incumbent
+            # integral-equivalent: no SCD at any binary period; net any
+            # residual nonnegative-price SCD and promote to incumbent
             incumbent = lp_answer(sol, T)
             incumbent.schedule = repair_scd(problem.params, problem.prices, incumbent.schedule)
             incumbent.scd_events = detect_scd(incumbent.schedule)

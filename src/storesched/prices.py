@@ -20,6 +20,18 @@ class PriceCsvError(ValueError):
         self.line = line
 
 
+def real_number(name: str, value) -> float:
+    """value as a float, refused by name unless it is a real number (no
+    string, None or complex number); an integer beyond double precision
+    reads as inf, for the caller's finiteness check to refuse."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """Per-period energy prices (EUR/MWh) over a horizon of T periods of
@@ -43,12 +55,7 @@ class PriceSeries:
             raise ValueError("prices must be a non-empty 1-D sequence")
         if not np.logical_and.reduce(np.isfinite(self.prices)):
             raise ValueError("prices must be finite")
-        if not isinstance(self.dt, numbers.Real):
-            raise ValueError("dt must be a real number")
-        try:
-            object.__setattr__(self, "dt", float(self.dt))
-        except OverflowError:  # an integer beyond double precision
-            object.__setattr__(self, "dt", math.inf)
+        object.__setattr__(self, "dt", real_number("dt", self.dt))
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be finite and positive")
 

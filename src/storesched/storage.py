@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .prices import PriceSeries
+from .prices import PriceSeries, real_number
 
 #: What counts as zero: an energy within EPS * energy_scale of a bound, or a
 #: power within that over dt, is on it.  Two orders above simplex.TOL.
@@ -19,8 +19,8 @@ EPS = 1e-7
 
 
 class RepairNotApplicable(Exception):
-    """SCD removal with equal objective is impossible (strictly negative
-    price with round-trip losses)."""
+    """SCD at a strictly negative price with round-trip losses, where
+    netting it to one mode loses profit."""
 
 
 class InfeasibleStorage(ValueError):
@@ -49,7 +49,7 @@ class StorageParams:
 
     def __post_init__(self):
         for f in fields(self):  # a numpy scalar would warn where a float overflows quietly
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+            object.__setattr__(self, f.name, real_number(f.name, getattr(self, f.name)))
         nonfinite = [f.name for f in fields(self) if not math.isfinite(getattr(self, f.name))]
         if nonfinite:
             raise ValueError(f"parameters must be finite: {', '.join(nonfinite)}")
@@ -256,20 +256,21 @@ def check_assumption_leakage(params: StorageParams) -> bool:
 
 
 def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -> Schedule:
-    """Replace each SCD period by the equal-objective single-mode powers
-    that keep the soe trajectory unchanged, all in one masked step.
+    """Replace each SCD period by the single-mode powers that keep the soe
+    trajectory unchanged, all in one masked step.
 
     With beta_t from net_exchange (recomputed from the stored soe, the
     invariant the construction preserves): if beta_t <= 0, discharge only;
-    if beta_t > 0, charge only.  Applicable only where C_t = 0 or the
-    round-trip efficiency is 1; otherwise no equal-objective repair exists
-    and RepairNotApplicable is raised.
+    if beta_t > 0, charge only.  The profit stays equal where C_t = 0 or the
+    round-trip efficiency is 1, and rises by dt*C_t*b_t*(1 - eta)/eta_c at
+    C_t > 0 (b_t the energy charged and discharged at once).  At C_t < 0
+    with eta < 1 netting loses profit, and RepairNotApplicable is raised.
     """
     c = prices.prices
     if len(c) != len(schedule):
         raise ValueError("price and schedule lengths differ")
     scd = scd_mask(schedule.p_chg, schedule.p_dis)
-    costly = (scd & (c != 0)).nonzero()[0] if params.eta < 1 else ()
+    costly = (scd & (c < 0)).nonzero()[0] if params.eta < 1 else ()
     if len(costly):
         k = costly[0]
         raise RepairNotApplicable(f"SCD at t={k + 1} with C_t={c[k]} and eta={params.eta} < 1")

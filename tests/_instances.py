@@ -275,7 +275,8 @@ def reference_kkt_verify(params, prices, report):
     scd = scd_mask(sch.p_chg, sch.p_dis)
     res.append((dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd],
                 q * dt))
-    return float(max(np.abs(r).max(initial=0.0) / unit for r, unit in res))
+    # a NaN in any residual makes the maximum NaN
+    return float(np.maximum.reduce([np.abs(r).max(initial=0.0) / unit for r, unit in res]))
 
 
 def assert_lp_certificate_as_reference(params, prices, report):

@@ -422,6 +422,22 @@ class TestSolve:
         assert err == f"error: {formulation} {quantity} is inf, beyond double precision\n"
         assert not out.exists()
 
+    def test_nan_kkt_residual_exit_2(self, tmp_path, capsys):
+        # at +-1e308 EUR/MWh the upper level multiplier of t = 1 overflows: the
+        # residual is NaN, though its first entries (stationarity in p_dis) are not
+        (tmp_path / "params.txt").write_text(
+            "s_min = 0\ns_max = 2.714751457421659e-59\ns_init = 2.2878224521119755e-59\n"
+            "p_chg_max = 6.484050530603544e-60\np_dis_max = 2.110013555208994e-57\n"
+            "eta_c = 0.9\neta_d = 1\nrho = 1\ndt_hours = 1\n")
+        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,-1e308\n2,1e308\n")
+        out = tmp_path / "out"
+        code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
+                    tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: lp kkt_max_residual is nan, beyond double precision\n"
+        assert not out.exists()
+
     def test_dp_overflow_exit_2(self, workspace, capsys):
         # unit storage against 1,000 hours at +-1e306 EUR/MWh: the storage is
         # feasible, but the DP's value table overflows, and the error says so

@@ -2,12 +2,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, reject, settings, target
 from hypothesis import strategies as st
 
 from _instances import fast_params, mixed_sign_prices, random_params
 from storesched import (
     AssumptionViolated,
+    InfeasibleStorage,
     Lemma1Class,
     NoNegativePrices,
     NotNegativePrice,
@@ -16,8 +17,6 @@ from storesched import (
     Recommendation,
     Schedule,
     StorageParams,
-    SubsetSearchInconclusive,
-    Thm1Cond2Witness,
     advise,
     check_assumption_leakage,
     corollary2_inexact,
@@ -25,12 +24,14 @@ from storesched import (
     partition,
     propagate_soe,
     prop1_classify,
+    require_schedulable,
+    solve_storage_lp,
+    solve_storage_milp,
     theorem1_condition1,
-    theorem1_condition2,
     theorem2_check,
     theorem3_shat,
 )
-from storesched.conditions import _geo_sum
+from storesched.conditions import _full_rate, _geo_sum
 from storesched.storage import EPS
 
 
@@ -106,8 +107,6 @@ class TestTheorem1Cond1:
     def test_requires_negative_prices(self):
         with pytest.raises(NoNegativePrices):
             theorem1_condition1(unit_storage(0.2, 0.2), partition(series([1, 2])))
-        with pytest.raises(NoNegativePrices):
-            theorem1_condition2(unit_storage(0.2, 0.2), partition(series([1, 2])))
 
     def test_leakage_raises_the_bar(self):
         part = partition(run_series(1, 4, 1))
@@ -116,164 +115,35 @@ class TestTheorem1Cond1:
         assert not theorem1_condition1(unit_storage(p, 0.1, rho=0.95), part)
 
 
-class TestTheorem1Cond2:
-    def test_balanced_split_witness(self):
-        # 32-period run; 31 charge periods and 1 discharge period land
-        # exactly on the capacity: 0.9*0.036*31 - 0.00396/0.9 = 1.0
-        part = partition(run_series(2, 32, 2))
-        params = unit_storage(0.036, 0.00396)
-        witness = theorem1_condition2(params, part, s_fixed=0.0)
-        assert witness is not None
-        assert len(witness.charge_set) == 31
-        assert len(witness.discharge_set) == 1
-        assert witness.s == 0.0
-
-    def test_no_witness_at_fixed_level(self):
-        part = partition(run_series(2, 32, 2))
-        params = unit_storage(0.036, 0.036)
-        assert theorem1_condition2(params, part, s_fixed=0.0) is None
-
-    def test_free_level_widens_the_search(self):
-        part = partition(run_series(2, 32, 2))
-        params = unit_storage(0.034, 0.028)
-        assert theorem1_condition2(params, part, s_fixed=0.0) is None
-        witness = theorem1_condition2(params, part)
-        assert witness is not None
-        assert 0.0 <= witness.s <= 1.0
-
-    def test_leakage_enumeration(self):
-        part = partition(run_series(1, 3, 1))
-        params = unit_storage(0.3, 0.3, rho=0.99)
-        witness = theorem1_condition2(params, part)
-        if witness is not None:
-            assert set(witness.charge_set) | set(witness.discharge_set) == {2, 3, 4}
-        # no split of the three periods lands on s_max from an empty store
-        assert theorem1_condition2(params, part, s_fixed=0.0) is None
-
-    def test_enumeration_cap(self):
-        part = partition(run_series(1, 23, 1))
-        with pytest.raises(SubsetSearchInconclusive):
-            theorem1_condition2(unit_storage(0.2, 0.2, rho=0.99), part)
-
-    def test_cap_does_not_apply_without_leakage(self):
-        part = partition(run_series(1, 23, 1))
-        theorem1_condition2(unit_storage(0.2, 0.2, rho=1.0), part)
+@st.composite
+def leaky_storage(draw):
+    """A storage whose full charge makes up one period's leakage at s_max."""
+    s_max = draw(st.floats(1e-3, 1e3))
+    params = StorageParams(
+        s_min=s_max * draw(st.floats(0.0, 0.9)), s_max=s_max, s_init=s_max,
+        p_chg_max=draw(st.floats(1e-4, 1e4)), p_dis_max=1.0, eta_c=draw(st.floats(0.5, 1.0)),
+        rho=draw(st.floats(0.0, 1.0, exclude_min=True)), dt=draw(st.sampled_from([0.25, 1.0])),
+    )
+    assume(check_assumption_leakage(params))
+    return params
 
 
-def reference_condition2(params, part, s_fixed=None):
-    """Scalar reference for theorem1_condition2: a loop over the charge
-    count without leakage, a loop over every charge set with it."""
-    n = part.n_bar
-    tau1, tau2 = part.longest_neg
-    run = tuple(range(tau1, tau2 + 1))
-    dt = params.dt
-    chg = dt * params.eta_c * params.p_chg_max
-    dis = dt * params.p_dis_max / params.eta_d
-
-    tol = EPS * max(params.s_max, chg, dis)
-
-    def check_level(s_required):
-        if s_fixed is not None:
-            return s_fixed if abs(s_required - s_fixed) <= tol else None
-        if params.s_min - tol <= s_required <= params.s_max + tol:
-            return min(max(s_required, params.s_min), params.s_max)
-        return None
-
-    if params.rho == 1.0:
-        for k in range(n + 1):
-            s = check_level(params.s_max - (chg * k - dis * (n - k)))
-            if s is not None:
-                return Thm1Cond2Witness(s=s, charge_set=run[:k], discharge_set=run[k:])
-        return None
-    weights = [params.rho ** (tau2 - t) for t in run]
-    rho_n = params.rho**n
-    for mask in range(1 << n):
-        total = 0.0
-        for i in range(n):
-            total += chg * weights[i] if mask >> i & 1 else -dis * weights[i]
-        s = check_level((params.s_max - total) / rho_n)
-        if s is not None:
-            charge = tuple(run[i] for i in range(n) if mask >> i & 1)
-            discharge = tuple(run[i] for i in range(n) if not mask >> i & 1)
-            return Thm1Cond2Witness(s=s, charge_set=charge, discharge_set=discharge)
-    return None
-
-
-class TestTheorem1Cond2Search:
-    @staticmethod
-    def _draws(rng, count, n_max):
-        """Random storage and one negative run; on half of the draws powers
-        and levels lie on a 0.1 grid, so that splits land exactly."""
-        for _ in range(count):
-            n = int(rng.integers(1, n_max + 1))
-            rho = float(rng.choice([1.0, 0.999, 0.99, 0.95, 0.9]))
-            dt, eta = float(rng.choice([0.5, 1.0])), float(rng.choice([0.9, 1.0]))
-            if rng.random() < 0.5:
-                p_chg, p_dis = rng.integers(1, 11, 2) / 10
-                s_min = rng.integers(0, 5) / 10
-                s_max = s_min + rng.integers(1, 11) / 10
-            else:
-                p_chg, p_dis = rng.uniform(0.01, 1.0, 2)
-                s_min = rng.uniform(0.0, 0.5)
-                s_max = s_min + rng.uniform(0.1, 1.0)
-            params = StorageParams(
-                s_min=float(s_min), s_max=float(s_max), s_init=float(s_min),
-                p_chg_max=float(p_chg), p_dis_max=float(p_dis),
-                eta_c=eta, eta_d=eta, rho=rho, dt=dt,
-            )
-            before, after = rng.integers(0, 3, 2)
-            prices = [5.0] * before + [-5.0] * n + [5.0] * after
-            yield params, partition(PriceSeries(prices, dt))
-
-    def test_witnesses_match_the_scalar_search(self):
-        found = Counter()
-        rng = np.random.default_rng(7)
-        for params, part in self._draws(rng, 300, 10):
-            drawn = float(rng.uniform(params.s_min, params.s_max))
-            levels = [None, params.s_min, params.s_max, drawn]
-            free = reference_condition2(params, part)
-            if free is not None:
-                levels.append(free.s)  # a level some split lands from, also with leakage
-            for s_fixed in levels:
-                witness = theorem1_condition2(params, part, s_fixed=s_fixed)
-                # repr pins the level's bits, not only its value
-                assert repr(witness) == repr(reference_condition2(params, part, s_fixed))
-                if witness is not None:
-                    found[params.rho == 1.0, s_fixed is None] += 1
-        # witnesses at both kinds of rho, in both modes
-        assert len(found) == 4 and min(found.values()) >= 5, found
-
-    def test_cap_boundary_with_leakage(self):
-        part = partition(run_series(1, 22, 1))
-        params = unit_storage(0.2, 0.2, rho=0.99)
-        # no split lands on s_max from an empty store: every candidate is scanned
-        assert theorem1_condition2(params, part, s_fixed=0.0) is None
-        witness = theorem1_condition2(params, part)
-        assert witness == reference_condition2(params, part)
-        assert witness.charge_set == tuple(range(2, 16))
-        assert witness.discharge_set == tuple(range(16, 24))
-        assert witness.s == 0.6695486515520064
-
-    @pytest.mark.parametrize("rho, charge_set", [(1e-16, (20, 21)), (1e-20, (21,))])
-    def test_rho_n_below_the_normal_floats(self, rho, charge_set):
-        # rho^20 is subnormal (1e-320) or rounds to 0: the split whose total
-        # rounds to s_max needs s = 0, every other an infinite level, and the
-        # search answers without a divide or overflow warning (an error here)
-        part = partition(run_series(1, 20, 1))
-        params = StorageParams(s_min=0, s_max=1, s_init=0, p_chg_max=1, p_dis_max=1, rho=rho)
-        witness = theorem1_condition2(params, part)
-        assert witness.s == 0.0 and witness.charge_set == charge_set
-        assert theorem1_condition2(params, part, s_fixed=0.0) == witness
-        assert theorem1_condition2(params, part, s_fixed=0.5) is None
-        short = StorageParams(s_min=0, s_max=1, s_init=0, p_chg_max=0.7, p_dis_max=1, rho=rho)
-        assert theorem1_condition2(short, part) is None
-
-    @pytest.mark.parametrize("s_fixed", [2.0, float("nan"), float("inf")])
-    def test_rejects_a_start_level_outside_the_range(self, s_fixed):
-        params = StorageParams(s_min=0, s_max=1, s_init=0, p_chg_max=0.5, p_dis_max=0.5)
-        part = partition(PriceSeries([1, -1, -1, 1], 1.0))
-        with pytest.raises(ValueError, match="s_fixed"):
-            theorem1_condition2(params, part, s_fixed=s_fixed)
+@given(params=leaky_storage(), n=st.integers(1, 500))
+@example(params=StorageParams(s_min=0, s_max=1, s_init=1, p_chg_max=0.5, p_dis_max=1, rho=0.5),
+         n=40)  # (1 - rho) * s_max == charge_step: a full charge from s_max stays on it
+@settings(deadline=None)
+def test_theorem1_cond2_always_has_a_witness(params, n):
+    """Theorem 1's condition 2 asks for a start level in [s_min, s_max] from
+    which full-rate charge and discharge over the longest negative run (n
+    periods) lands exactly on s_max.  advise reads theorem 1 only under the
+    leakage assumption (1 - rho) * s_max <= charge_step, which is the same
+    as rho^n * s_max + charge_step * sum_{i<n} rho^i >= s_max for every n:
+    a full charge from s_max ends at or above s_max.  Where condition 1 is
+    false, a full charge from s_min ends at or below s_max, so by continuity
+    a full charge from some level between them ends on s_max: the condition
+    always holds there, and advise needs no search for it."""
+    level = _full_rate(params, params.s_max, n, params.charge_step)
+    assert level >= params.s_max - EPS * params.energy_scale
 
 
 class TestTheorem2:
@@ -585,3 +455,44 @@ class TestAdvise:
         for entry in doc["rationale"]:
             assert set(entry) == {"rule", "fired", "detail"}
             assert isinstance(entry["fired"], bool)
+
+
+@st.composite
+def advised_lp_draws(draw):
+    """A storage and 1 to 12 hourly prices that advise sends to the LP:
+    s_max 0.05-5 MWh, s_min 0, 10% or 30% of it, powers 0.05-5 MW,
+    efficiencies 0.5-1, five retention factors, prices -100 to 100 EUR/MWh."""
+    s_max = draw(st.floats(0.05, 5.0))
+    s_min = s_max * draw(st.sampled_from([0.0, 0.1, 0.3]))
+    s_init = min(s_min + (s_max - s_min) * draw(st.floats(0.0, 1.0)), s_max)
+    params = StorageParams(
+        s_min=s_min, s_max=s_max, s_init=s_init,
+        p_chg_max=draw(st.floats(0.05, 5.0)), p_dis_max=draw(st.floats(0.05, 5.0)),
+        eta_c=draw(st.floats(0.5, 1.0)), eta_d=draw(st.floats(0.5, 1.0)),
+        rho=draw(st.sampled_from([1.0, 0.999, 0.99, 0.95, 0.8])),
+    )
+    prices = PriceSeries(draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=12)), 1.0)
+    assume(advise(params, partition(prices)).recommendation is Recommendation.SOLVE_LP)
+    try:
+        require_schedulable(params, len(prices))
+    except InfeasibleStorage:  # prop1 sends it to the LP, which no schedule meets
+        reject()
+    return params, prices
+
+
+@given(draw=advised_lp_draws())
+@settings(deadline=None)
+def test_hunt_for_an_lp_the_advisor_clears_wrongly(draw):
+    """Targeted property-based testing (Loscher & Sagonas 2017): Hypothesis
+    drives the LP's lead over the refined MILP, in units of max|C_t| times
+    the energy scale, upward over the instances advise sends to the LP.  The
+    simplex stops within its dual tolerance, 1e-9 * dt * max|C_t|, over up
+    to T * (Pc + Pd) of power, so only a lead above 1e-8 * T is a hit: a
+    failure of the paper's conditions.  The default profile runs a slice;
+    the hunt profile (conftest.py) runs 12,000 examples."""
+    params, prices = draw
+    lp = solve_storage_lp(params, prices).objective
+    refined = solve_storage_milp(params, prices, partition(prices))[0].objective
+    lead = (lp - refined) / ((np.abs(prices.prices).max() or 1.0) * params.energy_scale)
+    target(lead, label="(LP - refined) / (max|C_t| * energy_scale)")
+    assert lead <= 1e-8 * len(prices)

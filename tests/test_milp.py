@@ -123,6 +123,25 @@ class TestSolve:
             milp, _ = solve_storage_milp(params, prices, part)
             assert milp.objective == pytest.approx(lp.objective, rel=1e-8, abs=1e-8)
 
+    @pytest.mark.parametrize("params, values", [
+        (StorageParams(s_min=0, s_max=4, s_init=0, p_chg_max=4, p_dis_max=3,
+                       eta_c=0.5879731590314048, eta_d=1, rho=0.99),
+         [1.401298464324817e-45, 0, 3, 3]),
+        (StorageParams(s_min=0.1, s_max=1, s_init=1, p_chg_max=2, p_dis_max=1, eta_c=0.5625,
+                       eta_d=0.5, rho=0.95),
+         [48, 2.2445147436566056e-260, 1e-7]),
+    ])
+    def test_scd_at_a_tiny_positive_price_is_netted(self, params, values):
+        # the simplex may leave SCD at a price whose netting gain lies below its
+        # dual tolerance; the refined MILP nets it there and answers
+        prices = PriceSeries(values, 1.0)
+        part = partition(prices)
+        refined, _ = solve_storage_milp(params, prices, part)
+        full, _ = solve_storage_milp(params, prices, part, refined=False)
+        assert refined.objective == pytest.approx(full.objective, rel=1e-12)
+        assert detect_scd(refined.schedule) == []
+        assert feasibility_check(params, refined.schedule).feasible
+
     def test_inexact_instance_strictly_below_lp(self):
         params = unit_storage()
         values = np.full(24, 25.0)

@@ -68,6 +68,17 @@ class TestParams:
         with pytest.raises(ValueError, match=name):
             make_params(**{name: value})
 
+    @pytest.mark.parametrize("value", [None, 1 + 0j, "abc", "1", 10**400],
+                             ids=["None", "complex", "abc", "str-1", "10**400"])
+    def test_non_real_rejected_by_name(self, value):
+        # as in PriceSeries; an integer beyond double precision reads as inf
+        for name in ("s_min", "s_max", "s_init", "p_chg_max", "p_dis_max", "eta_c", "eta_d",
+                     "rho", "dt"):
+            message = (f"parameters must be finite: {name}" if isinstance(value, int)
+                       else f"{name} must be a real number")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make_params(**{name: value})
+
     def test_derived(self):
         params = make_params()
         assert params.eta == pytest.approx(0.81)
