@@ -15,7 +15,7 @@ import numpy as np
 from .prices import PriceSeries
 from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, solve_bounded_lp
 from .storage import (Schedule, StorageParams, detect_scd, net_exchange, objective,
-                      require_schedulable, scd_mask)
+                      reach_powers, require_schedulable, scd_mask)
 from .value import lp_optimum
 
 
@@ -63,7 +63,8 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     and, at each 1-based period t in legs, the level after the charge alone,
     m^c_t = rho*soe_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and after
     the discharge alone, m^d_t = rho*soe_{t-1} - dt*p_dis_t/eta_d in
-    [rho*s_min, rho*s_max].  A ValueError names a dt * price that overflows."""
+    [rho*s_min, rho*s_max], with powers up to storage.reach_powers.  A
+    ValueError names a dt * price that overflows."""
     _require_same_dt(params, prices)
     with np.errstate(over="ignore"):  # an overflow is refused by name
         profit = params.dt * prices.prices
@@ -84,13 +85,13 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     a[r[prev], 2 * T + period[prev] - 1] = -rho
     c = np.concatenate([-profit, profit, np.zeros(T + 2 * K)])
     lower = np.array([0.0, params.s_min, rho * params.s_min]).repeat([2 * T, T, 2 * K])
-    upper = np.array([params.p_chg_max, params.p_dis_max, params.s_max, rho * params.s_max]).repeat(
+    upper = np.array([*reach_powers(params), params.s_max, rho * params.s_max]).repeat(
         [T, T, T + K, K])
     rhs = np.where(prev, 0.0, rho * params.s_init)
     return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs)
 
 
-def _duration_start(problem: LpProblem, T: int) -> np.ndarray:
+def _duration_start(problem: LpProblem) -> np.ndarray:
     """Start basis codes that follow the charge duration.  Where a period's
     price pays for a power (charge at a negative price, discharge at a
     positive one) and that power at full rate crosses the period's whole
@@ -107,6 +108,7 @@ def _duration_start(problem: LpProblem, T: int) -> np.ndarray:
     dt^2 eta_c / eta_d), so the start always factors; with every bound
     finite any basis is dual feasible once the simplex places each
     nonbasic variable."""
+    T = (problem.n - problem.m) // 2  # n = 3T + 2K columns, m = T + 2K rows
     t = np.arange(T)
     a, c, lower, upper = problem.a, problem.c, problem.lower, problem.upper
     span = upper[2 * T : 3 * T] - lower[2 * T : 3 * T]
@@ -131,15 +133,7 @@ def solve_lp(problem: LpProblem, warm: LpSolution | None = None) -> LpSolution:
     bounds, and the solve changes its factor."""
     if warm is not None:
         return solve_bounded_lp(problem, start=warm.basis, factor=warm.factor)
-    T = (problem.n - problem.m) // 2  # n = 3T + 2K columns, m = T + 2K rows
-    return solve_bounded_lp(problem, start=_duration_start(problem, T))
-
-
-def lp_answer(sol: LpSolution, T: int) -> SolveReport:
-    """The answer at an optimal LpSolution over T periods: its objective,
-    a copy of its schedule and that schedule's SCD events."""
-    schedule = Schedule(*sol.x[: 3 * T].reshape(3, T).copy())  # p_chg, p_dis, soe
-    return SolveReport(sol.objective, schedule, detect_scd(schedule))
+    return solve_bounded_lp(problem, start=_duration_start(problem))
 
 
 def require_finite(name: str, value: float) -> None:

@@ -15,10 +15,13 @@ at once, and first solves the child that keeps the mode the LP nets there.
 Each child carries a bound from one dual simplex step on its parent's
 final factor (Driebeek 1966; simplex.child_bound), valid because every
 point on the first dual ray is dual feasible for the child; a child whose
-bound cannot beat the incumbent is dropped without an LP.
+bound cannot beat the incumbent is dropped without an LP.  A period where
+a power is fixed at 0 is never branched: each node first clips its powers
+into its bounds, so that power reads 0, and K binary periods make at most
+2^(K+1) - 1 nodes.
 
 Both variants share one relaxation, build_lp(params, prices, part.t_neg),
-and differ only in binary_periods, the periods where the search may
+and differ only in binary_mask, the periods where the search may
 branch.  Its "each leg fits" columns, the level after the charge alone
 and after the discharge alone at each negative-price period, hold for
 every exclusive schedule (0 <= s_min and rho <= 1).  For storage that
@@ -32,23 +35,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import build_lp, lp_answer, require_finite, solve_lp
+from .lp import SolveReport, build_lp, require_finite, solve_lp
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpSolution, LpStatus, SimplexFailure, child_bound
-from .storage import StorageParams, detect_scd, repair_scd, require_schedulable, scd_mask
+from .storage import (Schedule, StorageParams, detect_scd, repair_scd, require_schedulable,
+                      scd_mask)
 
 
 @dataclass
 class MilpProblem:
     base: LpProblem
-    binary_periods: tuple  # 1-based periods carrying u_t^C, u_t^D
-    binary_mask: np.ndarray  # the same periods as a mask over 0-based t
-    params: StorageParams  # p_chg_max / p_dis_max are the exact big-Ms
+    binary_mask: np.ndarray  # the periods carrying u_t^C, u_t^D, over 0-based t
+    params: StorageParams  # base's power bounds (storage.reach_powers) are the exact big-Ms
     prices: PriceSeries
 
     @property
     def num_binaries(self) -> int:
-        return 2 * len(self.binary_periods)
+        return 2 * int(self.binary_mask.sum())
 
 
 @dataclass
@@ -66,12 +69,10 @@ def build_milp(
     part: PricePartition,
 ) -> MilpProblem:
     require_schedulable(params, len(prices))
-    binary_periods = part.t_neg if refined else tuple(range(1, len(prices) + 1))
-    binary_mask = np.zeros(len(prices), dtype=bool)
-    binary_mask[np.asarray(binary_periods, dtype=int) - 1] = True
+    binary_mask = np.full(len(prices), not refined)  # full: every period
+    binary_mask[np.asarray(part.t_neg, dtype=int) - 1] = True
     return MilpProblem(
         base=build_lp(params, prices, part.t_neg),
-        binary_periods=binary_periods,
         binary_mask=binary_mask,
         params=params,
         prices=prices,
@@ -128,13 +129,15 @@ def solve_milp(problem: MilpProblem):
             stats.root_bound = sol.objective
         if sol.objective <= cutoff:
             continue
+        # each power into the node's bounds: one fixed at 0 reads 0, never SCD
+        np.minimum(np.maximum(sol.x[: 2 * T], 0.0), node.upper[: 2 * T], out=sol.x[: 2 * T])
         k = _branch_period(problem, sol)
         if k is None:
             # integral-equivalent: no SCD at any binary period; net any
             # residual nonnegative-price SCD and promote to incumbent
-            incumbent = lp_answer(sol, T)
-            incumbent.schedule = repair_scd(problem.params, problem.prices, incumbent.schedule)
-            incumbent.scd_events = detect_scd(incumbent.schedule)
+            schedule = repair_scd(problem.params, problem.prices,
+                                  Schedule(*sol.x[: 3 * T].reshape(3, T)))  # copies
+            incumbent = SolveReport(sol.objective, schedule, detect_scd(schedule))
             cutoff = sol.objective + 1e-12 * abs(sol.objective)
             stats.incumbent_updates += 1
             continue

@@ -97,38 +97,21 @@ def partition(series: PriceSeries) -> PricePartition:
     t_pos = tuple(((~neg).nonzero()[0] + 1).tolist())
     t_zero = tuple(((c == 0).nonzero()[0] + 1).tolist())
 
-    blocks = []
-    neg = neg.tolist()
-    i, T = 0, len(neg)
-    while i < T:
-        p = 0
-        while i < T and not neg[i]:
-            p += 1
-            i += 1
-        n = 0
-        while i < T and neg[i]:
-            n += 1
-            i += 1
-        blocks.append((p, n))
-
-    longest = None
-    n_bar = 0
-    pos = 0
-    for p, n in blocks:
-        start = pos + p + 1
-        if n > n_bar:  # strict: ties keep the earliest run
-            n_bar = n
-            longest = (start, start + n - 1)
-        pos += p + n
-
-    return PricePartition(
-        t_neg=t_neg,
-        t_pos=t_pos,
-        t_zero=t_zero,
-        blocks=tuple(blocks),
-        longest_neg=longest,
-        n_bar=n_bar,
-    )
+    # one pass over the sign runs, which end where the sign changes and
+    # alternate from the first price's sign; a negative run closes a block
+    ends = [*((neg[1:] != neg[:-1]).nonzero()[0] + 1).tolist(), len(neg)]
+    blocks, longest, n_bar, p, start, negative = [], None, 0, 0, 0, bool(neg[0])
+    for end in ends:
+        n = end - start
+        if negative:
+            blocks.append((p, n))
+            if n > n_bar:  # strict: ties keep the earliest run
+                n_bar, longest = n, (start + 1, end)
+        p = 0 if negative else n
+        start, negative = end, not negative
+    if p:
+        blocks.append((p, 0))
+    return PricePartition(t_neg, t_pos, t_zero, tuple(blocks), longest, n_bar)
 
 
 def read_price_csv(path, dt: float = 1.0) -> PriceSeries:

@@ -96,9 +96,22 @@ class StorageParams:
         return self.dt * self.p_dis_max / self.eta_d
 
     @property
+    def charge_reach(self) -> float:
+        """Energy (MWh) one period can charge within the level range:
+        charge_step, at most s_max - rho*s_min + discharge_step."""
+        return min(self.charge_step, self.s_max - self.rho * self.s_min + self.discharge_step)
+
+    @property
+    def discharge_reach(self) -> float:
+        """Energy (MWh) one period can discharge within the level range:
+        discharge_step, at most rho*s_max - s_min + charge_step, at least 0."""
+        room = self.rho * self.s_max - self.s_min + self.charge_step
+        return max(min(self.discharge_step, room), 0.0)
+
+    @property
     def energy_scale(self) -> float:
-        """The unit of EPS (MWh): max(s_max, charge_step, discharge_step)."""
-        return max(self.s_max, self.charge_step, self.discharge_step)
+        """The unit of EPS (MWh): max(s_max, charge_reach, discharge_reach)."""
+        return max(self.s_max, self.charge_reach, self.discharge_reach)
 
 
 @dataclass
@@ -145,6 +158,13 @@ class FeasibilityReport:
     @property
     def feasible(self) -> bool:
         return not self.violations
+
+
+def reach_powers(params: StorageParams) -> tuple:
+    """(charge, discharge) powers (MW) the reaches imply: each limit unless its reach clips it."""
+    dt, reach_c, reach_d = params.dt, params.charge_reach, params.discharge_reach
+    return (params.p_chg_max if reach_c == params.charge_step else reach_c / (dt * params.eta_c),
+            params.p_dis_max if reach_d == params.discharge_step else reach_d * params.eta_d / dt)
 
 
 def require_schedulable(params: StorageParams, T: int) -> None:
@@ -275,11 +295,10 @@ def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -
         k = costly[0]
         raise RepairNotApplicable(f"SCD at t={k + 1} with C_t={c[k]} and eta={params.eta} < 1")
     p_chg, p_dis = schedule.p_chg.copy(), schedule.p_dis.copy()
-    if np.logical_or.reduce(scd):
-        beta = net_exchange(params, schedule.soe)[scd]
-        discharge = beta <= 0
-        p_chg[scd] = np.where(discharge, 0.0, beta / (params.eta_c * params.dt))
-        p_dis[scd] = np.where(discharge, -params.eta_d * beta / params.dt, 0.0)
+    beta = net_exchange(params, schedule.soe)[scd]
+    discharge = beta <= 0
+    p_chg[scd] = np.where(discharge, 0.0, beta / (params.eta_c * params.dt))
+    p_dis[scd] = np.where(discharge, -params.eta_d * beta / params.dt, 0.0)
     return Schedule(p_chg=p_chg, p_dis=p_dis, soe=schedule.soe.copy())
 
 
@@ -297,11 +316,7 @@ def schedule_from_dict(doc: dict) -> tuple:
     """Parse the schedule JSON document; returns (schedule, dt_hours)."""
     try:
         dt = float(doc["dt_hours"])
-        schedule = Schedule(
-            p_chg=np.asarray(doc["p_chg"], dtype=float),
-            p_dis=np.asarray(doc["p_dis"], dtype=float),
-            soe=np.asarray(doc["soe"], dtype=float),
-        )
+        schedule = Schedule(p_chg=doc["p_chg"], p_dis=doc["p_dis"], soe=doc["soe"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid schedule document: {exc}") from None
     return schedule, dt

@@ -1,6 +1,6 @@
 """The storage LP solved by its value function, in plain Python lists.
 
-With beta_t = s_t - rho*s_{t-1} in [-discharge_step, charge_step], the best
+With beta_t = s_t - rho*s_{t-1} in [-discharge_reach, charge_reach], the best
 profit from level s before period t is V_{t-1}(s) = max over beta of
 g_t(beta) + V_t(rho*s + beta), with V_T = 0 on [s_min, s_max].  g_t, the
 best profit of period t at net exchange beta, is concave with two linear
@@ -13,6 +13,8 @@ merged list, so the forward pass reads each period's beta off in O(1).
 
 from bisect import bisect_left, bisect_right
 from math import frexp, ldexp
+
+from .storage import reach_powers
 
 _INF = float("inf")
 _TOL = 1e-11  # numbers closer than _TOL times the magnitudes in play are equal
@@ -27,12 +29,14 @@ def lp_optimum(params, prices) -> tuple:
     c = prices.prices.tolist()
     T = len(c)
     rho, eta_c, eta_d, dt = params.rho, params.eta_c, params.eta_d, params.dt
-    # energies (hi, dis: beta_hi, -beta_lo) in the power of two just above
-    # energy_scale, exactly, so that no difference or tolerance below
-    # overflows; results are scaled back
+    # energies (hi, dis: beta_hi, -beta_lo, the reaches) in the power of two
+    # just above energy_scale, exactly, so that no difference or tolerance
+    # below overflows; results are scaled back
     unit = frexp(params.energy_scale)[1]
     s_min, s_max, s_init, hi, dis = (ldexp(v, -unit) for v in (
-        params.s_min, params.s_max, params.s_init, params.charge_step, params.discharge_step))
+        params.s_min, params.s_max, params.s_init, params.charge_reach, params.discharge_reach))
+    pc_hi, pd_hi = reach_powers(params)  # at the limits unless a reach clips them
+    hi_at_limit, dis_at_limit = pc_hi == params.p_chg_max, pd_hi == params.p_dis_max
     y_min, y_max = rho * s_min, rho * s_max
 
     # backward: V_t on [start, end] as segments, keys (minus the slope,
@@ -104,16 +108,16 @@ def lp_optimum(params, prices) -> tuple:
         add = 0.0 if add <= tol else hi if add >= hi - tol else add
         burn = add - beta
         burn = 0.0 if burn <= tol else dis if burn >= dis - tol else burn
-        p_chg.append(params.p_chg_max if add == hi else ldexp(add, unit) / (dt * eta_c))
-        p_dis.append(params.p_dis_max if burn == dis else ldexp(burn, unit) * eta_d / dt)
+        p_chg.append(pc_hi if add == hi else ldexp(add, unit) / (dt * eta_c))
+        p_dis.append(pd_hi if burn == dis else ldexp(burn, unit) * eta_d / dt)
         soe.append(ldexp(u, unit))
         # the balance multipliers the power statuses allow: lambda_t >= C_t/eta_c
         # unless p_chg = 0 and <= unless p_chg = Pc; <= eta_d*C_t unless p_dis
         # = 0 and >= unless p_dis = Pd
         xc, xd = c[t] / eta_c, eta_d * c[t]
-        lo, up = (xc if add else -_INF), (_INF if add == hi else xc)
-        allowed.append((lo if burn == dis or xd < lo else xd, up if not burn or xd > up else xd,
-                        at_min, at_max))
+        lo, up = (xc if add else -_INF), (_INF if add == hi and hi_at_limit else xc)
+        allowed.append((lo if burn == dis and dis_at_limit or xd < lo else xd,
+                        up if not burn or xd > up else xd, at_min, at_max))
         s = u
     return p_chg, p_dis, soe, _multipliers(rho, allowed)
 

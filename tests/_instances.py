@@ -15,8 +15,16 @@ from storesched import (
     corollary2_inexact,
     partition,
 )
+from storesched.lp import SolveReport
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
-from storesched.storage import net_exchange, scd_mask
+from storesched.storage import Schedule, detect_scd, net_exchange, scd_mask
+
+
+def lp_answer(sol, T):
+    """The answer at an optimal node LpSolution over T periods: its objective,
+    a copy of its schedule and that schedule's SCD events."""
+    schedule = Schedule(*sol.x[: 3 * T].reshape(3, T).copy())  # p_chg, p_dis, soe
+    return SolveReport(sol.objective, schedule, detect_scd(schedule))
 
 
 def random_params(rng, eta_one=False, dt=1.0):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import storesched
-from _instances import lp_safe_instance
+from _instances import lp_answer, lp_safe_instance
 from storesched import (
     Advice,
     Recommendation,
@@ -261,7 +261,7 @@ class TestSolve:
         repaired = 0
         for i in range(200):
             params, prices, _, _ = lp_safe_instance(rng)
-            if not lp.lp_answer(lp.solve_lp(lp.build_lp(params, prices)), len(prices)).scd_events:
+            if not lp_answer(lp.solve_lp(lp.build_lp(params, prices)), len(prices)).scd_events:
                 continue
             report = solve_storage_lp(params, prices)
             (tmp_path / "params.txt").write_text("".join(

@@ -8,6 +8,7 @@ from _instances import (
     edge_draw,
     fast_params,
     level_start,
+    lp_answer,
     lp_safe_instance,
     mixed_sign_prices,
     random_params,
@@ -138,7 +139,7 @@ class TestSolve:
         netted = 0
         for _ in range(200):
             params, prices, _, _ = lp_safe_instance(rng)
-            vertex = lp.lp_answer(solve_lp(build_lp(params, prices)), len(prices))
+            vertex = lp_answer(solve_lp(build_lp(params, prices)), len(prices))
             if not vertex.scd_events:
                 continue
             report = solve_storage_lp(params, prices)
@@ -151,7 +152,7 @@ class TestSolve:
             netted += 1
         assert netted >= 30
         params, prices = unit_storage(), PriceSeries([-10.0, 20.0], 1.0)
-        vertex = lp.lp_answer(solve_lp(build_lp(params, prices)), len(prices))
+        vertex = lp_answer(solve_lp(build_lp(params, prices)), len(prices))
         report = solve_storage_lp(params, prices)
         assert [ev.t for ev in report.scd_events] == [ev.t for ev in vertex.scd_events] == [1]
         np.testing.assert_allclose(report.schedule.p_chg, vertex.schedule.p_chg, rtol=1e-12)
@@ -361,7 +362,7 @@ class TestDurationStart:
         # legs there is no surplus to burn, and the start is optimal
         params = unit_storage(s_init=0.5)
         problem = build_lp(params, PriceSeries([-10.0], 1.0), legs=(1,))
-        start = lp._duration_start(problem, 1)
+        start = lp._duration_start(problem)
         # [p_chg, p_dis, soe, m^c, m^d]
         np.testing.assert_array_equal(start, [BASIC, BASIC, AT_LOWER, AT_LOWER, BASIC])
         sol = solve_bounded_lp(problem, start=start)
@@ -377,7 +378,7 @@ class TestDurationStart:
         prices = mixed_sign_prices(rng, 168)
         problem = build_lp(params, prices, partition(prices).t_neg)
         level = solve_bounded_lp(problem, start=level_start(problem, 168))
-        duration = solve_bounded_lp(problem, start=lp._duration_start(problem, 168))
+        duration = solve_bounded_lp(problem, start=lp._duration_start(problem))
         assert duration.objective == pytest.approx(level.objective, rel=1e-9)
         assert duration.iterations < 0.7 * level.iterations  # 27 against 223
 
@@ -405,7 +406,7 @@ class TestDurationStart:
 def simplex_answer(params, prices):
     """The storage LP at the simplex's vertex, or None when it is infeasible."""
     sol = solve_lp(build_lp(params, prices))
-    return lp.lp_answer(sol, len(prices)) if sol.status is LpStatus.OPTIMAL else None
+    return lp_answer(sol, len(prices)) if sol.status is LpStatus.OPTIMAL else None
 
 
 class TestValueFunction:

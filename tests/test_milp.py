@@ -1,7 +1,11 @@
 import copy
+import dataclasses
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _instances import (
     assert_lp_certificate,
@@ -52,7 +56,7 @@ class TestBuild:
         prices = PriceSeries(values, 1.0)
         problem = build_milp(unit_storage(), prices, True, partition(prices))
         assert problem.num_binaries == 8
-        assert problem.binary_periods == (6, 7, 8, 9)
+        np.testing.assert_array_equal(problem.binary_mask.nonzero()[0] + 1, [6, 7, 8, 9])
 
     def test_full_binary_count(self):
         prices = PriceSeries(np.full(24, 20.0), 1.0)
@@ -373,7 +377,7 @@ class TestSearchOrder:
             T = len(problem.prices)
             sch = Schedule(sol.x[:T], sol.x[T : 2 * T], sol.x[2 * T : 3 * T])
             eta_c, eta_d = problem.params.eta_c, problem.params.eta_d
-            events = [ev for ev in detect_scd(sch) if ev.t in problem.binary_periods]
+            events = [ev for ev in detect_scd(sch) if problem.binary_mask[ev.t - 1]]
             if not events:
                 return None
             return min(events, key=lambda ev: (-abs(problem.prices.prices[ev.t - 1])
@@ -589,7 +593,8 @@ class TestLegRows:
 
 def highs_objective(params, prices, periods):
     """MILP optimum from HiGHS with explicit binaries u_c, u_d at the given
-    periods: u_c + u_d <= 1, p_chg <= u_c * p_chg_max, p_dis <= u_d * p_dis_max."""
+    periods: u_c + u_d <= 1, p_chg <= u_c * P_c, p_dis <= u_d * P_d, with the
+    powers P_c, P_d that build_lp bounds them by (storage.reach_powers)."""
     opt = pytest.importorskip("scipy.optimize")
     lp_part = build_lp(params, prices)
     T, K = len(prices), len(periods)
@@ -599,9 +604,9 @@ def highs_objective(params, prices, periods):
     excl = np.zeros((3 * K, n))
     excl[k, 3 * T + k] = excl[k, 3 * T + K + k] = 1.0
     excl[K + k, t] = 1.0
-    excl[K + k, 3 * T + k] = -params.p_chg_max
+    excl[K + k, 3 * T + k] = -lp_part.upper[t]
     excl[2 * K + k, T + t] = 1.0
-    excl[2 * K + k, 3 * T + K + k] = -params.p_dis_max
+    excl[2 * K + k, 3 * T + K + k] = -lp_part.upper[T + t]
     rows = np.hstack([lp_part.a, np.zeros((T, 2 * K))])
     res = opt.milp(
         -np.concatenate([lp_part.c, np.zeros(2 * K)]),
@@ -662,3 +667,146 @@ class TestHighsCrossCheck:
         assert stats.root_bound >= report.objective - 1e-9 * abs(report.objective)
         if T == 168:
             assert stats.nodes == 1
+
+
+# Outreaching storages: a 1e-4 to 1e-2 MWh level range, a charge power
+# of 1e2 to 1e3 MW that dwarfs it, a discharge power of 1e-3 to 1e-2 MW, and
+# prices of both signs from 1e-3 to 1e3 in magnitude
+REACH_PRICES = [1000.0, -1000.0, 35.0, -35.0, 0.001, -0.001, 0.0]
+
+
+def outreaching_draw(rng):
+    """One outreaching storage and 20 prices, drawn in a fixed order."""
+    s_max = 10 ** rng.uniform(-4, -2)
+    s_min = s_max * rng.uniform(0, 0.5)
+    s_init = rng.uniform(s_min, s_max)
+    p_chg_max, p_dis_max = 10 ** rng.uniform(2, 3), 10 ** rng.uniform(-3, -2)
+    eta_c, eta_d = rng.choice([1.0, 0.9]), rng.choice([1.0, 0.95])
+    rho, dt = rng.choice([1.0, 0.999, 0.9]), rng.choice([0.25, 1.0])
+    params = StorageParams(s_min=s_min, s_max=s_max, s_init=s_init, p_chg_max=p_chg_max,
+                           p_dis_max=p_dis_max, eta_c=eta_c, eta_d=eta_d, rho=rho, dt=dt)
+    return params, PriceSeries(rng.choice(REACH_PRICES, 20), float(dt))
+
+
+def assert_outreaching_answers(params, prices, level_tol):
+    """Both MILPs on one storage whose power outreaches its level range:
+    refined equals full and is at most the LP, within 1e-9 of the LP
+    objective or, where that is near 0, of max|C_t| * energy_scale; every
+    schedule is feasible and within level_tol of [s_min, s_max]; and a tree
+    over K binary periods takes at most 2^(K+1) - 1 node LPs.  Returns the
+    refined answer."""
+    part = partition(prices)
+    lp_objective = solve_storage_lp(params, prices).objective
+    tol = 1e-9 * max(abs(lp_objective), np.abs(prices.prices).max() * params.energy_scale)
+    answers = {}
+    for refined, k in ((True, len(part.t_neg)), (False, len(prices))):
+        report, stats = solve_storage_milp(params, prices, part, refined=refined)
+        assert stats.nodes <= 2 ** (k + 1) - 1
+        assert report.objective <= lp_objective + tol
+        assert feasibility_check(params, report.schedule).feasible
+        soe = report.schedule.soe
+        assert soe.min() >= params.s_min - level_tol
+        assert soe.max() <= params.s_max + level_tol
+        answers[refined] = report
+    assert answers[True].objective == pytest.approx(answers[False].objective, abs=tol)
+    return answers[True]
+
+
+def highs_in_unit_range(params, prices, periods):
+    """highs_objective on the same storage in the energy unit that makes
+    s_max = 1.  HiGHS's tolerances are absolute: in MWh, on the 300 draws of
+    test_seeded_batch_against_highs its optimum fell short of the exact one
+    (each negative-price period's mode enumerated) by up to 7e-7 relative on
+    26 draws, and by none in this unit.  Profit scales with the unit."""
+    k = 1 / params.s_max
+    scaled = dataclasses.replace(
+        params, s_min=params.s_min * k, s_max=1.0, s_init=min(params.s_init * k, 1.0),
+        p_chg_max=params.p_chg_max * k, p_dis_max=params.p_dis_max * k)
+    return highs_objective(scaled, prices, periods) / k
+
+
+class TestOutreachingPower:
+    """A power limit far above what one period can move through the level
+    range.  build_lp bounds each power by its reach, so the simplex's primal
+    tolerance follows the storage's scale, and a period where a power is
+    fixed at 0 is never branched again."""
+
+    # draw 87 (0-based) of test_seeded_batch_against_highs
+    DRAW_87 = (StorageParams(s_min=5.8700944653188745e-05, s_max=0.0012717828379403193,
+                             s_init=0.0001802977464978047, p_chg_max=674.4533020876379,
+                             p_dis_max=0.0057198503083879335, eta_c=0.9, eta_d=1.0, rho=0.999,
+                             dt=1.0),
+               PriceSeries([0, -1000, 35, 0, 1000, 35, -1000, 0.001, -1000, -35, 0.001, -0.001,
+                            0.001, 35, 1000, -1000, -0.001, -1000, 35, -35], 1.0))
+
+    def test_draw_87_tree_ends(self):
+        # 176,896 node LPs in 30 s without the reach, branching again and
+        # again where a charge fixed at 0 kept 6.5e-8 MW; 9 negative-price
+        # periods allow at most 1,023 nodes
+        params, prices = self.DRAW_87
+        assert params.charge_reach < params.charge_step
+        start = time.perf_counter()
+        report, stats = solve_storage_milp(params, prices, partition(prices))
+        assert time.perf_counter() - start < 1.0
+        assert stats.nodes <= 1023
+        assert report.objective == pytest.approx(9.29529486, rel=1e-8)  # HiGHS
+        assert_outreaching_answers(params, prices, 1e-9 * params.s_max)
+
+    def test_seeded_batch_against_highs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            params, prices = outreaching_draw(rng)
+            start = time.perf_counter()
+            report = assert_outreaching_answers(params, prices, 1e-9 * params.s_max)
+            assert time.perf_counter() - start < 10.0
+            ref = highs_in_unit_range(params, prices, partition(prices).t_neg)
+            assert report.objective == pytest.approx(ref, rel=1e-9)
+
+    def test_node_lp_vertex_is_snapped_to_its_bounds(self):
+        # the node LP ends on p_dis = -5.55e-17 at t=2; the answer keeps the
+        # node LP's objective, with each power on [0, its limit] exactly
+        params = StorageParams(s_min=1.5, s_max=5.0, s_init=1.5, p_chg_max=0.05, p_dis_max=0.05,
+                               eta_c=0.95, eta_d=0.9365064861026619, rho=1.0, dt=1.0)
+        prices = PriceSeries([87.73, 87.73], 1.0)
+        node = lp.solve_lp(build_lp(params, prices))
+        assert node.x[3] < 0
+        for refined in (False, True):
+            report, _ = solve_storage_milp(params, prices, partition(prices), refined=refined)
+            assert report.objective == node.objective
+            for power, limit in ((report.schedule.p_chg, 0.05), (report.schedule.p_dis, 0.05)):
+                assert power.min() >= 0.0 and power.max() <= limit
+
+
+@st.composite
+def outreaching_storages(draw):
+    """outreaching_draw's shape, with 1 to 20 prices from its seven values."""
+    s_max = 10 ** draw(st.floats(-4, -2))
+    s_min = s_max * draw(st.floats(0, 0.5))
+    s_init = min(s_min + (s_max - s_min) * draw(st.floats(0, 1)), s_max)
+    params = StorageParams(
+        s_min=s_min, s_max=s_max, s_init=s_init,
+        p_chg_max=10 ** draw(st.floats(2, 3)), p_dis_max=10 ** draw(st.floats(-3, -2)),
+        eta_c=draw(st.sampled_from([1.0, 0.9])), eta_d=draw(st.sampled_from([1.0, 0.95])),
+        rho=draw(st.sampled_from([1.0, 0.999, 0.9])), dt=draw(st.sampled_from([0.25, 1.0])))
+    prices = draw(st.lists(st.sampled_from(REACH_PRICES), min_size=1, max_size=20))
+    return params, PriceSeries(prices, params.dt)
+
+
+# A level may end outside [s_min, s_max] by the simplex's primal tolerance,
+# 1e-9 of the node LP's largest bound.  The seeded batch stays within 1e-9 *
+# s_max; LEAK_BELOW_FLOOR ends 1e-11 (1e-8 * s_max) below s_min, where the
+# value function charges 4e-11 MW to hold s_min and the simplex stops within
+# its 1.4e-11 tolerance of the 0.014 MW charge bound.
+LEAK_BELOW_FLOOR = (StorageParams(s_min=1e-10, s_max=0.001, s_init=1e-10, p_chg_max=100.0,
+                                  p_dis_max=0.01, eta_c=1.0, eta_d=1.0, rho=0.9, dt=0.25),
+                    PriceSeries([0.0], 0.25))
+
+
+# the default profile's examples in tier 1; CI's counterexample hunt runs the
+# hunt profile too
+@example(draw=LEAK_BELOW_FLOOR)
+@given(draw=outreaching_storages())
+@settings(deadline=None)
+def test_hunt_outreaching_power(draw):
+    params, prices = draw
+    assert_outreaching_answers(params, prices, build_lp(params, prices).tols[0])

@@ -275,10 +275,15 @@ def lp_inputs(draw):
 NEAR_OVERFLOW = (StorageParams(s_min=0.0, s_max=1.7e308, s_init=8.5e307, p_chg_max=1.7e308,
                                p_dis_max=5e-324, eta_c=0.9, eta_d=0.9, rho=1.0, dt=1.0),
                  PriceSeries([35.0], 1.0))
+# a charge step near 1.7e308 MWh over a 1e-8 MWh range: its energy scale is
+# the range, in whose unit the step itself overflows; the LP runs the reach
+HUGE_STEP = (StorageParams(s_min=0.0, s_max=1e-8, s_init=0.0, p_chg_max=1.7e308, p_dis_max=1e-8,
+                           eta_c=0.9, eta_d=0.9, rho=1.0, dt=1.0), PriceSeries([-35.0, 35.0], 1.0))
 
 
 # every storage drawn has s_min = 0, so idling always fits: none is refused
 @example(inputs=NEAR_OVERFLOW)
+@example(inputs=HUGE_STEP)
 @settings(max_examples=300, **FUZZ)
 @given(inputs=lp_inputs())
 def test_lp_entry_point(inputs):
@@ -406,7 +411,7 @@ def test_build_lp_entry_point(inputs):
             return
         T, K = len(prices), len(part.t_neg)
         assert isinstance(problem, LpProblem) and problem.a.shape == (T + 2 * K, 3 * T + 2 * K)
-        start = lp._duration_start(problem, T)  # which always factors
+        start = lp._duration_start(problem)  # which always factors
         simplex._Factor(problem.a, np.flatnonzero(start == simplex.BASIC))
 
 

@@ -110,8 +110,10 @@ class TestParams:
         # no relative tolerance holds where every energy of the storage is subnormal
         with pytest.raises(ValueError, match=r"energy_scale is \S+, below the normal double range"):
             make_params(s_max=1e-310, s_init=0.0, p_chg_max=1e-310, p_dis_max=1e-310)
-        params = make_params(s_max=1e-310, s_init=0.0)  # a normal step is scale enough
-        assert params.energy_scale == params.discharge_step
+        params = make_params(s_max=1e-310, s_init=0.0)  # a normal reach is scale enough
+        # the discharge reach, what the 1e-310 MWh level range and a full
+        # charge let one period discharge, is below the discharge step
+        assert params.energy_scale == params.discharge_reach < params.discharge_step
 
 
     def test_numpy_scalars_become_floats(self):
