@@ -68,6 +68,7 @@ from .storage import (
     objective,
     propagate_soe,
     repair_scd,
+    require_compatible,
     require_schedulable,
     schedule_from_dict,
     schedule_to_dict,

@@ -7,8 +7,9 @@ Subcommands: partition, advise, solve, check, compare.  Exit codes:
 * 2  malformed or unreadable input (CSV, params file, schedule JSON,
      manifest), a full-power step that overflows double precision or
      underflows to 0, storage whose energy scale is below the normal
-     double range, storage that no schedule keeps within its limits
-     (decided before any solve, the same way for every formulation),
+     double range, storage that no schedule keeps within its limits or
+     prices it cannot take, another dt or a dt * price that overflows
+     (both decided before any solve, the same way for every formulation),
      input whose objective or a diagnostic overflows double precision,
      or a request too large for memory (such as a huge dp --grid)
 * 3  internal solver invariant breach, among them a branch and bound
@@ -33,7 +34,7 @@ import numpy as np
 
 from .conditions import Recommendation, advise, lemma1_classify
 from .dp import DpConfig, dp_value_error_bound, solve_dp
-from .lp import require_finite, solve_storage_lp
+from .lp import solve_storage_lp
 from .milp import build_milp, solve_milp
 from .prices import partition, read_price_csv
 from .simplex import SimplexFailure
@@ -43,6 +44,7 @@ from .storage import (
     StorageParams,
     detect_scd,
     feasibility_check,
+    require_finite,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -278,11 +280,11 @@ def cmd_compare(args) -> int:
         lp, milp = reports["lp"], reports["milp"]
         row["lp_scd_events"] = str(len(lp.scd_events))
 
-        # an advice of solve_lp with a real LP/MILP gap is a soundness bug
+        # solve_lp with a real gap is unsound; the unit holds at LP = 0 (kkt_verify's q * e)
         row["flag"] = ""
         if advice.recommendation is Recommendation.SOLVE_LP:
-            gap = abs(lp.objective - milp.objective)
-            if gap > 1e-8 * abs(lp.objective):
+            unit = max(abs(lp.objective), np.abs(prices.prices).max() * params.energy_scale)
+            if abs(lp.objective - milp.objective) > 1e-8 * unit:
                 row["flag"] = "ADVICE_UNSOUND"
         out_rows.append(row)
 
@@ -311,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
             "exit codes: 0 ok / advise says solve the LP; 1 check failed; "
             "2 malformed or unreadable input, a full-power step that overflows or "
             "underflows to 0, an energy scale below the normal double range, "
-            "storage no schedule keeps within its limits (decided before any solve), "
+            "storage no schedule keeps within its limits or prices with another dt or an "
+            "overflowing dt * price (decided before any solve), "
             "an objective or diagnostic that overflows, "
             "or a request too large for memory; 3 solver invariant breach (such as "
             "a branch and bound with no schedule) or unrepairable SCD; "
@@ -333,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--final-level-constrained",
         action="store_true",
-        help="a terminal state-of-energy constraint will be added downstream",
+        help="route to the refined MILP, as a terminal state-of-energy level needs "
+        "(no solver models that level yet)",
     )
 
     p = sub.add_parser("solve", help="solve one formulation, write report.json and plot.csv")

@@ -15,14 +15,14 @@ exhaustive_micro_oracle: full enumeration of discretized action
 sequences, an absolute ground truth at micro scale.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import SolveReport, _require_same_dt, require_finite
+from .lp import SolveReport
 from .prices import PriceSeries
-from .storage import EPS, Schedule, StorageParams, objective, require_schedulable
+from .storage import (EPS, Schedule, StorageParams, objective, require_compatible, require_finite,
+                      require_schedulable)
 
 
 class GridTooCoarse(ValueError):
@@ -108,11 +108,11 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
     best target in the windows of one level, charge upward, then discharge
     downward.  The objective is recomputed exactly on the reconstructed
     continuous schedule; it approaches the exclusive optimum from below as
-    the grid is refined.  Raises InfeasibleStorage (storage.require_schedulable)
-    before any solve.  An overflow of the profit is refused by name."""
+    the grid is refined.  storage.require_schedulable and require_compatible
+    refuse before any solve; an overflow of the profit is refused by name."""
     T = len(prices)
     require_schedulable(params, T)
-    _require_same_dt(params, prices)
+    require_compatible(params, prices)
     try:
         grid = np.linspace(params.s_min, params.s_max, config.grid_points)
     except (IndexError, ValueError):  # numpy refuses counts near or past its index range
@@ -126,9 +126,7 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
         values, costs = _values(params, prices, grid), params.dt * prices.prices
-        for name, top in (("value table", values.max()), ("dt * price", np.abs(costs).max())):
-            if not top < np.inf:  # NaN or +inf; -inf marks a level with no target
-                raise ValueError(f"dp {name} holds {top}: the profit overflows double precision")
+        require_finite("dp value table", values.max())  # values[T] = 0: never -inf
 
         # forward pass from the exact (possibly off-grid) initial level; after
         # one step the state sits on the grid within rounding, which
@@ -150,9 +148,7 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
             # the first maximizer, for determinism; NaN or +inf is an overflow
             if not end or (best := gain[a := int(gain[:end].argmax())]) == -np.inf:
                 raise GridTooCoarse(f"no feasible grid transition from level {s}")
-            if not math.isfinite(best):
-                raise ValueError(f"dp gain at level {s} is {best}: the profit overflows "
-                                 "double precision")
+            require_finite(f"dp gain at level {s}", best)
             p_chg[t], p_dis[t] = (pc[a], 0.0) if a < m else (0.0, pd[a - m])
             s = base + dt * (eta_c * p_chg[t] - p_dis[t] / eta_d)
             soe[t] = s

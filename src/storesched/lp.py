@@ -15,7 +15,8 @@ import numpy as np
 from .prices import PriceSeries
 from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, solve_bounded_lp
 from .storage import (Schedule, StorageParams, detect_scd, net_exchange, objective,
-                      reach_powers, require_schedulable, scd_mask)
+                      reach_powers, require_compatible, require_finite, require_schedulable,
+                      scd_mask)
 from .value import lp_optimum
 
 
@@ -50,11 +51,6 @@ class SolveReport:
     kkt_max_residual: float | None = None  # from solve_storage_lp only
 
 
-def _require_same_dt(params: StorageParams, prices: PriceSeries) -> None:
-    if prices.dt != params.dt:
-        raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
-
-
 def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> LpProblem:
     """Storage LP over [p_chg (T), p_dis (T), soe (T), m^c (K), m^d (K)],
     K = len(legs), maximizing sum_t dt*C_t*(p_dis_t - p_chg_t).  Row r is
@@ -63,14 +59,10 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     and, at each 1-based period t in legs, the level after the charge alone,
     m^c_t = rho*soe_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and after
     the discharge alone, m^d_t = rho*soe_{t-1} - dt*p_dis_t/eta_d in
-    [rho*s_min, rho*s_max], with powers up to storage.reach_powers.  A
-    ValueError names a dt * price that overflows."""
-    _require_same_dt(params, prices)
-    with np.errstate(over="ignore"):  # an overflow is refused by name
-        profit = params.dt * prices.prices
-    largest = np.maximum.reduce(np.abs(profit))
-    if not largest < np.inf:
-        raise ValueError(f"lp dt * price holds {largest}: the profit overflows double precision")
+    [rho*s_min, rho*s_max], with powers up to storage.reach_powers, once
+    storage.require_compatible has passed the prices."""
+    require_compatible(params, prices)
+    profit = params.dt * prices.prices
     T, K = len(prices), len(legs)
     dt, rho = params.dt, params.rho
     t_leg = np.asarray(legs, dtype=int) - 1
@@ -136,19 +128,13 @@ def solve_lp(problem: LpProblem, warm: LpSolution | None = None) -> LpSolution:
     return solve_bounded_lp(problem, start=_duration_start(problem))
 
 
-def require_finite(name: str, value: float) -> None:
-    """Refuse, by name, a result that overflowed double precision."""
-    if not np.isfinite(value):
-        raise ValueError(f"{name} is {value}, beyond double precision")
-
-
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """The LP answer from its value function (value.py), not the simplex: a
     schedule with no costless SCD (at a zero price or eta = 1), its SCD
-    events, duals from its bound statuses and their KKT residual.  Raises
-    InfeasibleStorage before any solve, or a ValueError naming an overflowing objective."""
+    events, duals from its bound statuses and their KKT residual.  Storage's
+    two gates refuse before any solve; a ValueError names an overflowing objective."""
     require_schedulable(params, len(prices))
-    _require_same_dt(params, prices)
+    require_compatible(params, prices)
     p_chg, p_dis, soe, lam = lp_optimum(params, prices)
     schedule, dt, c, lam = Schedule(p_chg, p_dis, soe), params.dt, prices.prices, np.array(lam)
     with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual

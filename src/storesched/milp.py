@@ -35,11 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import SolveReport, build_lp, require_finite, solve_lp
+from .lp import SolveReport, build_lp, solve_lp
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpSolution, LpStatus, SimplexFailure, child_bound
-from .storage import (Schedule, StorageParams, detect_scd, repair_scd, require_schedulable,
-                      scd_mask)
+from .storage import (Schedule, StorageParams, detect_scd, repair_scd, require_finite,
+                      require_schedulable, scd_mask)
 
 
 @dataclass

@@ -67,8 +67,7 @@ class StorageParams:
                 raise ValueError(f"{name} must be in (0, 1]")
         for name in ("charge_step", "discharge_step"):
             step = getattr(self, name)
-            if not math.isfinite(step):
-                raise ValueError(f"{name} is {step}, beyond double precision")
+            require_finite(name, step)
             if not step > 0:  # a power so small that a period at full rate moves no energy
                 raise ValueError(f"{name} is {step}, below double precision")
         if not self.energy_scale >= np.finfo(float).tiny:  # no relative check holds below it
@@ -165,6 +164,20 @@ def reach_powers(params: StorageParams) -> tuple:
     dt, reach_c, reach_d = params.dt, params.charge_reach, params.discharge_reach
     return (params.p_chg_max if reach_c == params.charge_step else reach_c / (dt * params.eta_c),
             params.p_dis_max if reach_d == params.discharge_step else reach_d * params.eta_d / dt)
+
+
+def require_finite(name: str, value: float) -> None:
+    """Refuse, by name, a quantity that overflowed double precision."""
+    if not np.isfinite(value):
+        raise ValueError(f"{name} is {value}, beyond double precision")
+
+
+def require_compatible(params: StorageParams, prices: PriceSeries) -> None:
+    """Raise a ValueError unless every formulation can take the prices with
+    this storage: the same dt, and each profit rate dt * C_t a double."""
+    if prices.dt != params.dt:
+        raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
+    require_finite("dt * price", params.dt * np.abs(prices.prices).max().item())
 
 
 def require_schedulable(params: StorageParams, T: int) -> None:

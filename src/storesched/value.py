@@ -42,15 +42,16 @@ def lp_optimum(params, prices) -> tuple:
     # backward: V_t on [start, end] as segments, keys (minus the slope,
     # rising) and lengths.  g_t's piece beta in [mid, hi_b] has key k1, the
     # piece [lo_b, mid] k2; at C_t < 0 the LP charges at full rate and burns
-    # the surplus by discharge, so the two slopes swap
+    # the surplus by discharge (spill, where eta < 1), so the two slopes swap
     start, end, keys, lens = s_min, s_max, [0.0], [s_max - s_min]
     pieces = [None] * T
     for t in range(T - 1, -1, -1):
         ct = c[t]
         if ct >= 0:
-            k1, k2, knot = -ct / eta_c, -ct * eta_d, 0.0
+            k1, k2, knot, spill = -ct / eta_c, -ct * eta_d, 0.0, 0.0
         else:
             k1, k2, knot = -ct * eta_d, -ct / eta_c, hi - dis
+            spill = 0.0 if params.eta == 1.0 else dis
         lo_b, hi_b = start - y_max, end - y_min  # the exchanges that reach [start, end]
         lo_b, hi_b = -dis if lo_b < -dis else lo_b, hi if hi_b > hi else hi_b
         lo_b = hi_b if lo_b > hi_b else lo_b
@@ -60,7 +61,7 @@ def lp_optimum(params, prices) -> tuple:
         i1, i2 = bisect_left(keys, k1), bisect_right(keys, k2)
         a1 = sum(lens[:i1])
         y0 = start - hi_b  # the merged list starts at rho*s = y0, with beta = hi_b
-        pieces[t] = (y0, a1, l1, a1 + l1 + sum(lens[i1:i2]), l2, start, end)
+        pieces[t] = (y0, a1, l1, a1 + l1 + sum(lens[i1:i2]), l2, start, end, spill)
         for i, k, v in ((i2, k2, l2), (i1, k1, l1)):
             if v > 0:
                 keys.insert(i, k)
@@ -91,9 +92,8 @@ def lp_optimum(params, prices) -> tuple:
 
     # forward: walk the merged list of each period to rho*s
     s, p_chg, p_dis, soe, allowed = s_init, [], [], [], []
-    single = [ct >= 0 or params.eta == 1.0 for ct in c]
     for t in range(T):
-        y0, a1, l1, a2, l2, start, end = pieces[t]
+        y0, a1, l1, a2, l2, start, end, spill = pieces[t]
         y = rho * s
         g1, g2 = y - y0 - a1, y - y0 - a2  # how far the walk went into g's pieces
         g = (0.0 if g1 < 0 else l1 if g1 > l1 else g1) + (0.0 if g2 < 0 else l2 if g2 > l2 else g2)
@@ -104,7 +104,7 @@ def lp_optimum(params, prices) -> tuple:
         u = s_max if at_max else s_min if at_min else u
         beta = u - y
         # the energy charged, one mode or a full-rate charge whose surplus burns
-        add = beta if single[t] else beta + dis
+        add = beta + spill
         add = 0.0 if add <= tol else hi if add >= hi - tol else add
         burn = add - beta
         burn = 0.0 if burn <= tol else dis if burn >= dis - tol else burn

@@ -15,8 +15,8 @@ from storesched import PriceSeries, StorageParams
 # constants from the package's source, so an edit to src/ can change them.
 # An instance that must be checked on every run is pinned with @example.
 settings.register_profile("ci", derandomize=True, print_blob=True)
-# The long run of the counterexample hunts in test_conditions.py and test_milp.py:
-#   pytest tests/test_conditions.py tests/test_milp.py -k hunt --hypothesis-profile=hunt
+# The long run of the counterexample hunts, every test whose name holds "hunt":
+#   pytest tests -k hunt --hypothesis-profile=hunt
 settings.register_profile("hunt", max_examples=12_000, derandomize=True, print_blob=True)
 
 

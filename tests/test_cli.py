@@ -449,8 +449,7 @@ class TestSolve:
                     "--formulation", "dp", "--out", out])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: dp value table holds ") and err.count("\n") == 1
-        assert "overflows double precision" in err
+        assert err == "error: dp value table is inf, beyond double precision\n"
         assert not out.exists()
 
     def test_iteration_limit_exit_3(self, workspace, monkeypatch, capsys):
@@ -660,6 +659,25 @@ class TestCompare:
         row = out.read_text().splitlines()[1].split(",")
         assert row[1] == "solve_lp"
         assert row[-1] == "ADVICE_UNSOUND"
+
+    def test_lp_earning_nothing_is_not_flagged(self, tmp_path):
+        # falling prices from an empty store: the LP earns 0 and the refined
+        # MILP 1.3e-15 EUR, a rounding far inside the profit unit
+        # max|C_t| * energy_scale, so the advice of solve_lp is sound
+        (tmp_path / "params.txt").write_text(
+            "s_min = 0\ns_max = 2\ns_init = 0\np_chg_max = 2.9017\np_dis_max = 0.13906\n"
+            "eta_c = 1\neta_d = 1\nrho = 1\ndt_hours = 1\n")
+        falling = [44.6, 41.8, 39.0, 36.2, 33.4, 30.6, 27.8, 25.0, 22.1, 19.3, 16.5, 13.7, 10.9,
+                   8.1, 5.3, 2.5]
+        (tmp_path / "falling.csv").write_text("t,price_eur_per_mwh\n" + "".join(
+            f"{t},{p}\n" for t, p in enumerate(falling, start=1)))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("params_path,prices_path,label\nparams.txt,falling.csv,day\n")
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--manifest", manifest, "--out", out]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[1:4] == ["solve_lp", "0.000000", "0.000000"]
+        assert row[-1] == ""
 
     def test_nonfinite_result_exit_2(self, workspace, capsys):
         params, prices = overflowing_inputs(workspace, "lp")

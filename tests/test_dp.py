@@ -137,7 +137,7 @@ class TestSolve:
         # a level with no grid transition
         params = unit_storage(p_chg_max=2.0, p_dis_max=2.0)
         prices = PriceSeries(np.tile([1e306, -1e306], 500), 1.0)
-        with pytest.raises(ValueError, match="dp value table holds .*overflows double precision"):
+        with pytest.raises(ValueError, match="^dp value table is inf, beyond double precision$"):
             solve_dp(params, prices, DpConfig())
 
     def test_error_bound_overflow_is_named(self):

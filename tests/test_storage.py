@@ -25,12 +25,14 @@ from storesched import (
     build_milp,
     partition,
     repair_scd,
+    require_compatible,
     require_schedulable,
     schedule_from_dict,
     schedule_to_dict,
     solve_dp,
     solve_lp,
     solve_storage_lp,
+    solve_storage_milp,
 )
 from storesched.simplex import LpStatus
 from storesched.storage import EPS, net_exchange
@@ -187,6 +189,39 @@ class TestSchedulable:
                      lambda: solve_dp(params, prices, DpConfig(2)),
                      lambda: solve_dp(params, PriceSeries(prices.prices, 0.5), DpConfig(101))):
             with pytest.raises(InfeasibleStorage, match="storage level"):
+                call()
+
+
+class TestCompatible:
+    def test_dt_and_the_edge_of_double_precision(self):
+        params = make_params(dt=10.0)
+        require_compatible(params, PriceSeries([35.0, -1.7e307], 10.0))  # dt * C_t: -1.7e308
+        with pytest.raises(ValueError, match=r"^prices dt 1.0 differs from params dt 10.0$"):
+            require_compatible(params, PriceSeries([35.0], 1.0))
+        with pytest.raises(ValueError, match=r"^dt \* price is inf, beyond double precision$"):
+            require_compatible(params, PriceSeries([35.0, -1.8e307], 10.0))
+
+    def test_every_solver_refuses_before_it_solves(self, monkeypatch):
+        # ten-hour periods at up to 1e308 EUR/MWh: dt * C_t overflows, and
+        # every formulation refuses it with one message before its first
+        # step (the value function, the simplex's problem, the DP's backward
+        # pass) can run
+        from storesched import dp, lp, value
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a solver step ran")
+
+        for module, name in ((value, "lp_optimum"), (lp, "lp_optimum"), (lp, "LpProblem"),
+                             (dp, "_values")):
+            monkeypatch.setattr(module, name, unreachable)
+        params = make_params(dt=10.0)
+        prices = PriceSeries([35.0, -5.0, 1e308], 10.0)
+        part = partition(prices)
+        for call in (lambda: solve_storage_lp(params, prices),
+                     lambda: solve_storage_milp(params, prices, part, refined=False),
+                     lambda: solve_storage_milp(params, prices, part, refined=True),
+                     lambda: solve_dp(params, prices, DpConfig())):
+            with pytest.raises(ValueError, match=r"^dt \* price is inf, beyond double precision$"):
                 call()
 
 
