@@ -1,21 +1,7 @@
 """Command-line surface.
 
-Subcommands: partition, advise, solve, check, compare.  Exit codes:
-
-* 0  success; for advise: the relaxation is safe, solve the LP
-* 1  check found an infeasible or simultaneously-charging schedule
-* 2  malformed or unreadable input (CSV, params file, schedule JSON,
-     manifest), a full-power step that overflows double precision or
-     underflows to 0, storage whose energy scale is below the normal
-     double range, storage that no schedule keeps within its limits or
-     prices it cannot take, another dt or a dt * price that overflows
-     (both decided before any solve, the same way for every formulation),
-     input whose objective or a diagnostic overflows double precision,
-     or a request too large for memory (such as a huge dp --grid)
-* 3  internal solver invariant breach, among them a branch and bound
-     that ends with no schedule for a storage that has one, or a
-     leftover SCD at a strictly negative price
-* 10 advise: solve the refined MILP
+Subcommands: partition, advise, solve, check, compare.  EXIT_CONTRACT
+states what each exit code means; ``--help`` prints it.
 
 All outputs are byte-deterministic given identical inputs and flags,
 except the *_time_s wall-clock columns of compare.
@@ -54,6 +40,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_SOLVER_ERROR = 3
 EXIT_SOLVE_MILP = 10
+
+# one line per code, each a class of outcome as main decides it; the --help epilog
+EXIT_CONTRACT = """\
+exit codes:
+  0   success; advise: the LP relaxation is safe, solve the LP
+  1   check: the schedule is infeasible or charges and discharges at once
+  2   input that cannot be solved as given (ValueError, OSError, MemoryError)
+  3   solver invariant breach (SimplexFailure, RepairNotApplicable)
+  10  advise: solve the refined MILP
+on 2 or 3, the message on stderr names the cause
+"""
 
 # the file spells dt as dt_hours, as schedule JSON does
 PARAM_KEYS = tuple("dt_hours" if f.name == "dt" else f.name for f in fields(StorageParams))
@@ -198,7 +195,7 @@ def cmd_check(args) -> int:
     with open(args.schedule, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
             raise ValueError(f"schedule JSON: {exc}")
     schedule, dt = schedule_from_dict(doc)
     if not abs(dt - params.dt) <= EPS * params.dt:  # NaN fails too
@@ -230,24 +227,22 @@ def _read_manifest(path):
     base = Path(path).parent
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "params_path",
-            "prices_path",
-            "label",
-        ]:
-            raise ValueError("manifest line 1: expected header params_path,prices_path,label")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"manifest line {lineno}: expected 3 columns, got {len(row)}")
-            params_path = base / row[0].strip()
-            prices_path = base / row[1].strip()
-            for p in (params_path, prices_path):
-                if not p.exists():
-                    raise ValueError(f"manifest line {lineno}: missing file {p}")
-            rows.append((params_path, prices_path, row[2].strip()))
+        try:
+            if [h.strip() for h in next(reader, ())] != ["params_path", "prices_path", "label"]:
+                raise ValueError("manifest line 1: expected header params_path,prices_path,label")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"manifest line {lineno}: expected 3 columns, got {len(row)}")
+                params_path = base / row[0].strip()
+                prices_path = base / row[1].strip()
+                for p in (params_path, prices_path):
+                    if not p.exists():
+                        raise ValueError(f"manifest line {lineno}: missing file {p}")
+                rows.append((params_path, prices_path, row[2].strip()))
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise ValueError(f"manifest line {reader.line_num}: {exc}") from None
     return rows
 
 
@@ -309,17 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="storesched",
         description="Schedule a price-taker energy storage system against a price series.",
-        epilog=(
-            "exit codes: 0 ok / advise says solve the LP; 1 check failed; "
-            "2 malformed or unreadable input, a full-power step that overflows or "
-            "underflows to 0, an energy scale below the normal double range, "
-            "storage no schedule keeps within its limits or prices with another dt or an "
-            "overflowing dt * price (decided before any solve), "
-            "an objective or diagnostic that overflows, "
-            "or a request too large for memory; 3 solver invariant breach (such as "
-            "a branch and bound with no schedule) or unrepairable SCD; "
-            "10 advise says solve the refined MILP"
-        ),
+        epilog=EXIT_CONTRACT,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -123,9 +123,11 @@ class Schedule:
     soe: np.ndarray
 
     def __post_init__(self):
-        self.p_chg = np.asarray(self.p_chg, dtype=float)
-        self.p_dis = np.asarray(self.p_dis, dtype=float)
-        self.soe = np.asarray(self.soe, dtype=float)
+        for name in ("p_chg", "p_dis", "soe"):
+            try:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            except OverflowError:
+                raise ValueError(f"{name} holds an integer beyond double precision") from None
         if not self.p_chg.ndim == self.p_dis.ndim == self.soe.ndim == 1:
             raise ValueError("p_chg, p_dis and soe must be 1-D arrays")
         if not len(self.p_chg) == len(self.p_dis) == len(self.soe):
@@ -330,6 +332,6 @@ def schedule_from_dict(doc: dict) -> tuple:
     try:
         dt = float(doc["dt_hours"])
         schedule = Schedule(p_chg=doc["p_chg"], p_dis=doc["p_dis"], soe=doc["soe"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ValueError(f"invalid schedule document: {exc}") from None
     return schedule, dt

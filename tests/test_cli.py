@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -86,6 +87,15 @@ class TestParser:
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
         assert done.returncode == 0 and done.stderr == ""
         assert done.stdout.startswith("usage: storesched ")
+
+    def test_help_prints_the_exit_contract(self):
+        # one unwrapped line per EXIT_* code, in EXIT_CONTRACT's words
+        codes = sorted(v for k, v in vars(cli).items()
+                       if k.startswith("EXIT_") and isinstance(v, int))
+        text = build_parser().format_help()
+        assert text.endswith("\n" + cli.EXIT_CONTRACT)
+        assert [int(line.split()[0]) for line in text.splitlines()
+                if re.match(r"  \d+ ", line)] == codes
 
     def test_built_once_and_reused(self, workspace, capsys):
         assert build_parser() is build_parser()
@@ -613,6 +623,12 @@ class TestCheck:
         for text, message in (
             ('{"dt_hours": 1.0, "p_chg": [0.0]}', "invalid schedule document"),
             ("not json", "schedule JSON:"),
+            ("[" * 200_000 + "]" * 200_000, "schedule JSON: maximum recursion depth exceeded"),
+            (json.dumps({"dt_hours": 1.0, "p_chg": [10**400] * 8, "p_dis": [0] * 8,
+                         "soe": [0] * 8}),
+             "invalid schedule document: p_chg holds an integer beyond double precision"),
+            (json.dumps({"dt_hours": 10**400, "p_chg": [0] * 8, "p_dis": [0] * 8,
+                         "soe": [0] * 8}), "invalid schedule document: int too large"),
             (json.dumps({"dt_hours": 1.0, "p_chg": seven, "p_dis": seven, "soe": seven}),
              "schedule horizon 7 differs from price horizon 8"),
         ):
@@ -708,6 +724,10 @@ class TestCompare:
         manifest.write_text("params_path,prices_path,label\n\nfast.txt,prices.csv\n")
         assert run(["compare", "--manifest", manifest]) == 2
         assert "manifest line 3: expected 3 columns, got 2" in capsys.readouterr().err
+        manifest.write_text(f"params_path,prices_path,label\nfast.txt,prices.csv,"
+                            f"{'x' * (csv.field_size_limit() + 1)}\n")
+        assert run(["compare", "--manifest", manifest]) == 2
+        assert "manifest line 2: field larger than field limit" in capsys.readouterr().err
 
     def test_broken_instance_named(self, workspace, capsys):
         # the second row's input is broken: the error names its file

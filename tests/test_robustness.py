@@ -6,6 +6,7 @@ MILPs and the DP: each call returns or raises a documented exception,
 and nothing warns."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -150,6 +151,12 @@ FUZZ = dict(deadline=None, derandomize=True,
             suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 
 
+# a unit storage and two prices, for the examples whose one fault lies elsewhere
+UNIT_PARAMS = ("s_min = 0\ns_max = 1\ns_init = 0.5\np_chg_max = 2\np_dis_max = 2\n"
+               "eta_c = 0.9\neta_d = 0.9\nrho = 1\ndt_hours = 1\n")
+TWO_PRICES = "t,price_eur_per_mwh\n1,-5.0\n2,30.0\n"
+
+
 def write(tmp_path, texts):
     """The input files of one example; returns their paths."""
     paths = [tmp_path / name for name in ("params.txt", "prices.csv", "schedule.json")]
@@ -158,6 +165,17 @@ def write(tmp_path, texts):
     return paths
 
 
+# check on schedule JSON nested past the recursion limit, and on integers
+# beyond double precision
+IDLE = {"dt_hours": 1, "p_chg": [0, 0], "p_dis": [0, 0], "soe": [0, 0]}
+
+
+@example(texts=(UNIT_PARAMS, TWO_PRICES, "[" * 200_000 + "]" * 200_000), command="check",
+         grid=None)
+@example(texts=(UNIT_PARAMS, TWO_PRICES, json.dumps({**IDLE, "p_dis": [0, 10**400]})),
+         command="check", grid=None)
+@example(texts=(UNIT_PARAMS, TWO_PRICES, json.dumps({**IDLE, "dt_hours": 10**400})),
+         command="check", grid=None)
 @settings(max_examples=150, **FUZZ)
 @given(texts=inputs(), command=st.sampled_from(["partition", "advise", "check", *FORMULATIONS]),
        grid=GRID)
@@ -171,6 +189,9 @@ def test_every_subcommand(tmp_path, texts, command, grid):
     assert_documented([*args, "--prices", prices])
 
 
+# a field one character over the csv module's size limit
+@example(texts=(UNIT_PARAMS, TWO_PRICES, ""), grid=None, manifest="params_path,prices_path,label\n"
+         "params.txt,prices.csv," + "x" * (csv.field_size_limit() + 1) + "\n")
 @settings(max_examples=40, **FUZZ)
 @given(texts=inputs(), grid=GRID, manifest=st.sampled_from([
     "params_path,prices_path,label\nparams.txt,prices.csv,a\n",
@@ -191,10 +212,7 @@ def test_compare(tmp_path, texts, grid, manifest):
 def test_grid_past_the_index_range_is_named(tmp_path, grid, command):
     # numpy refuses a state grid this large with a message that names
     # nothing (or an IndexError); the error must name the grid instead
-    (tmp_path / "params.txt").write_text(
-        "s_min = 0\ns_max = 1\ns_init = 0.5\np_chg_max = 2\np_dis_max = 2\n"
-        "eta_c = 0.9\neta_d = 0.9\nrho = 1\ndt_hours = 1\n")
-    (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,-5.0\n2,30.0\n")
+    write(tmp_path, (UNIT_PARAMS, TWO_PRICES))
     (tmp_path / "manifest.csv").write_text("params_path,prices_path,label\nparams.txt,prices.csv,a\n")
     args = {"solve": ["solve", "--params", tmp_path / "params.txt", "--prices",
                       tmp_path / "prices.csv", "--formulation", "dp", "--out", tmp_path / "out"],
@@ -534,14 +552,17 @@ def test_feasibility_check_entry_point(columns, dt):
         assert not report.feasible
 
 
+# columns of floats, of nested lists, or of integers beyond double precision
+@example(lengths=(1, 1, 1), entry=10**400)
 @settings(max_examples=100, **FUZZ)
-@given(lengths=st.tuples(*[st.integers(0, 3)] * 3), nested=st.booleans())
-def test_misshaped_schedule_refused(lengths, nested):
-    columns = [[[0.0]] * n if nested else [0.0] * n for n in lengths]
+@given(lengths=st.tuples(*[st.integers(0, 3)] * 3), entry=st.sampled_from([0.0, [0.0], 10**400]))
+def test_misshaped_schedule_refused(lengths, entry):
+    columns = [[entry] * n for n in lengths]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if not nested and len(set(lengths)) == 1 and lengths[0] > 0:
+        if entry == 0.0 and len(set(lengths)) == 1 and lengths[0] > 0:
             assert len(Schedule(*columns)) == lengths[0]
             return
-        with pytest.raises(ValueError, match="1-D arrays|share one length|at least one period"):
+        with pytest.raises(ValueError, match="1-D arrays|share one length|at least one period|"
+                           "(p_chg|p_dis|soe) holds an integer beyond double precision"):
             Schedule(*columns)
