@@ -61,7 +61,7 @@ def read_params_file(path) -> StorageParams:
     A ValueError names the file, and the offending line where there is one
     (not for a missing key or values StorageParams rejects)."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -192,7 +192,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     params, prices, part = _load_inputs(args.params, args.prices)
-    with open(args.schedule, "r", encoding="utf-8") as fh:
+    with open(args.schedule, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
@@ -215,17 +215,14 @@ def cmd_check(args) -> int:
         print(f"  scd t={ev.t} p_chg={ev.p_chg_t:.6g} p_dis={ev.p_dis_t:.6g}")
     for t in part.t_neg:
         verdict = lemma1_classify(params, prices, schedule, t)
-        print(
-            f"negative-price t={t}: {verdict.classification.value} "
-            f"(beta={verdict.beta_t:.6g})"
-        )
+        print(f"negative-price t={t}: {verdict.classification.value} (beta={verdict.beta_t:.6g})")
     return EXIT_CHECK_FAILED if fea.violations or events else EXIT_OK
 
 
 def _read_manifest(path):
     rows = []
     base = Path(path).parent
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if [h.strip() for h in next(reader, ())] != ["params_path", "prices_path", "label"]:
@@ -246,18 +243,8 @@ def _read_manifest(path):
     return rows
 
 
-COMPARE_COLUMNS = [
-    "label",
-    "advice",
-    "lp_objective",
-    "milp_objective",
-    "dp_objective",
-    "lp_scd_events",
-    "lp_time_s",
-    "milp_time_s",
-    "dp_time_s",
-    "flag",
-]
+COMPARE_COLUMNS = ["label", "advice", "lp_objective", "milp_objective", "dp_objective",
+                   "lp_scd_events", "lp_time_s", "milp_time_s", "dp_time_s", "flag"]
 
 
 def cmd_compare(args) -> int:
@@ -328,9 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one formulation, write report.json and plot.csv")
     common(p)
-    p.add_argument(
-        "--formulation", required=True, choices=["lp", "milp", "refined", "dp"]
-    )
+    p.add_argument("--formulation", required=True, choices=["lp", "milp", "refined", "dp"])
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--grid", type=int, help="dp state grid points (dp only)")
 

@@ -6,7 +6,7 @@ to the refined MILP.
 import enum
 from dataclasses import dataclass
 
-from .prices import PricePartition, PriceSeries
+from .prices import PricePartition, PriceSeries, require_int
 from .storage import EPS, Schedule, StorageParams, check_assumption_leakage
 
 
@@ -119,8 +119,7 @@ def lemma1_classify(
     exchange beta_t = s_t - rho * s_{t-1}: at the maximum net charge or the
     maximum net discharge, SCD is not optimal at t; anywhere in between,
     every LP optimum exhibits SCD at t."""
-    if not 1 <= t <= len(schedule):
-        raise ValueError(f"period {t} outside horizon")
+    require_int("t", t, 1, len(schedule))
     if prices.prices[t - 1] >= 0:
         raise NotNegativePrice(f"C_{t} = {prices.prices[t - 1]} is not strictly negative")
     prev = schedule.soe[t - 2] if t > 1 else params.s_init

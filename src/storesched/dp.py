@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import SolveReport
-from .prices import PriceSeries
+from .prices import PriceSeries, require_int
 from .storage import (EPS, Schedule, StorageParams, objective, require_compatible, require_finite,
                       require_schedulable)
 
@@ -46,12 +46,7 @@ class DpConfig:
     grid_points: int = 801
 
     def __post_init__(self):
-        _require_int("grid_points", self.grid_points, 2)
-
-
-def _require_int(name: str, value, lo: int, hi: float = np.inf) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
-        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+        require_int("grid_points", self.grid_points, 2)
 
 
 def _windows(params: StorageParams, grid: np.ndarray, s):
@@ -176,7 +171,7 @@ def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: 
     T = len(prices)
     if T > 4:
         raise HorizonTooLong(f"T={T} exceeds the micro-oracle limit of 4")
-    _require_int("levels", levels, 1, 7)
+    require_int("levels", levels, 1, 7)
     dt, eta_c, eta_d, rho = params.dt, params.eta_c, params.eta_d, params.rho
     tol = EPS * params.energy_scale
 

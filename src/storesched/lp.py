@@ -106,7 +106,7 @@ def _duration_start(problem: LpProblem) -> np.ndarray:
     span = upper[2 * T : 3 * T] - lower[2 * T : 3 * T]
     chg = (c[:T] > 0) & (-a[t, t] * upper[:T] >= span)
     dis = (c[T : 2 * T] > 0) & (a[t, T + t] * upper[T : 2 * T] >= span)
-    t_leg = a[T : (problem.m + T) // 2, :T].nonzero()[1]  # the period of each charge-leg row
+    t_leg = (a[T : (problem.m + T) // 2, :T] != 0).nonzero()[1]  # each charge-leg row's period
     burn = chg[t_leg]  # leg periods that start at the SCD vertex
     start = np.full(problem.n, AT_LOWER)
     start[2 * T :] = BASIC
@@ -135,8 +135,8 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     two gates refuse before any solve; a ValueError names an overflowing objective."""
     require_schedulable(params, len(prices))
     require_compatible(params, prices)
-    p_chg, p_dis, soe, lam = lp_optimum(params, prices)
-    schedule, dt, c, lam = Schedule(p_chg, p_dis, soe), params.dt, prices.prices, np.array(lam)
+    p_chg, p_dis, soe, lam = map(np.array, lp_optimum(params, prices))  # Schedule checks by dtype
+    schedule, dt, c = Schedule(p_chg, p_dis, soe), params.dt, prices.prices
     with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual
         report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
         require_finite("lp objective", report.objective)

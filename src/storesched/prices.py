@@ -20,16 +20,47 @@ class PriceCsvError(ValueError):
         self.line = line
 
 
+def _is_real(kind: type) -> bool:
+    """Whether values of this type are real numbers: no bool, string, None or complex."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
 def real_number(name: str, value) -> float:
-    """value as a float, refused by name unless it is a real number (no
-    string, None or complex number); an integer beyond double precision
-    reads as inf, for the caller's finiteness check to refuse."""
-    if not isinstance(value, numbers.Real):
+    """value as a float, refused by name unless it is a real number; an
+    integer beyond double precision reads as inf, for the caller's
+    finiteness check to refuse."""
+    if not _is_real(type(value)):
         raise ValueError(f"{name} must be a real number")
     try:
         return float(value)
     except OverflowError:
         return math.inf
+
+
+def real_column(name: str, values) -> np.ndarray:
+    """values as a float array of their own shape (the caller's to check),
+    refused by name unless every entry is a real number within double
+    precision: an integer or float ndarray by its dtype, anything else entry
+    by entry, as np.asarray reads [True, 0] as integers, [np.True_, 1.5] as floats."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return np.asarray(values, dtype=float)
+    try:
+        entries = np.asarray(values, dtype=object)  # the caller's own objects
+        real = all(map(_is_real, set(map(type, entries.ravel().tolist()))))
+    except ValueError:  # arrays of ragged shapes
+        real = False
+    if not real:
+        raise ValueError(f"{name} must be real numbers")
+    try:
+        return entries.astype(float)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer beyond double precision") from None
+
+
+def require_int(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """Refuse, by name, anything but an integer (no bool) in [lo, hi]."""
+    if not (_is_real(type(value)) and isinstance(value, numbers.Integral) and lo <= value <= hi):
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,14 +74,7 @@ class PriceSeries:
     dt: float
 
     def __post_init__(self):
-        try:
-            prices = np.asarray(self.prices)
-            real = prices.dtype.kind in "biuf"  # no strings, None or complex numbers
-        except ValueError:  # ragged nesting
-            real = False
-        if not real:
-            raise ValueError("prices must be real numbers")
-        object.__setattr__(self, "prices", np.asarray(prices, dtype=float))
+        object.__setattr__(self, "prices", real_column("prices", self.prices))
         if self.prices.ndim != 1 or len(self.prices) < 1:
             raise ValueError("prices must be a non-empty 1-D sequence")
         if not np.logical_and.reduce(np.isfinite(self.prices)):
@@ -118,7 +142,7 @@ def read_price_csv(path, dt: float = 1.0) -> PriceSeries:
     """Read a price CSV with header ``t,price_eur_per_mwh`` and 1-based
     contiguous t values.  Raises PriceCsvError with the path and a line
     number on any format violation."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is no header
         lines = fh.read().splitlines()
     if not lines:
         raise PriceCsvError(path, 1, "empty file")

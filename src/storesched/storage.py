@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .prices import PriceSeries, real_number
+from .prices import PriceSeries, real_column, real_number
 
 #: What counts as zero: an energy within EPS * energy_scale of a bound, or a
 #: power within that over dt, is on it.  Two orders above simplex.TOL.
@@ -124,10 +124,7 @@ class Schedule:
 
     def __post_init__(self):
         for name in ("p_chg", "p_dis", "soe"):
-            try:
-                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-            except OverflowError:
-                raise ValueError(f"{name} holds an integer beyond double precision") from None
+            setattr(self, name, real_column(name, getattr(self, name)))
         if not self.p_chg.ndim == self.p_dis.ndim == self.soe.ndim == 1:
             raise ValueError("p_chg, p_dis and soe must be 1-D arrays")
         if not len(self.p_chg) == len(self.p_dis) == len(self.soe):
@@ -197,8 +194,7 @@ def propagate_soe(params: StorageParams, p_chg, p_dis) -> np.ndarray:
     """State of energy at each period end given the power schedule:
     s_t = rho * s_{t-1} + dt * (eta_c * pC_t - pD_t / eta_d), s_0 = s_init.
     """
-    p_chg = np.asarray(p_chg, dtype=float)
-    p_dis = np.asarray(p_dis, dtype=float)
+    p_chg, p_dis = real_column("p_chg", p_chg), real_column("p_dis", p_dis)
     if p_chg.shape != p_dis.shape or p_chg.ndim != 1 or len(p_chg) < 1:
         raise ValueError("p_chg and p_dis must be 1-D sequences of equal length >= 1")
     if np.any(p_chg < 0) or np.any(p_dis < 0):
@@ -330,8 +326,8 @@ def schedule_to_dict(schedule: Schedule, dt: float) -> dict:
 def schedule_from_dict(doc: dict) -> tuple:
     """Parse the schedule JSON document; returns (schedule, dt_hours)."""
     try:
-        dt = float(doc["dt_hours"])
+        dt = real_number("dt_hours", doc["dt_hours"])
         schedule = Schedule(p_chg=doc["p_chg"], p_dis=doc["p_dis"], soe=doc["soe"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
+    except (KeyError, TypeError, ValueError) as exc:  # TypeError: a document that is no object
         raise ValueError(f"invalid schedule document: {exc}") from None
     return schedule, dt

@@ -62,6 +62,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def with_bom(path):
+    """A copy of the file that starts with a UTF-8 byte-order mark, as
+    spreadsheet exports write it."""
+    copy = path.with_name("bom_" + path.name)
+    copy.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    return copy
+
+
 def overflowing_inputs(workspace, formulation):
     """(params, prices) files whose formulation's objective or a diagnostic
     overflows double precision."""
@@ -115,11 +123,12 @@ class TestParser:
 
 class TestPartition:
     def test_output(self, workspace, capsys):
-        assert run(["partition", "--prices", workspace / "prices.csv"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["t_neg"] == [3, 4]
-        assert doc["n_bar"] == 2
-        assert doc["longest_neg"] == {"start": 3, "end": 4}
+        for prices in (workspace / "prices.csv", with_bom(workspace / "prices.csv")):
+            assert run(["partition", "--prices", prices]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["t_neg"] == [3, 4]
+            assert doc["n_bar"] == 2
+            assert doc["longest_neg"] == {"start": 3, "end": 4}
 
     def test_bad_csv_exit_2(self, workspace, capsys):
         bad = workspace / "bad.csv"
@@ -139,13 +148,12 @@ class TestPartition:
 
 class TestAdvise:
     def test_fast_storage_routes_to_milp(self, workspace, capsys):
-        code = run(
-            ["advise", "--params", workspace / "fast.txt", "--prices", workspace / "prices.csv"]
-        )
-        assert code == 10
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["recommendation"] == "solve_refined_milp"
-        assert any(r["rule"] == "corollary2" and r["fired"] for r in doc["rationale"])
+        for params in (workspace / "fast.txt", with_bom(workspace / "fast.txt")):
+            code = run(["advise", "--params", params, "--prices", workspace / "prices.csv"])
+            assert code == 10
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["recommendation"] == "solve_refined_milp"
+            assert any(r["rule"] == "corollary2" and r["fired"] for r in doc["rationale"])
 
     def test_slow_storage_routes_to_lp(self, workspace, capsys):
         code = run(
@@ -553,15 +561,16 @@ class TestCheck:
         }
         path = workspace / "bad_sched.json"
         path.write_text(json.dumps(sched))
-        code = run(
-            [
-                "check", "--params", workspace / "fast.txt",
-                "--prices", workspace / "prices.csv",
-                "--schedule", path,
-            ]
-        )
-        assert code == 1
-        assert "soe_recursion" in capsys.readouterr().out
+        for schedule in (path, with_bom(path)):
+            code = run(
+                [
+                    "check", "--params", workspace / "fast.txt",
+                    "--prices", workspace / "prices.csv",
+                    "--schedule", schedule,
+                ]
+            )
+            assert code == 1
+            assert "soe_recursion" in capsys.readouterr().out
 
     def test_nonfinite_entry_fails_check(self, workspace, capsys):
         sched = {
@@ -628,7 +637,18 @@ class TestCheck:
                          "soe": [0] * 8}),
              "invalid schedule document: p_chg holds an integer beyond double precision"),
             (json.dumps({"dt_hours": 10**400, "p_chg": [0] * 8, "p_dis": [0] * 8,
-                         "soe": [0] * 8}), "invalid schedule document: int too large"),
+                         "soe": [0] * 8}), "schedule dt_hours inf differs from params dt_hours"),
+            # no number, read as one before: a numeral string, a boolean or null
+            (json.dumps({"dt_hours": 1.0, "p_chg": ["0.5", "0"] * 4, "p_dis": [0] * 8,
+                         "soe": [0] * 8}), "invalid schedule document: p_chg must be real numbers"),
+            (json.dumps({"dt_hours": 1.0, "p_chg": [True, 0] * 4, "p_dis": [0] * 8,
+                         "soe": [0] * 8}), "invalid schedule document: p_chg must be real numbers"),
+            (json.dumps({"dt_hours": 1.0, "p_chg": [None, 0] * 4, "p_dis": [0] * 8,
+                         "soe": [0] * 8}), "invalid schedule document: p_chg must be real numbers"),
+            (json.dumps({"dt_hours": "1", "p_chg": [0] * 8, "p_dis": [0] * 8, "soe": [0] * 8}),
+             "invalid schedule document: dt_hours must be a real number"),
+            (json.dumps({"dt_hours": True, "p_chg": [0] * 8, "p_dis": [0] * 8, "soe": [0] * 8}),
+             "invalid schedule document: dt_hours must be a real number"),
             (json.dumps({"dt_hours": 1.0, "p_chg": seven, "p_dis": seven, "soe": seven}),
              "schedule horizon 7 differs from price horizon 8"),
         ):
@@ -653,17 +673,18 @@ class TestCompare:
             "slow.txt,prices.csv,slow\n"
         )
         out = workspace / "cmp.csv"
-        code = run(["compare", "--manifest", manifest, "--out", out,
-                    "--grid", "201"])
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("label,advice,")
-        assert len(lines) == 3
-        table = capsys.readouterr().out.splitlines()
-        assert table[1].startswith("fast")
-        assert "solve_refined_milp" in table[1]
-        assert "solve_lp" in table[2]
-        assert "ADVICE_UNSOUND" not in out.read_text()
+        for path in (manifest, with_bom(manifest)):
+            code = run(["compare", "--manifest", path, "--out", out,
+                        "--grid", "201"])
+            assert code == 0
+            lines = out.read_text().splitlines()
+            assert lines[0].startswith("label,advice,")
+            assert len(lines) == 3
+            table = capsys.readouterr().out.splitlines()
+            assert table[1].startswith("fast")
+            assert "solve_refined_milp" in table[1]
+            assert "solve_lp" in table[2]
+            assert "ADVICE_UNSOUND" not in out.read_text()
 
     def test_unsound_advice_flagged(self, workspace, monkeypatch):
         # an advice of solve_lp on the fast storage, whose LP/MILP gap is real

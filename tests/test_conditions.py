@@ -388,8 +388,9 @@ class TestLemma1:
     def test_period_out_of_range(self):
         params = unit_storage(0.2, 0.2)
         sch = self._optimum_like(params, [0.2], [0.0])
-        with pytest.raises(ValueError):
-            lemma1_classify(params, series([-5.0]), sch, 2)
+        for t in (2, 0, 1.5, True):  # a period is an integer in [1, T]
+            with pytest.raises(ValueError, match=r"^t must be an integer in \[1, 1\]"):
+                lemma1_classify(params, series([-5.0]), sch, t)
 
     def test_infinite_levels(self):
         # beta = inf - rho * inf is NaN, an interior exchange, and computing

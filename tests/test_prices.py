@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,15 @@ class TestSeries:
     def test_prices_must_be_finite(self, value):
         with pytest.raises(ValueError, match="finite"):
             PriceSeries([1.0, value], 1.0)
+
+    def test_real_numbers_of_every_kind(self):
+        # ints, floats, numpy scalars and fractions read as their float values,
+        # an integer or float array by its dtype
+        values = [1, 2.5, np.float64(-3.0), np.int64(4), np.float32(0.5), Fraction(1, 3)]
+        series = PriceSeries(values, Fraction(1, 4))
+        assert series.prices.tolist() == [float(v) for v in values] and series.dt == 0.25
+        for array in (np.arange(3), np.arange(3, dtype=np.uint8), np.arange(3, dtype=np.float32)):
+            assert PriceSeries(array, 1).prices.tolist() == [0.0, 1.0, 2.0]
 
     def test_prices_must_be_a_nonempty_vector(self):
         for values in ([[1.0, 2.0], [3.0, 4.0]], []):

@@ -59,6 +59,8 @@ EXTREME = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-
                            1e150, 1e300, 1.7e308, -1e300, -1.7e308])
 ORDINARY = st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0, 2.0, 10.0, -10.0, 35.0, -5.0])
 NUMBER = st.one_of(EXTREME, ORDINARY, st.floats(allow_nan=True, allow_infinity=True))
+# what a JSON document holds that is no number: a numeral string, a boolean, null
+NON_NUMBER = st.sampled_from(["0.5", "1", True, False, None])
 # a number as a file spells it, or text that is no number
 TOKEN = st.one_of(NUMBER.map(repr), st.sampled_from(["", "abc", "1e999", "-1e999", "nan",
                                                      "0x10", "1,5", " "]))
@@ -106,13 +108,15 @@ def prices_text(draw, prices):
 
 def schedule_text(draw, T):
     """Schedule JSON of horizon T or near it.  Mostly well formed, with
-    extreme entries; else mismatched shapes, a missing key or no JSON."""
+    extreme entries; else mismatched shapes, a value that is no number,
+    alone or among numbers, a missing key or no JSON."""
     array = st.lists(NUMBER, min_size=T, max_size=T)
     doc = {"dt_hours": 1.0, "p_chg": draw(array), "p_dis": draw(array), "soe": draw(array)}
     if draw(st.integers(0, 3)) == 0:
         key = draw(st.sampled_from(sorted(doc)))
-        doc[key] = draw(st.one_of(NUMBER, st.just("1"), st.lists(st.lists(NUMBER, max_size=2),
-                                                               max_size=T + 1)))
+        doc[key] = draw(st.one_of(NUMBER, NON_NUMBER,
+                                  st.lists(st.one_of(NUMBER, NON_NUMBER), min_size=T, max_size=T),
+                                  st.lists(st.lists(NUMBER, max_size=2), max_size=T + 1)))
         if draw(st.booleans()):
             del doc[key]
     text = json.dumps(doc)  # NaN and Infinity appear as those tokens
@@ -140,6 +144,21 @@ def assert_documented(args):
     code, err = run(args)
     assert code in EXIT_CODES, (code, err)
     assert "Traceback" not in err
+    return code
+
+
+def holds_no_number(text):
+    """Whether a schedule JSON document's dt_hours, or an entry of one of its
+    columns, is a string, a boolean or null (or dt_hours is missing)."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return False
+    if not isinstance(doc, dict):
+        return False
+    columns = [doc.get(key) for key in ("p_chg", "p_dis", "soe")]
+    values = [doc.get("dt_hours"), *(v for c in columns if isinstance(c, list) for v in c)]
+    return any(v is None or isinstance(v, (bool, str)) for v in values)
 
 
 # StorageParams' refusals of a storage whose energies double precision cannot hold
@@ -165,8 +184,8 @@ def write(tmp_path, texts):
     return paths
 
 
-# check on schedule JSON nested past the recursion limit, and on integers
-# beyond double precision
+# check on schedule JSON nested past the recursion limit, on integers beyond
+# double precision, and on values that are no number, alone or among numbers
 IDLE = {"dt_hours": 1, "p_chg": [0, 0], "p_dis": [0, 0], "soe": [0, 0]}
 
 
@@ -175,6 +194,16 @@ IDLE = {"dt_hours": 1, "p_chg": [0, 0], "p_dis": [0, 0], "soe": [0, 0]}
 @example(texts=(UNIT_PARAMS, TWO_PRICES, json.dumps({**IDLE, "p_dis": [0, 10**400]})),
          command="check", grid=None)
 @example(texts=(UNIT_PARAMS, TWO_PRICES, json.dumps({**IDLE, "dt_hours": 10**400})),
+         command="check", grid=None)
+@example(texts=(UNIT_PARAMS, TWO_PRICES, json.dumps({**IDLE, "p_chg": ["0.5", "0"]})),
+         command="check", grid=None)
+@example(texts=(UNIT_PARAMS, TWO_PRICES, json.dumps({**IDLE, "p_dis": [True, 0]})),
+         command="check", grid=None)
+@example(texts=(UNIT_PARAMS, TWO_PRICES, json.dumps({**IDLE, "soe": [None, 0]})),
+         command="check", grid=None)
+@example(texts=(UNIT_PARAMS, TWO_PRICES, json.dumps({**IDLE, "dt_hours": "1"})),
+         command="check", grid=None)
+@example(texts=(UNIT_PARAMS, TWO_PRICES, json.dumps({**IDLE, "dt_hours": True})),
          command="check", grid=None)
 @settings(max_examples=150, **FUZZ)
 @given(texts=inputs(), command=st.sampled_from(["partition", "advise", "check", *FORMULATIONS]),
@@ -186,7 +215,9 @@ def test_every_subcommand(tmp_path, texts, command, grid):
         command, ["solve", "--params", params, "--formulation", command, "--out", tmp_path / "out"])
     if command == "dp" and grid is not None:
         args += ["--grid", grid]
-    assert_documented([*args, "--prices", prices])
+    code = assert_documented([*args, "--prices", prices])
+    if command == "check" and holds_no_number(texts[2]):  # refused, never checked as numbers
+        assert code == 2
 
 
 # a field one character over the csv module's size limit
@@ -382,7 +413,8 @@ def test_dp_entry_point(inputs):
 UNIT_STORAGE = dict(s_min=0.0, s_max=1.0, s_init=0.5, p_chg_max=0.5, p_dis_max=0.5, eta_c=0.9,
                     eta_d=0.9, rho=0.999)
 JUNK = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-310,
-                        1.0000000000000002, 1.5, 1e308, None, 1 + 0j, "abc", "1", 10**400])
+                        1.0000000000000002, 1.5, 1e308, None, 1 + 0j, "abc", "1", 10**400,
+                        True, np.True_])
 PARAMS_REFUSED = (r"parameters must be finite: [a-z_, ]+|[a-z_]+ must be a real number"
                   r"|need 0 <= s_min < s_max"
                   r"|need s_min <= s_init <= s_max|power limits must be positive"
@@ -397,6 +429,8 @@ def storage_fields(draw):
     return fields
 
 
+@example(fields=dict(UNIT_STORAGE, dt=1.0, eta_c=True))
+@example(fields=dict(UNIT_STORAGE, dt=1.0, s_max=np.True_))
 @settings(max_examples=400, **FUZZ)
 @given(fields=storage_fields())
 def test_storage_params_entry_point(fields):
@@ -407,6 +441,7 @@ def test_storage_params_entry_point(fields):
         except ValueError as exc:
             assert re.fullmatch(PARAMS_REFUSED, str(exc)), str(exc)
             return
+        assert all(type(v) in (int, float) for v in fields.values())  # no bool, str, None
         assert 0 < params.charge_step < math.inf and 0 < params.discharge_step < math.inf
         assert params.energy_scale >= sys.float_info.min
 
@@ -487,12 +522,15 @@ def test_lp_certificate_entry_point(inputs):
 
 
 # prices as a caller might pass them: numbers with NaN and +-inf among them,
-# none at all, nested lists (ragged or not), text, None and complex numbers
-PRICE_ITEM = st.one_of(NUMBER, st.sampled_from(["35.0", "abc", None, 1 + 2j, complex(35.0, 0.0)]))
+# none at all, nested lists (ragged or not), text, booleans, None and
+# complex numbers
+PRICE_ITEM = st.one_of(NUMBER, st.sampled_from(["35.0", "abc", None, 1 + 2j, complex(35.0, 0.0),
+                                                True, False, np.True_]))
 PRICES = st.one_of(st.lists(NUMBER, max_size=6),
                    st.lists(st.lists(NUMBER, min_size=1, max_size=3), min_size=1, max_size=3),
                    st.lists(PRICE_ITEM, min_size=1, max_size=6))
-DT = st.one_of(NUMBER, st.sampled_from([1, 0, -1, 10**400, None, "1", "abc", 1 + 0j, [1.0]]))
+DT = st.one_of(NUMBER, st.sampled_from([1, 0, -1, 10**400, None, "1", "abc", 1 + 0j, [1.0],
+                                        True, np.True_]))
 PRICES_REFUSED = ("prices must be real numbers", "prices must be a non-empty 1-D sequence",
                   "prices must be finite")
 DT_REFUSED = ("dt must be a real number", "dt must be finite and positive")
@@ -505,6 +543,10 @@ def finite_positive(value):
         return False
 
 
+@example(prices=[True, 0.0], dt=1.0)
+@example(prices=[np.True_, 1.5], dt=1.0)
+@example(prices=[35.0], dt=True)
+@example(prices=[35.0], dt=np.True_)
 @settings(max_examples=300, **FUZZ)
 @given(prices=PRICES, dt=DT)
 def test_price_series_entry_point(prices, dt):
@@ -552,17 +594,24 @@ def test_feasibility_check_entry_point(columns, dt):
         assert not report.feasible
 
 
-# columns of floats, of nested lists, or of integers beyond double precision
-@example(lengths=(1, 1, 1), entry=10**400)
+# columns of floats, of nested lists, of integers beyond double precision, or
+# of values that are no number, alone or ahead of numbers
+@example(lengths=(1, 1, 1), entry=10**400, mixed=False)
+@example(lengths=(2, 2, 2), entry=True, mixed=True)
+@example(lengths=(2, 2, 2), entry=np.True_, mixed=True)
+@example(lengths=(1, 1, 1), entry="1", mixed=False)
 @settings(max_examples=100, **FUZZ)
-@given(lengths=st.tuples(*[st.integers(0, 3)] * 3), entry=st.sampled_from([0.0, [0.0], 10**400]))
-def test_misshaped_schedule_refused(lengths, entry):
-    columns = [[entry] * n for n in lengths]
+@given(lengths=st.tuples(*[st.integers(0, 3)] * 3),
+       entry=st.sampled_from([0.0, [0.0], 10**400, "1", True, np.True_, None, 1 + 0j]),
+       mixed=st.booleans())
+def test_misshaped_schedule_refused(lengths, entry, mixed):
+    columns = [[entry] + [1.5] * (n - 1) if mixed and n else [entry] * n for n in lengths]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if entry == 0.0 and len(set(lengths)) == 1 and lengths[0] > 0:
+        if type(entry) is float and len(set(lengths)) == 1 and lengths[0] > 0:
             assert len(Schedule(*columns)) == lengths[0]
             return
         with pytest.raises(ValueError, match="1-D arrays|share one length|at least one period|"
-                           "(p_chg|p_dis|soe) holds an integer beyond double precision"):
+                           "(p_chg|p_dis|soe) holds an integer beyond double precision|"
+                           "(p_chg|p_dis|soe) must be real numbers"):
             Schedule(*columns)
