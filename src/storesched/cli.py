@@ -22,7 +22,7 @@ from .conditions import Recommendation, advise, lemma1_classify
 from .dp import DpConfig, dp_value_error_bound, solve_dp
 from .lp import solve_storage_lp
 from .milp import build_milp, solve_milp
-from .prices import partition, read_price_csv
+from .prices import number_text, partition, read_price_csv
 from .simplex import SimplexFailure
 from .storage import (
     EPS,
@@ -76,7 +76,7 @@ def read_params_file(path) -> StorageParams:
             if key in values:
                 raise ValueError(f"{where}: duplicate key {key!r}")
             try:
-                values[key] = float(text.strip())
+                values[key] = number_text(text.strip())
             except ValueError:
                 raise ValueError(f"{where}: bad number for {key}: {text.strip()!r}")
     missing = [k for k in PARAM_KEYS if k not in values]

@@ -153,14 +153,14 @@ def theorem1_condition1(params: StorageParams, part: PricePartition) -> bool:
 
 
 def theorem2_check(params: StorageParams, part: PricePartition) -> bool:
-    """Exactness for a single negative run [tau1, tau2]: discharging at
-    full rate (or hitting the floor) before the run and then charging at
-    full rate through it must not exceed the capacity.  The depleted level
-    is the full-rate run _full_rate over the tau1 - 1 periods before the
-    run.  The charge term scales it by rho^(tau2 - tau1), where _full_rate,
-    theorem3_shat and the level dynamics use rho^n with n = tau2 - tau1 + 1.
-    So with rho < 1 it certifies a subset, at times a strict one, of the
-    single-block inputs that theorem 3 certifies."""
+    """Exactness for a single negative run [tau1, tau2], the paper's
+    statement that criterion 3 pins; advise no longer reads it.  Discharging
+    at full rate (or to the floor) over the tau1 - 1 periods before the run
+    and then charging at full rate through it must not exceed the capacity.
+    The charge term scales the depleted level by rho^(tau2 - tau1), where
+    theorem3_shat and the level dynamics use rho^n, n = tau2 - tau1 + 1, so
+    with rho < 1 it certifies a subset, at times a strict one, of the
+    single-block inputs that theorem 3 certifies and advise reads."""
     if part.num_negative_blocks != 1:
         return False
     tau1, tau2 = part.longest_neg
@@ -210,9 +210,15 @@ def _flowchart(params: StorageParams, part: PricePartition, final_level_constrai
     if final_level_constrained:
         yield "final_level", True, "terminal level constraint requested", milp
     yield "final_level", False, "final level free", None
+    # Without the leakage assumption, (1 - rho) * s_max > charge_step, so rho * s + charge_step
+    # < s_max from every level s: no period ends at s_max.  Dropping a discharge p_dis at a
+    # price C_t < 0 raises the profit by -C_t * dt * p_dis, and each level from t on,
+    # rho * s_{k-1} + beta_k <= rho * s_max + charge_step, still stays below s_max; no level
+    # falls.  So no LP optimum discharges at a negative price, the SCD left at C_t >= 0 nets
+    # at no loss, and with the final level free (the leaf above) the LP is exact.
     if not check_assumption_leakage(params):
-        yield ("leakage_assumption", True, "one-period leakage recovery fails; "
-               "run-length conditions not applicable", milp)
+        yield ("leakage_assumption", True, "one-period leakage recovery fails: no period ends "
+               "at s_max, so no LP optimum discharges at a negative price", lp)
     # theorem 1's condition 2 needs no test: with the leakage assumption and cond 1 false, a full
     # charge ends at or above s_max from s_max and at or below it from s_min, so some start hits it
     if theorem1_condition1(params, part):
@@ -220,10 +226,6 @@ def _flowchart(params: StorageParams, part: PricePartition, final_level_constrai
                f"full charge fits within the longest negative run (n_bar={part.n_bar})", milp)
     yield ("theorem1_cond1", False,
            f"cannot fully charge within the longest negative run (n_bar={part.n_bar})", None)
-    if part.num_negative_blocks == 1:
-        if theorem2_check(params, part):
-            yield "theorem2", True, "single negative run, capacity not exceeded", lp
-        yield "theorem2", False, "single negative run, capacity exceeded", milp
     shat = theorem3_shat(params, part)
     if shat.exact:
         yield "theorem3", True, "worst-case level stays within capacity", lp

@@ -37,6 +37,14 @@ def real_number(name: str, value) -> float:
         return math.inf
 
 
+def number_text(text: str, kind: type = float):
+    """A text field read as kind (float or int), refused naming the text unless it is
+    ASCII with no '_': int() and float() also read 1_000 and other scripts' digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)
+
+
 def real_column(name: str, values) -> np.ndarray:
     """values as a float array of their own shape (the caller's to check),
     refused by name unless every entry is a real number within double
@@ -157,13 +165,13 @@ def read_price_csv(path, dt: float = 1.0) -> PriceSeries:
         if len(parts) != 2:
             raise PriceCsvError(path, lineno, f"expected 2 fields, got {len(parts)}")
         try:
-            t = int(parts[0])
-            price = float(parts[1])
+            t = number_text(parts[0], int)
+            price = number_text(parts[1])
         except ValueError as exc:
             raise PriceCsvError(path, lineno, str(exc)) from None
         if t != len(prices) + 1:
             raise PriceCsvError(path, lineno, f"expected t={len(prices) + 1}, got t={t}")
-        if not np.isfinite(price):
+        if not math.isfinite(price):
             raise PriceCsvError(path, lineno, "price must be finite")
         prices.append(price)
     if not prices:

@@ -66,6 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prices import real_column
+
 PIVOT_TOL = 1e-9
 TOL = 1e-9  # primal and dual feasibility tolerance, relative to the LP's scale
 ITERS_PER_DIM = 200  # a solve may take ITERS_PER_DIM * (n + m + 10) pivots
@@ -106,7 +108,7 @@ class LpProblem:
 
     def __post_init__(self):
         for name in ("c", "lower", "upper", "a", "rhs"):
-            value = np.asarray(getattr(self, name), dtype=float)
+            value = real_column(name, getattr(self, name))
             if not np.logical_and.reduce(np.isfinite(value), axis=None):
                 raise ValueError(f"{name} must be finite")
             setattr(self, name, value)

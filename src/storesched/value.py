@@ -38,6 +38,9 @@ def lp_optimum(params, prices) -> tuple:
     pc_hi, pd_hi = reach_powers(params)  # at the limits unless a reach clips them
     hi_at_limit, dis_at_limit = pc_hi == params.p_chg_max, pd_hi == params.p_dis_max
     y_min, y_max = rho * s_min, rho * s_max
+    # the slopes from prices in the power of two just above max|C_t|, exactly: from a
+    # subnormal price, a slope rounds to 0 and ties with the flat end of V_T
+    shift = -frexp(max(map(abs, c)))[1]
 
     # backward: V_t on [start, end] as segments, keys (minus the slope,
     # rising) and lengths.  g_t's piece beta in [mid, hi_b] has key k1, the
@@ -46,7 +49,7 @@ def lp_optimum(params, prices) -> tuple:
     start, end, keys, lens = s_min, s_max, [0.0], [s_max - s_min]
     pieces = [None] * T
     for t in range(T - 1, -1, -1):
-        ct = c[t]
+        ct = ldexp(c[t], shift)
         if ct >= 0:
             k1, k2, knot, spill = -ct / eta_c, -ct * eta_d, 0.0, 0.0
         else:

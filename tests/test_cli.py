@@ -185,6 +185,10 @@ class TestAdvise:
             (FAST_PARAMS + "rho\n", "line 10: expected key=value, got 'rho'"),
             (FAST_PARAMS + "rho = 1.0\n", "line 10: duplicate key 'rho'"),
             (FAST_PARAMS.replace("rho = 1.0", "rho = one"), "line 8: bad number for rho: 'one'"),
+            (FAST_PARAMS.replace("s_max = 1", "s_max = 1_0"),
+             "line 2: bad number for s_max: '1_0'"),
+            (FAST_PARAMS.replace("s_max = 1", "s_max = \u0661\u0662"),
+             "line 2: bad number for s_max: '\u0661\u0662'"),
             (FAST_PARAMS.replace("rho = 1.0\n", ""), "missing keys: rho"),
             (FAST_PARAMS.replace("s_min = 0", "s_min = 2"), "need 0 <= s_min < s_max"),
         ):

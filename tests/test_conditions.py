@@ -427,12 +427,13 @@ class TestAdvise:
         assert advice.rationale[-1][0] == "theorem1_cond1"
 
     def test_theorem2_leaf(self):
+        # a single negative run is decided by theorem 3's recurrence, as several are
         for params, fired in ((unit_storage(0.1, 0.2), True),
                               (unit_storage(0.27, 0.008, s_init=1.0), False)):
             advice = advise(params, partition(run_series(10, 4, 10)))
             assert advice.recommendation is (Recommendation.SOLVE_LP if fired
                                              else Recommendation.SOLVE_REFINED_MILP)
-            assert advice.rationale[-1][:2] == ("theorem2", fired)
+            assert advice.rationale[-1][:2] == ("theorem3", fired)
 
     def test_theorem3_leaf(self):
         prices = series([10] * 5 + [-10] * 2 + [10] * 5 + [-10] * 2 + [10] * 3)
@@ -444,11 +445,12 @@ class TestAdvise:
             assert advice.rationale[-1][:2] == ("theorem3", fired)
         assert advice.rationale[-1][2].endswith("at block 2")
 
-    def test_leakage_assumption_routes_to_milp(self):
+    def test_leakage_assumption_routes_to_lp(self):
+        # no period can end at s_max, so no LP optimum discharges at a negative price
         params = unit_storage(0.01, 0.2, rho=0.5)
         advice = advise(params, partition(run_series(10, 4, 10)))
-        assert advice.recommendation is Recommendation.SOLVE_REFINED_MILP
-        assert any(r == "leakage_assumption" and fired for r, fired, _ in advice.rationale)
+        assert advice.recommendation is Recommendation.SOLVE_LP
+        assert advice.rationale[-1][:2] == ("leakage_assumption", True)
 
     def test_serialization_schema(self):
         doc = advise(unit_storage(2.0, 2.0), partition(series([-5, 5]))).to_dict()
@@ -481,7 +483,17 @@ def advised_lp_draws(draw):
     return params, prices
 
 
+def lead_over_refined(params, prices, lp_objective):
+    """(LP - refined MILP) in units of max|C_t| times the energy scale,
+    divided by one and then the other, so a subnormal max|C_t| gives no 0/0."""
+    refined = solve_storage_milp(params, prices, partition(prices))[0].objective
+    return (lp_objective - refined) / params.energy_scale / (np.abs(prices.prices).max() or 1.0)
+
+
 @given(draw=advised_lp_draws())
+# a subnormal price, whose profit unit max|C_t| * energy_scale rounds to 0
+@example(draw=(StorageParams(s_min=0, s_max=0.125, s_init=0, p_chg_max=0.3, p_dis_max=1,
+                             eta_c=0.8, eta_d=1, rho=0.5, dt=1), PriceSeries([5e-324], 1)))
 @settings(deadline=None)
 def test_hunt_for_an_lp_the_advisor_clears_wrongly(draw):
     """Targeted property-based testing (Loscher & Sagonas 2017): Hypothesis
@@ -492,8 +504,103 @@ def test_hunt_for_an_lp_the_advisor_clears_wrongly(draw):
     failure of the paper's conditions.  The default profile runs a slice;
     the hunt profile (conftest.py) runs 12,000 examples."""
     params, prices = draw
-    lp = solve_storage_lp(params, prices).objective
-    refined = solve_storage_milp(params, prices, partition(prices))[0].objective
-    lead = (lp - refined) / ((np.abs(prices.prices).max() or 1.0) * params.energy_scale)
+    lead = lead_over_refined(params, prices, solve_storage_lp(params, prices).objective)
+    target(lead, label="(LP - refined) / (max|C_t| * energy_scale)")
+    assert lead <= 1e-8 * len(prices)
+
+
+@st.composite
+def single_run_draws(draw):
+    """A lossy storage that keeps the leakage assumption, in the soundness
+    hunt's ranges, and hourly prices of one negative run between nonnegative ones."""
+    s_max = draw(st.floats(0.05, 5.0))
+    s_min = s_max * draw(st.sampled_from([0.0, 0.1, 0.3]))
+    s_init = min(s_min + (s_max - s_min) * draw(st.floats(0.0, 1.0)), s_max)
+    params = StorageParams(
+        s_min=s_min, s_max=s_max, s_init=s_init,
+        p_chg_max=draw(st.floats(0.05, 5.0)), p_dis_max=draw(st.floats(0.05, 5.0)),
+        eta_c=draw(st.floats(0.5, 0.99)), eta_d=draw(st.floats(0.5, 0.99)),
+        rho=draw(st.sampled_from([1.0, 0.999, 0.99, 0.95, 0.8])),
+    )
+    assume(check_assumption_leakage(params))
+    return params, run_series(draw(st.integers(0, 8)), draw(st.integers(1, 8)),
+                              draw(st.integers(0, 6)))
+
+
+# a rho < 1 run of test_theorem2_is_stricter_with_leakage that theorem 3 certifies and
+# theorem 2 refuses
+@example(draw=(StorageParams(
+    s_min=0.13810659866019742, s_max=1.0, s_init=0.5754915228423552,
+    p_chg_max=0.4780061248267248, p_dis_max=0.07379237580356084,
+    eta_c=0.9157517006647006, eta_d=0.8394469894591737, rho=0.9616273503627136,
+), run_series(0, 1, 4)))
+@given(draw=single_run_draws())
+@settings(deadline=None)
+def test_theorem3_decides_a_single_run(draw):
+    """advise reads one negative run through theorem 3's recurrence, as it
+    reads several.  At one block its level rho^n * depleted + charge_step *
+    sum_{i<n} rho^i is at most theorem 2's, which scales depleted by
+    rho^(n-1), so wherever theorem 2 certifies the LP, advise does too."""
+    params, prices = draw
+    part = partition(prices)
+    advice = advise(params, part)
+    rule, fired, _ = advice.rationale[-1]
+    assert rule in ("corollary2", "theorem1_cond1", "theorem3")
+    if rule == "theorem3":
+        assert fired == theorem3_shat(params, part).exact
+        assert fired == (advice.recommendation is Recommendation.SOLVE_LP)
+    if theorem2_check(params, part):
+        assert (advice.recommendation, rule) == (Recommendation.SOLVE_LP, "theorem3")
+
+
+@st.composite
+def leaky_lp_draws(draw):
+    """A storage that fails the leakage assumption, (1 - rho) * s_max >
+    charge_step, with s_max 0.05-5 MWh, rho 0.2-0.999, dt 1/4 or 1 h and a
+    charge power up to the one at which the assumption would hold, and 1 to
+    12 prices of -100 to 100 EUR/MWh."""
+    s_max = draw(st.floats(0.05, 5.0))
+    s_min = s_max * draw(st.sampled_from([0.0, 0.1, 0.3]))
+    s_init = min(s_min + (s_max - s_min) * draw(st.floats(0.0, 1.0)), s_max)
+    rho, dt = draw(st.floats(0.2, 0.999)), draw(st.sampled_from([0.25, 1.0]))
+    eta_c = draw(st.floats(0.5, 1.0))
+    params = StorageParams(
+        s_min=s_min, s_max=s_max, s_init=s_init,
+        p_chg_max=(1 - rho) * s_max / (dt * eta_c) * draw(st.floats(0.01, 1.0)),
+        p_dis_max=draw(st.floats(0.05, 5.0)),
+        eta_c=eta_c, eta_d=draw(st.floats(0.5, 1.0)), rho=rho, dt=dt,
+    )
+    assume(not check_assumption_leakage(params))
+    prices = PriceSeries(draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=12)), dt)
+    try:
+        require_schedulable(params, len(prices))
+    except InfeasibleStorage:  # the leakage outruns the charge above s_min
+        reject()
+    return params, prices
+
+
+# subnormal prices: the LP's slopes must not round to 0, where a full-rate charge that
+# burns its surplus ties with one that does not, nor may the profit unit give 0/0
+@example(draw=(StorageParams(
+    s_min=0.0, s_max=0.12490736390018263, s_init=0.0, p_chg_max=0.3142632448004595,
+    p_dis_max=1.0, eta_c=0.794921875, eta_d=0.5, rho=0.5, dt=0.25), PriceSeries([-5e-324], 0.25)))
+@example(draw=(StorageParams(
+    s_min=0.0, s_max=0.12490736390018263, s_init=0.0, p_chg_max=0.3142632448004595,
+    p_dis_max=1.0, eta_c=0.794921875, eta_d=1.0, rho=0.5, dt=0.25), PriceSeries([5e-324], 0.25)))
+@given(draw=leaky_lp_draws())
+@settings(deadline=None)
+def test_hunt_for_a_leaky_lp_that_discharges_at_a_negative_price(draw):
+    """Where the leakage assumption fails, no period can end at s_max, so
+    dropping a discharge at a negative price only gains (the proof beside
+    _flowchart's leakage leaf).  advise sends such a storage to the LP, whose
+    schedule discharges at no negative price and whose lead over the refined
+    MILP stays within the soundness hunt's bound.  The default profile runs a
+    slice; the hunt profile (conftest.py) runs 12,000 examples."""
+    params, prices = draw
+    part = partition(prices)
+    assert advise(params, part).recommendation is Recommendation.SOLVE_LP
+    lp = solve_storage_lp(params, prices)
+    assert not lp.schedule.p_dis[prices.prices < 0].any()
+    lead = lead_over_refined(params, prices, lp.objective)
     target(lead, label="(LP - refined) / (max|C_t| * energy_scale)")
     assert lead <= 1e-8 * len(prices)

@@ -179,6 +179,23 @@ class TestCsv:
         with pytest.raises(PriceCsvError) as info:
             read_price_csv(path)
         assert info.value.line == 2
+        # int() and float() read these; a field is a number only in plain ASCII with no '_'
+        for row, text in (("1,1_000", "1_000"),  # a digit separator
+                          ("1,\u0661\u0662", "\u0661\u0662"),  # Arabic-Indic digits
+                          ("1,\uff15", "\uff15"),  # a fullwidth digit
+                          ("1,5\u00a0", "5\u00a0"),  # a no-break space
+                          ("1_0,5", "1_0"),  # the period column too
+                          ("\u0661,5", "\u0661")):
+            path.write_text(f"t,price_eur_per_mwh\n{row}\n", encoding="utf-8")
+            with pytest.raises(PriceCsvError) as info:
+                read_price_csv(path)
+            assert str(info.value) == f"{path}: line 2: not a plain ASCII number: {text!r}"
+
+    def test_every_spelling_a_writer_emits(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("t,price_eur_per_mwh\n1, 5\n 2,-0.25\n3,+1e3\n4,1.5E-2 \n5,.5\n"
+                        "6,7.\n7,-0\n08,12\n")
+        assert read_price_csv(path).prices.tolist() == [5, -0.25, 1e3, 1.5e-2, 0.5, 7, 0, 12]
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -484,6 +484,14 @@ class TestStatuses:
         for a in ([[1.0, 2.0]], [[1.0], [2.0]], [1.0]):
             with pytest.raises(ValueError, match="shape"):
                 LpProblem(c=[1.0], lower=[0.0], upper=[1.0], a=a, rhs=[0.0])
+        # strings, booleans and None are no numbers here, as everywhere in the package
+        with pytest.raises(ValueError, match="^c must be real numbers$"):
+            LpProblem(c=["1", True], lower=[0, 0], upper=[1, 1], a=[[True, 1]], rhs=["1"])
+        for field, value in (("a", [[True, 1]]), ("rhs", ["1"]), ("upper", [1, None])):
+            data = dict(c=[1, 2], lower=[0, 0], upper=[1, 1], a=[[1, 1]], rhs=[1])
+            data[field] = value
+            with pytest.raises(ValueError, match=f"^{field} must be real numbers$"):
+                LpProblem(**data)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["c", "a", "rhs", "lower", "upper"])
