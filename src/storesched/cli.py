@@ -16,8 +16,6 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from .conditions import Recommendation, advise, lemma1_classify
 from .dp import DpConfig, dp_value_error_bound, solve_dp
 from .lp import solve_storage_lp
@@ -265,7 +263,7 @@ def cmd_compare(args) -> int:
         # solve_lp with a real gap is unsound; the unit holds at LP = 0 (kkt_verify's q * e)
         row["flag"] = ""
         if advice.recommendation is Recommendation.SOLVE_LP:
-            unit = max(abs(lp.objective), np.abs(prices.prices).max() * params.energy_scale)
+            unit = max(abs(lp.objective), float(abs(prices.prices).max()) * params.energy_scale)
             if abs(lp.objective - milp.objective) > 1e-8 * unit:
                 row["flag"] = "ADVICE_UNSOUND"
         out_rows.append(row)
@@ -334,10 +332,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # looked up per call, so that a cmd_* function replaced after the
-        # parser was built still takes effect.  An overflow shows as a
-        # nonfinite result, which check reports and a solve refuses by name
-        with np.errstate(all="ignore"):
-            return globals()[f"cmd_{args.command}"](args)
+        # parser was built still takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, ValueError) as exc:  # PriceCsvError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -14,9 +14,9 @@ import numpy as np
 
 from .prices import PriceSeries
 from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, solve_bounded_lp
-from .storage import (Schedule, StorageParams, detect_scd, net_exchange, objective,
+from .storage import (Schedule, StorageParams, detect_scd, from_units, net_exchange, objective,
                       reach_powers, require_compatible, require_finite, require_schedulable,
-                      scd_mask)
+                      scd_mask, unit_exponents)
 from .value import lp_optimum
 
 
@@ -60,9 +60,11 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     m^c_t = rho*soe_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and after
     the discharge alone, m^d_t = rho*soe_{t-1} - dt*p_dis_t/eta_d in
     [rho*s_min, rho*s_max], with powers up to storage.reach_powers, once
-    storage.require_compatible has passed the prices."""
+    storage.require_compatible has passed the prices.  Bounds and right-hand
+    side are in storage.unit_exponents' energy unit (a is unitless), costs in its price unit."""
     require_compatible(params, prices)
-    profit = params.dt * prices.prices
+    e, p = unit_exponents(params, prices)
+    profit = np.ldexp(params.dt * prices.prices, -p)
     T, K = len(prices), len(legs)
     dt, rho = params.dt, params.rho
     t_leg = np.asarray(legs, dtype=int) - 1
@@ -76,10 +78,11 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     a[r[dis], T + period[dis]] = dt / params.eta_d
     a[r[prev], 2 * T + period[prev] - 1] = -rho
     c = np.concatenate([-profit, profit, np.zeros(T + 2 * K)])
-    lower = np.array([0.0, params.s_min, rho * params.s_min]).repeat([2 * T, T, 2 * K])
-    upper = np.array([*reach_powers(params), params.s_max, rho * params.s_max]).repeat(
-        [T, T, T + K, K])
-    rhs = np.where(prev, 0.0, rho * params.s_init)
+    s_min, s_max, s_init, p_chg, p_dis = (from_units(v, -e) for v in (
+        params.s_min, params.s_max, params.s_init, *reach_powers(params)))
+    lower = np.array([0.0, s_min, rho * s_min]).repeat([2 * T, T, 2 * K])
+    upper = np.array([p_chg, p_dis, s_max, rho * s_max]).repeat([T, T, T + K, K])
+    rhs = np.where(prev, 0.0, rho * s_init)
     return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs)
 
 
@@ -131,34 +134,40 @@ def solve_lp(problem: LpProblem, warm: LpSolution | None = None) -> LpSolution:
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """The LP answer from its value function (value.py), not the simplex: a
     schedule with no costless SCD (at a zero price or eta = 1), its SCD
-    events, duals from its bound statuses and their KKT residual.  Storage's
-    two gates refuse before any solve; a ValueError names an overflowing objective."""
+    events, duals from its bound statuses and their KKT residual, both formed
+    in storage.unit_exponents' price unit.  Storage's two gates refuse before
+    any solve; a ValueError names an overflowing objective."""
     require_schedulable(params, len(prices))
     require_compatible(params, prices)
     p_chg, p_dis, soe, lam = map(np.array, lp_optimum(params, prices))  # Schedule checks by dtype
-    schedule, dt, c = Schedule(p_chg, p_dis, soe), params.dt, prices.prices
+    schedule, dt, p = Schedule(p_chg, p_dis, soe), params.dt, unit_exponents(params, prices)[1]
+    y, c = np.ldexp(lam, -p), np.ldexp(prices.prices, -p)
     with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual
         report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
         require_finite("lp objective", report.objective)
         # the reduced costs of soe, p_chg and p_dis from the stationarity rows;
         # each bound multiplier is the part of one sign (lower, then upper)
-        reduced = np.stack([params.rho * np.append(lam[1:], 0.0) - lam,
-                            lam * dt * params.eta_c - dt * c, dt * c - lam * dt / params.eta_d])
-        lo, hi = np.maximum(np.array([-1.0, 1.0]).reshape(2, 1, 1) * reduced, 0.0)
-        report.duals = DualVector(lam, lo[0], hi[0], lo[1], hi[1], lo[2], hi[2])
-        report.kkt_max_residual = kkt_verify(params, prices, report)
+        reduced = np.stack([params.rho * np.append(y[1:], 0.0) - y,
+                            y * dt * params.eta_c - dt * c, dt * c - y * dt / params.eta_d])
+        bounds = np.maximum(reduced[:, None] * np.array([[-1.0], [1.0]]), 0.0).reshape(6, -1)
+        report.duals = DualVector(lam, *np.ldexp(bounds, p))
+        report.kkt_max_residual = kkt_verify(params, prices, report, DualVector(y, *bounds))
     return report
 
 
-def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport) -> float:
+def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, du=None) -> float:
     """Maximum residual, relative to the instance's energy scale e and
     largest price q, over the first-order optimality system: stationarity
     in p_dis / p_chg / soe, the balance equalities, dual nonnegativity,
     every complementarity pair, and the identity that at any SCD period
-    dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0."""
+    dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in storage.unit_exponents'
+    price unit, where q, q*dt and q*e neither round to 0 nor overflow: of report.duals
+    scaled into it, or of du, the same multipliers as formed there."""
     if report.duals is None:
         raise MissingDuals("report carries no duals")
-    du, sch, dt, c = report.duals, report.schedule, params.dt, prices.prices
+    p = unit_exponents(params, prices)[1]
+    du = du or DualVector(*(np.ldexp(v, -p) for v in vars(report.duals).values()))
+    sch, dt, c = report.schedule, params.dt, np.ldexp(prices.prices, -p)
     e, q = params.energy_scale, np.abs(c).max() or 1.0  # with every price 0, any q will do
     lam_next = np.append(du.lam[1:], 0.0)  # free terminal level: lam_{T+1} = 0
 

@@ -38,8 +38,8 @@ import numpy as np
 from .lp import SolveReport, build_lp, solve_lp
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpSolution, LpStatus, SimplexFailure, child_bound
-from .storage import (Schedule, StorageParams, detect_scd, repair_scd, require_finite,
-                      require_schedulable, scd_mask)
+from .storage import (Schedule, StorageParams, detect_scd, from_units, repair_scd,
+                      require_finite, require_schedulable, scd_mask, unit_exponents)
 
 
 @dataclass
@@ -48,6 +48,7 @@ class MilpProblem:
     binary_mask: np.ndarray  # the periods carrying u_t^C, u_t^D, over 0-based t
     params: StorageParams  # base's power bounds (storage.reach_powers) are the exact big-Ms
     prices: PriceSeries
+    abs_prices: np.ndarray  # |C_t| in base's price unit (storage.unit_exponents)
 
     @property
     def num_binaries(self) -> int:
@@ -76,6 +77,7 @@ def build_milp(
         binary_mask=binary_mask,
         params=params,
         prices=prices,
+        abs_prices=np.ldexp(abs(prices.prices), -unit_exponents(params, prices)[1]),
     )
 
 
@@ -87,11 +89,12 @@ def _branch_period(problem: MilpProblem, sol: LpSolution) -> int | None:
     dives into the child that keeps the mode the LP nets at t."""
     T = len(problem.prices)
     p_chg, p_dis = sol.x[:T], sol.x[T : 2 * T]
-    branchable = problem.binary_mask & scd_mask(p_chg, p_dis)
+    # SCD within the binary periods' own power scale, which netting elsewhere keeps
+    branchable = scd_mask(p_chg * problem.binary_mask, p_dis * problem.binary_mask)
     if not np.logical_or.reduce(branchable):
         return None
     both = np.minimum(problem.params.eta_c * p_chg, p_dis / problem.params.eta_d)
-    cost = np.abs(problem.prices.prices) * both
+    cost = problem.abs_prices * both
     cost[~branchable] = -np.inf
     return int(cost.argmax())
 
@@ -103,7 +106,8 @@ def solve_milp(problem: MilpProblem):
     a nonnegative price, where repair_scd nets it at no loss of profit (at
     C_t > 0 a gain within the simplex's tolerance; the objective stays the
     node LP's).  Ending with no incumbent is a SimplexFailure: build_milp
-    ran require_schedulable."""
+    ran require_schedulable.  It searches in base's units and scales the
+    answer and root bound back once, to inf beyond double precision."""
     stats = BnbStats()
     incumbent = None
     cutoff = -np.inf  # a node LP at or below it cannot beat the incumbent
@@ -132,12 +136,8 @@ def solve_milp(problem: MilpProblem):
         # each power into the node's bounds: one fixed at 0 reads 0, never SCD
         np.minimum(np.maximum(sol.x[: 2 * T], 0.0), node.upper[: 2 * T], out=sol.x[: 2 * T])
         k = _branch_period(problem, sol)
-        if k is None:
-            # integral-equivalent: no SCD at any binary period; net any
-            # residual nonnegative-price SCD and promote to incumbent
-            schedule = repair_scd(problem.params, problem.prices,
-                                  Schedule(*sol.x[: 3 * T].reshape(3, T)))  # copies
-            incumbent = SolveReport(sol.objective, schedule, detect_scd(schedule))
+        if k is None:  # integral-equivalent: no SCD at any binary period
+            incumbent = sol
             cutoff = sol.objective + 1e-12 * abs(sol.objective)
             stats.incumbent_updates += 1
             continue
@@ -152,8 +152,11 @@ def solve_milp(problem: MilpProblem):
         stack += children if nets_charge else children[::-1]
     if incumbent is None:
         raise SimplexFailure("branch and bound found no schedule for a storage that has one")
-    stats.gap = 0.0
-    return incumbent, stats
+    e, p = unit_exponents(problem.params, problem.prices)
+    sch = repair_scd(problem.params, problem.prices,  # nets any nonnegative-price SCD
+                     Schedule(*np.ldexp(incumbent.x[: 3 * T], e).reshape(3, T)))
+    stats.gap, stats.root_bound = 0.0, from_units(stats.root_bound, e + p)
+    return SolveReport(from_units(incumbent.objective, e + p), sch, detect_scd(sch)), stats
 
 
 def solve_storage_milp(

@@ -447,6 +447,5 @@ def solve_bounded_lp(problem: LpProblem, start: np.ndarray | None = None,
                      factor=f if f.a is a else None)  # not with artificial columns
     if status is LpStatus.OPTIMAL:
         sol.x, sol.y, sol.reduced_costs = x[:n].copy(), y, d[:n].copy()
-        with np.errstate(over="ignore"):  # an overflow shows as an infinite objective
-            sol.objective = float(problem.c @ sol.x)
+        sol.objective = float(problem.c @ sol.x)
     return sol

@@ -165,6 +165,20 @@ def reach_powers(params: StorageParams) -> tuple:
             params.p_dis_max if reach_d == params.discharge_step else reach_d * params.eta_d / dt)
 
 
+def unit_exponents(params: StorageParams, prices: PriceSeries) -> tuple:
+    """(e, p): LP and MILP solves compute in 2^e MWh, 2^e MW and 2^p EUR/MWh, the powers of
+    two just above energy_scale and max|C_t| (p = 0 with every price 0).  These exact scalings
+    keep the largest numbers near 1, so that no difference, product or tolerance overflows
+    and no slope from a subnormal price rounds to 0, and they move no pivot or tie."""
+    return math.frexp(params.energy_scale)[1], math.frexp(np.maximum.reduce(abs(prices.prices)))[1]
+
+
+def from_units(value: float, exponent: int) -> float:
+    """value * 2^exponent; +-inf where that overflows, for require_finite to refuse by name."""
+    overflows = value and math.frexp(value)[1] + exponent > 1024
+    return math.copysign(math.inf, value) if overflows else math.ldexp(value, exponent)
+
+
 def require_finite(name: str, value: float) -> None:
     """Refuse, by name, a quantity that overflowed double precision."""
     if not np.isfinite(value):
@@ -231,14 +245,14 @@ _TAGS = (("bound_pc", "nonfinite_pc"), ("bound_pd", "nonfinite_pd"),
 
 def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityReport:
     """Verify power bounds, state-of-energy bounds and the recursion
-    residual beta_t - dt * (eta_c * pC_t - pD_t / eta_d) of every period,
-    within EPS of the energy scale (over dt for a power).  Reports every
-    violation with its magnitude, and a NaN or infinite entry as a
-    nonfinite_* violation in place of its bound check; never raises on
-    infeasibility and never warns."""
+    residual beta_t - (dt*eta_c * pC_t - dt/eta_d * pD_t) of every period
+    (a feasible power times its step factor cannot overflow), within EPS of
+    the energy scale (over dt for a power).  Reports every violation with
+    its magnitude, and a NaN or infinite entry as a nonfinite_* violation
+    in place of its bound check; never raises on infeasibility and never warns."""
     with np.errstate(all="ignore"):  # NaN and inf entries are reported, not warned about
         # the residual is a fourth value with bounds [0, 0], where NaN is no violation
-        flow = params.dt * (params.eta_c * schedule.p_chg - schedule.p_dis / params.eta_d)
+        flow = params.dt * params.eta_c * schedule.p_chg - params.dt / params.eta_d * schedule.p_dis
         residual = net_exchange(params, schedule.soe) - flow
         values = np.column_stack([schedule.p_chg, schedule.p_dis, schedule.soe, residual])
         lo = np.array([0.0, 0.0, params.s_min, 0.0])

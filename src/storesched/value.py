@@ -12,9 +12,9 @@ merged list, so the forward pass reads each period's beta off in O(1).
 """
 
 from bisect import bisect_left, bisect_right
-from math import frexp, ldexp
+from math import ldexp
 
-from .storage import reach_powers
+from .storage import reach_powers, unit_exponents
 
 _INF = float("inf")
 _TOL = 1e-11  # numbers closer than _TOL times the magnitudes in play are equal
@@ -25,22 +25,17 @@ def lp_optimum(params, prices) -> tuple:
     that certify it: lists (p_chg, p_dis, soe, lam).  Where C_t >= 0 or
     eta = 1 a period charges or discharges, never both: simultaneous charge
     and discharge costs nothing there.  Some schedule must fit the storage
-    (storage.require_schedulable), so an empty window of exchanges is rounding."""
+    (storage.require_schedulable), so an empty window of exchanges is
+    rounding.  It computes in storage.unit_exponents' units."""
     c = prices.prices.tolist()
     T = len(c)
     rho, eta_c, eta_d, dt = params.rho, params.eta_c, params.eta_d, params.dt
-    # energies (hi, dis: beta_hi, -beta_lo, the reaches) in the power of two
-    # just above energy_scale, exactly, so that no difference or tolerance
-    # below overflows; results are scaled back
-    unit = frexp(params.energy_scale)[1]
+    unit, price_unit = unit_exponents(params, prices)
     s_min, s_max, s_init, hi, dis = (ldexp(v, -unit) for v in (
         params.s_min, params.s_max, params.s_init, params.charge_reach, params.discharge_reach))
     pc_hi, pd_hi = reach_powers(params)  # at the limits unless a reach clips them
     hi_at_limit, dis_at_limit = pc_hi == params.p_chg_max, pd_hi == params.p_dis_max
     y_min, y_max = rho * s_min, rho * s_max
-    # the slopes from prices in the power of two just above max|C_t|, exactly: from a
-    # subnormal price, a slope rounds to 0 and ties with the flat end of V_T
-    shift = -frexp(max(map(abs, c)))[1]
 
     # backward: V_t on [start, end] as segments, keys (minus the slope,
     # rising) and lengths.  g_t's piece beta in [mid, hi_b] has key k1, the
@@ -49,7 +44,7 @@ def lp_optimum(params, prices) -> tuple:
     start, end, keys, lens = s_min, s_max, [0.0], [s_max - s_min]
     pieces = [None] * T
     for t in range(T - 1, -1, -1):
-        ct = ldexp(c[t], shift)
+        ct = ldexp(c[t], -price_unit)
         if ct >= 0:
             k1, k2, knot, spill = -ct / eta_c, -ct * eta_d, 0.0, 0.0
         else:

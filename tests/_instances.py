@@ -4,6 +4,8 @@ All generators take an explicit numpy Generator so every test is
 reproducible from its seed alone.
 """
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -15,16 +17,19 @@ from storesched import (
     corollary2_inexact,
     partition,
 )
-from storesched.lp import SolveReport
+from storesched.lp import DualVector, SolveReport
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
-from storesched.storage import Schedule, detect_scd, net_exchange, scd_mask
+from storesched.storage import Schedule, detect_scd, net_exchange, scd_mask, unit_exponents
 
 
-def lp_answer(sol, T):
-    """The answer at an optimal node LpSolution over T periods: its objective,
-    a copy of its schedule and that schedule's SCD events."""
-    schedule = Schedule(*sol.x[: 3 * T].reshape(3, T).copy())  # p_chg, p_dis, soe
-    return SolveReport(sol.objective, schedule, detect_scd(schedule))
+def lp_answer(sol, params, prices):
+    """The answer at an optimal LpSolution of build_lp(params, prices), back
+    from the LP's units in EUR, MW and MWh: its objective, its schedule and
+    that schedule's SCD events."""
+    e, p = unit_exponents(params, prices)
+    T = len(prices)
+    schedule = Schedule(*np.ldexp(sol.x[: 3 * T], e).reshape(3, T))  # p_chg, p_dis, soe
+    return SolveReport(math.ldexp(sol.objective, e + p), schedule, detect_scd(schedule))
 
 
 def random_params(rng, eta_one=False, dt=1.0):
@@ -253,18 +258,20 @@ def milp_inputs(draw):
 
 
 def reference_duals(params, prices, lam):
-    """solve_storage_lp's bound multipliers from the balance-row duals lam,
-    one reduced cost and one sign at a time: sigma, gamma and delta, each
-    lower then upper."""
-    dt, c = params.dt, prices.prices
+    """solve_storage_lp's bound multipliers from the balance-row duals lam, one
+    reduced cost and one sign at a time, in storage.unit_exponents' price
+    unit: sigma, gamma and delta, each lower then upper."""
+    p = unit_exponents(params, prices)[1]
+    dt, c, lam = params.dt, np.ldexp(prices.prices, -p), np.ldexp(lam, -p)
     reduced = (params.rho * np.append(lam[1:], 0.0) - lam, lam * dt * params.eta_c - dt * c,
                dt * c - lam * dt / params.eta_d)
     return [np.maximum(s * d, 0.0) for d in reduced for s in (-1, 1)]
 
 
-def reference_kkt_verify(params, prices, report):
-    """lp.kkt_verify with one array and one reduction per residual."""
-    du, sch, dt, c = report.duals, report.schedule, params.dt, prices.prices
+def reference_kkt_verify(params, prices, du, sch):
+    """lp.kkt_verify with one array and one reduction per residual, from
+    multipliers du in storage.unit_exponents' price unit and schedule sch."""
+    dt, c = params.dt, np.ldexp(prices.prices, -unit_exponents(params, prices)[1])
     e, q = params.energy_scale, np.abs(c).max() or 1.0
     lam_next = np.append(du.lam[1:], 0.0)
     res = []  # (residual, its unit)
@@ -289,12 +296,16 @@ def reference_kkt_verify(params, prices, report):
 
 def assert_lp_certificate_as_reference(params, prices, report):
     """The duals and KKT residual of a solve_storage_lp report equal, bit for
-    bit, their per-residual reference forms (a NaN equals a NaN)."""
+    bit, their per-residual reference forms, all formed in the price unit of
+    storage.unit_exponents (a NaN equals a NaN)."""
+    p = unit_exponents(params, prices)[1]
     with np.errstate(all="ignore"):  # at the edges of double precision they overflow
         duals = reference_duals(params, prices, report.duals.lam)
-        kkt = reference_kkt_verify(params, prices, report)
+        lam = np.ldexp(report.duals.lam, -p)
+        kkt = reference_kkt_verify(params, prices, DualVector(lam, *duals), report.schedule)
+        in_eur = [np.ldexp(ref, p) for ref in duals]
     for name, ref in zip(("sigma_lo", "sigma_hi", "gamma_lo", "gamma_hi", "delta_lo", "delta_hi"),
-                         duals):
+                         in_eur):
         np.testing.assert_array_equal(getattr(report.duals, name).view(np.int64),
                                       ref.view(np.int64))
     got = report.kkt_max_residual

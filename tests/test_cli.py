@@ -283,7 +283,7 @@ class TestSolve:
         repaired = 0
         for i in range(200):
             params, prices, _, _ = lp_safe_instance(rng)
-            if not lp_answer(lp.solve_lp(lp.build_lp(params, prices)), len(prices)).scd_events:
+            if not lp_answer(lp.solve_lp(lp.build_lp(params, prices)), params, prices).scd_events:
                 continue
             report = solve_storage_lp(params, prices)
             (tmp_path / "params.txt").write_text("".join(
@@ -445,8 +445,24 @@ class TestSolve:
         assert not out.exists()
 
     def test_nan_kkt_residual_exit_2(self, tmp_path, capsys):
-        # at +-1e308 EUR/MWh the upper level multiplier of t = 1 overflows: the
-        # residual is NaN, though its first entries (stationarity in p_dis) are not
+        # the charge fills the store at -1e308 EUR/MWh, so lambda_1 >= C_1/eta_c,
+        # which overflows at eta_c = 0.5: the balance multiplier is -inf, and
+        # the residual NaN
+        (tmp_path / "params.txt").write_text(
+            "s_min = 0\ns_max = 1e-300\ns_init = 0\np_chg_max = 1e8\np_dis_max = 1e-300\n"
+            "eta_c = 0.5\neta_d = 0.9\nrho = 0.5\ndt_hours = 1\n")
+        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,-1e308\n")
+        out = tmp_path / "out"
+        code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
+                    tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: lp kkt_max_residual is nan, beyond double precision\n"
+        assert not out.exists()
+
+    def test_overflowing_bound_multiplier_is_certified(self, tmp_path):
+        # at +-1e308 EUR/MWh the upper level multiplier of t = 1 overflows in
+        # EUR/MWh, but not in the price unit, where solve_storage_lp forms it
         (tmp_path / "params.txt").write_text(
             "s_min = 0\ns_max = 2.714751457421659e-59\ns_init = 2.2878224521119755e-59\n"
             "p_chg_max = 6.484050530603544e-60\np_dis_max = 2.110013555208994e-57\n"
@@ -455,10 +471,21 @@ class TestSolve:
         out = tmp_path / "out"
         code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
                     tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: lp kkt_max_residual is nan, beyond double precision\n"
-        assert not out.exists()
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["kkt_max_residual"] <= 1e-7
+
+    def test_subnormal_price_is_certified(self, tmp_path):
+        # at the one price -5e-324, max|C_t| * dt and max|C_t| * energy_scale
+        # round to 0; kkt_verify forms its residuals in the price unit instead
+        (tmp_path / "params.txt").write_text(
+            "s_min = 0\ns_max = 0.12490736390018263\ns_init = 0\np_chg_max = 0.3142632448004595\n"
+            "p_dis_max = 1\neta_c = 0.794921875\neta_d = 0.5\nrho = 0.5\ndt_hours = 0.25\n")
+        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,-5e-324\n")
+        out = tmp_path / "out"
+        code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
+                    tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["kkt_max_residual"] <= 1e-7
 
     def test_dp_overflow_exit_2(self, workspace, capsys):
         # unit storage against 1,000 hours at +-1e306 EUR/MWh: the storage is

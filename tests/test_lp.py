@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from storesched import (
     solve_storage_milp,
 )
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC, LpStatus
+from storesched.storage import reach_powers, unit_exponents
 
 
 def unit_storage(**overrides):
@@ -68,21 +71,42 @@ class TestBuild:
         assert (problem.n - problem.m) // 2 == 1  # the horizon solve_lp reads off the shape
 
     def test_structural_counts_t24(self):
-        params = unit_storage()
-        problem = build_lp(params, PriceSeries(np.arange(24.0), 1.0))
+        params, prices = unit_storage(), PriceSeries(np.arange(24.0), 1.0)
+        problem = build_lp(params, prices)
         assert problem.n == 72
         assert problem.m == 24
-        np.testing.assert_allclose(problem.upper[:24], params.p_chg_max)
-        np.testing.assert_allclose(problem.upper[24:48], params.p_dis_max)
-        np.testing.assert_allclose(problem.lower[48:], params.s_min)
-        np.testing.assert_allclose(problem.upper[48:], params.s_max)
+        e = unit_exponents(params, prices)[0]  # 2 MWh
+        np.testing.assert_allclose(problem.upper[:24], params.p_chg_max / 2**e)
+        np.testing.assert_allclose(problem.upper[24:48], params.p_dis_max / 2**e)
+        np.testing.assert_allclose(problem.lower[48:], params.s_min / 2**e)
+        np.testing.assert_allclose(problem.upper[48:], params.s_max / 2**e)
 
     def test_objective_coefficients(self):
         prices = PriceSeries([7.0, -3.0], 0.5)
         problem = build_lp(unit_storage(dt=0.5), prices)
-        np.testing.assert_allclose(problem.c[:2], [-0.5 * 7, -0.5 * -3])
-        np.testing.assert_allclose(problem.c[2:4], [0.5 * 7, 0.5 * -3])
+        p = unit_exponents(unit_storage(dt=0.5), prices)[1]  # 8 EUR/MWh
+        np.testing.assert_allclose(problem.c[:2], np.array([-0.5 * 7, -0.5 * -3]) / 2**p)
+        np.testing.assert_allclose(problem.c[2:4], np.array([0.5 * 7, 0.5 * -3]) / 2**p)
         np.testing.assert_allclose(problem.c[4:], 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1.7e308])
+    def test_units_are_exact(self, scale):
+        # bounds, right-hand side and costs are the storage's and the prices'
+        # own numbers times a power of two, each near 1, bit for bit
+        params = StorageParams(s_min=scale / 8, s_max=scale, s_init=scale / 2, p_chg_max=scale,
+                               p_dis_max=scale / 2, eta_c=0.9, eta_d=0.8, rho=0.97, dt=0.25)
+        prices = PriceSeries([35.0, -1e300, 0.0, 1e-3], 0.25)
+        problem, T = build_lp(params, prices, (2,)), len(prices)
+        e, p = unit_exponents(params, prices)
+        assert 0.5 <= math.ldexp(params.energy_scale, -e) < 1 and p == 997  # 2^996 < 1e300
+        np.testing.assert_array_equal(np.ldexp(problem.c[T : 2 * T], p), 0.25 * prices.prices)
+        pc, pd = np.ldexp(problem.upper[[0, T]], e)
+        assert (pc, pd) == reach_powers(params)
+        np.testing.assert_array_equal(np.ldexp(problem.upper[2 * T :], e),
+                                      [params.s_max] * (T + 1) + [0.97 * params.s_max])
+        np.testing.assert_array_equal(np.ldexp(problem.lower[2 * T :], e),
+                                      [params.s_min] * T + [0.97 * params.s_min] * 2)
+        assert math.ldexp(problem.rhs[0], e) == 0.97 * params.s_init
 
     def test_balance_rows(self):
         # soe_t - rho*soe_{t-1} - dt*eta_c*p_chg_t + (dt/eta_d)*p_dis_t = rhs_t
@@ -97,7 +121,8 @@ class TestBuild:
             if t > 0:
                 expected[t, 2 * T + t - 1] = -0.97
         np.testing.assert_array_equal(problem.a, expected)
-        np.testing.assert_array_equal(problem.rhs, [0.97 * 0.3, 0.0, 0.0, 0.0])
+        e = unit_exponents(params, PriceSeries(np.arange(float(T)), 0.5))[0]
+        np.testing.assert_array_equal(np.ldexp(problem.rhs, e), [0.97 * 0.3, 0.0, 0.0, 0.0])
 
     def test_price_dt_must_match_params(self):
         # the LP reads params.dt alone, so a quarter-hour series would be
@@ -139,7 +164,7 @@ class TestSolve:
         netted = 0
         for _ in range(200):
             params, prices, _, _ = lp_safe_instance(rng)
-            vertex = lp_answer(solve_lp(build_lp(params, prices)), len(prices))
+            vertex = lp_answer(solve_lp(build_lp(params, prices)), params, prices)
             if not vertex.scd_events:
                 continue
             report = solve_storage_lp(params, prices)
@@ -152,7 +177,7 @@ class TestSolve:
             netted += 1
         assert netted >= 30
         params, prices = unit_storage(), PriceSeries([-10.0, 20.0], 1.0)
-        vertex = lp_answer(solve_lp(build_lp(params, prices)), len(prices))
+        vertex = lp_answer(solve_lp(build_lp(params, prices)), params, prices)
         report = solve_storage_lp(params, prices)
         assert [ev.t for ev in report.scd_events] == [ev.t for ev in vertex.scd_events] == [1]
         np.testing.assert_allclose(report.schedule.p_chg, vertex.schedule.p_chg, rtol=1e-12)
@@ -243,12 +268,14 @@ class TestStrongDuality:
             report = solve_storage_lp(params, prices)
             du = report.duals
             T = len(prices)
+            rhs, lower, upper = (np.ldexp(v, unit_exponents(params, prices)[0])
+                                 for v in (problem.rhs, problem.lower, problem.upper))
             dual_obj = (
-                du.lam @ problem.rhs
-                + du.gamma_hi @ problem.upper[:T]
-                + du.delta_hi @ problem.upper[T : 2 * T]
-                + du.sigma_hi @ problem.upper[2 * T :]
-                - du.sigma_lo @ problem.lower[2 * T :]
+                du.lam @ rhs
+                + du.gamma_hi @ upper[:T]
+                + du.delta_hi @ upper[T : 2 * T]
+                + du.sigma_hi @ upper[2 * T :]
+                - du.sigma_lo @ lower[2 * T :]
             )
             assert dual_obj == pytest.approx(
                 report.objective, rel=1e-8, abs=1e-8
@@ -370,7 +397,8 @@ class TestDurationStart:
         want = solve_bounded_lp(problem, start=level_start(problem, 1))
         assert sol.objective == pytest.approx(want.objective, rel=1e-9)
         assert_lp_certificate(problem, sol)
-        assert sol.iterations == 0 and sol.x[3] == pytest.approx(params.s_max)
+        e = unit_exponents(params, PriceSeries([-10.0], 1.0))[0]
+        assert sol.iterations == 0 and math.ldexp(sol.x[3], e) == pytest.approx(params.s_max)
 
     def test_fewer_pivots_at_the_fast_T168_root(self):
         rng = np.random.default_rng(168)
@@ -406,7 +434,7 @@ class TestDurationStart:
 def simplex_answer(params, prices):
     """The storage LP at the simplex's vertex, or None when it is infeasible."""
     sol = solve_lp(build_lp(params, prices))
-    return lp_answer(sol, len(prices)) if sol.status is LpStatus.OPTIMAL else None
+    return lp_answer(sol, params, prices) if sol.status is LpStatus.OPTIMAL else None
 
 
 class TestValueFunction:
@@ -497,7 +525,8 @@ class TestValueFunction:
                           bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
         assert ref.status == 0
         report = solve_storage_lp(params, prices)
-        assert report.objective == pytest.approx(-ref.fun, rel=1e-9)
+        assert report.objective == pytest.approx(math.ldexp(-ref.fun, sum(unit_exponents(
+            params, prices))), rel=1e-9)
         assert report.kkt_max_residual <= 1e-7
 
     def test_hourly_year(self):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -37,6 +38,7 @@ from storesched import (
     solve_storage_milp,
 )
 from storesched import lp, milp, simplex
+from storesched.storage import unit_exponents
 
 
 def unit_storage(**overrides):
@@ -371,11 +373,11 @@ class TestSearchOrder:
         assert milp._branch_period(problem, sol) == 1
 
     def test_branch_period_matches_the_event_loop(self, monkeypatch):
-        # the masked argmax picks what a loop over the node LP's SCD events
-        # picks: the binary period of the largest |C_t|*b_t, earliest on ties
+        # the masked argmax picks what a loop over the SCD events of the node
+        # LP's binary periods picks: the largest |C_t|*b_t, earliest on ties
         def reference(problem, sol):
-            T = len(problem.prices)
-            sch = Schedule(sol.x[:T], sol.x[T : 2 * T], sol.x[2 * T : 3 * T])
+            T, mask = len(problem.prices), problem.binary_mask
+            sch = Schedule(sol.x[:T] * mask, sol.x[T : 2 * T] * mask, sol.x[2 * T : 3 * T])
             eta_c, eta_d = problem.params.eta_c, problem.params.eta_d
             events = [ev for ev in detect_scd(sch) if problem.binary_mask[ev.t - 1]]
             if not events:
@@ -575,7 +577,8 @@ class TestLegRows:
                 prev = np.concatenate([[params.s_init], soe[:-1]])
                 m_chg = params.rho * prev + params.dt * params.eta_c * p_chg
                 m_dis = params.rho * prev - params.dt * p_dis / params.eta_d
-                x = np.concatenate([p_chg, p_dis, soe, m_chg[legs], m_dis[legs]])
+                x = np.ldexp(np.concatenate([p_chg, p_dis, soe, m_chg[legs], m_dis[legs]]),
+                             -unit_exponents(params, prices)[0])
                 base = problem.base
                 np.testing.assert_allclose(base.a @ x, base.rhs, rtol=0, atol=1e-12)
                 assert np.all(x >= base.lower - 1e-12)
@@ -587,8 +590,9 @@ class TestLegRows:
         prices = PriceSeries([10.0, -3.0, 4.0, -1.0], 1.0)
         base = build_milp(params, prices, True, partition(prices)).base
         assert (base.m, base.n) == (4 + 4, 12 + 4)
-        np.testing.assert_allclose(base.lower[12:], 0.99 * 0.2)
-        np.testing.assert_allclose(base.upper[12:], [1.5, 1.5, 0.99 * 1.5, 0.99 * 1.5])
+        e = unit_exponents(params, prices)[0]
+        np.testing.assert_allclose(np.ldexp(base.lower[12:], e), 0.99 * 0.2)
+        np.testing.assert_allclose(np.ldexp(base.upper[12:], e), [1.5, 1.5, 0.99 * 1.5, 0.99 * 1.5])
 
 
 def highs_objective(params, prices, periods):
@@ -597,6 +601,9 @@ def highs_objective(params, prices, periods):
     powers P_c, P_d that build_lp bounds them by (storage.reach_powers)."""
     opt = pytest.importorskip("scipy.optimize")
     lp_part = build_lp(params, prices)
+    e, p = unit_exponents(params, prices)  # HiGHS gets the LP in MW, MWh and EUR
+    c, lower, upper, rhs = np.ldexp(lp_part.c, p), *(np.ldexp(v, e) for v in (
+        lp_part.lower, lp_part.upper, lp_part.rhs))
     T, K = len(prices), len(periods)
     t = np.asarray(periods, dtype=int) - 1
     k = np.arange(K)
@@ -604,20 +611,20 @@ def highs_objective(params, prices, periods):
     excl = np.zeros((3 * K, n))
     excl[k, 3 * T + k] = excl[k, 3 * T + K + k] = 1.0
     excl[K + k, t] = 1.0
-    excl[K + k, 3 * T + k] = -lp_part.upper[t]
+    excl[K + k, 3 * T + k] = -upper[t]
     excl[2 * K + k, T + t] = 1.0
-    excl[2 * K + k, 3 * T + K + k] = -lp_part.upper[T + t]
+    excl[2 * K + k, 3 * T + K + k] = -upper[T + t]
     rows = np.hstack([lp_part.a, np.zeros((T, 2 * K))])
     res = opt.milp(
-        -np.concatenate([lp_part.c, np.zeros(2 * K)]),
+        -np.concatenate([c, np.zeros(2 * K)]),
         constraints=[
-            opt.LinearConstraint(rows, lp_part.rhs, lp_part.rhs),
+            opt.LinearConstraint(rows, rhs, rhs),
             opt.LinearConstraint(excl, -np.inf, np.concatenate([np.ones(K), np.zeros(2 * K)])),
         ],
         integrality=np.concatenate([np.zeros(3 * T), np.ones(2 * K)]),
         bounds=opt.Bounds(
-            np.concatenate([lp_part.lower, np.zeros(2 * K)]),
-            np.concatenate([lp_part.upper, np.ones(2 * K)]),
+            np.concatenate([lower, np.zeros(2 * K)]),
+            np.concatenate([upper, np.ones(2 * K)]),
         ),
         options={"mip_rel_gap": 0.0},
     )
@@ -770,9 +777,10 @@ class TestOutreachingPower:
         prices = PriceSeries([87.73, 87.73], 1.0)
         node = lp.solve_lp(build_lp(params, prices))
         assert node.x[3] < 0
+        node_objective = math.ldexp(node.objective, sum(unit_exponents(params, prices)))
         for refined in (False, True):
             report, _ = solve_storage_milp(params, prices, partition(prices), refined=refined)
-            assert report.objective == node.objective
+            assert report.objective == node_objective
             for power, limit in ((report.schedule.p_chg, 0.05), (report.schedule.p_dis, 0.05)):
                 assert power.min() >= 0.0 and power.max() <= limit
 
@@ -809,4 +817,5 @@ LEAK_BELOW_FLOOR = (StorageParams(s_min=1e-10, s_max=0.001, s_init=1e-10, p_chg_
 @settings(deadline=None)
 def test_hunt_outreaching_power(draw):
     params, prices = draw
-    assert_outreaching_answers(params, prices, build_lp(params, prices).tols[0])
+    level_tol = math.ldexp(build_lp(params, prices).tols[0], unit_exponents(params, prices)[0])
+    assert_outreaching_answers(params, prices, level_tol)

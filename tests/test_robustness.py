@@ -330,9 +330,16 @@ HUGE_STEP = (StorageParams(s_min=0.0, s_max=1e-8, s_init=0.0, p_chg_max=1.7e308,
                            eta_c=0.9, eta_d=0.9, rho=1.0, dt=1.0), PriceSeries([-35.0, 35.0], 1.0))
 
 
+# a full-rate discharge of 1.7e308 MW over 1/6 h at eta_d = 0.9: dt * P / eta_d
+# is a double, P / eta_d is not, and feasibility_check multiplies by dt / eta_d first
+HUGE_DISCHARGE = StorageParams(s_min=0.0, s_max=1.7e308, s_init=1.7e308, p_chg_max=1e-8,
+                               p_dis_max=1.7e308, eta_c=1.0, eta_d=0.9, rho=0.999, dt=1 / 6)
+
+
 # every storage drawn has s_min = 0, so idling always fits: none is refused
 @example(inputs=NEAR_OVERFLOW)
 @example(inputs=HUGE_STEP)
+@example(inputs=(HUGE_DISCHARGE, PriceSeries([1e-300], 1 / 6)))
 @settings(max_examples=300, **FUZZ)
 @given(inputs=lp_inputs())
 def test_lp_entry_point(inputs):
@@ -492,6 +499,52 @@ def test_milp_entry_point(inputs):
         assert answers == [None, None]
     else:
         assert abs(answers[0] - answers[1]) <= 1e-9 * max(1.0, abs(answers[0]))
+
+
+MILP_REFUSED = r"(dt \* price|(milp|refined) objective) is \S+, beyond double precision"
+
+
+@example(inputs=NEAR_OVERFLOW)
+@example(inputs=HUGE_STEP)
+@example(inputs=(HUGE_DISCHARGE, PriceSeries([1e-300] * 3, 1 / 6)))
+# 1e-300 MWh of level range, a 1 MW discharge: the refined search judges SCD at
+# the negative prices by their own power scale, not by t = 6's, which netting lowers
+@example(inputs=(StorageParams(s_min=0.0, s_max=1e-300, s_init=0.0, p_chg_max=1.7e308,
+                               p_dis_max=1.0, eta_c=0.9, eta_d=1.0, rho=1.0, dt=1.0),
+                 PriceSeries([0.0, 1e-300, -1e308, -1e308, -1e308, 1e308], 1.0)))
+@settings(max_examples=150, **FUZZ)
+@given(inputs=lp_inputs())
+def test_milp_over_the_double_range(inputs):
+    # test_milp_entry_point's assertions on storages and prices from 5e-324
+    # to 1.7e308, each gap in units of max|C_t| * energy_scale, divided by
+    # one and then the other so that neither product overflows or rounds to
+    # 0; or both MILPs refuse alike, by name.  The branch and bound computes
+    # in storage.unit_exponents' units, and nothing warns
+    params, prices = inputs
+    if params is None:
+        return
+    part, q = partition(prices), float(np.abs(prices.prices).max()) or 1.0  # a float: no warning
+    answers = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for refined in (False, True):
+            try:
+                report, stats = solve_storage_milp(params, prices, part, refined=refined)
+            except InfeasibleStorage:
+                answers.append("infeasible")
+                continue
+            except ValueError as exc:
+                assert re.fullmatch(MILP_REFUSED, str(exc)), str(exc)
+                answers.append("overflow")
+                continue
+            assert (report.objective - stats.root_bound) / params.energy_scale / q <= 1e-9
+            assert feasibility_check(params, report.schedule).feasible
+            assert report.scd_events == [] == detect_scd(report.schedule)
+            answers.append(report.objective)
+    if str in map(type, answers):
+        assert answers[0] == answers[1]
+    else:
+        assert abs(answers[0] - answers[1]) / params.energy_scale / q <= 1e-9
 
 
 # a storage that keeps 1e-20 of its level a period: its level range, rescaled

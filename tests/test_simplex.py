@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from storesched import (
     solve_storage_milp,
 )
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC, SimplexFailure
+from storesched.storage import unit_exponents
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -149,7 +151,8 @@ class TestBoundFlips:
         problem = lp.build_lp(params, prices)
         sol = lp.solve_lp(problem)
         assert_lp_certificate(problem, sol)
-        assert sol.objective == pytest.approx(solve_storage_lp(params, prices).objective, rel=1e-9)
+        assert math.ldexp(sol.objective, sum(unit_exponents(params, prices))) == pytest.approx(
+            solve_storage_lp(params, prices).objective, rel=1e-9)
         assert len(solutions) == 1 and solutions[0].iterations <= 40
 
 
