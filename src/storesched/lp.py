@@ -135,21 +135,30 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """The LP answer from its value function (value.py), not the simplex: a
     schedule with no costless SCD (at a zero price or eta = 1), its SCD
     events, duals from its bound statuses and their KKT residual, both formed
-    in storage.unit_exponents' price unit.  Storage's two gates refuse before
+    in storage.unit_exponents' price unit.  Each bound multiplier is the part
+    of one sign of the reduced cost of soe, p_chg or p_dis, which the
+    stationarity rows give from lambda.  Storage's two gates refuse before
     any solve; a ValueError names an overflowing objective."""
     require_schedulable(params, len(prices))
     require_compatible(params, prices)
     p_chg, p_dis, soe, lam = map(np.array, lp_optimum(params, prices))  # Schedule checks by dtype
     schedule, dt, p = Schedule(p_chg, p_dis, soe), params.dt, unit_exponents(params, prices)[1]
-    y, c = np.ldexp(lam, -p), np.ldexp(prices.prices, -p)
+    y, dt_c = np.ldexp(lam, -p), dt * np.ldexp(prices.prices, -p)
     with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual
         report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
         require_finite("lp objective", report.objective)
-        # the reduced costs of soe, p_chg and p_dis from the stationarity rows;
-        # each bound multiplier is the part of one sign (lower, then upper)
-        reduced = np.stack([params.rho * np.append(y[1:], 0.0) - y,
-                            y * dt * params.eta_c - dt * c, dt * c - y * dt / params.eta_d])
-        bounds = np.maximum(reduced[:, None] * np.array([[-1.0], [1.0]]), 0.0).reshape(6, -1)
+        # rows (sigma, gamma, delta) x (lower, upper): the upper rows take the
+        # reduced costs, the lower rows their negations, then each its part >= 0
+        bounds = np.empty((6, len(y)))
+        soe_rc, chg_rc, dis_rc = hi = bounds[1::2]
+        np.multiply(y[1:], params.rho, out=soe_rc[:-1])
+        soe_rc[-1] = 0.0  # free terminal level: lam_{T+1} = 0
+        np.subtract(soe_rc, y, out=soe_rc)
+        y_dt = y * dt
+        np.subtract(np.multiply(y_dt, params.eta_c, out=chg_rc), dt_c, out=chg_rc)
+        np.subtract(dt_c, np.divide(y_dt, params.eta_d, out=dis_rc), out=dis_rc)
+        np.maximum(np.multiply(hi, -1.0, out=bounds[::2]), 0.0, out=bounds[::2])
+        np.maximum(hi, 0.0, out=hi)
         report.duals = DualVector(lam, *np.ldexp(bounds, p))
         report.kkt_max_residual = kkt_verify(params, prices, report, DualVector(y, *bounds))
     return report
@@ -162,33 +171,54 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     every complementarity pair, and the identity that at any SCD period
     dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in storage.unit_exponents'
     price unit, where q, q*dt and q*e neither round to 0 nor overflow: of report.duals
-    scaled into it, or of du, the same multipliers as formed there."""
+    scaled into it, or of du, the same multipliers as formed there.  The
+    residuals fill the rows of one block, each row's largest |r| is divided
+    by its unit, and a NaN anywhere reads NaN."""
     if report.duals is None:
         raise MissingDuals("report carries no duals")
     p = unit_exponents(params, prices)[1]
     du = du or DualVector(*(np.ldexp(v, -p) for v in vars(report.duals).values()))
     sch, dt, c = report.schedule, params.dt, np.ldexp(prices.prices, -p)
-    e, q = params.energy_scale, np.abs(c).max() or 1.0  # with every price 0, any q will do
-    lam_next = np.append(du.lam[1:], 0.0)  # free terminal level: lam_{T+1} = 0
-
+    e, q = params.energy_scale, np.maximum.reduce(np.abs(c)).item() or 1.0  # all 0: any q will do
+    lam, bounds = du.lam, (du.sigma_lo, du.sigma_hi, du.gamma_lo, du.gamma_hi, du.delta_lo,
+                           du.delta_hi)
+    res = np.empty((22, len(c)))
+    dis_st, chg_st, soe_st, balance = res[:4]
     # stationarity in p_dis, p_chg and soe, in units of q*dt, q*dt and q, and
     # the primal balance rows, in e
+    dt_c, lam_dt = dt * c, lam * dt
+    np.add(np.multiply(-dt, c, out=dis_st), np.divide(lam_dt, params.eta_d, out=balance),
+           out=dis_st)
+    np.subtract(np.add(dis_st, du.delta_hi, out=dis_st), du.delta_lo, out=dis_st)
+    np.subtract(dt_c, np.multiply(lam_dt, params.eta_c, out=chg_st), out=chg_st)
+    np.subtract(np.add(chg_st, du.gamma_hi, out=chg_st), du.gamma_lo, out=chg_st)
+    np.multiply(lam[1:], params.rho, out=soe_st[:-1])
+    soe_st[-1] = 0.0  # free terminal level: lam_{T+1} = 0
+    np.subtract(lam, soe_st, out=soe_st)
+    np.subtract(np.add(soe_st, du.sigma_hi, out=soe_st), du.sigma_lo, out=soe_st)
     flow = dt * (params.eta_c * sch.p_chg - sch.p_dis / params.eta_d)
-    rows = np.stack([-dt * c + du.lam * dt / params.eta_d + du.delta_hi - du.delta_lo,
-                     dt * c - du.lam * dt * params.eta_c + du.gamma_hi - du.gamma_lo,
-                     du.lam - params.rho * lam_next + du.sigma_hi - du.sigma_lo,
-                     net_exchange(params, sch.soe) - flow])
+    np.subtract(net_exchange(params, sch.soe), flow, out=balance)
     # per bound: dual nonnegativity, primal feasibility (e for soe, e/dt for a
     # power), complementary slackness
-    mult = np.stack([du.sigma_lo, du.sigma_hi, du.gamma_lo, du.gamma_hi, du.delta_lo, du.delta_hi])
-    slack = np.stack([sch.soe - params.s_min, params.s_max - sch.soe, sch.p_chg,
-                      params.p_chg_max - sch.p_chg, sch.p_dis, params.p_dis_max - sch.p_dis])
-    unit = np.array([q, q, q * dt, q * dt, q * dt, q * dt])
+    mult, slack, product = res[4:10], res[10:16], res[16:]
+    for row, v in zip(mult, bounds):
+        row[:] = v
+    np.subtract(sch.soe, params.s_min, out=slack[0])
+    np.subtract(params.s_max, sch.soe, out=slack[1])
+    slack[2], slack[4] = sch.p_chg, sch.p_dis
+    np.subtract(params.p_chg_max, sch.p_chg, out=slack[3])
+    np.subtract(params.p_dis_max, sch.p_dis, out=slack[5])
+    np.multiply(mult, slack, out=product)
+    np.minimum(mult, 0.0, out=mult)
+    np.minimum(slack, 0.0, out=slack)
     scd = scd_mask(sch.p_chg, sch.p_dis)  # the SCD dual identity at the SCD periods
     identity = dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd]
-    res = [(rows, np.array([q * dt, q * dt, q, e])), (np.minimum(mult, 0.0), unit),
-           (np.minimum(slack, 0.0), e * (q / unit)), (mult * slack, q * e), (identity, q * dt)]
+    q_dt = q * dt
+    unit = np.array([q_dt, q_dt, q, e] + [q, q] + [q_dt] * 4 + [e * (q / q)] * 2
+                    + [e * (q / q_dt)] * 4 + [q * e] * 6 + [q_dt])
     # each residual's largest |r| over its unit: division rounds monotonically,
     # so that is its largest |r|/unit
-    worst = [np.maximum.reduce(np.abs(r), axis=-1, initial=0.0) / u for r, u in res]
-    return np.maximum.reduce(np.hstack(worst)).item()  # NaN anywhere reads NaN
+    worst = np.empty(23)
+    np.maximum.reduce(np.abs(res, out=res), axis=1, initial=0.0, out=worst[:22])
+    worst[22] = np.maximum.reduce(np.abs(identity), initial=0.0)
+    return np.maximum.reduce(np.divide(worst, unit, out=worst)).item()

@@ -190,7 +190,7 @@ def require_compatible(params: StorageParams, prices: PriceSeries) -> None:
     this storage: the same dt, and each profit rate dt * C_t a double."""
     if prices.dt != params.dt:
         raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
-    require_finite("dt * price", params.dt * np.abs(prices.prices).max().item())
+    require_finite("dt * price", params.dt * np.maximum.reduce(np.abs(prices.prices)).item())
 
 
 def require_schedulable(params: StorageParams, T: int) -> None:
@@ -227,7 +227,7 @@ def objective(prices: PriceSeries, schedule: Schedule, dt: float) -> float:
     c = prices.prices
     if len(c) != len(schedule):
         raise ValueError("price and schedule lengths differ")
-    return float(np.sum(dt * c * (schedule.p_dis - schedule.p_chg)))
+    return np.add.reduce(dt * c * (schedule.p_dis - schedule.p_chg)).item()
 
 
 def net_exchange(params: StorageParams, soe) -> np.ndarray:

@@ -43,13 +43,14 @@ def lp_optimum(params, prices) -> tuple:
     # the surplus by discharge (spill, where eta < 1), so the two slopes swap
     start, end, keys, lens = s_min, s_max, [0.0], [s_max - s_min]
     pieces = [None] * T
+    c_unit = [ldexp(v, -price_unit) for v in c]
+    burn_knot, burn_spill = hi - dis, 0.0 if params.eta == 1.0 else dis
     for t in range(T - 1, -1, -1):
-        ct = ldexp(c[t], -price_unit)
+        ct = c_unit[t]
         if ct >= 0:
             k1, k2, knot, spill = -ct / eta_c, -ct * eta_d, 0.0, 0.0
         else:
-            k1, k2, knot = -ct * eta_d, -ct / eta_c, hi - dis
-            spill = 0.0 if params.eta == 1.0 else dis
+            k1, k2, knot, spill = -ct * eta_d, -ct / eta_c, burn_knot, burn_spill
         lo_b, hi_b = start - y_max, end - y_min  # the exchanges that reach [start, end]
         lo_b, hi_b = -dis if lo_b < -dis else lo_b, hi if hi_b > hi else hi_b
         lo_b = hi_b if lo_b > hi_b else lo_b
@@ -57,21 +58,23 @@ def lp_optimum(params, prices) -> tuple:
         l1, l2 = hi_b - mid, mid - lo_b
         # a tie with V keeps beta nearest g's knot: at C_t = 0 the level idles
         i1, i2 = bisect_left(keys, k1), bisect_right(keys, k2)
-        a1 = sum(lens[:i1])
+        a1 = sum(lens[:i1]) if i1 else 0
         y0 = start - hi_b  # the merged list starts at rho*s = y0, with beta = hi_b
-        pieces[t] = (y0, a1, l1, a1 + l1 + sum(lens[i1:i2]), l2, start, end, spill)
+        a2 = a1 + l1 + (sum(lens[i1:i2]) if i2 > i1 else 0)
+        pieces[t] = (y0, a1, l1, a2, l2, start, end, spill)
         for i, k, v in ((i2, k2, l2), (i1, k1, l1)):
             if v > 0:
                 keys.insert(i, k)
                 lens.insert(i, v)
         # y_end from the lengths, so that their rounding is not scaled by 1/rho
-        y_end = y0 + sum(lens)
+        y_end = y0 + (sum(lens) if len(lens) > 1 else lens[0])
         cut = y_min - y0  # clip to [y_min, y_max], the front first
-        while cut > 0 and len(lens) > 1 and lens[0] <= cut:
-            cut -= lens.pop(0)
-            keys.pop(0)
         if cut > 0:
-            lens[0] = max(lens[0] - cut, 0.0)
+            while cut > 0 and len(lens) > 1 and lens[0] <= cut:
+                cut -= lens.pop(0)
+                keys.pop(0)
+            if cut > 0:
+                lens[0] = max(lens[0] - cut, 0.0)
         if y_end > y_max:
             # the back by the window's width, measured from the front: a cut of
             # y_end - y_max carries the rounding of the list's far end, and the
@@ -90,6 +93,7 @@ def lp_optimum(params, prices) -> tuple:
 
     # forward: walk the merged list of each period to rho*s
     s, p_chg, p_dis, soe, allowed = s_init, [], [], [], []
+    dt_c = dt * eta_c
     for t in range(T):
         y0, a1, l1, a2, l2, start, end, spill = pieces[t]
         y = rho * s
@@ -106,7 +110,7 @@ def lp_optimum(params, prices) -> tuple:
         add = 0.0 if add <= tol else hi if add >= hi - tol else add
         burn = add - beta
         burn = 0.0 if burn <= tol else dis if burn >= dis - tol else burn
-        p_chg.append(pc_hi if add == hi else ldexp(add, unit) / (dt * eta_c))
+        p_chg.append(pc_hi if add == hi else ldexp(add, unit) / dt_c)
         p_dis.append(pd_hi if burn == dis else ldexp(burn, unit) * eta_d / dt)
         soe.append(ldexp(u, unit))
         # the balance multipliers the power statuses allow: lambda_t >= C_t/eta_c

@@ -11,7 +11,7 @@ import pytest
 
 import storesched
 from _instances import criterion_4_draws, fast_params, mixed_sign_prices
-from storesched import lp, milp, partition, simplex, solve_storage_milp
+from storesched import lp, milp, partition, simplex, solve_storage_milp, storage, value
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -76,12 +76,13 @@ def test_solvers_import_nothing():
     assert done.stdout == "[]\n"
 
 
-def numpy_python_calls(run):
-    """Run run() and count, by the name of the calling function, the calls
-    that simplex.py makes into numpy functions written in Python (frames
+def numpy_python_calls(run, modules=(simplex,)):
+    """Run run() and count, by (calling function, numpy function), the calls
+    that the modules make into numpy functions written in Python (frames
     whose file lies in numpy's package), and the simplex's rounds (calls of
     _Factor.dual)."""
     numpy_dir = os.path.dirname(np.__file__) + os.sep
+    files = {module.__file__ for module in modules}
     calls, rounds = Counter(), Counter()
 
     def profile(frame, event, arg):
@@ -91,8 +92,8 @@ def numpy_python_calls(run):
         if code.co_filename == simplex.__file__ and code.co_name == "dual":
             rounds["dual"] += 1
         elif (code.co_filename.startswith(numpy_dir) and caller is not None
-              and caller.f_code.co_filename == simplex.__file__):
-            calls[caller.f_code.co_name] += 1
+              and caller.f_code.co_filename in files):
+            calls[caller.f_code.co_name, code.co_qualname] += 1
 
     sys.setprofile(profile)
     try:
@@ -100,6 +101,10 @@ def numpy_python_calls(run):
     finally:
         sys.setprofile(None)
     return calls, rounds["dual"]
+
+
+def by_caller(calls):
+    return Counter(caller for caller, _ in calls.elements())
 
 
 def test_simplex_hot_path_calls_no_python_level_numpy():
@@ -117,11 +122,31 @@ def test_simplex_hot_path_calls_no_python_level_numpy():
     pivoting, pivoting_rounds = numpy_python_calls(
         lambda: solve_storage_milp(params, prices, part, refined=True))
     resolve, resolve_rounds = numpy_python_calls(lambda: lp.solve_lp(base, root))
+    pivoting, resolve = by_caller(pivoting), by_caller(resolve)
     assert resolve_rounds == 1 and pivoting_rounds >= 2
     assert pivoting["_dual"] / pivoting_rounds <= resolve["_dual"] / resolve_rounds
     # a tree that branches, bounds children and flips bounds
     day, day_prices, day_part = list(criterion_4_draws(2))[1]
     branching, _ = numpy_python_calls(
         lambda: solve_storage_milp(day, day_prices, day_part, refined=False))
-    for calls in (pivoting, resolve, branching):
+    for calls in (pivoting, resolve, by_caller(branching)):
         assert not {"_entering", "pivot", "row", "column", "child_bound"} & set(calls), calls
+
+
+def test_lp_route_calls_no_python_level_numpy():
+    # the LP answer runs once per op in a fresh process, where a numpy
+    # wrapper written in Python (np.stack, np.append, np.sum, ndarray.max)
+    # costs several times its warm call.  So solve_storage_lp, the value
+    # function and the storage helpers on its path call ufuncs and ndarray
+    # methods only, apart from the errstate that lets an overflow reach its
+    # named refusal and np.concatenate's dispatcher, and their calls do not
+    # grow with the horizon
+    rng = np.random.default_rng(168)
+    week = fast_params(rng), mixed_sign_prices(rng, 168)
+    day = next(criterion_4_draws(1))[:2]  # lossy
+    route = (lp, value, storage)
+    day_calls, _ = numpy_python_calls(lambda: lp.solve_storage_lp(*day), route)
+    week_calls, _ = numpy_python_calls(lambda: lp.solve_storage_lp(*week), route)
+    assert {name for _, name in day_calls} <= {
+        "errstate.__init__", "errstate.__enter__", "errstate.__exit__", "concatenate"}, day_calls
+    assert day_calls == week_calls
