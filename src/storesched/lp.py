@@ -196,7 +196,7 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     soe_st[-1] = 0.0  # free terminal level: lam_{T+1} = 0
     np.subtract(lam, soe_st, out=soe_st)
     np.subtract(np.add(soe_st, du.sigma_hi, out=soe_st), du.sigma_lo, out=soe_st)
-    flow = dt * (params.eta_c * sch.p_chg - sch.p_dis / params.eta_d)
+    flow = dt * params.eta_c * sch.p_chg - dt / params.eta_d * sch.p_dis
     np.subtract(net_exchange(params, sch.soe), flow, out=balance)
     # per bound: dual nonnegativity, primal feasibility (e for soe, e/dt for a
     # power), complementary slackness

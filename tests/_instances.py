@@ -278,7 +278,7 @@ def reference_kkt_verify(params, prices, du, sch):
     res.append((-dt * c + du.lam * dt / params.eta_d + du.delta_hi - du.delta_lo, q * dt))
     res.append((dt * c - du.lam * dt * params.eta_c + du.gamma_hi - du.gamma_lo, q * dt))
     res.append((du.lam - params.rho * lam_next + du.sigma_hi - du.sigma_lo, q))
-    flow = dt * (params.eta_c * sch.p_chg - sch.p_dis / params.eta_d)
+    flow = dt * params.eta_c * sch.p_chg - dt / params.eta_d * sch.p_dis
     res.append((net_exchange(params, sch.soe) - flow, e))
     for mult, slack, unit in (
         (du.sigma_lo, sch.soe - params.s_min, q), (du.sigma_hi, params.s_max - sch.soe, q),

@@ -487,6 +487,21 @@ class TestSolve:
         assert code == 0
         assert json.loads((out / "report.json").read_text())["kkt_max_residual"] <= 1e-7
 
+    def test_huge_discharge_is_certified(self, tmp_path):
+        # a full-rate discharge of 1.7e308 MW over 1/6 h: dt * P / eta_d is a
+        # double where P / eta_d is not, so kkt_verify's flow multiplies by
+        # dt / eta_d first
+        (tmp_path / "params.txt").write_text(
+            "s_min = 0\ns_max = 1.7e308\ns_init = 1.7e308\np_chg_max = 1e-8\n"
+            "p_dis_max = 1.7e308\neta_c = 1\neta_d = 0.9\nrho = 0.999\n"
+            "dt_hours = 0.16666666666666666\n")
+        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,1e-300\n")
+        out = tmp_path / "out"
+        code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
+                    tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["kkt_max_residual"] <= 1e-7
+
     def test_dp_overflow_exit_2(self, workspace, capsys):
         # unit storage against 1,000 hours at +-1e306 EUR/MWh: the storage is
         # feasible, but the DP's value table overflows, and the error says so

@@ -358,6 +358,13 @@ def test_lp_entry_point(inputs):
         assert_lp_certificate_as_reference(params, prices, report)
 
 
+def test_huge_discharge_is_certified():
+    # the balance residual's flow multiplies by dt / eta_d first, as
+    # feasibility_check does, so the discharge that fits is no overflow there
+    report = solve_storage_lp(HUGE_DISCHARGE, PriceSeries([1e-300], 1 / 6))
+    assert report.kkt_max_residual <= 1e-7
+
+
 @st.composite
 def dp_inputs(draw):
     """(storage, prices or the ValueError that refuses them, grid points)
