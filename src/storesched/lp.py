@@ -147,16 +147,17 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual
         report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
         require_finite("lp objective", report.objective)
-        # rows (sigma, gamma, delta) x (lower, upper): the upper rows take the
-        # reduced costs, the lower rows their negations, then each its part >= 0
+        # the reduced costs of soe, p_chg and p_dis from the stationarity rows
+        # fill the upper bounds' rows, their negations the lower bounds'; each
+        # bound multiplier is the part >= 0 of its row
         bounds = np.empty((6, len(y)))
         soe_rc, chg_rc, dis_rc = hi = bounds[1::2]
-        np.multiply(y[1:], params.rho, out=soe_rc[:-1])
+        soe_rc[:-1] = params.rho * y[1:]
         soe_rc[-1] = 0.0  # free terminal level: lam_{T+1} = 0
-        np.subtract(soe_rc, y, out=soe_rc)
+        soe_rc -= y
         y_dt = y * dt
-        np.subtract(np.multiply(y_dt, params.eta_c, out=chg_rc), dt_c, out=chg_rc)
-        np.subtract(dt_c, np.divide(y_dt, params.eta_d, out=dis_rc), out=dis_rc)
+        chg_rc[:] = y_dt * params.eta_c - dt_c
+        dis_rc[:] = dt_c - y_dt / params.eta_d
         np.maximum(np.multiply(hi, -1.0, out=bounds[::2]), 0.0, out=bounds[::2])
         np.maximum(hi, 0.0, out=hi)
         report.duals = DualVector(lam, *np.ldexp(bounds, p))
@@ -180,45 +181,34 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     du = du or DualVector(*(np.ldexp(v, -p) for v in vars(report.duals).values()))
     sch, dt, c = report.schedule, params.dt, np.ldexp(prices.prices, -p)
     e, q = params.energy_scale, np.maximum.reduce(np.abs(c)).item() or 1.0  # all 0: any q will do
-    lam, bounds = du.lam, (du.sigma_lo, du.sigma_hi, du.gamma_lo, du.gamma_hi, du.delta_lo,
-                           du.delta_hi)
-    res = np.empty((22, len(c)))
-    dis_st, chg_st, soe_st, balance = res[:4]
-    # stationarity in p_dis, p_chg and soe, in units of q*dt, q*dt and q, and
-    # the primal balance rows, in e
-    dt_c, lam_dt = dt * c, lam * dt
-    np.add(np.multiply(-dt, c, out=dis_st), np.divide(lam_dt, params.eta_d, out=balance),
-           out=dis_st)
-    np.subtract(np.add(dis_st, du.delta_hi, out=dis_st), du.delta_lo, out=dis_st)
-    np.subtract(dt_c, np.multiply(lam_dt, params.eta_c, out=chg_st), out=chg_st)
-    np.subtract(np.add(chg_st, du.gamma_hi, out=chg_st), du.gamma_lo, out=chg_st)
-    np.multiply(lam[1:], params.rho, out=soe_st[:-1])
-    soe_st[-1] = 0.0  # free terminal level: lam_{T+1} = 0
-    np.subtract(lam, soe_st, out=soe_st)
-    np.subtract(np.add(soe_st, du.sigma_hi, out=soe_st), du.sigma_lo, out=soe_st)
+    lam, *bounds = vars(du).values()
+    res = np.empty((22, len(c)))  # one residual per row, in the order of unit below
+    # stationarity in p_dis, p_chg and soe, and the primal balance rows
+    lam_dt = lam * dt
+    res[0] = -dt * c + lam_dt / params.eta_d + du.delta_hi - du.delta_lo
+    res[1] = dt * c - lam_dt * params.eta_c + du.gamma_hi - du.gamma_lo
+    res[2, :-1] = params.rho * lam[1:]
+    res[2, -1] = 0.0  # free terminal level: lam_{T+1} = 0
+    res[2] = lam - res[2] + du.sigma_hi - du.sigma_lo
     flow = dt * params.eta_c * sch.p_chg - dt / params.eta_d * sch.p_dis
-    np.subtract(net_exchange(params, sch.soe), flow, out=balance)
-    # per bound: dual nonnegativity, primal feasibility (e for soe, e/dt for a
-    # power), complementary slackness
-    mult, slack, product = res[4:10], res[10:16], res[16:]
-    for row, v in zip(mult, bounds):
-        row[:] = v
-    np.subtract(sch.soe, params.s_min, out=slack[0])
-    np.subtract(params.s_max, sch.soe, out=slack[1])
-    slack[2], slack[4] = sch.p_chg, sch.p_dis
-    np.subtract(params.p_chg_max, sch.p_chg, out=slack[3])
-    np.subtract(params.p_dis_max, sch.p_dis, out=slack[5])
-    np.multiply(mult, slack, out=product)
-    np.minimum(mult, 0.0, out=mult)
-    np.minimum(slack, 0.0, out=slack)
+    res[3] = net_exchange(params, sch.soe) - flow
+    # per bound: dual nonnegativity, primal feasibility, complementary slackness
+    mult, slack = res[4:10], res[10:16]
+    mult[:] = bounds
+    slack[:] = (sch.soe - params.s_min, params.s_max - sch.soe, sch.p_chg,
+                params.p_chg_max - sch.p_chg, sch.p_dis, params.p_dis_max - sch.p_dis)
+    np.multiply(mult, slack, out=res[16:])
+    np.minimum(res[4:16], 0.0, out=res[4:16])
     scd = scd_mask(sch.p_chg, sch.p_dis)  # the SCD dual identity at the SCD periods
     identity = dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd]
+    # stationarity in q*dt, q*dt and q, balance in e; each multiplier in q for
+    # soe and q*dt for a power, its slack in e and e/dt, their product in q*e
     q_dt = q * dt
-    unit = np.array([q_dt, q_dt, q, e] + [q, q] + [q_dt] * 4 + [e * (q / q)] * 2
-                    + [e * (q / q_dt)] * 4 + [q * e] * 6 + [q_dt])
+    unit = np.array([q_dt, q_dt, q, e, q, q] + [q_dt] * 4 + [e, e] + [e * (q / q_dt)] * 4
+                    + [q * e] * 6 + [q_dt])
     # each residual's largest |r| over its unit: division rounds monotonically,
     # so that is its largest |r|/unit
     worst = np.empty(23)
     np.maximum.reduce(np.abs(res, out=res), axis=1, initial=0.0, out=worst[:22])
     worst[22] = np.maximum.reduce(np.abs(identity), initial=0.0)
-    return np.maximum.reduce(np.divide(worst, unit, out=worst)).item()
+    return np.maximum.reduce(np.divide(worst, unit, out=worst)).item()  # NaN anywhere reads NaN

@@ -181,7 +181,7 @@ def from_units(value: float, exponent: int) -> float:
 
 def require_finite(name: str, value: float) -> None:
     """Refuse, by name, a quantity that overflowed double precision."""
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} is {value}, beyond double precision")
 
 

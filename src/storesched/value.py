@@ -62,10 +62,12 @@ def lp_optimum(params, prices) -> tuple:
         y0 = start - hi_b  # the merged list starts at rho*s = y0, with beta = hi_b
         a2 = a1 + l1 + (sum(lens[i1:i2]) if i2 > i1 else 0)
         pieces[t] = (y0, a1, l1, a2, l2, start, end, spill)
-        for i, k, v in ((i2, k2, l2), (i1, k1, l1)):
-            if v > 0:
-                keys.insert(i, k)
-                lens.insert(i, v)
+        if l2 > 0:  # i2 first, so that i1 <= i2 still points at its place
+            keys.insert(i2, k2)
+            lens.insert(i2, l2)
+        if l1 > 0:
+            keys.insert(i1, k1)
+            lens.insert(i1, l1)
         # y_end from the lengths, so that their rounding is not scaled by 1/rho
         y_end = y0 + (sum(lens) if len(lens) > 1 else lens[0])
         cut = y_min - y0  # clip to [y_min, y_max], the front first
@@ -97,9 +99,10 @@ def lp_optimum(params, prices) -> tuple:
     for t in range(T):
         y0, a1, l1, a2, l2, start, end, spill = pieces[t]
         y = rho * s
-        g1, g2 = y - y0 - a1, y - y0 - a2  # how far the walk went into g's pieces
+        walk = y - y0
+        g1, g2 = walk - a1, walk - a2  # how far the walk went into g's pieces
         g = (0.0 if g1 < 0 else l1 if g1 > l1 else g1) + (0.0 if g2 < 0 else l2 if g2 > l2 else g2)
-        u = start + (y - y0 - g)
+        u = start + (walk - g)
         u = start if u < start else end if u > end else u
         tol = _TOL * (y + abs(y0) + start)  # a level or energy this near a bound is on it
         at_min, at_max = u <= s_min + tol, u >= s_max - tol
