@@ -147,9 +147,8 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual
         report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
         require_finite("lp objective", report.objective)
-        # the reduced costs of soe, p_chg and p_dis from the stationarity rows
-        # fill the upper bounds' rows, their negations the lower bounds'; each
-        # bound multiplier is the part >= 0 of its row
+        # the upper bounds' rows take the reduced costs, the lower bounds' rows
+        # their negations, and each multiplier is the part >= 0 of its row
         bounds = np.empty((6, len(y)))
         soe_rc, chg_rc, dis_rc = hi = bounds[1::2]
         soe_rc[:-1] = params.rho * y[1:]
@@ -173,8 +172,8 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in storage.unit_exponents'
     price unit, where q, q*dt and q*e neither round to 0 nor overflow: of report.duals
     scaled into it, or of du, the same multipliers as formed there.  The
-    residuals fill the rows of one block, each row's largest |r| is divided
-    by its unit, and a NaN anywhere reads NaN."""
+    residuals fill the rows of one block, and each row's largest |r| is
+    divided by its unit."""
     if report.duals is None:
         raise MissingDuals("report carries no duals")
     p = unit_exponents(params, prices)[1]

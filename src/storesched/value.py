@@ -71,12 +71,11 @@ def lp_optimum(params, prices) -> tuple:
         # y_end from the lengths, so that their rounding is not scaled by 1/rho
         y_end = y0 + (sum(lens) if len(lens) > 1 else lens[0])
         cut = y_min - y0  # clip to [y_min, y_max], the front first
+        while cut > 0 and len(lens) > 1 and lens[0] <= cut:
+            cut -= lens.pop(0)
+            keys.pop(0)
         if cut > 0:
-            while cut > 0 and len(lens) > 1 and lens[0] <= cut:
-                cut -= lens.pop(0)
-                keys.pop(0)
-            if cut > 0:
-                lens[0] = max(lens[0] - cut, 0.0)
+            lens[0] = max(lens[0] - cut, 0.0)
         if y_end > y_max:
             # the back by the window's width, measured from the front: a cut of
             # y_end - y_max carries the rounding of the list's far end, and the

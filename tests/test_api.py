@@ -134,9 +134,10 @@ def test_simplex_hot_path_calls_no_python_level_numpy():
 
 
 def test_lp_route_calls_no_python_level_numpy():
-    # the LP answer runs once per op in a fresh process, where a numpy
-    # wrapper written in Python (np.stack, np.append, np.sum, ndarray.max)
-    # costs several times its warm call.  So solve_storage_lp, the value
+    # the LP answer runs once per CLI call, in a fresh process, and once per
+    # benchmark op, after the calibration kernel: there a numpy function
+    # written in Python (np.stack, np.append, np.sum, ndarray.max) costs
+    # several times its warm call.  So solve_storage_lp, the value
     # function and the storage helpers on its path call ufuncs and ndarray
     # methods only, apart from the errstate that lets an overflow reach its
     # named refusal and np.concatenate's dispatcher, and their calls do not
