@@ -181,30 +181,36 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     sch, dt, c = report.schedule, params.dt, np.ldexp(prices.prices, -p)
     e, q = params.energy_scale, np.maximum.reduce(np.abs(c)).item() or 1.0  # all 0: any q will do
     lam, *bounds = vars(du).values()
-    res = np.empty((22, len(c)))  # one residual per row, in the order of unit below
-    # stationarity in p_dis, p_chg and soe, and the primal balance rows
+    # each residual row beside its unit: stationarity in p_dis and p_chg in
+    # q*dt, in soe in q, balance in e; each multiplier in q for soe and q*dt
+    # for a power, its slack in e and e/dt, their product in q*e
+    q_dt = q * dt
+    res, unit = np.empty((22, len(c))), np.empty(23)  # unit[22]: the SCD identity's
     lam_dt = lam * dt
     res[0] = -dt * c + lam_dt / params.eta_d + du.delta_hi - du.delta_lo
     res[1] = dt * c - lam_dt * params.eta_c + du.gamma_hi - du.gamma_lo
+    unit[0:2] = q_dt
     res[2, :-1] = params.rho * lam[1:]
     res[2, -1] = 0.0  # free terminal level: lam_{T+1} = 0
     res[2] = lam - res[2] + du.sigma_hi - du.sigma_lo
+    unit[2] = q
     flow = dt * params.eta_c * sch.p_chg - dt / params.eta_d * sch.p_dis
     res[3] = net_exchange(params, sch.soe) - flow
+    unit[3] = e
     # per bound: dual nonnegativity, primal feasibility, complementary slackness
     mult, slack = res[4:10], res[10:16]
     mult[:] = bounds
+    unit[4:10] = q, q, q_dt, q_dt, q_dt, q_dt
     slack[:] = (sch.soe - params.s_min, params.s_max - sch.soe, sch.p_chg,
                 params.p_chg_max - sch.p_chg, sch.p_dis, params.p_dis_max - sch.p_dis)
+    e_dt = e * (q / q_dt)
+    unit[10:16] = e, e, e_dt, e_dt, e_dt, e_dt
     np.multiply(mult, slack, out=res[16:])
+    unit[16:22] = q * e
     np.minimum(res[4:16], 0.0, out=res[4:16])
     scd = scd_mask(sch.p_chg, sch.p_dis)  # the SCD dual identity at the SCD periods
     identity = dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd]
-    # stationarity in q*dt, q*dt and q, balance in e; each multiplier in q for
-    # soe and q*dt for a power, its slack in e and e/dt, their product in q*e
-    q_dt = q * dt
-    unit = np.array([q_dt, q_dt, q, e, q, q] + [q_dt] * 4 + [e, e] + [e * (q / q_dt)] * 4
-                    + [q * e] * 6 + [q_dt])
+    unit[22] = q_dt
     # each residual's largest |r| over its unit: division rounds monotonically,
     # so that is its largest |r|/unit
     worst = np.empty(23)

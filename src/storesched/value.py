@@ -69,7 +69,7 @@ def lp_optimum(params, prices) -> tuple:
             keys.insert(i1, k1)
             lens.insert(i1, l1)
         # y_end from the lengths, so that their rounding is not scaled by 1/rho
-        y_end = y0 + (sum(lens) if len(lens) > 1 else lens[0])
+        y_end = y0 + sum(lens)
         cut = y_min - y0  # clip to [y_min, y_max], the front first
         while cut > 0 and len(lens) > 1 and lens[0] <= cut:
             cut -= lens.pop(0)
