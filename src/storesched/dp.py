@@ -21,8 +21,8 @@ import numpy as np
 
 from .lp import SolveReport
 from .prices import PriceSeries, require_int
-from .storage import (EPS, Schedule, StorageParams, objective, require_compatible, require_finite,
-                      require_schedulable)
+from .storage import (EPS, Schedule, StorageParams, flow, objective, require_compatible,
+                      require_finite, require_schedulable)
 
 
 class GridTooCoarse(ValueError):
@@ -145,7 +145,7 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
                 raise GridTooCoarse(f"no feasible grid transition from level {s}")
             require_finite(f"dp gain at level {s}", best)
             p_chg[t], p_dis[t] = (pc[a], 0.0) if a < m else (0.0, pd[a - m])
-            s = base + dt * (eta_c * p_chg[t] - p_dis[t] / eta_d)
+            s = base + flow(params, p_chg[t], p_dis[t])
             soe[t] = s
         schedule = Schedule(p_chg=p_chg, p_dis=p_dis, soe=soe)
         report = SolveReport(objective(prices, schedule, params.dt), schedule, [])
@@ -197,7 +197,7 @@ def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: 
             best = max(best, profit)
             return
         for pc, pd in actions(s):
-            s_next = rho * s + dt * (eta_c * pc - pd / eta_d)
+            s_next = rho * s + flow(params, pc, pd)
             if s_next < params.s_min - tol or s_next > params.s_max + tol:
                 continue
             recurse(t + 1, s_next, profit + dt * prices.prices[t] * (pd - pc))

@@ -14,9 +14,9 @@ import numpy as np
 
 from .prices import PriceSeries
 from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, solve_bounded_lp
-from .storage import (Schedule, StorageParams, detect_scd, from_units, net_exchange, objective,
-                      reach_powers, require_compatible, require_finite, require_schedulable,
-                      scd_mask, unit_exponents)
+from .storage import (Schedule, ScaledInstance, StorageParams, detect_scd, flow, from_units,
+                      net_exchange, objective, require_compatible, require_finite,
+                      require_schedulable, scd_mask)
 from .value import lp_optimum
 
 
@@ -59,14 +59,13 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     and, at each 1-based period t in legs, the level after the charge alone,
     m^c_t = rho*soe_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and after
     the discharge alone, m^d_t = rho*soe_{t-1} - dt*p_dis_t/eta_d in
-    [rho*s_min, rho*s_max], with powers up to storage.reach_powers, once
-    storage.require_compatible has passed the prices.  Bounds and right-hand
-    side are in storage.unit_exponents' energy unit (a is unitless), costs in its price unit."""
-    require_compatible(params, prices)
-    e, p = unit_exponents(params, prices)
-    profit = np.ldexp(params.dt * prices.prices, -p)
-    T, K = len(prices), len(legs)
+    [rho*s_min, rho*s_max], with powers up to the ones the reaches imply.
+    prices is a PriceSeries or, handed on, storage.require_compatible's record
+    of it, in whose units the LP is (a is unitless)."""
+    units = prices if isinstance(prices, ScaledInstance) else require_compatible(params, prices)
     dt, rho = params.dt, params.rho
+    profit = dt * units.prices
+    T, K = len(profit), len(legs)
     t_leg = np.asarray(legs, dtype=int) - 1
     period = np.concatenate([np.arange(T), t_leg, t_leg])  # 0-based, one per row
     r = np.arange(T + 2 * K)
@@ -78,8 +77,8 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     a[r[dis], T + period[dis]] = dt / params.eta_d
     a[r[prev], 2 * T + period[prev] - 1] = -rho
     c = np.concatenate([-profit, profit, np.zeros(T + 2 * K)])
-    s_min, s_max, s_init, p_chg, p_dis = (from_units(v, -e) for v in (
-        params.s_min, params.s_max, params.s_init, *reach_powers(params)))
+    s_min, s_max, s_init = units.levels
+    p_chg, p_dis = (from_units(v, -units.e) for v in units.powers)
     lower = np.array([0.0, s_min, rho * s_min]).repeat([2 * T, T, 2 * K])
     upper = np.array([p_chg, p_dis, s_max, rho * s_max]).repeat([T, T, T + K, K])
     rhs = np.where(prev, 0.0, rho * s_init)
@@ -134,16 +133,15 @@ def solve_lp(problem: LpProblem, warm: LpSolution | None = None) -> LpSolution:
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """The LP answer from its value function (value.py), not the simplex: a
     schedule with no costless SCD (at a zero price or eta = 1), its SCD
-    events, duals from its bound statuses and their KKT residual, both formed
-    in storage.unit_exponents' price unit.  Each bound multiplier is the part
-    of one sign of the reduced cost of soe, p_chg or p_dis, which the
-    stationarity rows give from lambda.  Storage's two gates refuse before
-    any solve; a ValueError names an overflowing objective."""
+    events, duals from its bound statuses and their KKT residual, all formed
+    in the price unit of storage.require_compatible's record and scaled back
+    once.  Each bound multiplier is the part of one sign of the reduced cost of
+    soe, p_chg or p_dis, which the stationarity rows give from lambda.  Storage's
+    two gates refuse before any solve; a ValueError names an overflowing objective."""
     require_schedulable(params, len(prices))
-    require_compatible(params, prices)
-    p_chg, p_dis, soe, lam = map(np.array, lp_optimum(params, prices))  # Schedule checks by dtype
-    schedule, dt, p = Schedule(p_chg, p_dis, soe), params.dt, unit_exponents(params, prices)[1]
-    y, dt_c = np.ldexp(lam, -p), dt * np.ldexp(prices.prices, -p)
+    units = require_compatible(params, prices)
+    p_chg, p_dis, soe, y = map(np.array, lp_optimum(params, units))  # Schedule checks by dtype
+    schedule, dt, dt_c = Schedule(p_chg, p_dis, soe), params.dt, params.dt * units.prices
     with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual
         report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
         require_finite("lp objective", report.objective)
@@ -159,8 +157,9 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
         dis_rc[:] = dt_c - y_dt / params.eta_d
         np.maximum(np.multiply(hi, -1.0, out=bounds[::2]), 0.0, out=bounds[::2])
         np.maximum(hi, 0.0, out=hi)
-        report.duals = DualVector(lam, *np.ldexp(bounds, p))
-        report.kkt_max_residual = kkt_verify(params, prices, report, DualVector(y, *bounds))
+        report.duals = DualVector(*np.ldexp([y, *bounds], units.p))
+        du = units, DualVector(y, *bounds)
+        report.kkt_max_residual = kkt_verify(params, prices, report, du)
     return report
 
 
@@ -169,17 +168,17 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     largest price q, over the first-order optimality system: stationarity
     in p_dis / p_chg / soe, the balance equalities, dual nonnegativity,
     every complementarity pair, and the identity that at any SCD period
-    dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in storage.unit_exponents'
-    price unit, where q, q*dt and q*e neither round to 0 nor overflow: of report.duals
-    scaled into it, or of du, the same multipliers as formed there.  The
-    residuals fill the rows of one block, and each row's largest |r| is
-    divided by its unit."""
+    dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in the price unit of
+    storage.require_compatible's record, where q, q*dt and q*e neither round
+    to 0 nor overflow: of report.duals scaled into it, or of du's multipliers
+    as formed there, du a pair (that record, multipliers).  The residuals fill
+    the rows of one block, and each row's largest |r| is divided by its unit."""
     if report.duals is None:
         raise MissingDuals("report carries no duals")
-    p = unit_exponents(params, prices)[1]
-    du = du or DualVector(*(np.ldexp(v, -p) for v in vars(report.duals).values()))
-    sch, dt, c = report.schedule, params.dt, np.ldexp(prices.prices, -p)
-    e, q = params.energy_scale, np.maximum.reduce(np.abs(c)).item() or 1.0  # all 0: any q will do
+    units, du = du or (require_compatible(params, prices), None)
+    du = du or DualVector(*(np.ldexp(v, -units.p) for v in vars(report.duals).values()))
+    sch, dt, c = report.schedule, params.dt, units.prices
+    e, q = params.energy_scale, units.q or 1.0  # all 0: any q will do
     lam, *bounds = vars(du).values()
     # each residual row beside its unit: stationarity in p_dis and p_chg in
     # q*dt, in soe in q, balance in e; each multiplier in q for soe and q*dt
@@ -194,8 +193,7 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     res[2, -1] = 0.0  # free terminal level: lam_{T+1} = 0
     res[2] = lam - res[2] + du.sigma_hi - du.sigma_lo
     unit[2] = q
-    flow = dt * params.eta_c * sch.p_chg - dt / params.eta_d * sch.p_dis
-    res[3] = net_exchange(params, sch.soe) - flow
+    res[3] = net_exchange(params, sch.soe) - flow(params, sch.p_chg, sch.p_dis)
     unit[3] = e
     # per bound: dual nonnegativity, primal feasibility, complementary slackness
     mult, slack = res[4:10], res[10:16]

@@ -38,17 +38,17 @@ import numpy as np
 from .lp import SolveReport, build_lp, solve_lp
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpSolution, LpStatus, SimplexFailure, child_bound
-from .storage import (Schedule, StorageParams, detect_scd, from_units, repair_scd,
-                      require_finite, require_schedulable, scd_mask, unit_exponents)
+from .storage import (Schedule, ScaledInstance, StorageParams, detect_scd, from_units, repair_scd,
+                      require_compatible, require_finite, require_schedulable, scd_mask)
 
 
 @dataclass
 class MilpProblem:
     base: LpProblem
     binary_mask: np.ndarray  # the periods carrying u_t^C, u_t^D, over 0-based t
-    params: StorageParams  # base's power bounds (storage.reach_powers) are the exact big-Ms
+    params: StorageParams  # base's power bounds, the powers the reaches imply, are the exact big-Ms
     prices: PriceSeries
-    abs_prices: np.ndarray  # |C_t| in base's price unit (storage.unit_exponents)
+    units: ScaledInstance  # base's units (storage.require_compatible)
 
     @property
     def num_binaries(self) -> int:
@@ -70,14 +70,15 @@ def build_milp(
     part: PricePartition,
 ) -> MilpProblem:
     require_schedulable(params, len(prices))
+    units = require_compatible(params, prices)
     binary_mask = np.full(len(prices), not refined)  # full: every period
     binary_mask[np.asarray(part.t_neg, dtype=int) - 1] = True
     return MilpProblem(
-        base=build_lp(params, prices, part.t_neg),
+        base=build_lp(params, units, part.t_neg),
         binary_mask=binary_mask,
         params=params,
         prices=prices,
-        abs_prices=np.ldexp(abs(prices.prices), -unit_exponents(params, prices)[1]),
+        units=units,
     )
 
 
@@ -94,7 +95,7 @@ def _branch_period(problem: MilpProblem, sol: LpSolution) -> int | None:
     if not np.logical_or.reduce(branchable):
         return None
     both = np.minimum(problem.params.eta_c * p_chg, p_dis / problem.params.eta_d)
-    cost = problem.abs_prices * both
+    cost = abs(problem.units.prices) * both
     cost[~branchable] = -np.inf
     return int(cost.argmax())
 
@@ -152,7 +153,7 @@ def solve_milp(problem: MilpProblem):
         stack += children if nets_charge else children[::-1]
     if incumbent is None:
         raise SimplexFailure("branch and bound found no schedule for a storage that has one")
-    e, p = unit_exponents(problem.params, problem.prices)
+    e, p = problem.units.e, problem.units.p
     sch = repair_scd(problem.params, problem.prices,  # nets any nonnegative-price SCD
                      Schedule(*np.ldexp(incumbent.x[: 3 * T], e).reshape(3, T)))
     stats.gap, stats.root_bound = 0.0, from_units(stats.root_bound, e + p)

@@ -158,21 +158,6 @@ class FeasibilityReport:
         return not self.violations
 
 
-def reach_powers(params: StorageParams) -> tuple:
-    """(charge, discharge) powers (MW) the reaches imply: each limit unless its reach clips it."""
-    dt, reach_c, reach_d = params.dt, params.charge_reach, params.discharge_reach
-    return (params.p_chg_max if reach_c == params.charge_step else reach_c / (dt * params.eta_c),
-            params.p_dis_max if reach_d == params.discharge_step else reach_d * params.eta_d / dt)
-
-
-def unit_exponents(params: StorageParams, prices: PriceSeries) -> tuple:
-    """(e, p): LP and MILP solves compute in 2^e MWh, 2^e MW and 2^p EUR/MWh, the powers of
-    two just above energy_scale and max|C_t| (p = 0 with every price 0).  These exact scalings
-    keep the largest numbers near 1, so that no difference, product or tolerance overflows
-    and no slope from a subnormal price rounds to 0, and they move no pivot or tie."""
-    return math.frexp(params.energy_scale)[1], math.frexp(np.maximum.reduce(abs(prices.prices)))[1]
-
-
 def from_units(value: float, exponent: int) -> float:
     """value * 2^exponent; +-inf where that overflows, for require_finite to refuse by name."""
     overflows = value and math.frexp(value)[1] + exponent > 1024
@@ -185,12 +170,38 @@ def require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} is {value}, beyond double precision")
 
 
-def require_compatible(params: StorageParams, prices: PriceSeries) -> None:
-    """Raise a ValueError unless every formulation can take the prices with
-    this storage: the same dt, and each profit rate dt * C_t a double."""
+@dataclass(frozen=True)
+class ScaledInstance:
+    """An instance in the units every LP and MILP solve computes in: 2^e MWh and
+    2^e MW, 2^e the power of two just above energy_scale, and 2^p EUR/MWh, 2^p
+    the one just above max|C_t| (p = 0 with every price 0).  These exact
+    scalings keep the largest numbers near 1, so that nothing overflows and no
+    slope from a subnormal price rounds to 0, and they move no pivot or tie."""
+
+    e: int
+    p: int
+    prices: np.ndarray  # C_t in 2^p EUR/MWh
+    q: float  # max|C_t| in 2^p EUR/MWh, in [1/2, 1) or 0
+    levels: tuple  # s_min, s_max and s_init in 2^e MWh
+    reaches: tuple  # charge_reach and discharge_reach in 2^e MWh
+    powers: tuple  # the powers (MW) the reaches imply: each limit unless its reach clips it
+
+
+def require_compatible(params: StorageParams, prices: PriceSeries) -> ScaledInstance:
+    """Raise a ValueError unless every formulation can take the prices with this
+    storage: the same dt, and each profit rate dt * C_t a double; else their record."""
     if prices.dt != params.dt:
         raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
-    require_finite("dt * price", params.dt * np.maximum.reduce(np.abs(prices.prices)).item())
+    largest = np.maximum.reduce(np.abs(prices.prices)).item()
+    require_finite("dt * price", params.dt * largest)
+    e, p = math.frexp(params.energy_scale)[1], math.frexp(largest)[1]
+    dt, reach_c, reach_d = params.dt, params.charge_reach, params.discharge_reach
+    return ScaledInstance(
+        e, p, np.ldexp(prices.prices, -p), math.ldexp(largest, -p),
+        tuple(math.ldexp(v, -e) for v in (params.s_min, params.s_max, params.s_init)),
+        (math.ldexp(reach_c, -e), math.ldexp(reach_d, -e)),
+        (params.p_chg_max if reach_c == params.charge_step else reach_c / (dt * params.eta_c),
+         params.p_dis_max if reach_d == params.discharge_step else reach_d * params.eta_d / dt))
 
 
 def require_schedulable(params: StorageParams, T: int) -> None:
@@ -206,20 +217,25 @@ def require_schedulable(params: StorageParams, T: int) -> None:
 
 def propagate_soe(params: StorageParams, p_chg, p_dis) -> np.ndarray:
     """State of energy at each period end given the power schedule:
-    s_t = rho * s_{t-1} + dt * (eta_c * pC_t - pD_t / eta_d), s_0 = s_init.
+    s_t = rho * s_{t-1} + flow_t, s_0 = s_init.
     """
     p_chg, p_dis = real_column("p_chg", p_chg), real_column("p_dis", p_dis)
     if p_chg.shape != p_dis.shape or p_chg.ndim != 1 or len(p_chg) < 1:
         raise ValueError("p_chg and p_dis must be 1-D sequences of equal length >= 1")
     if np.any(p_chg < 0) or np.any(p_dis < 0):
         raise ValueError("power entries must be nonnegative")
-    net = params.dt * (params.eta_c * p_chg - p_dis / params.eta_d)
+    net = flow(params, p_chg, p_dis)
     soe = np.empty(len(p_chg))
     level = params.s_init
     for t in range(len(p_chg)):
         level = params.rho * level + net[t]
         soe[t] = level
     return soe
+
+
+def flow(params: StorageParams, p_chg, p_dis):
+    """dt*eta_c * pC_t - dt/eta_d * pD_t (MWh): a power that fits its period cannot overflow."""
+    return params.dt * params.eta_c * p_chg - params.dt / params.eta_d * p_dis
 
 
 def objective(prices: PriceSeries, schedule: Schedule, dt: float) -> float:
@@ -232,8 +248,7 @@ def objective(prices: PriceSeries, schedule: Schedule, dt: float) -> float:
 
 def net_exchange(params: StorageParams, soe) -> np.ndarray:
     """The net energy exchange beta_t = s_t - rho * s_{t-1} of each period,
-    with s_0 = s_init: on a consistent schedule it equals
-    dt * (eta_c * pC_t - pD_t / eta_d)."""
+    with s_0 = s_init: on a consistent schedule it equals the flow."""
     soe = np.asarray(soe, dtype=float)
     return soe - params.rho * np.concatenate(([params.s_init], soe[:-1]))
 
@@ -245,15 +260,13 @@ _TAGS = (("bound_pc", "nonfinite_pc"), ("bound_pd", "nonfinite_pd"),
 
 def feasibility_check(params: StorageParams, schedule: Schedule) -> FeasibilityReport:
     """Verify power bounds, state-of-energy bounds and the recursion
-    residual beta_t - (dt*eta_c * pC_t - dt/eta_d * pD_t) of every period
-    (a feasible power times its step factor cannot overflow), within EPS of
+    residual beta_t - flow_t of every period, within EPS of
     the energy scale (over dt for a power).  Reports every violation with
     its magnitude, and a NaN or infinite entry as a nonfinite_* violation
     in place of its bound check; never raises on infeasibility and never warns."""
     with np.errstate(all="ignore"):  # NaN and inf entries are reported, not warned about
         # the residual is a fourth value with bounds [0, 0], where NaN is no violation
-        flow = params.dt * params.eta_c * schedule.p_chg - params.dt / params.eta_d * schedule.p_dis
-        residual = net_exchange(params, schedule.soe) - flow
+        residual = net_exchange(params, schedule.soe) - flow(params, schedule.p_chg, schedule.p_dis)
         values = np.column_stack([schedule.p_chg, schedule.p_dis, schedule.soe, residual])
         lo = np.array([0.0, 0.0, params.s_min, 0.0])
         hi = np.array([params.p_chg_max, params.p_dis_max, params.s_max, 0.0])

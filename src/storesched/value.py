@@ -14,26 +14,23 @@ merged list, so the forward pass reads each period's beta off in O(1).
 from bisect import bisect_left, bisect_right
 from math import ldexp
 
-from .storage import reach_powers, unit_exponents
-
 _INF = float("inf")
 _TOL = 1e-11  # numbers closer than _TOL times the magnitudes in play are equal
 
 
-def lp_optimum(params, prices) -> tuple:
+def lp_optimum(params, units) -> tuple:
     """An optimal schedule of the storage LP and balance-row multipliers
     that certify it: lists (p_chg, p_dis, soe, lam).  Where C_t >= 0 or
     eta = 1 a period charges or discharges, never both: simultaneous charge
     and discharge costs nothing there.  Some schedule must fit the storage
     (storage.require_schedulable), so an empty window of exchanges is
-    rounding.  It computes in storage.unit_exponents' units."""
-    c = prices.prices.tolist()
+    rounding.  It computes in units, storage.require_compatible's record, and
+    returns lam in its price unit."""
+    c = units.prices.tolist()
     T = len(c)
     rho, eta_c, eta_d, dt = params.rho, params.eta_c, params.eta_d, params.dt
-    unit, price_unit = unit_exponents(params, prices)
-    s_min, s_max, s_init, hi, dis = (ldexp(v, -unit) for v in (
-        params.s_min, params.s_max, params.s_init, params.charge_reach, params.discharge_reach))
-    pc_hi, pd_hi = reach_powers(params)  # at the limits unless a reach clips them
+    unit, (s_min, s_max, s_init) = units.e, units.levels
+    (hi, dis), (pc_hi, pd_hi) = units.reaches, units.powers
     hi_at_limit, dis_at_limit = pc_hi == params.p_chg_max, pd_hi == params.p_dis_max
     y_min, y_max = rho * s_min, rho * s_max
 
@@ -43,10 +40,9 @@ def lp_optimum(params, prices) -> tuple:
     # the surplus by discharge (spill, where eta < 1), so the two slopes swap
     start, end, keys, lens = s_min, s_max, [0.0], [s_max - s_min]
     pieces = [None] * T
-    c_unit = [ldexp(v, -price_unit) for v in c]
     burn_knot, burn_spill = hi - dis, 0.0 if params.eta == 1.0 else dis
     for t in range(T - 1, -1, -1):
-        ct = c_unit[t]
+        ct = c[t]
         if ct >= 0:
             k1, k2, knot, spill = -ct / eta_c, -ct * eta_d, 0.0, 0.0
         else:

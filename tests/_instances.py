@@ -19,15 +19,16 @@ from storesched import (
 )
 from storesched.lp import DualVector, SolveReport
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
-from storesched.storage import Schedule, detect_scd, net_exchange, scd_mask, unit_exponents
+from storesched.storage import Schedule, detect_scd, net_exchange, require_compatible, scd_mask
+from storesched.value import lp_optimum
 
 
 def lp_answer(sol, params, prices):
     """The answer at an optimal LpSolution of build_lp(params, prices), back
     from the LP's units in EUR, MW and MWh: its objective, its schedule and
     that schedule's SCD events."""
-    e, p = unit_exponents(params, prices)
-    T = len(prices)
+    units = require_compatible(params, prices)
+    e, p, T = units.e, units.p, len(prices)
     schedule = Schedule(*np.ldexp(sol.x[: 3 * T], e).reshape(3, T))  # p_chg, p_dis, soe
     return SolveReport(math.ldexp(sol.objective, e + p), schedule, detect_scd(schedule))
 
@@ -259,10 +260,10 @@ def milp_inputs(draw):
 
 def reference_duals(params, prices, lam):
     """solve_storage_lp's bound multipliers from the balance-row duals lam, one
-    reduced cost and one sign at a time, in storage.unit_exponents' price
-    unit: sigma, gamma and delta, each lower then upper."""
-    p = unit_exponents(params, prices)[1]
-    dt, c, lam = params.dt, np.ldexp(prices.prices, -p), np.ldexp(lam, -p)
+    reduced cost and one sign at a time, lam and they in the price unit of
+    storage.require_compatible's record: sigma, gamma and delta, each lower
+    then upper."""
+    dt, c = params.dt, np.ldexp(prices.prices, -require_compatible(params, prices).p)
     reduced = (params.rho * np.append(lam[1:], 0.0) - lam, lam * dt * params.eta_c - dt * c,
                dt * c - lam * dt / params.eta_d)
     return [np.maximum(s * d, 0.0) for d in reduced for s in (-1, 1)]
@@ -270,8 +271,9 @@ def reference_duals(params, prices, lam):
 
 def reference_kkt_verify(params, prices, du, sch):
     """lp.kkt_verify with one array and one reduction per residual, from
-    multipliers du in storage.unit_exponents' price unit and schedule sch."""
-    dt, c = params.dt, np.ldexp(prices.prices, -unit_exponents(params, prices)[1])
+    multipliers du in the price unit of storage.require_compatible's record
+    and schedule sch."""
+    dt, c = params.dt, np.ldexp(prices.prices, -require_compatible(params, prices).p)
     e, q = params.energy_scale, np.abs(c).max() or 1.0
     lam_next = np.append(du.lam[1:], 0.0)
     res = []  # (residual, its unit)
@@ -297,15 +299,16 @@ def reference_kkt_verify(params, prices, du, sch):
 def assert_lp_certificate_as_reference(params, prices, report):
     """The duals and KKT residual of a solve_storage_lp report equal, bit for
     bit, their per-residual reference forms, all formed in the price unit of
-    storage.unit_exponents (a NaN equals a NaN)."""
-    p = unit_exponents(params, prices)[1]
+    storage.require_compatible's record from the value function's lambda
+    there (a NaN equals a NaN)."""
+    units = require_compatible(params, prices)
+    lam = np.array(lp_optimum(params, units)[3])
     with np.errstate(all="ignore"):  # at the edges of double precision they overflow
-        duals = reference_duals(params, prices, report.duals.lam)
-        lam = np.ldexp(report.duals.lam, -p)
+        duals = reference_duals(params, prices, lam)
         kkt = reference_kkt_verify(params, prices, DualVector(lam, *duals), report.schedule)
-        in_eur = [np.ldexp(ref, p) for ref in duals]
-    for name, ref in zip(("sigma_lo", "sigma_hi", "gamma_lo", "gamma_hi", "delta_lo", "delta_hi"),
-                         in_eur):
+        in_eur = [np.ldexp(ref, units.p) for ref in (lam, *duals)]
+    for name, ref in zip(("lam", "sigma_lo", "sigma_hi", "gamma_lo", "gamma_hi", "delta_lo",
+                          "delta_hi"), in_eur):
         np.testing.assert_array_equal(getattr(report.duals, name).view(np.int64),
                                       ref.view(np.int64))
     got = report.kkt_max_residual

@@ -152,3 +152,22 @@ def test_lp_route_calls_no_python_level_numpy():
     errstate = {f"_ufunc_config.py:{name}" for name in ("__init__", "__enter__", "__exit__")}
     assert {name for _, name in day_calls} <= errstate | {"multiarray.py:concatenate"}, day_calls
     assert day_calls == week_calls
+
+
+def test_one_scaled_instance_per_answer(monkeypatch):
+    # storage.require_compatible derives an answer's units (and max|C_t|)
+    # once, and every step of the LP answer or the MILP reads that record
+    made = []
+    init = storage.ScaledInstance.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(storage.ScaledInstance, "__init__", counted)
+    params, prices, part = next(criterion_4_draws(1))
+    assert part.t_neg  # the refined MILP branches
+    lp.solve_storage_lp(params, prices)
+    assert len(made) == 1
+    solve_storage_milp(params, prices, part, refined=True)
+    assert len(made) == 2

@@ -445,13 +445,16 @@ class TestSolve:
         assert not out.exists()
 
     def test_nan_kkt_residual_exit_2(self, tmp_path, capsys):
-        # the charge fills the store at -1e308 EUR/MWh, so lambda_1 >= C_1/eta_c,
-        # which overflows at eta_c = 0.5: the balance multiplier is -inf, and
-        # the residual NaN
+        # at rho = 1e-20 a balance multiplier off its level's bounds grows by
+        # 1/rho a period, and overflows even in the price unit: lambda is
+        # inf, and the residual NaN
         (tmp_path / "params.txt").write_text(
-            "s_min = 0\ns_max = 1e-300\ns_init = 0\np_chg_max = 1e8\np_dis_max = 1e-300\n"
-            "eta_c = 0.5\neta_d = 0.9\nrho = 0.5\ndt_hours = 1\n")
-        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,-1e308\n")
+            "s_min = 0\ns_max = 1e150\ns_init = 5e149\np_chg_max = 1e-300\np_dis_max = 1\n"
+            "eta_c = 0.5\neta_d = 0.9\nrho = 1e-20\ndt_hours = 1\n")
+        prices = ("1e308 -35 1e-300 35 -1e308 35 1e-300 -35 0 -35 -1e308 1e-300 -1e308 1e-300 35 "
+                  "1e-300 1e308").split()
+        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n" + "".join(
+            f"{t},{c}\n" for t, c in enumerate(prices, 1)))
         out = tmp_path / "out"
         code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
                     tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
@@ -461,18 +464,25 @@ class TestSolve:
         assert not out.exists()
 
     def test_overflowing_bound_multiplier_is_certified(self, tmp_path):
-        # at +-1e308 EUR/MWh the upper level multiplier of t = 1 overflows in
-        # EUR/MWh, but not in the price unit, where solve_storage_lp forms it
-        (tmp_path / "params.txt").write_text(
-            "s_min = 0\ns_max = 2.714751457421659e-59\ns_init = 2.2878224521119755e-59\n"
-            "p_chg_max = 6.484050530603544e-60\np_dis_max = 2.110013555208994e-57\n"
-            "eta_c = 0.9\neta_d = 1\nrho = 1\ndt_hours = 1\n")
-        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,-1e308\n2,1e308\n")
-        out = tmp_path / "out"
-        code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
-                    tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
-        assert code == 0
-        assert json.loads((out / "report.json").read_text())["kkt_max_residual"] <= 1e-7
+        for k, (params, prices) in enumerate((
+            # at +-1e308 EUR/MWh the upper level multiplier of t = 1 overflows
+            # in EUR/MWh, but not in the price unit, where solve_storage_lp forms it
+            ("s_min = 0\ns_max = 2.714751457421659e-59\ns_init = 2.2878224521119755e-59\n"
+             "p_chg_max = 6.484050530603544e-60\np_dis_max = 2.110013555208994e-57\n"
+             "eta_c = 0.9\neta_d = 1\nrho = 1\ndt_hours = 1\n", "1,-1e308\n2,1e308\n"),
+            # the charge fills the store at -1e308 EUR/MWh, so lambda_1 >=
+            # C_1/eta_c, which overflows in EUR/MWh at eta_c = 0.5, but not in
+            # the price unit, where the value function forms it
+            ("s_min = 0\ns_max = 1e-300\ns_init = 0\np_chg_max = 1e8\np_dis_max = 1e-300\n"
+             "eta_c = 0.5\neta_d = 0.9\nrho = 0.5\ndt_hours = 1\n", "1,-1e308\n"),
+        )):
+            (tmp_path / "params.txt").write_text(params)
+            (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n" + prices)
+            out = tmp_path / f"out{k}"
+            code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
+                        tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
+            assert code == 0
+            assert json.loads((out / "report.json").read_text())["kkt_max_residual"] <= 1e-7
 
     def test_subnormal_price_is_certified(self, tmp_path):
         # at the one price -5e-324, max|C_t| * dt and max|C_t| * energy_scale

@@ -263,7 +263,7 @@ def forward_by_table(params, prices, values):
         assert np.isfinite(cand[a])
         tied += np.count_nonzero(cand == cand[a]) > 1
         p_chg[t], p_dis[t] = pc[a], pd[a]
-        s = params.rho * s + params.dt * (params.eta_c * pc[a] - pd[a] / params.eta_d)
+        s = params.rho * s + (params.dt * params.eta_c * pc[a] - params.dt / params.eta_d * pd[a])
         soe[t] = s
     return p_chg, p_dis, soe, tied
 

@@ -36,7 +36,7 @@ from storesched import (
     solve_storage_milp,
 )
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC, LpStatus
-from storesched.storage import reach_powers, unit_exponents
+from storesched.storage import require_compatible
 
 
 def unit_storage(**overrides):
@@ -75,7 +75,7 @@ class TestBuild:
         problem = build_lp(params, prices)
         assert problem.n == 72
         assert problem.m == 24
-        e = unit_exponents(params, prices)[0]  # 2 MWh
+        e = require_compatible(params, prices).e  # 2 MWh
         np.testing.assert_allclose(problem.upper[:24], params.p_chg_max / 2**e)
         np.testing.assert_allclose(problem.upper[24:48], params.p_dis_max / 2**e)
         np.testing.assert_allclose(problem.lower[48:], params.s_min / 2**e)
@@ -84,7 +84,7 @@ class TestBuild:
     def test_objective_coefficients(self):
         prices = PriceSeries([7.0, -3.0], 0.5)
         problem = build_lp(unit_storage(dt=0.5), prices)
-        p = unit_exponents(unit_storage(dt=0.5), prices)[1]  # 8 EUR/MWh
+        p = require_compatible(unit_storage(dt=0.5), prices).p  # 8 EUR/MWh
         np.testing.assert_allclose(problem.c[:2], np.array([-0.5 * 7, -0.5 * -3]) / 2**p)
         np.testing.assert_allclose(problem.c[2:4], np.array([0.5 * 7, 0.5 * -3]) / 2**p)
         np.testing.assert_allclose(problem.c[4:], 0.0)
@@ -97,11 +97,12 @@ class TestBuild:
                                p_dis_max=scale / 2, eta_c=0.9, eta_d=0.8, rho=0.97, dt=0.25)
         prices = PriceSeries([35.0, -1e300, 0.0, 1e-3], 0.25)
         problem, T = build_lp(params, prices, (2,)), len(prices)
-        e, p = unit_exponents(params, prices)
+        units = require_compatible(params, prices)
+        e, p = units.e, units.p
         assert 0.5 <= math.ldexp(params.energy_scale, -e) < 1 and p == 997  # 2^996 < 1e300
         np.testing.assert_array_equal(np.ldexp(problem.c[T : 2 * T], p), 0.25 * prices.prices)
         pc, pd = np.ldexp(problem.upper[[0, T]], e)
-        assert (pc, pd) == reach_powers(params)
+        assert (pc, pd) == units.powers
         np.testing.assert_array_equal(np.ldexp(problem.upper[2 * T :], e),
                                       [params.s_max] * (T + 1) + [0.97 * params.s_max])
         np.testing.assert_array_equal(np.ldexp(problem.lower[2 * T :], e),
@@ -121,7 +122,7 @@ class TestBuild:
             if t > 0:
                 expected[t, 2 * T + t - 1] = -0.97
         np.testing.assert_array_equal(problem.a, expected)
-        e = unit_exponents(params, PriceSeries(np.arange(float(T)), 0.5))[0]
+        e = require_compatible(params, PriceSeries(np.arange(float(T)), 0.5)).e
         np.testing.assert_array_equal(np.ldexp(problem.rhs, e), [0.97 * 0.3, 0.0, 0.0, 0.0])
 
     def test_price_dt_must_match_params(self):
@@ -268,7 +269,7 @@ class TestStrongDuality:
             report = solve_storage_lp(params, prices)
             du = report.duals
             T = len(prices)
-            rhs, lower, upper = (np.ldexp(v, unit_exponents(params, prices)[0])
+            rhs, lower, upper = (np.ldexp(v, require_compatible(params, prices).e)
                                  for v in (problem.rhs, problem.lower, problem.upper))
             dual_obj = (
                 du.lam @ rhs
@@ -397,7 +398,7 @@ class TestDurationStart:
         want = solve_bounded_lp(problem, start=level_start(problem, 1))
         assert sol.objective == pytest.approx(want.objective, rel=1e-9)
         assert_lp_certificate(problem, sol)
-        e = unit_exponents(params, PriceSeries([-10.0], 1.0))[0]
+        e = require_compatible(params, PriceSeries([-10.0], 1.0)).e
         assert sol.iterations == 0 and math.ldexp(sol.x[3], e) == pytest.approx(params.s_max)
 
     def test_fewer_pivots_at_the_fast_T168_root(self):
@@ -525,8 +526,8 @@ class TestValueFunction:
                           bounds=np.column_stack([problem.lower, problem.upper]), method="highs")
         assert ref.status == 0
         report = solve_storage_lp(params, prices)
-        assert report.objective == pytest.approx(math.ldexp(-ref.fun, sum(unit_exponents(
-            params, prices))), rel=1e-9)
+        units = require_compatible(params, prices)
+        assert report.objective == pytest.approx(math.ldexp(-ref.fun, units.e + units.p), rel=1e-9)
         assert report.kkt_max_residual <= 1e-7
 
     def test_hourly_year(self):

@@ -38,7 +38,7 @@ from storesched import (
     solve_storage_milp,
 )
 from storesched import lp, milp, simplex
-from storesched.storage import unit_exponents
+from storesched.storage import require_compatible
 
 
 def unit_storage(**overrides):
@@ -578,7 +578,7 @@ class TestLegRows:
                 m_chg = params.rho * prev + params.dt * params.eta_c * p_chg
                 m_dis = params.rho * prev - params.dt * p_dis / params.eta_d
                 x = np.ldexp(np.concatenate([p_chg, p_dis, soe, m_chg[legs], m_dis[legs]]),
-                             -unit_exponents(params, prices)[0])
+                             -require_compatible(params, prices).e)
                 base = problem.base
                 np.testing.assert_allclose(base.a @ x, base.rhs, rtol=0, atol=1e-12)
                 assert np.all(x >= base.lower - 1e-12)
@@ -590,7 +590,7 @@ class TestLegRows:
         prices = PriceSeries([10.0, -3.0, 4.0, -1.0], 1.0)
         base = build_milp(params, prices, True, partition(prices)).base
         assert (base.m, base.n) == (4 + 4, 12 + 4)
-        e = unit_exponents(params, prices)[0]
+        e = require_compatible(params, prices).e
         np.testing.assert_allclose(np.ldexp(base.lower[12:], e), 0.99 * 0.2)
         np.testing.assert_allclose(np.ldexp(base.upper[12:], e), [1.5, 1.5, 0.99 * 1.5, 0.99 * 1.5])
 
@@ -598,10 +598,11 @@ class TestLegRows:
 def highs_objective(params, prices, periods):
     """MILP optimum from HiGHS with explicit binaries u_c, u_d at the given
     periods: u_c + u_d <= 1, p_chg <= u_c * P_c, p_dis <= u_d * P_d, with the
-    powers P_c, P_d that build_lp bounds them by (storage.reach_powers)."""
+    powers P_c, P_d that build_lp bounds them by (the reaches' powers)."""
     opt = pytest.importorskip("scipy.optimize")
     lp_part = build_lp(params, prices)
-    e, p = unit_exponents(params, prices)  # HiGHS gets the LP in MW, MWh and EUR
+    units = require_compatible(params, prices)
+    e, p = units.e, units.p  # HiGHS gets the LP in MW, MWh and EUR
     c, lower, upper, rhs = np.ldexp(lp_part.c, p), *(np.ldexp(v, e) for v in (
         lp_part.lower, lp_part.upper, lp_part.rhs))
     T, K = len(prices), len(periods)
@@ -777,7 +778,8 @@ class TestOutreachingPower:
         prices = PriceSeries([87.73, 87.73], 1.0)
         node = lp.solve_lp(build_lp(params, prices))
         assert node.x[3] < 0
-        node_objective = math.ldexp(node.objective, sum(unit_exponents(params, prices)))
+        units = require_compatible(params, prices)
+        node_objective = math.ldexp(node.objective, units.e + units.p)
         for refined in (False, True):
             report, _ = solve_storage_milp(params, prices, partition(prices), refined=refined)
             assert report.objective == node_objective
@@ -817,5 +819,5 @@ LEAK_BELOW_FLOOR = (StorageParams(s_min=1e-10, s_max=0.001, s_init=1e-10, p_chg_
 @settings(deadline=None)
 def test_hunt_outreaching_power(draw):
     params, prices = draw
-    level_tol = math.ldexp(build_lp(params, prices).tols[0], unit_exponents(params, prices)[0])
+    level_tol = math.ldexp(build_lp(params, prices).tols[0], require_compatible(params, prices).e)
     assert_outreaching_answers(params, prices, level_tol)

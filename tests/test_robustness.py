@@ -41,6 +41,7 @@ from storesched import (
     lp,
     partition,
     prop1_classify,
+    propagate_soe,
     simplex,
     solve_dp,
     solve_storage_lp,
@@ -365,6 +366,33 @@ def test_huge_discharge_is_certified():
     assert report.kkt_max_residual <= 1e-7
 
 
+def test_huge_discharge_propagates():
+    # propagate_soe forms the same flow, so the LP's own schedule takes the
+    # level from 1.7e308 MWh to 1.383e308 MWh without an overflow on the way
+    report = solve_storage_lp(HUGE_DISCHARGE, PriceSeries([1e-300], 1 / 6))
+    sch = report.schedule
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        soe = propagate_soe(HUGE_DISCHARGE, sch.p_chg, sch.p_dis)
+    np.testing.assert_allclose(soe, sch.soe, rtol=1e-15)
+    assert soe[0] == pytest.approx(0.999 * 1.7e308 - 1.7e308 / 6 / 0.9, rel=1e-15)
+
+
+def test_dp_huge_discharge_stays_finite():
+    # a full-rate discharge near 1.7e308 MW over 1/6 h: the DP's forward step
+    # forms the flow with dt / eta_d first, so its level stays a double and
+    # the schedule is feasible; the LP certifies 2.83e7 EUR on the same input
+    params = StorageParams(s_min=0.0, s_max=1.7e308, s_init=1.7e308, p_chg_max=1.7e308,
+                           p_dis_max=1.7e308, eta_c=1.0, eta_d=0.9, rho=0.999, dt=1 / 6)
+    prices = PriceSeries([1e-300], 1 / 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve_dp(params, prices, DpConfig())
+    assert report.schedule.soe[0] == pytest.approx(1.3855e308, rel=1e-12)
+    assert feasibility_check(params, report.schedule).feasible
+    assert report.objective <= solve_storage_lp(params, prices).objective
+
+
 @st.composite
 def dp_inputs(draw):
     """(storage, prices or the ValueError that refuses them, grid points)
@@ -526,7 +554,7 @@ def test_milp_over_the_double_range(inputs):
     # to 1.7e308, each gap in units of max|C_t| * energy_scale, divided by
     # one and then the other so that neither product overflows or rounds to
     # 0; or both MILPs refuse alike, by name.  The branch and bound computes
-    # in storage.unit_exponents' units, and nothing warns
+    # in storage.require_compatible's units, and nothing warns
     params, prices = inputs
     if params is None:
         return

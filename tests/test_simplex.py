@@ -26,7 +26,7 @@ from storesched import (
     solve_storage_milp,
 )
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC, SimplexFailure
-from storesched.storage import unit_exponents
+from storesched.storage import require_compatible
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -151,7 +151,8 @@ class TestBoundFlips:
         problem = lp.build_lp(params, prices)
         sol = lp.solve_lp(problem)
         assert_lp_certificate(problem, sol)
-        assert math.ldexp(sol.objective, sum(unit_exponents(params, prices))) == pytest.approx(
+        units = require_compatible(params, prices)
+        assert math.ldexp(sol.objective, units.e + units.p) == pytest.approx(
             solve_storage_lp(params, prices).objective, rel=1e-9)
         assert len(solutions) == 1 and solutions[0].iterations <= 40
 
