@@ -182,7 +182,7 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     lam, *bounds = vars(du).values()
     # each residual row beside its unit: stationarity in p_dis and p_chg in
     # q*dt, in soe in q, balance in e; each multiplier in q for soe and q*dt
-    # for a power, its slack in e and e/dt, their product in q*e
+    # for a power, its slack in e_u and e/dt, their product in q*e_u and q*e
     q_dt = q * dt
     res, unit = np.empty((22, len(c))), np.empty(23)  # unit[22]: the SCD identity's
     lam_dt = lam * dt
@@ -201,10 +201,11 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     unit[4:10] = q, q, q_dt, q_dt, q_dt, q_dt
     slack[:] = (sch.soe - params.s_min, params.s_max - sch.soe, sch.p_chg,
                 params.p_chg_max - sch.p_chg, sch.p_dis, params.p_dis_max - sch.p_dis)
-    e_dt = e * (q / q_dt)
-    unit[10:16] = e, e, e_dt, e_dt, e_dt, e_dt
+    np.ldexp(slack[:2], -units.e, out=slack[:2])  # levels in the energy unit, where e is e_u
+    e_dt, e_u = e * (q / q_dt), np.ldexp(e, -units.e)
+    unit[10:16] = e_u, e_u, e_dt, e_dt, e_dt, e_dt
     np.multiply(mult, slack, out=res[16:])
-    unit[16:22] = q * e
+    unit[16:22] = q * e_u, q * e_u, q * e, q * e, q * e, q * e
     np.minimum(res[4:16], 0.0, out=res[4:16])
     scd = scd_mask(sch.p_chg, sch.p_dis)  # the SCD dual identity at the SCD periods
     identity = dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd]

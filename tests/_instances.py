@@ -272,8 +272,9 @@ def reference_duals(params, prices, lam):
 def reference_kkt_verify(params, prices, du, sch):
     """lp.kkt_verify with one array and one reduction per residual, from
     multipliers du in the price unit of storage.require_compatible's record
-    and schedule sch."""
-    dt, c = params.dt, np.ldexp(prices.prices, -require_compatible(params, prices).p)
+    and schedule sch; the level slacks in the record's energy unit."""
+    units = require_compatible(params, prices)
+    dt, c = params.dt, np.ldexp(prices.prices, -units.p)
     e, q = params.energy_scale, np.abs(c).max() or 1.0
     lam_next = np.append(du.lam[1:], 0.0)
     res = []  # (residual, its unit)
@@ -282,13 +283,15 @@ def reference_kkt_verify(params, prices, du, sch):
     res.append((du.lam - params.rho * lam_next + du.sigma_hi - du.sigma_lo, q))
     flow = dt * params.eta_c * sch.p_chg - dt / params.eta_d * sch.p_dis
     res.append((net_exchange(params, sch.soe) - flow, e))
-    for mult, slack, unit in (
-        (du.sigma_lo, sch.soe - params.s_min, q), (du.sigma_hi, params.s_max - sch.soe, q),
-        (du.gamma_lo, sch.p_chg, q * dt), (du.gamma_hi, params.p_chg_max - sch.p_chg, q * dt),
-        (du.delta_lo, sch.p_dis, q * dt), (du.delta_hi, params.p_dis_max - sch.p_dis, q * dt),
+    for mult, slack, unit, shift in (
+        (du.sigma_lo, sch.soe - params.s_min, q, -units.e),
+        (du.sigma_hi, params.s_max - sch.soe, q, -units.e),
+        (du.gamma_lo, sch.p_chg, q * dt, 0), (du.gamma_hi, params.p_chg_max - sch.p_chg, q * dt, 0),
+        (du.delta_lo, sch.p_dis, q * dt, 0), (du.delta_hi, params.p_dis_max - sch.p_dis, q * dt, 0),
     ):
-        res += [(np.minimum(mult, 0.0), unit), (np.minimum(slack, 0.0), e * (q / unit)),
-                (mult * slack, q * e)]
+        slack, e_row = np.ldexp(slack, shift), np.ldexp(e, shift)
+        res += [(np.minimum(mult, 0.0), unit), (np.minimum(slack, 0.0), e_row * (q / unit)),
+                (mult * slack, q * e_row)]
     scd = scd_mask(sch.p_chg, sch.p_dis)
     res.append((dt * c[scd] * (1 - params.eta) + params.eta * du.delta_hi[scd] + du.gamma_hi[scd],
                 q * dt))

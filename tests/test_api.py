@@ -39,19 +39,45 @@ def test_no_tolerance_parameters():
         assert not {"tol", "eq_tol", "eps", "atol", "rtol", "scale"} & set(params), name
 
 
-# Run in a fresh interpreter: build the instances, then solve each one every
-# way and print the modules that the solves imported.
-IMPORT_PROBE = """
+# Run in a fresh interpreter: build the instances and write the CLI's files
+# into the directory given, then solve each instance every way, run solve and
+# compare through cli.main on a unit storage and on one at the top of the
+# double range against prices whose profits overflow and prices of 1e-300,
+# and print the modules that the solves and the runs imported, and the runs'
+# exit codes.
+IMPORT_PROBE = r"""
+import contextlib
+import io
 import sys
+from pathlib import Path
 import numpy as np
 from _instances import criterion_4_draws, fast_params, mixed_sign_prices
-from storesched import (DpConfig, advise, partition, solve_dp, solve_storage_lp,
+from storesched import (DpConfig, advise, cli, partition, solve_dp, solve_storage_lp,
                         solve_storage_milp)
 
 rng = np.random.default_rng(168)
 week = fast_params(rng), mixed_sign_prices(rng, 168)
 instances = [next(criterion_4_draws(1))[:2], week]  # a lossy day and a fast week
 parts = [partition(prices) for _, prices in instances]
+files = Path(sys.argv[1])
+storage = "s_min = 0\ns_max = {}\ns_init = {}\np_chg_max = {}\np_dis_max = {}\n"
+storage += "eta_c = 0.9\neta_d = 0.9\nrho = 1\ndt_hours = 1\n"
+(files / "unit.txt").write_text(storage.format(1, 0, 2, 2))
+(files / "top.txt").write_text(storage.format(1.7e308, 8.5e307, 1.7e308, 5e-324))
+for name, series in (("day", "35 28 -5 -12 30 42 38 55"), ("huge", "1e308 -1e308 35"),
+                     ("tiny", "1e-300 -1e-300 1e-300")):
+    (files / f"{name}.csv").write_text("t,price_eur_per_mwh\n" + "".join(
+        f"{t},{c}\n" for t, c in enumerate(series.split(), 1)))
+header = "params_path,prices_path,label\n"
+(files / "unit.csv").write_text(header + "unit.txt,day.csv,day\n")
+(files / "top.csv").write_text(header + "top.txt,huge.csv,huge\ntop.txt,tiny.csv,tiny\n")
+runs = [["compare", "--manifest", files / manifest] for manifest in ("unit.csv", "top.csv")]
+runs += [["solve", "--params", files / params, "--prices", files / prices, "--formulation",
+          formulation, "--out", files / "out"]
+         for params, prices in (("unit.txt", "day.csv"), ("top.txt", "huge.csv"),
+                                ("top.txt", "tiny.csv"))
+         for formulation in ("lp", "milp", "refined", "dp")]
+cli.read_params_file(files / "unit.txt")  # the first utf-8-sig read imports its codec
 before = set(sys.modules)
 for (params, prices), part in zip(instances, parts):
     solve_storage_lp(params, prices)
@@ -59,21 +85,23 @@ for (params, prices), part in zip(instances, parts):
         solve_storage_milp(params, prices, part, refined=refined)
     solve_dp(params, prices, DpConfig())
     advise(params, part)
-print(sorted(set(sys.modules) - before))
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main([str(arg) for arg in run]) for run in runs]
+print(sorted(set(sys.modules) - before), codes)
 """
 
 
-def test_solvers_import_nothing():
+def test_solvers_import_nothing(tmp_path):
     # every benchmark round and every CLI call runs in a fresh process, where
     # a first call that imports a module pays for it (numpy.ma, which the
     # first np.unique imports, costs 8-13 ms); the fast week's refined root
     # peels several singleton levels, so the factor's whole path runs
     tests = Path(__file__).resolve().parent
     path = os.pathsep.join([str(Path(storesched.__file__).parents[1]), str(tests)])
-    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[] [0, 2, 0, 0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 2]\n"
 
 
 def numpy_python_calls(run, modules=(simplex,)):

@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -44,10 +46,15 @@ SLOW_PARAMS = FAST_PARAMS.replace("p_chg_max = 2.0", "p_chg_max = 0.2").replace(
 PARAM_KEYS = ("s_min", "s_max", "s_init", "p_chg_max", "p_dis_max", "eta_c", "eta_d", "rho",
               "dt_hours")
 
-PRICES = "t,price_eur_per_mwh\n" + "".join(
-    f"{t},{p}\n"
-    for t, p in enumerate([35.0, 28.0, -5.0, -12.0, 30.0, 42.0, 38.0, 55.0], start=1)
-)
+
+def price_csv(series):
+    """A price CSV of the prices in the whitespace-separated series."""
+    return "t,price_eur_per_mwh\n" + "".join(
+        f"{t},{p}\n" for t, p in enumerate(series.split(), start=1))
+
+
+DAY = "35.0 28.0 -5.0 -12.0 30.0 42.0 38.0 55.0"
+PRICES = price_csv(DAY)
 
 
 @pytest.fixture
@@ -68,22 +75,6 @@ def with_bom(path):
     copy = path.with_name("bom_" + path.name)
     copy.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
     return copy
-
-
-def overflowing_inputs(workspace, formulation):
-    """(params, prices) files whose formulation's objective or a diagnostic
-    overflows double precision."""
-    params, prices = workspace / "huge.txt", workspace / "huge.csv"
-    if formulation == "dp":
-        params.write_text(FAST_PARAMS)
-        prices.write_text("t,price_eur_per_mwh\n1,1e308\n2,1e308\n")
-    else:
-        params.write_text(FAST_PARAMS.replace("s_max = 1\n", "s_max = 1e300\n")
-                          .replace("s_init = 0\n", "s_init = 1e300\n")
-                          .replace("p_chg_max = 2.0", "p_chg_max = 1e300")
-                          .replace("p_dis_max = 2.0", "p_dis_max = 1e300"))
-        prices.write_text("t,price_eur_per_mwh\n1,1e10\n2,-1e10\n3,1e10\n")
-    return params, prices
 
 
 class TestParser:
@@ -204,56 +195,6 @@ class TestAdvise:
             ["advise", "--params", workspace / "nope.txt", "--prices", workspace / "prices.csv"]
         )
         assert code == 2
-
-    def test_overflowing_reach_exit_2(self, workspace, capsys):
-        # ten hours at 1e308 MW discharge more energy than a double holds: the
-        # storage is refused, not certified for the LP from a NaN worst-case level
-        params, prices = workspace / "reach.txt", workspace / "reach.csv"
-        params.write_text(SLOW_PARAMS.replace("s_max = 1\n", "s_max = 100\n")
-                          .replace("s_init = 0\n", "s_init = 100\n")
-                          .replace("p_chg_max = 0.2", "p_chg_max = 1")
-                          .replace("p_dis_max = 0.2", "p_dis_max = 1e308")
-                          .replace("dt_hours = 1.0", "dt_hours = 10"))
-        prices.write_text("t,price_eur_per_mwh\n1,-1\n2,5\n3,-1\n4,5\n")
-        code = run(["advise", "--params", params, "--prices", prices])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        assert err == f"error: {params}: discharge_step is inf, beyond double precision\n"
-
-    @pytest.mark.parametrize("key", ["p_chg_max", "p_dis_max", "dt_hours"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_nonfinite_param_exit_2(self, workspace, capsys, key, value):
-        params = workspace / "nonfinite.txt"
-        params.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", FAST_PARAMS, flags=re.M))
-        code = run(
-            [
-                "solve", "--params", params, "--prices", workspace / "prices.csv",
-                "--formulation", "lp", "--out", workspace / "out",
-            ]
-        )
-        assert code == 2
-        assert "finite" in capsys.readouterr().err
-        assert not (workspace / "out").exists()
-
-    @pytest.mark.parametrize("key", ["p_chg_max", "p_dis_max"])
-    def test_underflowing_step_exit_2(self, workspace, capsys, key):
-        # ten minutes at the smallest subnormal power move no energy in double
-        # precision: the storage is refused by name, with one error line, where
-        # the DP would find every grid too coarse and the LP would answer
-        params = workspace / "tiny.txt"
-        params.write_text(re.sub(rf"^{key} = .*$", f"{key} = 5e-324", FAST_PARAMS, flags=re.M)
-                          .replace("dt_hours = 1.0", f"dt_hours = {1 / 6!r}"))
-        code = run(
-            [
-                "solve", "--params", params, "--prices", workspace / "prices.csv",
-                "--formulation", "dp", "--out", workspace / "out",
-            ]
-        )
-        step = {"p_chg_max": "charge_step", "p_dis_max": "discharge_step"}[key]
-        assert code == 2
-        assert capsys.readouterr() == ("", f"error: {params}: {step} is 0.0, below double precision\n")
-        assert not (workspace / "out").exists()
-
 
 class TestSolve:
     def test_lp_report_flags_scd(self, workspace, capsys):
@@ -391,29 +332,6 @@ class TestSolve:
             assert run(["solve", *inputs, "--formulation", "dp", *args, "--out", out]) == 0
             assert json.loads((out / "report.json").read_text())["grid_points"] == grid
 
-    @pytest.mark.parametrize("formulation", ["lp", "milp", "refined", "dp"])
-    def test_infeasible_storage_exit_2(self, workspace, capsys, formulation):
-        # at s_min = 0.5 the level leaks 0.25 per period, and a full charge
-        # adds only 0.09: no schedule stays within the limits
-        leaky = workspace / "leaky.txt"
-        leaky.write_text(
-            FAST_PARAMS.replace("s_min = 0\n", "s_min = 0.5\n")
-            .replace("s_init = 0\n", "s_init = 0.5\n")
-            .replace("p_chg_max = 2.0", "p_chg_max = 0.1")
-            .replace("rho = 1.0", "rho = 0.5")
-        )
-        code = run(
-            [
-                "solve", "--params", leaky, "--prices", workspace / "prices.csv",
-                "--formulation", formulation, "--out", workspace / "out",
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "storage level" in err
-        assert not (workspace / "out" / "report.json").exists()
-
     def test_oversize_grid_exit_2(self, workspace, capsys):
         # 10^12 grid points: the 7 TiB state grid fails to allocate at once
         # (far beyond memory plus swap, under Linux's default overcommit)
@@ -425,105 +343,6 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: solve: out of memory: ") and err.count("\n") == 1
         assert "7.28 TiB" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("formulation, quantity", [
-        ("lp", "objective"), ("milp", "objective"), ("refined", "objective"),
-        ("dp", "discretization_bound"),
-    ])
-    def test_nonfinite_result_exit_2(self, workspace, capsys, formulation, quantity):
-        # storage of 1e300 MWh and MW at 1e10 EUR/MWh earns more than a double
-        # holds; at 1e308 EUR/MWh over two periods the DP's discretization
-        # bound does.  Nothing is written, and the error names the quantity
-        params, prices = overflowing_inputs(workspace, formulation)
-        out = workspace / "out"
-        code = run(["solve", "--params", params, "--prices", prices,
-                    "--formulation", formulation, "--out", out])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {formulation} {quantity} is inf, beyond double precision\n"
-        assert not out.exists()
-
-    def test_nan_kkt_residual_exit_2(self, tmp_path, capsys):
-        # at rho = 1e-20 a balance multiplier off its level's bounds grows by
-        # 1/rho a period, and overflows even in the price unit: lambda is
-        # inf, and the residual NaN
-        (tmp_path / "params.txt").write_text(
-            "s_min = 0\ns_max = 1e150\ns_init = 5e149\np_chg_max = 1e-300\np_dis_max = 1\n"
-            "eta_c = 0.5\neta_d = 0.9\nrho = 1e-20\ndt_hours = 1\n")
-        prices = ("1e308 -35 1e-300 35 -1e308 35 1e-300 -35 0 -35 -1e308 1e-300 -1e308 1e-300 35 "
-                  "1e-300 1e308").split()
-        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n" + "".join(
-            f"{t},{c}\n" for t, c in enumerate(prices, 1)))
-        out = tmp_path / "out"
-        code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
-                    tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: lp kkt_max_residual is nan, beyond double precision\n"
-        assert not out.exists()
-
-    def test_overflowing_bound_multiplier_is_certified(self, tmp_path):
-        for k, (params, prices) in enumerate((
-            # at +-1e308 EUR/MWh the upper level multiplier of t = 1 overflows
-            # in EUR/MWh, but not in the price unit, where solve_storage_lp forms it
-            ("s_min = 0\ns_max = 2.714751457421659e-59\ns_init = 2.2878224521119755e-59\n"
-             "p_chg_max = 6.484050530603544e-60\np_dis_max = 2.110013555208994e-57\n"
-             "eta_c = 0.9\neta_d = 1\nrho = 1\ndt_hours = 1\n", "1,-1e308\n2,1e308\n"),
-            # the charge fills the store at -1e308 EUR/MWh, so lambda_1 >=
-            # C_1/eta_c, which overflows in EUR/MWh at eta_c = 0.5, but not in
-            # the price unit, where the value function forms it
-            ("s_min = 0\ns_max = 1e-300\ns_init = 0\np_chg_max = 1e8\np_dis_max = 1e-300\n"
-             "eta_c = 0.5\neta_d = 0.9\nrho = 0.5\ndt_hours = 1\n", "1,-1e308\n"),
-        )):
-            (tmp_path / "params.txt").write_text(params)
-            (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n" + prices)
-            out = tmp_path / f"out{k}"
-            code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
-                        tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
-            assert code == 0
-            assert json.loads((out / "report.json").read_text())["kkt_max_residual"] <= 1e-7
-
-    def test_subnormal_price_is_certified(self, tmp_path):
-        # at the one price -5e-324, max|C_t| * dt and max|C_t| * energy_scale
-        # round to 0; kkt_verify forms its residuals in the price unit instead
-        (tmp_path / "params.txt").write_text(
-            "s_min = 0\ns_max = 0.12490736390018263\ns_init = 0\np_chg_max = 0.3142632448004595\n"
-            "p_dis_max = 1\neta_c = 0.794921875\neta_d = 0.5\nrho = 0.5\ndt_hours = 0.25\n")
-        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,-5e-324\n")
-        out = tmp_path / "out"
-        code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
-                    tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
-        assert code == 0
-        assert json.loads((out / "report.json").read_text())["kkt_max_residual"] <= 1e-7
-
-    def test_huge_discharge_is_certified(self, tmp_path):
-        # a full-rate discharge of 1.7e308 MW over 1/6 h: dt * P / eta_d is a
-        # double where P / eta_d is not, so kkt_verify's flow multiplies by
-        # dt / eta_d first
-        (tmp_path / "params.txt").write_text(
-            "s_min = 0\ns_max = 1.7e308\ns_init = 1.7e308\np_chg_max = 1e-8\n"
-            "p_dis_max = 1.7e308\neta_c = 1\neta_d = 0.9\nrho = 0.999\n"
-            "dt_hours = 0.16666666666666666\n")
-        (tmp_path / "prices.csv").write_text("t,price_eur_per_mwh\n1,1e-300\n")
-        out = tmp_path / "out"
-        code = run(["solve", "--params", tmp_path / "params.txt", "--prices",
-                    tmp_path / "prices.csv", "--formulation", "lp", "--out", out])
-        assert code == 0
-        assert json.loads((out / "report.json").read_text())["kkt_max_residual"] <= 1e-7
-
-    def test_dp_overflow_exit_2(self, workspace, capsys):
-        # unit storage against 1,000 hours at +-1e306 EUR/MWh: the storage is
-        # feasible, but the DP's value table overflows, and the error says so
-        prices = workspace / "huge.csv"
-        prices.write_text("t,price_eur_per_mwh\n" + "".join(
-            f"{t},{'-' if t % 2 == 0 else ''}1e306\n" for t in range(1, 1001)))
-        out = workspace / "out"
-        code = run(["solve", "--params", workspace / "fast.txt", "--prices", prices,
-                    "--formulation", "dp", "--out", out])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: dp value table is inf, beyond double precision\n"
         assert not out.exists()
 
     def test_iteration_limit_exit_3(self, workspace, monkeypatch, capsys):
@@ -772,15 +591,6 @@ class TestCompare:
         assert row[1:4] == ["solve_lp", "0.000000", "0.000000"]
         assert row[-1] == ""
 
-    def test_nonfinite_result_exit_2(self, workspace, capsys):
-        params, prices = overflowing_inputs(workspace, "lp")
-        manifest = workspace / "manifest.csv"
-        manifest.write_text(f"params_path,prices_path,label\n{params.name},{prices.name},huge\n")
-        out = workspace / "cmp.csv"
-        assert run(["compare", "--manifest", manifest, "--out", out]) == 2
-        assert capsys.readouterr() == ("", "error: lp objective is inf, beyond double precision\n")
-        assert not out.exists()
-
     def test_empty_manifest(self, workspace, capsys):
         manifest = workspace / "empty.csv"
         manifest.write_text("params_path,prices_path,label\n")
@@ -842,3 +652,166 @@ class TestNoTolFlag:
             run([command, *args, "--tol", "nan"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+# The CLI's edge-of-range and refusal cases, one row each in CASES, named by
+# what it pins; test_cli_case runs every row.
+
+
+def storage(**values):
+    """FAST_PARAMS with each given key's value replaced."""
+    text = FAST_PARAMS
+    for key, value in values.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    return text
+
+
+class Case(NamedTuple):
+    """One storesched run: the files it writes, its command line, its exit code
+    and its exact stderr."""
+
+    storage: str  # the params file
+    prices: tuple  # one price series per file; compare lists each in its manifest
+    command: str  # the subcommand and its options; the runner adds the file options
+    code: int
+    stderr: str = ""  # one line, or none; {storage} stands for the params file's path
+    kkt: float = 1e-7  # the bound on an LP answer's kkt_max_residual; inf: only finite
+
+
+# a storage at the top of the double range, whose profits at +-1e308 EUR/MWh overflow
+TOP = storage(s_max=1.7e308, s_init=8.5e307, p_chg_max=1.7e308, p_dis_max=5e-324)
+HUGE, TINY = "1e308 -1e308 35", "1e-300 -1e-300 1e-300"
+BIG = storage(s_max=1e300, s_init=1e300, p_chg_max=1e300, p_dis_max=1e300)
+# a full-rate discharge of 1.7e308 MW over 1/6 h fits the double range
+DISCHARGE = dict(s_max=1.7e308, s_init=1.7e308, p_dis_max=1.7e308, eta_c=1, rho=0.999,
+                 dt_hours=1 / 6)
+DP_STEP = "error: full-rate discharge step 5e-324 below grid spacing 2.125e+305"
+
+CASES = [
+    # ten hours at 1e308 MW discharge more energy than a double holds: the
+    # storage is refused, not certified for the LP from a NaN worst-case level
+    pytest.param(Case(storage(s_max=100, s_init=100, p_chg_max=1, p_dis_max=1e308, dt_hours=10),
+                      ("-1 5 -1 5",), "advise", 2,
+                      "error: {storage}: discharge_step is inf, beyond double precision"),
+                 id="test_overflowing_reach_exit_2"),
+    *(pytest.param(Case(storage(**{key: value}), (DAY,), "solve --formulation lp", 2,
+                        f"error: {{storage}}: parameters must be finite: {field}"),
+                   id=f"test_nonfinite_param_exit_2-{value}-{key}")
+      for value in ("inf", "nan")
+      for key, field in (("dt_hours", "dt"), ("p_chg_max",) * 2, ("p_dis_max",) * 2)),
+    # ten minutes at the smallest subnormal power move no energy in double
+    # precision: refused by name, where the DP would find every grid too coarse
+    *(pytest.param(Case(storage(**{key: 5e-324}, dt_hours=1 / 6), (DAY,), "solve --formulation dp",
+                        2, f"error: {{storage}}: {step} is 0.0, below double precision"),
+                   id=f"test_underflowing_step_exit_2-{key}")
+      for key, step in (("p_chg_max", "charge_step"), ("p_dis_max", "discharge_step"))),
+    # at s_min = 0.5 the level leaks 0.25 per period, and a full charge adds
+    # only 0.09: no schedule stays within the limits
+    *(pytest.param(Case(storage(s_min=0.5, s_init=0.5, p_chg_max=0.1, rho=0.5), (DAY,),
+                        f"solve --formulation {formulation}", 2,
+                        "error: no schedule keeps the storage level within [s_min, s_max]"),
+                   id=f"test_infeasible_storage_exit_2-{formulation}")
+      for formulation in ("dp", "lp", "milp", "refined")),
+    # storage of 1e300 MWh and MW at 1e10 EUR/MWh earns more than a double
+    # holds; at 1e308 EUR/MWh over two periods the DP's discretization bound does
+    pytest.param(Case(FAST_PARAMS, ("1e308 1e308",), "solve --formulation dp", 2,
+                      "error: dp discretization_bound is inf, beyond double precision"),
+                 id="test_nonfinite_result_exit_2-dp-discretization_bound"),
+    *(pytest.param(Case(BIG, ("1e10 -1e10 1e10",), f"solve --formulation {formulation}", 2,
+                        f"error: {formulation} objective is inf, beyond double precision"),
+                   id=f"test_nonfinite_result_exit_2-{formulation}-objective")
+      for formulation in ("lp", "milp", "refined")),
+    # at rho = 1e-20 a balance multiplier off its level's bounds grows by
+    # 1/rho a period, and overflows even in the price unit: lambda is inf,
+    # and the residual NaN
+    pytest.param(Case(storage(s_max=1e150, s_init=5e149, p_chg_max=1e-300, p_dis_max=1,
+                              eta_c=0.5, rho=1e-20),
+                      ("1e308 -35 1e-300 35 -1e308 35 1e-300 -35 0 -35 -1e308 1e-300 -1e308 "
+                       "1e-300 35 1e-300 1e308",), "solve --formulation lp", 2,
+                      "error: lp kkt_max_residual is nan, beyond double precision"),
+                 id="test_nan_kkt_residual_exit_2"),
+    # at +-1e308 EUR/MWh the upper level multiplier of t = 1 overflows in
+    # EUR/MWh, but not in the price unit, where solve_storage_lp forms it
+    pytest.param(Case(storage(s_max=2.714751457421659e-59, s_init=2.2878224521119755e-59,
+                              p_chg_max=6.484050530603544e-60, p_dis_max=2.110013555208994e-57,
+                              eta_d=1),
+                      ("-1e308 1e308",), "solve --formulation lp", 0),
+                 id="test_overflowing_bound_multiplier_is_certified"),
+    # the charge fills the store at -1e308 EUR/MWh, so lambda_1 >= C_1/eta_c,
+    # which overflows in EUR/MWh at eta_c = 0.5, but not in the price unit,
+    # where the value function forms it
+    pytest.param(Case(storage(s_max=1e-300, p_chg_max=1e8, p_dis_max=1e-300, eta_c=0.5, rho=0.5),
+                      ("-1e308",), "solve --formulation lp", 0),
+                 id="test_overflowing_bound_multiplier_is_certified-full_charge"),
+    # at the one price -5e-324, max|C_t| * dt and max|C_t| * energy_scale
+    # round to 0; kkt_verify forms its residuals in the price unit instead
+    pytest.param(Case(storage(s_max=0.12490736390018263, p_chg_max=0.3142632448004595,
+                              p_dis_max=1, eta_c=0.794921875, eta_d=0.5, rho=0.5, dt_hours=0.25),
+                      ("-5e-324",), "solve --formulation lp", 0),
+                 id="test_subnormal_price_is_certified"),
+    # dt * P / eta_d is a double where P / eta_d is not, so the flow multiplies
+    # by dt / eta_d first
+    pytest.param(Case(storage(**DISCHARGE, p_chg_max=1e-8), ("1e-300",),
+                      "solve --formulation lp", 0),
+                 id="test_huge_discharge_is_certified"),
+    # the DP's forward step forms the same flow, so its level stays a double
+    pytest.param(Case(storage(**DISCHARGE, p_chg_max=1.7e308), ("1e-300",),
+                      "solve --formulation dp", 0, "dp discretization bound: 236111 EUR"),
+                 id="dp_huge_discharge_exit_0"),
+    # unit storage against 1,000 hours at +-1e306 EUR/MWh: the storage is
+    # feasible, but the DP's value table overflows
+    pytest.param(Case(FAST_PARAMS, ("1e306 -1e306 " * 500,), "solve --formulation dp", 2,
+                      "error: dp value table is inf, beyond double precision"),
+                 id="test_dp_overflow_exit_2"),
+    pytest.param(Case(BIG, ("1e10 -1e10 1e10",), "compare", 2,
+                      "error: lp objective is inf, beyond double precision"),
+                 id="test_nonfinite_result_exit_2-compare"),
+    # through every solver, with warnings as errors: each answers or refuses by
+    # name, so no solve relies on a blanket np.errstate
+    pytest.param(Case(TOP, (HUGE, TINY), "compare", 2,
+                      "error: lp objective is inf, beyond double precision"),
+                 id="top_compare_exit_2"),
+    *(pytest.param(Case(TOP, (HUGE,), f"solve --formulation {formulation}", 2,
+                        f"error: {formulation} objective is inf, beyond double precision"),
+                   id=f"top_huge_prices_{formulation}_exit_2")
+      for formulation in ("lp", "milp", "refined")),
+    pytest.param(Case(TOP, (HUGE,), "solve --formulation dp", 2, DP_STEP),
+                 id="top_huge_prices_dp_exit_2"),
+    *(pytest.param(Case(TOP, (TINY,), f"solve --formulation {formulation}", 0),
+                   id=f"top_tiny_prices_{formulation}_exit_0")
+      for formulation in ("lp", "milp", "refined")),
+    pytest.param(Case(TOP, (TINY,), "solve --formulation dp", 2, DP_STEP),
+                 id="top_tiny_prices_dp_exit_2"),
+    # at 1.7e308 MWh the level multipliers' complementarity products overflow
+    # in MWh, not in the energy unit; the answer idles where the value
+    # function's tolerance allows, so its residual is only finite
+    pytest.param(Case(storage(s_max=1.7e308, s_init=1.7e308, p_chg_max=1e-8, p_dis_max=1e-8,
+                              eta_c=0.5, rho=0.999),
+                      ("35 -35",), "solve --formulation lp", 0, kkt=math.inf),
+                 id="top_level_slack_residual_is_finite"),
+]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_case(tmp_path, capsys, case):
+    """A row of CASES, run in process: its exit code and exact stderr; on a
+    refusal, no stdout and nothing written; on an LP answer, the residual bound."""
+    params, out = tmp_path / "storage.txt", tmp_path / "out"
+    params.write_text(case.storage)
+    manifest = ["params_path,prices_path,label"]
+    for k, series in enumerate(case.prices):
+        (tmp_path / f"prices{k}.csv").write_text(price_csv(series))
+        manifest.append(f"{params.name},prices{k}.csv,{k}")
+    (tmp_path / "manifest.csv").write_text("\n".join(manifest) + "\n")
+    inputs = ["--params", params, "--prices", tmp_path / "prices0.csv"]
+    files = {"advise": inputs, "solve": [*inputs, "--out", out],
+             "compare": ["--manifest", tmp_path / "manifest.csv", "--out", out]}
+    command = case.command.split()
+    code = run([*command, *files[command[0]]])
+    stdout, stderr = capsys.readouterr()
+    assert (code, stderr) == (case.code, case.stderr and case.stderr.format(storage=params) + "\n")
+    if code:
+        assert stdout == "" and not out.exists()
+    elif case.command == "solve --formulation lp":
+        residual = json.loads((out / "report.json").read_text())["kkt_max_residual"]
+        assert math.isfinite(residual) and residual <= case.kkt

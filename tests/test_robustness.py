@@ -335,12 +335,18 @@ HUGE_STEP = (StorageParams(s_min=0.0, s_max=1e-8, s_init=0.0, p_chg_max=1.7e308,
 # is a double, P / eta_d is not, and feasibility_check multiplies by dt / eta_d first
 HUGE_DISCHARGE = StorageParams(s_min=0.0, s_max=1.7e308, s_init=1.7e308, p_chg_max=1e-8,
                                p_dis_max=1.7e308, eta_c=1.0, eta_d=0.9, rho=0.999, dt=1 / 6)
+# a full store at the top of the double range: each level multiplier times its
+# slack overflows in MWh, so kkt_verify forms those products in the energy unit
+HUGE_LEVELS = (StorageParams(s_min=0.0, s_max=1.7e308, s_init=1.7e308, p_chg_max=1e-8,
+                             p_dis_max=1e-8, eta_c=0.5, eta_d=0.9, rho=0.999, dt=1.0),
+               PriceSeries([35.0, -35.0], 1.0))
 
 
 # every storage drawn has s_min = 0, so idling always fits: none is refused
 @example(inputs=NEAR_OVERFLOW)
 @example(inputs=HUGE_STEP)
 @example(inputs=(HUGE_DISCHARGE, PriceSeries([1e-300], 1 / 6)))
+@example(inputs=HUGE_LEVELS)
 @settings(max_examples=300, **FUZZ)
 @given(inputs=lp_inputs())
 def test_lp_entry_point(inputs):
