@@ -178,11 +178,10 @@ def cmd_solve(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text, encoding="utf-8")
-    with open(out / "plot.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "price", "p_chg", "p_dis", "soe"])
-        columns = (prices.prices, report.schedule.p_chg, report.schedule.p_dis, report.schedule.soe)
-        writer.writerows([k + 1, *(repr(float(c[k])) for c in columns)] for k in range(len(prices)))
+    sch = report.schedule  # plot.csv's lines end in \r\n, as a csv writer's do
+    rows = zip(prices.prices.tolist(), sch.p_chg.tolist(), sch.p_dis.tolist(), sch.soe.tolist())
+    body = "".join(f"{t},{c!r},{pc!r},{pd!r},{s!r}\r\n" for t, (c, pc, pd, s) in enumerate(rows, 1))
+    (out / "plot.csv").write_text("t,price,p_chg,p_dis,soe\r\n" + body, "utf-8", newline="")
     print(f"objective: {report.objective:.6f} EUR")
     print(f"report: {out / 'report.json'}")
     return EXIT_OK

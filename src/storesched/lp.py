@@ -134,15 +134,18 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """The LP answer from its value function (value.py), not the simplex: a
     schedule with no costless SCD (at a zero price or eta = 1), its SCD
     events, duals from its bound statuses and their KKT residual, all formed
-    in the price unit of storage.require_compatible's record and scaled back
-    once.  Each bound multiplier is the part of one sign of the reduced cost of
-    soe, p_chg or p_dis, which the stationarity rows give from lambda.  Storage's
-    two gates refuse before any solve; a ValueError names an overflowing objective."""
+    in storage.require_compatible's record and scaled back once, here.  Each
+    bound multiplier is the part of one sign of the reduced cost of soe, p_chg
+    or p_dis, which the stationarity rows give from lambda.  Storage's two
+    gates refuse before any solve; a ValueError names an overflowing objective."""
     require_schedulable(params, len(prices))
     units = require_compatible(params, prices)
-    p_chg, p_dis, soe, y = map(np.array, lp_optimum(params, units))  # Schedule checks by dtype
-    schedule, dt, dt_c = Schedule(p_chg, p_dis, soe), params.dt, params.dt * units.prices
+    charged, burned, soe, y = map(np.array, lp_optimum(params, units))
     with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual
+        e_chg, e_dis, soe = np.ldexp([charged, burned, soe], units.e)
+        p_chg, p_dis = e_chg / (params.dt * params.eta_c), e_dis * params.eta_d / params.dt
+        p_chg[charged == units.reaches[0]], p_dis[burned == units.reaches[1]] = units.powers
+        schedule, dt, dt_c = Schedule(p_chg, p_dis, soe), params.dt, params.dt * units.prices
         report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
         require_finite("lp objective", report.objective)
         # the upper bounds' rows take the reduced costs, the lower bounds' rows

@@ -8,45 +8,46 @@ pieces, so each V_t is concave and piecewise linear, and one period is a
 sup-convolution (Rockafellar 1970, Convex Analysis, section 5): merge g_t's
 pieces into V_t's segments by falling slope, rescale by rho and clip to
 [s_min, s_max].  The backward pass keeps where g_t's pieces sit in each
-merged list, so the forward pass reads each period's beta off in O(1).
+merged list, so the forward pass reads each period's beta off in O(1).  It
+computes and answers in storage.require_compatible's record by +, -, *, /,
+comparisons and bisect alone, with which its power-of-two units commute.
 """
 
 from bisect import bisect_left, bisect_right
-from math import ldexp
+
+import numpy as np
 
 _INF = float("inf")
 _TOL = 1e-11  # numbers closer than _TOL times the magnitudes in play are equal
 
 
 def lp_optimum(params, units) -> tuple:
-    """An optimal schedule of the storage LP and balance-row multipliers
-    that certify it: lists (p_chg, p_dis, soe, lam).  Where C_t >= 0 or
-    eta = 1 a period charges or discharges, never both: simultaneous charge
-    and discharge costs nothing there.  Some schedule must fit the storage
-    (storage.require_schedulable), so an empty window of exchanges is
-    rounding.  It computes in units, storage.require_compatible's record, and
-    returns lam in its price unit."""
-    c = units.prices.tolist()
-    T = len(c)
-    rho, eta_c, eta_d, dt = params.rho, params.eta_c, params.eta_d, params.dt
-    unit, (s_min, s_max, s_init) = units.e, units.levels
-    (hi, dis), (pc_hi, pd_hi) = units.reaches, units.powers
+    """An optimal schedule of the storage LP and balance-row multipliers that
+    certify it, in units, storage.require_compatible's record: lists of the
+    energy each period charges and burns and of the levels in its energy unit,
+    and of lam in its price unit; its powers (MW) only tell whether a reach is
+    its power limit.  Where C_t >= 0 or eta = 1 a period charges or discharges,
+    never both: simultaneous charge and discharge costs nothing there.  Some
+    schedule fits (storage.require_schedulable): an empty window is rounding."""
+    rho, eta_c, eta_d = params.rho, params.eta_c, params.eta_d
+    (s_min, s_max, s_init), (hi, dis), (pc_hi, pd_hi) = units.levels, units.reaches, units.powers
     hi_at_limit, dis_at_limit = pc_hi == params.p_chg_max, pd_hi == params.p_dis_max
     y_min, y_max = rho * s_min, rho * s_max
+    # g_t of each period: the keys (minus the slopes) k1 of its piece beta in
+    # [mid, hi_b] and k2 of [lo_b, mid], its knot and spill, and lambda_t's
+    # bounds xc and xd.  At C_t < 0 the LP charges at full rate and burns the
+    # surplus by discharge (spill, where eta < 1), so the two slopes swap
+    c = units.prices
+    xc, xd, neg, T = c / eta_c, c * eta_d, c < 0, len(c)
+    k1, k2, knot, spill = -xc, -xd, np.zeros(T), neg * (0.0 if params.eta == 1.0 else dis)
+    k1[neg], k2[neg], knot[neg] = k2[neg], k1[neg], hi - dis
+    g = [*zip(k1.tolist(), k2.tolist(), knot.tolist(), spill.tolist(), xc.tolist(), xd.tolist())]
 
-    # backward: V_t on [start, end] as segments, keys (minus the slope,
-    # rising) and lengths.  g_t's piece beta in [mid, hi_b] has key k1, the
-    # piece [lo_b, mid] k2; at C_t < 0 the LP charges at full rate and burns
-    # the surplus by discharge (spill, where eta < 1), so the two slopes swap
+    # backward: V_t on [start, end] as segments, keys (rising) and lengths
     start, end, keys, lens = s_min, s_max, [0.0], [s_max - s_min]
     pieces = [None] * T
-    burn_knot, burn_spill = hi - dis, 0.0 if params.eta == 1.0 else dis
     for t in range(T - 1, -1, -1):
-        ct = c[t]
-        if ct >= 0:
-            k1, k2, knot, spill = -ct / eta_c, -ct * eta_d, 0.0, 0.0
-        else:
-            k1, k2, knot, spill = -ct * eta_d, -ct / eta_c, burn_knot, burn_spill
+        k1, k2, knot, spill, _, _ = g[t]
         lo_b, hi_b = start - y_max, end - y_min  # the exchanges that reach [start, end]
         lo_b, hi_b = -dis if lo_b < -dis else lo_b, hi if hi_b > hi else hi_b
         lo_b = hi_b if lo_b > hi_b else lo_b
@@ -57,7 +58,7 @@ def lp_optimum(params, units) -> tuple:
         a1 = sum(lens[:i1]) if i1 else 0
         y0 = start - hi_b  # the merged list starts at rho*s = y0, with beta = hi_b
         a2 = a1 + l1 + (sum(lens[i1:i2]) if i2 > i1 else 0)
-        pieces[t] = (y0, a1, l1, a2, l2, start, end, spill)
+        pieces[t] = (y0, a1, l1, a2, l2, start, end)
         if l2 > 0:  # i2 first, so that i1 <= i2 still points at its place
             keys.insert(i2, k2)
             lens.insert(i2, l2)
@@ -89,15 +90,15 @@ def lp_optimum(params, units) -> tuple:
         end = s_max if y_end >= y_max else max(y_end / rho, start)
 
     # forward: walk the merged list of each period to rho*s
-    s, p_chg, p_dis, soe, allowed = s_init, [], [], [], []
-    dt_c = dt * eta_c
+    s, schedule, allowed = s_init, [], []
     for t in range(T):
-        y0, a1, l1, a2, l2, start, end, spill = pieces[t]
+        y0, a1, l1, a2, l2, start, end = pieces[t]
+        _, _, _, spill, xc, xd = g[t]
         y = rho * s
         walk = y - y0
         g1, g2 = walk - a1, walk - a2  # how far the walk went into g's pieces
-        g = (0.0 if g1 < 0 else l1 if g1 > l1 else g1) + (0.0 if g2 < 0 else l2 if g2 > l2 else g2)
-        u = start + (walk - g)
+        gi = (0.0 if g1 < 0 else l1 if g1 > l1 else g1) + (0.0 if g2 < 0 else l2 if g2 > l2 else g2)
+        u = start + (walk - gi)
         u = start if u < start else end if u > end else u
         tol = _TOL * (y + abs(y0) + start)  # a level or energy this near a bound is on it
         at_min, at_max = u <= s_min + tol, u >= s_max - tol
@@ -108,18 +109,15 @@ def lp_optimum(params, units) -> tuple:
         add = 0.0 if add <= tol else hi if add >= hi - tol else add
         burn = add - beta
         burn = 0.0 if burn <= tol else dis if burn >= dis - tol else burn
-        p_chg.append(pc_hi if add == hi else ldexp(add, unit) / dt_c)
-        p_dis.append(pd_hi if burn == dis else ldexp(burn, unit) * eta_d / dt)
-        soe.append(ldexp(u, unit))
+        schedule.append((add, burn, u))
         # the balance multipliers the power statuses allow: lambda_t >= C_t/eta_c
         # unless p_chg = 0 and <= unless p_chg = Pc; <= eta_d*C_t unless p_dis
         # = 0 and >= unless p_dis = Pd
-        xc, xd = c[t] / eta_c, eta_d * c[t]
         lo, up = (xc if add else -_INF), (_INF if add == hi and hi_at_limit else xc)
         allowed.append((lo if burn == dis and dis_at_limit or xd < lo else xd,
                         up if not burn or xd > up else xd, at_min, at_max))
         s = u
-    return p_chg, p_dis, soe, _multipliers(rho, allowed)
+    return (*zip(*schedule), _multipliers(rho, allowed))
 
 
 def _multipliers(rho, allowed) -> list:

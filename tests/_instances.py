@@ -300,12 +300,21 @@ def reference_kkt_verify(params, prices, du, sch):
 
 
 def assert_lp_certificate_as_reference(params, prices, report):
-    """The duals and KKT residual of a solve_storage_lp report equal, bit for
-    bit, their per-residual reference forms, all formed in the price unit of
+    """The schedule, duals and KKT residual of a solve_storage_lp report equal,
+    bit for bit, their reference forms: the schedule scaled back from the
+    value function's energies one period at a time, and the duals and the
+    residual formed per residual, in the price unit of
     storage.require_compatible's record from the value function's lambda
     there (a NaN equals a NaN)."""
     units = require_compatible(params, prices)
-    lam = np.array(lp_optimum(params, units)[3])
+    charged, burned, soe, lam = lp_optimum(params, units)
+    (reach_c, reach_d), (p_c, p_d), dt, e = units.reaches, units.powers, params.dt, units.e
+    schedule = ([p_c if x == reach_c else math.ldexp(x, e) / (dt * params.eta_c) for x in charged],
+                [p_d if x == reach_d else math.ldexp(x, e) * params.eta_d / dt for x in burned],
+                [math.ldexp(u, e) for u in soe])
+    for got, ref in zip(vars(report.schedule).values(), schedule):
+        np.testing.assert_array_equal(got.view(np.int64), np.array(ref).view(np.int64))
+    lam = np.array(lam)
     with np.errstate(all="ignore"):  # at the edges of double precision they overflow
         duals = reference_duals(params, prices, lam)
         kkt = reference_kkt_verify(params, prices, DualVector(lam, *duals), report.schedule)

@@ -485,6 +485,20 @@ class TestChildBound:
         assert sum(cut for *_, cut in children) > 700
         assert infeasible > 0
 
+    def test_no_entering_candidate(self):
+        # max x0 - x2 with x0 + x1 - x2 = 1, x1 fixed at 0: x0 = 1 is basic,
+        # and x0 = 0 needs x2 = -1 below its bound, so the leaving row has no
+        # entering candidate and the bound is the parent's optimum
+        problem = simplex.LpProblem(c=[1.0, 0.0, -1.0], lower=[0.0, 0.0, 0.0],
+                                    upper=[2.0, 0.0, 3.0], a=[[1.0, 1.0, -1.0]], rhs=[1.0])
+        sol = solve_bounded_lp(problem, start=[simplex.BASIC, simplex.AT_LOWER, simplex.AT_LOWER])
+        assert sol.status is LpStatus.OPTIMAL and sol.objective == 1.0
+        assert simplex.child_bound(problem, sol, 0) == sol.objective
+        child = copy.copy(problem)
+        child.upper = problem.upper.copy()
+        child.upper[0] = 0.0
+        assert solve_bounded_lp(child).status is LpStatus.INFEASIBLE
+
 
 class TestInfeasibleStorage:
     def test_leakage_beyond_charge_limit(self):

@@ -709,3 +709,9 @@ def test_misshaped_schedule_refused(lengths, entry, mixed):
                            "(p_chg|p_dis|soe) holds an integer beyond double precision|"
                            "(p_chg|p_dis|soe) must be real numbers"):
             Schedule(*columns)
+
+
+def test_ragged_schedule_entries_refused():
+    # entries that numpy cannot stack into one array are no real numbers
+    with pytest.raises(ValueError, match="^p_chg must be real numbers$"):
+        Schedule(p_chg=[np.zeros(2), np.zeros((2, 2))], p_dis=[0.0, 0.0], soe=[0.0, 0.0])
