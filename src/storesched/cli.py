@@ -129,7 +129,7 @@ def cmd_advise(args) -> int:
 def _solve_formulation(formulation, params, prices, part, grid):
     """Returns (report, extras dict for the JSON report).  grid is the dp
     grid point count, None for DpConfig's default.  A ValueError names the
-    objective or diagnostic that is not finite."""
+    objective or solver diagnostic that is not finite."""
     if formulation == "lp":
         report = solve_storage_lp(params, prices)
         extras = {"kkt_max_residual": report.kkt_max_residual}
@@ -146,11 +146,7 @@ def _solve_formulation(formulation, params, prices, part, grid):
     else:
         config = DpConfig() if grid is None else DpConfig(grid)
         report = solve_dp(params, prices, config)
-        extras = {
-            "grid_points": config.grid_points,
-            "discretization_bound": dp_value_error_bound(params, prices, config),
-        }
-    extras["physically_infeasible"] = bool(report.scd_events)  # none from the dp
+        extras = {"grid_points": config.grid_points}
     for name, value in {"objective": report.objective, **extras}.items():
         require_finite(f"{formulation} {name}", value)
     return report, extras
@@ -161,9 +157,11 @@ def cmd_solve(args) -> int:
         raise ValueError("--grid applies only to --formulation dp")
     params, prices, part = _load_inputs(args.params, args.prices)
     report, extras = _solve_formulation(args.formulation, params, prices, part, args.grid)
-    if args.formulation == "dp":
-        eps = extras["discretization_bound"]
+    if args.formulation == "dp":  # only solve reports the bound, so only solve refuses on it
+        config = DpConfig(extras["grid_points"])
+        eps = extras["discretization_bound"] = dp_value_error_bound(params, prices, config)
         print(f"dp discretization bound: {eps:.6g} EUR", file=sys.stderr)
+    extras["physically_infeasible"] = bool(report.scd_events)  # none from the dp
 
     doc = {
         "formulation": args.formulation,

@@ -119,6 +119,8 @@ def lemma1_classify(
     exchange beta_t = s_t - rho * s_{t-1}: at the maximum net charge or the
     maximum net discharge, SCD is not optimal at t; anywhere in between,
     every LP optimum exhibits SCD at t."""
+    if len(prices) != len(schedule):
+        raise ValueError("price and schedule lengths differ")
     require_int("t", t, 1, len(schedule))
     if prices.prices[t - 1] >= 0:
         raise NotNegativePrice(f"C_{t} = {prices.prices[t - 1]} is not strictly negative")

@@ -167,15 +167,16 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
 
 
 def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, du=None) -> float:
-    """Maximum residual, relative to the instance's energy scale e and
-    largest price q, over the first-order optimality system: stationarity
-    in p_dis / p_chg / soe, the balance equalities, dual nonnegativity,
-    every complementarity pair, and the identity that at any SCD period
-    dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in the price unit of
-    storage.require_compatible's record, where q, q*dt and q*e neither round
-    to 0 nor overflow: of report.duals scaled into it, or of du's multipliers
-    as formed there, du a pair (that record, multipliers).  The residuals fill
-    the rows of one block, and each row's largest |r| is divided by its unit."""
+    """Maximum residual, relative to the instance's energy scale e and largest price
+    q, over the first-order optimality system of build_lp's LP, whose powers are
+    bounded by the ones the reaches imply (no schedule moves more, so its optimum is
+    the limits'): stationarity in p_dis / p_chg / soe, the balance equalities, dual
+    nonnegativity, every complementarity pair, and the identity that at any SCD
+    period dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in the price unit of
+    storage.require_compatible's record, where q, q*dt and q*e neither round to 0 nor
+    overflow: of report.duals scaled into it, or of du's multipliers as formed there,
+    du a pair (that record, multipliers).  The residuals fill the rows of one block,
+    and each row's largest |r| is divided by its unit."""
     if report.duals is None:
         raise MissingDuals("report carries no duals")
     units, du = du or (require_compatible(params, prices), None)
@@ -203,7 +204,7 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     mult[:] = bounds
     unit[4:10] = q, q, q_dt, q_dt, q_dt, q_dt
     slack[:] = (sch.soe - params.s_min, params.s_max - sch.soe, sch.p_chg,
-                params.p_chg_max - sch.p_chg, sch.p_dis, params.p_dis_max - sch.p_dis)
+                units.powers[0] - sch.p_chg, sch.p_dis, units.powers[1] - sch.p_dis)
     np.ldexp(slack[:2], -units.e, out=slack[:2])  # levels in the energy unit, where e is e_u
     e_dt, e_u = e * (q / q_dt), np.ldexp(e, -units.e)
     unit[10:16] = e_u, e_u, e_dt, e_dt, e_dt, e_dt

@@ -20,14 +20,14 @@ a power is fixed at 0 is never branched: each node first clips its powers
 into its bounds, so that power reads 0, and K binary periods make at most
 2^(K+1) - 1 nodes.
 
-Both variants share one relaxation, build_lp(params, prices, part.t_neg),
-and differ only in binary_mask, the periods where the search may
-branch.  Its "each leg fits" columns, the level after the charge alone
-and after the discharge alone at each negative-price period, hold for
-every exclusive schedule (0 <= s_min and rho <= 1).  For storage that
-fully charges and fully discharges within one period (rho = 1,
-s_min = 0) they are the convex hull of the two modes at t, so such MILPs
-often close at the root node.
+Both variants share one relaxation, build_lp(params, units, part.t_neg)
+on storage.require_compatible's record units, and differ only in
+binary_mask, the periods where the search may branch.  Its "each leg
+fits" columns, the level after the charge alone and after the discharge
+alone at each negative-price period, hold for every exclusive schedule
+(0 <= s_min and rho <= 1).  For storage that fully charges and fully
+discharges within one period (rho = 1, s_min = 0) they are the convex
+hull of the two modes at t, so such MILPs often close at the root node.
 """
 
 import copy

@@ -184,7 +184,7 @@ class ScaledInstance:
     q: float  # max|C_t| in 2^p EUR/MWh, in [1/2, 1) or 0
     levels: tuple  # s_min, s_max and s_init in 2^e MWh
     reaches: tuple  # charge_reach and discharge_reach in 2^e MWh
-    powers: tuple  # the powers (MW) the reaches imply: each limit unless its reach clips it
+    powers: tuple  # the LP's only power bounds (MW): each limit unless its reach clips it
 
 
 def require_compatible(params: StorageParams, prices: PriceSeries) -> ScaledInstance:

@@ -22,16 +22,15 @@ _TOL = 1e-11  # numbers closer than _TOL times the magnitudes in play are equal
 
 
 def lp_optimum(params, units) -> tuple:
-    """An optimal schedule of the storage LP and balance-row multipliers that
-    certify it, in units, storage.require_compatible's record: lists of the
-    energy each period charges and burns and of the levels in its energy unit,
-    and of lam in its price unit; its powers (MW) only tell whether a reach is
-    its power limit.  Where C_t >= 0 or eta = 1 a period charges or discharges,
+    """An optimal schedule of the storage LP, each power bounded by the power its
+    reach implies as in lp.build_lp, and balance-row multipliers that certify
+    it, in units, storage.require_compatible's record: lists of the energy each
+    period charges and burns and of the levels in its energy unit, and of lam in
+    its price unit.  Where C_t >= 0 or eta = 1 a period charges or discharges,
     never both: simultaneous charge and discharge costs nothing there.  Some
     schedule fits (storage.require_schedulable): an empty window is rounding."""
     rho, eta_c, eta_d = params.rho, params.eta_c, params.eta_d
-    (s_min, s_max, s_init), (hi, dis), (pc_hi, pd_hi) = units.levels, units.reaches, units.powers
-    hi_at_limit, dis_at_limit = pc_hi == params.p_chg_max, pd_hi == params.p_dis_max
+    (s_min, s_max, s_init), (hi, dis) = units.levels, units.reaches
     y_min, y_max = rho * s_min, rho * s_max
     # g_t of each period: the keys (minus the slopes) k1 of its piece beta in
     # [mid, hi_b] and k2 of [lo_b, mid], its knot and spill, and lambda_t's
@@ -112,9 +111,9 @@ def lp_optimum(params, units) -> tuple:
         schedule.append((add, burn, u))
         # the balance multipliers the power statuses allow: lambda_t >= C_t/eta_c
         # unless p_chg = 0 and <= unless p_chg = Pc; <= eta_d*C_t unless p_dis
-        # = 0 and >= unless p_dis = Pd
-        lo, up = (xc if add else -_INF), (_INF if add == hi and hi_at_limit else xc)
-        allowed.append((lo if burn == dis and dis_at_limit or xd < lo else xd,
+        # = 0 and >= unless p_dis = Pd, Pc and Pd the powers the reaches imply
+        lo, up = (xc if add else -_INF), (_INF if add == hi else xc)
+        allowed.append((lo if burn == dis or xd < lo else xd,
                         up if not burn or xd > up else xd, at_min, at_max))
         s = u
     return (*zip(*schedule), _multipliers(rho, allowed))

@@ -286,8 +286,8 @@ def reference_kkt_verify(params, prices, du, sch):
     for mult, slack, unit, shift in (
         (du.sigma_lo, sch.soe - params.s_min, q, -units.e),
         (du.sigma_hi, params.s_max - sch.soe, q, -units.e),
-        (du.gamma_lo, sch.p_chg, q * dt, 0), (du.gamma_hi, params.p_chg_max - sch.p_chg, q * dt, 0),
-        (du.delta_lo, sch.p_dis, q * dt, 0), (du.delta_hi, params.p_dis_max - sch.p_dis, q * dt, 0),
+        (du.gamma_lo, sch.p_chg, q * dt, 0), (du.gamma_hi, units.powers[0] - sch.p_chg, q * dt, 0),
+        (du.delta_lo, sch.p_dis, q * dt, 0), (du.delta_hi, units.powers[1] - sch.p_dis, q * dt, 0),
     ):
         slack, e_row = np.ldexp(slack, shift), np.ldexp(e, shift)
         res += [(np.minimum(mult, 0.0), unit), (np.minimum(slack, 0.0), e_row * (q / unit)),

@@ -717,6 +717,14 @@ CASES = [
     pytest.param(Case(FAST_PARAMS, ("1e308 1e308",), "solve --formulation dp", 2,
                       "error: dp discretization_bound is inf, beyond double precision"),
                  id="test_nonfinite_result_exit_2-dp-discretization_bound"),
+    # at 1e308 EUR/MWh the bound of a two-point grid overflows too, where each
+    # objective is a double: only solve reports the bound, so only solve refuses
+    pytest.param(Case(storage(s_max=0.9, s_init=0.9), ("0 1e308",),
+                      "solve --formulation dp --grid 2", 2,
+                      "error: dp discretization_bound is inf, beyond double precision"),
+                 id="dp_bound_overflow_exit_2"),
+    pytest.param(Case(storage(s_max=0.9, s_init=0.9), ("0 1e308",), "compare --grid 2", 0),
+                 id="compare_dp_bound_overflow_exit_0"),
     *(pytest.param(Case(BIG, ("1e10 -1e10 1e10",), f"solve --formulation {formulation}", 2,
                         f"error: {formulation} objective is inf, beyond double precision"),
                    id=f"test_nonfinite_result_exit_2-{formulation}-objective")
@@ -789,6 +797,14 @@ CASES = [
                               eta_c=0.5, rho=0.999),
                       ("35 -35",), "solve --formulation lp", 0, kkt=math.inf),
                  id="top_level_slack_residual_is_finite"),
+    # the level bound stops a charge far below its 1e150 MW limit; gamma_hi
+    # pairs with the slack to the power its reach implies, so its product
+    # stays finite and the residual with it
+    pytest.param(Case(storage(s_max=1e-300, s_init=5e-301, p_chg_max=1e150, p_dis_max=5e-324,
+                              eta_d=1, rho=0.5),
+                      ("1e308 -1e308 1e308 1e308 -1e308 1e-300 -1e308 -35 1e-300",),
+                      "solve --formulation lp", 0, kkt=math.inf),
+                 id="reach_box_residual_is_finite"),
 ]
 
 

@@ -392,6 +392,17 @@ class TestLemma1:
             with pytest.raises(ValueError, match=r"^t must be an integer in \[1, 1\]"):
                 lemma1_classify(params, series([-5.0]), sch, t)
 
+    def test_lengths_differ(self):
+        # prices shorter than the schedule, then longer: each is refused, as
+        # storage.objective refuses them, before any period is read
+        params = unit_storage(0.2, 0.2)
+        for p_chg, prices in (([0.2, 0.0], [-5.0]), ([0.2], [-5.0, -5.0])):
+            sch = self._optimum_like(params, p_chg, [0.0] * len(p_chg))
+            with pytest.raises(ValueError, match="^price and schedule lengths differ$"):
+                lemma1_classify(params, series(prices), sch, 1)
+            with pytest.raises(ValueError, match="^price and schedule lengths differ$"):
+                lemma1_classify(params, series(prices), sch, len(p_chg))
+
     def test_infinite_levels(self):
         # beta = inf - rho * inf is NaN, an interior exchange, and computing
         # it warns about nothing (a warning is an error here)

@@ -66,7 +66,8 @@ NON_NUMBER = st.sampled_from(["0.5", "1", True, False, None])
 TOKEN = st.one_of(NUMBER.map(repr), st.sampled_from(["", "abc", "1e999", "-1e999", "nan",
                                                      "0x10", "1,5", " "]))
 # the energies and powers of one storage, from subnormal to overflow scale
-SCALE = st.sampled_from([5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e150, 1e300, 1.7e308])
+SCALES = [5e-324, 1e-300, 1e-8, 1.0, 1e8, 1e150, 1e300, 1.7e308]
+SCALE = st.sampled_from(SCALES)
 # valid grids (small, so each DP stays fast), invalid ones, and grids whose
 # state array alone would take terabytes: the allocation fails at once (far
 # beyond memory plus swap, under Linux's default overcommit heuristic)
@@ -341,8 +342,17 @@ HUGE_LEVELS = (StorageParams(s_min=0.0, s_max=1.7e308, s_init=1.7e308, p_chg_max
                              p_dis_max=1e-8, eta_c=0.5, eta_d=0.9, rho=0.999, dt=1.0),
                PriceSeries([35.0, -35.0], 1.0))
 
+# a charge that the level bound stops at 9.7e-301 MW, far below the 1e150 MW
+# limit: paired with the limit, its gamma_hi's complementarity product
+# overflows; paired with the power its reach implies, it stays finite
+REACH_BOX = (StorageParams(s_min=0.0, s_max=1e-300, s_init=5e-301, p_chg_max=1e150,
+                           p_dis_max=5e-324, eta_c=0.9, eta_d=1.0, rho=0.5, dt=1.0),
+             PriceSeries([1e308, -1e308, 1e308, 1e308, -1e308, 1e-300, -1e308, -35.0, 1e-300],
+                         1.0))
+
 
 # every storage drawn has s_min = 0, so idling always fits: none is refused
+@example(inputs=REACH_BOX)
 @example(inputs=NEAR_OVERFLOW)
 @example(inputs=HUGE_STEP)
 @example(inputs=(HUGE_DISCHARGE, PriceSeries([1e-300], 1 / 6)))
@@ -363,6 +373,44 @@ def test_lp_entry_point(inputs):
             return
         assert feasibility_check(params, report.schedule).feasible
         assert_lp_certificate_as_reference(params, prices, report)
+
+
+def edge_recipe(seed, draws):
+    """The storages and prices of lp_inputs' ranges, drawn from
+    default_rng(seed) in a fixed order; draws that make no storage are skipped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        scale = float(rng.choice(SCALES))
+        dt = float(rng.choice([1 / 6, 0.25, 1.0, 10.0]))
+        s_init = float(rng.choice([0.0, scale / 2, scale]))
+        p_chg_max, p_dis_max = float(rng.choice(SCALES)), float(rng.choice(SCALES))
+        eta_c, eta_d = float(rng.choice([0.5, 0.9, 1.0])), float(rng.choice([0.9, 1.0]))
+        rho = float(rng.choice([1.0, 0.999, 0.5, 1e-20]))
+        prices = rng.choice([0.0, 35.0, -35.0, 1e-300, 1e308, -1e308], int(rng.integers(1, 31)))
+        try:
+            params = StorageParams(s_min=0.0, s_max=scale, s_init=s_init, p_chg_max=p_chg_max,
+                                   p_dis_max=p_dis_max, eta_c=eta_c, eta_d=eta_d, rho=rho, dt=dt)
+        except ValueError:
+            continue
+        yield params, PriceSeries(prices, dt)
+
+
+@pytest.mark.parametrize("seed, draws", [(5, 3000), (7, 5000)])
+def test_finite_multipliers_give_a_finite_residual(seed, draws):
+    # kkt_verify bounds each power by the power its reach implies, as the LP
+    # does, so no power slack far above the energy scale meets a multiplier
+    # the value function sets: finite multipliers give a finite residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, prices in edge_recipe(seed, draws):
+            try:
+                report = solve_storage_lp(params, prices)
+            except ValueError as exc:
+                assert re.fullmatch(r"(dt \* price|lp objective) is \S+, beyond double precision",
+                                    str(exc)), str(exc)
+                continue
+            if np.isfinite(report.duals.lam).all():
+                assert math.isfinite(report.kkt_max_residual), (params, prices.prices)
 
 
 def test_huge_discharge_is_certified():
