@@ -3,9 +3,9 @@
 LPs, and verification of the stationarity / complementarity system at a
 reported optimum.
 
-Variable layout of the storage LP: [p_chg (T), p_dis (T), soe (T)], with
-one state-of-energy balance row per period; the MILPs append "each leg
-fits" columns, each with its defining row (see build_lp).
+Variable layout of the storage LP: [e^c (T), e^d (T), soe (T)], energies in
+one unit, with one state-of-energy balance row per period; the MILPs append
+"each leg fits" columns, each with its defining row (see build_lp).
 """
 
 from dataclasses import dataclass
@@ -14,9 +14,9 @@ import numpy as np
 
 from .prices import PriceSeries
 from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, solve_bounded_lp
-from .storage import (Schedule, ScaledInstance, StorageParams, detect_scd, flow, from_units,
-                      net_exchange, objective, require_compatible, require_finite,
-                      require_schedulable, scd_mask)
+from .storage import (Schedule, ScaledInstance, StorageParams, detect_scd, flow, net_exchange,
+                      objective, require_compatible, require_finite, require_schedulable,
+                      scd_mask)
 from .value import lp_optimum
 
 
@@ -52,20 +52,19 @@ class SolveReport:
 
 
 def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> LpProblem:
-    """Storage LP over [p_chg (T), p_dis (T), soe (T), m^c (K), m^d (K)],
-    K = len(legs), maximizing sum_t dt*C_t*(p_dis_t - p_chg_t).  Row r is
+    """Storage LP over [e^c (T), e^d (T), soe (T), m^c (K), m^d (K)], K =
+    len(legs), e^c_t = dt*eta_c*p_chg_t and e^d_t = dt*p_dis_t/eta_d each up
+    to its reach, maximizing sum_t C_t*(eta_d*e^d_t - e^c_t/eta_c).  Row r is
     the equality that defines column 2T + r, with soe_0 = s_init:
-    soe_t = rho*soe_{t-1} + dt*eta_c*p_chg_t - dt*p_dis_t/eta_d in [s_min, s_max]
-    and, at each 1-based period t in legs, the level after the charge alone,
-    m^c_t = rho*soe_{t-1} + dt*eta_c*p_chg_t in [rho*s_min, s_max], and after
-    the discharge alone, m^d_t = rho*soe_{t-1} - dt*p_dis_t/eta_d in
-    [rho*s_min, rho*s_max], with powers up to the ones the reaches imply.
+    soe_t = rho*soe_{t-1} + e^c_t - e^d_t in [s_min, s_max] and, at each
+    1-based period t in legs, the level after the charge alone,
+    m^c_t = rho*soe_{t-1} + e^c_t in [rho*s_min, s_max], and after the
+    discharge alone, m^d_t = rho*soe_{t-1} - e^d_t in [rho*s_min, rho*s_max].
     prices is a PriceSeries or, handed on, storage.require_compatible's record
-    of it, in whose units the LP is (a is unitless)."""
+    of it, in whose units the LP is: its costs are value.lp_optimum's slopes."""
     units = prices if isinstance(prices, ScaledInstance) else require_compatible(params, prices)
-    dt, rho = params.dt, params.rho
-    profit = dt * units.prices
-    T, K = len(profit), len(legs)
+    price, rho = units.prices, params.rho
+    T, K = len(price), len(legs)
     t_leg = np.asarray(legs, dtype=int) - 1
     period = np.concatenate([np.arange(T), t_leg, t_leg])  # 0-based, one per row
     r = np.arange(T + 2 * K)
@@ -73,14 +72,13 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     prev = period > 0
     a = np.zeros((T + 2 * K, 3 * T + 2 * K))
     a[r, 2 * T + r] = 1.0
-    a[r[chg], period[chg]] = -dt * params.eta_c
-    a[r[dis], T + period[dis]] = dt / params.eta_d
+    a[r[chg], period[chg]] = -1.0
+    a[r[dis], T + period[dis]] = 1.0
     a[r[prev], 2 * T + period[prev] - 1] = -rho
-    c = np.concatenate([-profit, profit, np.zeros(T + 2 * K)])
+    c = np.concatenate([-price / params.eta_c, price * params.eta_d, np.zeros(T + 2 * K)])
     s_min, s_max, s_init = units.levels
-    p_chg, p_dis = (from_units(v, -units.e) for v in units.powers)
     lower = np.array([0.0, s_min, rho * s_min]).repeat([2 * T, T, 2 * K])
-    upper = np.array([p_chg, p_dis, s_max, rho * s_max]).repeat([T, T, T + K, K])
+    upper = np.array([*units.reaches, s_max, rho * s_max]).repeat([T, T, T + K, K])
     rhs = np.where(prev, 0.0, rho * s_init)
     return LpProblem(c=c, lower=lower, upper=upper, a=a, rhs=rhs)
 
@@ -88,8 +86,8 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
 def _duration_start(problem: LpProblem) -> np.ndarray:
     """Start basis codes that follow the charge duration.  Where a period's
     price pays for a power (charge at a negative price, discharge at a
-    positive one) and that power at full rate crosses the period's whole
-    level range, the level starts nonbasic, at the bound its reduced cost
+    positive one) and that energy's bound spans the period's whole level
+    range, the level starts nonbasic, at the bound its reduced cost
     prefers, and the discharge starts basic.  At a negative price that is
     the LP's simultaneous charge and discharge (SCD) vertex: the charge
     runs at full rate, nonbasic, and the discharge burns what the level
@@ -97,17 +95,15 @@ def _duration_start(problem: LpProblem) -> np.ndarray:
     m^c starts nonbasic instead.  Every other period (zero price, slow
     storage) keeps its level basic, and the other leg columns stay basic.
     The basic columns are block lower triangular in period order, each
-    block nonsingular (at a negative-price leg period, {p_chg, p_dis, m^d}
-    on the rows {balance, charge leg, discharge leg} has determinant
-    dt^2 eta_c / eta_d), so the start always factors; with every bound
-    finite any basis is dual feasible once the simplex places each
-    nonbasic variable."""
+    block nonsingular (at a negative-price leg period, {e^c, e^d, m^d} on
+    the rows {balance, charge leg, discharge leg} has determinant 1), so the
+    start always factors; with every bound finite any basis is dual
+    feasible once the simplex places each nonbasic variable."""
     T = (problem.n - problem.m) // 2  # n = 3T + 2K columns, m = T + 2K rows
-    t = np.arange(T)
     a, c, lower, upper = problem.a, problem.c, problem.lower, problem.upper
     span = upper[2 * T : 3 * T] - lower[2 * T : 3 * T]
-    chg = (c[:T] > 0) & (-a[t, t] * upper[:T] >= span)
-    dis = (c[T : 2 * T] > 0) & (a[t, T + t] * upper[T : 2 * T] >= span)
+    chg = (c[:T] > 0) & (upper[:T] >= span)
+    dis = (c[T : 2 * T] > 0) & (upper[T : 2 * T] >= span)
     t_leg = (a[T : (problem.m + T) // 2, :T] != 0).nonzero()[1]  # each charge-leg row's period
     burn = chg[t_leg]  # leg periods that start at the SCD vertex
     start = np.full(problem.n, AT_LOWER)
@@ -130,6 +126,16 @@ def solve_lp(problem: LpProblem, warm: LpSolution | None = None) -> LpSolution:
     return solve_bounded_lp(problem, start=_duration_start(problem))
 
 
+def to_schedule(params: StorageParams, units: ScaledInstance, energies) -> Schedule:
+    """The Schedule, in MW and MWh, of build_lp's energies (e^c, e^d, soe) in
+    units: each energy its power in one period, a whole reach units.powers."""
+    charged, burned, soe = energies
+    e_chg, e_dis, soe = np.ldexp([charged, burned, soe], units.e)
+    p_chg, p_dis = e_chg / (params.dt * params.eta_c), e_dis * params.eta_d / params.dt
+    p_chg[charged == units.reaches[0]], p_dis[burned == units.reaches[1]] = units.powers
+    return Schedule(p_chg, p_dis, soe)
+
+
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """The LP answer from its value function (value.py), not the simplex: a
     schedule with no costless SCD (at a zero price or eta = 1), its SCD
@@ -140,12 +146,9 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     gates refuse before any solve; a ValueError names an overflowing objective."""
     require_schedulable(params, len(prices))
     units = require_compatible(params, prices)
-    charged, burned, soe, y = map(np.array, lp_optimum(params, units))
+    *energies, y = map(np.array, lp_optimum(params, units))
     with np.errstate(all="ignore"):  # an overflow shows as a nonfinite objective or residual
-        e_chg, e_dis, soe = np.ldexp([charged, burned, soe], units.e)
-        p_chg, p_dis = e_chg / (params.dt * params.eta_c), e_dis * params.eta_d / params.dt
-        p_chg[charged == units.reaches[0]], p_dis[burned == units.reaches[1]] = units.powers
-        schedule, dt, dt_c = Schedule(p_chg, p_dis, soe), params.dt, params.dt * units.prices
+        schedule, dt = to_schedule(params, units, energies), params.dt
         report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
         require_finite("lp objective", report.objective)
         # the upper bounds' rows take the reduced costs, the lower bounds' rows
@@ -155,7 +158,7 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
         soe_rc[:-1] = params.rho * y[1:]
         soe_rc[-1] = 0.0  # free terminal level: lam_{T+1} = 0
         soe_rc -= y
-        y_dt = y * dt
+        y_dt, dt_c = y * dt, dt * units.prices
         chg_rc[:] = y_dt * params.eta_c - dt_c
         dis_rc[:] = dt_c - y_dt / params.eta_d
         np.maximum(np.multiply(hi, -1.0, out=bounds[::2]), 0.0, out=bounds[::2])
@@ -168,8 +171,8 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
 
 def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, du=None) -> float:
     """Maximum residual, relative to the instance's energy scale e and largest price
-    q, over the first-order optimality system of build_lp's LP, whose powers are
-    bounded by the ones the reaches imply (no schedule moves more, so its optimum is
+    q, over the first-order optimality system of build_lp's LP in powers, each
+    bounded by the power its reach implies (no schedule moves more, so its optimum is
     the limits'): stationarity in p_dis / p_chg / soe, the balance equalities, dual
     nonnegativity, every complementarity pair, and the identity that at any SCD
     period dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in the price unit of

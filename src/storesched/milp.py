@@ -8,16 +8,16 @@ suboptimal or removable at equal objective.  Since the binaries never
 enter the objective, branching is done directly on the exclusivity
 disjunction: a child either forbids charging or forbids discharging at
 the chosen period (equivalent to fixing u_t^C or u_t^D to zero with the
-exact big-M links p <= u * p_max).  The search branches at the SCD event
-whose netting to one mode costs the LP most, dt*|C_t|*b_t*(1 - eta_c*eta_d)/eta_c
-for the energy b_t = min(eta_c*p_chg_t, p_dis_t/eta_d) charged and discharged
-at once, and first solves the child that keeps the mode the LP nets there.
+exact big-M links e <= u * reach on build_lp's energies).  The search
+branches at the SCD event whose netting to one mode costs the LP most,
+|C_t|*b_t*(1 - eta)/eta_c for the energy b_t = min(e^c_t, e^d_t) charged
+and discharged at once, and first solves the child that keeps the mode the LP nets there.
 Each child carries a bound from one dual simplex step on its parent's
 final factor (Driebeek 1966; simplex.child_bound), valid because every
 point on the first dual ray is dual feasible for the child; a child whose
 bound cannot beat the incumbent is dropped without an LP.  A period where
-a power is fixed at 0 is never branched: each node first clips its powers
-into its bounds, so that power reads 0, and K binary periods make at most
+an energy is fixed at 0 is never branched: each node first clips its energies
+into their bounds, so that energy reads 0, and K binary periods make at most
 2^(K+1) - 1 nodes.
 
 Both variants share one relaxation, build_lp(params, units, part.t_neg)
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import SolveReport, build_lp, solve_lp
+from .lp import SolveReport, build_lp, solve_lp, to_schedule
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpSolution, LpStatus, SimplexFailure, child_bound
-from .storage import (Schedule, ScaledInstance, StorageParams, detect_scd, from_units, repair_scd,
+from .storage import (ScaledInstance, StorageParams, detect_scd, from_units, repair_scd,
                       require_compatible, require_finite, require_schedulable, scd_mask)
 
 
@@ -46,7 +46,7 @@ from .storage import (Schedule, ScaledInstance, StorageParams, detect_scd, from_
 class MilpProblem:
     base: LpProblem
     binary_mask: np.ndarray  # the periods carrying u_t^C, u_t^D, over 0-based t
-    params: StorageParams  # base's power bounds, the powers the reaches imply, are the exact big-Ms
+    params: StorageParams  # base's energy bounds, the reaches, are the exact big-Ms
     prices: PriceSeries
     units: ScaledInstance  # base's units (storage.require_compatible)
 
@@ -84,18 +84,17 @@ def build_milp(
 
 def _branch_period(problem: MilpProblem, sol: LpSolution) -> int | None:
     """The 0-based binary period with SCD in sol.x and the largest |C_t|*b_t,
-    earliest on ties, or None: b_t = min(eta_c*p_chg_t, p_dis_t/eta_d) is the
-    energy t charges and discharges at once, and netting t to one mode costs
-    the LP exactly dt*|C_t|*b_t*(1 - eta_c*eta_d)/eta_c.  solve_milp then
-    dives into the child that keeps the mode the LP nets at t."""
+    earliest on ties, or None: b_t = min(e^c_t, e^d_t) is the energy t
+    charges and discharges at once, and netting t to one mode costs the LP
+    exactly |C_t|*b_t*(1 - eta_c*eta_d)/eta_c.  solve_milp then dives into
+    the child that keeps the mode the LP nets at t."""
     T = len(problem.prices)
-    p_chg, p_dis = sol.x[:T], sol.x[T : 2 * T]
-    # SCD within the binary periods' own power scale, which netting elsewhere keeps
-    branchable = scd_mask(p_chg * problem.binary_mask, p_dis * problem.binary_mask)
+    e_chg, e_dis = sol.x[:T], sol.x[T : 2 * T]
+    # SCD within the binary periods' own energy scale, which netting elsewhere keeps
+    branchable = scd_mask(e_chg * problem.binary_mask, e_dis * problem.binary_mask)
     if not np.logical_or.reduce(branchable):
         return None
-    both = np.minimum(problem.params.eta_c * p_chg, p_dis / problem.params.eta_d)
-    cost = abs(problem.units.prices) * both
+    cost = abs(problem.units.prices) * np.minimum(e_chg, e_dis)
     cost[~branchable] = -np.inf
     return int(cost.argmax())
 
@@ -134,7 +133,7 @@ def solve_milp(problem: MilpProblem):
             stats.root_bound = sol.objective
         if sol.objective <= cutoff:
             continue
-        # each power into the node's bounds: one fixed at 0 reads 0, never SCD
+        # each energy into the node's bounds: one fixed at 0 reads 0, never SCD
         np.minimum(np.maximum(sol.x[: 2 * T], 0.0), node.upper[: 2 * T], out=sol.x[: 2 * T])
         k = _branch_period(problem, sol)
         if k is None:  # integral-equivalent: no SCD at any binary period
@@ -148,14 +147,12 @@ def solve_milp(problem: MilpProblem):
             upper[j] = 0.0
             children.append((upper, child_bound(node, sol, j)))
         # dive: the child that keeps the mode the LP nets at t is solved first
-        eta_c, eta_d = problem.params.eta_c, problem.params.eta_d
-        nets_charge = eta_c * sol.x.item(k) > sol.x.item(T + k) / eta_d
-        stack += children if nets_charge else children[::-1]
+        stack += children if sol.x.item(k) > sol.x.item(T + k) else children[::-1]
     if incumbent is None:
         raise SimplexFailure("branch and bound found no schedule for a storage that has one")
     e, p = problem.units.e, problem.units.p
     sch = repair_scd(problem.params, problem.prices,  # nets any nonnegative-price SCD
-                     Schedule(*np.ldexp(incumbent.x[: 3 * T], e).reshape(3, T)))
+                     to_schedule(problem.params, problem.units, incumbent.x[: 3 * T].reshape(3, T)))
     stats.gap, stats.root_bound = 0.0, from_units(stats.root_bound, e + p)
     return SolveReport(from_units(incumbent.objective, e + p), sch, detect_scd(sch)), stats
 

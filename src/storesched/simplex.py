@@ -73,7 +73,7 @@ TOL = 1e-9  # primal and dual feasibility tolerance, relative to the LP's scale
 ITERS_PER_DIM = 200  # a solve may take ITERS_PER_DIM * (n + m + 10) pivots
 RECOMPUTE_EVERY = 50  # pivots between two recomputations of y, d and x
 # an updated inverse entry below DROP_TOL is stored as 0 (HiGHS's kHighsTiny);
-# the storage LP's matrix entries are 1, rho, dt*eta_c and dt/eta_d, all unitless
+# the storage LP's matrix entries are 1, -1 and -rho, all unitless
 DROP_TOL = 1e-14
 
 # basis codes, one per variable: the bound a nonbasic variable sits at, or BASIC

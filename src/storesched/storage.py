@@ -184,17 +184,18 @@ class ScaledInstance:
     q: float  # max|C_t| in 2^p EUR/MWh, in [1/2, 1) or 0
     levels: tuple  # s_min, s_max and s_init in 2^e MWh
     reaches: tuple  # charge_reach and discharge_reach in 2^e MWh
-    powers: tuple  # the LP's only power bounds (MW): each limit unless its reach clips it
+    powers: tuple  # the power box (MW) of schedules and kkt_verify: each limit clipped by its reach
 
 
 def require_compatible(params: StorageParams, prices: PriceSeries) -> ScaledInstance:
-    """Raise a ValueError unless every formulation can take the prices with this
-    storage: the same dt, and each profit rate dt * C_t a double; else their record."""
+    """Raise a ValueError unless every formulation can take the prices with this storage: the
+    same dt, each dt * C_t a double and each C_t/eta_c one in the price unit; else their record."""
     if prices.dt != params.dt:
         raise ValueError(f"prices dt {prices.dt} differs from params dt {params.dt}")
     largest = np.maximum.reduce(np.abs(prices.prices)).item()
     require_finite("dt * price", params.dt * largest)
     e, p = math.frexp(params.energy_scale)[1], math.frexp(largest)[1]
+    require_finite("price / eta_c", math.ldexp(largest, -p) / params.eta_c)  # the charge cost
     dt, reach_c, reach_d = params.dt, params.charge_reach, params.discharge_reach
     return ScaledInstance(
         e, p, np.ldexp(prices.prices, -p), math.ldexp(largest, -p),

@@ -17,9 +17,9 @@ from storesched import (
     corollary2_inexact,
     partition,
 )
-from storesched.lp import DualVector, SolveReport
+from storesched.lp import DualVector, SolveReport, to_schedule
 from storesched.simplex import AT_LOWER, AT_UPPER, BASIC
-from storesched.storage import Schedule, detect_scd, net_exchange, require_compatible, scd_mask
+from storesched.storage import detect_scd, net_exchange, require_compatible, scd_mask
 from storesched.value import lp_optimum
 
 
@@ -28,9 +28,9 @@ def lp_answer(sol, params, prices):
     from the LP's units in EUR, MW and MWh: its objective, its schedule and
     that schedule's SCD events."""
     units = require_compatible(params, prices)
-    e, p, T = units.e, units.p, len(prices)
-    schedule = Schedule(*np.ldexp(sol.x[: 3 * T], e).reshape(3, T))  # p_chg, p_dis, soe
-    return SolveReport(math.ldexp(sol.objective, e + p), schedule, detect_scd(schedule))
+    T = len(prices)
+    schedule = to_schedule(params, units, sol.x[: 3 * T].reshape(3, T))  # e^c, e^d, soe
+    return SolveReport(math.ldexp(sol.objective, units.e + units.p), schedule, detect_scd(schedule))
 
 
 def random_params(rng, eta_one=False, dt=1.0):

@@ -805,6 +805,22 @@ CASES = [
                       ("1e308 -1e308 1e308 1e308 -1e308 1e-300 -1e308 -35 1e-300",),
                       "solve --formulation lp", 0, kkt=math.inf),
                  id="reach_box_residual_is_finite"),
+    # at a subnormal eta_c the charge cost C_t/eta_c overflows even in the
+    # price unit, where the LP and MILP costs are formed: refused by name
+    *(pytest.param(Case(storage(s_init=0.5, p_chg_max=1e300, p_dis_max=1, eta_c=1e-310),
+                        ("35 -20 50",), f"solve --formulation {formulation}", 2,
+                        "error: price / eta_c is inf, beyond double precision"),
+                   id=f"subnormal_eta_c_{formulation}_exit_2")
+      for formulation in ("lp", "refined")),
+    # 1e8 MWh sold at 1e308 EUR/MWh is beyond a double, for the refined MILP
+    # as for the full one: its node LP's tolerance is 1e-9 of the 1e8 MWh
+    # level range, not of the 1e150 MW powers, which would let it answer 0
+    # with simultaneous charge and discharge at t = 6
+    pytest.param(Case(storage(s_max=1e8, p_chg_max=1e150, p_dis_max=1e150, eta_c=1, eta_d=1,
+                              dt_hours=1 / 6),
+                      ("0 0 0 0 0 1e308",), "solve --formulation refined", 2,
+                      "error: refined objective is inf, beyond double precision"),
+                 id="wide_power_refined_exit_2"),
 ]
 
 

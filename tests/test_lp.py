@@ -75,9 +75,9 @@ class TestBuild:
         problem = build_lp(params, prices)
         assert problem.n == 72
         assert problem.m == 24
-        e = require_compatible(params, prices).e  # 2 MWh
-        np.testing.assert_allclose(problem.upper[:24], params.p_chg_max / 2**e)
-        np.testing.assert_allclose(problem.upper[24:48], params.p_dis_max / 2**e)
+        e = require_compatible(params, prices).e  # 2^2 MWh
+        np.testing.assert_allclose(problem.upper[:24], params.charge_reach / 2**e)
+        np.testing.assert_allclose(problem.upper[24:48], params.discharge_reach / 2**e)
         np.testing.assert_allclose(problem.lower[48:], params.s_min / 2**e)
         np.testing.assert_allclose(problem.upper[48:], params.s_max / 2**e)
 
@@ -85,14 +85,17 @@ class TestBuild:
         prices = PriceSeries([7.0, -3.0], 0.5)
         problem = build_lp(unit_storage(dt=0.5), prices)
         p = require_compatible(unit_storage(dt=0.5), prices).p  # 8 EUR/MWh
-        np.testing.assert_allclose(problem.c[:2], np.array([-0.5 * 7, -0.5 * -3]) / 2**p)
-        np.testing.assert_allclose(problem.c[2:4], np.array([0.5 * 7, 0.5 * -3]) / 2**p)
+        # per MWh into the store a charge costs C_t/eta_c, and per MWh out of it
+        # a discharge earns eta_d*C_t
+        np.testing.assert_allclose(problem.c[:2], np.array([-7 / 0.9, 3 / 0.9]) / 2**p)
+        np.testing.assert_allclose(problem.c[2:4], np.array([7 * 0.9, -3 * 0.9]) / 2**p)
         np.testing.assert_allclose(problem.c[4:], 0.0)
 
     @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300, 1.7e308])
     def test_units_are_exact(self, scale):
         # bounds, right-hand side and costs are the storage's and the prices'
-        # own numbers times a power of two, each near 1, bit for bit
+        # own numbers times a power of two, each near 1, bit for bit: the
+        # costs the value function's slopes, the energy bounds the reaches
         params = StorageParams(s_min=scale / 8, s_max=scale, s_init=scale / 2, p_chg_max=scale,
                                p_dis_max=scale / 2, eta_c=0.9, eta_d=0.8, rho=0.97, dt=0.25)
         prices = PriceSeries([35.0, -1e300, 0.0, 1e-3], 0.25)
@@ -100,9 +103,11 @@ class TestBuild:
         units = require_compatible(params, prices)
         e, p = units.e, units.p
         assert 0.5 <= math.ldexp(params.energy_scale, -e) < 1 and p == 997  # 2^996 < 1e300
-        np.testing.assert_array_equal(np.ldexp(problem.c[T : 2 * T], p), 0.25 * prices.prices)
-        pc, pd = np.ldexp(problem.upper[[0, T]], e)
-        assert (pc, pd) == units.powers
+        np.testing.assert_array_equal(np.ldexp(problem.c[:T], p), -prices.prices / 0.9)
+        np.testing.assert_array_equal(np.ldexp(problem.c[T : 2 * T], p), prices.prices * 0.8)
+        reach_c, reach_d = np.ldexp(problem.upper[[0, T]], e)
+        assert (reach_c, reach_d) == (params.charge_reach, params.discharge_reach)
+        assert set(np.unique(problem.a)) == {0.0, 1.0, -1.0, -0.97}
         np.testing.assert_array_equal(np.ldexp(problem.upper[2 * T :], e),
                                       [params.s_max] * (T + 1) + [0.97 * params.s_max])
         np.testing.assert_array_equal(np.ldexp(problem.lower[2 * T :], e),
@@ -110,14 +115,14 @@ class TestBuild:
         assert math.ldexp(problem.rhs[0], e) == 0.97 * params.s_init
 
     def test_balance_rows(self):
-        # soe_t - rho*soe_{t-1} - dt*eta_c*p_chg_t + (dt/eta_d)*p_dis_t = rhs_t
+        # soe_t - rho*soe_{t-1} - e^c_t + e^d_t = rhs_t, dt and eta aside
         params = unit_storage(s_init=0.3, eta_c=0.95, eta_d=0.8, rho=0.97, dt=0.5)
         T = 4
         problem = build_lp(params, PriceSeries(np.arange(float(T)), 0.5))
         expected = np.zeros((T, 3 * T))
         for t in range(T):
-            expected[t, t] = -0.5 * 0.95
-            expected[t, T + t] = 0.5 / 0.8
+            expected[t, t] = -1.0
+            expected[t, T + t] = 1.0
             expected[t, 2 * T + t] = 1.0
             if t > 0:
                 expected[t, 2 * T + t - 1] = -0.97
@@ -268,13 +273,14 @@ class TestStrongDuality:
             problem = build_lp(params, prices)
             report = solve_storage_lp(params, prices)
             du = report.duals
-            T = len(prices)
-            rhs, lower, upper = (np.ldexp(v, require_compatible(params, prices).e)
+            T, units = len(prices), require_compatible(params, prices)
+            rhs, lower, upper = (np.ldexp(v, units.e)
                                  for v in (problem.rhs, problem.lower, problem.upper))
+            # the multipliers are the power model's, whose box is units.powers
             dual_obj = (
                 du.lam @ rhs
-                + du.gamma_hi @ upper[:T]
-                + du.delta_hi @ upper[T : 2 * T]
+                + du.gamma_hi.sum() * units.powers[0]
+                + du.delta_hi.sum() * units.powers[1]
                 + du.sigma_hi @ upper[2 * T :]
                 - du.sigma_lo @ lower[2 * T :]
             )

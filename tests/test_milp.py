@@ -90,9 +90,12 @@ class TestBuild:
         params = unit_storage(p_chg_max=1.7, p_dis_max=2.3)
         prices = PriceSeries([-1.0], 1.0)
         problem = build_milp(params, prices, True, partition(prices))
-        # the big-Ms of the links p <= u * p_max are the power limits
         assert problem.params.p_chg_max == 1.7
         assert problem.params.p_dis_max == 2.3
+        # the big-Ms of the links e <= u * reach are the energies the reaches
+        # allow, the base LP's bounds on e^c and e^d
+        reaches = np.ldexp(problem.base.upper[:2], problem.units.e)
+        assert tuple(reaches) == (params.charge_reach, params.discharge_reach)
 
 
 class TestSolve:
@@ -365,10 +368,10 @@ class TestSearchOrder:
         prices = PriceSeries([-1.0, -10.0, -10.0], 1.0)
         problem = build_milp(unit_storage(), prices, True, partition(prices))
         x = np.zeros(problem.base.n)
-        x[:3] = 1.0, 0.2, 0.2  # p_chg
-        x[3:6] = 1.0, 0.5, 0.5  # p_dis
-        # t=1: charge binary 0.5, the most fractional; t=2: |C_t|*b_t =
-        # 10 * 0.18, the most; t=3: a tie, and the earlier t wins
+        x[:3] = 1.0, 0.2, 0.2  # e^c
+        x[3:6] = 1.0, 0.5, 0.5  # e^d
+        # t=1: |C_t|*b_t = 1 * 1, where the most energy moves both ways;
+        # t=2: 10 * 0.2, the most; t=3: a tie, and the earlier t wins
         sol = LpSolution(LpStatus.OPTIMAL, x=x)
         assert milp._branch_period(problem, sol) == 1
 
@@ -377,14 +380,13 @@ class TestSearchOrder:
         # LP's binary periods picks: the largest |C_t|*b_t, earliest on ties
         def reference(problem, sol):
             T, mask = len(problem.prices), problem.binary_mask
+            # the node LP's energies e^c and e^d in the places of the powers
             sch = Schedule(sol.x[:T] * mask, sol.x[T : 2 * T] * mask, sol.x[2 * T : 3 * T])
-            eta_c, eta_d = problem.params.eta_c, problem.params.eta_d
             events = [ev for ev in detect_scd(sch) if problem.binary_mask[ev.t - 1]]
             if not events:
                 return None
             return min(events, key=lambda ev: (-abs(problem.prices.prices[ev.t - 1])
-                                               * min(eta_c * ev.p_chg_t, ev.p_dis_t / eta_d),
-                                               ev.t)).t - 1
+                                               * min(ev.p_chg_t, ev.p_dis_t), ev.t)).t - 1
 
         picks = []
 
@@ -422,7 +424,7 @@ class TestSearchOrder:
                         continue  # the next node LP is not a child of this one
                     branched += 1
                     t = cut[0] % T
-                    net = params.eta_c * sol.x[t] - sol.x[T + t] / params.eta_d
+                    net = sol.x[t] - sol.x[T + t]  # e^c_t - e^d_t
                     assert cut[0] == (T + t if net > 0 else t)
         assert branched > 200  # 282
 
@@ -589,9 +591,9 @@ class TestLegRows:
                 p_chg, p_dis, soe = random_exclusive_schedule(rng, params, T)
                 assert feasibility_check(params, Schedule(p_chg, p_dis, soe)).feasible
                 prev = np.concatenate([[params.s_init], soe[:-1]])
-                m_chg = params.rho * prev + params.dt * params.eta_c * p_chg
-                m_dis = params.rho * prev - params.dt * p_dis / params.eta_d
-                x = np.ldexp(np.concatenate([p_chg, p_dis, soe, m_chg[legs], m_dis[legs]]),
+                e_chg, e_dis = params.dt * params.eta_c * p_chg, params.dt * p_dis / params.eta_d
+                m_chg, m_dis = params.rho * prev + e_chg, params.rho * prev - e_dis
+                x = np.ldexp(np.concatenate([e_chg, e_dis, soe, m_chg[legs], m_dis[legs]]),
                              -require_compatible(params, prices).e)
                 base = problem.base
                 np.testing.assert_allclose(base.a @ x, base.rhs, rtol=0, atol=1e-12)
@@ -610,37 +612,40 @@ class TestLegRows:
 
 
 def highs_objective(params, prices, periods):
-    """MILP optimum from HiGHS with explicit binaries u_c, u_d at the given
-    periods: u_c + u_d <= 1, p_chg <= u_c * P_c, p_dis <= u_d * P_d, with the
-    powers P_c, P_d that build_lp bounds them by (the reaches' powers)."""
+    """MILP optimum from HiGHS on the paper's power model, written here apart
+    from build_lp, in MW, MWh and EUR: maximize sum_t dt*C_t*(p_dis_t - p_chg_t)
+    subject to soe_t - rho*soe_{t-1} - dt*eta_c*p_chg_t + (dt/eta_d)*p_dis_t = 0
+    (rho*s_init at t = 1), and at the given periods explicit binaries u_c, u_d:
+    u_c + u_d <= 1, p_chg <= u_c * P_c, p_dis <= u_d * P_d, with P_c and P_d the
+    powers the reaches imply (units.powers), which bound every power."""
     opt = pytest.importorskip("scipy.optimize")
-    lp_part = build_lp(params, prices)
-    units = require_compatible(params, prices)
-    e, p = units.e, units.p  # HiGHS gets the LP in MW, MWh and EUR
-    c, lower, upper, rhs = np.ldexp(lp_part.c, p), *(np.ldexp(v, e) for v in (
-        lp_part.lower, lp_part.upper, lp_part.rhs))
+    p_c, p_d = require_compatible(params, prices).powers
+    dt, rho = params.dt, params.rho
     T, K = len(prices), len(periods)
-    t = np.asarray(periods, dtype=int) - 1
-    k = np.arange(K)
+    t, k, r = np.asarray(periods, dtype=int) - 1, np.arange(K), np.arange(T)
     n = 3 * T + 2 * K
+    balance = np.zeros((T, n))
+    balance[r, r] = -dt * params.eta_c
+    balance[r, T + r] = dt / params.eta_d
+    balance[r, 2 * T + r] = 1.0
+    balance[r[1:], 2 * T + r[:-1]] = -rho
+    rhs = np.where(r == 0, rho * params.s_init, 0.0)
     excl = np.zeros((3 * K, n))
     excl[k, 3 * T + k] = excl[k, 3 * T + K + k] = 1.0
     excl[K + k, t] = 1.0
-    excl[K + k, 3 * T + k] = -upper[t]
+    excl[K + k, 3 * T + k] = -p_c
     excl[2 * K + k, T + t] = 1.0
-    excl[2 * K + k, 3 * T + K + k] = -upper[T + t]
-    rows = np.hstack([lp_part.a, np.zeros((T, 2 * K))])
+    excl[2 * K + k, 3 * T + K + k] = -p_d
+    profit = dt * prices.prices
     res = opt.milp(
-        -np.concatenate([c, np.zeros(2 * K)]),
+        -np.concatenate([-profit, profit, np.zeros(T + 2 * K)]),
         constraints=[
-            opt.LinearConstraint(rows, rhs, rhs),
+            opt.LinearConstraint(balance, rhs, rhs),
             opt.LinearConstraint(excl, -np.inf, np.concatenate([np.ones(K), np.zeros(2 * K)])),
         ],
         integrality=np.concatenate([np.zeros(3 * T), np.ones(2 * K)]),
-        bounds=opt.Bounds(
-            np.concatenate([lower, np.zeros(2 * K)]),
-            np.concatenate([upper, np.ones(2 * K)]),
-        ),
+        bounds=opt.Bounds(np.array([0.0, 0.0, params.s_min, 0.0]).repeat([T, T, T, 2 * K]),
+                          np.array([p_c, p_d, params.s_max, 1.0]).repeat([T, T, T, 2 * K])),
         options={"mip_rel_gap": 0.0},
     )
     assert res.success, res.message
@@ -784,20 +789,32 @@ class TestOutreachingPower:
             ref = highs_in_unit_range(params, prices, partition(prices).t_neg)
             assert report.objective == pytest.approx(ref, rel=1e-9)
 
-    def test_node_lp_vertex_is_snapped_to_its_bounds(self):
-        # the node LP ends on p_dis = -5.55e-17 at t=2; the answer keeps the
-        # node LP's objective, with each power on [0, its limit] exactly
-        params = StorageParams(s_min=1.5, s_max=5.0, s_init=1.5, p_chg_max=0.05, p_dis_max=0.05,
-                               eta_c=0.95, eta_d=0.9365064861026619, rho=1.0, dt=1.0)
-        prices = PriceSeries([87.73, 87.73], 1.0)
-        node = lp.solve_lp(build_lp(params, prices))
-        assert node.x[3] < 0
+    def test_node_lp_vertex_is_snapped_to_its_bounds(self, monkeypatch):
+        # draw 184 (0-based) of the stream below: both MILPs' incumbent node
+        # LP ends on e^d = -5.55e-17 (in the energy unit) at t=17; the answer
+        # keeps that node LP's objective, with each power on [0, its limit]
+        rng = np.random.default_rng(77)
+        for i in range(185):
+            T = int(rng.integers(4, 49))
+            params = fast_params(rng) if i % 3 == 0 else random_params(rng)
+            prices = mixed_sign_prices(rng, T)
         units = require_compatible(params, prices)
-        node_objective = math.ldexp(node.objective, units.e + units.p)
+        vertices = {}
+
+        def recorded(node, warm=None):
+            sol = lp.solve_lp(node, warm)
+            energies = sol.x[: 2 * T]  # before solve_milp clips them into the node's box
+            vertices[math.ldexp(sol.objective, units.e + units.p)] = (
+                energies.min() < 0 or (energies > node.upper[: 2 * T]).any())
+            return sol
+
+        monkeypatch.setattr(milp, "solve_lp", recorded)
         for refined in (False, True):
+            vertices.clear()
             report, _ = solve_storage_milp(params, prices, partition(prices), refined=refined)
-            assert report.objective == node_objective
-            for power, limit in ((report.schedule.p_chg, 0.05), (report.schedule.p_dis, 0.05)):
+            assert vertices[report.objective]  # the incumbent's vertex left its box
+            for power, limit in ((report.schedule.p_chg, params.p_chg_max),
+                                 (report.schedule.p_dis, params.p_dis_max)):
                 assert power.min() >= 0.0 and power.max() <= limit
 
 
@@ -817,13 +834,24 @@ def outreaching_storages(draw):
 
 
 # A level may end outside [s_min, s_max] by the simplex's primal tolerance,
-# 1e-9 of the node LP's largest bound.  The seeded batch stays within 1e-9 *
-# s_max; LEAK_BELOW_FLOOR ends 1e-11 (1e-8 * s_max) below s_min, where the
-# value function charges 4e-11 MW to hold s_min and the simplex stops within
-# its 1.4e-11 tolerance of the 0.014 MW charge bound.
+# 1e-9 of the node LP's largest bound, an energy as every column is; the
+# seeded batch stays within 1e-9 * s_max.  LEAK_BELOW_FLOOR's 100 MW charge
+# limit, against a 0.001 MWh level range, must not set that tolerance: the
+# value function charges 4e-11 MW to hold s_min, and a tolerance of 1e-9 of a
+# power bound of 0.014 MW would let the level sink 1e-11 below s_min.
 LEAK_BELOW_FLOOR = (StorageParams(s_min=1e-10, s_max=0.001, s_init=1e-10, p_chg_max=100.0,
                                   p_dis_max=0.01, eta_c=1.0, eta_d=1.0, rho=0.9, dt=0.25),
                     PriceSeries([0.0], 0.25))
+
+
+def test_leak_below_floor_holds_the_floor():
+    # both MILPs charge 4e-11 MW as the LP does, and the level ends on s_min
+    # itself: no tolerance
+    params, prices = LEAK_BELOW_FLOOR
+    for refined in (False, True):
+        report, _ = solve_storage_milp(params, prices, partition(prices), refined=refined)
+        soe = report.schedule.soe
+        assert params.s_min <= soe.min() and soe.max() <= params.s_max
 
 
 # the default profile's examples in tier 1; CI's counterexample hunt runs the
