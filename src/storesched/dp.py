@@ -21,8 +21,8 @@ import numpy as np
 
 from .lp import SolveReport
 from .prices import PriceSeries, require_int
-from .storage import (EPS, Schedule, StorageParams, flow, objective, require_compatible,
-                      require_finite, require_schedulable)
+from .storage import (EPS, Schedule, StorageParams, flow, objective, powers_of,
+                      require_compatible, require_finite, require_schedulable)
 
 
 class GridTooCoarse(ValueError):
@@ -72,7 +72,8 @@ def _values(params: StorageParams, prices: PriceSeries, grid: np.ndarray) -> np.
     grid[k] earns a*(rho*grid[i] - grid[k]), a = C_t/eta_c for a charge and
     C_t*eta_d for a discharge: a term in i plus the best of a term in k over
     a window of k.  Level j of a sparse table holds the maximum over 2**j
-    entries from each index, so two reads of one level cover a window."""
+    entries from each index, so two reads of one level cover a window.  Its slopes
+    stay in EUR/MWh: in the record's unit a price below the normal range loses bits."""
     lo, hi = map(np.array, _windows(params, grid, grid))
     rows, n = lo.shape
     width = hi - lo + 1
@@ -126,7 +127,6 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
         # forward pass from the exact (possibly off-grid) initial level; after
         # one step the state sits on the grid within rounding, which
         # _IDX_SLACK absorbs
-        dt, eta_c, eta_d = params.dt, params.eta_c, params.eta_d
         p_chg, p_dis, soe = np.empty((3, T))
         s, gain = params.s_init, np.empty(2 * len(grid))
         for t in range(T):
@@ -135,8 +135,8 @@ def solve_dp(params: StorageParams, prices: PriceSeries, config: DpConfig) -> So
             # charge targets upward, then discharge targets downward: an
             # on-grid level meets its idle target first as a charge
             up, down = slice(lo_c, hi_c + 1), slice(lo_d, hi_d + 1)
-            pc = ((grid[up] - base) / (dt * eta_c)).clip(0.0, params.p_chg_max)
-            pd = ((base - grid[down][::-1]) * eta_d / dt).clip(0.0, params.p_dis_max)
+            pc, pd = powers_of(params, grid[up] - base, base - grid[down][::-1])
+            pc, pd = pc.clip(0.0, params.p_chg_max), pd.clip(0.0, params.p_dis_max)
             m, end = len(pc), len(pc) + len(pd)
             np.subtract(after[up], cost * pc, out=gain[:m])
             np.add(cost * pd, after[down][::-1], out=gain[m:end])
@@ -172,13 +172,12 @@ def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: 
     if T > 4:
         raise HorizonTooLong(f"T={T} exceeds the micro-oracle limit of 4")
     require_int("levels", levels, 1, 7)
-    dt, eta_c, eta_d, rho = params.dt, params.eta_c, params.eta_d, params.rho
-    tol = EPS * params.energy_scale
+    dt, rho, tol = params.dt, params.rho, EPS * params.energy_scale
 
     def actions(s: float):
         out = [(0.0, 0.0)]
-        to_max = min((params.s_max - rho * s) / (dt * eta_c), params.p_chg_max)
-        to_min = min((rho * s - params.s_min) * eta_d / dt, params.p_dis_max)
+        to_max, to_min = powers_of(params, params.s_max - rho * s, rho * s - params.s_min)
+        to_max, to_min = min(to_max, params.p_chg_max), min(to_min, params.p_dis_max)
         for p in np.linspace(params.p_chg_max / levels, params.p_chg_max, levels):
             out.append((min(p, max(to_max, 0.0)), 0.0))
         if to_max > 0:

@@ -15,8 +15,8 @@ import numpy as np
 from .prices import PriceSeries
 from .simplex import AT_LOWER, BASIC, LpProblem, LpSolution, solve_bounded_lp
 from .storage import (Schedule, ScaledInstance, StorageParams, detect_scd, flow, net_exchange,
-                      objective, require_compatible, require_finite, require_schedulable,
-                      scd_mask)
+                      objective, powers_of, require_compatible, require_finite,
+                      require_schedulable, scd_mask)
 from .value import lp_optimum
 
 
@@ -60,11 +60,11 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     1-based period t in legs, the level after the charge alone,
     m^c_t = rho*soe_{t-1} + e^c_t in [rho*s_min, s_max], and after the
     discharge alone, m^d_t = rho*soe_{t-1} - e^d_t in [rho*s_min, rho*s_max].
-    prices is a PriceSeries or, handed on, storage.require_compatible's record
-    of it, in whose units the LP is: its costs are value.lp_optimum's slopes."""
+    prices is a PriceSeries or, handed on, storage.require_compatible's record of
+    it, in whose units the LP is: its costs are the record's slopes, as in value.py."""
     units = prices if isinstance(prices, ScaledInstance) else require_compatible(params, prices)
-    price, rho = units.prices, params.rho
-    T, K = len(price), len(legs)
+    (charge, discharge), rho = units.slopes, params.rho
+    T, K = len(charge), len(legs)
     t_leg = np.asarray(legs, dtype=int) - 1
     period = np.concatenate([np.arange(T), t_leg, t_leg])  # 0-based, one per row
     r = np.arange(T + 2 * K)
@@ -75,7 +75,7 @@ def build_lp(params: StorageParams, prices: PriceSeries, legs: tuple = ()) -> Lp
     a[r[chg], period[chg]] = -1.0
     a[r[dis], T + period[dis]] = 1.0
     a[r[prev], 2 * T + period[prev] - 1] = -rho
-    c = np.concatenate([-price / params.eta_c, price * params.eta_d, np.zeros(T + 2 * K)])
+    c = np.concatenate([-charge, discharge, np.zeros(T + 2 * K)])
     s_min, s_max, s_init = units.levels
     lower = np.array([0.0, s_min, rho * s_min]).repeat([2 * T, T, 2 * K])
     upper = np.array([*units.reaches, s_max, rho * s_max]).repeat([T, T, T + K, K])
@@ -131,7 +131,7 @@ def to_schedule(params: StorageParams, units: ScaledInstance, energies) -> Sched
     units: each energy its power in one period, a whole reach units.powers."""
     charged, burned, soe = energies
     e_chg, e_dis, soe = np.ldexp([charged, burned, soe], units.e)
-    p_chg, p_dis = e_chg / (params.dt * params.eta_c), e_dis * params.eta_d / params.dt
+    p_chg, p_dis = powers_of(params, e_chg, e_dis)
     p_chg[charged == units.reaches[0]], p_dis[burned == units.reaches[1]] = units.powers
     return Schedule(p_chg, p_dis, soe)
 
@@ -170,16 +170,16 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
 
 
 def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, du=None) -> float:
-    """Maximum residual, relative to the instance's energy scale e and largest price
-    q, over the first-order optimality system of build_lp's LP in powers, each
-    bounded by the power its reach implies (no schedule moves more, so its optimum is
-    the limits'): stationarity in p_dis / p_chg / soe, the balance equalities, dual
-    nonnegativity, every complementarity pair, and the identity that at any SCD
-    period dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in the price unit of
-    storage.require_compatible's record, where q, q*dt and q*e neither round to 0 nor
-    overflow: of report.duals scaled into it, or of du's multipliers as formed there,
-    du a pair (that record, multipliers).  The residuals fill the rows of one block,
-    and each row's largest |r| is divided by its unit."""
+    """Maximum residual, relative to the instance's energy scale e and largest price q, over
+    the first-order optimality system of the paper's model in powers, which build_lp's
+    energy columns rescale exactly, each power bounded by the power its reach implies (no
+    schedule moves more, so its optimum is the limits'): stationarity in p_dis / p_chg /
+    soe, the balance equalities, dual nonnegativity, every complementarity pair, and the
+    identity that at any SCD period dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in
+    the price unit of storage.require_compatible's record, where q, q*dt and q*e neither
+    round to 0 nor overflow: of report.duals scaled into it, or of du's multipliers as
+    formed there, du a pair (that record, multipliers).  The residuals fill the rows of one
+    block, and each row's largest |r| is divided by its unit."""
     if report.duals is None:
         raise MissingDuals("report carries no duals")
     units, du = du or (require_compatible(params, prices), None)

@@ -38,8 +38,8 @@ import numpy as np
 from .lp import SolveReport, build_lp, solve_lp, to_schedule
 from .prices import PricePartition, PriceSeries
 from .simplex import LpProblem, LpSolution, LpStatus, SimplexFailure, child_bound
-from .storage import (ScaledInstance, StorageParams, detect_scd, from_units, repair_scd,
-                      require_compatible, require_finite, require_schedulable, scd_mask)
+from .storage import (ScaledInstance, StorageParams, detect_scd, repair_scd, require_compatible,
+                      require_finite, require_schedulable, scd_mask)
 
 
 @dataclass
@@ -153,8 +153,10 @@ def solve_milp(problem: MilpProblem):
     e, p = problem.units.e, problem.units.p
     sch = repair_scd(problem.params, problem.prices,  # nets any nonnegative-price SCD
                      to_schedule(problem.params, problem.units, incumbent.x[: 3 * T].reshape(3, T)))
-    stats.gap, stats.root_bound = 0.0, from_units(stats.root_bound, e + p)
-    return SolveReport(from_units(incumbent.objective, e + p), sch, detect_scd(sch)), stats
+    with np.errstate(over="ignore"):  # +-inf beyond double precision, for require_finite
+        found, stats.root_bound = np.ldexp([incumbent.objective, stats.root_bound], e + p).tolist()
+    stats.gap = 0.0
+    return SolveReport(found, sch, detect_scd(sch)), stats
 
 
 def solve_storage_milp(

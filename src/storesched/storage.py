@@ -158,12 +158,6 @@ class FeasibilityReport:
         return not self.violations
 
 
-def from_units(value: float, exponent: int) -> float:
-    """value * 2^exponent; +-inf where that overflows, for require_finite to refuse by name."""
-    overflows = value and math.frexp(value)[1] + exponent > 1024
-    return math.copysign(math.inf, value) if overflows else math.ldexp(value, exponent)
-
-
 def require_finite(name: str, value: float) -> None:
     """Refuse, by name, a quantity that overflowed double precision."""
     if not math.isfinite(value):
@@ -172,15 +166,16 @@ def require_finite(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class ScaledInstance:
-    """An instance in the units every LP and MILP solve computes in: 2^e MWh and
-    2^e MW, 2^e the power of two just above energy_scale, and 2^p EUR/MWh, 2^p
-    the one just above max|C_t| (p = 0 with every price 0).  These exact
-    scalings keep the largest numbers near 1, so that nothing overflows and no
-    slope from a subnormal price rounds to 0, and they move no pivot or tie."""
+    """An instance in the units every LP and MILP solve computes in: 2^e MWh,
+    2^e the power of two just above energy_scale, and 2^p EUR/MWh, 2^p the one
+    just above max|C_t| (p = 0 with every price 0).  These exact scalings keep
+    the largest numbers near 1, so that nothing overflows and no slope from a
+    subnormal price rounds to 0, and they move no pivot or tie."""
 
     e: int
     p: int
     prices: np.ndarray  # C_t in 2^p EUR/MWh
+    slopes: tuple  # C_t/eta_c and eta_d*C_t, a stored MWh's cost and worth, in 2^p EUR/MWh
     q: float  # max|C_t| in 2^p EUR/MWh, in [1/2, 1) or 0
     levels: tuple  # s_min, s_max and s_init in 2^e MWh
     reaches: tuple  # charge_reach and discharge_reach in 2^e MWh
@@ -196,13 +191,14 @@ def require_compatible(params: StorageParams, prices: PriceSeries) -> ScaledInst
     require_finite("dt * price", params.dt * largest)
     e, p = math.frexp(params.energy_scale)[1], math.frexp(largest)[1]
     require_finite("price / eta_c", math.ldexp(largest, -p) / params.eta_c)  # the charge cost
-    dt, reach_c, reach_d = params.dt, params.charge_reach, params.discharge_reach
+    reach_c, reach_d = params.charge_reach, params.discharge_reach
+    price, (power_c, power_d) = np.ldexp(prices.prices, -p), powers_of(params, reach_c, reach_d)
     return ScaledInstance(
-        e, p, np.ldexp(prices.prices, -p), math.ldexp(largest, -p),
+        e, p, price, (price / params.eta_c, price * params.eta_d), math.ldexp(largest, -p),
         tuple(math.ldexp(v, -e) for v in (params.s_min, params.s_max, params.s_init)),
         (math.ldexp(reach_c, -e), math.ldexp(reach_d, -e)),
-        (params.p_chg_max if reach_c == params.charge_step else reach_c / (dt * params.eta_c),
-         params.p_dis_max if reach_d == params.discharge_step else reach_d * params.eta_d / dt))
+        (params.p_chg_max if reach_c == params.charge_step else power_c,
+         params.p_dis_max if reach_d == params.discharge_step else power_d))
 
 
 def require_schedulable(params: StorageParams, T: int) -> None:
@@ -237,6 +233,11 @@ def propagate_soe(params: StorageParams, p_chg, p_dis) -> np.ndarray:
 def flow(params: StorageParams, p_chg, p_dis):
     """dt*eta_c * pC_t - dt/eta_d * pD_t (MWh): a power that fits its period cannot overflow."""
     return params.dt * params.eta_c * p_chg - params.dt / params.eta_d * p_dis
+
+
+def powers_of(params: StorageParams, charged, burned) -> tuple:
+    """flow's inverse per mode: the powers (MW) charged/(dt*eta_c) and burned*eta_d/dt."""
+    return charged / (params.dt * params.eta_c), burned * params.eta_d / params.dt
 
 
 def objective(prices: PriceSeries, schedule: Schedule, dt: float) -> float:
@@ -335,9 +336,9 @@ def repair_scd(params: StorageParams, prices: PriceSeries, schedule: Schedule) -
         raise RepairNotApplicable(f"SCD at t={k + 1} with C_t={c[k]} and eta={params.eta} < 1")
     p_chg, p_dis = schedule.p_chg.copy(), schedule.p_dis.copy()
     beta = net_exchange(params, schedule.soe)[scd]
-    discharge = beta <= 0
-    p_chg[scd] = np.where(discharge, 0.0, beta / (params.eta_c * params.dt))
-    p_dis[scd] = np.where(discharge, -params.eta_d * beta / params.dt, 0.0)
+    discharge, (charge_power, burn_power) = beta <= 0, powers_of(params, beta, -beta)
+    p_chg[scd] = np.where(discharge, 0.0, charge_power)
+    p_dis[scd] = np.where(discharge, burn_power, 0.0)
     return Schedule(p_chg=p_chg, p_dis=p_dis, soe=schedule.soe.copy())
 
 

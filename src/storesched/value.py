@@ -22,22 +22,20 @@ _TOL = 1e-11  # numbers closer than _TOL times the magnitudes in play are equal
 
 
 def lp_optimum(params, units) -> tuple:
-    """An optimal schedule of the storage LP, each power bounded by the power its
-    reach implies as in lp.build_lp, and balance-row multipliers that certify
-    it, in units, storage.require_compatible's record: lists of the energy each
-    period charges and burns and of the levels in its energy unit, and of lam in
-    its price unit.  Where C_t >= 0 or eta = 1 a period charges or discharges,
-    never both: simultaneous charge and discharge costs nothing there.  Some
-    schedule fits (storage.require_schedulable): an empty window is rounding."""
-    rho, eta_c, eta_d = params.rho, params.eta_c, params.eta_d
-    (s_min, s_max, s_init), (hi, dis) = units.levels, units.reaches
+    """An optimal schedule of the storage LP, each energy bounded by its reach as
+    in lp.build_lp, and balance-row multipliers that certify it, in units,
+    storage.require_compatible's record: lists of the energy each period charges
+    and burns and of the levels in its energy unit, and of lam in its price unit.
+    Where C_t >= 0 or eta = 1 a period charges or discharges, never both:
+    simultaneous charge and discharge costs nothing there.  Some schedule fits
+    (storage.require_schedulable): an empty window is rounding."""
+    rho, (s_min, s_max, s_init), (hi, dis) = params.rho, units.levels, units.reaches
     y_min, y_max = rho * s_min, rho * s_max
     # g_t of each period: the keys (minus the slopes) k1 of its piece beta in
     # [mid, hi_b] and k2 of [lo_b, mid], its knot and spill, and lambda_t's
     # bounds xc and xd.  At C_t < 0 the LP charges at full rate and burns the
     # surplus by discharge (spill, where eta < 1), so the two slopes swap
-    c = units.prices
-    xc, xd, neg, T = c / eta_c, c * eta_d, c < 0, len(c)
+    (xc, xd), neg, T = units.slopes, units.prices < 0, len(units.prices)
     k1, k2, knot, spill = -xc, -xd, np.zeros(T), neg * (0.0 if params.eta == 1.0 else dis)
     k1[neg], k2[neg], knot[neg] = k2[neg], k1[neg], hi - dis
     g = [*zip(k1.tolist(), k2.tolist(), knot.tolist(), spill.tolist(), xc.tolist(), xd.tolist())]
@@ -109,9 +107,9 @@ def lp_optimum(params, units) -> tuple:
         burn = add - beta
         burn = 0.0 if burn <= tol else dis if burn >= dis - tol else burn
         schedule.append((add, burn, u))
-        # the balance multipliers the power statuses allow: lambda_t >= C_t/eta_c
-        # unless p_chg = 0 and <= unless p_chg = Pc; <= eta_d*C_t unless p_dis
-        # = 0 and >= unless p_dis = Pd, Pc and Pd the powers the reaches imply
+        # the balance multipliers the energy statuses allow: lambda_t >= C_t/eta_c
+        # unless the period charges nothing, <= unless it charges its whole reach;
+        # <= eta_d*C_t unless it burns nothing, >= unless it burns its whole reach
         lo, up = (xc if add else -_INF), (_INF if add == hi else xc)
         allowed.append((lo if burn == dis or xd < lo else xd,
                         up if not burn or xd > up else xd, at_min, at_max))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,9 @@ class TestBuild:
         assert 0.5 <= math.ldexp(params.energy_scale, -e) < 1 and p == 997  # 2^996 < 1e300
         np.testing.assert_array_equal(np.ldexp(problem.c[:T], p), -prices.prices / 0.9)
         np.testing.assert_array_equal(np.ldexp(problem.c[T : 2 * T], p), prices.prices * 0.8)
+        price_u = np.ldexp(prices.prices, -p)  # the slopes are formed once, in the price unit
+        np.testing.assert_array_equal(units.slopes[0], price_u / 0.9)
+        np.testing.assert_array_equal(units.slopes[1], price_u * 0.8)
         reach_c, reach_d = np.ldexp(problem.upper[[0, T]], e)
         assert (reach_c, reach_d) == (params.charge_reach, params.discharge_reach)
         assert set(np.unique(problem.a)) == {0.0, 1.0, -1.0, -0.97}
@@ -113,6 +117,16 @@ class TestBuild:
         np.testing.assert_array_equal(np.ldexp(problem.lower[2 * T :], e),
                                       [params.s_min] * T + [0.97 * params.s_min] * 2)
         assert math.ldexp(problem.rhs[0], e) == 0.97 * params.s_init
+
+    def test_costs_are_the_records_slopes(self):
+        # build_lp reads each period's cost and worth of a stored MWh from the
+        # record, and forms no slope of its own
+        params, prices = unit_storage(), PriceSeries([35.0, -20.0, 0.0], 1.0)
+        units = require_compatible(params, prices)
+        a, b = np.array([0.25, -0.5, 0.75]), np.array([-0.125, 0.0, 1.0])
+        problem = build_lp(params, dataclasses.replace(units, slopes=(a, b)))
+        np.testing.assert_array_equal(problem.c[:6], np.concatenate([-a, b]))
+        np.testing.assert_array_equal(problem.c[6:], 0.0)
 
     def test_balance_rows(self):
         # soe_t - rho*soe_{t-1} - e^c_t + e^d_t = rhs_t, dt and eta aside

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import fields
 
@@ -35,7 +36,8 @@ from storesched import (
     solve_storage_milp,
 )
 from storesched.simplex import LpStatus
-from storesched.storage import EPS, net_exchange
+from storesched.storage import EPS, flow, net_exchange, powers_of
+from test_robustness import SCALES
 
 
 def make_params(**overrides):
@@ -274,6 +276,30 @@ class TestPropagation:
         np.testing.assert_allclose(net_exchange(params, full),
                                    [params.charge_step, -params.discharge_step],
                                    rtol=1e-9, atol=1e-12)
+
+    def test_powers_of_inverts_each_mode_of_flow(self):
+        # the powers that charge x and burn y MWh in one period move x - y MWh again,
+        # within the roundings of the two conversions and the difference (7 half-ulps
+        # of the larger energy), for power limits across SCALES wherever a period's
+        # energies are normal doubles; a zero energy stays a zero power
+        rng, eps, checked = np.random.default_rng(5), np.finfo(float).eps, 0
+        for p_chg_max, p_dis_max in itertools.product(SCALES, SCALES):
+            for dt, eta_c, eta_d in ((1 / 6, 0.9, 0.8), (0.25, 0.97, 0.61), (10.0, 0.5, 1.0)):
+                try:
+                    params = make_params(p_chg_max=p_chg_max, p_dis_max=p_dis_max,
+                                         eta_c=eta_c, eta_d=eta_d, dt=dt)
+                except ValueError:  # a step below double precision
+                    continue
+                steps = params.charge_step, params.discharge_step
+                if min(steps) < np.finfo(float).tiny:
+                    continue
+                x, y = (step * rng.random(100) * (rng.random(100) < 0.8) for step in steps)
+                p_chg, p_dis = powers_of(params, x, y)
+                assert np.all(p_chg[x == 0] == 0) and np.all(p_dis[y == 0] == 0)
+                back = flow(params, p_chg, p_dis)
+                assert np.all(np.abs(back - (x - y)) <= 3.5 * eps * np.maximum(x, y))
+                checked += 1
+        assert checked >= 100
 
 
 class TestObjective:
