@@ -167,11 +167,15 @@ def dp_value_error_bound(params: StorageParams, prices: PriceSeries, config: DpC
 def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: int = 5) -> float:
     """Maximum profit over all exclusive discretized action sequences.
     Per period: idle, `levels` charge powers in (0, p_chg_max] plus the
-    exact charge-to-ceiling power, and the discharge mirror image."""
+    exact charge-to-ceiling power, and the discharge mirror image.  As in
+    solve_dp, storage.require_schedulable and require_compatible refuse
+    first, and an overflowing optimum (NaN on any path) is refused by name."""
     T = len(prices)
     if T > 4:
         raise HorizonTooLong(f"T={T} exceeds the micro-oracle limit of 4")
     require_int("levels", levels, 1, 7)
+    require_schedulable(params, T)
+    require_compatible(params, prices)
     dt, rho, tol = params.dt, params.rho, EPS * params.energy_scale
 
     def actions(s: float):
@@ -193,7 +197,7 @@ def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: 
     def recurse(t: int, s: float, profit: float):
         nonlocal best
         if t == T:
-            best = max(best, profit)
+            best = np.maximum(best, profit)  # a NaN sticks, in any order
             return
         for pc, pd in actions(s):
             s_next = rho * s + flow(params, pc, pd)
@@ -201,5 +205,7 @@ def exhaustive_micro_oracle(params: StorageParams, prices: PriceSeries, levels: 
                 continue
             recurse(t + 1, s_next, profit + dt * prices.prices[t] * (pd - pc))
 
-    recurse(0, params.s_init, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+        recurse(0, params.s_init, 0.0)
+    require_finite("micro-oracle optimum", best)
     return float(best)

@@ -136,14 +136,30 @@ def to_schedule(params: StorageParams, units: ScaledInstance, energies) -> Sched
     return Schedule(p_chg, p_dis, soe)
 
 
+def _bound_multipliers(params: StorageParams, units: ScaledInstance, lam) -> np.ndarray:
+    """The six bound multipliers that the balance rows' lam implies, in units' price unit and
+    DualVector's order: each upper bound's the part >= 0 of the reduced cost of soe, p_chg or
+    p_dis, each lower bound's the part >= 0 of its negation."""
+    bounds = np.empty((6, len(lam)))
+    soe_rc, chg_rc, dis_rc = hi = bounds[1::2]
+    soe_rc[:-1] = params.rho * lam[1:]
+    soe_rc[-1] = 0.0  # free terminal level: lam_{T+1} = 0
+    soe_rc -= lam
+    lam_dt, dt_c = lam * params.dt, params.dt * units.prices
+    chg_rc[:] = lam_dt * params.eta_c - dt_c
+    dis_rc[:] = dt_c - lam_dt / params.eta_d
+    np.maximum(np.multiply(hi, -1.0, out=bounds[::2]), 0.0, out=bounds[::2])
+    np.maximum(hi, 0.0, out=hi)
+    return bounds
+
+
 def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
     """The LP answer from its value function (value.py), not the simplex: a
     schedule with no costless SCD (at a zero price or eta = 1), its SCD
     events, duals from its bound statuses and their KKT residual, all formed
-    in storage.require_compatible's record and scaled back once, here.  Each
-    bound multiplier is the part of one sign of the reduced cost of soe, p_chg
-    or p_dis, which the stationarity rows give from lambda.  Storage's two
-    gates refuse before any solve; a ValueError names an overflowing objective."""
+    in storage.require_compatible's record and scaled back once, here: lambda
+    and the bound multipliers that it implies (_bound_multipliers).  Storage's
+    two gates refuse before any solve; a ValueError names an overflowing objective."""
     require_schedulable(params, len(prices))
     units = require_compatible(params, prices)
     *energies, y = map(np.array, lp_optimum(params, units))
@@ -151,18 +167,7 @@ def solve_storage_lp(params: StorageParams, prices: PriceSeries) -> SolveReport:
         schedule, dt = to_schedule(params, units, energies), params.dt
         report = SolveReport(objective(prices, schedule, dt), schedule, detect_scd(schedule))
         require_finite("lp objective", report.objective)
-        # the upper bounds' rows take the reduced costs, the lower bounds' rows
-        # their negations, and each multiplier is the part >= 0 of its row
-        bounds = np.empty((6, len(y)))
-        soe_rc, chg_rc, dis_rc = hi = bounds[1::2]
-        soe_rc[:-1] = params.rho * y[1:]
-        soe_rc[-1] = 0.0  # free terminal level: lam_{T+1} = 0
-        soe_rc -= y
-        y_dt, dt_c = y * dt, dt * units.prices
-        chg_rc[:] = y_dt * params.eta_c - dt_c
-        dis_rc[:] = dt_c - y_dt / params.eta_d
-        np.maximum(np.multiply(hi, -1.0, out=bounds[::2]), 0.0, out=bounds[::2])
-        np.maximum(hi, 0.0, out=hi)
+        bounds = _bound_multipliers(params, units, y)
         report.duals = DualVector(*np.ldexp([y, *bounds], units.p))
         du = units, DualVector(y, *bounds)
         report.kkt_max_residual = kkt_verify(params, prices, report, du)
@@ -173,38 +178,37 @@ def kkt_verify(params: StorageParams, prices: PriceSeries, report: SolveReport, 
     """Maximum residual, relative to the instance's energy scale e and largest price q, over
     the first-order optimality system of the paper's model in powers, which build_lp's
     energy columns rescale exactly, each power bounded by the power its reach implies (no
-    schedule moves more, so its optimum is the limits'): stationarity in p_dis / p_chg /
-    soe, the balance equalities, dual nonnegativity, every complementarity pair, and the
-    identity that at any SCD period dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in
-    the price unit of storage.require_compatible's record, where q, q*dt and q*e neither
-    round to 0 nor overflow: of report.duals scaled into it, or of du's multipliers as
-    formed there, du a pair (that record, multipliers).  The residuals fill the rows of one
-    block, and each row's largest |r| is divided by its unit."""
+    schedule moves more, so its optimum is the limits'): stationarity in soe / p_chg /
+    p_dis, each row the bound multipliers that lambda implies (_bound_multipliers, those
+    solve_storage_lp reports) less the given ones, the balance equalities, dual
+    nonnegativity, every complementarity pair, and the identity that at any SCD period
+    dt*C_t*(1 - eta) + eta*delta_hi_t + gamma_hi_t = 0, in the price unit of
+    storage.require_compatible's record, where q, q*dt and q*e neither round to 0 nor
+    overflow: of report.duals scaled into it, or of du's multipliers as formed there, du a
+    pair (that record, multipliers).  The residuals fill the rows of one block, and each
+    row's largest |r| is divided by its unit.  A ValueError names mismatched lengths."""
     if report.duals is None:
         raise MissingDuals("report carries no duals")
+    if len(prices) != len(report.schedule):
+        raise ValueError("price and schedule lengths differ")
     units, du = du or (require_compatible(params, prices), None)
     du = du or DualVector(*(np.ldexp(v, -units.p) for v in vars(report.duals).values()))
     sch, dt, c = report.schedule, params.dt, units.prices
     e, q = params.energy_scale, units.q or 1.0  # all 0: any q will do
     lam, *bounds = vars(du).values()
-    # each residual row beside its unit: stationarity in p_dis and p_chg in
-    # q*dt, in soe in q, balance in e; each multiplier in q for soe and q*dt
-    # for a power, its slack in e_u and e/dt, their product in q*e_u and q*e
+    # each residual row beside its unit: stationarity in soe in q, in p_chg and
+    # p_dis in q*dt, balance in e; each multiplier in q for soe and q*dt for a
+    # power, its slack in e_u and e/dt, their product in q*e_u and q*e
     q_dt = q * dt
     res, unit = np.empty((22, len(c))), np.empty(23)  # unit[22]: the SCD identity's
-    lam_dt = lam * dt
-    res[0] = -dt * c + lam_dt / params.eta_d + du.delta_hi - du.delta_lo
-    res[1] = dt * c - lam_dt * params.eta_c + du.gamma_hi - du.gamma_lo
-    unit[0:2] = q_dt
-    res[2, :-1] = params.rho * lam[1:]
-    res[2, -1] = 0.0  # free terminal level: lam_{T+1} = 0
-    res[2] = lam - res[2] + du.sigma_hi - du.sigma_lo
-    unit[2] = q
+    mult, slack = res[4:10], res[10:16]
+    mult[:] = bounds
+    own = _bound_multipliers(params, units, lam)  # stationarity: lam's multipliers less mult
+    res[:3] = own[1::2] - own[::2] - mult[1::2] + mult[::2]
+    unit[:3] = q, q_dt, q_dt
     res[3] = net_exchange(params, sch.soe) - flow(params, sch.p_chg, sch.p_dis)
     unit[3] = e
     # per bound: dual nonnegativity, primal feasibility, complementary slackness
-    mult, slack = res[4:10], res[10:16]
-    mult[:] = bounds
     unit[4:10] = q, q, q_dt, q_dt, q_dt, q_dt
     slack[:] = (sch.soe - params.s_min, params.s_max - sch.soe, sch.p_chg,
                 units.powers[0] - sch.p_chg, sch.p_dis, units.powers[1] - sch.p_dis)

@@ -71,11 +71,13 @@ def build_milp(
 ) -> MilpProblem:
     require_schedulable(params, len(prices))
     units = require_compatible(params, prices)
-    binary_mask = np.full(len(prices), not refined)  # full: every period
-    binary_mask[np.asarray(part.t_neg, dtype=int) - 1] = True
+    neg = prices.prices < 0
+    t_neg = tuple((neg.nonzero()[0] + 1).tolist())
+    if tuple(part.t_neg) != t_neg:  # the legs and binary periods are the prices' own
+        raise ValueError(f"partition's negative periods {part.t_neg} are not the prices' {t_neg}")
     return MilpProblem(
-        base=build_lp(params, units, part.t_neg),
-        binary_mask=binary_mask,
+        base=build_lp(params, units, t_neg),
+        binary_mask=neg | (not refined),  # full: every period
         params=params,
         prices=prices,
         units=units,
@@ -162,8 +164,8 @@ def solve_milp(problem: MilpProblem):
 def solve_storage_milp(
     params: StorageParams, prices: PriceSeries, part: PricePartition, refined: bool = True
 ):
-    """solve_milp on build_milp's problem; a ValueError names an objective
-    that overflows double precision."""
+    """solve_milp on build_milp's problem; a ValueError names a partition of
+    other prices or an objective that overflows double precision."""
     report, stats = solve_milp(build_milp(params, prices, refined, part))
     require_finite(f"{'refined' if refined else 'milp'} objective", report.objective)
     return report, stats

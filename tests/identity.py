@@ -31,9 +31,9 @@ from _instances import edge_draw, fast_params, mixed_sign_prices, random_params 
 from test_robustness import edge_recipe  # noqa: E402
 
 import storesched  # noqa: E402
-from storesched import (DpConfig, PriceSeries, Schedule, build_lp, exhaustive_micro_oracle,  # noqa: E402
-                        partition, propagate_soe, repair_scd, solve_dp, solve_storage_lp,
-                        solve_storage_milp)
+from storesched import (DpConfig, DualVector, PriceSeries, Schedule, build_lp,  # noqa: E402
+                        exhaustive_micro_oracle, kkt_verify, partition, propagate_soe,
+                        repair_scd, solve_dp, solve_storage_lp, solve_storage_milp)
 
 
 class Digest:
@@ -87,6 +87,24 @@ def lp_random():
 def lp_edge_draw():
     rng = np.random.default_rng(7)
     return lp_answers(edge_draw(rng) for _ in range(3000))
+
+
+def kkt_perturbed():
+    """kkt_verify on LP answers whose multipliers are not the LP's own: lambda
+    scaled by up to 1% a period, each bound multiplier raised by up to 1% of
+    max|C_t|*dt; every other draw an edge_draw."""
+    rng, d = np.random.default_rng(11), Digest()
+    for i in range(800):
+        params, prices = edge_draw(rng) if i % 2 else ordinary(rng, int(rng.integers(1, 60)))
+        report = d.call(solve_storage_lp, params, prices)
+        if report is not None:
+            T, top = len(prices), float(np.abs(prices.prices).max()) * params.dt
+            lam, *bounds = vars(report.duals).values()
+            with np.errstate(all="ignore"):  # raising a multiplier near the double range
+                report.duals = DualVector(lam * (1 + rng.uniform(-0.01, 0.01, T)),
+                                          *(b + rng.random(T) * 0.01 * top for b in bounds))
+            d.numbers(d.call(kkt_verify, params, prices, report))
+    return d
 
 
 def build_lp_arrays():
@@ -154,6 +172,7 @@ RECIPES = {
     "lp_edge_draw_3000": lp_edge_draw,
     "lp_edge_recipe_5": lambda: lp_answers(edge_recipe(5, 3000)),
     "lp_edge_recipe_7": lambda: lp_answers(edge_recipe(7, 5000)),
+    "kkt_perturbed_800": kkt_perturbed,
     "build_lp_400x2": build_lp_arrays,
     "milp_250x2": milps,
     "dp_240x2": dps,

@@ -384,6 +384,23 @@ class TestMicroOracle:
             with pytest.raises(ValueError, match="levels"):
                 exhaustive_micro_oracle(params, PriceSeries([1.0], 1.0), levels=levels)
 
+    # each refused as solve_dp refuses it; the storage holds 1 MWh from half full,
+    # powers 1/1, eta 0.9/0.9, rho 1, dt 1 unless the row says otherwise
+    @pytest.mark.parametrize("overrides, values, dt, error, message", [
+        ({}, [30.0, -5.0, 40.0], 0.5, ValueError, "^prices dt 0.5 differs from params dt 1.0$"),
+        (dict(s_min=0.5, p_chg_max=0.01, rho=0.5), [30.0, -5.0, 40.0], 1.0, InfeasibleStorage,
+         "no schedule keeps"),
+        (dict(p_chg_max=1e300, p_dis_max=1e300), [1e308, -1e308, 1e308], 1.0, ValueError,
+         "^micro-oracle optimum is inf, beyond double precision$"),
+        # discharging then charging 5e299 MWh reads inf - inf on one path
+        (dict(s_max=1e300, s_init=5e299, p_chg_max=1e300, p_dis_max=1e300), [1e308, 1e308], 1.0,
+         ValueError, "^micro-oracle optimum is nan, beyond double precision$"),
+    ], ids=["dt_mismatch", "unschedulable", "overflow", "nan_path"])
+    def test_refuses_as_the_solvers_do(self, overrides, values, dt, error, message):
+        params = unit_storage(**{"s_init": 0.5, "p_chg_max": 1.0, "p_dis_max": 1.0, **overrides})
+        with pytest.raises(error, match=message):
+            exhaustive_micro_oracle(params, PriceSeries(values, dt))
+
     def test_t1_agrees_with_solvers(self):
         params = unit_storage(s_init=1.0, p_dis_max=5.0)
         prices = PriceSeries([30.0], 1.0)

@@ -15,9 +15,11 @@ from _instances import (
     lp_safe_instance,
     mixed_sign_prices,
     random_params,
+    reference_kkt_verify,
 )
 from storesched import (
     DpConfig,
+    DualVector,
     InfeasibleStorage,
     MissingDuals,
     PriceSeries,
@@ -252,6 +254,36 @@ class TestKkt:
         report = solve_storage_lp(params, prices)
         report.duals.lam[1] += 1e-3 * 30.0  # 1e-3 of the largest price
         assert kkt_verify(params, prices, report) >= 1e-3 - 1e-7
+
+    def test_off_the_lps_multipliers_as_reference(self):
+        # at the LP's own multipliers the stationarity rows are 0; with lambda
+        # scaled and every bound multiplier raised (both bounds of each
+        # variable at once), kkt_verify still equals the reference's form of
+        # each residual bit for bit (a NaN equals a NaN)
+        rng = np.random.default_rng(11)
+        for i in range(60):
+            if i % 2:
+                params, prices = edge_draw(rng)
+            else:
+                params, prices = random_params(rng), mixed_sign_prices(rng, int(rng.integers(1, 40)))
+            try:
+                report = solve_storage_lp(params, prices)
+            except InfeasibleStorage:
+                continue
+            units, T = require_compatible(params, prices), len(prices)
+            lam, *bounds = (np.ldexp(v, -units.p) for v in vars(report.duals).values())
+            raised = (b + rng.random(T) * 0.01 * units.q * params.dt for b in bounds)
+            du = DualVector(lam * (1 + rng.uniform(-0.01, 0.01, T)), *raised)
+            got = kkt_verify(params, prices, report, (units, du))
+            ref = reference_kkt_verify(params, prices, du, report.schedule)
+            assert got > 0.0 and (np.float64(got).view(np.int64) == np.float64(ref).view(np.int64))
+
+    @pytest.mark.parametrize("periods, others", [(3, 4), (1, 3)])
+    def test_lengths_differ(self, periods, others):
+        params = unit_storage(s_init=0.5)
+        report = solve_storage_lp(params, PriceSeries([30.0, -5.0, 40.0][:periods], 1.0))
+        with pytest.raises(ValueError, match="^price and schedule lengths differ$"):
+            kkt_verify(params, PriceSeries([30.0, -5.0, 40.0, 10.0][:others], 1.0), report)
 
     def test_missing_duals(self):
         from storesched import Schedule

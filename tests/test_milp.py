@@ -526,6 +526,20 @@ class TestInfeasibleStorage:
             solve_milp(problem)
 
 
+class TestPartition:
+    @pytest.mark.parametrize("other", [[30.0, 5.0, 40.0, -3.0], [30.0, 5.0, 40.0]],
+                             ids=["longer", "other_signs"])
+    def test_partition_of_other_prices_refused(self, other):
+        # a partition with the prices' own negative periods only: the leg and
+        # binary periods are read off it
+        prices = PriceSeries([30.0, -5.0, 40.0], 1.0)
+        part = partition(PriceSeries(other, 1.0))
+        for refined in (False, True):
+            with pytest.raises(ValueError, match=r"^partition's negative periods \(\d?,?\) are not "
+                                                 r"the prices' \(2,\)$"):
+                solve_storage_milp(unit_storage(s_init=0.5), prices, part, refined=refined)
+
+
 class TestOverflow:
     def test_infinite_objective_refused(self):
         # storage of 1e300 MWh and MW at +-1e10 EUR/MWh earns more than a
